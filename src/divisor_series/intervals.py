@@ -302,6 +302,20 @@ def exp_(x):
     return math.exp(x)
 
 
+def lift(value: Scalar, mode: Mode):
+    """An exact scalar in the arithmetic of `mode`: the nearest double (FAST)
+    or the tightest outward-rounded interval (CERTIFIED)."""
+    if mode is Mode.FAST:
+        return float(value)
+    return to_ivmpf(value if isinstance(value, (int, Fraction)) else Fraction(value))
+
+
+def const(value: Scalar, like):
+    """A rational constant of a formula, lifted into the arithmetic of the
+    formula's argument `like` the same way mode dispatch lifts q."""
+    return lift(value, Mode.CERTIFIED if isinstance(like, ivmpf) else Mode.FAST)
+
+
 def powr(base, exponent):
     """base ** exponent for positive base; exact integer exponents stay exact."""
     if isinstance(exponent, int):

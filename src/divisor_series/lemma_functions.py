@@ -10,6 +10,7 @@ sums C, D) decide the sign of F'.  This module provides:
   exact differences, no quadrature in the verified path) and the constant
   A_q = integral of phi over [1, inf);
 * the correction sums sigma_q(j), rho_q(j), C_q(n), D_q(n);
+* the monotone-sandwich bounds W1, W2 (Lemma 2.4ii) and J1, J2 (Lemma 2.9);
 * the critical points M_q (maximizer) and N_q (inflection) by bracketed
   bisection;
 * the bound functions U, V, V', Theta_q, K_q, h1..h3, Delta, G, G0 used by
@@ -31,11 +32,12 @@ from .intervals import (
     DomainError,
     Enclosure,
     Mode,
+    const,
     exp_,
     interval_precision,
+    lift,
     ln,
     powr,
-    to_ivmpf,
     working_precision,
 )
 from .polynomials import Polynomial
@@ -146,11 +148,51 @@ def g_raw(q):
 def g0_raw(q):
     """G0(q) = (1 + (11/20)(1-q)) Delta(q) + 2(q^28 - 1), an upper bound for
     G/(1-q) wherever Delta > 0 (via -log q <= (1-q) + (11/20)(1-q)^2)."""
-    if isinstance(q, float):
-        lin = 1 + 0.55 * (1 - q)
-    else:
-        lin = 1 + to_ivmpf(Fraction(11, 20)) * (1 - q)
+    lin = 1 + const(Fraction(11, 20), q) * (1 - q)
     return lin * delta_raw(q) + 2 * (q ** 28 - 1)
+
+
+def phi_integer_sum_raw(q, k_max: int, half_last: bool = False):
+    """sum_{k=1}^{k_max} phi_q(k), the last term halved when half_last.
+
+    q^k comes from one running product rather than a power per term; this
+    sum dominates the cost of the Lemma 2.4ii grid.
+    """
+    total = 0 * q
+    qk = q
+    for k in range(1, k_max + 1):
+        term = qk * (qk - q * k + (k - 1)) / (1 - qk) ** 2
+        if half_last and k == k_max:
+            term = term / 2
+        total = total + term
+        qk = qk * q
+    return total
+
+
+def w1_raw(q):
+    """W1(q) = integral of phi over [1, 40] as an antiderivative difference."""
+    return phi_antiderivative_raw(q, 40) - phi_antiderivative_raw(q, 1)
+
+
+def w2_raw(q):
+    """W2(q) = sum_{k=1}^{40} phi_q(k).
+
+    The k = 1 term vanishes (phi_q(1) = 0 identically), so this sum equals
+    the rectangle-rule value sum_{k=2}^{40} phi_q(k) that pairs with W1 in
+    the error sum C_q(39); starting at k = 1 keeps the loop uniform.
+    """
+    return phi_integer_sum_raw(q, 40)
+
+
+def j1_raw(q):
+    """J1(q) = integral of phi over [1, 11] minus 0.036."""
+    integral = phi_antiderivative_raw(q, 11) - phi_antiderivative_raw(q, 1)
+    return integral - const(Fraction(36, 1000), q)
+
+
+def j2_raw(q):
+    """J2(q) = sum_{k=1}^{10} phi_q(k) + phi_q(11)/2, for q < 1."""
+    return phi_integer_sum_raw(q, 11, half_last=True)
 
 
 def phi_limit_at_one(x: Fraction) -> Fraction:
@@ -182,10 +224,9 @@ def g0_polynomial() -> Polynomial:
 def _in_mode(mode: Mode, fn: Callable, *args):
     """Run a raw formula on floats (FAST) or as a certified Enclosure."""
     if mode is Mode.FAST:
-        return fn(*[float(a) for a in args])
+        return fn(*[lift(a, mode) for a in args])
     with interval_precision(working_precision()):
-        return Enclosure(fn(*[to_ivmpf(a if isinstance(a, (int, Fraction)) else Fraction(a))
-                              for a in args]))
+        return Enclosure(fn(*[lift(a, mode) for a in args]))
 
 
 @dataclass(frozen=True)

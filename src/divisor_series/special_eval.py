@@ -108,30 +108,39 @@ class EvalReport:
     mode: Mode
 
 
-# -- term-count selection (heuristic, float) ---------------------------------
+# -- tail bounds (generic over float / ivmpf) and term-count selection -------
 
 
-def _tail_estimate_t(rep: RepresentationId, q: float, terms: int) -> float:
-    try:
-        if rep is RepresentationId.LAMBERT:
-            p = q ** (terms + 1)
-            return p / ((1 - q) * (1 - p))
-        if rep is RepresentationId.DIVISOR:
-            p = q ** (terms + 1)
-            return p * ((terms + 1) - terms * q) / (1 - q) ** 2
-        if rep is RepresentationId.CLAUSEN:
-            p = q ** float((terms + 1) ** 2)
-            return (1 + q) / (1 - q) * p / (1 - q ** (2 * terms + 3))
-    except OverflowError:
-        return math.inf
-    raise ValueError(f"no numeric tail bound for {rep!r}")
+def _check_below_one(*values) -> None:
+    """Reject series arguments (doubles or intervals) outside [0, 1): a q
+    whose double rounds to 1.0 has no finite tail bound.  0 itself is kept,
+    where a power q^x underflows."""
+    for v in values:
+        if not 0 <= v < 1:
+            raise DomainError("series argument must lie inside (0, 1) at working precision")
 
 
-def _tail_estimate_psi(q: float, x: float, terms: int) -> float:
-    try:
-        return q ** ((terms + 1) * x) / ((1 - q**x) * (1 - q ** (terms + 1)))
-    except OverflowError:
-        return math.inf
+def _t_tail(q, rep: RepresentationId, terms: int):
+    """Tail bound of T's series past `terms` terms (module docstring); a
+    double upper bound on q picks the term count, an interval certifies."""
+    _check_below_one(q)
+    if rep is RepresentationId.LAMBERT:
+        p = q ** (terms + 1)
+        return p / ((1 - q) * (1 - p))
+    if rep is RepresentationId.DIVISOR:
+        p = q ** (terms + 1)
+        return p * ((terms + 1) - terms * q) / (1 - q) ** 2
+    if rep is RepresentationId.CLAUSEN:
+        p = q ** ((terms + 1) ** 2)
+        return (1 + q) / (1 - q) * p / (1 - q ** (2 * terms + 3))
+    raise ValueError(f"no tail bound for {rep!r}")
+
+
+def _psi_tail(q, qx, terms: int):
+    """Tail bound of the digamma sum past `terms` terms, qx = q^x; doubles
+    pick the term count, intervals certify."""
+    _check_below_one(q, qx)
+    return qx ** (terms + 1) / ((1 - qx) * (1 - q ** (terms + 1)))
 
 
 def _choose_terms(tail_at, target: float) -> int:
@@ -183,19 +192,6 @@ def _t_partial_sum(q, rep: RepresentationId, terms: int, table=None):
     raise ValueError(f"{rep!r} has no numeric summation")
 
 
-def _t_tail_iv(q: ivmpf, rep: RepresentationId, terms: int) -> ivmpf:
-    if rep is RepresentationId.LAMBERT:
-        p = q ** (terms + 1)
-        return p / ((1 - q) * (1 - p))
-    if rep is RepresentationId.DIVISOR:
-        p = q ** (terms + 1)
-        return p * ((terms + 1) - terms * q) / (1 - q) ** 2
-    if rep is RepresentationId.CLAUSEN:
-        p = q ** ((terms + 1) ** 2)
-        return (1 + q) / (1 - q) * p / (1 - q ** (2 * terms + 3))
-    raise ValueError(f"no tail bound for {rep!r}")
-
-
 def _psi_partial_sum(q, qx, terms: int):
     s = 0 * q
     qk = q
@@ -217,16 +213,14 @@ def t_enclosure_for_interval(
     on the interval argument, so it covers every q in it.
     """
     q_hi = _float_up(Enclosure(q_iv).hi)
-    if not (0.0 < q_hi < 1.0):
-        raise DomainError("interval argument must lie inside (0, 1)")
     table = None
     terms = _choose_terms(
-        lambda k: _tail_estimate_t(representation, q_hi, k), max(eps / 4.0, 5e-323)
+        lambda k: _t_tail(q_hi, representation, k), max(eps / 4.0, 5e-323)
     )
     if representation is RepresentationId.DIVISOR:
         table = divisor_sieve(terms)
     s = _t_partial_sum(q_iv, representation, terms, table)
-    tail_hi = Enclosure(_t_tail_iv(q_iv, representation, terms)).hi
+    tail_hi = Enclosure(_t_tail(q_iv, representation, terms)).hi
     value = Enclosure(s) + Enclosure(0, tail_hi)
     return value, terms, _float_up(tail_hi)
 
@@ -275,11 +269,11 @@ def eval_T(
 def _eval_t_fast(qp: QPoint, eps: float, representation: RepresentationId) -> EvalReport:
     q = float(qp)
     terms = _choose_terms(
-        lambda k: _tail_estimate_t(representation, qp.float_up(), k), max(eps / 2.0, 5e-323)
+        lambda k: _t_tail(qp.float_up(), representation, k), max(eps / 2.0, 5e-323)
     )
     table = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
     s = _t_partial_sum(q, representation, terms, table)
-    tail = _tail_estimate_t(representation, qp.float_up(), terms)
+    tail = _t_tail(qp.float_up(), representation, terms)
     err = tail + 10.0 * _OPS_PER_TERM[representation] * terms * float_ulp(s)
     return EvalReport(
         Enclosure(s - err, s + err), representation, terms, tail, Mode.FAST
@@ -296,17 +290,18 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
         raise DomainError("eps must be positive")
     x_frac = Fraction(x) if not isinstance(x, Fraction) else x
     q_hi = qp.float_up()
+    qx_hi = q_hi ** float(x_frac)
     # eps budget for the bare sum: the sum is scaled by log(q) afterwards
     log_scale = max(-math.log(float(qp)), 1e-300)
     sum_target = max(eps / (4.0 * log_scale), 5e-323)
-    terms = _choose_terms(lambda k: _tail_estimate_psi(q_hi, float(x_frac), k), sum_target)
+    terms = _choose_terms(lambda k: _psi_tail(q_hi, qx_hi, k), sum_target)
 
     if mode is Mode.FAST:
         qf = float(qp)
         qx = qf ** float(x_frac)
         s = _psi_partial_sum(qf, qx, terms)
-        tail = _tail_estimate_psi(q_hi, float(x_frac), terms)
-        value = -math.log(1 - qf) + math.log(qf) * s
+        tail = _psi_tail(q_hi, qx_hi, terms)
+        value = -math.log1p(-qf) + math.log(qf) * s
         err = log_scale * (tail + 10.0 * _OPS_PER_TERM[PSI_FORMULA] * terms * float_ulp(s))
         return EvalReport(
             Enclosure(value - err, value + err), PSI_FORMULA, terms, tail, Mode.FAST
@@ -318,8 +313,7 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
             x_iv = to_ivmpf(x_frac)
             qx = iv.exp(x_iv * iv.log(q_iv)) if x_frac.denominator != 1 else q_iv ** int(x_frac)
             s = _psi_partial_sum(q_iv, qx, terms)
-            tail_iv = qx ** (terms + 1) / ((1 - qx) * (1 - q_iv ** (terms + 1)))
-            tail_hi = Enclosure(tail_iv).hi
+            tail_hi = Enclosure(_psi_tail(q_iv, qx, terms)).hi
             sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
             value = Enclosure(-iv.log(1 - q_iv)) + Enclosure(iv.log(q_iv)) * sum_enc
         if float(value.width_upper()) <= eps:
@@ -344,7 +338,7 @@ def eval_H(
     if mode is Mode.FAST:
         t = eval_T(qp, eps, representation, Mode.FAST)
         qf = float(qp)
-        base = math.log(1 - qf) / math.log(qf)
+        base = math.log1p(-qf) / math.log(qf)
         lo, hi = t.value.to_floats()
         pad = 40.0 * float_ulp(base)
         return EvalReport(

@@ -13,11 +13,13 @@ verified margin, the monotonicity premises taken as input, and pass/fail.
 from __future__ import annotations
 
 import json
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 from mpmath import iv
 
@@ -26,23 +28,28 @@ from .intervals import (
     Enclosure,
     Mode,
     interval_precision,
+    mpf_to_fraction,
     to_ivmpf,
     working_precision,
     _float_down,
 )
 from .lemma_functions import (
+    _in_mode,
     delta_polynomial,
     g0_polynomial,
     h1_raw,
     h2_raw,
     h3_raw,
-    phi_antiderivative_raw,
+    j1_raw,
+    j2_raw,
     phi_limit_at_one,
     phi_prime_raw,
     theta_raw,
     u_raw,
     v_raw,
     v_prime_raw,
+    w1_raw,
+    w2_raw,
 )
 from .polynomials import Polynomial, sturm_root_count
 
@@ -169,12 +176,9 @@ class Certificate:
 
 def _cell_margin(args) -> tuple[int, bool, float]:
     lower, upper, idx, left, right, certified = args
-    lo_val = lower(left)
-    hi_val = upper(right)
+    margin = lower(left) - upper(right)
     if certified:
-        margin = lo_val - hi_val
         return idx, margin.lo > 0, float(_float_down(margin.lo))
-    margin = lo_val - hi_val
     return idx, margin > 0.0, margin
 
 
@@ -228,34 +232,14 @@ def sandwich_verify(
 # -- lemma-specific evaluators (module level so --jobs can pickle them) ---------
 
 
-def _phi_integer_sum_iv(q_iv, k_max: int, half_last: bool = False):
-    total = iv.mpf(0)
-    qk = q_iv
-    for k in range(1, k_max + 1):
-        term = qk * (qk - q_iv * k + (k - 1)) / (1 - qk) ** 2
-        if half_last and k == k_max:
-            term = term / 2
-        total = total + term
-        qk = qk * q_iv
-    return total
+def w1_lower(q: Fraction, mode: Mode = Mode.CERTIFIED):
+    """W1(q) (see lemma_functions.w1_raw): an Enclosure, a float in FAST mode."""
+    return _in_mode(mode, w1_raw, q)
 
 
-def w1_lower(q: Fraction) -> Enclosure:
-    """W1(q) = integral of phi over [1, 40] as an antiderivative difference."""
-    with interval_precision(working_precision()):
-        q_iv = to_ivmpf(q)
-        return Enclosure(phi_antiderivative_raw(q_iv, 40) - phi_antiderivative_raw(q_iv, 1))
-
-
-def w2_upper(q: Fraction) -> Enclosure:
-    """W2(q) = sum_{k=1}^{40} phi_q(k).
-
-    The k = 1 term vanishes (phi_q(1) = 0 identically), so this sum equals
-    the rectangle-rule value sum_{k=2}^{40} phi_q(k) that pairs with W1 in
-    the error sum C_q(39); starting at k = 1 keeps the loop uniform.
-    """
-    with interval_precision(working_precision()):
-        return Enclosure(_phi_integer_sum_iv(to_ivmpf(q), 40))
+def w2_upper(q: Fraction, mode: Mode = Mode.CERTIFIED):
+    """W2(q) (see lemma_functions.w2_raw): an Enclosure, a float in FAST mode."""
+    return _in_mode(mode, w2_raw, q)
 
 
 def j2_limit_exact() -> Fraction:
@@ -268,45 +252,17 @@ def j2_limit_exact() -> Fraction:
 J2_LIMIT = Fraction(208609, 55440)
 
 
-def j1_lower(q: Fraction) -> Enclosure:
-    """J1(q) = integral of phi over [1, 11] minus 0.036."""
-    with interval_precision(working_precision()):
-        q_iv = to_ivmpf(q)
-        integral = phi_antiderivative_raw(q_iv, 11) - phi_antiderivative_raw(q_iv, 1)
-        return Enclosure(integral - to_ivmpf(Fraction(36, 1000)))
+def j1_lower(q: Fraction, mode: Mode = Mode.CERTIFIED):
+    """J1(q) (see lemma_functions.j1_raw): an Enclosure, a float in FAST mode."""
+    return _in_mode(mode, j1_raw, q)
 
 
-def j2_upper(q: Fraction) -> Enclosure:
-    """J2(q) = sum_{k=1}^{10} phi_q(k) + phi_q(11)/2; exact limit at q = 1."""
+def j2_upper(q: Fraction, mode: Mode = Mode.CERTIFIED):
+    """J2(q) (see lemma_functions.j2_raw), with its exact limit at q = 1:
+    an Enclosure, a float in FAST mode."""
     if q == 1:
-        limit = j2_limit_exact()
-        return Enclosure.from_fraction_pair(limit, limit)
-    with interval_precision(working_precision()):
-        return Enclosure(_phi_integer_sum_iv(to_ivmpf(q), 11, half_last=True))
-
-
-def _w1_float(q: Fraction) -> float:
-    qf = float(q)
-    return phi_antiderivative_raw(qf, 40.0) - phi_antiderivative_raw(qf, 1.0)
-
-
-def _w2_float(q: Fraction) -> float:
-    qf = float(q)
-    from .lemma_functions import phi_raw
-    return sum(phi_raw(qf, float(k)) for k in range(1, 41))
-
-
-def _j1_float(q: Fraction) -> float:
-    qf = float(q)
-    return phi_antiderivative_raw(qf, 11.0) - phi_antiderivative_raw(qf, 1.0) - 0.036
-
-
-def _j2_float(q: Fraction) -> float:
-    if q == 1:
-        return float(j2_limit_exact())
-    qf = float(q)
-    from .lemma_functions import phi_raw
-    return sum(phi_raw(qf, float(k)) for k in range(1, 11)) + phi_raw(qf, 11.0) / 2
+        return _in_mode(mode, lambda limit: limit, j2_limit_exact())
+    return _in_mode(mode, j2_raw, q)
 
 
 # -- monotonicity spot checks -----------------------------------------------------
@@ -336,6 +292,18 @@ def _spot_check_monotone(
 # -- lemma pipelines ---------------------------------------------------------------
 
 
+def _all_and_min(
+    values: Iterable[Enclosure], ok: Callable[[Enclosure], bool]
+) -> tuple[bool, float]:
+    """(every value passes ok, the smallest lower endpoint as a double), in
+    one pass so that long grids are never held in memory."""
+    all_ok, min_lo = True, math.inf
+    for v in values:
+        all_ok = all_ok and ok(v)
+        min_lo = min(min_lo, v.to_floats()[0])
+    return all_ok, min_lo
+
+
 def verify_lemma_2_4_i(mode: Mode = Mode.CERTIFIED) -> Certificate:
     """C_q(1) > 0 on (0, 0.117]: endpoint value of V, positivity of V' on a
     grid, and the closed-form chain C_q(1) = U/((q+1)^2 log^2 q),
@@ -347,50 +315,41 @@ def verify_lemma_2_4_i(mode: Mode = Mode.CERTIFIED) -> Certificate:
         " positivity covers [2.145, inf); the grid evaluation witnesses it on [2.145, 50]",
         "U(q) >= q V(-log q) uses log(1+q) <= q and q - 1 - log(q) > 0",
     )
-    checks_ok = True
     details: dict = {}
     wp = working_precision()
     with interval_precision(wp):
         y0 = -iv.log(to_ivmpf(Fraction(117, 1000)))
         v0 = Enclosure(v_raw(y0))
     details["v_at_minus_log_0.117"] = v0.to_floats()
-    if not (v0.contained_in(Fraction(17, 10000), Fraction(27, 10000)) and v0.is_positive()):
-        checks_ok = False
+    v0_ok = v0.contained_in(Fraction(17, 10000), Fraction(27, 10000)) and v0.is_positive()
 
     # V' > 0 at every grid boundary point
-    min_vp = None
-    points = [grid.segments[0].start + k * grid.segments[0].step
-              for k in range(grid.segments[0].count + 1)]
+    seg = grid.segments[0]
     with interval_precision(wp):
-        for y in points:
-            vp = Enclosure(v_prime_raw(to_ivmpf(y)))
-            if not vp.is_positive():
-                checks_ok = False
-            lo_f = vp.to_floats()[0]
-            min_vp = lo_f if min_vp is None else min(min_vp, lo_f)
+        vp_ok, min_vp = _all_and_min(
+            (Enclosure(v_prime_raw(to_ivmpf(seg.start + k * seg.step)))
+             for k in range(seg.count + 1)),
+            Enclosure.is_positive,
+        )
     details["min_v_prime_on_grid"] = min_vp
 
     # chain samples over q in (0, 0.117]
-    min_u = None
-    min_c1 = None
-    min_gap = None
+    samples = []
     with interval_precision(wp):
         for k in range(1, 118):
-            q = Fraction(k, 1000)
-            q_iv = to_ivmpf(q)
+            q_iv = to_ivmpf(Fraction(k, 1000))
             u_enc = Enclosure(u_raw(q_iv))
             c1 = u_enc / Enclosure((1 + q_iv) ** 2 * iv.log(q_iv) ** 2)
             gap = u_enc - Enclosure(q_iv * v_raw(-iv.log(q_iv)))
-            if not (u_enc.is_positive() and c1.is_positive() and gap.lo >= 0):
-                checks_ok = False
-            min_u = min(min_u, u_enc.to_floats()[0]) if min_u is not None else u_enc.to_floats()[0]
-            min_c1 = min(min_c1, c1.to_floats()[0]) if min_c1 is not None else c1.to_floats()[0]
-            min_gap = min(min_gap, gap.to_floats()[0]) if min_gap is not None else gap.to_floats()[0]
-    details["min_U_on_samples"] = min_u
+            samples.append((u_enc, c1, gap))
+    us, c1s, gaps = zip(*samples)
+    u_ok, details["min_U_on_samples"] = _all_and_min(us, Enclosure.is_positive)
+    c1_ok, min_c1 = _all_and_min(c1s, Enclosure.is_positive)
+    gap_ok, details["min_U_minus_qV_on_samples"] = _all_and_min(gaps, lambda g: g.lo >= 0)
     details["min_C1_on_samples"] = min_c1
-    details["min_U_minus_qV_on_samples"] = min_gap
     details["chain_samples"] = 117
 
+    checks_ok = v0_ok and vp_ok and u_ok and c1_ok and gap_ok
     passed = mode is Mode.CERTIFIED and checks_ok and (min_vp or 0) > 0
     return Certificate(
         target="2.4i",
@@ -405,6 +364,34 @@ def verify_lemma_2_4_i(mode: Mode = Mode.CERTIFIED) -> Certificate:
     )
 
 
+def _verify_sandwich_lemma(
+    target: str,
+    lower: Callable,
+    upper: Callable,
+    grid: GridSpec,
+    spot_span: tuple[Fraction, Fraction],
+    premises: Sequence[str],
+    mode: Mode,
+    jobs: int,
+    details: dict,
+) -> Certificate:
+    """Sandwich-verify lower > upper on the grid.  In CERTIFIED mode both
+    functions are also spot-checked for increase on spot_span, and a failed
+    spot check fails the certificate; FAST mode records None."""
+    lower, upper = partial(lower, mode=mode), partial(upper, mode=mode)
+    spot_ok = None
+    if mode is Mode.CERTIFIED:
+        spot_ok = all(_spot_check_monotone(fn, *spot_span, True) for fn in (lower, upper))
+    details["monotonicity_spot_checks"] = spot_ok
+    cert = sandwich_verify(
+        lower, upper, grid, mode=mode, target=target,
+        premises=premises, jobs=jobs, details=details,
+    )
+    if spot_ok is False:
+        cert.passed = False
+    return cert
+
+
 def verify_lemma_2_4_ii(mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certificate:
     """C_q(39) > 0 on (0.117, 0.91] by the W1/W2 monotone sandwich."""
     premises = (
@@ -412,22 +399,10 @@ def verify_lemma_2_4_ii(mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certifica
         " increasing in q (q -> phi_q(x) is increasing for each x >= 1)",
         "monotonicity spot-checked on 100 seeded random pairs",
     )
-    details = {}
-    if mode is Mode.CERTIFIED:
-        ok1 = _spot_check_monotone(w1_lower, Fraction(117, 1000), Fraction(91, 100), True)
-        ok2 = _spot_check_monotone(w2_upper, Fraction(117, 1000), Fraction(91, 100), True)
-        details["monotonicity_spot_checks"] = bool(ok1 and ok2)
-        lower, upper = w1_lower, w2_upper
-    else:
-        details["monotonicity_spot_checks"] = None
-        lower, upper = _w1_float, _w2_float
-    cert = sandwich_verify(
-        lower, upper, lemma_2_4_ii_grid(), mode=mode, target="2.4ii",
-        premises=premises, jobs=jobs, details=details,
+    return _verify_sandwich_lemma(
+        "2.4ii", w1_lower, w2_upper, lemma_2_4_ii_grid(),
+        (Fraction(117, 1000), Fraction(91, 100)), premises, mode, jobs, {},
     )
-    if mode is Mode.CERTIFIED and not details["monotonicity_spot_checks"]:
-        cert.passed = False
-    return cert
 
 
 def verify_lemma_2_9(mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certificate:
@@ -439,24 +414,13 @@ def verify_lemma_2_9(mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certificate:
         " re-derived from lim phi_q(k) = (k-1)/(2k)",
         "monotonicity spot-checked on 100 seeded random pairs",
     )
-    details = {"j2_limit": str(j2_limit_exact())}
     if j2_limit_exact() != J2_LIMIT:
         raise ArithmeticError("exact J2 limit does not match the pinned fixture")
-    if mode is Mode.CERTIFIED:
-        ok1 = _spot_check_monotone(j1_lower, Fraction(91, 100), Fraction(9999, 10000), True)
-        ok2 = _spot_check_monotone(j2_upper, Fraction(91, 100), Fraction(9999, 10000), True)
-        details["monotonicity_spot_checks"] = bool(ok1 and ok2)
-        lower, upper = j1_lower, j2_upper
-    else:
-        details["monotonicity_spot_checks"] = None
-        lower, upper = _j1_float, _j2_float
-    cert = sandwich_verify(
-        lower, upper, lemma_2_9_grid(), mode=mode, target="2.9",
-        premises=premises, jobs=jobs, details=details,
+    return _verify_sandwich_lemma(
+        "2.9", j1_lower, j2_upper, lemma_2_9_grid(),
+        (Fraction(91, 100), Fraction(9999, 10000)), premises, mode, jobs,
+        {"j2_limit": str(J2_LIMIT)},
     )
-    if mode is Mode.CERTIFIED and not details["monotonicity_spot_checks"]:
-        cert.passed = False
-    return cert
 
 
 def verify_lemma_2_5(mode: Mode = Mode.CERTIFIED) -> Certificate:
@@ -506,11 +470,6 @@ def verify_lemma_2_5(mode: Mode = Mode.CERTIFIED) -> Certificate:
     )
 
 
-def _h_enclosure(fn, q: Fraction) -> Enclosure:
-    with interval_precision(working_precision()):
-        return Enclosure(fn(to_ivmpf(q)))
-
-
 def verify_lemma_2_8(mode: Mode = Mode.CERTIFIED) -> Certificate:
     """phi'_q(x) >= -0.035 for q in [0.91, 1), x >= 1, via the h1/h2/h3
     envelope of -Theta_q(14) and monotonicity endpoints."""
@@ -522,59 +481,46 @@ def verify_lemma_2_8(mode: Mode = Mode.CERTIFIED) -> Certificate:
         " so phi'_q(x) >= Theta_q(14) >= -(h2(0.91)+h3(0.91))/14 for x >= 1",
     )
     details: dict = {}
-    checks_ok = True
+    h1, h2, h3 = (partial(_in_mode, Mode.CERTIFIED, fn) for fn in (h1_raw, h2_raw, h3_raw))
     lo, hi = Fraction(91, 100), Fraction(1) - Fraction(1, 10**6)
-    ok_h1 = _spot_check_monotone(lambda q: _h_enclosure(h1_raw, q), lo, hi, True)
-    ok_h2 = _spot_check_monotone(lambda q: _h_enclosure(h2_raw, q), lo, hi, False)
-    ok_h3 = _spot_check_monotone(lambda q: _h_enclosure(h3_raw, q), lo, hi, False)
+    ok_h1 = _spot_check_monotone(h1, lo, hi, True)
+    ok_h2 = _spot_check_monotone(h2, lo, hi, False)
+    ok_h3 = _spot_check_monotone(h3, lo, hi, False)
     details["h_monotonicity_spot_checks"] = bool(ok_h1 and ok_h2 and ok_h3)
-    checks_ok &= ok_h1 and ok_h2 and ok_h3
 
-    h1_near_one = _h_enclosure(h1_raw, Fraction(1) - Fraction(1, 10**9))
+    h1_near_one = h1(Fraction(1) - Fraction(1, 10**9))
     details["h1_near_1"] = h1_near_one.to_floats()
-    checks_ok &= h1_near_one.strictly_below(Fraction(1, 14))
+    h1_ok = h1_near_one.strictly_below(Fraction(1, 14))
 
     with interval_precision(working_precision()):
         q91 = to_ivmpf(Fraction(91, 100))
         envelope = Enclosure((h2_raw(q91) + h3_raw(q91)) / 14)
     details["envelope_(h2+h3)/14_at_0.91"] = envelope.to_floats()
-    checks_ok &= envelope.contained_in(Fraction(33, 1000), Fraction(35, 1000))
-    bound_ok = envelope.hi < float(Fraction(35, 1000))
-    checks_ok &= bound_ok
+    envelope_ok = (envelope.contained_in(Fraction(33, 1000), Fraction(35, 1000))
+                   and mpf_to_fraction(envelope.hi) < Fraction(35, 1000))
 
     # -Theta_q(14) <= h1 (h2 + h3) on sampled q (inequality (1-q)/log q <= -q)
-    min_env_gap = None
-    with interval_precision(working_precision()):
-        for k in range(0, 10):
-            q = Fraction(91, 100) + k * Fraction(9, 1000)
-            q_iv = to_ivmpf(q)
-            gap = Enclosure(
-                h1_raw(q_iv) * (h2_raw(q_iv) + h3_raw(q_iv)) + theta_raw(q_iv, 14)
-            )
-            g = gap.to_floats()[0]
-            min_env_gap = g if min_env_gap is None else min(min_env_gap, g)
-            if not gap.lo >= 0:
-                checks_ok = False
-    details["min_envelope_slack"] = min_env_gap
+    slack = partial(_in_mode, Mode.CERTIFIED,
+                    lambda q: h1_raw(q) * (h2_raw(q) + h3_raw(q)) + theta_raw(q, 14))
+    slack_ok, details["min_envelope_slack"] = _all_and_min(
+        (slack(Fraction(91, 100) + k * Fraction(9, 1000)) for k in range(10)),
+        lambda gap: gap.lo >= 0,
+    )
 
     # direct spot grid: phi' >= -0.035 on sampled (q, x)
     threshold = Fraction(-35, 1000)
-    min_phi_prime = None
     qs = [Fraction(91, 100) + k * Fraction(1, 100) for k in range(9)]
     qs += [Fraction(999, 1000), Fraction(9999, 10000)]
     xs = [1, 2, 3, 5, 8, 11, 14, 17, 20, 35, 50, 100, 200]
     with interval_precision(working_precision()):
-        for q in qs:
-            q_iv = to_ivmpf(q)
-            for x in xs:
-                val = Enclosure(phi_prime_raw(q_iv, x))
-                lo_f = val.to_floats()[0]
-                min_phi_prime = lo_f if min_phi_prime is None else min(min_phi_prime, lo_f)
-                if not val.strictly_above(threshold):
-                    checks_ok = False
-    details["min_phi_prime_on_grid"] = min_phi_prime
+        grid_ok, details["min_phi_prime_on_grid"] = _all_and_min(
+            (Enclosure(phi_prime_raw(q_iv, x)) for q_iv in map(to_ivmpf, qs) for x in xs),
+            lambda val: val.strictly_above(threshold),
+        )
     details["grid_points"] = len(qs) * len(xs)
 
+    checks_ok = (ok_h1 and ok_h2 and ok_h3 and h1_ok and envelope_ok
+                 and slack_ok and grid_ok)
     return Certificate(
         target="2.8",
         grid=None,

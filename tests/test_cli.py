@@ -66,6 +66,12 @@ def test_eval_domain_error_exit_2(capsys):
     assert "q must lie in (0, 1)" in err
 
 
+def test_eval_q_whose_double_is_one_exit_2(capsys):
+    code, _, err = run_cli(capsys, "eval", "--fn", "psi", "--q", "0.99999999999999999")
+    assert code == 2
+    assert "inside (0, 1)" in err
+
+
 def test_unknown_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -99,6 +105,14 @@ def test_bounds_scan_csv(capsys):
     assert all(line.endswith("PASS") for line in lines[1:])
 
 
+def test_verify_lemma_24ii_jobs_2_matches_jobs_1(capsys):
+    """The sandwich evaluators reach the worker processes pickled."""
+    code1, out1, _ = run_cli(capsys, "verify", "--lemma", "2.4ii", "--jobs", "1")
+    code2, out2, _ = run_cli(capsys, "verify", "--lemma", "2.4ii", "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1.encode() == out2.encode()
+
+
 def test_verify_lemma_25_and_out_file(tmp_path, capsys):
     out_file = tmp_path / "cert.json"
     code, out, _ = run_cli(capsys, "verify", "--lemma", "2.5", "--out", str(out_file))
@@ -115,10 +129,12 @@ def test_verify_deterministic_bytes(capsys):
 
 
 def test_report_skip_everything_but_identities(capsys):
-    code, out, _ = run_cli(capsys, "report", "--order", "30",
-                           "--skip", "verify", "--skip", "bounds")
+    argv = ("report", "--order", "30", "--skip", "verify", "--skip", "bounds")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
     assert set(doc["sections"]) == {"identities"}
-    assert "identities" in doc["timings_s"]
+    _, out_again, _ = run_cli(capsys, *argv)
+    assert out.encode() == out_again.encode()
+    assert "identities" in err

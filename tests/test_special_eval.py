@@ -4,6 +4,7 @@ identity, limit behavior, sharp-bound checks and Landau's constant."""
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from mpmath import iv
@@ -90,6 +91,17 @@ def test_t_rejects_bad_inputs():
         eval_T(0.5, 1e-10, RepresentationId.UCHIMURA)
     with pytest.raises(DomainError):
         eval_T(1.2)
+
+
+@pytest.mark.parametrize("mode", [Mode.FAST, Mode.CERTIFIED])
+@pytest.mark.parametrize("evaluate", [eval_T, eval_psi_q, eval_H, eval_F])
+def test_q_whose_double_is_one_is_a_domain_error(evaluate, mode):
+    """q = 1 - 10^-17 lies in (0, 1), but its double is 1.0, where no tail
+    bound is finite: every evaluator rejects it instead of dividing by 0."""
+    q = Fraction(1) - Fraction(1, 10**17)
+    args = (q, 1) if evaluate is eval_psi_q else (q,)
+    with pytest.raises(DomainError):
+        evaluate(*args, mode=mode)
 
 
 def test_t_term_budget_error():
@@ -188,6 +200,14 @@ def test_f_fast_mode():
     fast = eval_F(0.37, 1e-10, mode=Mode.FAST)
     certified = eval_F(0.37, 1e-10)
     assert fast.value.intersects(certified.value)
+
+
+@pytest.mark.parametrize("q", ["1e-6", "1e-12", "1e-25", "1e-100"])
+def test_fast_meets_certified_near_zero(q):
+    """FAST log(1-q) must not cancel near q = 0 (log1p), or FAST F and
+    psi_q miss the certified values."""
+    for evaluate in (partial(eval_F, q, 1e-12), partial(eval_psi_q, q, 1, 1e-12)):
+        assert evaluate(mode=Mode.FAST).value.intersects(evaluate(mode=Mode.CERTIFIED).value)
 
 
 # -- bounds -------------------------------------------------------------------------

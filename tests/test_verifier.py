@@ -123,6 +123,24 @@ def test_w_functions_first_cells():
         assert margin.is_positive()
 
 
+@pytest.mark.parametrize("evaluate, q", [
+    *((fn, q) for fn in (w1_lower, w2_upper) for q in (
+        Fraction(117, 1000), Fraction(1, 2), Fraction(835, 1000), Fraction(9, 10),
+        Fraction(91, 100))),
+    *((fn, q) for fn in (j1_lower, j2_upper) for q in (
+        Fraction(91, 100), Fraction(95, 100), Fraction(99, 100))),
+    (j2_upper, Fraction(1)),
+])
+def test_fast_sandwich_evaluators_match_certified(evaluate, q):
+    """FAST W1/W2/J1/J2 are the certified formulas run on doubles: within
+    1e-9 relative of the enclosure on cells of the 2.4ii and 2.9 grids.
+    Past q = 0.99 the closed form of Phi_q cancels in doubles (FAST J1 is
+    off by ~1e-7 relative at 0.999), so the 2.9 cells stop there."""
+    fast = evaluate(q, mode=Mode.FAST)
+    lo, hi = evaluate(q).to_floats()
+    assert lo - 1e-9 * abs(lo) <= fast <= hi + 1e-9 * abs(hi)
+
+
 def test_j2_limit_rederived():
     assert j2_limit_exact() == J2_LIMIT == Fraction(208609, 55440)
     limit_enc = j2_upper(Fraction(1))
