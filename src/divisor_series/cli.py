@@ -111,7 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a lemma verification and emit a certificate")
     p.add_argument("--lemma", required=True,
                    choices=sorted(LEMMA_VERIFIERS) + ["thm3.2"])
-    p.add_argument("--mode", type=_mode_arg, default=Mode.CERTIFIED)
+    p.add_argument("--mode", type=_mode_arg, default=Mode.CERTIFIED,
+                   help="certified (default) or fast.  fast switches the arithmetic "
+                        "to doubles only for the sandwich grids of 2.4ii and 2.9; "
+                        "2.4i, 2.5 and 2.8 still run their certified checks.  A "
+                        "fast certificate always reports passed: false (exit 1)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="write the certificate JSON here")
 

@@ -1,5 +1,9 @@
-"""Exact truncated power series over the rationals, and the five classical
+"""Exact truncated power series over the integers, and the five classical
 series representations of T(q) = sum d(k) q^k as coefficient sequences.
+
+Every representation is built on integer lists from one exact step, the
+factor (1 - q^k), plus adding terms.  A ``Fraction`` appears only in the
+log-convolution series, which divides by k - j.
 
 All arithmetic is exact, and truncation points are chosen so that omitted
 terms of each representation have degree beyond the retained order.  A match
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .divisor_core import distinct_partition_stats, divisor_sieve
+from .divisor_core import distinct_partition_stats, divisor_partial_sums, divisor_sieve
 from .intervals import DomainError
 
 Coeff = Union[int, Fraction]
@@ -33,7 +37,7 @@ class RepresentationId(enum.Enum):
 
 
 class TruncatedSeries:
-    """sum c[k] q^k + O(q^{N+1}) with exact rational coefficients.
+    """sum c[k] q^k + O(q^{N+1}) with exact coefficients, stored as given.
 
     Values are immutable; all operations return new series.  Binary
     operations truncate to the smaller order, so retained coefficients only
@@ -45,7 +49,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Sequence[Coeff]):
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
-        self.coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
 
     @property
     def order(self) -> int:
@@ -53,23 +57,18 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(0)] * (order + 1))
+        return cls([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
+        return cls([1] + [0] * order)
 
     @classmethod
     def monomial(cls, coeff: Coeff, degree: int, order: int) -> "TruncatedSeries":
-        c = [Fraction(0)] * (order + 1)
+        c = [0] * (order + 1)
         if degree <= order:
-            c[degree] = Fraction(coeff)
+            c[degree] = coeff
         return cls(c)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -87,10 +86,6 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         return TruncatedSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
 
-    def scale(self, factor: Coeff) -> "TruncatedSeries":
-        f = Fraction(factor)
-        return TruncatedSeries([f * c for c in self.coeffs])
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
@@ -99,7 +94,7 @@ class TruncatedSeries:
         nz_b = [(i, c) for i, c in enumerate(b[: n + 1]) if c]
         if len(nz_b) < len(nz_a):
             nz_a, b = nz_b, a
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, c in nz_a:
             for j in range(n + 1 - i):
                 d = b[j]
@@ -113,11 +108,11 @@ class TruncatedSeries:
         if a[0] == 0:
             raise DomainError("series with zero constant term has no reciprocal")
         n = self.order
-        inv0 = 1 / a[0]
+        inv0 = Fraction(1, a[0])
         support = [(j, c) for j, c in enumerate(a) if j > 0 and c]
         b = [inv0]
         for k in range(1, n + 1):
-            acc = Fraction(0)
+            acc = 0
             for j, c in support:
                 if j > k:
                     break
@@ -129,6 +124,24 @@ class TruncatedSeries:
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order >= 8 else ""
         return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
+
+
+def _times_one_minus(c: list, k: int) -> None:
+    """c <- c * (1 - q^k): a descending difference with stride k."""
+    for i in range(len(c) - 1, k - 1, -1):
+        c[i] -= c[i - k]
+
+
+def _divide_one_minus(c: list, k: int) -> None:
+    """c <- c / (1 - q^k): an ascending prefix sum with stride k."""
+    for i in range(k, len(c)):
+        c[i] += c[i - k]
+
+
+def _add_shifted(total: list, c: list, shift: int) -> None:
+    """total <- total + q^shift * c, truncated to the order of total."""
+    for i in range(len(total) - shift):
+        total[i + shift] += c[i]
 
 
 def q_pochhammer(k: Optional[int | float], order: int) -> TruncatedSeries:
@@ -145,17 +158,10 @@ def q_pochhammer(k: Optional[int | float], order: int) -> TruncatedSeries:
         if k < 0:
             raise DomainError("k must be >= 0 or infinite")
     last = order if infinite else min(k, order)
-    result = TruncatedSeries.one(order)
+    result = [1] + [0] * order
     for j in range(1, last + 1):
-        factor = TruncatedSeries.one(order) - TruncatedSeries.monomial(1, j, order)
-        result = result * factor
-    return result
-
-
-def _geometric_reciprocal(k: int, order: int) -> TruncatedSeries:
-    """1/(1 - q^k) up to `order` via the generic reciprocal."""
-    binomial = TruncatedSeries.one(order) - TruncatedSeries.monomial(1, k, order)
-    return binomial.reciprocal()
+        _times_one_minus(result, j)
+    return TruncatedSeries(result)
 
 
 def build_representation(rep: RepresentationId, order: int) -> TruncatedSeries:
@@ -170,54 +176,52 @@ def build_representation(rep: RepresentationId, order: int) -> TruncatedSeries:
     n = order
 
     if rep is RepresentationId.DIVISOR:
-        table = divisor_sieve(n)
-        return TruncatedSeries(table.d)
+        return TruncatedSeries(divisor_sieve(n).d)
+    total = [0] * (n + 1)
 
     if rep is RepresentationId.LAMBERT:
-        total = TruncatedSeries.zero(n)
+        # sum_{k>=1} q^k / (1 - q^k)
         for k in range(1, n + 1):
-            term = _geometric_reciprocal(k, n) * TruncatedSeries.monomial(1, k, n)
-            total = total + term
-        return total
+            geometric = [1] + [0] * n
+            _divide_one_minus(geometric, k)
+            _add_shifted(total, geometric, k)
+        return TruncatedSeries(total)
 
     if rep is RepresentationId.CLAUSEN:
-        total = TruncatedSeries.zero(n)
-        k = 1
-        while k * k <= n:
-            one_plus = TruncatedSeries.one(n) + TruncatedSeries.monomial(1, k, n)
-            term = one_plus * _geometric_reciprocal(k, n)
-            total = total + term * TruncatedSeries.monomial(1, k * k, n)
-            k += 1
-        return total
+        # sum_{k>=1} q^{k^2} (1 + q^k) / (1 - q^k)
+        for k in range(1, math.isqrt(n) + 1):
+            geometric = [1] + [0] * n
+            _divide_one_minus(geometric, k)
+            _add_shifted(total, geometric, k * k)
+            _add_shifted(total, geometric, k * k + k)
+        return TruncatedSeries(total)
 
     if rep is RepresentationId.UCHIMURA:
-        total = TruncatedSeries.zero(n)
-        recip_pochhammer = TruncatedSeries.one(n)
+        # (q;q)_inf * sum_{k>=1} k q^k / (q;q)_k = sum_k k q^k prod_{j>k} (1 - q^j),
+        # by Horner's rule: multiply by (1 - q^k), then add k q^k
         for k in range(1, n + 1):
-            recip_pochhammer = recip_pochhammer * _geometric_reciprocal(k, n)
-            total = total + recip_pochhammer * TruncatedSeries.monomial(k, k, n)
-        return q_pochhammer(None, n) * total
+            _times_one_minus(total, k)
+            total[k] += k
+        return TruncatedSeries(total)
 
     if rep is RepresentationId.MERCA_ALT:
-        total = TruncatedSeries.zero(n)
-        recip_pochhammer = TruncatedSeries.one(n)
-        k = 1
-        while k * (k + 1) // 2 <= n:
-            recip_pochhammer = recip_pochhammer * _geometric_reciprocal(k, n)
-            sign = 1 if k % 2 else -1
-            term = recip_pochhammer * TruncatedSeries.monomial(sign * k, k * (k + 1) // 2, n)
-            total = total + term
-            k += 1
-        return q_pochhammer(None, n).reciprocal() * total
-
-    if rep is RepresentationId.MERCA_PARTITION:
+        # (1/(q;q)_inf) * sum_{k>=1} (-1)^{k-1} k q^{k(k+1)/2} / (q;q)_k by Horner's
+        # rule from the top: add the k-th term, then divide by (1 - q^k).  Only
+        # k <= sqrt(2n) can have k(k+1)/2 <= n.
+        for k in range(math.isqrt(2 * n), 0, -1):
+            if k * (k + 1) // 2 <= n:
+                total[k * (k + 1) // 2] += k if k % 2 else -k
+            _divide_one_minus(total, k)
+    elif rep is RepresentationId.MERCA_PARTITION:
+        # (1/(q;q)_inf) * sum_{k>=1} (s_odd(k) - s_even(k)) q^k
         stats = distinct_partition_stats(n)
-        weights = [Fraction(0)] + [
-            Fraction(stats.s_odd[k] - stats.s_even[k]) for k in range(1, n + 1)
-        ]
-        return q_pochhammer(None, n).reciprocal() * TruncatedSeries(weights)
-
-    raise ValueError(f"unknown representation {rep!r}")
+        total = [odd - even for odd, even in zip(stats.s_odd, stats.s_even)]
+    else:
+        raise ValueError(f"unknown representation {rep!r}")
+    # both Merca forms end by dividing by (q;q)_inf, one factor at a time
+    for j in range(1, n + 1):
+        _divide_one_minus(total, j)
+    return TruncatedSeries(total)
 
 
 def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> Optional[int]:
@@ -237,8 +241,6 @@ class IdentityMatch:
 
 def identity_report(order: int) -> dict[RepresentationId, IdentityMatch]:
     """Compare every representation's coefficients against DIVISOR, exactly."""
-    if order < 1:
-        raise DomainError("order must be >= 1")
     reference = build_representation(RepresentationId.DIVISOR, order)
     report = {}
     for rep in RepresentationId:
@@ -261,22 +263,14 @@ def divisor_difference_series(order: int) -> TruncatedSeries:
     if order < 1:
         raise DomainError("order must be >= 1")
     table = divisor_sieve(order + 1)
-    return TruncatedSeries(
-        [Fraction(0)] + [Fraction(table.d[k + 1] - table.d[k]) for k in range(1, order + 1)]
-    )
+    return TruncatedSeries([0] + [table.d[k + 1] - table.d[k] for k in range(1, order + 1)])
 
 
 def divisor_partial_sum_series(order: int) -> TruncatedSeries:
     """sum_{k>=1} (sum_{j<=k} d(j)) q^k."""
     if order < 1:
         raise DomainError("order must be >= 1")
-    table = divisor_sieve(order)
-    coeffs = [Fraction(0)]
-    acc = 0
-    for k in range(1, order + 1):
-        acc += table.d[k]
-        coeffs.append(Fraction(acc))
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(divisor_partial_sums(divisor_sieve(order)))
 
 
 def divisor_log_convolution_series(order: int) -> TruncatedSeries:

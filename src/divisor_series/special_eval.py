@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -97,6 +98,15 @@ class QPoint:
 
     def __float__(self) -> float:
         return float(self.value)
+
+    def fast_float(self) -> float:
+        """q as a double for FAST formulas that take log(q); a q below the
+        smallest positive double rounds to 0.0, which has no logarithm."""
+        f = float(self.value)
+        if f == 0.0:
+            raise DomainError("q underflows to 0.0 in double precision; "
+                              "use certified mode")
+        return f
 
 
 @dataclass(frozen=True)
@@ -291,13 +301,14 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
     x_frac = Fraction(x) if not isinstance(x, Fraction) else x
     q_hi = qp.float_up()
     qx_hi = q_hi ** float(x_frac)
-    # eps budget for the bare sum: the sum is scaled by log(q) afterwards
-    log_scale = max(-math.log(float(qp)), 1e-300)
+    # eps budget for the bare sum: the sum is scaled by log(q) afterwards.  The
+    # log is taken of the exact rational, so a q below the smallest double works.
+    log_scale = max(math.log(qp.value.denominator) - math.log(qp.value.numerator), 1e-300)
     sum_target = max(eps / (4.0 * log_scale), 5e-323)
     terms = _choose_terms(lambda k: _psi_tail(q_hi, qx_hi, k), sum_target)
 
     if mode is Mode.FAST:
-        qf = float(qp)
+        qf = qp.fast_float()
         qx = qf ** float(x_frac)
         s = _psi_partial_sum(qf, qx, terms)
         tail = _psi_tail(q_hi, qx_hi, terms)
@@ -337,7 +348,7 @@ def eval_H(
     qp = QPoint.coerce(q)
     if mode is Mode.FAST:
         t = eval_T(qp, eps, representation, Mode.FAST)
-        qf = float(qp)
+        qf = qp.fast_float()
         base = math.log1p(-qf) / math.log(qf)
         lo, hi = t.value.to_floats()
         pad = 40.0 * float_ulp(base)
@@ -362,7 +373,11 @@ def eval_F(
     """F(q) = ((1-q)/q) * H(q)."""
     qp = QPoint.coerce(q)
     scale = (1 - qp.value) / qp.value
-    eps_h = eps / (2.0 * float(scale)) if mode is Mode.CERTIFIED else eps
+    if scale > sys.float_info.max:
+        raise DomainError("q underflows in double precision: (1-q)/q exceeds the "
+                          "largest double")
+    # halve eps before dividing: 2 * scale overflows for q just above the guard
+    eps_h = eps / 2.0 / float(scale) if mode is Mode.CERTIFIED else eps
     h = eval_H(qp, eps_h, representation, mode)
     if mode is Mode.FAST:
         lo, hi = h.value.to_floats()

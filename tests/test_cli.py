@@ -1,7 +1,9 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from divisor_series.cli import main
@@ -70,6 +72,48 @@ def test_eval_q_whose_double_is_one_exit_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--fn", "psi", "--q", "0.99999999999999999")
     assert code == 2
     assert "inside (0, 1)" in err
+
+
+@pytest.mark.parametrize("fn, mode", [
+    ("psi", "fast"), ("H", "fast"), ("F", "fast"), ("F", "certified"),
+])
+def test_eval_q_below_smallest_double_exit_2(capsys, fn, mode):
+    code, out, err = run_cli(capsys, "eval", "--fn", fn, "--q", "1e-400", "--mode", mode)
+    assert code == 2
+    assert out == ""
+    assert "underflows" in err
+
+
+def test_eval_certified_f_where_twice_its_scale_overflows(capsys):
+    # (1-q)/q fits in a double at q = 1e-308, twice it does not
+    code, _, err = run_cli(capsys, "eval", "--fn", "F", "--q", "1e-308", "--mode", "certified")
+    assert code in (0, 1)
+    assert "eps must be positive" not in err
+
+
+@pytest.mark.parametrize("x", ["1", "1/3"])
+def test_eval_psi_certified_q_below_smallest_double(capsys, x):
+    code, out, _ = run_cli(capsys, "eval", "--fn", "psi", "--q", "1e-400", "--x", x,
+                           "--mode", "certified")
+    assert code == 0
+    doc = json.loads(out)
+    frac = Fraction(x)
+    with mpmath.workdps(60):
+        q = mpmath.mpf(10) ** -400
+        qx = q ** (mpmath.mpf(frac.numerator) / frac.denominator)
+        # the terms k >= 3 of the sum are below 10^-400 times the first
+        true = -mpmath.log(1 - q) + mpmath.log(q) * (qx / (1 - q) + qx ** 2 / (1 - q ** 2))
+    assert doc["lo"] <= float(true) <= doc["hi"]
+    assert doc["hi"] - doc["lo"] <= 1e-12
+
+
+@pytest.mark.parametrize("fn", ["T", "H"])
+def test_eval_certified_t_and_h_q_below_smallest_double(capsys, fn):
+    code, out, _ = run_cli(capsys, "eval", "--fn", fn, "--q", "1e-400", "--mode", "certified")
+    assert code == 0
+    doc = json.loads(out)
+    # T(q) = q + O(q^2) and H(q) = T(q) - log(1-q)/log(q) are both about 1e-400
+    assert doc["lo"] <= 0.0 <= doc["hi"] and doc["hi"] - doc["lo"] <= 1e-12
 
 
 def test_unknown_subcommand_exit_2(capsys):

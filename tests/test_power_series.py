@@ -86,6 +86,14 @@ def test_reciprocal_rejects_zero_constant():
         TruncatedSeries([0, 1, 2]).reciprocal()
 
 
+def test_reciprocal_of_integer_series_stays_exact():
+    recip = TruncatedSeries([2, 1, 0]).reciprocal()
+    assert recip.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
+    assert all(isinstance(c, Fraction) for c in recip.coeffs)
+    partitions = q_pochhammer(None, 30).reciprocal()
+    assert not any(isinstance(c, float) for c in partitions.coeffs)
+
+
 def test_reciprocal_euler_function_gives_partition_numbers():
     n = 20
     recip = q_pochhammer(None, n).reciprocal()
@@ -104,6 +112,11 @@ def test_pochhammer_empty_product():
 def test_pochhammer_k2():
     # (1-q)(1-q^2) = 1 - q - q^2 + q^3
     assert q_pochhammer(2, 4).coeffs == (1, -1, -1, 1, 0)
+
+
+def test_pochhammer_has_integer_coefficients():
+    for k in (None, 0, 3, 40):
+        assert all(type(c) is int for c in q_pochhammer(k, 40).coeffs)
 
 
 def test_pochhammer_infinite_pentagonal():
@@ -129,6 +142,39 @@ def test_identity_report_n50():
     report = identity_report(50)
     for rep, res in report.items():
         assert res.match, f"{rep} mismatched at {res.first_mismatch_index}"
+
+
+def test_identity_report_n500():
+    report = identity_report(500)
+    assert set(report) == set(RepresentationId)
+    for rep, res in report.items():
+        assert res.match, f"{rep} mismatched at {res.first_mismatch_index}"
+
+
+@pytest.mark.parametrize("order", [1, 2, 37, 120])
+@pytest.mark.parametrize("rep", list(RepresentationId), ids=lambda r: r.name)
+def test_representations_have_integer_coefficients(rep, order):
+    series = build_representation(rep, order)
+    assert len(series.coeffs) == order + 1
+    assert all(type(c) is int for c in series.coeffs)
+
+
+def test_builders_use_neither_reciprocal_nor_product(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("generic series arithmetic on the build path")
+
+    monkeypatch.setattr(TruncatedSeries, "reciprocal", forbidden)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", forbidden)
+    for rep in RepresentationId:
+        build_representation(rep, 60)
+    q_pochhammer(None, 60)
+
+
+def test_companion_series_coefficient_types():
+    assert all(type(c) is int for c in divisor_difference_series(30).coeffs)
+    assert all(type(c) is int for c in divisor_partial_sum_series(30).coeffs)
+    assert any(isinstance(c, Fraction) and c.denominator > 1
+               for c in divisor_log_convolution_series(30).coeffs)
 
 
 def test_identity_report_n1():
