@@ -67,6 +67,13 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
+def _print_sandwich_cells(certs: dict) -> None:
+    """One stderr line: per sandwich lemma, how many cells were settled in
+    doubles and how many at working precision (certified runs only)."""
+    counts = {lid: cert.settled for lid, cert in certs.items() if cert.settled}
+    print(f"sandwich_cells: {json.dumps(counts, sort_keys=True)}", file=sys.stderr)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="divisor-series",
@@ -240,6 +247,8 @@ def _cmd_verify(args) -> int:
         cert = combine_theorem_3_2(certs)
     else:
         cert = verify_lemma(args.lemma, args.mode, args.jobs)
+        certs = {args.lemma: cert}
+    _print_sandwich_cells(certs)
     text = cert.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -251,6 +260,7 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     doc = {"schema_version": SCHEMA_VERSION, "sections": {}}
     timings = {}
+    certs = {}
     overall_ok = True
 
     if "identities" not in args.skip:
@@ -304,6 +314,7 @@ def _cmd_report(args) -> int:
         _print_json({"schema_version": SCHEMA_VERSION, "passed": overall_ok})
     # wall times vary from run to run, so they stay out of the stdout document
     print(f"timings_s: {json.dumps(timings, sort_keys=True)}", file=sys.stderr)
+    _print_sandwich_cells(certs)
     return EXIT_OK if overall_ok else EXIT_VERIFICATION_FAILED
 
 

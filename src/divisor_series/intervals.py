@@ -11,6 +11,10 @@ Certified computations run at :data:`DEFAULT_PRECISION` bits (overridable via
 the ``DIVISOR_SERIES_PREC`` environment variable) and may be retried at doubled
 precision up to :data:`MAX_PRECISION` when a requested output width cannot be
 met.
+
+A :class:`DoubleInterval` is the same guarantee on a pair of doubles: much
+cheaper per operation and much wider, it settles the certified sandwich
+cells that do not need working precision.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator, Union
 
-from mpmath import iv, mp
+from mpmath import iv, libmp, mp
 from mpmath.ctx_iv import ivmpf
 
 DEFAULT_PRECISION = 128
@@ -269,6 +274,161 @@ class Enclosure:
         return f"Enclosure({lo!r}, {hi!r})"
 
 
+def _floor_float(m) -> float:
+    """The largest double <= the raw mpf m."""
+    f = libmp.to_float(m, rnd=libmp.round_floor)
+    return math.nextafter(f, -math.inf) if libmp.mpf_gt(libmp.from_float(f), m) else f
+
+
+def _ceil_float(m) -> float:
+    """The smallest double >= the raw mpf m."""
+    f = libmp.to_float(m, rnd=libmp.round_ceiling)
+    return math.nextafter(f, math.inf) if libmp.mpf_lt(libmp.from_float(f), m) else f
+
+
+def _outward(lo: float, hi: float) -> "DoubleInterval":
+    """[lo, hi] from round-to-nearest endpoints, each moved one double
+    outward; a NaN endpoint gives the whole line."""
+    lo = math.nextafter(lo, -math.inf)
+    hi = math.nextafter(hi, math.inf)
+    if lo <= hi:
+        return DoubleInterval(lo, hi)
+    return DoubleInterval(-math.inf, math.inf)
+
+
+class DoubleInterval:
+    """A closed interval [lo, hi] of doubles certified to contain a real value.
+
+    The cheap first pass of certified sandwich checks (Rump, "Verification
+    methods", Acta Numerica 19, 2010).  IEEE ``+ - * /`` round to nearest,
+    which is off by at most half a unit in the last place, so moving each
+    endpoint one double outward (``math.nextafter``) keeps the exact result
+    inside.  Integer powers are repeated products.  ``log`` and ``exp`` take
+    mpmath's directed rounding at 53 bits, since libm promises no rounding
+    direction.
+
+    Endpoints satisfy lo <= hi, lo < +inf and hi > -inf and are never NaN.
+    An operation without a bounded result (a divisor containing 0, inf * 0,
+    the log of a non-positive number) returns the whole line, which no
+    positivity check accepts.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float):
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def lift(cls, value) -> "DoubleInterval":
+        """The tightest pair of doubles around an exact scalar."""
+        if isinstance(value, float):
+            return cls(value, value) if math.isfinite(value) else cls(-math.inf, math.inf)
+        if isinstance(value, int) and -2**53 <= value <= 2**53:
+            return cls(float(value), float(value))
+        frac = value if isinstance(value, Fraction) else Fraction(value)
+        try:
+            f = frac.numerator / frac.denominator  # correctly rounded
+        except OverflowError:
+            big = sys.float_info.max
+            return cls(big, math.inf) if frac > 0 else cls(-math.inf, -big)
+        exact = Fraction(f)
+        if exact < frac:
+            return cls(f, math.nextafter(f, math.inf))
+        if exact > frac:
+            return cls(math.nextafter(f, -math.inf), f)
+        return cls(f, f)
+
+    def __add__(self, other):
+        o = other if other.__class__ is DoubleInterval else DoubleInterval.lift(other)
+        return _outward(self.lo + o.lo, self.hi + o.hi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = other if other.__class__ is DoubleInterval else DoubleInterval.lift(other)
+        return _outward(self.lo - o.hi, self.hi - o.lo)
+
+    def __rsub__(self, other):
+        return DoubleInterval.lift(other) - self
+
+    def __mul__(self, other):
+        o = other if other.__class__ is DoubleInterval else DoubleInterval.lift(other)
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if a >= 0:
+            if c >= 0:
+                return _outward(a * c, b * d)
+            if d <= 0:
+                return _outward(b * c, a * d)
+            return _outward(b * c, b * d)
+        if b <= 0:
+            if c >= 0:
+                return _outward(a * d, b * c)
+            if d <= 0:
+                return _outward(b * d, a * c)
+            return _outward(a * d, a * c)
+        if c >= 0:
+            return _outward(a * d, b * d)
+        if d <= 0:
+            return _outward(b * c, a * c)
+        return _outward(min(a * d, b * c), max(a * c, b * d))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = other if other.__class__ is DoubleInterval else DoubleInterval.lift(other)
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if c > 0:
+            if a >= 0:
+                return _outward(a / d, b / c)
+            if b <= 0:
+                return _outward(a / c, b / d)
+            return _outward(a / c, b / c)
+        if d < 0:
+            if a >= 0:
+                return _outward(b / d, a / c)
+            if b <= 0:
+                return _outward(b / c, a / d)
+            return _outward(b / d, a / d)
+        return DoubleInterval(-math.inf, math.inf)
+
+    def __rtruediv__(self, other):
+        return DoubleInterval.lift(other) / self
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return 1 / self ** -exponent
+        result, base = None, self
+        while exponent:  # binary powering: about 2 log2(exponent) products
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return DoubleInterval(1.0, 1.0) if result is None else result
+
+    def __neg__(self):
+        return DoubleInterval(-self.hi, -self.lo)
+
+    def log(self) -> "DoubleInterval":
+        if not self.hi > 0:
+            return DoubleInterval(-math.inf, math.inf)
+        lo = -math.inf if self.lo <= 0 else _floor_float(
+            libmp.mpf_log(libmp.from_float(self.lo), 53, libmp.round_floor))
+        hi = _ceil_float(libmp.mpf_log(libmp.from_float(self.hi), 53, libmp.round_ceiling))
+        return DoubleInterval(lo, hi)
+
+    def exp(self) -> "DoubleInterval":
+        lo = _floor_float(libmp.mpf_exp(libmp.from_float(self.lo), 53, libmp.round_floor))
+        hi = _ceil_float(libmp.mpf_exp(libmp.from_float(self.hi), 53, libmp.round_ceiling))
+        return DoubleInterval(lo, hi)
+
+    def __repr__(self) -> str:
+        return f"DoubleInterval({self.lo!r}, {self.hi!r})"
+
+
 def gamma_enclosure() -> Enclosure:
     """Enclosure of Euler's constant from the stored decimal digits.
 
@@ -288,17 +448,22 @@ GAMMA_FLOAT = 0.5772156649015329
 #
 # Formula code in lemma_functions/special_eval is written once against these
 # helpers and runs in both modes: feed floats for FAST, ivmpf for CERTIFIED.
+# DoubleInterval runs the same formulas as the first pass of certified checks.
 
 
 def ln(x):
     if isinstance(x, ivmpf):
         return iv.log(x)
+    if isinstance(x, DoubleInterval):
+        return x.log()
     return math.log(x)
 
 
 def exp_(x):
     if isinstance(x, ivmpf):
         return iv.exp(x)
+    if isinstance(x, DoubleInterval):
+        return x.exp()
     return math.exp(x)
 
 
@@ -313,6 +478,8 @@ def lift(value: Scalar, mode: Mode):
 def const(value: Scalar, like):
     """A rational constant of a formula, lifted into the arithmetic of the
     formula's argument `like` the same way mode dispatch lifts q."""
+    if isinstance(like, DoubleInterval):
+        return DoubleInterval.lift(value)
     return lift(value, Mode.CERTIFIED if isinstance(like, ivmpf) else Mode.FAST)
 
 
@@ -322,6 +489,8 @@ def powr(base, exponent):
         return base ** exponent
     if isinstance(base, ivmpf) or isinstance(exponent, ivmpf):
         return iv.exp(to_ivmpf(exponent) * iv.log(to_ivmpf(base)))
+    if isinstance(base, DoubleInterval):
+        return (base.log() * exponent).exp()
     return math.exp(exponent * math.log(base))
 
 

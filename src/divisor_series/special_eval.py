@@ -326,16 +326,37 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
             s = _psi_partial_sum(q_iv, qx, terms)
             tail_hi = Enclosure(_psi_tail(q_iv, qx, terms)).hi
             sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
-            value = Enclosure(-iv.log(1 - q_iv)) + Enclosure(iv.log(q_iv)) * sum_enc
+            value = Enclosure(_minus_log1m(qp)) + Enclosure(iv.log(q_iv)) * sum_enc
         if float(value.width_upper()) <= eps:
             return EvalReport(value, PSI_FORMULA, terms, _float_up(tail_hi), Mode.CERTIFIED)
     raise PrecisionError(f"cannot reach width {eps} for psi_q at q={float(qp)}")
 
 
+#: At and below this q, -log(1-q) is summed from its power series.
+_LOG1M_SERIES_MAX_Q = Fraction(1, 2**64)
+
+
+def _minus_log1m(qp: QPoint) -> ivmpf:
+    """-log(1-q) at the current interval precision.
+
+    iv.log(1 - q) is accurate to about 2^-prec absolutely, which leaves no
+    correct digit once q is that small.  For q <= 2^-64 the enclosure is
+    sum_{k<=n} q^k/k plus [0, q^(n+1)/((n+1)(1-q))], the geometric bound on
+    the remaining terms, with n = prec // 64 + 1: relative to q the tail is
+    below 2^(-64n), under the rounding error of the sum.
+    """
+    q_iv = qp.to_ivmpf()
+    if qp.value > _LOG1M_SERIES_MAX_Q:
+        return -iv.log(1 - q_iv)
+    n = iv.prec // 64 + 1
+    total = sum((q_iv ** k / k for k in range(2, n + 1)), q_iv)
+    tail = q_iv ** (n + 1) / ((n + 1) * (1 - q_iv))
+    return total + iv.mpf([0, tail.b])
+
+
 def _log_ratio_enclosure(qp: QPoint) -> Enclosure:
     """log(1-q)/log(q) at the current interval precision."""
-    q_iv = qp.to_ivmpf()
-    return Enclosure(iv.log(1 - q_iv) / iv.log(q_iv))
+    return Enclosure(-_minus_log1m(qp) / iv.log(qp.to_ivmpf()))
 
 
 def eval_H(
@@ -438,7 +459,7 @@ def _bounds_triple(theorem: TheoremId, qp: QPoint, eps: float, mode: Mode):
     with interval_precision(_bits_for_eps(eps)):
         q_iv = qp.to_ivmpf()
         log_q = Enclosure(iv.log(q_iv))
-        log_1mq = Enclosure(iv.log(1 - q_iv))
+        log_1mq = Enclosure(-_minus_log1m(qp))
 
         if theorem is TheoremId.SALEM_1_3:
             factor = Enclosure(to_ivmpf((1 - q) / q)) / log_q

@@ -6,8 +6,10 @@ functions are increasing in q, it is enough to check
 lower(cell_left) - upper(cell_right) > 0 on every cell of a grid tiling the
 span.  Cell endpoints are exact rationals; every evaluation is an
 outward-rounded enclosure, and a cell passes only when the enclosure of its
-margin is strictly positive.  Certificates record the grid, the smallest
-verified margin, the monotonicity premises taken as input, and pass/fail.
+margin is strictly positive: first in outward-rounded doubles, and at
+working precision where those do not separate.  Certificates record the
+grid, the smallest verified margin, the monotonicity premises taken as
+input, and pass/fail.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from mpmath import iv
 
 from .intervals import (
     DomainError,
+    DoubleInterval,
     Enclosure,
     Mode,
     interval_precision,
@@ -32,6 +35,7 @@ from .intervals import (
     to_ivmpf,
     working_precision,
     _float_down,
+    _float_up,
 )
 from .lemma_functions import (
     _in_mode,
@@ -152,6 +156,11 @@ class Certificate:
     failures: tuple[int, ...] = ()
     premises: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
+    #: how a certified sandwich settled its cells: counts "doubles" and
+    #: "working_precision", and "min_margin_rechecks" of cells settled in
+    #: doubles and re-evaluated for min_margin.  A diagnostic, not part of
+    #: the JSON document.
+    settled: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -174,12 +183,72 @@ class Certificate:
 # -- sandwich engine --------------------------------------------------------------
 
 
-def _cell_margin(args) -> tuple[int, bool, float]:
-    lower, upper, idx, left, right, certified = args
+class SandwichBound:
+    """One side of a monotone sandwich: a raw formula of lemma_functions at an
+    exact cell endpoint q, with an optional exact value at q = 1, where the
+    formula is singular.
+
+    Calling it gives a certified Enclosure, or a float in FAST mode.
+    `doubles` gives a DoubleInterval: certified sandwich checks try that
+    cheap enclosure first and go to working precision only where it does not
+    separate.
+    """
+
+    def __init__(self, raw: Callable, value_at_one: Optional[Fraction] = None):
+        self.raw = raw
+        self.value_at_one = value_at_one
+
+    def _formula(self, q: Fraction):
+        if q == 1 and self.value_at_one is not None:
+            return _constant, self.value_at_one
+        return self.raw, q
+
+    def __call__(self, q: Fraction, mode: Mode = Mode.CERTIFIED):
+        return _in_mode(mode, *self._formula(q))
+
+    def doubles(self, q: Fraction) -> DoubleInterval:
+        fn, arg = self._formula(q)
+        return fn(DoubleInterval.lift(arg))
+
+
+def _constant(value):
+    return value
+
+
+def _working_margin(lower, upper, left, right) -> tuple[bool, float, float]:
+    """(passes, lower endpoint, upper endpoint) of the certified margin
+    lower(left) - upper(right) at working precision."""
     margin = lower(left) - upper(right)
-    if certified:
-        return idx, margin.lo > 0, float(_float_down(margin.lo))
-    return idx, margin > 0.0, margin
+    return margin.lo > 0, float(_float_down(margin.lo)), _float_up(margin.hi)
+
+
+def _cell_margin(args) -> tuple[bool, float, float, bool]:
+    """(passes, margin lower endpoint, margin upper endpoint, settled in
+    doubles) of one cell.  A certified cell between two SandwichBounds is
+    settled in doubles when that margin is strictly positive."""
+    lower, upper, left, right, certified = args
+    if not certified:
+        margin = lower(left) - upper(right)
+        return margin > 0.0, margin, margin, False
+    if isinstance(lower, SandwichBound) and isinstance(upper, SandwichBound):
+        margin = lower.doubles(left) - upper.doubles(right)
+        if margin.lo > 0:
+            return True, margin.lo, margin.hi, True
+    return (*_working_margin(lower, upper, left, right), False)
+
+
+def _tally(results) -> tuple[tuple[int, ...], list, list[bool], float]:
+    """(failing cells, margin lower endpoints, settled-in-doubles flags,
+    smallest margin upper endpoint) from _cell_margin results in cell order,
+    in one pass so that the cells of long grids are never held in memory."""
+    failures, margins, in_doubles, ceiling = [], [], [], math.inf
+    for idx, (ok, lo, hi, doubled) in enumerate(results):
+        if not ok:
+            failures.append(idx)
+        margins.append(lo)
+        in_doubles.append(doubled)
+        ceiling = min(ceiling, hi)
+    return tuple(failures), margins, in_doubles, ceiling
 
 
 def sandwich_verify(
@@ -202,44 +271,49 @@ def sandwich_verify(
 
     In CERTIFIED mode the callables must return Enclosure and a cell passes
     only when the margin enclosure is strictly positive; FAST margins are
-    informational and the certificate never passes.
+    informational and the certificate never passes.  When both callables are
+    SandwichBounds, a cell whose DoubleInterval margin is strictly positive
+    passes on it; only the others are evaluated at working precision.
+    min_margin is the working-precision value all the same: a cell settled
+    in doubles is re-evaluated when its lower endpoint does not exceed the
+    smallest upper endpoint of any cell's margin.  That includes the cell
+    holding the minimum, and every other double lower endpoint lies above it.
     """
     certified = mode is Mode.CERTIFIED
-    tasks = [(lower, upper, idx, left, right, certified) for idx, left, right in grid.cells()]
+    tasks = ((lower, upper, left, right, certified) for _, left, right in grid.cells())
     if jobs > 1:
-        chunk = max(1, len(tasks) // (jobs * 8))
+        chunk = max(1, grid.total_cells // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_margin, tasks, chunksize=chunk))
+            failures, margins, in_doubles, ceiling = _tally(
+                pool.map(_cell_margin, tasks, chunksize=chunk))
     else:
-        results = [_cell_margin(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    failures = tuple(idx for idx, ok, _ in results if not ok)
-    min_margin = min(m for _, _, m in results)
+        failures, margins, in_doubles, ceiling = _tally(map(_cell_margin, tasks))
+    settled = {}
+    if certified:
+        rechecks = {idx for idx, lo in enumerate(margins) if in_doubles[idx] and lo <= ceiling}
+        for idx, left, right in grid.cells():
+            if idx in rechecks:
+                margins[idx] = _working_margin(lower, upper, left, right)[1]
+        doubles = sum(in_doubles)
+        settled = {"doubles": doubles, "working_precision": len(margins) - doubles,
+                   "min_margin_rechecks": len(rechecks)}
+    min_margin = min(margins)
     passed = certified and not failures and min_margin > 0
     return Certificate(
         target=target,
         grid=grid,
-        cells_checked=len(results),
+        cells_checked=len(margins),
         min_margin=float(min_margin),
         mode=mode,
         passed=passed,
         failures=failures,
         premises=tuple(premises),
         details=details or {},
+        settled=settled,
     )
 
 
 # -- lemma-specific evaluators (module level so --jobs can pickle them) ---------
-
-
-def w1_lower(q: Fraction, mode: Mode = Mode.CERTIFIED):
-    """W1(q) (see lemma_functions.w1_raw): an Enclosure, a float in FAST mode."""
-    return _in_mode(mode, w1_raw, q)
-
-
-def w2_upper(q: Fraction, mode: Mode = Mode.CERTIFIED):
-    """W2(q) (see lemma_functions.w2_raw): an Enclosure, a float in FAST mode."""
-    return _in_mode(mode, w2_raw, q)
 
 
 def j2_limit_exact() -> Fraction:
@@ -251,18 +325,12 @@ def j2_limit_exact() -> Fraction:
 #: Exact value of the J2 limit; reproduced by j2_limit_exact() and pinned here.
 J2_LIMIT = Fraction(208609, 55440)
 
-
-def j1_lower(q: Fraction, mode: Mode = Mode.CERTIFIED):
-    """J1(q) (see lemma_functions.j1_raw): an Enclosure, a float in FAST mode."""
-    return _in_mode(mode, j1_raw, q)
-
-
-def j2_upper(q: Fraction, mode: Mode = Mode.CERTIFIED):
-    """J2(q) (see lemma_functions.j2_raw), with its exact limit at q = 1:
-    an Enclosure, a float in FAST mode."""
-    if q == 1:
-        return _in_mode(mode, lambda limit: limit, j2_limit_exact())
-    return _in_mode(mode, j2_raw, q)
+#: W1, W2 (Lemma 2.4ii) and J1, J2 (Lemma 2.9) as sandwich sides: see
+#: lemma_functions.w1_raw .. j2_raw.  J2 takes its exact limit at q = 1.
+w1_lower = SandwichBound(w1_raw)
+w2_upper = SandwichBound(w2_raw)
+j1_lower = SandwichBound(j1_raw)
+j2_upper = SandwichBound(j2_raw, J2_LIMIT)
 
 
 # -- monotonicity spot checks -----------------------------------------------------
@@ -282,11 +350,16 @@ def _spot_check_monotone(
     for _ in range(pairs):
         a = lo + span * Fraction(rng.randrange(10**6), 10**6)
         b = a + min_gap + (hi - a - min_gap) * Fraction(rng.randrange(10**6), 10**6)
-        va, vb = fn(a), fn(b)
-        ok = va.strictly_below(vb) if increasing else vb.strictly_below(va)
-        if not ok:
+        if not (_certified_below(fn, a, b) if increasing else _certified_below(fn, b, a)):
             return False
     return True
+
+
+def _certified_below(fn: Callable[[Fraction], Enclosure], a: Fraction, b: Fraction) -> bool:
+    """fn(a) < fn(b), certified; a SandwichBound is tried in doubles first."""
+    if isinstance(fn, SandwichBound) and fn.doubles(a).hi < fn.doubles(b).lo:
+        return True
+    return fn(a).strictly_below(fn(b))
 
 
 # -- lemma pipelines ---------------------------------------------------------------
@@ -375,13 +448,14 @@ def _verify_sandwich_lemma(
     jobs: int,
     details: dict,
 ) -> Certificate:
-    """Sandwich-verify lower > upper on the grid.  In CERTIFIED mode both
-    functions are also spot-checked for increase on spot_span, and a failed
-    spot check fails the certificate; FAST mode records None."""
-    lower, upper = partial(lower, mode=mode), partial(upper, mode=mode)
+    """Sandwich-verify lower > upper (two SandwichBounds) on the grid.  In
+    CERTIFIED mode both are also spot-checked for increase on spot_span, and
+    a failed spot check fails the certificate; FAST mode records None."""
     spot_ok = None
     if mode is Mode.CERTIFIED:
         spot_ok = all(_spot_check_monotone(fn, *spot_span, True) for fn in (lower, upper))
+    else:
+        lower, upper = partial(lower, mode=mode), partial(upper, mode=mode)
     details["monotonicity_spot_checks"] = spot_ok
     cert = sandwich_verify(
         lower, upper, grid, mode=mode, target=target,

@@ -7,6 +7,7 @@ approaches its limit 1 only at a 1/log(q) rate, so F(0.001) = 0.85630758...
 and the window (0.99, 1.0) is reached only for q < e^-100.
 """
 
+import json
 import math
 import random
 import time
@@ -16,6 +17,7 @@ import pytest
 from mpmath import iv
 from scipy.integrate import quad
 
+from divisor_series.cli import main
 from divisor_series.intervals import Enclosure, Mode, gamma_enclosure, interval_precision
 from divisor_series.lemma_functions import (
     delta_polynomial,
@@ -201,6 +203,23 @@ def test_criterion_4a_f_window_near_zero():
         f"({lower.to_floats()[0]:.10f}, {upper.to_floats()[1]:.10f}); "
         f"F(1e-50) = {f_far.to_floats()}; increasing={increasing}, below_one={below_one}",
     )
+
+
+def test_certified_f_at_1e_300_meets_the_window(capsys):
+    """-log(1-q) is summed from its series for q <= 2^-64, so certified F
+    keeps its digits where iv.log(1 - q), good only to 2^-prec absolutely,
+    left H with none (and F exited 1).  At q = 1e-300 the window of
+    criterion 4a is about 1e-300 wide, far below one unit in the last place
+    of a double, so the printed enclosure cannot lie strictly inside it:
+    the check is that it holds the whole window and is at most two units in
+    the last place wide."""
+    code = main(["eval", "--fn", "F", "--q", "1e-300", "--mode", "certified"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    lower, upper = _f_window_near_zero(Fraction(1, 10**300))
+    f = Enclosure(Fraction(doc["lo"]), Fraction(doc["hi"]))
+    assert f.lo <= lower.lo and upper.hi <= f.hi
+    assert doc["hi"] - doc["lo"] <= 2 * math.ulp(doc["hi"])
 
 
 def test_criterion_4b_f_limit_near_one():

@@ -157,6 +157,36 @@ def test_verify_lemma_24ii_jobs_2_matches_jobs_1(capsys):
     assert out1.encode() == out2.encode()
 
 
+def test_verify_lemma_29_jobs_2_matches_jobs_1(capsys):
+    """Includes the two cells that fall back to working precision."""
+    code1, out1, err1 = run_cli(capsys, "verify", "--lemma", "2.9", "--jobs", "1")
+    code2, out2, err2 = run_cli(capsys, "verify", "--lemma", "2.9", "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1.encode() == out2.encode()
+    assert err1 == err2
+
+
+def _sandwich_cells(err: str) -> dict:
+    lines = [line for line in err.splitlines() if line.startswith("sandwich_cells: ")]
+    assert len(lines) == 1
+    return json.loads(lines[0].split(": ", 1)[1])
+
+
+def test_verify_and_report_write_sandwich_cells_to_stderr(capsys):
+    code, out, err = run_cli(capsys, "verify", "--lemma", "2.9")
+    assert code == 0
+    assert _sandwich_cells(err) == {
+        "2.9": {"doubles": 898, "working_precision": 2, "min_margin_rechecks": 1}}
+    assert "sandwich_cells" not in out and "settled" not in out
+    _, _, err = run_cli(capsys, "verify", "--lemma", "2.5")
+    assert _sandwich_cells(err) == {}
+    _, _, err = run_cli(capsys, "verify", "--lemma", "2.9", "--mode", "fast")
+    assert _sandwich_cells(err) == {}
+    _, _, err = run_cli(capsys, "report", "--order", "10", "--skip", "verify",
+                        "--skip", "bounds")
+    assert _sandwich_cells(err) == {}
+
+
 def test_verify_lemma_25_and_out_file(tmp_path, capsys):
     out_file = tmp_path / "cert.json"
     code, out, _ = run_cli(capsys, "verify", "--lemma", "2.5", "--out", str(out_file))

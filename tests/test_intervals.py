@@ -1,15 +1,22 @@
-"""Outward rounding and ordering semantics of the Enclosure type."""
+"""Outward rounding and ordering semantics of the Enclosure and
+DoubleInterval types."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
 from divisor_series.intervals import (
+    DoubleInterval,
     Enclosure,
     GAMMA_DIGITS,
+    const,
+    exp_,
     gamma_enclosure,
     interval_precision,
+    ln,
     mpf_to_fraction,
     to_ivmpf,
     working_precision,
@@ -102,3 +109,121 @@ def test_working_precision_env(monkeypatch):
     assert working_precision() == 53  # floored
     monkeypatch.delenv("DIVISOR_SERIES_PREC")
     assert working_precision() == 128
+
+
+# -- DoubleInterval: outward-rounded doubles --------------------------------
+
+
+def _encloses(di: DoubleInterval, exact: Fraction) -> bool:
+    """lo <= exact <= hi, with infinite endpoints as unbounded."""
+    below = di.lo == -math.inf or (math.isfinite(di.lo) and Fraction(di.lo) <= exact)
+    above = di.hi == math.inf or (math.isfinite(di.hi) and exact <= Fraction(di.hi))
+    return below and above
+
+
+def _seeded_rationals(seed: int, count: int) -> list[Fraction]:
+    """Rationals of both signs from 1e-320 to 1e300: short and long
+    numerators and denominators, so that most are not doubles."""
+    rng = random.Random(seed)
+    out = [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(117, 1000)]
+    while len(out) < count:
+        num = rng.randrange(1, 10 ** rng.choice((1, 5, 17, 40)))
+        den = rng.randrange(1, 10 ** rng.choice((1, 5, 17, 40)))
+        scale = Fraction(10) ** rng.randrange(-300, 281)
+        out.append(rng.choice((1, -1)) * Fraction(num, den) * scale)
+    out.append(Fraction(1, 10**320))  # subnormal
+    return out
+
+
+def test_double_interval_lift_is_tightest():
+    for value in _seeded_rationals(1, 200):
+        di = DoubleInterval.lift(value)
+        assert _encloses(di, value)
+        assert const(value, DoubleInterval.lift(1)).lo == di.lo
+        assert di.hi == di.lo or math.nextafter(di.lo, math.inf) == di.hi
+        if Fraction(di.lo) == value:
+            assert di.lo == di.hi
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_double_interval_arithmetic_encloses_exact(op):
+    """Point and two-point operands; every endpoint combination of the
+    exact operands must land inside the result (the exact range of + - * /
+    over a box is spanned by its corners)."""
+    values = _seeded_rationals(2, 60)
+    rng = random.Random(3)
+    fn = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+          "*": lambda a, b: a * b, "/": lambda a, b: a / b}[op]
+    for a in values:
+        for b in rng.sample(values, 20):
+            if op == "/" and b == 0:
+                continue
+            b2 = b * Fraction(1001, 1000) + Fraction(1, 10**6)
+            if op == "/" and (b <= 0 <= b2 or b2 <= 0 <= b):
+                continue
+            x = DoubleInterval.lift(a)
+            y = DoubleInterval(min(DoubleInterval.lift(b).lo, DoubleInterval.lift(b2).lo),
+                               max(DoubleInterval.lift(b).hi, DoubleInterval.lift(b2).hi))
+            result = fn(x, y)
+            assert _encloses(result, fn(a, b)), (op, a, b, result)
+            assert _encloses(result, fn(a, b2)), (op, a, b2, result)
+            # mixed scalar operands on either side
+            assert _encloses(fn(x, b), fn(a, b))
+            assert _encloses(fn(a, DoubleInterval.lift(b)), fn(a, b))
+
+
+def test_double_interval_integer_powers_enclose_exact():
+    for a in _seeded_rationals(4, 80):
+        x = DoubleInterval.lift(a)
+        for n in (0, 1, 2, 3, 7, 14, 40):
+            assert _encloses(x ** n, a ** n), (a, n)
+        if a != 0:
+            assert _encloses(x ** -3, a ** -3), a
+
+
+def test_double_interval_log_exp_enclose_256_bit_values():
+    rng = random.Random(5)
+    logs = [rng.uniform(1e-3, 10.0) for _ in range(40)]
+    logs += [10.0 ** rng.uniform(-320, 308) for _ in range(40)] + [1.0, 5e-324]
+    exps = [rng.uniform(-750.0, 709.0) for _ in range(60)] + [0.0, -745.1, 709.7]
+    exps += [rng.uniform(-745.0, -708.0) for _ in range(40)]  # subnormal results
+    with mp.workprec(256):
+        for x in logs:
+            got = DoubleInterval.lift(x).log()
+            assert got.lo <= got.hi
+            assert _encloses(got, mpf_to_fraction(mp.log(mp.mpf(x))))
+        for x in exps:
+            got = DoubleInterval.lift(x).exp()
+            assert _encloses(got, mpf_to_fraction(mp.exp(mp.mpf(x))))
+    # the generic helpers dispatch to the same enclosures
+    assert ln(DoubleInterval.lift(2.0)).hi == DoubleInterval.lift(2.0).log().hi
+    assert exp_(DoubleInterval.lift(2.0)).lo == DoubleInterval.lift(2.0).exp().lo
+
+
+def test_double_interval_unbounded_results_are_never_positive():
+    """A divisor containing 0, an overflow and a NaN give no positive lower
+    endpoint where the true value is not positive."""
+    big = DoubleInterval.lift(Fraction(10) ** 308)
+    zero, one = DoubleInterval.lift(0), DoubleInterval.lift(1)
+    straddle = DoubleInterval(-1e-300, 1e-300)
+    assert not (one / zero).lo > 0
+    assert not (one / straddle).lo > 0
+    assert not (one / DoubleInterval(0.0, 2.0)).lo > 0
+    over = big * 10  # overflows: [largest double, inf]
+    assert over.hi == math.inf and _encloses(over, Fraction(10) ** 309)
+    assert not (over - over).lo > 0
+    assert not (over - big * 11).lo > 0
+    assert not (-over).lo > 0
+    assert not (over * zero).lo > 0  # inf * 0 is NaN in IEEE arithmetic
+    nan = DoubleInterval.lift(math.nan)
+    assert not (nan + one).lo > 0 and not (nan * one).lo > 0
+    assert not (one - one * DoubleInterval(math.nan, math.nan)).lo > 0
+    assert not DoubleInterval(-1.0, 0.0).log().lo > 0
+
+
+def test_double_interval_lifts_huge_and_tiny_rationals():
+    huge = Fraction(10) ** 400
+    assert DoubleInterval.lift(huge).hi == math.inf
+    assert DoubleInterval.lift(-huge).lo == -math.inf
+    tiny = DoubleInterval.lift(Fraction(1, 10**400))
+    assert tiny.lo == 0.0 and tiny.hi == 5e-324

@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from mpmath import iv
+from mpmath import iv, mp
 
 from divisor_series.intervals import (
     DomainError,
@@ -16,6 +16,7 @@ from divisor_series.intervals import (
     TermBudgetError,
     gamma_enclosure,
     interval_precision,
+    mpf_to_fraction,
 )
 from divisor_series.power_series import RepresentationId
 from divisor_series.special_eval import (
@@ -30,6 +31,7 @@ from divisor_series.special_eval import (
     fibonacci_partial_sum,
     landau_constant_from_t,
     landau_fibonacci,
+    _minus_log1m,
 )
 
 NUMERIC_REPS = (RepresentationId.DIVISOR, RepresentationId.LAMBERT, RepresentationId.CLAUSEN)
@@ -286,3 +288,29 @@ def test_landau_constant_both_routes():
     assert direct.contained_in(window_lo, window_hi)
     assert fib.intersects(direct)
     assert float(fib.width_upper()) < 1e-5
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2**64), Fraction(1, 10**300), Fraction(1, 10**400)])
+@pytest.mark.parametrize("bits", [128, 1024])
+def test_certified_minus_log1m_keeps_relative_accuracy(q, bits):
+    """For q <= 2^-64, -log(1-q) is the series sum q^k/k with a tail bound:
+    it encloses a 2000-bit value and is tight relative to q."""
+    with interval_precision(bits):
+        enc = Enclosure(_minus_log1m(QPoint(q)))
+    with mp.workprec(2000):
+        reference = mpf_to_fraction(-mp.log1p(-mp.mpf(q.numerator) / q.denominator))
+    assert enc.contains(reference)
+    assert mpf_to_fraction(enc.width_upper()) <= q * Fraction(1, 2 ** (bits - 8))
+
+
+def test_certified_h_at_tiny_q_has_correct_digits():
+    """H(q) = q (1 - 1/L) + O(q^2), L = log(1/q); at q = 1e-300 certified H
+    was [-4.3e-42, 1e-300] while iv.log(1 - q) carried the log."""
+    q = Fraction(1, 10**300)
+    h = eval_H(q, 1e-310).value
+    with mp.workprec(200):
+        L = mp.log(mp.mpf(10) ** 300)
+        approx = 1e-300 * (1 - 1 / L)
+    lo, hi = h.to_floats()
+    assert lo <= float(approx) <= hi
+    assert hi - lo <= 1e-312

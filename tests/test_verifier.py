@@ -1,16 +1,26 @@
 """Sandwich engine, grids, certificates and the lemma pipelines (on reduced
 grids here; the full production grids run in the acceptance suite)."""
 
+import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from divisor_series.intervals import DomainError, Enclosure, Mode
+from divisor_series.intervals import (
+    DomainError,
+    DoubleInterval,
+    Enclosure,
+    Mode,
+    mpf_to_fraction,
+)
+from divisor_series.lemma_functions import w1_raw
 from divisor_series.verifier import (
     Certificate,
     GridSegment,
     GridSpec,
     J2_LIMIT,
+    SandwichBound,
     combine_theorem_3_2,
     j1_lower,
     j2_limit_exact,
@@ -109,6 +119,86 @@ def test_certificates_deterministic():
     assert a.to_json().encode() == b.to_json().encode()
 
 
+# -- double-first certified sandwich ------------------------------------------------
+
+
+class _NotSeparatingAt(SandwichBound):
+    """W1 whose DoubleInterval is the whole line at the chosen points, so the
+    cells that use them must be settled at working precision."""
+
+    def __init__(self, points):
+        super().__init__(w1_raw)
+        self.points = set(points)
+
+    def doubles(self, q):
+        if q in self.points:
+            return DoubleInterval(-math.inf, math.inf)
+        return super().doubles(q)
+
+
+def test_forced_fallback_cells_match_working_precision_certificate():
+    grid = GridSpec((GridSegment(Fraction(835, 1000), Fraction(1, 20000), 12),))
+    cells = {idx: left for idx, left, _ in grid.cells()}
+    forced = (0, 5, 6, 11)
+    cert = sandwich_verify(_NotSeparatingAt(cells[i] for i in forced), w2_upper, grid)
+    # plain callables returning Enclosure: every cell at working precision
+    reference = sandwich_verify(partial(w1_lower, mode=Mode.CERTIFIED),
+                                partial(w2_upper, mode=Mode.CERTIFIED), grid)
+    assert cert.passed and reference.passed
+    assert cert.to_json() == reference.to_json()
+    assert cert.settled["doubles"] == 12 - len(forced)
+    assert cert.settled["working_precision"] == len(forced)
+    assert reference.settled == {"doubles": 0, "working_precision": 12,
+                                 "min_margin_rechecks": 0}
+
+
+def test_lemma_2_9_last_cells_pass_by_fallback():
+    """Cells 898 and 899 of the 2.9 grid (q >= 0.9998) do not separate in
+    doubles, where the closed form of J1 cancels; they pass at working
+    precision, the last one against the exact limit J2(1)."""
+    grid = _j_subgrid(Fraction(9997, 10000), Fraction(1, 10000), 3)  # cells 897..899
+    for _, left, right in list(grid.cells())[1:]:
+        assert not (j1_lower.doubles(left) - j2_upper.doubles(right)).lo > 0
+    cert = sandwich_verify(j1_lower, j2_upper, grid)
+    assert cert.passed and cert.failures == ()
+    assert cert.settled["doubles"] == 1 and cert.settled["working_precision"] == 2
+    reference = sandwich_verify(partial(j1_lower, mode=Mode.CERTIFIED),
+                                partial(j2_upper, mode=Mode.CERTIFIED), grid)
+    assert cert.to_json() == reference.to_json()
+
+
+def test_truly_negative_cell_is_the_only_failure():
+    """margin(l) = l^2 - (4(l+1) - 15/2) = l^2 - 4l + 7/2 on cells [l, l+1],
+    l = 0..4: 7/2, 1/2, -1/2, 1/2, 7/2, so only cell 2 fails."""
+    lower = SandwichBound(lambda q: q * q)
+    upper = SandwichBound(lambda q: (8 * q - 15) / 2)
+    grid = GridSpec((GridSegment(Fraction(0), Fraction(1), 5),))
+    cert = sandwich_verify(lower, upper, grid)
+    assert not cert.passed
+    assert cert.failures == (2,)
+    assert cert.min_margin == -0.5
+    assert cert.settled["doubles"] == 4 and cert.settled["working_precision"] == 1
+
+
+def test_double_first_sandwich_parallel_matches_serial():
+    """Workers receive the SandwichBounds pickled; fallback cells included."""
+    grid = _j_subgrid(Fraction(9990, 10000), Fraction(1, 10000), 10)
+    serial = sandwich_verify(j1_lower, j2_upper, grid, jobs=1)
+    parallel = sandwich_verify(j1_lower, j2_upper, grid, jobs=2)
+    assert serial.passed and serial.settled["working_precision"] == 2
+    assert serial.to_json() == parallel.to_json()
+    assert serial.settled == parallel.settled
+
+
+def test_sandwich_bound_doubles_enclose_certified_values():
+    for bound, q in ((w1_lower, Fraction(117, 1000)), (w2_upper, Fraction(91, 100)),
+                     (j1_lower, Fraction(95, 100)), (j2_upper, Fraction(99, 100)),
+                     (j2_upper, Fraction(1))):
+        d, enc = bound.doubles(q), bound(q)
+        assert Fraction(d.lo) <= mpf_to_fraction(enc.lo)
+        assert mpf_to_fraction(enc.hi) <= Fraction(d.hi)
+
+
 # -- monotone-function evaluators -------------------------------------------------
 
 
@@ -123,6 +213,10 @@ def test_w_functions_first_cells():
         assert margin.is_positive()
 
 
+_BOUND_NAMES = {id(w1_lower): "w1_lower", id(w2_upper): "w2_upper",
+                id(j1_lower): "j1_lower", id(j2_upper): "j2_upper"}
+
+
 @pytest.mark.parametrize("evaluate, q", [
     *((fn, q) for fn in (w1_lower, w2_upper) for q in (
         Fraction(117, 1000), Fraction(1, 2), Fraction(835, 1000), Fraction(9, 10),
@@ -130,7 +224,7 @@ def test_w_functions_first_cells():
     *((fn, q) for fn in (j1_lower, j2_upper) for q in (
         Fraction(91, 100), Fraction(95, 100), Fraction(99, 100))),
     (j2_upper, Fraction(1)),
-])
+], ids=lambda value: _BOUND_NAMES.get(id(value)))  # SandwichBounds have no __name__
 def test_fast_sandwich_evaluators_match_certified(evaluate, q):
     """FAST W1/W2/J1/J2 are the certified formulas run on doubles: within
     1e-9 relative of the enclosure on cells of the 2.4ii and 2.9 grids.
