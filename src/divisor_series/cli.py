@@ -51,6 +51,16 @@ def _mode_arg(value: str) -> Mode:
         raise argparse.ArgumentTypeError(f"mode must be fast or certified, got {value!r}")
 
 
+def _jobs_arg(value: str) -> int:
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be a positive integer, got {value!r}")
+    return jobs
+
+
 def _repr_arg(value: str) -> RepresentationId:
     try:
         return RepresentationId(value.upper())
@@ -69,7 +79,7 @@ def _print_json(doc: dict) -> None:
 
 def _print_sandwich_cells(certs: dict) -> None:
     """One stderr line: per sandwich lemma, how many cells were settled in
-    doubles and how many at working precision (certified runs only)."""
+    doubles and how many at working precision."""
     counts = {lid: cert.settled for lid, cert in certs.items() if cert.settled}
     print(f"sandwich_cells: {json.dumps(counts, sort_keys=True)}", file=sys.stderr)
 
@@ -118,12 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a lemma verification and emit a certificate")
     p.add_argument("--lemma", required=True,
                    choices=sorted(LEMMA_VERIFIERS) + ["thm3.2"])
-    p.add_argument("--mode", type=_mode_arg, default=Mode.CERTIFIED,
-                   help="certified (default) or fast.  fast switches the arithmetic "
-                        "to doubles only for the sandwich grids of 2.4ii and 2.9; "
-                        "2.4i, 2.5 and 2.8 still run their certified checks.  A "
-                        "fast certificate always reports passed: false (exit 1)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1,
+                   help="worker processes for the sandwich grids, at most one per CPU")
     p.add_argument("--out", default=None, help="write the certificate JSON here")
 
     p = sub.add_parser("report", help="run the full verification suite")
@@ -131,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip", action="append", default=[],
                    choices=("identities", "verify", "bounds"))
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1)
 
     return parser
 
@@ -243,10 +249,10 @@ def _cmd_bounds_scan(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.lemma == "thm3.2":
-        certs = {lid: verify_lemma(lid, args.mode, args.jobs) for lid in LEMMA_VERIFIERS}
+        certs = {lid: verify_lemma(lid, jobs=args.jobs) for lid in LEMMA_VERIFIERS}
         cert = combine_theorem_3_2(certs)
     else:
-        cert = verify_lemma(args.lemma, args.mode, args.jobs)
+        cert = verify_lemma(args.lemma, jobs=args.jobs)
         certs = {args.lemma: cert}
     _print_sandwich_cells(certs)
     text = cert.to_json()
@@ -277,7 +283,7 @@ def _cmd_report(args) -> int:
 
     if "verify" not in args.skip:
         t0 = time.perf_counter()
-        certs = {lid: verify_lemma(lid, Mode.CERTIFIED, args.jobs) for lid in LEMMA_VERIFIERS}
+        certs = {lid: verify_lemma(lid, jobs=args.jobs) for lid in LEMMA_VERIFIERS}
         rollup = combine_theorem_3_2(certs)
         doc["sections"]["verify"] = {
             "lemmas": {lid: c.passed for lid, c in certs.items()},

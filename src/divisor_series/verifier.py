@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -141,17 +142,16 @@ def lemma_2_4_i_v_prime_grid() -> GridSpec:
 
 @dataclass
 class Certificate:
-    """Machine-checkable record of one verification run.
+    """Machine-checkable record of one certified verification run.
 
-    passed is True only for CERTIFIED runs with no failing cells and a
-    strictly positive minimum margin.
+    passed is True only when no cell fails and the minimum margin is
+    strictly positive.
     """
 
     target: str
     grid: Optional[GridSpec]
     cells_checked: int
     min_margin: float
-    mode: Mode
     passed: bool
     failures: tuple[int, ...] = ()
     premises: tuple[str, ...] = ()
@@ -169,7 +169,7 @@ class Certificate:
             "grid": self.grid.to_json_dict() if self.grid is not None else None,
             "cells_checked": self.cells_checked,
             "min_margin": self.min_margin,
-            "mode": self.mode.value,
+            "mode": "certified",
             "passed": self.passed,
             "failures": list(self.failures),
             "premises": list(self.premises),
@@ -188,10 +188,9 @@ class SandwichBound:
     exact cell endpoint q, with an optional exact value at q = 1, where the
     formula is singular.
 
-    Calling it gives a certified Enclosure, or a float in FAST mode.
-    `doubles` gives a DoubleInterval: certified sandwich checks try that
-    cheap enclosure first and go to working precision only where it does not
-    separate.
+    Calling it gives a certified Enclosure.  `doubles` gives a
+    DoubleInterval: sandwich checks try that cheap enclosure first and go to
+    working precision only where it does not separate.
     """
 
     def __init__(self, raw: Callable, value_at_one: Optional[Fraction] = None):
@@ -203,8 +202,8 @@ class SandwichBound:
             return _constant, self.value_at_one
         return self.raw, q
 
-    def __call__(self, q: Fraction, mode: Mode = Mode.CERTIFIED):
-        return _in_mode(mode, *self._formula(q))
+    def __call__(self, q: Fraction) -> Enclosure:
+        return _in_mode(Mode.CERTIFIED, *self._formula(q))
 
     def doubles(self, q: Fraction) -> DoubleInterval:
         fn, arg = self._formula(q)
@@ -224,12 +223,10 @@ def _working_margin(lower, upper, left, right) -> tuple[bool, float, float]:
 
 def _cell_margin(args) -> tuple[bool, float, float, bool]:
     """(passes, margin lower endpoint, margin upper endpoint, settled in
-    doubles) of one cell.  A certified cell between two SandwichBounds is
-    settled in doubles when that margin is strictly positive."""
-    lower, upper, left, right, certified = args
-    if not certified:
-        margin = lower(left) - upper(right)
-        return margin > 0.0, margin, margin, False
+    doubles) of the certified margin lower(left) - upper(right).  Between two
+    SandwichBounds it is settled in doubles when that margin is strictly
+    positive; otherwise it is evaluated at working precision."""
+    lower, upper, left, right = args
     if isinstance(lower, SandwichBound) and isinstance(upper, SandwichBound):
         margin = lower.doubles(left) - upper.doubles(right)
         if margin.lo > 0:
@@ -252,10 +249,9 @@ def _tally(results) -> tuple[tuple[int, ...], list, list[bool], float]:
 
 
 def sandwich_verify(
-    lower: Callable[[Fraction], object],
-    upper: Callable[[Fraction], object],
+    lower: Callable[[Fraction], Enclosure],
+    upper: Callable[[Fraction], Enclosure],
     grid: GridSpec,
-    mode: Mode = Mode.CERTIFIED,
     target: str = "sandwich",
     premises: Sequence[str] = (),
     jobs: int = 1,
@@ -269,47 +265,44 @@ def sandwich_verify(
     can only grow cell margins, so min_margin of a 2x-refined run is never
     below ~0.99 of the coarse run's (up to outward-rounding slack).
 
-    In CERTIFIED mode the callables must return Enclosure and a cell passes
-    only when the margin enclosure is strictly positive; FAST margins are
-    informational and the certificate never passes.  When both callables are
-    SandwichBounds, a cell whose DoubleInterval margin is strictly positive
-    passes on it; only the others are evaluated at working precision.
+    The callables return Enclosure, and a cell passes only when the margin
+    enclosure is strictly positive.  When both callables are SandwichBounds,
+    a cell whose DoubleInterval margin is strictly positive passes on it;
+    only the others are evaluated at working precision.
     min_margin is the working-precision value all the same: a cell settled
     in doubles is re-evaluated when its lower endpoint does not exceed the
     smallest upper endpoint of any cell's margin.  That includes the cell
     holding the minimum, and every other double lower endpoint lies above it.
+
+    With jobs > 1 the cells go to a process pool of at most one worker per
+    CPU, since the pool starts all its workers at once.
     """
-    certified = mode is Mode.CERTIFIED
-    tasks = ((lower, upper, left, right, certified) for _, left, right in grid.cells())
+    tasks = ((lower, upper, left, right) for _, left, right in grid.cells())
     if jobs > 1:
-        chunk = max(1, grid.total_cells // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, os.cpu_count() or 1)
+        chunk = max(1, grid.total_cells // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             failures, margins, in_doubles, ceiling = _tally(
                 pool.map(_cell_margin, tasks, chunksize=chunk))
     else:
         failures, margins, in_doubles, ceiling = _tally(map(_cell_margin, tasks))
-    settled = {}
-    if certified:
-        rechecks = {idx for idx, lo in enumerate(margins) if in_doubles[idx] and lo <= ceiling}
-        for idx, left, right in grid.cells():
-            if idx in rechecks:
-                margins[idx] = _working_margin(lower, upper, left, right)[1]
-        doubles = sum(in_doubles)
-        settled = {"doubles": doubles, "working_precision": len(margins) - doubles,
-                   "min_margin_rechecks": len(rechecks)}
+    rechecks = {idx for idx, lo in enumerate(margins) if in_doubles[idx] and lo <= ceiling}
+    for idx, left, right in grid.cells():
+        if idx in rechecks:
+            margins[idx] = _working_margin(lower, upper, left, right)[1]
+    doubles = sum(in_doubles)
     min_margin = min(margins)
-    passed = certified and not failures and min_margin > 0
     return Certificate(
         target=target,
         grid=grid,
         cells_checked=len(margins),
         min_margin=float(min_margin),
-        mode=mode,
-        passed=passed,
+        passed=not failures and min_margin > 0,
         failures=failures,
         premises=tuple(premises),
         details=details or {},
-        settled=settled,
+        settled={"doubles": doubles, "working_precision": len(margins) - doubles,
+                 "min_margin_rechecks": len(rechecks)},
     )
 
 
@@ -344,22 +337,18 @@ def _spot_check_monotone(
     pairs: int = _SPOT_CHECK_PAIRS,
     min_gap: Fraction = Fraction(1, 100),
 ) -> bool:
-    """Certified ordering of fn at `pairs` random point pairs (seeded RNG)."""
+    """Certified ordering of fn at `pairs` random point pairs a < b (seeded
+    RNG): the sandwich margin fn(above) - fn(below) > 0, with above = b for
+    an increasing fn and above = a for a decreasing one."""
     rng = random.Random(_SPOT_CHECK_SEED)
     span = hi - lo - min_gap
     for _ in range(pairs):
         a = lo + span * Fraction(rng.randrange(10**6), 10**6)
         b = a + min_gap + (hi - a - min_gap) * Fraction(rng.randrange(10**6), 10**6)
-        if not (_certified_below(fn, a, b) if increasing else _certified_below(fn, b, a)):
+        above, below = (b, a) if increasing else (a, b)
+        if not _cell_margin((fn, fn, above, below))[0]:
             return False
     return True
-
-
-def _certified_below(fn: Callable[[Fraction], Enclosure], a: Fraction, b: Fraction) -> bool:
-    """fn(a) < fn(b), certified; a SandwichBound is tried in doubles first."""
-    if isinstance(fn, SandwichBound) and fn.doubles(a).hi < fn.doubles(b).lo:
-        return True
-    return fn(a).strictly_below(fn(b))
 
 
 # -- lemma pipelines ---------------------------------------------------------------
@@ -377,7 +366,7 @@ def _all_and_min(
     return all_ok, min_lo
 
 
-def verify_lemma_2_4_i(mode: Mode = Mode.CERTIFIED) -> Certificate:
+def verify_lemma_2_4_i() -> Certificate:
     """C_q(1) > 0 on (0, 0.117]: endpoint value of V, positivity of V' on a
     grid, and the closed-form chain C_q(1) = U/((q+1)^2 log^2 q),
     U >= q V(-log q), sampled over the span."""
@@ -423,14 +412,12 @@ def verify_lemma_2_4_i(mode: Mode = Mode.CERTIFIED) -> Certificate:
     details["chain_samples"] = 117
 
     checks_ok = v0_ok and vp_ok and u_ok and c1_ok and gap_ok
-    passed = mode is Mode.CERTIFIED and checks_ok and (min_vp or 0) > 0
     return Certificate(
         target="2.4i",
         grid=grid,
         cells_checked=grid.total_cells,
         min_margin=min(min_vp, min_c1),
-        mode=mode,
-        passed=passed,
+        passed=checks_ok and min_vp > 0,
         failures=(),
         premises=premises,
         details=details,
@@ -444,29 +431,22 @@ def _verify_sandwich_lemma(
     grid: GridSpec,
     spot_span: tuple[Fraction, Fraction],
     premises: Sequence[str],
-    mode: Mode,
     jobs: int,
     details: dict,
 ) -> Certificate:
-    """Sandwich-verify lower > upper (two SandwichBounds) on the grid.  In
-    CERTIFIED mode both are also spot-checked for increase on spot_span, and
-    a failed spot check fails the certificate; FAST mode records None."""
-    spot_ok = None
-    if mode is Mode.CERTIFIED:
-        spot_ok = all(_spot_check_monotone(fn, *spot_span, True) for fn in (lower, upper))
-    else:
-        lower, upper = partial(lower, mode=mode), partial(upper, mode=mode)
+    """Sandwich-verify lower > upper (two SandwichBounds) on the grid.  Both
+    are also spot-checked for increase on spot_span, and a failed spot check
+    fails the certificate."""
+    spot_ok = all(_spot_check_monotone(fn, *spot_span, True) for fn in (lower, upper))
     details["monotonicity_spot_checks"] = spot_ok
     cert = sandwich_verify(
-        lower, upper, grid, mode=mode, target=target,
-        premises=premises, jobs=jobs, details=details,
+        lower, upper, grid, target=target, premises=premises, jobs=jobs, details=details,
     )
-    if spot_ok is False:
-        cert.passed = False
+    cert.passed = cert.passed and spot_ok
     return cert
 
 
-def verify_lemma_2_4_ii(mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certificate:
+def verify_lemma_2_4_ii(jobs: int = 1) -> Certificate:
     """C_q(39) > 0 on (0.117, 0.91] by the W1/W2 monotone sandwich."""
     premises = (
         "W1(q) = Phi_q(40) - Phi_q(1) and W2(q) = sum_{k=1}^{40} phi_q(k) are"
@@ -475,11 +455,11 @@ def verify_lemma_2_4_ii(mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certifica
     )
     return _verify_sandwich_lemma(
         "2.4ii", w1_lower, w2_upper, lemma_2_4_ii_grid(),
-        (Fraction(117, 1000), Fraction(91, 100)), premises, mode, jobs, {},
+        (Fraction(117, 1000), Fraction(91, 100)), premises, jobs, {},
     )
 
 
-def verify_lemma_2_9(mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certificate:
+def verify_lemma_2_9(jobs: int = 1) -> Certificate:
     """D_q(10) > 0.036 on [0.91, 1) by the J1/J2 monotone sandwich; the last
     cell's right endpoint q = 1 uses the exact limit J2(1) = 208609/55440."""
     premises = (
@@ -492,12 +472,12 @@ def verify_lemma_2_9(mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certificate:
         raise ArithmeticError("exact J2 limit does not match the pinned fixture")
     return _verify_sandwich_lemma(
         "2.9", j1_lower, j2_upper, lemma_2_9_grid(),
-        (Fraction(91, 100), Fraction(9999, 10000)), premises, mode, jobs,
+        (Fraction(91, 100), Fraction(9999, 10000)), premises, jobs,
         {"j2_limit": str(J2_LIMIT)},
     )
 
 
-def verify_lemma_2_5(mode: Mode = Mode.CERTIFIED) -> Certificate:
+def verify_lemma_2_5() -> Certificate:
     """N_q >= 14 on [0.91, 1): Delta and G0 each have exactly one root in
     [0.91, 1] (Sturm), and the endpoint values pin their signs."""
     delta = delta_polynomial()
@@ -536,15 +516,14 @@ def verify_lemma_2_5(mode: Mode = Mode.CERTIFIED) -> Certificate:
         grid=None,
         cells_checked=2,
         min_margin=float(min(delta_at_a, -g0_at_a)),
-        mode=mode,
-        passed=mode is Mode.CERTIFIED and checks_ok,
+        passed=checks_ok,
         failures=(),
         premises=premises,
         details=details,
     )
 
 
-def verify_lemma_2_8(mode: Mode = Mode.CERTIFIED) -> Certificate:
+def verify_lemma_2_8() -> Certificate:
     """phi'_q(x) >= -0.035 for q in [0.91, 1), x >= 1, via the h1/h2/h3
     envelope of -Theta_q(14) and monotonicity endpoints."""
     premises = (
@@ -600,8 +579,7 @@ def verify_lemma_2_8(mode: Mode = Mode.CERTIFIED) -> Certificate:
         grid=None,
         cells_checked=len(qs) * len(xs),
         min_margin=float(Fraction(35, 1000)) - envelope.to_floats()[1],
-        mode=mode,
-        passed=mode is Mode.CERTIFIED and bool(checks_ok),
+        passed=bool(checks_ok),
         failures=(),
         premises=premises,
         details=details,
@@ -618,14 +596,17 @@ LEMMA_VERIFIERS = {
 
 
 def verify_lemma(lemma_id: str, mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certificate:
-    """Run one lemma pipeline by id ('2.4i', '2.4ii', '2.5', '2.8', '2.9')."""
+    """Run one lemma pipeline by id ('2.4i', '2.4ii', '2.5', '2.8', '2.9').
+    Verification is certified only; any other mode is a DomainError."""
+    if mode is not Mode.CERTIFIED:
+        raise DomainError(f"lemma verification is certified only, got mode {mode!r}")
     if lemma_id not in LEMMA_VERIFIERS:
         raise DomainError(f"unknown lemma id {lemma_id!r}; "
                           f"choose from {sorted(LEMMA_VERIFIERS)}")
     fn = LEMMA_VERIFIERS[lemma_id]
     if lemma_id in ("2.4ii", "2.9"):
-        return fn(mode=mode, jobs=jobs)
-    return fn(mode=mode)
+        return fn(jobs=jobs)
+    return fn()
 
 
 #: Exact roll-up margin 36/1000 - 35/2000 - 35/8000 = 113/8000 = 0.014125.
@@ -653,7 +634,6 @@ def combine_theorem_3_2(certificates: dict[str, Certificate]) -> Certificate:
         grid=None,
         cells_checked=len(required),
         min_margin=float(margin),
-        mode=Mode.CERTIFIED,
         passed=all_passed,
         failures=tuple(i for i, k in enumerate(required) if not certificates[k].passed),
         premises=("case q <= 0.91 from 2.4i/2.4ii; case q > 0.91 from 2.5/2.8/2.9",),

@@ -12,6 +12,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import iv
@@ -332,6 +333,21 @@ def test_criterion_8_theorem_rollup(certificates):
         rollup.passed and margin_ok and fault_ok,
         f"margin={rollup.min_margin}",
     )
+
+
+_GOLDEN_CERTIFICATES = Path(__file__).parent / "data" / "certificates"
+
+
+def test_certificates_match_golden_bytes(certificates):
+    """The JSON of the five lemma certificates and the roll-up is the one
+    committed under tests/data/certificates.  A change that alters a
+    certificate must regenerate these files and say why."""
+    certs, _ = certificates
+    docs = {lid: cert.to_json() for lid, cert in certs.items()}
+    docs["thm3.2"] = combine_theorem_3_2(certs).to_json()
+    changed = sorted(lid for lid, text in docs.items()
+                     if (_GOLDEN_CERTIFICATES / f"{lid}.json").read_bytes() != text.encode())
+    _record("golden certificates (byte-identical JSON)", not changed, f"changed: {changed}")
 
 
 def test_criterion_9_oracle_equivalences():

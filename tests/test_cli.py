@@ -41,7 +41,7 @@ def test_identity_check(capsys):
 
 
 def test_verify_lemma_29_cell_count(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--lemma", "2.9", "--mode", "certified")
+    code, out, _ = run_cli(capsys, "verify", "--lemma", "2.9")
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and doc["cells_checked"] == 900
@@ -180,11 +180,25 @@ def test_verify_and_report_write_sandwich_cells_to_stderr(capsys):
     assert "sandwich_cells" not in out and "settled" not in out
     _, _, err = run_cli(capsys, "verify", "--lemma", "2.5")
     assert _sandwich_cells(err) == {}
-    _, _, err = run_cli(capsys, "verify", "--lemma", "2.9", "--mode", "fast")
-    assert _sandwich_cells(err) == {}
     _, _, err = run_cli(capsys, "report", "--order", "10", "--skip", "verify",
                         "--skip", "bounds")
     assert _sandwich_cells(err) == {}
+
+
+def test_verify_has_no_fast_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lemma", "2.5", "--mode", "fast"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "--lemma", "2.5"], ["report", "--order", "10"]])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "jobs must be a positive integer" in capsys.readouterr().err
 
 
 def test_verify_lemma_25_and_out_file(tmp_path, capsys):

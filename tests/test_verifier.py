@@ -81,13 +81,6 @@ def test_sandwich_failure_lists_cells():
     assert cert.failures == (0, 1)
 
 
-def test_fast_mode_never_passes():
-    grid = GridSpec((GridSegment(Fraction(0), Fraction(1), 1),))
-    cert = sandwich_verify(lambda q: 1.0, lambda q: 0.0, grid, mode=Mode.FAST)
-    assert not cert.passed
-    assert cert.min_margin == 1.0
-
-
 def _j_subgrid(start: Fraction, step: Fraction, count: int) -> GridSpec:
     return GridSpec((GridSegment(start, step, count),))
 
@@ -142,8 +135,7 @@ def test_forced_fallback_cells_match_working_precision_certificate():
     forced = (0, 5, 6, 11)
     cert = sandwich_verify(_NotSeparatingAt(cells[i] for i in forced), w2_upper, grid)
     # plain callables returning Enclosure: every cell at working precision
-    reference = sandwich_verify(partial(w1_lower, mode=Mode.CERTIFIED),
-                                partial(w2_upper, mode=Mode.CERTIFIED), grid)
+    reference = sandwich_verify(partial(w1_lower), partial(w2_upper), grid)
     assert cert.passed and reference.passed
     assert cert.to_json() == reference.to_json()
     assert cert.settled["doubles"] == 12 - len(forced)
@@ -162,8 +154,7 @@ def test_lemma_2_9_last_cells_pass_by_fallback():
     cert = sandwich_verify(j1_lower, j2_upper, grid)
     assert cert.passed and cert.failures == ()
     assert cert.settled["doubles"] == 1 and cert.settled["working_precision"] == 2
-    reference = sandwich_verify(partial(j1_lower, mode=Mode.CERTIFIED),
-                                partial(j2_upper, mode=Mode.CERTIFIED), grid)
+    reference = sandwich_verify(partial(j1_lower), partial(j2_upper), grid)
     assert cert.to_json() == reference.to_json()
 
 
@@ -178,6 +169,45 @@ def test_truly_negative_cell_is_the_only_failure():
     assert cert.failures == (2,)
     assert cert.min_margin == -0.5
     assert cert.settled["doubles"] == 4 and cert.settled["working_precision"] == 1
+
+
+class _PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records its sizing and maps in
+    this process, so no worker is ever started."""
+
+    calls: list = []
+
+    def __init__(self, max_workers):
+        self.calls.append({"max_workers": max_workers})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        self.calls[-1]["chunksize"] = chunksize
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("jobs, cpus, workers, chunksize", [
+    (5000, 2, 2, 64 // 16),
+    (2, 1, 1, 64 // 8),  # the pool path stays in use on one CPU
+    (3, None, 1, 64 // 8),
+    (2, 8, 2, 64 // 16),
+])
+def test_pool_size_is_capped_at_cpu_count(monkeypatch, jobs, cpus, workers, chunksize):
+    import divisor_series.verifier as verifier
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_PoolRecorder, "calls", [])
+    grid = GridSpec((GridSegment(Fraction(0), Fraction(1, 64), 64),))
+    lower, upper = SandwichBound(lambda q: q + 1), SandwichBound(lambda q: q)
+    cert = sandwich_verify(lower, upper, grid, jobs=jobs)
+    assert _PoolRecorder.calls == [{"max_workers": workers, "chunksize": chunksize}]
+    assert cert.to_json() == sandwich_verify(lower, upper, grid).to_json()
 
 
 def test_double_first_sandwich_parallel_matches_serial():
@@ -226,13 +256,13 @@ _BOUND_NAMES = {id(w1_lower): "w1_lower", id(w2_upper): "w2_upper",
     (j2_upper, Fraction(1)),
 ], ids=lambda value: _BOUND_NAMES.get(id(value)))  # SandwichBounds have no __name__
 def test_fast_sandwich_evaluators_match_certified(evaluate, q):
-    """FAST W1/W2/J1/J2 are the certified formulas run on doubles: within
-    1e-9 relative of the enclosure on cells of the 2.4ii and 2.9 grids.
-    Past q = 0.99 the closed form of Phi_q cancels in doubles (FAST J1 is
-    off by ~1e-7 relative at 0.999), so the 2.9 cells stop there."""
-    fast = evaluate(q, mode=Mode.FAST)
+    """The fast evaluator of each sandwich bound, its DoubleInterval, lies
+    within 1e-8 relative of the certified enclosure on cells of the 2.4ii and
+    2.9 grids, so those cells settle in doubles.  The closed form of Phi_q
+    cancels in doubles as q -> 1: J1 at 0.99 is the widest, 2.7e-9."""
+    fast = evaluate.doubles(q)
     lo, hi = evaluate(q).to_floats()
-    assert lo - 1e-9 * abs(lo) <= fast <= hi + 1e-9 * abs(hi)
+    assert lo - 1e-8 * abs(lo) <= fast.lo and fast.hi <= hi + 1e-8 * abs(hi)
 
 
 def test_j2_limit_rederived():
@@ -272,13 +302,21 @@ def test_unknown_lemma_rejected():
         verify_lemma("9.9")
 
 
+def test_lemma_verification_is_certified_only():
+    with pytest.raises(DomainError):
+        verify_lemma("2.5", Mode.FAST)
+    cert = verify_lemma("2.5", Mode.CERTIFIED, jobs=1)
+    assert cert.passed and cert.to_json_dict()["mode"] == "certified"
+    assert cert.to_json() == verify_lemma_2_5().to_json()
+
+
 # -- roll-up -------------------------------------------------------------------------
 
 
 def _stub_cert(target: str, passed: bool) -> Certificate:
     return Certificate(
         target=target, grid=None, cells_checked=1, min_margin=1.0 if passed else -1.0,
-        mode=Mode.CERTIFIED, passed=passed,
+        passed=passed,
     )
 
 
