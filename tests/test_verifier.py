@@ -171,26 +171,6 @@ def test_truly_negative_cell_is_the_only_failure():
     assert cert.settled["doubles"] == 4 and cert.settled["working_precision"] == 1
 
 
-class _PoolRecorder:
-    """Stands in for ProcessPoolExecutor: records its sizing and maps in
-    this process, so no worker is ever started."""
-
-    calls: list = []
-
-    def __init__(self, max_workers):
-        self.calls.append({"max_workers": max_workers})
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        self.calls[-1]["chunksize"] = chunksize
-        return map(fn, iterable)
-
-
 @pytest.mark.parametrize("jobs, cpus, workers, chunksize", [
     (5000, 2, 2, 64 // 16),
     (2, 1, 1, 64 // 8),  # the pool path stays in use on one CPU
@@ -200,13 +180,31 @@ class _PoolRecorder:
 def test_pool_size_is_capped_at_cpu_count(monkeypatch, jobs, cpus, workers, chunksize):
     import divisor_series.verifier as verifier
 
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _PoolRecorder)
+    calls = []
+
+    class PoolRecorder:
+        """Stands in for ProcessPoolExecutor: records its sizing and maps in
+        this process, so no worker is ever started."""
+
+        def __init__(self, max_workers):
+            calls.append({"max_workers": max_workers})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            calls[-1]["chunksize"] = chunksize
+            return map(fn, iterable)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", PoolRecorder)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_PoolRecorder, "calls", [])
     grid = GridSpec((GridSegment(Fraction(0), Fraction(1, 64), 64),))
     lower, upper = SandwichBound(lambda q: q + 1), SandwichBound(lambda q: q)
     cert = sandwich_verify(lower, upper, grid, jobs=jobs)
-    assert _PoolRecorder.calls == [{"max_workers": workers, "chunksize": chunksize}]
+    assert calls == [{"max_workers": workers, "chunksize": chunksize}]
     assert cert.to_json() == sandwich_verify(lower, upper, grid).to_json()
 
 
