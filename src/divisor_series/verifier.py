@@ -14,15 +14,18 @@ input, and pass/fail.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
 import random
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from mpmath import iv
 
@@ -101,13 +104,20 @@ class GridSpec:
     def total_cells(self) -> int:
         return sum(s.count for s in self.segments)
 
+    def cell(self, idx: int) -> tuple[int, Fraction, Fraction]:
+        """(idx, left, right) of cell idx, with exact rational endpoints
+        computed from the segment it falls in."""
+        k = idx
+        if k >= 0:
+            for seg in self.segments:
+                if k < seg.count:
+                    return idx, seg.start + k * seg.step, seg.start + (k + 1) * seg.step
+                k -= seg.count
+        raise IndexError(f"cell {idx} is outside a grid of {self.total_cells} cells")
+
     def cells(self):
         """Yield (index, left, right) with exact rational endpoints."""
-        idx = 0
-        for seg in self.segments:
-            for k in range(seg.count):
-                yield idx, seg.start + k * seg.step, seg.start + (k + 1) * seg.step
-                idx += 1
+        return map(self.cell, range(self.total_cells))
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,10 +166,12 @@ class Certificate:
     failures: tuple[int, ...] = ()
     premises: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
-    #: how a certified sandwich settled its cells: counts "doubles" and
-    #: "working_precision", and "min_margin_rechecks" of cells settled in
-    #: doubles and re-evaluated for min_margin.  A diagnostic, not part of
-    #: the JSON document.
+    #: how a certified sandwich settled its cells: counts of cells settled
+    #: in "doubles" and at "working_precision", and "min_margin_rechecks" of
+    #: cells settled in doubles and re-evaluated for min_margin; "runs", the
+    #: runs of cells that the first phase proved in doubles, and
+    #: "evaluations", the double evaluations of either side in both phases.
+    #: A diagnostic, not part of the JSON document.
     settled: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -234,18 +246,91 @@ def _cell_margin(args) -> tuple[bool, float, float, bool]:
     return (*_working_margin(lower, upper, left, right), False)
 
 
-def _tally(results) -> tuple[tuple[int, ...], list, list[bool], float]:
-    """(failing cells, margin lower endpoints, settled-in-doubles flags,
-    smallest margin upper endpoint) from _cell_margin results in cell order,
-    in one pass so that the cells of long grids are never held in memory."""
-    failures, margins, in_doubles, ceiling = [], [], [], math.inf
-    for idx, (ok, lo, hi, doubled) in enumerate(results):
-        if not ok:
-            failures.append(idx)
-        margins.append(lo)
-        in_doubles.append(doubled)
-        ceiling = min(ceiling, hi)
-    return tuple(failures), margins, in_doubles, ceiling
+class _Settled(NamedTuple):
+    """Cells [start, stop) whose margin lies in [lo, hi]: a run settled in
+    doubles, or one cell that doubles do not separate, evaluated at working
+    precision.  Tuples order by lo, then start, as the phase-2 heap needs."""
+
+    lo: float
+    start: int
+    stop: int
+    hi: float
+    in_doubles: bool
+    passes: bool
+
+
+class _RunMargins:
+    """Double margins lower(left_i) - upper(right_{j-1}) of runs [i, j) of
+    grid cells.  Each side is memoised by cell index, so splitting a run in
+    two costs two new evaluations.  Plain callables have no doubles, and
+    their margins are None."""
+
+    def __init__(self, lower, upper, grid: GridSpec):
+        self.lower, self.upper, self.grid = lower, upper, grid
+        self.in_doubles = isinstance(lower, SandwichBound) and isinstance(upper, SandwichBound)
+        self.evaluations = 0
+        self._lower, self._upper = {}, {}
+
+    def _side(self, memo: dict, bound: SandwichBound, idx: int, end: int) -> DoubleInterval:
+        if idx not in memo:
+            memo[idx] = bound.doubles(self.grid.cell(idx)[end])
+            self.evaluations += 1
+        return memo[idx]
+
+    def of_run(self, start: int, stop: int) -> Optional[DoubleInterval]:
+        if not self.in_doubles:
+            return None
+        return (self._side(self._lower, self.lower, start, 1)
+                - self._side(self._upper, self.upper, stop - 1, 2))
+
+    def working(self, idx: int) -> tuple[bool, float, float]:
+        _, left, right = self.grid.cell(idx)
+        return _working_margin(self.lower, self.upper, left, right)
+
+
+def _settle(margins: _RunMargins, start: int, stop: int) -> list[_Settled]:
+    """Bisect the cells [start, stop) into runs whose double margin is
+    strictly positive; a single cell that doubles do not separate is
+    evaluated at working precision."""
+    settled, todo = [], [(start, stop)]
+    while todo:
+        i, j = todo.pop()
+        margin = margins.of_run(i, j)
+        if margin is not None and margin.lo > 0:
+            settled.append(_Settled(margin.lo, i, j, margin.hi, True, True))
+        elif j - i == 1:
+            passes, lo, hi = margins.working(i)
+            settled.append(_Settled(lo, i, j, hi, False, passes))
+        else:
+            mid = (i + j) // 2
+            todo += [(mid, j), (i, mid)]
+    return settled
+
+
+def _settle_root(args) -> tuple[list[_Settled], int]:
+    """Phase 1 on one root, the cells [start, stop) of one grid segment:
+    (settled runs and cells, double evaluations)."""
+    lower, upper, grid, start, stop = args
+    margins = _RunMargins(lower, upper, grid)
+    return _settle(margins, start, stop), margins.evaluations
+
+
+def _rechecked_minimum(
+    items: Iterable[tuple[object, float, bool]], ceiling: float, recheck: Callable
+) -> tuple[float, int]:
+    """(smallest lower endpoint, re-checks) over items (key, lower endpoint,
+    settled in doubles), given the ceiling, the smallest upper endpoint of
+    any item.  An item whose lower endpoint exceeds the ceiling cannot hold
+    the minimum.  The other items settled in doubles are re-evaluated at
+    working precision by recheck(key), which returns the lower endpoint."""
+    smallest, rechecks = math.inf, 0
+    for key, lo, in_doubles in items:
+        if lo <= ceiling:
+            if in_doubles:
+                lo = recheck(key)
+                rechecks += 1
+            smallest = min(smallest, lo)
+    return smallest, rechecks
 
 
 def sandwich_verify(
@@ -266,43 +351,74 @@ def sandwich_verify(
     below ~0.99 of the coarse run's (up to outward-rounding slack).
 
     The callables return Enclosure, and a cell passes only when the margin
-    enclosure is strictly positive.  When both callables are SandwichBounds,
-    a cell whose DoubleInterval margin is strictly positive passes on it;
-    only the others are evaluated at working precision.
-    min_margin is the working-precision value all the same: a cell settled
-    in doubles is re-evaluated when its lower endpoint does not exceed the
-    smallest upper endpoint of any cell's margin.  That includes the cell
-    holding the minimum, and every other double lower endpoint lies above it.
+    enclosure is strictly positive.  When both callables are SandwichBounds
+    the cells are proved by runs, in two phases:
 
-    With jobs > 1 the cells go to a process pool of at most one worker per
-    CPU, since the pool starts all its workers at once.
+    * Phase 1 settles each root, the cells of one grid segment.  A run of
+      cells [i, j) passes when the DoubleInterval margin
+      lower(left_i) - upper(right_{j-1}) is strictly positive: under the
+      premise, every cell k of the run has lower(left_k) >= lower(left_i)
+      and upper(right_k) <= upper(right_{j-1}), so its margin is at least
+      the run's.  A run that does not separate is split at its midpoint; a
+      single cell that does not separate is evaluated at working precision.
+      Each side is memoised by cell index, so a root of n cells costs at
+      most 2n double evaluations.
+    * Phase 2 finds min_margin at working precision.  The ceiling is the
+      smallest upper endpoint of any single cell's margin.  Runs are split
+      best first, smallest double lower endpoint first, while that endpoint
+      is at most the ceiling; the cells of the other runs have margins
+      above the ceiling.  A single cell settled in doubles whose lower
+      endpoint is at most the ceiling is re-evaluated at working precision.
+      Those are the cells a per-cell check re-evaluates, unless two cell
+      margins agree to within the width of their double enclosures, so the
+      certificate is the same.
+
+    Plain callables have no doubles: every cell is evaluated at working
+    precision.  With jobs > 1 phase 1 maps the roots over a process pool of
+    at most one worker per CPU, since the pool starts all its workers at
+    once; the results do not depend on jobs.
     """
-    tasks = ((lower, upper, left, right) for _, left, right in grid.cells())
+    bounds = list(accumulate((seg.count for seg in grid.segments), initial=0))
+    roots = [(lower, upper, grid, start, stop) for start, stop in zip(bounds, bounds[1:])]
     if jobs > 1:
-        workers = min(jobs, os.cpu_count() or 1)
-        chunk = max(1, grid.total_cells // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            failures, margins, in_doubles, ceiling = _tally(
-                pool.map(_cell_margin, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+            phase_1 = list(pool.map(_settle_root, roots))
     else:
-        failures, margins, in_doubles, ceiling = _tally(map(_cell_margin, tasks))
-    rechecks = {idx for idx, lo in enumerate(margins) if in_doubles[idx] and lo <= ceiling}
-    for idx, left, right in grid.cells():
-        if idx in rechecks:
-            margins[idx] = _working_margin(lower, upper, left, right)[1]
-    doubles = sum(in_doubles)
-    min_margin = min(margins)
+        phase_1 = list(map(_settle_root, roots))
+    settled = [piece for pieces, _ in phase_1 for piece in pieces]
+    runs = sum(piece.in_doubles for piece in settled)
+    margins = _RunMargins(lower, upper, grid)
+    cells = [piece for piece in settled if piece.stop - piece.start == 1]
+    heap = [piece for piece in settled if piece.stop - piece.start > 1]
+    heapq.heapify(heap)
+    ceiling = min((cell.hi for cell in cells), default=math.inf)
+    while heap and heap[0].lo <= ceiling:
+        run = heapq.heappop(heap)
+        mid = (run.start + run.stop) // 2
+        for piece in _settle(margins, run.start, mid) + _settle(margins, mid, run.stop):
+            if piece.stop - piece.start > 1:
+                heapq.heappush(heap, piece)
+            else:
+                cells.append(piece)
+                ceiling = min(ceiling, piece.hi)
+    min_margin, rechecks = _rechecked_minimum(
+        ((cell.start, cell.lo, cell.in_doubles) for cell in cells), ceiling,
+        lambda idx: margins.working(idx)[1],
+    )
+    failures = tuple(sorted(cell.start for cell in cells if not cell.passes))
+    working = sum(not cell.in_doubles for cell in cells)
     return Certificate(
         target=target,
         grid=grid,
-        cells_checked=len(margins),
+        cells_checked=grid.total_cells,
         min_margin=float(min_margin),
         passed=not failures and min_margin > 0,
         failures=failures,
         premises=tuple(premises),
         details=details or {},
-        settled={"doubles": doubles, "working_precision": len(margins) - doubles,
-                 "min_margin_rechecks": len(rechecks)},
+        settled={"doubles": grid.total_cells - working, "working_precision": working,
+                 "min_margin_rechecks": rechecks, "runs": runs,
+                 "evaluations": sum(n for _, n in phase_1) + margins.evaluations},
     )
 
 
@@ -385,14 +501,28 @@ def verify_lemma_2_4_i() -> Certificate:
     details["v_at_minus_log_0.117"] = v0.to_floats()
     v0_ok = v0.contained_in(Fraction(17, 10000), Fraction(27, 10000)) and v0.is_positive()
 
-    # V' > 0 at every grid boundary point
+    # V' > 0 at every grid boundary point: in doubles first, and at working
+    # precision where those do not separate
     seg = grid.segments[0]
-    with interval_precision(wp):
-        vp_ok, min_vp = _all_and_min(
-            (Enclosure(v_prime_raw(to_ivmpf(seg.start + k * seg.step)))
-             for k in range(seg.count + 1)),
-            Enclosure.is_positive,
-        )
+
+    def v_prime(k: int) -> Enclosure:
+        with interval_precision(wp):
+            return Enclosure(v_prime_raw(to_ivmpf(seg.start + k * seg.step)))
+
+    lows, working, ceiling = array("d"), {}, math.inf
+    for k in range(seg.count + 1):
+        value = v_prime_raw(DoubleInterval.lift(seg.start + k * seg.step))
+        lo, hi = value.lo, value.hi
+        if not lo > 0:
+            working[k] = v_prime(k)
+            lo, hi = working[k].to_floats()
+        lows.append(lo)
+        ceiling = min(ceiling, hi)
+    vp_ok = all(enc.is_positive() for enc in working.values())
+    min_vp, _ = _rechecked_minimum(
+        ((k, lo, k not in working) for k, lo in enumerate(lows)), ceiling,
+        lambda k: v_prime(k).to_floats()[0],
+    )
     details["min_v_prime_on_grid"] = min_vp
 
     # chain samples over q in (0, 0.117]

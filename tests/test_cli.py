@@ -176,7 +176,8 @@ def test_verify_and_report_write_sandwich_cells_to_stderr(capsys):
     code, out, err = run_cli(capsys, "verify", "--lemma", "2.9")
     assert code == 0
     assert _sandwich_cells(err) == {
-        "2.9": {"doubles": 898, "working_precision": 2, "min_margin_rechecks": 1}}
+        "2.9": {"doubles": 898, "working_precision": 2, "min_margin_rechecks": 1,
+                "runs": 789, "evaluations": 1594}}
     assert "sandwich_cells" not in out and "settled" not in out
     _, _, err = run_cli(capsys, "verify", "--lemma", "2.5")
     assert _sandwich_cells(err) == {}

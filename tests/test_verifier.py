@@ -2,6 +2,7 @@
 grids here; the full production grids run in the acceptance suite)."""
 
 import math
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -25,6 +26,7 @@ from divisor_series.verifier import (
     j1_lower,
     j2_limit_exact,
     j2_upper,
+    lemma_2_4_i_v_prime_grid,
     lemma_2_4_ii_grid,
     lemma_2_9_grid,
     sandwich_verify,
@@ -63,6 +65,22 @@ def test_grid_cells_are_exact():
     cells = list(grid.cells())
     assert cells[0] == (0, Fraction(117, 1000), Fraction(118, 1000))
     assert cells[2] == (2, Fraction(119, 1000), Fraction(120, 1000))
+
+
+@pytest.mark.parametrize("grid_fn", [lemma_2_4_ii_grid, lemma_2_9_grid,
+                                     lemma_2_4_i_v_prime_grid])
+def test_grid_cell_matches_enumeration(grid_fn):
+    """cell(idx) from segment offsets against the segment-by-segment walk."""
+    grid = grid_fn()
+    walk = [(seg.start + k * seg.step, seg.start + (k + 1) * seg.step)
+            for seg in grid.segments for k in range(seg.count)]
+    assert len(walk) == grid.total_cells
+    for idx, (left, right) in enumerate(walk):
+        assert grid.cell(idx) == (idx, left, right)
+    assert list(grid.cells()) == [(idx, *ends) for idx, ends in enumerate(walk)]
+    for outside in (-1, grid.total_cells):
+        with pytest.raises(IndexError):
+            grid.cell(outside)
 
 
 # -- sandwich engine -----------------------------------------------------------
@@ -116,11 +134,12 @@ def test_certificates_deterministic():
 
 
 class _NotSeparatingAt(SandwichBound):
-    """W1 whose DoubleInterval is the whole line at the chosen points, so the
-    cells that use them must be settled at working precision."""
+    """W1, or another raw formula, whose DoubleInterval is the whole line at
+    the chosen points: no run or cell that starts at one of them separates
+    in doubles."""
 
-    def __init__(self, points):
-        super().__init__(w1_raw)
+    def __init__(self, points, raw=w1_raw):
+        super().__init__(raw)
         self.points = set(points)
 
     def doubles(self, q):
@@ -141,7 +160,7 @@ def test_forced_fallback_cells_match_working_precision_certificate():
     assert cert.settled["doubles"] == 12 - len(forced)
     assert cert.settled["working_precision"] == len(forced)
     assert reference.settled == {"doubles": 0, "working_precision": 12,
-                                 "min_margin_rechecks": 0}
+                                 "min_margin_rechecks": 0, "runs": 0, "evaluations": 0}
 
 
 def test_lemma_2_9_last_cells_pass_by_fallback():
@@ -172,10 +191,10 @@ def test_truly_negative_cell_is_the_only_failure():
 
 
 @pytest.mark.parametrize("jobs, cpus, workers, chunksize", [
-    (5000, 2, 2, 64 // 16),
-    (2, 1, 1, 64 // 8),  # the pool path stays in use on one CPU
-    (3, None, 1, 64 // 8),
-    (2, 8, 2, 64 // 16),
+    (5000, 2, 2, 1),  # the map is over roots, one per grid segment
+    (2, 1, 1, 1),  # the pool path stays in use on one CPU
+    (3, None, 1, 1),
+    (2, 8, 2, 1),
 ])
 def test_pool_size_is_capped_at_cpu_count(monkeypatch, jobs, cpus, workers, chunksize):
     import divisor_series.verifier as verifier
@@ -214,6 +233,90 @@ def test_double_first_sandwich_parallel_matches_serial():
     serial = sandwich_verify(j1_lower, j2_upper, grid, jobs=1)
     parallel = sandwich_verify(j1_lower, j2_upper, grid, jobs=2)
     assert serial.passed and serial.settled["working_precision"] == 2
+    assert serial.to_json() == parallel.to_json()
+    assert serial.settled == parallel.settled
+
+
+# -- runs of cells -------------------------------------------------------------------
+
+
+def _cubic(a, b, q):
+    return (a * q**3 + b) / 7
+
+
+def _line(c, d, q):
+    return (c * q + d) / 7
+
+
+class _Counted(SandwichBound):
+    """A SandwichBound that counts its calls to `doubles`."""
+
+    def __init__(self, bound):
+        super().__init__(bound.raw, bound.value_at_one)
+        self.calls = 0
+
+    def doubles(self, q):
+        self.calls += 1
+        return super().doubles(q)
+
+
+def test_runs_match_per_cell_working_precision_on_random_grids():
+    """Seeded grids of 1-3 segments in [0, 3.4], increasing cubic over
+    increasing line, margins of both signs, and points where doubles do not
+    separate: the certificate equals the per-cell working-precision one."""
+    rng = random.Random(20261018)
+    signs = set()
+    for _ in range(30):
+        start = Fraction(rng.randrange(0, 100), 100)
+        segments = []
+        for _ in range(rng.randrange(1, 4)):
+            seg = GridSegment(start, Fraction(1, rng.randrange(50, 400)), rng.randrange(1, 40))
+            segments.append(seg)
+            start = seg.end
+        grid = GridSpec(tuple(segments))
+        forced = {grid.cell(rng.randrange(grid.total_cells))[1] for _ in range(3)}
+        lower = _NotSeparatingAt(forced, partial(_cubic, rng.randrange(1, 20), rng.randrange(40)))
+        upper = SandwichBound(partial(_line, rng.randrange(1, 30), rng.randrange(-10, 10)))
+        cert = sandwich_verify(lower, upper, grid)
+        reference = sandwich_verify(partial(lower), partial(upper), grid)
+        assert cert.to_json() == reference.to_json()
+        assert cert.settled["evaluations"] <= 4 * grid.total_cells
+        signs.add(cert.passed)
+    assert signs == {True, False}
+
+
+def test_phase_two_descends_into_a_settled_run():
+    """margin(l) = l^3 + 10 - 3(l + 1/32) on 64 cells of [0, 2]: one run
+    settles the whole grid (10 - 6 > 0), and the smallest cell margin,
+    8 - 3/32 at l = 1, lies strictly inside it."""
+    lower = SandwichBound(lambda q: q**3 + 10)
+    upper = SandwichBound(lambda q: 3 * q)
+    grid = GridSpec((GridSegment(Fraction(0), Fraction(1, 32), 64),))
+    cert = sandwich_verify(lower, upper, grid)
+    assert cert.passed and cert.min_margin == 8 - 3 / 32
+    assert cert.settled["runs"] == 1 and cert.settled["min_margin_rechecks"] == 1
+    assert cert.settled["evaluations"] < 64
+    assert cert.to_json() == sandwich_verify(partial(lower), partial(upper), grid).to_json()
+
+
+@pytest.mark.parametrize("lower, upper, grid_fn, most", [
+    (w1_lower, w2_upper, lemma_2_4_ii_grid, 1200),  # 14036 one cell at a time
+    (j1_lower, j2_upper, lemma_2_9_grid, 1800),
+])
+def test_lemma_grids_take_few_double_evaluations(lower, upper, grid_fn, most):
+    lower, upper = _Counted(lower), _Counted(upper)
+    cert = sandwich_verify(lower, upper, grid_fn())
+    assert cert.passed
+    assert lower.calls + upper.calls == cert.settled["evaluations"] <= most
+
+
+def test_runs_parallel_match_serial_across_segments():
+    """Two segments, fallback cells and the exact limit at q = 1."""
+    grid = GridSpec((GridSegment(Fraction(9980, 10000), Fraction(1, 10000), 10),
+                     GridSegment(Fraction(9990, 10000), Fraction(1, 20000), 20)))
+    serial = sandwich_verify(j1_lower, j2_upper, grid, jobs=1)
+    parallel = sandwich_verify(j1_lower, j2_upper, grid, jobs=2)
+    assert serial.passed and serial.settled["working_precision"] >= 2
     assert serial.to_json() == parallel.to_json()
     assert serial.settled == parallel.settled
 
