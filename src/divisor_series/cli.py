@@ -51,14 +51,13 @@ def _mode_arg(value: str) -> Mode:
         raise argparse.ArgumentTypeError(f"mode must be fast or certified, got {value!r}")
 
 
-def _jobs_arg(value: str) -> int:
+def _number_arg(value: str) -> str:
+    """A rational number as typed (0.5, 1/3, 1e-9), kept as the string."""
     try:
-        jobs = int(value)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be a positive integer, got {value!r}")
-    return jobs
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational number, got {value!r}")
+    return value
 
 
 def _repr_arg(value: str) -> RepresentationId:
@@ -66,11 +65,6 @@ def _repr_arg(value: str) -> RepresentationId:
         return RepresentationId(value.upper())
     except ValueError:
         raise argparse.ArgumentTypeError(f"unknown representation {value!r}")
-
-
-def _enclosure_json(enc: Enclosure) -> dict:
-    lo, hi = enc.to_floats()
-    return {"lo": lo, "hi": hi}
 
 
 def _print_json(doc: dict) -> None:
@@ -103,34 +97,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate T, psi, H or F at a point")
     p.add_argument("--fn", choices=("T", "psi", "H", "F"), required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--x", default="1", help="argument of psi (default 1)")
+    p.add_argument("--q", type=_number_arg, required=True)
+    p.add_argument("--x", type=_number_arg, default="1", help="argument of psi (default 1)")
     p.add_argument("--eps", type=float, default=1e-12)
     p.add_argument("--mode", type=_mode_arg, default=Mode.FAST)
     p.add_argument("--repr", type=_repr_arg, default=RepresentationId.CLAUSEN)
 
     p = sub.add_parser("lemma-fn", help="evaluate one named auxiliary function")
     p.add_argument("--name", required=True)
-    p.add_argument("--q")
-    p.add_argument("--x")
-    p.add_argument("--y")
+    p.add_argument("--q", type=_number_arg)
+    p.add_argument("--x", type=_number_arg)
+    p.add_argument("--y", type=_number_arg)
     p.add_argument("--n", type=int)
     p.add_argument("--mode", type=_mode_arg, default=Mode.FAST)
 
     p = sub.add_parser("bounds-scan", help="scan a double inequality over a q grid")
     p.add_argument("--theorem", required=True,
                    choices=[t.value for t in TheoremId])
-    p.add_argument("--grid-start", default="0.01")
-    p.add_argument("--grid-end", default="0.99")
-    p.add_argument("--grid-step", default="0.01")
+    p.add_argument("--grid-start", type=_number_arg, default="0.01")
+    p.add_argument("--grid-end", type=_number_arg, default="0.99")
+    p.add_argument("--grid-step", type=_number_arg, default="0.01")
     p.add_argument("--mode", type=_mode_arg, default=Mode.CERTIFIED)
     p.add_argument("--eps", type=float, default=None)
 
     p = sub.add_parser("verify", help="run a lemma verification and emit a certificate")
     p.add_argument("--lemma", required=True,
                    choices=sorted(LEMMA_VERIFIERS) + ["thm3.2"])
-    p.add_argument("--jobs", type=_jobs_arg, default=1,
-                   help="worker processes for the sandwich grids, at most one per CPU")
     p.add_argument("--out", default=None, help="write the certificate JSON here")
 
     p = sub.add_parser("report", help="run the full verification suite")
@@ -138,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip", action="append", default=[],
                    choices=("identities", "verify", "bounds"))
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=_jobs_arg, default=1)
 
     return parser
 
@@ -217,43 +208,47 @@ def _cmd_lemma_fn(args) -> int:
 
 def _scan_rows(theorem: TheoremId, start: Fraction, end: Fraction, step: Fraction,
                mode: Mode, eps):
+    """One row per grid point start, start + step, ... <= end; C3_3 checks
+    each pair of neighbouring points and has a row per pair."""
+    if step <= 0:
+        raise DomainError(f"grid step must be positive, got {step}")
+    points = [start + k * step for k in range((end - start) // step + 1)]
+    if theorem is TheoremId.C3_3:
+        checks = [{"pair": pair} for pair in zip(points, points[1:])]
+    else:
+        checks = [{"q": q} for q in points]
+    if not checks:
+        raise DomainError(f"{theorem.value} has nothing to check on {len(points)} grid "
+                          f"point(s) from {start} to {end}")
     rows = []
-    q = start
-    points = []
-    while q <= end:
-        points.append(q)
-        q += step
-    for i, q in enumerate(points):
-        if theorem is TheoremId.C3_3:
-            if i + 1 >= len(points):
-                break
-            result = check_bounds(theorem, pair=(q, points[i + 1]), mode=mode, eps=eps)
-        else:
-            result = check_bounds(theorem, q=q, mode=mode, eps=eps)
+    for q, check in zip(points, checks):
+        result = check_bounds(theorem, mode=mode, eps=eps, **check)
         lhs, mid, rhs = result.lhs.to_floats(), result.mid.to_floats(), result.rhs.to_floats()
         rows.append((float(q), *lhs, *mid, *rhs, result.status.value))
     return rows
+
+
+def _scan_csv(rows) -> str:
+    lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+             for row in rows]
+    return "\n".join(["q,lhs_lo,lhs_hi,mid_lo,mid_hi,rhs_lo,rhs_hi,status", *lines])
 
 
 def _cmd_bounds_scan(args) -> int:
     theorem = TheoremId(args.theorem)
     rows = _scan_rows(theorem, Fraction(args.grid_start), Fraction(args.grid_end),
                       Fraction(args.grid_step), args.mode, args.eps)
-    print("q,lhs_lo,lhs_hi,mid_lo,mid_hi,rhs_lo,rhs_hi,status")
-    all_pass = True
-    for row in rows:
-        print(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        if row[-1] != BoundsStatus.PASS.value:
-            all_pass = False
+    print(_scan_csv(rows))
+    all_pass = all(row[-1] == BoundsStatus.PASS.value for row in rows)
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_verify(args) -> int:
     if args.lemma == "thm3.2":
-        certs = {lid: verify_lemma(lid, jobs=args.jobs) for lid in LEMMA_VERIFIERS}
+        certs = {lid: verify_lemma(lid) for lid in LEMMA_VERIFIERS}
         cert = combine_theorem_3_2(certs)
     else:
-        cert = verify_lemma(args.lemma, jobs=args.jobs)
+        cert = verify_lemma(args.lemma)
         certs = {args.lemma: cert}
     _print_sandwich_cells(certs)
     text = cert.to_json()
@@ -284,7 +279,7 @@ def _cmd_report(args) -> int:
 
     if "verify" not in args.skip:
         t0 = time.perf_counter()
-        certs = {lid: verify_lemma(lid, jobs=args.jobs) for lid in LEMMA_VERIFIERS}
+        certs = {lid: verify_lemma(lid) for lid in LEMMA_VERIFIERS}
         rollup = combine_theorem_3_2(certs)
         doc["sections"]["verify"] = {
             "lemmas": {lid: c.passed for lid, c in certs.items()},
@@ -305,10 +300,7 @@ def _cmd_report(args) -> int:
             bounds_section[theorem.value] = {"points": len(rows), "all_strict": ok}
             overall_ok &= ok
             if args.format == "csv":
-                lines = ["q,lhs_lo,lhs_hi,mid_lo,mid_hi,rhs_lo,rhs_hi,status"]
-                lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-                          for row in rows]
-                csv_blocks.append(f"# theorem={theorem.value}\n" + "\n".join(lines))
+                csv_blocks.append(f"# theorem={theorem.value}\n" + _scan_csv(rows))
         doc["sections"]["bounds"] = bounds_section
         timings["bounds"] = round(time.perf_counter() - t0, 3)
         if args.format == "csv":

@@ -168,10 +168,6 @@ class Enclosure:
         return cls(lo, hi)
 
     @property
-    def iv_value(self) -> ivmpf:
-        return self._iv
-
-    @property
     def lo(self):
         """Lower endpoint as an exact mpmath float."""
         return mp.make_mpf(self._iv._mpi_[0])
@@ -205,9 +201,6 @@ class Enclosure:
 
     def is_positive(self) -> bool:
         return self.lo > 0
-
-    def is_negative(self) -> bool:
-        return self.hi < 0
 
     def intersects(self, other: "Enclosure") -> bool:
         return not (self.hi < other.lo or other.hi < self.lo)

@@ -155,7 +155,7 @@ def _psi_tail(q, qx, terms: int):
 
 def _choose_terms(tail_at, target: float) -> int:
     """Smallest power-of-two-refined K with tail_at(K) <= target."""
-    if target <= 0:
+    if not target > 0:
         raise DomainError("eps must be positive")
     k = 1
     while tail_at(k) > target:
@@ -260,7 +260,7 @@ def eval_T(
     if representation not in _NUMERIC_REPRESENTATIONS:
         raise DomainError(f"{representation} is not evaluable numerically; "
                           "use DIVISOR, LAMBERT or CLAUSEN")
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be positive")
 
     if mode is Mode.FAST:
@@ -296,7 +296,7 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
     qp = QPoint.coerce(q)
     if x <= 0:
         raise DomainError("x must be positive")
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be positive")
     x_frac = Fraction(x) if not isinstance(x, Fraction) else x
     q_hi = qp.float_up()
@@ -590,7 +590,7 @@ def landau_fibonacci(k_max: int) -> Enclosure:
 
 def landau_constant_from_t(eps: float = 1e-7) -> Enclosure:
     """sqrt(5) * (T(c) - T(c^2)) with c = ((sqrt(5)-1)/2)^2, certified."""
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError("eps must be positive")
     with interval_precision(working_precision()):
         sqrt5 = iv.sqrt(iv.mpf(5))

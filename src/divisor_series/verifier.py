@@ -17,10 +17,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import os
 import random
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -233,17 +231,14 @@ def _working_margin(lower, upper, left, right) -> tuple[bool, float, float]:
     return margin.lo > 0, float(_float_down(margin.lo)), _float_up(margin.hi)
 
 
-def _cell_margin(args) -> tuple[bool, float, float, bool]:
-    """(passes, margin lower endpoint, margin upper endpoint, settled in
-    doubles) of the certified margin lower(left) - upper(right).  Between two
-    SandwichBounds it is settled in doubles when that margin is strictly
-    positive; otherwise it is evaluated at working precision."""
-    lower, upper, left, right = args
+def _separates(lower, upper, left, right) -> bool:
+    """Whether the certified margin lower(left) - upper(right) is strictly
+    positive.  Between two SandwichBounds it is tried in doubles first; where
+    those do not separate it is evaluated at working precision."""
     if isinstance(lower, SandwichBound) and isinstance(upper, SandwichBound):
-        margin = lower.doubles(left) - upper.doubles(right)
-        if margin.lo > 0:
-            return True, margin.lo, margin.hi, True
-    return (*_working_margin(lower, upper, left, right), False)
+        if (lower.doubles(left) - upper.doubles(right)).lo > 0:
+            return True
+    return _working_margin(lower, upper, left, right)[0]
 
 
 class _Settled(NamedTuple):
@@ -307,14 +302,6 @@ def _settle(margins: _RunMargins, start: int, stop: int) -> list[_Settled]:
     return settled
 
 
-def _settle_root(args) -> tuple[list[_Settled], int]:
-    """Phase 1 on one root, the cells [start, stop) of one grid segment:
-    (settled runs and cells, double evaluations)."""
-    lower, upper, grid, start, stop = args
-    margins = _RunMargins(lower, upper, grid)
-    return _settle(margins, start, stop), margins.evaluations
-
-
 def _rechecked_minimum(
     items: Iterable[tuple[object, float, bool]], ceiling: float, recheck: Callable
 ) -> tuple[float, int]:
@@ -339,7 +326,6 @@ def sandwich_verify(
     grid: GridSpec,
     target: str = "sandwich",
     premises: Sequence[str] = (),
-    jobs: int = 1,
     details: Optional[dict] = None,
 ) -> Certificate:
     """Check lower(cell_left) - upper(cell_right) > 0 on every grid cell.
@@ -373,21 +359,15 @@ def sandwich_verify(
       margins agree to within the width of their double enclosures, so the
       certificate is the same.
 
-    Plain callables have no doubles: every cell is evaluated at working
-    precision.  With jobs > 1 phase 1 maps the roots over a process pool of
-    at most one worker per CPU, since the pool starts all its workers at
-    once; the results do not depend on jobs.
+    Both phases share one memo, so no side is evaluated twice at one cell
+    endpoint.  Plain callables have no doubles: every cell is evaluated at
+    working precision.
     """
-    bounds = list(accumulate((seg.count for seg in grid.segments), initial=0))
-    roots = [(lower, upper, grid, start, stop) for start, stop in zip(bounds, bounds[1:])]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            phase_1 = list(pool.map(_settle_root, roots))
-    else:
-        phase_1 = list(map(_settle_root, roots))
-    settled = [piece for pieces, _ in phase_1 for piece in pieces]
-    runs = sum(piece.in_doubles for piece in settled)
     margins = _RunMargins(lower, upper, grid)
+    bounds = list(accumulate((seg.count for seg in grid.segments), initial=0))
+    settled = [piece for start, stop in zip(bounds, bounds[1:])
+               for piece in _settle(margins, start, stop)]
+    runs = sum(piece.in_doubles for piece in settled)
     cells = [piece for piece in settled if piece.stop - piece.start == 1]
     heap = [piece for piece in settled if piece.stop - piece.start > 1]
     heapq.heapify(heap)
@@ -418,11 +398,11 @@ def sandwich_verify(
         details=details or {},
         settled={"doubles": grid.total_cells - working, "working_precision": working,
                  "min_margin_rechecks": rechecks, "runs": runs,
-                 "evaluations": sum(n for _, n in phase_1) + margins.evaluations},
+                 "evaluations": margins.evaluations},
     )
 
 
-# -- lemma-specific evaluators (module level so --jobs can pickle them) ---------
+# -- lemma-specific evaluators ---------------------------------------------------
 
 
 def j2_limit_exact() -> Fraction:
@@ -462,7 +442,7 @@ def _spot_check_monotone(
         a = lo + span * Fraction(rng.randrange(10**6), 10**6)
         b = a + min_gap + (hi - a - min_gap) * Fraction(rng.randrange(10**6), 10**6)
         above, below = (b, a) if increasing else (a, b)
-        if not _cell_margin((fn, fn, above, below))[0]:
+        if not _separates(fn, fn, above, below):
             return False
     return True
 
@@ -561,7 +541,6 @@ def _verify_sandwich_lemma(
     grid: GridSpec,
     spot_span: tuple[Fraction, Fraction],
     premises: Sequence[str],
-    jobs: int,
     details: dict,
 ) -> Certificate:
     """Sandwich-verify lower > upper (two SandwichBounds) on the grid.  Both
@@ -569,14 +548,13 @@ def _verify_sandwich_lemma(
     fails the certificate."""
     spot_ok = all(_spot_check_monotone(fn, *spot_span, True) for fn in (lower, upper))
     details["monotonicity_spot_checks"] = spot_ok
-    cert = sandwich_verify(
-        lower, upper, grid, target=target, premises=premises, jobs=jobs, details=details,
-    )
+    cert = sandwich_verify(lower, upper, grid, target=target, premises=premises,
+                           details=details)
     cert.passed = cert.passed and spot_ok
     return cert
 
 
-def verify_lemma_2_4_ii(jobs: int = 1) -> Certificate:
+def verify_lemma_2_4_ii() -> Certificate:
     """C_q(39) > 0 on (0.117, 0.91] by the W1/W2 monotone sandwich."""
     premises = (
         "W1(q) = Phi_q(40) - Phi_q(1) and W2(q) = sum_{k=1}^{40} phi_q(k) are"
@@ -585,11 +563,11 @@ def verify_lemma_2_4_ii(jobs: int = 1) -> Certificate:
     )
     return _verify_sandwich_lemma(
         "2.4ii", w1_lower, w2_upper, lemma_2_4_ii_grid(),
-        (Fraction(117, 1000), Fraction(91, 100)), premises, jobs, {},
+        (Fraction(117, 1000), Fraction(91, 100)), premises, {},
     )
 
 
-def verify_lemma_2_9(jobs: int = 1) -> Certificate:
+def verify_lemma_2_9() -> Certificate:
     """D_q(10) > 0.036 on [0.91, 1) by the J1/J2 monotone sandwich; the last
     cell's right endpoint q = 1 uses the exact limit J2(1) = 208609/55440."""
     premises = (
@@ -602,7 +580,7 @@ def verify_lemma_2_9(jobs: int = 1) -> Certificate:
         raise ArithmeticError("exact J2 limit does not match the pinned fixture")
     return _verify_sandwich_lemma(
         "2.9", j1_lower, j2_upper, lemma_2_9_grid(),
-        (Fraction(91, 100), Fraction(9999, 10000)), premises, jobs,
+        (Fraction(91, 100), Fraction(9999, 10000)), premises,
         {"j2_limit": str(J2_LIMIT)},
     )
 
@@ -727,16 +705,16 @@ LEMMA_VERIFIERS = {
 
 def verify_lemma(lemma_id: str, mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certificate:
     """Run one lemma pipeline by id ('2.4i', '2.4ii', '2.5', '2.8', '2.9').
-    Verification is certified only; any other mode is a DomainError."""
+    Verification is certified only and runs in one process; any other mode,
+    or jobs other than 1, is a DomainError."""
     if mode is not Mode.CERTIFIED:
         raise DomainError(f"lemma verification is certified only, got mode {mode!r}")
+    if jobs != 1:
+        raise DomainError(f"lemma verification runs in one process, got jobs={jobs!r}")
     if lemma_id not in LEMMA_VERIFIERS:
         raise DomainError(f"unknown lemma id {lemma_id!r}; "
                           f"choose from {sorted(LEMMA_VERIFIERS)}")
-    fn = LEMMA_VERIFIERS[lemma_id]
-    if lemma_id in ("2.4ii", "2.9"):
-        return fn(jobs=jobs)
-    return fn()
+    return LEMMA_VERIFIERS[lemma_id]()
 
 
 #: Exact roll-up margin 36/1000 - 35/2000 - 35/8000 = 113/8000 = 0.014125.

@@ -149,23 +149,6 @@ def test_bounds_scan_csv(capsys):
     assert all(line.endswith("PASS") for line in lines[1:])
 
 
-def test_verify_lemma_24ii_jobs_2_matches_jobs_1(capsys):
-    """The sandwich evaluators reach the worker processes pickled."""
-    code1, out1, _ = run_cli(capsys, "verify", "--lemma", "2.4ii", "--jobs", "1")
-    code2, out2, _ = run_cli(capsys, "verify", "--lemma", "2.4ii", "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1.encode() == out2.encode()
-
-
-def test_verify_lemma_29_jobs_2_matches_jobs_1(capsys):
-    """Includes the two cells that fall back to working precision."""
-    code1, out1, err1 = run_cli(capsys, "verify", "--lemma", "2.9", "--jobs", "1")
-    code2, out2, err2 = run_cli(capsys, "verify", "--lemma", "2.9", "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1.encode() == out2.encode()
-    assert err1 == err2
-
-
 def _sandwich_cells(err: str) -> dict:
     lines = [line for line in err.splitlines() if line.startswith("sandwich_cells: ")]
     assert len(lines) == 1
@@ -177,7 +160,7 @@ def test_verify_and_report_write_sandwich_cells_to_stderr(capsys):
     assert code == 0
     assert _sandwich_cells(err) == {
         "2.9": {"doubles": 898, "working_precision": 2, "min_margin_rechecks": 1,
-                "runs": 789, "evaluations": 1594}}
+                "runs": 789, "evaluations": 1588}}
     assert "sandwich_cells" not in out and "settled" not in out
     _, _, err = run_cli(capsys, "verify", "--lemma", "2.5")
     assert _sandwich_cells(err) == {}
@@ -193,13 +176,70 @@ def test_verify_has_no_fast_mode(capsys):
     assert "--mode" in capsys.readouterr().err
 
 
+def _usage_error(capsys, argv) -> str:
+    """Run main on argv; it must exit 2 with one `error:` line on stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    return err
+
+
+@pytest.mark.parametrize("command", [["verify", "--lemma", "2.5"], ["report", "--order", "10"]],
+                         ids=["verify", "report"])
+def test_jobs_is_a_usage_error(capsys, command):
+    """Verification runs in one process; --jobs is not an option."""
+    assert "unrecognized arguments: --jobs 2" in _usage_error(capsys, [*command, "--jobs", "2"])
+
+
 @pytest.mark.parametrize("command", [["verify", "--lemma", "2.5"], ["report", "--order", "10"]])
 @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
 def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
-    with pytest.raises(SystemExit) as exc:
-        main([*command, "--jobs", jobs])
-    assert exc.value.code == 2
-    assert "jobs must be a positive integer" in capsys.readouterr().err
+    """Values once rejected by --jobs stay usage errors now that it is gone."""
+    err = _usage_error(capsys, [*command, "--jobs", jobs])
+    assert f"unrecognized arguments: --jobs {jobs}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--grid-step", "0"], "grid step must be positive, got 0"),
+    (["--grid-step", "-0.01"], "grid step must be positive, got -1/100"),
+    (["--grid-start", "0.9", "--grid-end", "0.1"], "T4_1 has nothing to check on 0 grid"),
+    (["--theorem", "C3_3", "--grid-start", "0.5", "--grid-end", "0.5"],
+     "C3_3 has nothing to check on 1 grid"),
+], ids=["zero-step", "negative-step", "start-above-end", "C3_3-one-point"])
+def test_bounds_scan_that_checks_nothing_is_a_usage_error(capsys, argv, message):
+    """A step that never reaches the end, or a grid with no point (one point
+    for the pairs of C3_3), is rejected before the scan starts."""
+    err = _usage_error(capsys, ["bounds-scan", "--theorem", "T4_1", *argv])
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["eval", "--fn", "T", "--q", "abc"], "--q"),
+    (["eval", "--fn", "psi", "--q", "0.5", "--x", "abc"], "--x"),
+    (["lemma-fn", "--name", "phi", "--q", "0.5", "--x", "abc"], "--x"),
+    (["lemma-fn", "--name", "V", "--y", "abc"], "--y"),
+    (["bounds-scan", "--theorem", "T4_1", "--grid-step", "abc"], "--grid-step"),
+], ids=["eval-q", "eval-x", "lemma-fn-x", "lemma-fn-y", "bounds-scan-grid-step"])
+def test_malformed_number_is_a_usage_error(capsys, argv, option):
+    err = _usage_error(capsys, argv)
+    assert f"argument {option}: expected a rational number, got 'abc'" in err
+
+
+def test_number_options_keep_the_string_as_typed(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--fn", "T", "--q", "0.50")
+    assert code == 0 and json.loads(out)["q"] == "0.50"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--fn", "psi", "--q", "0.3"],
+    ["--fn", "T", "--q", "0.3", "--mode", "certified"],
+], ids=["fast-psi", "certified-T"])
+def test_nan_eps_is_a_usage_error(capsys, argv):
+    assert "error: eps must be positive" in _usage_error(capsys, ["eval", *argv, "--eps", "nan"])
 
 
 def test_verify_lemma_25_and_out_file(tmp_path, capsys):

@@ -2,12 +2,17 @@
 grids here; the full production grids run in the acceptance suite)."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import divisor_series
 from divisor_series.intervals import (
     DomainError,
     DoubleInterval,
@@ -116,11 +121,11 @@ def test_sandwich_refinement_keeps_margin():
     assert refined.min_margin >= 0.99 * coarse.min_margin
 
 
-def test_sandwich_parallel_matches_serial():
+def test_sandwich_matches_per_cell_working_precision():
     grid = _j_subgrid(Fraction(92, 100), Fraction(1, 1000), 8)
-    serial = sandwich_verify(j1_lower, j2_upper, grid, jobs=1)
-    parallel = sandwich_verify(j1_lower, j2_upper, grid, jobs=2)
-    assert serial.to_json() == parallel.to_json()
+    cert = sandwich_verify(j1_lower, j2_upper, grid)
+    reference = sandwich_verify(partial(j1_lower), partial(j2_upper), grid)
+    assert cert.to_json() == reference.to_json()
 
 
 def test_certificates_deterministic():
@@ -190,51 +195,13 @@ def test_truly_negative_cell_is_the_only_failure():
     assert cert.settled["doubles"] == 4 and cert.settled["working_precision"] == 1
 
 
-@pytest.mark.parametrize("jobs, cpus, workers, chunksize", [
-    (5000, 2, 2, 1),  # the map is over roots, one per grid segment
-    (2, 1, 1, 1),  # the pool path stays in use on one CPU
-    (3, None, 1, 1),
-    (2, 8, 2, 1),
-])
-def test_pool_size_is_capped_at_cpu_count(monkeypatch, jobs, cpus, workers, chunksize):
-    import divisor_series.verifier as verifier
-
-    calls = []
-
-    class PoolRecorder:
-        """Stands in for ProcessPoolExecutor: records its sizing and maps in
-        this process, so no worker is ever started."""
-
-        def __init__(self, max_workers):
-            calls.append({"max_workers": max_workers})
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            calls[-1]["chunksize"] = chunksize
-            return map(fn, iterable)
-
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", PoolRecorder)
-    monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
-    grid = GridSpec((GridSegment(Fraction(0), Fraction(1, 64), 64),))
-    lower, upper = SandwichBound(lambda q: q + 1), SandwichBound(lambda q: q)
-    cert = sandwich_verify(lower, upper, grid, jobs=jobs)
-    assert calls == [{"max_workers": workers, "chunksize": chunksize}]
-    assert cert.to_json() == sandwich_verify(lower, upper, grid).to_json()
-
-
-def test_double_first_sandwich_parallel_matches_serial():
-    """Workers receive the SandwichBounds pickled; fallback cells included."""
+def test_double_first_sandwich_fallback_matches_per_cell_working_precision():
+    """The last ten cells of the 2.9 grid: two fall back to working precision."""
     grid = _j_subgrid(Fraction(9990, 10000), Fraction(1, 10000), 10)
-    serial = sandwich_verify(j1_lower, j2_upper, grid, jobs=1)
-    parallel = sandwich_verify(j1_lower, j2_upper, grid, jobs=2)
-    assert serial.passed and serial.settled["working_precision"] == 2
-    assert serial.to_json() == parallel.to_json()
-    assert serial.settled == parallel.settled
+    cert = sandwich_verify(j1_lower, j2_upper, grid)
+    reference = sandwich_verify(partial(j1_lower), partial(j2_upper), grid)
+    assert cert.passed and cert.settled["working_precision"] == 2
+    assert cert.to_json() == reference.to_json()
 
 
 # -- runs of cells -------------------------------------------------------------------
@@ -249,14 +216,14 @@ def _line(c, d, q):
 
 
 class _Counted(SandwichBound):
-    """A SandwichBound that counts its calls to `doubles`."""
+    """A SandwichBound that records the points of its calls to `doubles`."""
 
     def __init__(self, bound):
         super().__init__(bound.raw, bound.value_at_one)
-        self.calls = 0
+        self.points = []
 
     def doubles(self, q):
-        self.calls += 1
+        self.points.append(q)
         return super().doubles(q)
 
 
@@ -280,7 +247,7 @@ def test_runs_match_per_cell_working_precision_on_random_grids():
         cert = sandwich_verify(lower, upper, grid)
         reference = sandwich_verify(partial(lower), partial(upper), grid)
         assert cert.to_json() == reference.to_json()
-        assert cert.settled["evaluations"] <= 4 * grid.total_cells
+        assert cert.settled["evaluations"] <= 2 * grid.total_cells
         signs.add(cert.passed)
     assert signs == {True, False}
 
@@ -304,21 +271,23 @@ def test_phase_two_descends_into_a_settled_run():
     (j1_lower, j2_upper, lemma_2_9_grid, 1800),
 ])
 def test_lemma_grids_take_few_double_evaluations(lower, upper, grid_fn, most):
+    """Both phases share one memo: no side is evaluated twice at one point."""
     lower, upper = _Counted(lower), _Counted(upper)
     cert = sandwich_verify(lower, upper, grid_fn())
     assert cert.passed
-    assert lower.calls + upper.calls == cert.settled["evaluations"] <= most
+    assert len(lower.points) + len(upper.points) == cert.settled["evaluations"] <= most
+    for side in (lower, upper):
+        assert len(set(side.points)) == len(side.points)
 
 
-def test_runs_parallel_match_serial_across_segments():
+def test_runs_match_per_cell_working_precision_across_segments():
     """Two segments, fallback cells and the exact limit at q = 1."""
     grid = GridSpec((GridSegment(Fraction(9980, 10000), Fraction(1, 10000), 10),
                      GridSegment(Fraction(9990, 10000), Fraction(1, 20000), 20)))
-    serial = sandwich_verify(j1_lower, j2_upper, grid, jobs=1)
-    parallel = sandwich_verify(j1_lower, j2_upper, grid, jobs=2)
-    assert serial.passed and serial.settled["working_precision"] >= 2
-    assert serial.to_json() == parallel.to_json()
-    assert serial.settled == parallel.settled
+    cert = sandwich_verify(j1_lower, j2_upper, grid)
+    reference = sandwich_verify(partial(j1_lower), partial(j2_upper), grid)
+    assert cert.passed and cert.settled["working_precision"] >= 2
+    assert cert.to_json() == reference.to_json()
 
 
 def test_sandwich_bound_doubles_enclose_certified_values():
@@ -406,9 +375,23 @@ def test_unknown_lemma_rejected():
 def test_lemma_verification_is_certified_only():
     with pytest.raises(DomainError):
         verify_lemma("2.5", Mode.FAST)
+    with pytest.raises(DomainError):
+        verify_lemma("2.5", Mode.CERTIFIED, jobs=2)
     cert = verify_lemma("2.5", Mode.CERTIFIED, jobs=1)
     assert cert.passed and cert.to_json_dict()["mode"] == "certified"
     assert cert.to_json() == verify_lemma_2_5().to_json()
+
+
+def test_import_loads_no_process_pool():
+    """Verification runs in one process, so importing the package loads
+    neither multiprocessing nor concurrent.futures."""
+    src = str(Path(divisor_series.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, divisor_series; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 # -- roll-up -------------------------------------------------------------------------
