@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import pairwise
 
 from .intervals import (
     DomainError,
@@ -42,6 +43,10 @@ from .verifier import (
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+
+#: Most grid points a bounds-scan checks.  The count is computed exactly
+#: before any point is built, and a larger grid is a usage error.
+MAX_SCAN_POINTS = 100_000
 
 
 def _mode_arg(value: str) -> Mode:
@@ -74,7 +79,8 @@ def _print_json(doc: dict) -> None:
 def _print_sandwich_cells(certs: dict) -> None:
     """One stderr line: per sandwich lemma, how many cells were settled in
     doubles and how many at working precision, how many runs of cells proved
-    them, and how many double evaluations that took."""
+    them, and how many double evaluations that took; for 2.4i the same counts
+    of its V' witness points."""
     counts = {lid: cert.settled for lid, cert in certs.items() if cert.settled}
     print(f"sandwich_cells: {json.dumps(counts, sort_keys=True)}", file=sys.stderr)
 
@@ -212,16 +218,20 @@ def _scan_rows(theorem: TheoremId, start: Fraction, end: Fraction, step: Fractio
     each pair of neighbouring points and has a row per pair."""
     if step <= 0:
         raise DomainError(f"grid step must be positive, got {step}")
-    points = [start + k * step for k in range((end - start) // step + 1)]
-    if theorem is TheoremId.C3_3:
-        checks = [{"pair": pair} for pair in zip(points, points[1:])]
-    else:
-        checks = [{"q": q} for q in points]
-    if not checks:
-        raise DomainError(f"{theorem.value} has nothing to check on {len(points)} grid "
+    count = max((end - start) // step + 1, 0)
+    if count > MAX_SCAN_POINTS:
+        raise DomainError(f"grid from {start} to {end} in steps of {step} has {count} "
+                          f"points; bounds-scan checks at most {MAX_SCAN_POINTS}")
+    if count < (2 if theorem is TheoremId.C3_3 else 1):
+        raise DomainError(f"{theorem.value} has nothing to check on {count} grid "
                           f"point(s) from {start} to {end}")
+    points = (start + k * step for k in range(count))
+    if theorem is TheoremId.C3_3:
+        checks = ((pair[0], {"pair": pair}) for pair in pairwise(points))
+    else:
+        checks = ((q, {"q": q}) for q in points)
     rows = []
-    for q, check in zip(points, checks):
+    for q, check in checks:
         result = check_bounds(theorem, mode=mode, eps=eps, **check)
         lhs, mid, rhs = result.lhs.to_floats(), result.mid.to_floats(), result.rhs.to_floats()
         rows.append((float(q), *lhs, *mid, *rhs, result.status.value))

@@ -104,8 +104,15 @@ def v_raw(y):
     return 1 + (1 - 2 * y - y * y) * exp_(-y) - (1 + 2 * y) * exp_(-2 * y) - exp_(-3 * y)
 
 
+def v_prime_run_raw(a, b):
+    """V'(y) = v_prime_run_raw(y, y).  For sqrt(3) <= a <= y <= b it is a lower
+    bound of V'(y): each term is a nonnegative factor increasing in y times a
+    positive factor decreasing in y."""
+    return (a * a - 3) * exp_(-b) + 4 * a * exp_(-2 * b) + 3 * exp_(-3 * b)
+
+
 def v_prime_raw(y):
-    return (y * y - 3) * exp_(-y) + 4 * y * exp_(-2 * y) + 3 * exp_(-3 * y)
+    return v_prime_run_raw(y, y)
 
 
 def theta_raw(q, x):

@@ -18,7 +18,6 @@ import heapq
 import json
 import math
 import random
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -54,6 +53,7 @@ from .lemma_functions import (
     u_raw,
     v_raw,
     v_prime_raw,
+    v_prime_run_raw,
     w1_raw,
     w2_raw,
 )
@@ -164,11 +164,12 @@ class Certificate:
     failures: tuple[int, ...] = ()
     premises: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
-    #: how a certified sandwich settled its cells: counts of cells settled
-    #: in "doubles" and at "working_precision", and "min_margin_rechecks" of
-    #: cells settled in doubles and re-evaluated for min_margin; "runs", the
-    #: runs of cells that the first phase proved in doubles, and
-    #: "evaluations", the double evaluations of either side in both phases.
+    #: how a certified sandwich settled its cells, or 2.4i its V' witness
+    #: points: counts of cells (points) settled in "doubles" and at
+    #: "working_precision", and "min_margin_rechecks" of those settled in
+    #: doubles and re-evaluated for the minimum; "runs", the runs that the
+    #: first phase proved in doubles, and "evaluations", the double
+    #: evaluations of a run bound (either sandwich side) in both phases.
     #: A diagnostic, not part of the JSON document.
     settled: dict = field(default_factory=dict)
 
@@ -302,22 +303,40 @@ def _settle(margins: _RunMargins, start: int, stop: int) -> list[_Settled]:
     return settled
 
 
-def _rechecked_minimum(
-    items: Iterable[tuple[object, float, bool]], ceiling: float, recheck: Callable
-) -> tuple[float, int]:
-    """(smallest lower endpoint, re-checks) over items (key, lower endpoint,
-    settled in doubles), given the ceiling, the smallest upper endpoint of
-    any item.  An item whose lower endpoint exceeds the ceiling cannot hold
-    the minimum.  The other items settled in doubles are re-evaluated at
-    working precision by recheck(key), which returns the lower endpoint."""
-    smallest, rechecks = math.inf, 0
-    for key, lo, in_doubles in items:
-        if lo <= ceiling:
-            if in_doubles:
-                lo = recheck(key)
-                rechecks += 1
-            smallest = min(smallest, lo)
-    return smallest, rechecks
+def _prove_by_runs(margins, roots: Sequence[tuple[int, int]]) -> tuple[float, tuple, dict]:
+    """(min_margin, failing indices, settled counts) of the items of roots,
+    ranges [start, stop) of item indices, proved in the two phases described
+    at sandwich_verify.  margins has of_run(start, stop), a DoubleInterval
+    whose lower endpoint bounds the margin of every item of the run, or None;
+    working(idx), (passes, lower endpoint, upper endpoint) of one item at
+    working precision; and evaluations, its count of double evaluations."""
+    settled = [piece for start, stop in roots for piece in _settle(margins, start, stop)]
+    runs = sum(piece.in_doubles for piece in settled)
+    cells = [piece for piece in settled if piece.stop - piece.start == 1]
+    heap = [piece for piece in settled if piece.stop - piece.start > 1]
+    heapq.heapify(heap)
+    ceiling = min((cell.hi for cell in cells), default=math.inf)
+    while heap and heap[0].lo <= ceiling:
+        run = heapq.heappop(heap)
+        mid = (run.start + run.stop) // 2
+        for piece in _settle(margins, run.start, mid) + _settle(margins, mid, run.stop):
+            if piece.stop - piece.start > 1:
+                heapq.heappush(heap, piece)
+            else:
+                cells.append(piece)
+                ceiling = min(ceiling, piece.hi)
+    # a cell whose lower endpoint exceeds the ceiling cannot hold the minimum;
+    # the others settled in doubles are re-evaluated at working precision
+    candidates = [cell for cell in cells if cell.lo <= ceiling]
+    min_margin = min((margins.working(cell.start)[1] if cell.in_doubles else cell.lo
+                      for cell in candidates), default=math.inf)
+    failures = tuple(sorted(cell.start for cell in cells if not cell.passes))
+    working = sum(not cell.in_doubles for cell in cells)
+    return min_margin, failures, {
+        "doubles": sum(stop - start for start, stop in roots) - working,
+        "working_precision": working,
+        "min_margin_rechecks": sum(cell.in_doubles for cell in candidates),
+        "runs": runs, "evaluations": margins.evaluations}
 
 
 def sandwich_verify(
@@ -361,32 +380,12 @@ def sandwich_verify(
 
     Both phases share one memo, so no side is evaluated twice at one cell
     endpoint.  Plain callables have no doubles: every cell is evaluated at
-    working precision.
+    working precision.  _prove_by_runs runs the two phases, here and on the
+    V' witness points of 2.4i.
     """
     margins = _RunMargins(lower, upper, grid)
     bounds = list(accumulate((seg.count for seg in grid.segments), initial=0))
-    settled = [piece for start, stop in zip(bounds, bounds[1:])
-               for piece in _settle(margins, start, stop)]
-    runs = sum(piece.in_doubles for piece in settled)
-    cells = [piece for piece in settled if piece.stop - piece.start == 1]
-    heap = [piece for piece in settled if piece.stop - piece.start > 1]
-    heapq.heapify(heap)
-    ceiling = min((cell.hi for cell in cells), default=math.inf)
-    while heap and heap[0].lo <= ceiling:
-        run = heapq.heappop(heap)
-        mid = (run.start + run.stop) // 2
-        for piece in _settle(margins, run.start, mid) + _settle(margins, mid, run.stop):
-            if piece.stop - piece.start > 1:
-                heapq.heappush(heap, piece)
-            else:
-                cells.append(piece)
-                ceiling = min(ceiling, piece.hi)
-    min_margin, rechecks = _rechecked_minimum(
-        ((cell.start, cell.lo, cell.in_doubles) for cell in cells), ceiling,
-        lambda idx: margins.working(idx)[1],
-    )
-    failures = tuple(sorted(cell.start for cell in cells if not cell.passes))
-    working = sum(not cell.in_doubles for cell in cells)
+    min_margin, failures, settled = _prove_by_runs(margins, list(zip(bounds, bounds[1:])))
     return Certificate(
         target=target,
         grid=grid,
@@ -396,9 +395,7 @@ def sandwich_verify(
         failures=failures,
         premises=tuple(premises),
         details=details or {},
-        settled={"doubles": grid.total_cells - working, "working_precision": working,
-                 "min_margin_rechecks": rechecks, "runs": runs,
-                 "evaluations": margins.evaluations},
+        settled=settled,
     )
 
 
@@ -450,6 +447,28 @@ def _spot_check_monotone(
 # -- lemma pipelines ---------------------------------------------------------------
 
 
+class _VPrimeMargins:
+    """Lower bounds of V' on runs [i, j) of the points y_k = start + k*step of
+    a segment: v_prime_run_raw(y_i, y_{j-1}) in doubles, a bound on the
+    whole span [y_i, y_{j-1}] since start^2 > 3 (checked exactly here).
+    working(k) is V'(y_k) at working precision."""
+
+    def __init__(self, segment: GridSegment):
+        if not segment.start * segment.start > 3:
+            raise ArithmeticError(f"V' run bounds need start^2 > 3, got start {segment.start}")
+        self.start, self.step, self.evaluations = segment.start, segment.step, 0
+
+    def of_run(self, start: int, stop: int) -> DoubleInterval:
+        self.evaluations += 1
+        a, b = (DoubleInterval.lift(self.start + k * self.step) for k in (start, stop - 1))
+        return v_prime_run_raw(a, b)
+
+    def working(self, k: int) -> tuple[bool, float, float]:
+        with interval_precision(working_precision()):
+            value = Enclosure(v_prime_raw(to_ivmpf(self.start + k * self.step)))
+        return value.is_positive(), *value.to_floats()
+
+
 def _all_and_min(
     values: Iterable[Enclosure], ok: Callable[[Enclosure], bool]
 ) -> tuple[bool, float]:
@@ -481,28 +500,9 @@ def verify_lemma_2_4_i() -> Certificate:
     details["v_at_minus_log_0.117"] = v0.to_floats()
     v0_ok = v0.contained_in(Fraction(17, 10000), Fraction(27, 10000)) and v0.is_positive()
 
-    # V' > 0 at every grid boundary point: in doubles first, and at working
-    # precision where those do not separate
-    seg = grid.segments[0]
-
-    def v_prime(k: int) -> Enclosure:
-        with interval_precision(wp):
-            return Enclosure(v_prime_raw(to_ivmpf(seg.start + k * seg.step)))
-
-    lows, working, ceiling = array("d"), {}, math.inf
-    for k in range(seg.count + 1):
-        value = v_prime_raw(DoubleInterval.lift(seg.start + k * seg.step))
-        lo, hi = value.lo, value.hi
-        if not lo > 0:
-            working[k] = v_prime(k)
-            lo, hi = working[k].to_floats()
-        lows.append(lo)
-        ceiling = min(ceiling, hi)
-    vp_ok = all(enc.is_positive() for enc in working.values())
-    min_vp, _ = _rechecked_minimum(
-        ((k, lo, k not in working) for k, lo in enumerate(lows)), ceiling,
-        lambda k: v_prime(k).to_floats()[0],
-    )
+    # V' > 0 at every grid boundary point, proved by runs of points
+    min_vp, failures, settled = _prove_by_runs(
+        _VPrimeMargins(grid.segments[0]), [(0, grid.total_cells + 1)])
     details["min_v_prime_on_grid"] = min_vp
 
     # chain samples over q in (0, 0.117]
@@ -521,7 +521,7 @@ def verify_lemma_2_4_i() -> Certificate:
     details["min_C1_on_samples"] = min_c1
     details["chain_samples"] = 117
 
-    checks_ok = v0_ok and vp_ok and u_ok and c1_ok and gap_ok
+    checks_ok = v0_ok and not failures and u_ok and c1_ok and gap_ok
     return Certificate(
         target="2.4i",
         grid=grid,
@@ -531,6 +531,7 @@ def verify_lemma_2_4_i() -> Certificate:
         failures=(),
         premises=premises,
         details=details,
+        settled=settled,
     )
 
 

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -169,6 +171,18 @@ def test_verify_and_report_write_sandwich_cells_to_stderr(capsys):
     assert _sandwich_cells(err) == {}
 
 
+def test_verify_lemma_24i_reports_its_witness_points(capsys):
+    """The V' witness grid of 2.4i is proved by runs of its 9572 points; the
+    certificate on stdout is the golden one."""
+    code, out, err = run_cli(capsys, "verify", "--lemma", "2.4i")
+    assert code == 0
+    assert _sandwich_cells(err) == {
+        "2.4i": {"doubles": 9572, "working_precision": 0, "min_margin_rechecks": 1,
+                 "runs": 1, "evaluations": 29}}
+    golden = Path(__file__).parent / "data" / "certificates" / "2.4i.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_verify_has_no_fast_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--lemma", "2.5", "--mode", "fast"])
@@ -215,6 +229,16 @@ def test_bounds_scan_that_checks_nothing_is_a_usage_error(capsys, argv, message)
     for the pairs of C3_3), is rejected before the scan starts."""
     err = _usage_error(capsys, ["bounds-scan", "--theorem", "T4_1", *argv])
     assert f"error: {message}" in err
+
+
+def test_bounds_scan_over_the_point_cap_is_a_usage_error(capsys):
+    """A tiny step is rejected from its exact point count, before any point
+    is built."""
+    start = time.perf_counter()
+    err = _usage_error(capsys, ["bounds-scan", "--theorem", "T4_1", "--grid-step", "1e-12"])
+    assert time.perf_counter() - start < 0.5
+    assert ("error: grid from 1/100 to 99/100 in steps of 1/1000000000000 has 980000000001"
+            " points; bounds-scan checks at most 100000") in err
 
 
 @pytest.mark.parametrize("argv, option", [

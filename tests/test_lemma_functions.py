@@ -8,8 +8,16 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from divisor_series.intervals import BracketSearchError, DomainError, Enclosure, Mode
+from divisor_series.intervals import (
+    BracketSearchError,
+    DomainError,
+    DoubleInterval,
+    Enclosure,
+    Mode,
+    mpf_to_fraction,
+)
 from divisor_series.lemma_functions import (
+    _in_mode,
     a_constant_raw,
     a_raw,
     b_raw,
@@ -33,6 +41,7 @@ from divisor_series.lemma_functions import (
     theta_raw,
     u_raw,
     v_prime_raw,
+    v_prime_run_raw,
     v_raw,
     evaluate_named,
 )
@@ -117,6 +126,25 @@ def test_v_prime_finite_difference():
         h = 1e-6
         fd = (v_raw(y + h) - v_raw(y - h)) / (2 * h)
         assert abs(fd - v_prime_raw(y)) < 1e-9
+
+
+def test_v_prime_run_bound_is_below_v_prime_on_its_span():
+    """For 2.145 <= a <= y <= b <= 50 the double enclosure of the run bound
+    L(a, b) starts below the working-precision V'(y)."""
+    rng = random.Random(20261018)
+    for _ in range(200):
+        a, y, b = sorted(Fraction(rng.randrange(2145, 50001), 1000) for _ in range(3))
+        bound = v_prime_run_raw(DoubleInterval.lift(a), DoubleInterval.lift(b))
+        value = _in_mode(Mode.CERTIFIED, v_prime_raw, y)
+        assert Fraction(bound.lo) <= mpf_to_fraction(value.hi)
+
+
+@pytest.mark.parametrize("y", [Fraction(2145, 1000), Fraction(7, 2), Fraction(50)])
+def test_v_prime_run_bound_at_one_point_is_v_prime(y):
+    """v_prime_run_raw(y, y) is V'(y) bit for bit at working precision."""
+    run = _in_mode(Mode.CERTIFIED, v_prime_run_raw, y, y)
+    value = _in_mode(Mode.CERTIFIED, v_prime_raw, y)
+    assert (run.lo, run.hi) == (value.lo, value.hi)
 
 
 # -- antiderivative ------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import divisor_series
+from divisor_series import verifier
 from divisor_series.intervals import (
     DomainError,
     DoubleInterval,
@@ -20,8 +21,10 @@ from divisor_series.intervals import (
     Mode,
     mpf_to_fraction,
 )
-from divisor_series.lemma_functions import w1_raw
+from divisor_series.lemma_functions import v_prime_run_raw, w1_raw
 from divisor_series.verifier import (
+    _prove_by_runs,
+    _VPrimeMargins,
     Certificate,
     GridSegment,
     GridSpec,
@@ -36,6 +39,7 @@ from divisor_series.verifier import (
     lemma_2_9_grid,
     sandwich_verify,
     verify_lemma,
+    verify_lemma_2_4_i,
     verify_lemma_2_5,
     w1_lower,
     w2_upper,
@@ -288,6 +292,58 @@ def test_runs_match_per_cell_working_precision_across_segments():
     reference = sandwich_verify(partial(j1_lower), partial(j2_upper), grid)
     assert cert.passed and cert.settled["working_precision"] >= 2
     assert cert.to_json() == reference.to_json()
+
+
+# -- the 2.4i V' witness grid ------------------------------------------------------
+
+
+def test_lemma_2_4_i_proves_its_grid_by_runs(monkeypatch):
+    """The 9572 points of the V' grid take a few dozen double evaluations of
+    the run bound, not one per point."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(isinstance(a, DoubleInterval))
+        return v_prime_run_raw(a, b)
+
+    monkeypatch.setattr(verifier, "v_prime_run_raw", counted)
+    cert = verify_lemma_2_4_i()
+    assert cert.passed and cert.details["min_v_prime_on_grid"] == 4.816088370365902e-19
+    assert sum(calls) == cert.settled["evaluations"] <= 100
+    assert cert.settled["doubles"] + cert.settled["working_precision"] == 9572
+
+
+class _WholeLineAt(_VPrimeMargins):
+    """V' run bounds that are the whole line on any run holding one of the
+    forced points, so each of those points is settled at working precision."""
+
+    def __init__(self, segment, forced):
+        super().__init__(segment)
+        self.forced = forced
+
+    def of_run(self, start, stop):
+        if any(start <= k < stop for k in self.forced):
+            self.evaluations += 1
+            return DoubleInterval(-math.inf, math.inf)
+        return super().of_run(start, stop)
+
+
+def test_v_prime_forced_fallback_points_match_working_precision():
+    """21 points on [49.9, 50], three without doubles: the minimum (at
+    y = 50, settled in doubles) equals the per-point working-precision one."""
+    segment = GridSegment(Fraction(499, 10), Fraction(5, 1000), 20)
+    forced = (2, 9, 15)
+    margins = _WholeLineAt(segment, forced)
+    min_vp, failures, settled = _prove_by_runs(margins, [(0, 21)])
+    assert failures == ()
+    assert settled["working_precision"] == len(forced) and settled["doubles"] == 21 - len(forced)
+    assert min_vp == min(margins.working(k)[1] for k in range(21))
+    assert min_vp == margins.working(20)[1]
+
+
+def test_v_prime_run_bounds_need_a_start_past_sqrt_3():
+    with pytest.raises(ArithmeticError):
+        _VPrimeMargins(GridSegment(Fraction(173, 100), Fraction(1, 100), 10))
 
 
 def test_sandwich_bound_doubles_enclose_certified_values():
