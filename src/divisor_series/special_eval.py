@@ -10,7 +10,12 @@ Tail bounds used to truncate the series (K = number of retained terms,
 * Clausen        sum_{k>K} (1+q^k)/(1-q^k) q^{k^2}
                  <= ((1+q)/(1-q)) q^{(K+1)^2} / (1 - q^{2K+3})
                  (k^2 >= (K+1)^2 + (k-K-1)(2K+3) for k > K)
-* digamma sum    sum_{k>K} q^{kx}/(1-q^k)     <= q^{(K+1)x} / ((1-q^x)(1-q^{K+1}))
+* q-digamma      sum_{k>=1} q^{kx}/(1-q^k) = sum_{k>=1} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k))
+                 with a = q^{x-1} (the double sum of a^k q^{kj} split at j = k, as
+                 Clausen's series splits T); with p = q^{K+1},
+                 sum_{k>K} ...  <= (a p)^{K+1} (1/(1-p) + a p/(1-a p)) / (1 - a p^2 q)
+                 (from k to k+1, both halves of the term shrink by a factor
+                 <= a q^{2k+1}, which is <= a p^2 q < 1 for k > K)
 
 In CERTIFIED mode the partial sum is evaluated in outward-rounded interval
 arithmetic and the tail bound itself is certified by interval evaluation, so
@@ -64,7 +69,7 @@ _OPS_PER_TERM = {
     RepresentationId.DIVISOR: 3,
     RepresentationId.LAMBERT: 4,
     RepresentationId.CLAUSEN: 7,
-    PSI_FORMULA: 5,
+    PSI_FORMULA: 11,
 }
 
 
@@ -146,11 +151,15 @@ def _t_tail(q, rep: RepresentationId, terms: int):
     raise ValueError(f"no tail bound for {rep!r}")
 
 
-def _psi_tail(q, qx, terms: int):
-    """Tail bound of the digamma sum past `terms` terms, qx = q^x; doubles
-    pick the term count, intervals certify."""
-    _check_below_one(q, qx)
-    return qx ** (terms + 1) / ((1 - qx) * (1 - q ** (terms + 1)))
+def _psi_tail(q, a, terms: int):
+    """Tail bound of the q-digamma sum in Clausen's form past `terms` terms,
+    a = q^(x-1) (module docstring); doubles pick the term count, intervals
+    certify.  The head is (a p)^(K+1): a alone overflows a double when x < 1
+    and q is tiny, while a p = q^(x+K) < 1."""
+    p = q ** (terms + 1)
+    ap = a * p
+    _check_below_one(q, ap)
+    return ap ** (terms + 1) * (1 / (1 - p) + ap / (1 - ap)) / (1 - ap * p * q)
 
 
 def _choose_terms(tail_at, target: float) -> int:
@@ -202,14 +211,18 @@ def _t_partial_sum(q, rep: RepresentationId, terms: int, table=None):
     raise ValueError(f"{rep!r} has no numeric summation")
 
 
-def _psi_partial_sum(q, qx, terms: int):
+def _psi_partial_sum(q, a, terms: int):
+    """sum_{k<=terms} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k)), a = q^(x-1);
+    at x = 1 this is Clausen's series for T."""
     s = 0 * q
     qk = q
-    qkx = qx
+    aqk = a * q  # a q^k
+    c = aqk  # a^k q^{k^2}
     for _ in range(terms):
-        s = s + qkx / (1 - qk)
+        s = s + c * (1 / (1 - qk) + aqk / (1 - aqk))
         qk = qk * q
-        qkx = qkx * qx
+        c = c * aqk * qk
+        aqk = aqk * q
     return s
 
 
@@ -290,6 +303,10 @@ def _eval_t_fast(qp: QPoint, eps: float, representation: RepresentationId) -> Ev
     )
 
 
+#: Term counts for psi_q are chosen at q >= 2^-512, where q^(x-1) <= 2^512.
+_PSI_Q_FLOOR = 2.0 ** -512
+
+
 def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalReport:
     """Enclosure of the q-digamma value
     psi_q(x) = -log(1-q) + log(q) * sum_{k>=1} q^{kx}/(1-q^k)."""
@@ -299,21 +316,35 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
     if not eps > 0:
         raise DomainError("eps must be positive")
     x_frac = Fraction(x) if not isinstance(x, Fraction) else x
-    q_hi = qp.float_up()
-    qx_hi = q_hi ** float(x_frac)
+    # The tail grows with q, so a double q_hi >= q picks enough terms; the
+    # floor keeps a = q^(x-1) finite in doubles.
+    q_hi = max(qp.float_up(), _PSI_Q_FLOOR)
+    a_hi = q_hi ** float(x_frac - 1)
     # eps budget for the bare sum: the sum is scaled by log(q) afterwards.  The
     # log is taken of the exact rational, so a q below the smallest double works.
     log_scale = max(math.log(qp.value.denominator) - math.log(qp.value.numerator), 1e-300)
     sum_target = max(eps / (4.0 * log_scale), 5e-323)
-    terms = _choose_terms(lambda k: _psi_tail(q_hi, qx_hi, k), sum_target)
+    terms = _choose_terms(lambda k: _psi_tail(q_hi, a_hi, k), sum_target)
 
     if mode is Mode.FAST:
         qf = qp.fast_float()
-        qx = qf ** float(x_frac)
-        s = _psi_partial_sum(qf, qx, terms)
-        tail = _psi_tail(q_hi, qx_hi, terms)
+        exponent = float(x_frac - 1)
+        try:
+            a = qf ** exponent
+        except OverflowError:
+            raise DomainError("q^(x-1) overflows in double precision; "
+                              "use certified mode") from None
+        s = _psi_partial_sum(qf, a, terms)
+        tail = _psi_tail(q_hi, a_hi, terms)
         value = -math.log1p(-qf) + math.log(qf) * s
-        err = log_scale * (tail + 10.0 * _OPS_PER_TERM[PSI_FORMULA] * terms * float_ulp(s))
+        # Rounding x-1 to a double moves a by log(1/q) times that error
+        # relatively, and a^k by k times as much: large where q is tiny.
+        a_err = terms * log_scale * abs(float(x_frac - 1 - Fraction(exponent)))
+        # 10 ulp of the value cover rounding q to qf and the last two steps,
+        # which dominate where the sum is far below -log(1-q) (q near 0, x > 1)
+        err = (log_scale * (tail + a_err * abs(s)
+                            + 10.0 * _OPS_PER_TERM[PSI_FORMULA] * terms * float_ulp(s))
+               + 10.0 * float_ulp(value))
         return EvalReport(
             Enclosure(value - err, value + err), PSI_FORMULA, terms, tail, Mode.FAST
         )
@@ -321,10 +352,12 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
     for prec in precision_ladder(_bits_for_eps(eps)):
         with interval_precision(prec):
             q_iv = qp.to_ivmpf()
-            x_iv = to_ivmpf(x_frac)
-            qx = iv.exp(x_iv * iv.log(q_iv)) if x_frac.denominator != 1 else q_iv ** int(x_frac)
-            s = _psi_partial_sum(q_iv, qx, terms)
-            tail_hi = Enclosure(_psi_tail(q_iv, qx, terms)).hi
+            if x_frac.denominator == 1:
+                a = q_iv ** int(x_frac - 1)
+            else:
+                a = iv.exp(to_ivmpf(x_frac - 1) * iv.log(q_iv))
+            s = _psi_partial_sum(q_iv, a, terms)
+            tail_hi = Enclosure(_psi_tail(q_iv, a, terms)).hi
             sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
             value = Enclosure(_minus_log1m(qp)) + Enclosure(iv.log(q_iv)) * sum_enc
         if float(value.width_upper()) <= eps:

@@ -643,7 +643,7 @@ def verify_lemma_2_8() -> Certificate:
         " so phi'_q(x) >= Theta_q(14) >= -(h2(0.91)+h3(0.91))/14 for x >= 1",
     )
     details: dict = {}
-    h1, h2, h3 = (partial(_in_mode, Mode.CERTIFIED, fn) for fn in (h1_raw, h2_raw, h3_raw))
+    h1, h2, h3 = map(SandwichBound, (h1_raw, h2_raw, h3_raw))
     lo, hi = Fraction(91, 100), Fraction(1) - Fraction(1, 10**6)
     ok_h1 = _spot_check_monotone(h1, lo, hi, True)
     ok_h2 = _spot_check_monotone(h2, lo, hi, False)

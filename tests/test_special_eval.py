@@ -17,6 +17,7 @@ from divisor_series.intervals import (
     gamma_enclosure,
     interval_precision,
     mpf_to_fraction,
+    to_ivmpf,
 )
 from divisor_series.power_series import RepresentationId
 from divisor_series.special_eval import (
@@ -32,6 +33,7 @@ from divisor_series.special_eval import (
     landau_constant_from_t,
     landau_fibonacci,
     _minus_log1m,
+    _psi_tail,
 )
 
 NUMERIC_REPS = (RepresentationId.DIVISOR, RepresentationId.LAMBERT, RepresentationId.CLAUSEN)
@@ -160,6 +162,101 @@ def test_psi_near_one_approaches_minus_gamma():
     lo, hi = psi.value.to_floats()
     glo, ghi = gamma.to_floats()
     assert lo > -glo - 0.01 and hi < -glo + 0.01
+
+
+def _direct_psi_oracle(q: Fraction, x: Fraction, eps: float) -> Enclosure:
+    """psi_q(x) from the direct sum S = sum_{k<=K} q^{kx}/(1-q^k) and its
+    tail bound q^{(K+1)x}/((1-q^x)(1-q^{K+1})), summed in 224-bit floats.
+
+    This is the textbook form, independent of the library's Clausen split.
+    Rounding is covered by a relative 2^-160 of each part, far above what
+    K <= 2^20 operations can lose at 1 - q >= 2^-7; the tail is summed until
+    it is below eps/64 in psi."""
+    prec = 224
+    with mp.workprec(prec):
+        qm = mp.mpf(q.numerator) / q.denominator
+        qx = mp.power(qm, mp.mpf(x.numerator) / x.denominator)
+        log_q = mp.log(qm)
+        s, qk, qkx, k = mp.mpf(0), qm, qx, 0
+        while True:
+            k += 1
+            s += qkx / (1 - qk)
+            qk, qkx = qk * qm, qkx * qx
+            tail = qkx / ((1 - qx) * (1 - qk))
+            if -log_q * tail < eps / 64:
+                break
+        log1m = -mp.log1p(-qm)
+        value = log1m + log_q * s
+        radius = -log_q * tail + mp.ldexp(1, 64 - prec) * (log1m - 2 * log_q * s)
+        lo, hi = value - radius, value + radius
+    return Enclosure.from_fraction_pair(mpf_to_fraction(lo), mpf_to_fraction(hi))
+
+
+_ORACLE_XS = [Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
+              Fraction(7, 3)]
+
+
+@pytest.mark.parametrize("q", ["1e-400", "0.3", "0.9", "0.99"])
+@pytest.mark.parametrize("x", _ORACLE_XS, ids=str)
+def test_psi_meets_direct_sum_oracle(q, x):
+    """Certified psi_q(x), summed in Clausen's form, meets the direct sum and
+    is no wider than eps."""
+    oracle = _direct_psi_oracle(Fraction(q), x, 1e-30)
+    for eps in (1e-8, 1e-30):
+        r = eval_psi_q(q, x, eps)
+        assert r.value.intersects(oracle)
+        assert r.value.width_upper() <= eps
+
+
+def _clausen_psi_term(q_iv, a, k: int):
+    """a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k)), from powers, not running
+    products."""
+    qk = q_iv ** k
+    return a ** k * q_iv ** (k * k) * (1 / (1 - qk) + a * qk / (1 - a * qk))
+
+
+def test_psi_tail_bounds_the_next_terms():
+    """At random exact (q, x, K), the certified tail bound past K terms is at
+    least the next 200 terms at 512 bits plus their own geometric bound, the
+    term after them over 1 - a q^(2K+403)."""
+    rng = random.Random(17)
+    with interval_precision(512):
+        for _ in range(8):
+            q = Fraction(rng.randint(100, 999), 1000)
+            x = Fraction(rng.randint(1, 300), 100)
+            k_max = rng.randint(1, 20)
+            q_iv = to_ivmpf(q)
+            a = iv.exp(to_ivmpf(x - 1) * iv.log(q_iv))
+            head = sum(_clausen_psi_term(q_iv, a, k) for k in range(k_max + 1, k_max + 201))
+            rest = _clausen_psi_term(q_iv, a, k_max + 201) / (1 - a * q_iv ** (2 * k_max + 403))
+            assert Enclosure(_psi_tail(q_iv, a, k_max)).lo >= (head + rest).b, (q, x, k_max)
+
+
+@pytest.mark.parametrize("q, eps", [("0.999", 1e-40), ("0.9999", 1e-12)])
+def test_psi_term_count_grows_like_a_square_root(q, eps):
+    """Clausen's form needs about sqrt(log(1/eps)/(-log q)) terms, where the
+    direct sum needs log(1/eps)/(-log q)."""
+    r = eval_psi_q(q, 1, eps)
+    assert r.terms_used <= 2 * math.sqrt(math.log(1 / eps) / -math.log(float(q))) + 2
+
+
+@pytest.mark.parametrize("q", ["1e-300", "1e-6", "0.3", "0.9", "0.99", "0.999"])
+@pytest.mark.parametrize("x", [Fraction(1, 5), Fraction(1, 2), Fraction(3, 2), Fraction(2),
+                               Fraction(7, 3)], ids=str)
+def test_fast_psi_contains_certified_midpoint(q, x):
+    """FAST psi_q(x) pads for rounding q, x - 1 and every operation: at
+    q = 1e-300, rounding 1/5 - 1 to a double moves q^(x-1) by 3e-14."""
+    fast = eval_psi_q(q, x, 1e-12, Mode.FAST)
+    certified = eval_psi_q(q, x, 1e-12)
+    assert fast.value.contains(certified.value.midpoint())
+
+
+def test_psi_where_q_to_the_x_minus_1_overflows_a_double():
+    """At q = 5e-324, q^(x-1) exceeds the largest double for x = 1/100: FAST
+    refuses, certified still picks its term count and returns an enclosure."""
+    with pytest.raises(DomainError):
+        eval_psi_q("5e-324", Fraction(1, 100), mode=Mode.FAST)
+    assert eval_psi_q("5e-324", Fraction(1, 100)).value.width_upper() <= 1e-12
 
 
 def test_psi_domain():
