@@ -14,7 +14,9 @@ met.
 
 A :class:`DoubleInterval` is the same guarantee on a pair of doubles: much
 cheaper per operation and much wider, it settles the certified sandwich
-cells that do not need working precision.
+cells that do not need working precision.  A :class:`FixedInterval` is the
+same guarantee on a pair of integers over one power-of-two scale: it sums the
+certified series of special_eval at working precision on plain int arithmetic.
 """
 
 from __future__ import annotations
@@ -422,6 +424,133 @@ class DoubleInterval:
         return f"DoubleInterval({self.lo!r}, {self.hi!r})"
 
 
+def fixed_shift(x: ivmpf) -> int:
+    """The scale 2^-shift at which x keeps iv.prec significant bits, as an
+    ivmpf would: iv.prec plus the leading zero bits of a positive lower
+    endpoint below 1.  The exponent comes from the mpf itself, so an x below
+    the smallest double works."""
+    sign, man, exp, bc = x._mpi_[0]
+    if man and not sign:
+        return iv.prec + max(0, -(exp + bc))
+    return iv.prec
+
+
+class FixedInterval:
+    """A closed interval [lo, hi] * 2^-shift, lo <= hi integers, certified to
+    contain a real value.
+
+    Outward-rounded fixed-point arithmetic (Brent and Zimmermann, *Modern
+    Computer Arithmetic*, CUP 2010, sections 3-4): ``+`` and ``-`` are exact;
+    ``*`` and ``/`` take the extreme corner products or quotients (one pair
+    where both operands are non-negative), then round lo down (``>>``,
+    ``//``) and hi up (``-((-x) >> s)``).  An int operand enters exactly.
+    Each rounding costs at most 2^-shift absolutely, so the caller picks the
+    scale from the smallest magnitude it must resolve (:func:`fixed_shift`).
+    On plain ints a product costs a fraction of an ``ivmpf`` one at the same
+    bits.
+
+    The type has no unbounded interval: dividing by an interval that contains
+    0 and mixing two scales raise DomainError.
+    """
+
+    __slots__ = ("lo", "hi", "shift")
+
+    def __init__(self, lo: int, hi: int, shift: int):
+        self.lo = lo
+        self.hi = hi
+        self.shift = shift
+
+    @classmethod
+    def from_ivmpf(cls, x: ivmpf, shift: int) -> "FixedInterval":
+        """x at scale 2^-shift, its endpoints rounded outward."""
+        a, b = x._mpi_
+        if a in (libmp.fninf, libmp.fnan) or b in (libmp.finf, libmp.fnan):
+            raise DomainError("an unbounded interval has no fixed-point enclosure")
+        return cls(libmp.to_int(libmp.mpf_shift(a, shift), libmp.round_floor),
+                   libmp.to_int(libmp.mpf_shift(b, shift), libmp.round_ceiling), shift)
+
+    def to_ivmpf(self) -> ivmpf:
+        """The tightest outward-rounded ivmpf at the current precision."""
+        prec = iv.prec
+        return iv.make_mpf((
+            libmp.from_man_exp(self.lo, -self.shift, prec, libmp.round_floor),
+            libmp.from_man_exp(self.hi, -self.shift, prec, libmp.round_ceiling),
+        ))
+
+    def _same_scale(self, other: "FixedInterval") -> None:
+        if other.shift != self.shift:
+            raise DomainError(f"fixed-point scales 2^-{self.shift} and "
+                              f"2^-{other.shift} differ")
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            c = other << self.shift
+            return FixedInterval(self.lo + c, self.hi + c, self.shift)
+        if other.__class__ is not FixedInterval:
+            return NotImplemented
+        self._same_scale(other)
+        return FixedInterval(self.lo + other.lo, self.hi + other.hi, self.shift)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        c = other << self.shift
+        return FixedInterval(c - self.hi, c - self.lo, self.shift)
+
+    def __neg__(self):
+        return FixedInterval(-self.hi, -self.lo, self.shift)
+
+    def __mul__(self, other):
+        s = self.shift
+        if isinstance(other, int):
+            if other >= 0:
+                return FixedInterval(self.lo * other, self.hi * other, s)
+            return FixedInterval(self.hi * other, self.lo * other, s)
+        if other.__class__ is not FixedInterval:
+            return NotImplemented
+        self._same_scale(other)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a >= 0 and c >= 0:  # the series sums multiply only these
+            lo, hi = a * c, b * d
+        else:
+            corners = (a * c, a * d, b * c, b * d)
+            lo, hi = min(corners), max(corners)
+        return FixedInterval(lo >> s, -(-hi >> s), s)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        s = self.shift
+        if isinstance(other, int):
+            other = FixedInterval(other << s, other << s, s)
+        elif other.__class__ is not FixedInterval:
+            return NotImplemented
+        self._same_scale(other)
+        # (x 2^-s) / (y 2^-s) = ((x << s) / y) 2^-s
+        a, b, c, d = self.lo << s, self.hi << s, other.lo, other.hi
+        if c <= 0 <= d:
+            raise DomainError("fixed-point division by an interval containing 0")
+        if a >= 0 and c > 0:
+            return FixedInterval(a // d, -(-b // c), s)
+        corners = [(x, y) for x in (a, b) for y in (c, d)]
+        return FixedInterval(min(x // y for x, y in corners),
+                             max(-(-x // y) for x, y in corners), s)
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        c = other << self.shift
+        return FixedInterval(c, c, self.shift) / self
+
+    def __repr__(self) -> str:
+        return f"FixedInterval({self.lo!r}, {self.hi!r}, shift={self.shift})"
+
+
 def gamma_enclosure() -> Enclosure:
     """Enclosure of Euler's constant from the stored decimal digits.
 
@@ -442,6 +571,8 @@ GAMMA_FLOAT = 0.5772156649015329
 # Formula code in lemma_functions/special_eval is written once against these
 # helpers and runs in both modes: feed floats for FAST, ivmpf for CERTIFIED.
 # DoubleInterval runs the same formulas as the first pass of certified checks.
+# FixedInterval runs the certified T and psi_q partial sums, which need only
+# + - * / and so call none of these helpers.
 
 
 def ln(x):

@@ -17,8 +17,11 @@ Tail bounds used to truncate the series (K = number of retained terms,
                  (from k to k+1, both halves of the term shrink by a factor
                  <= a q^{2k+1}, which is <= a p^2 q < 1 for k > K)
 
-In CERTIFIED mode the partial sum is evaluated in outward-rounded interval
-arithmetic and the tail bound itself is certified by interval evaluation, so
+In CERTIFIED mode the partial sum runs on outward-rounded fixed-point
+integer intervals (``FixedInterval``): q, and a for psi_q, are lifted from
+their ``ivmpf`` enclosures at a scale that keeps the working precision's
+significant bits of q, however small, and the sum returns to ``ivmpf``
+rounded outward.  The tail bound is certified by ``ivmpf`` evaluation, so
 the reported enclosure accounts for both rounding and truncation.  FAST mode
 sums native doubles and pads the result with the tail bound plus a heuristic
 10 ulp per operation; it issues no certificates.
@@ -40,9 +43,12 @@ from .divisor_core import divisor_sieve
 from .intervals import (
     DomainError,
     Enclosure,
+    FixedInterval,
+    MAX_PRECISION,
     Mode,
     PrecisionError,
     TermBudgetError,
+    fixed_shift,
     gamma_enclosure,
     interval_precision,
     precision_ladder,
@@ -242,7 +248,8 @@ def t_enclosure_for_interval(
     )
     if representation is RepresentationId.DIVISOR:
         table = divisor_sieve(terms)
-    s = _t_partial_sum(q_iv, representation, terms, table)
+    q_fx = FixedInterval.from_ivmpf(q_iv, fixed_shift(q_iv))
+    s = _t_partial_sum(q_fx, representation, terms, table).to_ivmpf()
     tail_hi = Enclosure(_t_tail(q_iv, representation, terms)).hi
     value = Enclosure(s) + Enclosure(0, tail_hi)
     return value, terms, _float_up(tail_hi)
@@ -255,7 +262,7 @@ def _bits_for_eps(eps: float) -> int:
     wanted = working_precision()
     if eps < 1e-30:
         wanted = max(wanted, int(-math.log2(eps)) + 32)
-    return min(wanted, 1024)
+    return min(wanted, MAX_PRECISION)
 
 
 def eval_T(
@@ -285,7 +292,7 @@ def eval_T(
         if float(value.width_upper()) <= eps:
             return EvalReport(value, representation, terms, tail, Mode.CERTIFIED)
     raise PrecisionError(
-        f"cannot reach width {eps} for T({float(qp)}) within {1024} bits"
+        f"cannot reach width {eps} for T({float(qp)}) within {MAX_PRECISION} bits"
     )
 
 
@@ -356,7 +363,12 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
                 a = q_iv ** int(x_frac - 1)
             else:
                 a = iv.exp(to_ivmpf(x_frac - 1) * iv.log(q_iv))
-            s = _psi_partial_sum(q_iv, a, terms)
+            shift = fixed_shift(q_iv)
+            try:
+                s = _psi_partial_sum(FixedInterval.from_ivmpf(q_iv, shift),
+                                     FixedInterval.from_ivmpf(a, shift), terms).to_ivmpf()
+            except DomainError:  # 1 - a q^k contains 0 at this precision (x near 0)
+                continue
             tail_hi = Enclosure(_psi_tail(q_iv, a, terms)).hi
             sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
             value = Enclosure(_minus_log1m(qp)) + Enclosure(iv.log(q_iv)) * sum_enc

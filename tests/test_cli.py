@@ -183,6 +183,15 @@ def test_verify_lemma_24i_reports_its_witness_points(capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
+def test_report_without_verify_matches_its_golden_stdout(capsys):
+    """The certified bounds grid of every theorem and the identity check:
+    stdout is byte-identical to the golden document."""
+    code, out, _ = run_cli(capsys, "report", "--skip", "verify")
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "report-skip-verify.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_verify_has_no_fast_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--lemma", "2.5", "--mode", "fast"])

@@ -1,19 +1,22 @@
-"""Outward rounding and ordering semantics of the Enclosure and
-DoubleInterval types."""
+"""Outward rounding and ordering semantics of the Enclosure,
+DoubleInterval and FixedInterval types."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from divisor_series.intervals import (
+    DomainError,
     DoubleInterval,
     Enclosure,
+    FixedInterval,
     GAMMA_DIGITS,
     const,
     exp_,
+    fixed_shift,
     gamma_enclosure,
     interval_precision,
     ln,
@@ -227,3 +230,145 @@ def test_double_interval_lifts_huge_and_tiny_rationals():
     assert DoubleInterval.lift(-huge).lo == -math.inf
     tiny = DoubleInterval.lift(Fraction(1, 10**400))
     assert tiny.lo == 0.0 and tiny.hi == 5e-324
+
+
+# -- FixedInterval: outward-rounded integers over one power-of-two scale --------
+
+
+def _fixed_operands(seed: int, shift: int, count: int) -> list[FixedInterval]:
+    """Points and intervals of both signs, some crossing 0, with endpoints
+    from 1 ulp to 2^40 units of 1."""
+    rng = random.Random(seed)
+    out = [FixedInterval(0, 0, shift), FixedInterval(-1, 1, shift),
+           FixedInterval(1 << shift, 1 << shift, shift)]
+    while len(out) < count:
+        lo = rng.choice((1, -1)) * rng.randrange(1, 1 << rng.choice((1, 20, shift, shift + 40)))
+        hi = lo if rng.random() < 0.3 else lo + rng.randrange(0, 1 << rng.choice((1, 30, shift + 41)))
+        out.append(FixedInterval(lo, hi, shift))
+    return out
+
+
+def _corners(x: FixedInterval) -> list[Fraction]:
+    return [Fraction(x.lo, 2 ** x.shift), Fraction(x.hi, 2 ** x.shift)]
+
+
+def _contains_zero(x: FixedInterval) -> bool:
+    return x.lo <= 0 <= x.hi
+
+
+_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+        "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+@pytest.mark.parametrize("shift", [64, 165])
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_fixed_interval_arithmetic_is_the_tightest_enclosure(op, shift):
+    """The exact range of + - * / over a box is spanned by its corners; the
+    result's endpoints are that range's floor and ceiling at the scale, so it
+    encloses every corner and is the tightest enclosure.  Int operands on
+    either side enter exactly."""
+    fn = _OPS[op]
+    values = _fixed_operands(6, shift, 50)
+    rng = random.Random(7)
+    unit = 2 ** shift
+    for x in values:
+        for y in rng.sample(values, 15):
+            if op == "/" and _contains_zero(y):
+                continue
+            exact = [fn(a, b) for a in _corners(x) for b in _corners(y)]
+            got = fn(x, y)
+            assert got.shift == shift and got.lo <= got.hi
+            assert got.lo == math.floor(min(exact) * unit), (op, x, y)
+            assert got.hi == math.ceil(max(exact) * unit), (op, x, y)
+        for n in (-3, -1, 0, 1, 7, 10**30):
+            if not (op == "/" and n == 0):
+                exact = [fn(a, n) for a in _corners(x)]
+                got = fn(x, n)
+                assert (got.lo, got.hi) == (math.floor(min(exact) * unit),
+                                            math.ceil(max(exact) * unit)), (op, x, n)
+            if not (op == "/" and _contains_zero(x)):
+                exact = [fn(n, a) for a in _corners(x)]
+                got = fn(n, x)
+                assert (got.lo, got.hi) == (math.floor(min(exact) * unit),
+                                            math.ceil(max(exact) * unit)), (op, n, x)
+    x = values[5]
+    assert ((-x).lo, (-x).hi) == (-x.hi, -x.lo)
+
+
+def test_fixed_interval_division_by_an_interval_containing_zero_raises():
+    one = FixedInterval(1 << 64, 1 << 64, 64)
+    for divisor in (FixedInterval(0, 0, 64), FixedInterval(-1, 1, 64),
+                    FixedInterval(0, 5, 64), FixedInterval(-5, 0, 64)):
+        with pytest.raises(DomainError):
+            one / divisor
+        with pytest.raises(DomainError):
+            1 / divisor
+    with pytest.raises(DomainError):
+        one / 0
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_fixed_interval_mixed_scales_raise(op):
+    fn = _OPS[op]
+    x, y = FixedInterval(3 << 64, 5 << 64, 64), FixedInterval(3 << 65, 5 << 65, 65)
+    with pytest.raises(DomainError):
+        fn(x, y)
+    with pytest.raises(DomainError):
+        fn(y, x)
+
+
+def test_fixed_interval_takes_no_inexact_operand():
+    x = FixedInterval(3, 5, 64)
+    for other in (0.5, Fraction(1, 3)):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            x * other
+
+
+@pytest.mark.parametrize("bits", [53, 128, 1024])
+def test_fixed_interval_round_trip_through_ivmpf_rounds_outward(bits):
+    """from_ivmpf floors and ceils the endpoints at the scale, to_ivmpf rounds
+    them outward to the working precision; at fixed_shift a value keeps the
+    working precision's significant bits, however small it is."""
+    rng = random.Random(8)
+    values = [Fraction(1, 7), Fraction(99, 100), Fraction(-5, 3), Fraction(1, 10**300),
+              Fraction(1, 10**400), Fraction(10**40, 3)]
+    values += [Fraction(rng.randrange(1, 10**30), rng.randrange(1, 10**30)) *
+               Fraction(10) ** rng.randrange(-400, 40) for _ in range(30)]
+    with interval_precision(bits):
+        for value in values:
+            enc = to_ivmpf(value)
+            lo = mpf_to_fraction(mp.make_mpf(enc._mpi_[0]))
+            hi = mpf_to_fraction(mp.make_mpf(enc._mpi_[1]))
+            shift = fixed_shift(enc)
+            x = FixedInterval.from_ivmpf(enc, shift)
+            assert (x.lo, x.hi) == (math.floor(lo * 2 ** shift), math.ceil(hi * 2 ** shift))
+            if 0 < value < 1:
+                assert 2 ** (bits - 1) <= x.lo < 2 ** bits
+            back = Enclosure(x.to_ivmpf())
+            assert mpf_to_fraction(back.lo) <= Fraction(x.lo, 2 ** shift)
+            assert Fraction(x.hi, 2 ** shift) <= mpf_to_fraction(back.hi)
+            # outward by less than one unit in the last of `bits` places
+            assert back.contained_in(lo - abs(lo) / 2 ** (bits - 2), hi + abs(hi) / 2 ** (bits - 2))
+            assert back.contains(value)
+            # a coarser scale still encloses, with fewer bits
+            coarse = FixedInterval.from_ivmpf(enc, 64)
+            assert Fraction(coarse.lo, 2**64) <= value <= Fraction(coarse.hi, 2**64)
+
+
+def test_fixed_interval_refuses_an_unbounded_ivmpf():
+    with pytest.raises(DomainError):
+        FixedInterval.from_ivmpf(iv.mpf([0, "inf"]), 64)
+    with pytest.raises(DomainError):
+        FixedInterval.from_ivmpf(iv.mpf(["-inf", 0]), 64)
+
+
+def test_fixed_shift_follows_the_exponent_of_the_lower_endpoint():
+    with interval_precision(128):
+        assert fixed_shift(to_ivmpf(Fraction(3, 4))) == 128
+        assert fixed_shift(to_ivmpf(7)) == 128
+        assert fixed_shift(to_ivmpf(Fraction(1, 8))) == 130
+        assert fixed_shift(to_ivmpf(Fraction(1, 2**1000))) == 128 + 999
+        assert fixed_shift(iv.mpf([0, 1])) == 128
+        assert fixed_shift(iv.mpf([-1, 1])) == 128

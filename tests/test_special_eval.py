@@ -9,11 +9,14 @@ from functools import partial
 import pytest
 from mpmath import iv, mp
 
+from divisor_series.divisor_core import divisor_sieve
 from divisor_series.intervals import (
     DomainError,
     Enclosure,
+    FixedInterval,
     Mode,
     TermBudgetError,
+    fixed_shift,
     gamma_enclosure,
     interval_precision,
     mpf_to_fraction,
@@ -33,7 +36,9 @@ from divisor_series.special_eval import (
     landau_constant_from_t,
     landau_fibonacci,
     _minus_log1m,
+    _psi_partial_sum,
     _psi_tail,
+    _t_partial_sum,
 )
 
 NUMERIC_REPS = (RepresentationId.DIVISOR, RepresentationId.LAMBERT, RepresentationId.CLAUSEN)
@@ -123,6 +128,90 @@ def test_t_tail_bound_is_sound():
 
 
 # -- q-digamma --------------------------------------------------------------------
+
+
+# -- partial sums on fixed-point intervals ------------------------------------------
+
+_FIXED_QS = [Fraction(1, 10**400), Fraction(1, 10**300), Fraction(1, 7), Fraction(1, 2),
+             Fraction(99, 100)]
+_FIXED_TERMS = 6
+
+
+def _exact_t_partial_sum(q: Fraction, rep: RepresentationId, terms: int) -> Fraction:
+    """T's partial sum in exact rationals, with d(k) counted by trial division."""
+    ks = range(1, terms + 1)
+    if rep is RepresentationId.LAMBERT:
+        return sum(q**k / (1 - q**k) for k in ks)
+    if rep is RepresentationId.DIVISOR:
+        return sum(sum(k % j == 0 for j in ks) * q**k for k in ks)
+    return sum((1 + q**k) / (1 - q**k) * q**(k * k) for k in ks)
+
+
+@pytest.mark.parametrize("q", _FIXED_QS, ids=str)
+@pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
+def test_certified_t_partial_sum_on_fixed_intervals_encloses_exact(rep, q):
+    """q lifted from its 128-bit enclosure at fixed_shift, as the certified
+    evaluator lifts it: the sum encloses the exact partial sum and keeps 100
+    significant bits of it, at q = 1e-400 too."""
+    with interval_precision(128):
+        q_iv = to_ivmpf(q)
+        q_fx = FixedInterval.from_ivmpf(q_iv, fixed_shift(q_iv))
+        table = divisor_sieve(_FIXED_TERMS) if rep is RepresentationId.DIVISOR else None
+        got = Enclosure(_t_partial_sum(q_fx, rep, _FIXED_TERMS, table).to_ivmpf())
+    exact = _exact_t_partial_sum(q, rep, _FIXED_TERMS)
+    assert got.contains(exact)
+    assert mpf_to_fraction(got.width_upper()) <= exact / 2**100
+
+
+def _exact_psi_partial_sum(q: Fraction, a: Fraction, terms: int) -> Fraction:
+    return sum(a**k * q**(k * k) * (1 / (1 - q**k) + a * q**k / (1 - a * q**k))
+               for k in range(1, terms + 1))
+
+
+@pytest.mark.parametrize("q", _FIXED_QS, ids=str)
+@pytest.mark.parametrize("x", [Fraction(1, 5), Fraction(1), Fraction(3, 2), Fraction(7, 3)],
+                         ids=str)
+def test_certified_psi_partial_sum_on_fixed_intervals_encloses_exact(q, x):
+    """Every term of the sum grows with a = q^(x-1) > 0, so the exact
+    rational sums at the endpoints of a's 128-bit enclosure lie on either
+    side of the true partial sum; the fixed-point sum encloses both.  Its
+    scale follows q, so it keeps 100 significant bits of the sum or of q,
+    whichever is larger: for x > 1 at tiny q the sum is far below q, and
+    psi_q = -log(1-q) + log(q) * sum is dominated by -log(1-q) ~ q."""
+    with interval_precision(128):
+        q_iv = to_ivmpf(q)
+        a = iv.exp(to_ivmpf(x - 1) * iv.log(q_iv))
+        shift = fixed_shift(q_iv)
+        got = Enclosure(_psi_partial_sum(FixedInterval.from_ivmpf(q_iv, shift),
+                                         FixedInterval.from_ivmpf(a, shift),
+                                         _FIXED_TERMS).to_ivmpf())
+    a_enc = Enclosure(a)
+    low = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.lo), _FIXED_TERMS)
+    high = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.hi), _FIXED_TERMS)
+    assert got.contains(low) and got.contains(high)
+    assert mpf_to_fraction(got.width_upper()) <= max(low, q) / 2**100
+
+
+@pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
+def test_certified_t_at_1e_minus_400_keeps_relative_width(rep):
+    """T(q) = q + O(q^2): the fixed-point scale follows q's exponent, so the
+    enclosure is relatively as tight as the working precision, not 2^-128
+    wide in absolute terms."""
+    q = Fraction(1, 10**400)
+    value = eval_T(q, representation=rep).value
+    assert value.contains(_exact_t_partial_sum(q, rep, 2))
+    assert mpf_to_fraction(value.width_upper()) <= q / 2**100
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 5), Fraction(1), Fraction(7, 3)], ids=str)
+def test_certified_psi_at_1e_minus_400_keeps_relative_width(x):
+    """psi_q(x) at q = 1e-400 is -log(1/q) q^x for x < 1, (1 - log(1/q)) q at
+    x = 1 and q for x > 1, to leading order: the fixed-point sum keeps 100
+    significant bits of it."""
+    value = eval_psi_q(Fraction(1, 10**400), x).value
+    lo, hi = mpf_to_fraction(value.lo), mpf_to_fraction(value.hi)
+    assert lo * hi > 0
+    assert mpf_to_fraction(value.width_upper()) <= min(abs(lo), abs(hi)) / 2**100
 
 
 def test_psi_identity_with_t_at_03():
@@ -259,6 +348,17 @@ def test_psi_where_q_to_the_x_minus_1_overflows_a_double():
     assert eval_psi_q("5e-324", Fraction(1, 100)).value.width_upper() <= 1e-12
 
 
+def test_psi_at_x_near_zero_climbs_the_precision_ladder():
+    """At x = 1e-50, a q = 2^-x lies within 1e-50 of 1, so 1 - a q contains 0
+    at 128 bits: the fixed-point division refuses, and the evaluator retries
+    at higher precision, as it does for any enclosure wider than eps.
+    psi_q(x) = -1/x + O(1) near 0."""
+    x = Fraction(1, 10**50)
+    r = eval_psi_q(Fraction(1, 2), x, 1e-12)
+    assert r.value.width_upper() <= 1e-12
+    assert r.value.contained_in(-(1 + Fraction(1, 10**6)) / x, -(1 - Fraction(1, 10**6)) / x)
+
+
 def test_psi_domain():
     with pytest.raises(DomainError):
         eval_psi_q(0.5, 0)
@@ -385,6 +485,18 @@ def test_landau_constant_both_routes():
     assert direct.contained_in(window_lo, window_hi)
     assert fib.intersects(direct)
     assert float(fib.width_upper()) < 1e-5
+
+
+def test_landau_constant_from_t_on_an_interval_argument_is_tight():
+    """landau_constant_from_t sums T over the interval enclosures of c and
+    c^2; at eps = 1e-20 it still meets the Fibonacci route, whose width is
+    below 1e-24 at 128 bits."""
+    with interval_precision(128):
+        fib = landau_fibonacci(60)
+    direct = landau_constant_from_t(1e-20)
+    assert float(fib.width_upper()) < 1e-24
+    assert direct.intersects(fib)
+    assert float(direct.width_upper()) < 1e-20
 
 
 @pytest.mark.parametrize("q", [Fraction(1, 2**64), Fraction(1, 10**300), Fraction(1, 10**400)])
