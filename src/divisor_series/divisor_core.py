@@ -76,42 +76,37 @@ def floor_sum(n: int) -> int:
 
 
 def distinct_partition_stats(n_max: int) -> PartitionStats:
-    """Part-count statistics via a part-count-tracking dynamic program.
+    """Part-count statistics by the product rule on P(z) = prod_p (1 + z q^p).
 
-    dp[m][n] counts partitions of n into exactly m distinct parts; parts are
-    introduced one at a time (0/1 knapsack order) so each is used at most
-    once.  The number of parts m never exceeds ~sqrt(2 n_max).
+    The coefficient of z^m q^n in P counts partitions of n into m distinct
+    parts, so dP/dz = P' weights each one by m z^(m-1): P'(1) sums the part
+    counts and P'(-1) gives the odd-m ones sign + and the even-m ones sign -.
+    Four integer rows P(1), P'(1), P(-1), P'(-1) are carried; adding part p
+    is one descending pass with stride p, P' <- P'(1 + z q^p) + P q^p (with
+    the old P) and P <- P(1 + z q^p).  O(n^2) integer additions in all.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    m_cap = 1
-    while (m_cap + 1) * (m_cap + 2) // 2 <= n_max:
-        m_cap += 1
-    dp = [[0] * (n_max + 1) for _ in range(m_cap + 1)]
-    dp[0][0] = 1
+    p_plus, d_plus = [1] + [0] * n_max, [0] * (n_max + 1)
+    p_minus, d_minus = [1] + [0] * n_max, [0] * (n_max + 1)
     for part in range(1, n_max + 1):
-        for m in range(m_cap, 0, -1):
-            row, prev = dp[m], dp[m - 1]
-            for n in range(n_max, part - 1, -1):
-                c = prev[n - part]
-                if c:
-                    row[n] += c
-    s_odd = [0] * (n_max + 1)
-    s_even = [0] * (n_max + 1)
-    for m in range(1, m_cap + 1):
-        target = s_odd if m % 2 else s_even
-        row = dp[m]
-        for n in range(1, n_max + 1):
-            if row[n]:
-                target[n] += m * row[n]
-    return PartitionStats(n_max=n_max, s_odd=tuple(s_odd), s_even=tuple(s_even))
+        for n in range(n_max, part - 1, -1):
+            m = n - part
+            d_plus[n] += d_plus[m] + p_plus[m]
+            p_plus[n] += p_plus[m]
+            d_minus[n] += p_minus[m] - d_minus[m]
+            p_minus[n] -= p_minus[m]
+    # P'(1) + P'(-1) = 2 s_odd and P'(1) - P'(-1) = 2 s_even: exact halving
+    s_odd = tuple((a + b) // 2 for a, b in zip(d_plus, d_minus))
+    s_even = tuple((a - b) // 2 for a, b in zip(d_plus, d_minus))
+    return PartitionStats(n_max=n_max, s_odd=s_odd, s_even=s_even)
 
 
 def distinct_partition_stats_enumerated(n_max: int) -> PartitionStats:
     """Same statistics by exhaustive enumeration of distinct partitions.
 
     Exponential in n_max; meant as an independent cross-check for small
-    orders (the suite compares it with the dynamic program up to 40).
+    orders (the suite compares it with the product-rule rows up to 40).
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")

@@ -167,7 +167,10 @@ class Enclosure:
 
     @classmethod
     def from_fraction_pair(cls, lo: Fraction, hi: Fraction) -> "Enclosure":
-        return cls(lo, hi)
+        """[lo, hi] rounded outward at no less than the working precision,
+        whatever precision the caller has set."""
+        with interval_precision(max(iv.prec, working_precision())):
+            return cls(lo, hi)
 
     @property
     def lo(self):

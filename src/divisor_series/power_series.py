@@ -213,7 +213,8 @@ def build_representation(rep: RepresentationId, order: int) -> TruncatedSeries:
                 total[k * (k + 1) // 2] += k if k % 2 else -k
             _divide_one_minus(total, k)
     elif rep is RepresentationId.MERCA_PARTITION:
-        # (1/(q;q)_inf) * sum_{k>=1} (s_odd(k) - s_even(k)) q^k
+        # (1/(q;q)_inf) * sum_{k>=1} (s_odd(k) - s_even(k)) q^k; the weights
+        # are the derivative at z = -1 of prod_p (1 + z q^p)
         stats = distinct_partition_stats(n)
         total = [odd - even for odd, even in zip(stats.s_odd, stats.s_even)]
     else:

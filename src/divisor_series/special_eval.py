@@ -111,13 +111,13 @@ class QPoint:
         return float(self.value)
 
     def fast_float(self) -> float:
-        """q as a double for FAST formulas that take log(q); a q below the
-        smallest positive double rounds to 0.0, which has no logarithm."""
-        f = float(self.value)
-        if f == 0.0:
-            raise DomainError("q underflows to 0.0 in double precision; "
-                              "use certified mode")
-        return f
+        """q as a double for FAST formulas that take log(q).  A q below the
+        smallest normal double rounds to 0.0 or to a subnormal with few
+        significant bits, an error no FAST pad counts."""
+        if self.value < sys.float_info.min:
+            raise DomainError("q underflows below the smallest normal double "
+                              "(2.2e-308); use certified mode")
+        return float(self.value)
 
 
 @dataclass(frozen=True)

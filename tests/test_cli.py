@@ -86,6 +86,13 @@ def test_eval_q_below_smallest_double_exit_2(capsys, fn, mode):
     assert "underflows" in err
 
 
+def test_eval_fast_psi_at_a_subnormal_q_exit_2(capsys):
+    code, out, err = run_cli(capsys, "eval", "--fn", "psi", "--q", "3e-320")
+    assert code == 2
+    assert out == ""
+    assert "underflows" in err
+
+
 def test_eval_certified_f_where_twice_its_scale_overflows(capsys):
     # (1-q)/q fits in a double at q = 1e-308, twice it does not
     code, _, err = run_cli(capsys, "eval", "--fn", "F", "--q", "1e-308", "--mode", "certified")

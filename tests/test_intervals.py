@@ -99,6 +99,14 @@ def test_gamma_digits_cross_check():
     assert len(GAMMA_DIGITS.split(".")[1]) >= 50
 
 
+def test_gamma_enclosure_is_tight_at_the_default_precision():
+    """The stored digits bracket gamma far inside 1e-37 at the working
+    precision; rounding the bracket at 53 bits would widen it to 3.3e-16."""
+    with interval_precision(53):
+        gamma = gamma_enclosure()
+    assert float(gamma.width_upper()) < 1e-37
+
+
 def test_width_upper_bounds_true_width():
     with interval_precision(64):
         enc = Enclosure(1) / 7

@@ -214,6 +214,24 @@ def test_merca_partition_product_identity_n60():
     assert lhs == rhs
 
 
+def test_partition_part_count_sum_product_identity_n300():
+    """s_odd + s_even counts the parts of every partition into distinct
+    parts; its generating function is P'(1) for P(z) = prod_p (1 + z q^p),
+    that is prod_p (1 + q^p) * sum_p q^p / (1 + q^p)."""
+    from divisor_series.divisor_core import distinct_partition_stats
+
+    n = 300
+    product = TruncatedSeries.one(n)
+    weights = TruncatedSeries.zero(n)
+    for p in range(1, n + 1):
+        factor = TruncatedSeries.one(n) + TruncatedSeries.monomial(1, p, n)
+        product = product * factor
+        weights = weights + TruncatedSeries.monomial(1, p, n) * factor.reciprocal()
+    stats = distinct_partition_stats(n)
+    total = [odd + even for odd, even in zip(stats.s_odd, stats.s_even)]
+    assert (product * weights).coeffs == tuple(total)
+
+
 def test_uchimura_inner_sum_identity_n100():
     """sum k q^k/(q;q)_k equals T/(q;q)_inf coefficientwise up to 100."""
     n = 100

@@ -409,6 +409,15 @@ def test_fast_meets_certified_near_zero(q):
         assert evaluate(mode=Mode.FAST).value.intersects(evaluate(mode=Mode.CERTIFIED).value)
 
 
+@pytest.mark.parametrize("evaluate", [partial(eval_psi_q, x=Fraction(1, 2)), eval_H])
+def test_fast_rejects_a_subnormal_q(evaluate):
+    """A q below the smallest normal double keeps few significant bits as a
+    double (3e-320 is off by about 1e-5 relatively), an error no FAST pad
+    counts, so FAST refuses such a q and leaves it to certified mode."""
+    with pytest.raises(DomainError, match="underflows"):
+        evaluate("3e-320", eps=1e-12, mode=Mode.FAST)
+
+
 # -- bounds -------------------------------------------------------------------------
 
 
@@ -485,6 +494,15 @@ def test_landau_constant_both_routes():
     assert direct.contained_in(window_lo, window_hi)
     assert fib.intersects(direct)
     assert float(fib.width_upper()) < 1e-5
+
+
+def test_landau_fibonacci_is_tight_at_the_default_precision():
+    """The exact partial sum is rounded at no less than the working
+    precision, not at the 53 bits a caller has left set: the width is the
+    1.9e-25 tail bound, not a double's rounding."""
+    with interval_precision(53):
+        fib = landau_fibonacci(60)
+    assert float(fib.width_upper()) < 1e-24
 
 
 def test_landau_constant_from_t_on_an_interval_argument_is_tight():
