@@ -60,7 +60,10 @@ class BracketSearchError(ArithmeticError):
 
 
 class Mode(enum.Enum):
-    """Arithmetic mode: FAST is heuristic doubles, CERTIFIED carries proofs."""
+    """Arithmetic mode.  CERTIFIED carries proofs and meets the requested
+    width.  FAST promises no width and issues no certificate: T is a double
+    sum with a heuristic pad; psi_q, H and F run the certified bodies once at
+    53 bits, H and F on FAST T."""
 
     FAST = "fast"
     CERTIFIED = "certified"
@@ -566,16 +569,14 @@ def gamma_enclosure() -> Enclosure:
     return Enclosure.from_fraction_pair(Fraction(d, scale), Fraction(d + 1, scale))
 
 
-GAMMA_FLOAT = 0.5772156649015329
-
-
 # -- generic elementary functions ------------------------------------------
 #
 # Formula code in lemma_functions/special_eval is written once against these
-# helpers and runs in both modes: feed floats for FAST, ivmpf for CERTIFIED.
+# helpers: floats give the FAST lemma functions and the FAST T sum, ivmpf the
+# certified enclosures (FAST psi_q, H and F included, at 53 bits).
 # DoubleInterval runs the same formulas as the first pass of certified checks.
-# FixedInterval runs the certified T and psi_q partial sums, which need only
-# + - * / and so call none of these helpers.
+# FixedInterval runs the T and psi_q partial sums on intervals, which need
+# only + - * / and so call none of these helpers.
 
 
 def ln(x):

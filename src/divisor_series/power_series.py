@@ -103,12 +103,14 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Series b with self * b = 1 up to the order; needs c[0] != 0."""
+        """Series b with self * b = 1 up to the order; needs c[0] != 0.  A
+        constant term of 1 or -1 is its own inverse, so an integer series
+        keeps integer coefficients."""
         a = self.coeffs
         if a[0] == 0:
             raise DomainError("series with zero constant term has no reciprocal")
         n = self.order
-        inv0 = Fraction(1, a[0])
+        inv0 = a[0] if a[0] in (1, -1) else Fraction(1, a[0])
         support = [(j, c) for j, c in enumerate(a) if j > 0 and c]
         b = [inv0]
         for k in range(1, n + 1):

@@ -23,8 +23,9 @@ their ``ivmpf`` enclosures at a scale that keeps the working precision's
 significant bits of q, however small, and the sum returns to ``ivmpf``
 rounded outward.  The tail bound is certified by ``ivmpf`` evaluation, so
 the reported enclosure accounts for both rounding and truncation.  FAST mode
-sums native doubles and pads the result with the tail bound plus a heuristic
-10 ulp per operation; it issues no certificates.
+runs the same psi_q, H and F bodies once at ``FAST_PRECISION`` bits, with no
+promise on the width; only FAST T sums native doubles, padded with the tail
+bound plus a heuristic 10 ulp per operation.  FAST issues no certificates.
 """
 
 from __future__ import annotations
@@ -70,12 +71,14 @@ _NUMERIC_REPRESENTATIONS = (
     RepresentationId.CLAUSEN,
 )
 
-# rough operation counts per series term, for the FAST-mode ulp heuristic
+#: Interval precision of FAST psi_q, H and F: one pass, no width gate.
+FAST_PRECISION = 53
+
+# rough operation counts per series term, for the FAST T ulp heuristic
 _OPS_PER_TERM = {
     RepresentationId.DIVISOR: 3,
     RepresentationId.LAMBERT: 4,
     RepresentationId.CLAUSEN: 7,
-    PSI_FORMULA: 11,
 }
 
 
@@ -108,15 +111,6 @@ class QPoint:
         return f if Fraction(f) >= self.value else math.nextafter(f, 1.0)
 
     def __float__(self) -> float:
-        return float(self.value)
-
-    def fast_float(self) -> float:
-        """q as a double for FAST formulas that take log(q).  A q below the
-        smallest normal double rounds to 0.0 or to a subnormal with few
-        significant bits, an error no FAST pad counts."""
-        if self.value < sys.float_info.min:
-            raise DomainError("q underflows below the smallest normal double "
-                              "(2.2e-308); use certified mode")
         return float(self.value)
 
 
@@ -333,30 +327,8 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
     sum_target = max(eps / (4.0 * log_scale), 5e-323)
     terms = _choose_terms(lambda k: _psi_tail(q_hi, a_hi, k), sum_target)
 
-    if mode is Mode.FAST:
-        qf = qp.fast_float()
-        exponent = float(x_frac - 1)
-        try:
-            a = qf ** exponent
-        except OverflowError:
-            raise DomainError("q^(x-1) overflows in double precision; "
-                              "use certified mode") from None
-        s = _psi_partial_sum(qf, a, terms)
-        tail = _psi_tail(q_hi, a_hi, terms)
-        value = -math.log1p(-qf) + math.log(qf) * s
-        # Rounding x-1 to a double moves a by log(1/q) times that error
-        # relatively, and a^k by k times as much: large where q is tiny.
-        a_err = terms * log_scale * abs(float(x_frac - 1 - Fraction(exponent)))
-        # 10 ulp of the value cover rounding q to qf and the last two steps,
-        # which dominate where the sum is far below -log(1-q) (q near 0, x > 1)
-        err = (log_scale * (tail + a_err * abs(s)
-                            + 10.0 * _OPS_PER_TERM[PSI_FORMULA] * terms * float_ulp(s))
-               + 10.0 * float_ulp(value))
-        return EvalReport(
-            Enclosure(value - err, value + err), PSI_FORMULA, terms, tail, Mode.FAST
-        )
-
-    for prec in precision_ladder(_bits_for_eps(eps)):
+    fast = mode is Mode.FAST
+    for prec in precision_ladder(FAST_PRECISION if fast else _bits_for_eps(eps)):
         with interval_precision(prec):
             q_iv = qp.to_ivmpf()
             if x_frac.denominator == 1:
@@ -372,8 +344,8 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
             tail_hi = Enclosure(_psi_tail(q_iv, a, terms)).hi
             sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
             value = Enclosure(_minus_log1m(qp)) + Enclosure(iv.log(q_iv)) * sum_enc
-        if float(value.width_upper()) <= eps:
-            return EvalReport(value, PSI_FORMULA, terms, _float_up(tail_hi), Mode.CERTIFIED)
+        if fast or float(value.width_upper()) <= eps:
+            return EvalReport(value, PSI_FORMULA, terms, _float_up(tail_hi), mode)
     raise PrecisionError(f"cannot reach width {eps} for psi_q at q={float(qp)}")
 
 
@@ -412,22 +384,12 @@ def eval_H(
 ) -> EvalReport:
     """H(q) = T(q) - log(1-q)/log(q)."""
     qp = QPoint.coerce(q)
-    if mode is Mode.FAST:
-        t = eval_T(qp, eps, representation, Mode.FAST)
-        qf = qp.fast_float()
-        base = math.log1p(-qf) / math.log(qf)
-        lo, hi = t.value.to_floats()
-        pad = 40.0 * float_ulp(base)
-        return EvalReport(
-            Enclosure(lo - base - pad, hi - base + pad),
-            representation, t.terms_used, t.tail_bound, Mode.FAST,
-        )
-    t = eval_T(qp, eps / 2.0, representation, Mode.CERTIFIED)
-    with interval_precision(_bits_for_eps(eps)):
+    t = eval_T(qp, eps / 2.0, representation, mode)
+    with interval_precision(FAST_PRECISION if mode is Mode.FAST else _bits_for_eps(eps)):
         value = t.value - _log_ratio_enclosure(qp)
-    if float(value.width_upper()) > eps:
+    if mode is Mode.CERTIFIED and float(value.width_upper()) > eps:
         raise PrecisionError(f"H enclosure wider than eps={eps}")
-    return EvalReport(value, representation, t.terms_used, t.tail_bound, Mode.CERTIFIED)
+    return EvalReport(value, representation, t.terms_used, t.tail_bound, mode)
 
 
 def eval_F(
@@ -443,20 +405,12 @@ def eval_F(
         raise DomainError("q underflows in double precision: (1-q)/q exceeds the "
                           "largest double")
     # halve eps before dividing: 2 * scale overflows for q just above the guard
-    eps_h = eps / 2.0 / float(scale) if mode is Mode.CERTIFIED else eps
-    h = eval_H(qp, eps_h, representation, mode)
-    if mode is Mode.FAST:
-        lo, hi = h.value.to_floats()
-        s = float(scale)
-        return EvalReport(
-            Enclosure(min(lo * s, hi * s), max(lo * s, hi * s)),
-            representation, h.terms_used, h.tail_bound, Mode.FAST,
-        )
-    with interval_precision(_bits_for_eps(eps)):
+    h = eval_H(qp, eps / 2.0 / float(scale), representation, mode)
+    with interval_precision(FAST_PRECISION if mode is Mode.FAST else _bits_for_eps(eps)):
         value = h.value * to_ivmpf(scale)
-    if float(value.width_upper()) > eps:
+    if mode is Mode.CERTIFIED and float(value.width_upper()) > eps:
         raise PrecisionError(f"F enclosure wider than eps={eps}")
-    return EvalReport(value, representation, h.terms_used, h.tail_bound, Mode.CERTIFIED)
+    return EvalReport(value, representation, h.terms_used, h.tail_bound, mode)
 
 
 # -- double-inequality checkers ----------------------------------------------

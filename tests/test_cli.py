@@ -76,21 +76,32 @@ def test_eval_q_whose_double_is_one_exit_2(capsys):
     assert "inside (0, 1)" in err
 
 
-@pytest.mark.parametrize("fn, mode", [
-    ("psi", "fast"), ("H", "fast"), ("F", "fast"), ("F", "certified"),
-])
+@pytest.mark.parametrize("fn, mode", [("F", "fast"), ("F", "certified")])
 def test_eval_q_below_smallest_double_exit_2(capsys, fn, mode):
+    """(1-q)/q exceeds the largest double, in either mode."""
     code, out, err = run_cli(capsys, "eval", "--fn", fn, "--q", "1e-400", "--mode", mode)
     assert code == 2
     assert out == ""
     assert "underflows" in err
 
 
-def test_eval_fast_psi_at_a_subnormal_q_exit_2(capsys):
-    code, out, err = run_cli(capsys, "eval", "--fn", "psi", "--q", "3e-320")
-    assert code == 2
-    assert out == ""
-    assert "underflows" in err
+def _fast_meets_certified(capsys, *argv):
+    code, out, _ = run_cli(capsys, "eval", *argv)
+    assert code == 0
+    fast = json.loads(out)
+    code, out, _ = run_cli(capsys, "eval", *argv, "--mode", "certified")
+    certified = json.loads(out)
+    assert fast["mode"] == "fast"
+    assert fast["lo"] <= certified["hi"] and certified["lo"] <= fast["hi"]
+
+
+@pytest.mark.parametrize("fn", ["psi", "H"])
+def test_eval_fast_q_below_smallest_double_exit_0(capsys, fn):
+    _fast_meets_certified(capsys, "--fn", fn, "--q", "1e-400")
+
+
+def test_eval_fast_psi_at_a_subnormal_q_exit_0(capsys):
+    _fast_meets_certified(capsys, "--fn", "psi", "--q", "3e-320")
 
 
 def test_eval_certified_f_where_twice_its_scale_overflows(capsys):

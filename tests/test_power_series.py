@@ -94,6 +94,16 @@ def test_reciprocal_of_integer_series_stays_exact():
     assert not any(isinstance(c, float) for c in partitions.coeffs)
 
 
+def test_reciprocal_with_unit_constant_term_keeps_int_coefficients():
+    """1/(1 + q) = 1 - q + q^2 and 1/(-1 + 2q + 3q^2) = -1 - 2q - 7q^2 stay in
+    int arithmetic, not Fraction."""
+    for series, expected in [(TruncatedSeries([1, 1, 0]), (1, -1, 1)),
+                             (TruncatedSeries([-1, 2, 3]), (-1, -2, -7))]:
+        recip = series.reciprocal()
+        assert recip.coeffs == expected
+        assert all(type(c) is int for c in recip.coeffs)
+
+
 def test_reciprocal_euler_function_gives_partition_numbers():
     n = 20
     recip = q_pochhammer(None, n).reciprocal()

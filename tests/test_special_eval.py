@@ -333,19 +333,22 @@ def test_psi_term_count_grows_like_a_square_root(q, eps):
 @pytest.mark.parametrize("x", [Fraction(1, 5), Fraction(1, 2), Fraction(3, 2), Fraction(2),
                                Fraction(7, 3)], ids=str)
 def test_fast_psi_contains_certified_midpoint(q, x):
-    """FAST psi_q(x) pads for rounding q, x - 1 and every operation: at
-    q = 1e-300, rounding 1/5 - 1 to a double moves q^(x-1) by 3e-14."""
+    """FAST psi_q(x) runs the certified body at 53 bits, which lifts q and
+    x - 1 exactly: at q = 1e-300, rounding 1/5 - 1 to a double would move
+    q^(x-1) by 3e-14."""
     fast = eval_psi_q(q, x, 1e-12, Mode.FAST)
     certified = eval_psi_q(q, x, 1e-12)
     assert fast.value.contains(certified.value.midpoint())
 
 
 def test_psi_where_q_to_the_x_minus_1_overflows_a_double():
-    """At q = 5e-324, q^(x-1) exceeds the largest double for x = 1/100: FAST
-    refuses, certified still picks its term count and returns an enclosure."""
-    with pytest.raises(DomainError):
-        eval_psi_q("5e-324", Fraction(1, 100), mode=Mode.FAST)
-    assert eval_psi_q("5e-324", Fraction(1, 100)).value.width_upper() <= 1e-12
+    """At q = 5e-324, q^(x-1) exceeds the largest double for x = 1/100: both
+    modes still pick a term count and return an enclosure, and FAST meets
+    the certified one."""
+    certified = eval_psi_q("5e-324", Fraction(1, 100))
+    assert certified.value.width_upper() <= 1e-12
+    fast = eval_psi_q("5e-324", Fraction(1, 100), mode=Mode.FAST)
+    assert fast.mode is Mode.FAST and fast.value.intersects(certified.value)
 
 
 def test_psi_at_x_near_zero_climbs_the_precision_ladder():
@@ -410,12 +413,33 @@ def test_fast_meets_certified_near_zero(q):
 
 
 @pytest.mark.parametrize("evaluate", [partial(eval_psi_q, x=Fraction(1, 2)), eval_H])
-def test_fast_rejects_a_subnormal_q(evaluate):
+def test_fast_meets_certified_at_a_subnormal_q(evaluate):
     """A q below the smallest normal double keeps few significant bits as a
-    double (3e-320 is off by about 1e-5 relatively), an error no FAST pad
-    counts, so FAST refuses such a q and leaves it to certified mode."""
-    with pytest.raises(DomainError, match="underflows"):
-        evaluate("3e-320", eps=1e-12, mode=Mode.FAST)
+    double (3e-320 is off by about 1e-5 relatively); FAST psi and H lift the
+    exact q into 53-bit intervals, whose exponent does not underflow."""
+    fast = evaluate("3e-320", eps=1e-12, mode=Mode.FAST)
+    assert fast.value.intersects(evaluate("3e-320", eps=1e-12, mode=Mode.CERTIFIED).value)
+
+
+def test_fast_meets_certified_from_subnormal_q_to_near_one():
+    """On seeded q from 1e-320 to 0.999, and at 1e-400, FAST psi_q (five x),
+    H and F meet the certified enclosures.  Where certified F refuses
+    because (1-q)/q overflows a double, FAST F refuses too."""
+    rng = random.Random(23)
+    qs = [Fraction(1, 10**400), Fraction(1, 10**320), Fraction(999, 1000)]
+    qs += [Fraction(rng.randint(1, 999), 1000) / 10**rng.randint(0, 317) for _ in range(40)]
+    evaluators = [eval_H, eval_F] + [partial(eval_psi_q, x=x) for x in (
+        Fraction(1, 100), Fraction(1, 5), Fraction(1), Fraction(3, 2), Fraction(7, 3))]
+    for q in qs:
+        for evaluate in evaluators:
+            try:
+                certified = evaluate(q, eps=1e-12)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    evaluate(q, eps=1e-12, mode=Mode.FAST)
+                continue
+            fast = evaluate(q, eps=1e-12, mode=Mode.FAST)
+            assert fast.value.intersects(certified.value), (q, evaluate)
 
 
 # -- bounds -------------------------------------------------------------------------
