@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-start", type=_number_arg, default="0.01")
     p.add_argument("--grid-end", type=_number_arg, default="0.99")
     p.add_argument("--grid-step", type=_number_arg, default="0.01")
-    p.add_argument("--mode", type=_mode_arg, default=Mode.CERTIFIED)
     p.add_argument("--eps", type=float, default=None)
 
     p = sub.add_parser("verify", help="run a lemma verification and emit a certificate")
@@ -212,8 +211,7 @@ def _cmd_lemma_fn(args) -> int:
     return EXIT_OK
 
 
-def _scan_rows(theorem: TheoremId, start: Fraction, end: Fraction, step: Fraction,
-               mode: Mode, eps):
+def _scan_rows(theorem: TheoremId, start: Fraction, end: Fraction, step: Fraction, eps):
     """One row per grid point start, start + step, ... <= end; C3_3 checks
     each pair of neighbouring points and has a row per pair."""
     if step <= 0:
@@ -232,7 +230,7 @@ def _scan_rows(theorem: TheoremId, start: Fraction, end: Fraction, step: Fractio
         checks = ((q, {"q": q}) for q in points)
     rows = []
     for q, check in checks:
-        result = check_bounds(theorem, mode=mode, eps=eps, **check)
+        result = check_bounds(theorem, eps=eps, **check)
         lhs, mid, rhs = result.lhs.to_floats(), result.mid.to_floats(), result.rhs.to_floats()
         rows.append((float(q), *lhs, *mid, *rhs, result.status.value))
     return rows
@@ -247,7 +245,7 @@ def _scan_csv(rows) -> str:
 def _cmd_bounds_scan(args) -> int:
     theorem = TheoremId(args.theorem)
     rows = _scan_rows(theorem, Fraction(args.grid_start), Fraction(args.grid_end),
-                      Fraction(args.grid_step), args.mode, args.eps)
+                      Fraction(args.grid_step), args.eps)
     print(_scan_csv(rows))
     all_pass = all(row[-1] == BoundsStatus.PASS.value for row in rows)
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
@@ -305,7 +303,7 @@ def _cmd_report(args) -> int:
         csv_blocks = []
         for theorem in TheoremId:
             rows = _scan_rows(theorem, Fraction(1, 100), Fraction(99, 100),
-                              Fraction(1, 100), Mode.CERTIFIED, None)
+                              Fraction(1, 100), None)
             ok = all(row[-1] == BoundsStatus.PASS.value for row in rows)
             bounds_section[theorem.value] = {"points": len(rows), "all_strict": ok}
             overall_ok &= ok

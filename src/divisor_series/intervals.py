@@ -60,10 +60,11 @@ class BracketSearchError(ArithmeticError):
 
 
 class Mode(enum.Enum):
-    """Arithmetic mode.  CERTIFIED carries proofs and meets the requested
-    width.  FAST promises no width and issues no certificate: T is a double
-    sum with a heuristic pad; psi_q, H and F run the certified bodies once at
-    53 bits, H and F on FAST T."""
+    """Arithmetic mode of the evaluators and lemma functions.  CERTIFIED
+    carries proofs and meets the requested width.  FAST promises no width
+    and issues no certificate or verdict: T is a double sum with a heuristic
+    pad; psi_q, H and F run the certified bodies once at 53 bits, H and F on
+    FAST T.  Lemma verification and the bound checks are certified only."""
 
     FAST = "fast"
     CERTIFIED = "certified"
@@ -620,7 +621,3 @@ def powr(base, exponent):
     if isinstance(base, DoubleInterval):
         return (base.log() * exponent).exp()
     return math.exp(exponent * math.log(base))
-
-
-def float_ulp(x: float) -> float:
-    return math.ulp(abs(x)) if x else math.ulp(1.0)

@@ -25,7 +25,9 @@ rounded outward.  The tail bound is certified by ``ivmpf`` evaluation, so
 the reported enclosure accounts for both rounding and truncation.  FAST mode
 runs the same psi_q, H and F bodies once at ``FAST_PRECISION`` bits, with no
 promise on the width; only FAST T sums native doubles, padded with the tail
-bound plus a heuristic 10 ulp per operation.  FAST issues no certificates.
+bound (evaluated on a ``DoubleInterval`` around q) plus a heuristic 10 ulp
+per operation.  FAST issues no certificates, and the bound checks at the end
+of this module are certified only.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from mpmath import iv
@@ -43,6 +46,7 @@ from mpmath.ctx_iv import ivmpf
 from .divisor_core import divisor_sieve
 from .intervals import (
     DomainError,
+    DoubleInterval,
     Enclosure,
     FixedInterval,
     MAX_PRECISION,
@@ -56,7 +60,6 @@ from .intervals import (
     to_ivmpf,
     working_precision,
     _float_up,
-    float_ulp,
 )
 from .power_series import RepresentationId
 
@@ -131,7 +134,8 @@ def _check_below_one(*values) -> None:
     whose double rounds to 1.0 has no finite tail bound.  0 itself is kept,
     where a power q^x underflows."""
     for v in values:
-        if not 0 <= v < 1:
+        lo, hi = (v.lo, v.hi) if isinstance(v, DoubleInterval) else (v, v)
+        if not (0 <= lo and hi < 1):
             raise DomainError("series argument must lie inside (0, 1) at working precision")
 
 
@@ -297,8 +301,9 @@ def _eval_t_fast(qp: QPoint, eps: float, representation: RepresentationId) -> Ev
     )
     table = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
     s = _t_partial_sum(q, representation, terms, table)
-    tail = _t_tail(qp.float_up(), representation, terms)
-    err = tail + 10.0 * _OPS_PER_TERM[representation] * terms * float_ulp(s)
+    # on intervals, a q^(K+1) that underflows still leaves a positive bound
+    tail = _t_tail(DoubleInterval.lift(qp.value), representation, terms).hi
+    err = tail + 10.0 * _OPS_PER_TERM[representation] * terms * math.ulp(s)
     return EvalReport(
         Enclosure(s - err, s + err), representation, terms, tail, Mode.FAST
     )
@@ -440,7 +445,7 @@ class BoundsCheck:
     rhs: Enclosure
     status: BoundsStatus
     strict_ok: bool
-    mode: Mode
+    mode: Mode = Mode.CERTIFIED  # the checks are certified only
 
 
 def _decide(lhs: Enclosure, mid: Enclosure, rhs: Enclosure) -> BoundsStatus:
@@ -452,63 +457,38 @@ def _decide(lhs: Enclosure, mid: Enclosure, rhs: Enclosure) -> BoundsStatus:
     return BoundsStatus.INDETERMINATE
 
 
-def _bounds_triple(theorem: TheoremId, qp: QPoint, eps: float, mode: Mode):
-    q = qp.value
-    gamma = gamma_enclosure()
+#: The one-point theorems as affine images of T, from the point q and
+#: b = log(1-q)/log(q): each checks scale*T(q) + shift.  Theorems 4.2-4.4
+#: are Theorem 4.1's gamma r + b < T < r + b, r = q/(1-q), mapped by the same
+#: (scale, shift); Salem's 1.3 is 0 < 1 - (1-q)/(q log q) psi_q(1) < 1/2 with
+#: psi_q(1) = -log(1-q) + log(q) T(q).
+_AFFINE_IN_T = {
+    TheoremId.T4_1: lambda qp, b: (1, 0),
+    TheoremId.T4_2: lambda qp, b: ((1 - qp.value) / qp.value, -1),
+    TheoremId.T4_3: lambda qp, b: (1 / (1 - qp.value), 0),
+    TheoremId.T4_4: lambda qp, b: (_minus_log1m(qp), 0),
+    TheoremId.SALEM_1_3: lambda qp, b: (-(1 - qp.value) / qp.value,
+                                        b * ((1 - qp.value) / qp.value) + 1),
+}
+
+
+def _bounds_triple(theorem: TheoremId, qp: QPoint, eps: float):
     with interval_precision(_bits_for_eps(eps)):
-        q_iv = qp.to_ivmpf()
-        log_q = Enclosure(iv.log(q_iv))
-        log_1mq = Enclosure(-_minus_log1m(qp))
-
+        b = _log_ratio_enclosure(qp)
+        scale, shift = (Enclosure(v) for v in _AFFINE_IN_T[theorem](qp, b))
+        # in mpf, since a scale of -log(1-q) underflows a double at q = 1e-400
+        t = eval_T(qp, float(eps / (2 * abs(scale.hi))))
+        mid = t.value * scale + shift
         if theorem is TheoremId.SALEM_1_3:
-            factor = Enclosure(to_ivmpf((1 - q) / q)) / log_q
-            eps_psi = eps / (2.0 * abs(float((1 - q) / q) / math.log(float(q))))
-            psi = eval_psi_q(qp, 1, eps_psi, mode)
-            mid = 1 - factor * psi.value
             return Enclosure(0), mid, Enclosure(Fraction(1, 2))
-
-        if theorem is TheoremId.T4_1:
-            base = log_1mq / log_q
-            ratio = Fraction(q, 1 - q)
-            t = eval_T(qp, eps / 2.0, RepresentationId.CLAUSEN, mode)
-            lhs = gamma * to_ivmpf(ratio) + base
-            rhs = Enclosure(to_ivmpf(ratio)) + base
-            return lhs, t.value, rhs
-
-        if theorem is TheoremId.T4_2:
-            base = Enclosure(to_ivmpf((1 - q) / q)) * log_1mq / log_q
-            scale = Fraction(1 - q, q)
-            t = eval_T(qp, eps * float(q / (1 - q)) / 2.0, RepresentationId.CLAUSEN, mode)
-            mid = t.value * to_ivmpf(scale) - 1
-            return (gamma - 1) + base, mid, base
-
-        if theorem is TheoremId.T4_3:
-            base = log_1mq / (Enclosure(to_ivmpf(Fraction(1 - q))) * log_q)
-            ratio = Fraction(q, (1 - q) ** 2)
-            t = eval_T(qp, eps * float(1 - q) / 2.0, RepresentationId.CLAUSEN, mode)
-            mid = t.value / to_ivmpf(Fraction(1 - q))
-            lhs = gamma * to_ivmpf(ratio) + base
-            rhs = Enclosure(to_ivmpf(ratio)) + base
-            return lhs, mid, rhs
-
-        if theorem is TheoremId.T4_4:
-            term = Enclosure(to_ivmpf(Fraction(q, 1 - q))) * log_1mq  # negative
-            base = -(log_1mq * log_1mq) / log_q
-            eps_t = eps / (2.0 * abs(math.log(1 - float(q))))
-            t = eval_T(qp, eps_t, RepresentationId.CLAUSEN, mode)
-            mid = -log_1mq * t.value
-            lhs = -gamma * term + base
-            rhs = -term + base
-            return lhs, mid, rhs
-
-    raise ValueError(f"{theorem} requires a pair argument")
+        r = Enclosure(Fraction(qp.value, 1 - qp.value))
+        return (gamma_enclosure() * r + b) * scale + shift, mid, (b + r) * scale + shift
 
 
 def check_bounds(
     theorem: TheoremId,
     q=None,
     pair: Optional[tuple] = None,
-    mode: Mode = Mode.CERTIFIED,
     eps: Optional[float] = None,
 ) -> BoundsCheck:
     """Evaluate the three expressions of the chosen double inequality.
@@ -518,8 +498,6 @@ def check_bounds(
     INDETERMINATE, never a pass; with eps unset the check retries at
     decreasing widths before giving up.
     """
-    eps_schedule = [eps] if eps is not None else [1e-8, 1e-12, 1e-16, 1e-20]
-
     if theorem is TheoremId.C3_3:
         if pair is None:
             raise DomainError("C3_3 takes a pair (r, s) with r < s")
@@ -530,30 +508,28 @@ def check_bounds(
         lhs_exact = Fraction(rp.value * (1 - sp.value), sp.value * (1 - rp.value))
         h_r_est = float(eval_H(rp, 1e-6, mode=Mode.FAST).value.midpoint())
         h_s_est = float(eval_H(sp, 1e-6, mode=Mode.FAST).value.midpoint())
-        for e in eps_schedule:
+
+        def triple(e):
             w_r = e * h_s_est / 4.0
             w_s = e * h_s_est**2 / max(h_r_est, 1e-300) / 4.0
-            h_r = eval_H(rp, w_r, mode=mode)
-            h_s = eval_H(sp, w_s, mode=mode)
+            h_r = eval_H(rp, w_r)
+            h_s = eval_H(sp, w_s)
             with interval_precision(_bits_for_eps(e)):
                 mid = h_r.value / h_s.value
-            lhs, rhs = Enclosure(lhs_exact), Enclosure(1)
-            status = _decide(lhs, mid, rhs)
-            if status is not BoundsStatus.INDETERMINATE:
-                break
-        return BoundsCheck(theorem, argument, lhs, mid, rhs,
-                           status, status is BoundsStatus.PASS, mode)
+            return Enclosure(lhs_exact), mid, Enclosure(1)
+    else:
+        if q is None:
+            raise DomainError(f"{theorem} takes a point q")
+        qp = QPoint.coerce(q)
+        argument = (float(qp),)
+        triple = partial(_bounds_triple, theorem, qp)
 
-    if q is None:
-        raise DomainError(f"{theorem} takes a point q")
-    qp = QPoint.coerce(q)
-    for e in eps_schedule:
-        lhs, mid, rhs = _bounds_triple(theorem, qp, e, mode)
+    for e in [eps] if eps is not None else [1e-8, 1e-12, 1e-16, 1e-20]:
+        lhs, mid, rhs = triple(e)
         status = _decide(lhs, mid, rhs)
         if status is not BoundsStatus.INDETERMINATE:
             break
-    return BoundsCheck(theorem, (float(qp),), lhs, mid, rhs,
-                       status, status is BoundsStatus.PASS, mode)
+    return BoundsCheck(theorem, argument, lhs, mid, rhs, status, status is BoundsStatus.PASS)
 
 
 # -- Landau's Fibonacci series ------------------------------------------------

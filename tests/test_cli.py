@@ -169,6 +169,16 @@ def test_bounds_scan_csv(capsys):
     assert all(line.endswith("PASS") for line in lines[1:])
 
 
+@pytest.mark.parametrize("theorem", ["T4_1", "T4_2", "T4_3", "T4_4", "C3_3"])
+def test_bounds_scan_matches_golden(capsys, theorem):
+    """The default grid (0.01 .. 0.99, step 0.01): stdout is byte-identical
+    to the golden CSV."""
+    code, out, _ = run_cli(capsys, "bounds-scan", "--theorem", theorem)
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "bounds-scan" / f"{theorem}.csv"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def _sandwich_cells(err: str) -> dict:
     lines = [line for line in err.splitlines() if line.startswith("sandwich_cells: ")]
     assert len(lines) == 1
@@ -213,6 +223,13 @@ def test_report_without_verify_matches_its_golden_stdout(capsys):
 def test_verify_has_no_fast_mode(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--lemma", "2.5", "--mode", "fast"])
+    assert exc.value.code == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+def test_bounds_scan_has_no_fast_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds-scan", "--theorem", "T4_1", "--mode", "fast"])
     assert exc.value.code == 2
     assert "--mode" in capsys.readouterr().err
 

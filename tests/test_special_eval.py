@@ -93,6 +93,16 @@ def test_t_fast_mode_contains_certified():
     assert fast.value.intersects(certified.value)
 
 
+@pytest.mark.parametrize("rep", NUMERIC_REPS)
+@pytest.mark.parametrize("q", ["1e-200", "3e-320", "1e-400"])
+def test_fast_t_tail_bound_stays_positive_where_q_powers_underflow(q, rep):
+    """q^(K+1) underflows a double here; the FAST tail bound is evaluated on
+    a double interval around q, so it stays above the true tail (> 0)."""
+    fast = eval_T(q, 1e-12, rep, Mode.FAST)
+    assert fast.tail_bound > 0
+    assert fast.value.intersects(eval_T(q, 1e-12, rep).value)
+
+
 def test_t_rejects_bad_inputs():
     with pytest.raises(DomainError):
         eval_T(0.5, -1e-3)
@@ -467,6 +477,33 @@ def test_salem_bounds_spot():
     for q in ("0.05", "0.5", "0.95"):
         res = check_bounds(TheoremId.SALEM_1_3, q=q)
         assert res.strict_ok
+
+
+def test_salem_meets_the_psi_route():
+    """check_bounds takes Salem's middle term from T; psi_q(1), computed here
+    on the default bounds-scan grid and at 0.9999, is an independent witness
+    of 1 - (1-q)/(q log q) psi_q(1)."""
+    for q in [Fraction(k, 100) for k in range(1, 100)] + [Fraction(9999, 10000)]:
+        res = check_bounds(TheoremId.SALEM_1_3, q=q)
+        assert res.status is BoundsStatus.PASS, q
+        psi = eval_psi_q(q, 1, 1e-20)
+        with interval_precision(128):
+            factor = Enclosure((1 - q) / q) / Enclosure(iv.log(to_ivmpf(q)))
+            oracle = 1 - factor * psi.value
+        assert res.mid.intersects(oracle), q
+
+
+@pytest.mark.parametrize("theorem", [t for t in TheoremId if t is not TheoremId.C3_3])
+@pytest.mark.parametrize("q", ["1e-20", "1e-100"])
+def test_one_point_theorems_where_log_of_one_minus_q_rounds_to_zero(theorem, q):
+    """-log(1-q) is below a double's resolution around 1 here; the checks
+    take it from its interval enclosure and still separate."""
+    assert check_bounds(theorem, q=q).status is BoundsStatus.PASS
+
+
+def test_t44_where_its_scale_underflows_a_double():
+    """T4_4's scale -log(1-q) is about 1e-400, below the smallest double."""
+    assert check_bounds(TheoremId.T4_4, q="1e-400").status is BoundsStatus.PASS
 
 
 def test_c33_example():
