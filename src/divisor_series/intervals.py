@@ -27,6 +27,8 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
+from math import inf, nextafter
 from typing import Iterator, Union
 
 from mpmath import iv, libmp, mp
@@ -288,26 +290,17 @@ def _ceil_float(m) -> float:
     return math.nextafter(f, math.inf) if libmp.mpf_lt(libmp.from_float(f), m) else f
 
 
-def _outward(lo: float, hi: float) -> "DoubleInterval":
-    """[lo, hi] from round-to-nearest endpoints, each moved one double
-    outward; a NaN endpoint gives the whole line."""
-    lo = math.nextafter(lo, -math.inf)
-    hi = math.nextafter(hi, math.inf)
-    if lo <= hi:
-        return DoubleInterval(lo, hi)
-    return DoubleInterval(-math.inf, math.inf)
-
-
 class DoubleInterval:
     """A closed interval [lo, hi] of doubles certified to contain a real value.
 
     The cheap first pass of certified sandwich checks (Rump, "Verification
     methods", Acta Numerica 19, 2010).  IEEE ``+ - * /`` round to nearest,
-    which is off by at most half a unit in the last place, so moving each
-    endpoint one double outward (``math.nextafter``) keeps the exact result
-    inside.  Integer powers are repeated products.  ``log`` and ``exp`` take
-    mpmath's directed rounding at 53 bits, since libm promises no rounding
-    direction.
+    off by at most half a unit in the last place, so each operation takes
+    its ends from a sign table and moves each one double outward
+    (``math.nextafter``) in one step.  An int of magnitude <= 2^53 enters as
+    itself, which IEEE arithmetic takes exactly; any other scalar is lifted.
+    Integer powers are repeated products.  ``log`` and ``exp`` take mpmath's
+    directed rounding at 53 bits, since libm promises no rounding direction.
 
     Endpoints satisfy lo <= hi, lo < +inf and hi > -inf and are never NaN.
     An operation without a bounded result (a divisor containing 0, inf * 0,
@@ -342,57 +335,90 @@ class DoubleInterval:
         return cls(f, f)
 
     def __add__(self, other):
-        o = other if other.__class__ is DoubleInterval else DoubleInterval.lift(other)
-        return _outward(self.lo + o.lo, self.hi + o.hi)
+        if other.__class__ is DoubleInterval:
+            lo, hi = self.lo + other.lo, self.hi + other.hi
+        elif other.__class__ is int and -2**53 <= other <= 2**53:
+            lo, hi = self.lo + other, self.hi + other
+        else:
+            return self + DoubleInterval.lift(other)
+        lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
+        return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = other if other.__class__ is DoubleInterval else DoubleInterval.lift(other)
-        return _outward(self.lo - o.hi, self.hi - o.lo)
+        if other.__class__ is DoubleInterval:
+            lo, hi = self.lo - other.hi, self.hi - other.lo
+        elif other.__class__ is int and -2**53 <= other <= 2**53:
+            lo, hi = self.lo - other, self.hi - other
+        else:
+            return self - DoubleInterval.lift(other)
+        lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
+        return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
 
     def __rsub__(self, other):
-        return DoubleInterval.lift(other) - self
+        if other.__class__ is not int or not -2**53 <= other <= 2**53:
+            return DoubleInterval.lift(other) - self
+        lo, hi = nextafter(other - self.hi, -inf), nextafter(other - self.lo, inf)
+        return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
 
     def __mul__(self, other):
-        o = other if other.__class__ is DoubleInterval else DoubleInterval.lift(other)
-        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if other.__class__ is DoubleInterval:
+            a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        elif other.__class__ is int and -2**53 <= other <= 2**53:
+            a, b, c, d = self.lo, self.hi, other, other
+        else:
+            return self * DoubleInterval.lift(other)
         if a >= 0:
             if c >= 0:
-                return _outward(a * c, b * d)
-            if d <= 0:
-                return _outward(b * c, a * d)
-            return _outward(b * c, b * d)
-        if b <= 0:
+                lo, hi = a * c, b * d
+            elif d <= 0:
+                lo, hi = b * c, a * d
+            else:
+                lo, hi = b * c, b * d
+        elif b <= 0:
             if c >= 0:
-                return _outward(a * d, b * c)
-            if d <= 0:
-                return _outward(b * d, a * c)
-            return _outward(a * d, a * c)
-        if c >= 0:
-            return _outward(a * d, b * d)
-        if d <= 0:
-            return _outward(b * c, a * c)
-        return _outward(min(a * d, b * c), max(a * c, b * d))
+                lo, hi = a * d, b * c
+            elif d <= 0:
+                lo, hi = b * d, a * c
+            else:
+                lo, hi = a * d, a * c
+        elif c >= 0:
+            lo, hi = a * d, b * d
+        elif d <= 0:
+            lo, hi = b * c, a * c
+        else:
+            lo, hi = min(a * d, b * c), max(a * c, b * d)
+        lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
+        return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if other.__class__ is DoubleInterval else DoubleInterval.lift(other)
-        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if other.__class__ is DoubleInterval:
+            a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        elif other.__class__ is int and -2**53 <= other <= 2**53:
+            a, b, c, d = self.lo, self.hi, other, other
+        else:
+            return self / DoubleInterval.lift(other)
         if c > 0:
             if a >= 0:
-                return _outward(a / d, b / c)
-            if b <= 0:
-                return _outward(a / c, b / d)
-            return _outward(a / c, b / c)
-        if d < 0:
+                lo, hi = a / d, b / c
+            elif b <= 0:
+                lo, hi = a / c, b / d
+            else:
+                lo, hi = a / c, b / c
+        elif d < 0:
             if a >= 0:
-                return _outward(b / d, a / c)
-            if b <= 0:
-                return _outward(b / c, a / d)
-            return _outward(b / d, a / d)
-        return DoubleInterval(-math.inf, math.inf)
+                lo, hi = b / d, a / c
+            elif b <= 0:
+                lo, hi = b / c, a / d
+            else:
+                lo, hi = b / d, a / d
+        else:
+            return DoubleInterval(-inf, inf)
+        lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
+        return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
 
     def __rtruediv__(self, other):
         return DoubleInterval.lift(other) / self
@@ -400,6 +426,8 @@ class DoubleInterval:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
+        if exponent == 2:
+            return self * self
         if exponent < 0:
             return 1 / self ** -exponent
         result, base = None, self
@@ -559,15 +587,22 @@ class FixedInterval:
 
 
 def gamma_enclosure() -> Enclosure:
-    """Enclosure of Euler's constant from the stored decimal digits.
+    """Enclosure of Euler's constant from the stored decimal digits, at no
+    less than the working precision; built once per precision.
 
     The digits are a truncation, so the true value lies strictly between
     digits/10^k and (digits+1)/10^k.
     """
+    return _gamma_at(max(iv.prec, working_precision()))
+
+
+@lru_cache(maxsize=None)
+def _gamma_at(bits: int) -> Enclosure:
     digits = GAMMA_DIGITS.replace("0.", "", 1)
     scale = 10 ** len(digits)
     d = int(digits)
-    return Enclosure.from_fraction_pair(Fraction(d, scale), Fraction(d + 1, scale))
+    with interval_precision(bits):
+        return Enclosure(Fraction(d, scale), Fraction(d + 1, scale))
 
 
 # -- generic elementary functions ------------------------------------------

@@ -80,10 +80,11 @@ def b_raw(q, x):
     return -lq / (1 - q) * (x * (1 - q) * (1 + qx) + qx) + qx - 2
 
 
-def phi_antiderivative_raw(q, x):
-    """Phi_q with Phi' = phi, Phi_q(1) = -A_q, Phi_q(x) -> 0 as x -> inf."""
+def phi_antiderivative_raw(q, x, lq=None):
+    """Phi_q with Phi' = phi, Phi_q(1) = -A_q, Phi_q(x) -> 0 as x -> inf.
+    A difference of antiderivatives passes lq = ln(q), taken once."""
     qx = powr(q, x)
-    lq = ln(q)
+    lq = ln(q) if lq is None else lq
     num = (q * qx - (1 + lq) * qx + 1 - q + lq) * ln(1 - qx) + x * qx * (1 - q) * lq
     return num / ((1 - qx) * lq ** 2)
 
@@ -178,7 +179,8 @@ def phi_integer_sum_raw(q, k_max: int, half_last: bool = False):
 
 def w1_raw(q):
     """W1(q) = integral of phi over [1, 40] as an antiderivative difference."""
-    return phi_antiderivative_raw(q, 40) - phi_antiderivative_raw(q, 1)
+    lq = ln(q)
+    return phi_antiderivative_raw(q, 40, lq) - phi_antiderivative_raw(q, 1, lq)
 
 
 def w2_raw(q):
@@ -193,7 +195,8 @@ def w2_raw(q):
 
 def j1_raw(q):
     """J1(q) = integral of phi over [1, 11] minus 0.036."""
-    integral = phi_antiderivative_raw(q, 11) - phi_antiderivative_raw(q, 1)
+    lq = ln(q)
+    integral = phi_antiderivative_raw(q, 11, lq) - phi_antiderivative_raw(q, 1, lq)
     return integral - const(Fraction(36, 1000), q)
 
 
@@ -284,7 +287,8 @@ def correction_sums(q, n: int, mode: Mode = Mode.FAST) -> CorrectionSums:
 
     def compute(qv):
         phis = [phi_raw(qv, j) for j in range(1, n + 2)]
-        caps = [phi_antiderivative_raw(qv, j) for j in range(1, n + 2)]
+        lq = ln(qv)
+        caps = [phi_antiderivative_raw(qv, j, lq) for j in range(1, n + 2)]
         sigma, rho = [], []
         for j in range(1, n + 1):
             integral = caps[j] - caps[j - 1]

@@ -477,7 +477,10 @@ def _bounds_triple(theorem: TheoremId, qp: QPoint, eps: float):
         b = _log_ratio_enclosure(qp)
         scale, shift = (Enclosure(v) for v in _AFFINE_IN_T[theorem](qp, b))
         # in mpf, since a scale of -log(1-q) underflows a double at q = 1e-400
-        t = eval_T(qp, float(eps / (2 * abs(scale.hi))))
+        width = float(eps / (2 * abs(scale.hi)))
+        if not width > 0:
+            raise DomainError("q underflows in double precision: eps/(2|scale|) rounds to 0")
+        t = eval_T(qp, width)
         mid = t.value * scale + shift
         if theorem is TheoremId.SALEM_1_3:
             return Enclosure(0), mid, Enclosure(Fraction(1, 2))

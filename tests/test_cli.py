@@ -192,6 +192,11 @@ def test_verify_and_report_write_sandwich_cells_to_stderr(capsys):
         "2.9": {"doubles": 898, "working_precision": 2, "min_margin_rechecks": 1,
                 "runs": 789, "evaluations": 1588}}
     assert "sandwich_cells" not in out and "settled" not in out
+    code, _, err = run_cli(capsys, "verify", "--lemma", "2.4ii")
+    assert code == 0
+    assert _sandwich_cells(err) == {
+        "2.4ii": {"doubles": 7018, "working_precision": 0, "min_margin_rechecks": 1,
+                  "runs": 517, "evaluations": 1064}}
     _, _, err = run_cli(capsys, "verify", "--lemma", "2.5")
     assert _sandwich_cells(err) == {}
     _, _, err = run_cli(capsys, "report", "--order", "10", "--skip", "verify",
@@ -273,6 +278,15 @@ def test_bounds_scan_that_checks_nothing_is_a_usage_error(capsys, argv, message)
     for the pairs of C3_3), is rejected before the scan starts."""
     err = _usage_error(capsys, ["bounds-scan", "--theorem", "T4_1", *argv])
     assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("theorem", ["T4_2", "SALEM_1_3"])
+def test_bounds_scan_where_the_width_of_t_underflows_exits_2(capsys, theorem):
+    """(1-q)/q exceeds the largest double at q = 1e-400, so the width asked
+    of T rounds to 0; the error names the underflow, not eps."""
+    err = _usage_error(capsys, ["bounds-scan", "--theorem", theorem,
+                                "--grid-start", "1e-400", "--grid-end", "1e-400"])
+    assert "underflows" in err and "eps must be positive" not in err
 
 
 def test_bounds_scan_over_the_point_cap_is_a_usage_error(capsys):

@@ -107,6 +107,20 @@ def test_gamma_enclosure_is_tight_at_the_default_precision():
     assert float(gamma.width_upper()) < 1e-37
 
 
+@pytest.mark.parametrize("bits", [128, 1024])
+def test_gamma_enclosure_is_built_once_per_precision(bits):
+    """The cached enclosure has the endpoints of a fresh build from the
+    stored digits at the same precision."""
+    digits = GAMMA_DIGITS.split(".")[1]
+    d, scale = int(digits), 10 ** len(digits)
+    with interval_precision(bits):
+        cached = gamma_enclosure()
+        fresh = Enclosure.from_fraction_pair(Fraction(d, scale), Fraction(d + 1, scale))
+        assert gamma_enclosure() is cached
+    assert (cached.lo, cached.hi) == (fresh.lo, fresh.hi)
+    assert cached.contains(Fraction(d, scale)) and cached.contains(Fraction(d + 1, scale))
+
+
 def test_width_upper_bounds_true_width():
     with interval_precision(64):
         enc = Enclosure(1) / 7
@@ -230,6 +244,36 @@ def test_double_interval_unbounded_results_are_never_positive():
     assert not (nan + one).lo > 0 and not (nan * one).lo > 0
     assert not (one - one * DoubleInterval(math.nan, math.nan)).lo > 0
     assert not DoubleInterval(-1.0, 0.0).log().lo > 0
+
+
+def _bits(x: DoubleInterval) -> tuple[str, str]:
+    return x.lo.hex(), x.hi.hex()
+
+
+def test_double_interval_int_operands_give_the_lifted_doubles():
+    """An int operand, exact or lifted, gives the same endpoints as its
+    DoubleInterval.lift on every side of + - * /; x ** 2 is x * x."""
+    rng = random.Random(15)
+    inf = math.inf
+    xs = [DoubleInterval(-inf, inf), DoubleInterval(0.0, 0.0), DoubleInterval(-0.0, 0.0),
+          DoubleInterval(0.0, inf), DoubleInterval(-inf, 0.0), DoubleInterval(-1.5, 2.5),
+          DoubleInterval(-inf, -3.0), DoubleInterval(2.0, inf), DoubleInterval(-1e-300, 1e-300),
+          DoubleInterval(1e308, inf), DoubleInterval(5e-324, 1e-323)]
+    while len(xs) < 80:
+        a, b = sorted(rng.choice((1, -1)) * rng.uniform(0.5, 2.0) * 10.0 ** rng.randrange(-320, 308)
+                      for _ in range(2))
+        xs.append(DoubleInterval(a, a if rng.random() < 0.3 else b))
+    ks = [0, 1, -1, 7, -7, 2**53, -2**53, 2**53 + 1, -2**53 - 1, 10**400, True]
+    for x in xs:
+        assert _bits(x ** 2) == _bits(x * x), x
+        for k in ks:
+            y = DoubleInterval.lift(k)
+            assert _bits(x + k) == _bits(x + y) == _bits(k + x), (x, k)
+            assert _bits(x - k) == _bits(x - y), (x, k)
+            assert _bits(k - x) == _bits(y - x), (x, k)
+            assert _bits(x * k) == _bits(x * y) == _bits(k * x), (x, k)
+            assert _bits(x / k) == _bits(x / y), (x, k)
+            assert _bits(k / x) == _bits(y / x), (x, k)
 
 
 def test_double_interval_lifts_huge_and_tiny_rationals():

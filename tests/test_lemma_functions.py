@@ -1,9 +1,11 @@
 """Auxiliary-function formulas against finite-difference / quadrature
 oracles and the pinned spot values."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from scipy.integrate import quad
@@ -44,6 +46,10 @@ from divisor_series.lemma_functions import (
     v_prime_run_raw,
     v_raw,
     evaluate_named,
+    j1_raw,
+    j2_raw,
+    w1_raw,
+    w2_raw,
 )
 
 
@@ -148,6 +154,21 @@ def test_v_prime_run_bound_at_one_point_is_v_prime(y):
 
 
 # -- antiderivative ------------------------------------------------------------
+
+
+def test_sandwich_bounds_in_doubles_match_the_recorded_endpoints_bit_for_bit():
+    """W1, W2, J1 and J2 on DoubleInterval.lift(q) give exactly the doubles
+    recorded in tests/data/sandwich-doubles.json: 40 seeded q in
+    [0.117, 0.9999] and 117/1000, 91/100, 9999/10000.  The same doubles
+    give the same run splits and byte-identical sandwich certificates."""
+    path = Path(__file__).parent / "data" / "sandwich-doubles.json"
+    points = json.loads(path.read_text(encoding="utf-8"))["points"]
+    assert len(points) == 43
+    for row in points:
+        x = DoubleInterval.lift(Fraction(row["q"]))
+        for name, fn in (("W1", w1_raw), ("W2", w2_raw), ("J1", j1_raw), ("J2", j2_raw)):
+            got = fn(x)
+            assert [got.lo.hex(), got.hi.hex()] == row[name], (row["q"], name)
 
 
 def test_antiderivative_vs_quadrature_spot():

@@ -506,6 +506,14 @@ def test_t44_where_its_scale_underflows_a_double():
     assert check_bounds(TheoremId.T4_4, q="1e-400").status is BoundsStatus.PASS
 
 
+@pytest.mark.parametrize("theorem", [TheoremId.T4_2, TheoremId.SALEM_1_3])
+def test_one_point_theorems_where_the_width_of_t_underflows(theorem):
+    """Their scale (1-q)/q exceeds the largest double at q = 1e-400, so
+    eps/(2|scale|) rounds to 0.0: a DomainError names the underflow."""
+    with pytest.raises(DomainError, match="underflows"):
+        check_bounds(theorem, q="1e-400")
+
+
 def test_c33_example():
     res = check_bounds(TheoremId.C3_3, pair=("0.2", "0.8"))
     assert res.strict_ok
