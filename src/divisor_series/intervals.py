@@ -635,7 +635,11 @@ def lift(value: Scalar, mode: Mode):
     """An exact scalar in the arithmetic of `mode`: the nearest double (FAST)
     or the tightest outward-rounded interval (CERTIFIED)."""
     if mode is Mode.FAST:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError("a FAST argument overflows a double (beyond 1.8e308);"
+                              " certified mode takes it") from None
     return to_ivmpf(value if isinstance(value, (int, Fraction)) else Fraction(value))
 
 

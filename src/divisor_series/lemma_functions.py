@@ -14,8 +14,8 @@ sums C, D) decide the sign of F'.  This module provides:
 * the critical points M_q (maximizer) and N_q (inflection) by bracketed
   bisection;
 * the bound functions U, V, V', Theta_q, K_q, h1..h3, Delta, G, G0 used by
-  the grid/Sturm verifications, with Delta and G0 also available as exact
-  rational polynomials.
+  the grid/Sturm verifications, with Delta, G0 and the pieces S, P of
+  h2 = 1/S, h3 = P/S^2 also available as exact rational polynomials.
 
 Formulas are written once against generic arithmetic: feed floats for FAST
 results, mpmath intervals for CERTIFIED enclosures.
@@ -226,6 +226,22 @@ def g0_polynomial() -> Polynomial:
     lin = Polynomial([Fraction(31, 20), Fraction(-11, 20)])  # 1 + (11/20)(1-q)
     shift = Polynomial([Fraction(-2)] + [Fraction(0)] * 27 + [Fraction(2)])  # 2(q^28-1)
     return lin * delta_polynomial() + shift
+
+
+def h2_denominator_polynomial() -> Polynomial:
+    """S = 1 + q + ... + q^13 = (1 - q^14)/(1 - q), so h2 = 1/S."""
+    return Polynomial([1] * 14)
+
+
+def h3_numerator_polynomial() -> Polynomial:
+    """P = (14(1 + q^14) - (1 + q) S)/(1 - q), so h3 = P/S^2; the division is
+    exact (the numerator vanishes at q = 1)."""
+    s = h2_denominator_polynomial()
+    numerator = Polynomial([14] + [0] * 13 + [14]) - Polynomial([1, 1]) * s
+    p, remainder = numerator.divmod(Polynomial([1, -1]))
+    if not remainder.is_zero:
+        raise ArithmeticError("1 - q does not divide the numerator of h3")
+    return p
 
 
 # -- mode-dispatching wrappers -------------------------------------------------

@@ -323,9 +323,10 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
         raise DomainError("eps must be positive")
     x_frac = Fraction(x) if not isinstance(x, Fraction) else x
     # The tail grows with q, so a double q_hi >= q picks enough terms; the
-    # floor keeps a = q^(x-1) finite in doubles.
+    # floor keeps a = q^(x-1) finite in doubles, and since q_hi <= 1, cutting
+    # an exponent beyond the doubles down to 2^1000 only raises a_hi.
     q_hi = max(qp.float_up(), _PSI_Q_FLOOR)
-    a_hi = q_hi ** float(x_frac - 1)
+    a_hi = q_hi ** float(min(x_frac - 1, 2 ** 1000))
     # eps budget for the bare sum: the sum is scaled by log(q) afterwards.  The
     # log is taken of the exact rational, so a q below the smallest double works.
     log_scale = max(math.log(qp.value.denominator) - math.log(qp.value.numerator), 1e-300)

@@ -1,5 +1,5 @@
-"""Monotone-sandwich grid verification, Sturm root counts, analytic spot
-checks, and certificate emission.
+"""Monotone-sandwich grid verification, Sturm root counts and other exact
+polynomial facts, and certificate emission.
 
 The sandwich scheme: to certify lower(q) > upper(q) on a span where both
 functions are increasing in q, it is enough to check
@@ -20,7 +20,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -32,7 +31,6 @@ from .intervals import (
     Enclosure,
     Mode,
     interval_precision,
-    mpf_to_fraction,
     to_ivmpf,
     working_precision,
     _float_down,
@@ -42,22 +40,19 @@ from .lemma_functions import (
     _in_mode,
     delta_polynomial,
     g0_polynomial,
-    h1_raw,
-    h2_raw,
-    h3_raw,
+    h2_denominator_polynomial,
+    h3_numerator_polynomial,
     j1_raw,
     j2_raw,
     phi_limit_at_one,
     phi_prime_raw,
-    theta_raw,
-    u_raw,
     v_raw,
     v_prime_raw,
     v_prime_run_raw,
     w1_raw,
     w2_raw,
 )
-from .polynomials import Polynomial, sturm_root_count
+from .polynomials import sturm_root_count
 
 SCHEMA_VERSION = 1
 
@@ -232,14 +227,12 @@ def _working_margin(lower, upper, left, right) -> tuple[bool, float, float]:
     return margin.lo > 0, float(_float_down(margin.lo)), _float_up(margin.hi)
 
 
-def _separates(lower, upper, left, right) -> bool:
+def _separates(lower: SandwichBound, upper: SandwichBound, left, right) -> bool:
     """Whether the certified margin lower(left) - upper(right) is strictly
-    positive.  Between two SandwichBounds it is tried in doubles first; where
-    those do not separate it is evaluated at working precision."""
-    if isinstance(lower, SandwichBound) and isinstance(upper, SandwichBound):
-        if (lower.doubles(left) - upper.doubles(right)).lo > 0:
-            return True
-    return _working_margin(lower, upper, left, right)[0]
+    positive: tried in doubles first, and where those do not separate,
+    evaluated at working precision."""
+    return ((lower.doubles(left) - upper.doubles(right)).lo > 0
+            or _working_margin(lower, upper, left, right)[0])
 
 
 class _Settled(NamedTuple):
@@ -422,24 +415,16 @@ j2_upper = SandwichBound(j2_raw, J2_LIMIT)
 # -- monotonicity spot checks -----------------------------------------------------
 
 
-def _spot_check_monotone(
-    fn: Callable[[Fraction], Enclosure],
-    lo: Fraction,
-    hi: Fraction,
-    increasing: bool,
-    pairs: int = _SPOT_CHECK_PAIRS,
-    min_gap: Fraction = Fraction(1, 100),
-) -> bool:
-    """Certified ordering of fn at `pairs` random point pairs a < b (seeded
-    RNG): the sandwich margin fn(above) - fn(below) > 0, with above = b for
-    an increasing fn and above = a for a decreasing one."""
+def _spot_check_monotone(fn: SandwichBound, lo: Fraction, hi: Fraction) -> bool:
+    """Certified increase of fn at _SPOT_CHECK_PAIRS random point pairs
+    a < b at least 1/100 apart (seeded RNG): the margin fn(b) - fn(a) > 0."""
     rng = random.Random(_SPOT_CHECK_SEED)
-    span = hi - lo - min_gap
-    for _ in range(pairs):
+    gap = Fraction(1, 100)
+    span = hi - lo - gap
+    for _ in range(_SPOT_CHECK_PAIRS):
         a = lo + span * Fraction(rng.randrange(10**6), 10**6)
-        b = a + min_gap + (hi - a - min_gap) * Fraction(rng.randrange(10**6), 10**6)
-        above, below = (b, a) if increasing else (a, b)
-        if not _separates(fn, fn, above, below):
+        b = a + gap + (hi - a - gap) * Fraction(rng.randrange(10**6), 10**6)
+        if not _separates(fn, fn, b, a):
             return False
     return True
 
@@ -482,21 +467,21 @@ def _all_and_min(
 
 
 def verify_lemma_2_4_i() -> Certificate:
-    """C_q(1) > 0 on (0, 0.117]: endpoint value of V, positivity of V' on a
-    grid, and the closed-form chain C_q(1) = U/((q+1)^2 log^2 q),
-    U >= q V(-log q), sampled over the span."""
+    """C_q(1) > 0 on (0, 0.117]: the endpoint value V(-log 0.117) > 0, V' > 0
+    past sqrt(3) with a grid witness, and the analytic chain
+    C_q(1) = U/((q+1)^2 log^2 q), U >= q V(-log q)."""
     grid = lemma_2_4_i_v_prime_grid()
     premises = (
         "every term of V'(y) = (y^2-3)e^-y + 4y e^-2y + 3e^-3y is nonnegative for y >= sqrt(3)",
         "grid start 2.145 satisfies 2.145^2 = 4.601025 > 3 exactly, so the analytic"
         " positivity covers [2.145, inf); the grid evaluation witnesses it on [2.145, 50]",
-        "U(q) >= q V(-log q) uses log(1+q) <= q and q - 1 - log(q) > 0",
+        "C_q(1) = U(q)/((q+1)^2 log^2 q) and U(q) >= q V(-log q), by log(1+q) <= q and"
+        " q - 1 - log(q) > 0; V increases past -log(0.117) > sqrt(3), so C_q(1) > 0"
+        " for q <= 0.117",
     )
     details: dict = {}
-    wp = working_precision()
-    with interval_precision(wp):
-        y0 = -iv.log(to_ivmpf(Fraction(117, 1000)))
-        v0 = Enclosure(v_raw(y0))
+    with interval_precision(working_precision()):
+        v0 = Enclosure(v_raw(-iv.log(to_ivmpf(Fraction(117, 1000)))))
     details["v_at_minus_log_0.117"] = v0.to_floats()
     v0_ok = v0.contained_in(Fraction(17, 10000), Fraction(27, 10000)) and v0.is_positive()
 
@@ -505,29 +490,12 @@ def verify_lemma_2_4_i() -> Certificate:
         _VPrimeMargins(grid.segments[0]), [(0, grid.total_cells + 1)])
     details["min_v_prime_on_grid"] = min_vp
 
-    # chain samples over q in (0, 0.117]
-    samples = []
-    with interval_precision(wp):
-        for k in range(1, 118):
-            q_iv = to_ivmpf(Fraction(k, 1000))
-            u_enc = Enclosure(u_raw(q_iv))
-            c1 = u_enc / Enclosure((1 + q_iv) ** 2 * iv.log(q_iv) ** 2)
-            gap = u_enc - Enclosure(q_iv * v_raw(-iv.log(q_iv)))
-            samples.append((u_enc, c1, gap))
-    us, c1s, gaps = zip(*samples)
-    u_ok, details["min_U_on_samples"] = _all_and_min(us, Enclosure.is_positive)
-    c1_ok, min_c1 = _all_and_min(c1s, Enclosure.is_positive)
-    gap_ok, details["min_U_minus_qV_on_samples"] = _all_and_min(gaps, lambda g: g.lo >= 0)
-    details["min_C1_on_samples"] = min_c1
-    details["chain_samples"] = 117
-
-    checks_ok = v0_ok and not failures and u_ok and c1_ok and gap_ok
     return Certificate(
         target="2.4i",
         grid=grid,
         cells_checked=grid.total_cells,
-        min_margin=min(min_vp, min_c1),
-        passed=checks_ok and min_vp > 0,
+        min_margin=min_vp,
+        passed=v0_ok and not failures and min_vp > 0,
         failures=(),
         premises=premises,
         details=details,
@@ -547,7 +515,7 @@ def _verify_sandwich_lemma(
     """Sandwich-verify lower > upper (two SandwichBounds) on the grid.  Both
     are also spot-checked for increase on spot_span, and a failed spot check
     fails the certificate."""
-    spot_ok = all(_spot_check_monotone(fn, *spot_span, True) for fn in (lower, upper))
+    spot_ok = all(_spot_check_monotone(fn, *spot_span) for fn in (lower, upper))
     details["monotonicity_spot_checks"] = spot_ok
     cert = sandwich_verify(lower, upper, grid, target=target, premises=premises,
                            details=details)
@@ -634,42 +602,35 @@ def verify_lemma_2_5() -> Certificate:
 
 def verify_lemma_2_8() -> Certificate:
     """phi'_q(x) >= -0.035 for q in [0.91, 1), x >= 1, via the h1/h2/h3
-    envelope of -Theta_q(14) and monotonicity endpoints."""
+    envelope of -Theta_q(14): the directions of h2 = 1/S and h3 = P/S^2 from
+    exact polynomial facts, and the envelope at 0.91 as an exact rational."""
     premises = (
-        "h1 is increasing, h2 and h3 decreasing on (0,1) (integral representations);"
-        " spot-checked on 100 seeded random pairs",
-        "h1 < lim_{q->1} h1 = 1/14, so h1 (h2+h3) <= (h2(0.91)+h3(0.91))/14 on [0.91, 1)",
+        "h1 = -s log(s)/(14(1-s)) with s = q^14 has dh1/ds = (s-1-log s)/(14(1-s)^2) > 0,"
+        " so 0 < h1 < lim_{q->1} h1 = 1/14 on (0, 1)",
+        "h2 = 1/S with S = 1 + q + ... + q^13 decreases: every coefficient of S is positive",
+        "h3 = P/S^2 with P = (14(1+q^14) - (1+q)S)/(1-q) decreases to P(1)/S(1)^2 = 0:"
+        " D3 = P'S - 2PS' has no root in (0, 1] (Sturm) and D3(1) < 0",
+        "so h1 (h2+h3) <= (h2(0.91)+h3(0.91))/14 on [0.91, 1), a rational computed exactly",
+        "h1 (h2+h3) + Theta_q(14) = -q^14 log(q)/(1-q^14)^2 (-q - (1-q)/log q) >= 0,"
+        " since 1 - q + q log(q) >= 0 (it vanishes at 1 and has derivative log q < 0)",
         "phi' >= Theta at and beyond the inflection point, and Theta_q is increasing,"
         " so phi'_q(x) >= Theta_q(14) >= -(h2(0.91)+h3(0.91))/14 for x >= 1",
     )
-    details: dict = {}
-    h1, h2, h3 = map(SandwichBound, (h1_raw, h2_raw, h3_raw))
-    lo, hi = Fraction(91, 100), Fraction(1) - Fraction(1, 10**6)
-    ok_h1 = _spot_check_monotone(h1, lo, hi, True)
-    ok_h2 = _spot_check_monotone(h2, lo, hi, False)
-    ok_h3 = _spot_check_monotone(h3, lo, hi, False)
-    details["h_monotonicity_spot_checks"] = bool(ok_h1 and ok_h2 and ok_h3)
+    s, p = h2_denominator_polynomial(), h3_numerator_polynomial()
+    d3 = p.derivative() * s - (p * s.derivative()).scale(2)
+    d3_roots = sturm_root_count(d3, 0, 1)
+    q91 = Fraction(91, 100)
+    envelope = (1 / s(q91) + p(q91) / s(q91) ** 2) / 14
+    margin = Fraction(35, 1000) - envelope
+    envelope_doubles = DoubleInterval.lift(envelope)
+    details: dict = {
+        "envelope_(h2+h3)/14_at_0.91": (envelope_doubles.lo, envelope_doubles.hi),
+        "h3_prime_roots_in_0_1": d3_roots,
+    }
+    exact_ok = (all(c > 0 for c in s.coeffs) and d3_roots == 0 and d3(1) < 0
+                and p(1) == 0 and margin > 0)
 
-    h1_near_one = h1(Fraction(1) - Fraction(1, 10**9))
-    details["h1_near_1"] = h1_near_one.to_floats()
-    h1_ok = h1_near_one.strictly_below(Fraction(1, 14))
-
-    with interval_precision(working_precision()):
-        q91 = to_ivmpf(Fraction(91, 100))
-        envelope = Enclosure((h2_raw(q91) + h3_raw(q91)) / 14)
-    details["envelope_(h2+h3)/14_at_0.91"] = envelope.to_floats()
-    envelope_ok = (envelope.contained_in(Fraction(33, 1000), Fraction(35, 1000))
-                   and mpf_to_fraction(envelope.hi) < Fraction(35, 1000))
-
-    # -Theta_q(14) <= h1 (h2 + h3) on sampled q (inequality (1-q)/log q <= -q)
-    slack = partial(_in_mode, Mode.CERTIFIED,
-                    lambda q: h1_raw(q) * (h2_raw(q) + h3_raw(q)) + theta_raw(q, 14))
-    slack_ok, details["min_envelope_slack"] = _all_and_min(
-        (slack(Fraction(91, 100) + k * Fraction(9, 1000)) for k in range(10)),
-        lambda gap: gap.lo >= 0,
-    )
-
-    # direct spot grid: phi' >= -0.035 on sampled (q, x)
+    # witness grid: phi' >= -0.035 on sampled (q, x)
     threshold = Fraction(-35, 1000)
     qs = [Fraction(91, 100) + k * Fraction(1, 100) for k in range(9)]
     qs += [Fraction(999, 1000), Fraction(9999, 10000)]
@@ -681,14 +642,12 @@ def verify_lemma_2_8() -> Certificate:
         )
     details["grid_points"] = len(qs) * len(xs)
 
-    checks_ok = (ok_h1 and ok_h2 and ok_h3 and h1_ok and envelope_ok
-                 and slack_ok and grid_ok)
     return Certificate(
         target="2.8",
         grid=None,
         cells_checked=len(qs) * len(xs),
-        min_margin=float(Fraction(35, 1000)) - envelope.to_floats()[1],
-        passed=bool(checks_ok),
+        min_margin=DoubleInterval.lift(margin).lo,
+        passed=exact_ok and grid_ok,
         failures=(),
         premises=premises,
         details=details,

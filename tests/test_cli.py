@@ -136,6 +136,33 @@ def test_eval_certified_t_and_h_q_below_smallest_double(capsys, fn):
     assert doc["lo"] <= 0.0 <= doc["hi"] and doc["hi"] - doc["lo"] <= 1e-12
 
 
+@pytest.mark.parametrize("argv", [("--name", "phi", "--q", "0.5", "--x", "1e400"),
+                                  ("--name", "V", "--y", "1e400")])
+def test_lemma_fn_argument_beyond_the_doubles(capsys, argv):
+    """FAST cannot take the argument and exits 2 naming the overflow;
+    certified mode takes it: V(y) -> 1 as y grows."""
+    code, out, err = run_cli(capsys, "lemma-fn", *argv)
+    assert code == 2 and out == ""
+    assert "overflows a double" in err
+    code, out, _ = run_cli(capsys, "lemma-fn", *argv, "--mode", "certified")
+    assert code == 0
+    doc = json.loads(out)
+    expected = 1.0 if argv[1] == "V" else 0.0
+    assert doc["lo"] <= expected <= doc["hi"]
+
+
+@pytest.mark.parametrize("mode", ["fast", "certified"])
+def test_eval_psi_at_x_beyond_the_doubles(capsys, mode):
+    """q^(kx) vanishes for x = 1e400, leaving psi_q(x) = -log(1-q) = log 2."""
+    code, out, _ = run_cli(capsys, "eval", "--fn", "psi", "--q", "0.5", "--x", "1e400",
+                           "--mode", mode)
+    assert code == 0
+    doc = json.loads(out)
+    with mpmath.workdps(30):
+        assert doc["lo"] <= mpmath.log(2) <= doc["hi"]
+    assert doc["hi"] - doc["lo"] <= 1e-12
+
+
 def test_unknown_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

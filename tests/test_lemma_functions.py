@@ -8,15 +8,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import iv
 from scipy.integrate import quad
 
+from divisor_series import lemma_functions
 from divisor_series.intervals import (
     BracketSearchError,
     DomainError,
     DoubleInterval,
     Enclosure,
     Mode,
+    interval_precision,
     mpf_to_fraction,
+    to_ivmpf,
 )
 from divisor_series.lemma_functions import (
     _in_mode,
@@ -31,7 +35,9 @@ from divisor_series.lemma_functions import (
     g0_raw,
     g_raw,
     h1_raw,
+    h2_denominator_polynomial,
     h2_raw,
+    h3_numerator_polynomial,
     h3_raw,
     k_raw,
     phi_antiderivative,
@@ -51,6 +57,7 @@ from divisor_series.lemma_functions import (
     w1_raw,
     w2_raw,
 )
+from divisor_series.polynomials import Polynomial
 
 
 # -- closed forms vs finite differences ---------------------------------------
@@ -294,6 +301,43 @@ def test_h_envelope_value():
     value = (h2_raw(0.91) + h3_raw(0.91)) / 14
     assert abs(value - 0.03489998036002748) < 1e-12
     assert abs(value - 0.034) < 1e-3
+
+
+def test_h2_h3_polynomial_forms_lie_in_certified_enclosures():
+    """h2 = 1/S and h3 = P/S^2, exactly, inside the certified enclosures of
+    the closed forms at 30 seeded rationals in (0, 1)."""
+    rng = random.Random(20261018)
+    qs = [Fraction(91, 100), Fraction(9999, 10000)]
+    qs += [Fraction(rng.randrange(1, 10**4), 10**4) for _ in range(28)]
+    s, p = h2_denominator_polynomial(), h3_numerator_polynomial()
+    for q in qs:
+        assert _in_mode(Mode.CERTIFIED, h2_raw, q).contains(1 / s(q)), q
+        assert _in_mode(Mode.CERTIFIED, h3_raw, q).contains(p(q) / s(q) ** 2), q
+
+
+def test_h3_numerator_is_an_exact_quotient(monkeypatch):
+    assert h3_numerator_polynomial() == Polynomial(range(13, -14, -2))
+    # with one term of S missing, 1 - q no longer divides the numerator
+    monkeypatch.setattr(lemma_functions, "h2_denominator_polynomial",
+                        lambda: Polynomial([1] * 13))
+    with pytest.raises(ArithmeticError):
+        h3_numerator_polynomial()
+
+
+def test_envelope_slack_is_its_closed_form():
+    """h1 (h2+h3) + Theta_q(14) = -q^14 log q/(1-q^14)^2 (-q - (1-q)/log q) > 0
+    at seeded q in [0.91, 0.9999], at 512 bits.  The arguments are ivmpf:
+    mp.mpf ones would reach math.log through the generic ln."""
+    rng = random.Random(20261018)
+    qs = [Fraction(91, 100), Fraction(9999, 10000)]
+    qs += [Fraction(rng.randrange(9100, 9999), 10**4) for _ in range(10)]
+    with interval_precision(512):
+        for q in map(to_ivmpf, qs):
+            lq, q14 = iv.log(q), q ** 14
+            closed = -q14 * lq / (1 - q14) ** 2 * (-q - (1 - q) / lq)
+            diff = Enclosure(h1_raw(q) * (h2_raw(q) + h3_raw(q)) + theta_raw(q, 14) - closed)
+            assert diff.contains(0) and diff.width_upper() < 1e-100
+            assert Enclosure(closed).is_positive()
 
 
 def test_g_equals_a_at_14():

@@ -21,7 +21,13 @@ from divisor_series.intervals import (
     Mode,
     mpf_to_fraction,
 )
-from divisor_series.lemma_functions import v_prime_run_raw, w1_raw
+from divisor_series.lemma_functions import (
+    h2_denominator_polynomial,
+    h3_numerator_polynomial,
+    v_prime_run_raw,
+    w1_raw,
+)
+from divisor_series.polynomials import Polynomial
 from divisor_series.verifier import (
     _prove_by_runs,
     _VPrimeMargins,
@@ -421,6 +427,39 @@ def test_lemma_2_8_certificate():
     env = cert.details["envelope_(h2+h3)/14_at_0.91"]
     assert abs(env[1] - 0.034) < 1e-3
     assert cert.details["min_phi_prime_on_grid"] >= -0.035
+
+
+def test_lemma_2_8_fails_on_a_denominator_with_a_negative_coefficient(monkeypatch):
+    """S + (1001/1000)(q^12 - q^13) has the q^13 coefficient -1/1000, and
+    every other fact of 2.8 holds for it: the coefficient check fails it."""
+    s = h2_denominator_polynomial() + Polynomial(
+        [0] * 12 + [Fraction(1001, 1000), Fraction(-1001, 1000)])
+    monkeypatch.setattr(verifier, "h2_denominator_polynomial", lambda: s)
+    cert = verify_lemma("2.8")
+    assert cert.details["h3_prime_roots_in_0_1"] == 0 and cert.min_margin > 0
+    assert not cert.passed
+
+
+def test_lemma_2_8_fails_where_h3_turns(monkeypatch):
+    """P - 5(1-q)^2 still vanishes at 1 and keeps the envelope below 0.035,
+    but its D3 changes sign in (0, 1)."""
+    p = h3_numerator_polynomial() - Polynomial([5, -10, 5])
+    monkeypatch.setattr(verifier, "h3_numerator_polynomial", lambda: p)
+    cert = verify_lemma("2.8")
+    assert cert.details["h3_prime_roots_in_0_1"] == 1 and cert.min_margin > 0
+    assert not cert.passed
+
+
+@pytest.mark.parametrize("bits", ["53", "128", "1024"])
+def test_lemmas_2_4_i_and_2_8_pass_at_every_precision(monkeypatch, bits):
+    """Neither lemma samples a premise, so neither verdict nor min_margin
+    moves with the working precision; 2.8's is its exact margin
+    35/1000 - (h2(0.91) + h3(0.91))/14 rounded down."""
+    monkeypatch.setenv("DIVISOR_SERIES_PREC", bits)
+    monkeypatch.setattr(verifier, "_spot_check_monotone", None)  # neither lemma calls it
+    cert_i, cert_8 = verify_lemma("2.4i"), verify_lemma("2.8")
+    assert cert_i.passed and cert_i.min_margin == 4.816088370365902e-19
+    assert cert_8.passed and cert_8.min_margin == 1.0001963997251833e-4
 
 
 def test_unknown_lemma_rejected():
