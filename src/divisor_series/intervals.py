@@ -278,14 +278,31 @@ class Enclosure:
         return f"Enclosure({lo!r}, {hi!r})"
 
 
+def _exact_float(m) -> float | None:
+    """The raw mpf m as a double when that is exact: a nonzero mantissa of at
+    most 53 bits whose leading bit lies in the normal range 2^-1022..2^1023.
+    None for zero, the special values and subnormal or overflowing results."""
+    sign, man, exp, bc = m
+    if man and bc <= 53 and -1021 <= exp + bc <= 1024:
+        f = math.ldexp(man, exp)
+        return -f if sign else f
+    return None
+
+
 def _floor_float(m) -> float:
     """The largest double <= the raw mpf m."""
+    f = _exact_float(m)
+    if f is not None:
+        return f
     f = libmp.to_float(m, rnd=libmp.round_floor)
     return math.nextafter(f, -math.inf) if libmp.mpf_gt(libmp.from_float(f), m) else f
 
 
 def _ceil_float(m) -> float:
     """The smallest double >= the raw mpf m."""
+    f = _exact_float(m)
+    if f is not None:
+        return f
     f = libmp.to_float(m, rnd=libmp.round_ceiling)
     return math.nextafter(f, math.inf) if libmp.mpf_lt(libmp.from_float(f), m) else f
 
@@ -322,15 +339,18 @@ class DoubleInterval:
         if isinstance(value, int) and -2**53 <= value <= 2**53:
             return cls(float(value), float(value))
         frac = value if isinstance(value, Fraction) else Fraction(value)
+        num, den = frac.numerator, frac.denominator
         try:
-            f = frac.numerator / frac.denominator  # correctly rounded
+            f = num / den  # correctly rounded
         except OverflowError:
             big = sys.float_info.max
-            return cls(big, math.inf) if frac > 0 else cls(-math.inf, -big)
-        exact = Fraction(f)
-        if exact < frac:
+            return cls(big, math.inf) if num > 0 else cls(-math.inf, -big)
+        # f = f_num/f_den against num/den by cross-multiplying: den, f_den > 0
+        f_num, f_den = f.as_integer_ratio()
+        f_cross, frac_cross = f_num * den, num * f_den
+        if f_cross < frac_cross:
             return cls(f, math.nextafter(f, math.inf))
-        if exact > frac:
+        if f_cross > frac_cross:
             return cls(math.nextafter(f, -math.inf), f)
         return cls(f, f)
 

@@ -163,17 +163,22 @@ def g0_raw(q):
 def phi_integer_sum_raw(q, k_max: int, half_last: bool = False):
     """sum_{k=1}^{k_max} phi_q(k), the last term halved when half_last.
 
-    q^k comes from one running product rather than a power per term; this
-    sum dominates the cost of the Lemma 2.4ii grid.
+    Each term is taken in the positive form phi_q(k) = q^k N_k / S_k^2, with
+    S_k = 1 + q + ... + q^(k-1) and N_k = S_1 + ... + S_(k-1): the numerator
+    q^k - qk + k - 1 is (1-q)^2 N_k and the denominator (1-q^k)^2 is
+    (1-q)^2 S_k^2.  q^k, S_k and N_k are running sums and products, so a term
+    costs seven operations, and nothing cancels as q -> 1, where the term is
+    (k-1)/(2k).  N_1 = 0 makes phi_q(1) vanish, so the sum starts at k = 2.
+    This sum dominates the cost of the Lemma 2.4ii and 2.9 grids.
     """
     total = 0 * q
-    qk = q
-    for k in range(1, k_max + 1):
-        term = qk * (qk - q * k + (k - 1)) / (1 - qk) ** 2
+    qk, s, n = q * q, 1 + q, 1
+    for k in range(2, k_max + 1):
+        term = qk * n / (s * s)
         if half_last and k == k_max:
             term = term / 2
         total = total + term
-        qk = qk * q
+        n, s, qk = n + s, s + qk, qk * q
     return total
 
 
@@ -188,7 +193,7 @@ def w2_raw(q):
 
     The k = 1 term vanishes (phi_q(1) = 0 identically), so this sum equals
     the rectangle-rule value sum_{k=2}^{40} phi_q(k) that pairs with W1 in
-    the error sum C_q(39); starting at k = 1 keeps the loop uniform.
+    the error sum C_q(39); phi_integer_sum_raw sums exactly those terms.
     """
     return phi_integer_sum_raw(q, 40)
 
@@ -201,7 +206,8 @@ def j1_raw(q):
 
 
 def j2_raw(q):
-    """J2(q) = sum_{k=1}^{10} phi_q(k) + phi_q(11)/2, for q < 1."""
+    """J2(q) = sum_{k=1}^{10} phi_q(k) + phi_q(11)/2, for q < 1; at an exact
+    q = 1 the positive form gives the limit 208609/55440."""
     return phi_integer_sum_raw(q, 11, half_last=True)
 
 
@@ -437,5 +443,14 @@ def evaluate_named(name: str, *, q=None, x=None, y=None, n=None, mode: Mode = Mo
     if name in _TWO_ARG:
         if x is None:
             raise DomainError(f"{name} needs --x")
-        return _in_mode(mode, fn, qp.value, Fraction(x) if not isinstance(x, Fraction) else x)
+        x = Fraction(x) if not isinstance(x, Fraction) else x
+        try:
+            return _in_mode(mode, fn, qp.value, x)
+        except (ZeroDivisionError, ValueError) as exc:
+            if mode is not Mode.FAST or isinstance(exc, DomainError):
+                raise
+            if powr(lift(qp.value, mode), lift(x, mode)) != 1.0:
+                raise DomainError(f"FAST {name} is undefined at x = {float(x):g}: {exc}") from None
+            raise DomainError(f"FAST {name} divides by 1 - q^x, and q^x rounds to 1.0 in"
+                              f" doubles at x = {float(x):g}; certified mode takes it") from None
     return _in_mode(mode, fn, qp.value)

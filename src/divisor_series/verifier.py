@@ -97,16 +97,25 @@ class GridSpec:
     def total_cells(self) -> int:
         return sum(s.count for s in self.segments)
 
+    def point(self, k: int) -> Fraction:
+        """Endpoint k of the total_cells + 1 cell endpoints, exact: cell idx
+        spans point(idx) to point(idx + 1)."""
+        rest = k
+        if rest >= 0:
+            for seg in self.segments:
+                if rest < seg.count:
+                    return seg.start + rest * seg.step
+                rest -= seg.count
+            if rest == 0:
+                return self.segments[-1].end
+        raise IndexError(f"endpoint {k} is outside a grid of {self.total_cells} cells")
+
     def cell(self, idx: int) -> tuple[int, Fraction, Fraction]:
         """(idx, left, right) of cell idx, with exact rational endpoints
-        computed from the segment it falls in."""
-        k = idx
-        if k >= 0:
-            for seg in self.segments:
-                if k < seg.count:
-                    return idx, seg.start + k * seg.step, seg.start + (k + 1) * seg.step
-                k -= seg.count
-        raise IndexError(f"cell {idx} is outside a grid of {self.total_cells} cells")
+        computed from the segment they fall in."""
+        if not 0 <= idx < self.total_cells:
+            raise IndexError(f"cell {idx} is outside a grid of {self.total_cells} cells")
+        return idx, self.point(idx), self.point(idx + 1)
 
     def cells(self):
         """Yield (index, left, right) with exact rational endpoints."""
@@ -250,7 +259,7 @@ class _Settled(NamedTuple):
 
 class _RunMargins:
     """Double margins lower(left_i) - upper(right_{j-1}) of runs [i, j) of
-    grid cells.  Each side is memoised by cell index, so splitting a run in
+    grid cells.  Each side is memoised by grid endpoint, so splitting a run in
     two costs two new evaluations.  Plain callables have no doubles, and
     their margins are None."""
 
@@ -260,17 +269,18 @@ class _RunMargins:
         self.evaluations = 0
         self._lower, self._upper = {}, {}
 
-    def _side(self, memo: dict, bound: SandwichBound, idx: int, end: int) -> DoubleInterval:
-        if idx not in memo:
-            memo[idx] = bound.doubles(self.grid.cell(idx)[end])
+    def _side(self, memo: dict, bound: SandwichBound, k: int) -> DoubleInterval:
+        """bound at grid endpoint k, memoised by k."""
+        if k not in memo:
+            memo[k] = bound.doubles(self.grid.point(k))
             self.evaluations += 1
-        return memo[idx]
+        return memo[k]
 
     def of_run(self, start: int, stop: int) -> Optional[DoubleInterval]:
         if not self.in_doubles:
             return None
-        return (self._side(self._lower, self.lower, start, 1)
-                - self._side(self._upper, self.upper, stop - 1, 2))
+        return (self._side(self._lower, self.lower, start)
+                - self._side(self._upper, self.upper, stop))
 
     def working(self, idx: int) -> tuple[bool, float, float]:
         _, left, right = self.grid.cell(idx)
@@ -359,7 +369,7 @@ def sandwich_verify(
       and upper(right_k) <= upper(right_{j-1}), so its margin is at least
       the run's.  A run that does not separate is split at its midpoint; a
       single cell that does not separate is evaluated at working precision.
-      Each side is memoised by cell index, so a root of n cells costs at
+      Each side is memoised by grid endpoint, so a root of n cells costs at
       most 2n double evaluations.
     * Phase 2 finds min_margin at working precision.  The ceiling is the
       smallest upper endpoint of any single cell's margin.  Runs are split

@@ -151,6 +151,26 @@ def test_lemma_fn_argument_beyond_the_doubles(capsys, argv):
     assert doc["lo"] <= expected <= doc["hi"]
 
 
+@pytest.mark.parametrize("argv", [("--name", "K", "--q", "0.5", "--x", "0"),
+                                  ("--name", "phi", "--q", "0.5", "--x", "1e-20"),
+                                  ("--name", "Phi", "--q", "0.5", "--x", "1e-20")])
+def test_lemma_fn_where_q_to_the_x_rounds_to_one(capsys, argv):
+    """FAST divides by 1 - q^x = 0 in doubles and exits 2 naming the cause;
+    certified mode takes the argument."""
+    code, out, err = run_cli(capsys, "lemma-fn", *argv)
+    assert code == 2 and out == ""
+    assert "q^x rounds to 1.0 in doubles" in err and "certified mode takes it" in err
+    code, out, _ = run_cli(capsys, "lemma-fn", *argv, "--mode", "certified")
+    assert code == 0 and {"lo", "hi"} <= set(json.loads(out))
+
+
+def test_lemma_fn_outside_the_domain_of_a_fast_formula(capsys):
+    """log(1 - q^x) of a negative number: exit 2 with the cause, no traceback."""
+    code, out, err = run_cli(capsys, "lemma-fn", "--name", "Phi", "--q", "0.5", "--x", "-1")
+    assert code == 2 and out == ""
+    assert "FAST Phi is undefined at x = -1" in err
+
+
 @pytest.mark.parametrize("mode", ["fast", "certified"])
 def test_eval_psi_at_x_beyond_the_doubles(capsys, mode):
     """q^(kx) vanishes for x = 1e400, leaving psi_q(x) = -log(1-q) = log 2."""

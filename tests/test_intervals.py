@@ -3,10 +3,11 @@ DoubleInterval and FixedInterval types."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from mpmath import iv, mp
+from mpmath import iv, libmp, mp
 
 from divisor_series.intervals import (
     DomainError,
@@ -14,6 +15,8 @@ from divisor_series.intervals import (
     Enclosure,
     FixedInterval,
     GAMMA_DIGITS,
+    _ceil_float,
+    _floor_float,
     const,
     exp_,
     fixed_shift,
@@ -282,6 +285,71 @@ def test_double_interval_lifts_huge_and_tiny_rationals():
     assert DoubleInterval.lift(-huge).lo == -math.inf
     tiny = DoubleInterval.lift(Fraction(1, 10**400))
     assert tiny.lo == 0.0 and tiny.hi == 5e-324
+
+
+def _lift_by_fraction(frac: Fraction) -> tuple[float, float]:
+    """DoubleInterval.lift of a rational by building Fraction(f) of the
+    nearest double f: the oracle for the cross-multiplied comparison."""
+    try:
+        f = frac.numerator / frac.denominator
+    except OverflowError:
+        big = sys.float_info.max
+        return (big, math.inf) if frac > 0 else (-math.inf, -big)
+    if Fraction(f) < frac:
+        return f, math.nextafter(f, math.inf)
+    if Fraction(f) > frac:
+        return math.nextafter(f, -math.inf), f
+    return f, f
+
+
+def test_double_interval_lift_matches_the_fraction_comparison():
+    """Seeded rationals of both signs: exact dyadics, values one unit off a
+    dyadic, subnormal and below-subnormal magnitudes, near-overflow and
+    overflowing ones, with the lifted ends bit for bit equal to the oracle."""
+    rng = random.Random(23)
+    values = _seeded_rationals(24, 100)
+    for _ in range(300):
+        sign = rng.choice((1, -1))
+        man = rng.randrange(1, 2**53)
+        exp = rng.choice((rng.randrange(-1130, -1020), rng.randrange(-60, 60),
+                          rng.randrange(960, 1030)))
+        dyadic = sign * Fraction(man) * Fraction(2) ** exp
+        off = Fraction(1, rng.randrange(2, 10**20)) * Fraction(2) ** exp
+        values += [dyadic, dyadic + off, dyadic - off]
+    values += [Fraction(sys.float_info.max), -Fraction(sys.float_info.max) - 1,
+               Fraction(5e-324), Fraction(5e-324) / 3, -Fraction(5e-324) / 2]
+    for value in values:
+        assert _bits(DoubleInterval.lift(value)) == tuple(
+            f.hex() for f in _lift_by_fraction(value)), value
+
+
+def _rounded_float(m, rnd) -> float:
+    """The double nearest the raw mpf m in the direction rnd, by rounding
+    and comparing back: the oracle for the exact fast path."""
+    f = libmp.to_float(m, rnd=rnd)
+    if rnd == libmp.round_floor:
+        return math.nextafter(f, -math.inf) if libmp.mpf_gt(libmp.from_float(f), m) else f
+    return math.nextafter(f, math.inf) if libmp.mpf_lt(libmp.from_float(f), m) else f
+
+
+def test_floor_and_ceil_floats_match_rounding_and_comparing_back():
+    """mpf_log and mpf_exp outputs at 53 bits, as DoubleInterval takes them,
+    and at 80 bits, whose mantissas are too long to be doubles; exp(-740) is
+    subnormal and exp(710) overflows; zero and the special values."""
+    rng = random.Random(29)
+    raws = [libmp.fzero, libmp.finf, libmp.fninf, libmp.fnan]
+    for prec in (53, 80):
+        for rnd in (libmp.round_floor, libmp.round_ceiling):
+            for _ in range(60):
+                x = libmp.from_float(10.0 ** rng.uniform(-320, 308))
+                y = libmp.from_float(rng.uniform(-750.0, 712.0))
+                raws += [libmp.mpf_log(x, prec, rnd), libmp.mpf_exp(y, prec, rnd)]
+            raws += [libmp.mpf_exp(libmp.from_int(-740), prec, rnd),
+                     libmp.mpf_exp(libmp.from_int(710), prec, rnd),
+                     libmp.mpf_log(libmp.from_int(1), prec, rnd)]
+    for m in raws:
+        assert _floor_float(m).hex() == _rounded_float(m, libmp.round_floor).hex(), m
+        assert _ceil_float(m).hex() == _rounded_float(m, libmp.round_ceiling).hex(), m
 
 
 # -- FixedInterval: outward-rounded integers over one power-of-two scale --------

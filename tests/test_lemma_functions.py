@@ -58,6 +58,7 @@ from divisor_series.lemma_functions import (
     w2_raw,
 )
 from divisor_series.polynomials import Polynomial
+from divisor_series.verifier import J2_LIMIT
 
 
 # -- closed forms vs finite differences ---------------------------------------
@@ -163,19 +164,67 @@ def test_v_prime_run_bound_at_one_point_is_v_prime(y):
 # -- antiderivative ------------------------------------------------------------
 
 
+def _recorded_sandwich_doubles() -> list[dict]:
+    path = Path(__file__).parent / "data" / "sandwich-doubles.json"
+    points = json.loads(path.read_text(encoding="utf-8"))["points"]
+    assert len(points) == 43
+    return points
+
+
 def test_sandwich_bounds_in_doubles_match_the_recorded_endpoints_bit_for_bit():
     """W1, W2, J1 and J2 on DoubleInterval.lift(q) give exactly the doubles
     recorded in tests/data/sandwich-doubles.json: 40 seeded q in
     [0.117, 0.9999] and 117/1000, 91/100, 9999/10000.  The same doubles
     give the same run splits and byte-identical sandwich certificates."""
-    path = Path(__file__).parent / "data" / "sandwich-doubles.json"
-    points = json.loads(path.read_text(encoding="utf-8"))["points"]
-    assert len(points) == 43
-    for row in points:
+    for row in _recorded_sandwich_doubles():
         x = DoubleInterval.lift(Fraction(row["q"]))
         for name, fn in (("W1", w1_raw), ("W2", w2_raw), ("J1", j1_raw), ("J2", j2_raw)):
             got = fn(x)
             assert [got.lo.hex(), got.hi.hex()] == row[name], (row["q"], name)
+
+
+def test_positive_form_sums_enclose_the_closed_form_and_are_no_wider():
+    """At every recorded q, the W2 and J2 doubles of the positive form
+    contain the 256-bit enclosure of the closed-form sum of phi_raw(q, k), and
+    are no wider than the recorded doubles of that closed form summed in
+    DoubleInterval (the W2_closed_form and J2_closed_form columns)."""
+    for row in _recorded_sandwich_doubles():
+        q = Fraction(row["q"])
+        with interval_precision(256):
+            q_iv = to_ivmpf(q)
+            phis = [phi_raw(q_iv, k) for k in range(1, 41)]
+            closed = {"W2": Enclosure(sum(phis[1:], phis[0])),
+                      "J2": Enclosure(sum(phis[1:10], phis[0]) + phis[10] / 2)}
+        for name, fn in (("W2", w2_raw), ("J2", j2_raw)):
+            got = fn(DoubleInterval.lift(q))
+            assert closed[name].contained_in(Fraction(got.lo), Fraction(got.hi)), (q, name)
+            old_lo, old_hi = (float.fromhex(h) for h in row[f"{name}_closed_form"])
+            assert Fraction(got.hi) - Fraction(got.lo) <= Fraction(old_hi) - Fraction(old_lo), (
+                q, name)
+
+
+@pytest.mark.parametrize("half_last", [False, True])
+@pytest.mark.parametrize("k_max", [11, 40])
+def test_phi_integer_sum_meets_the_closed_form_terms_at_256_bits(k_max, half_last):
+    """The positive form q^k N_k / S_k^2 overlaps the sum of the closed-form
+    phi_raw(q, k) at 20 seeded q in (0, 1), and stays narrower than 1e-60."""
+    rng = random.Random(17)
+    with interval_precision(256):
+        for _ in range(20):
+            q = to_ivmpf(Fraction(rng.randrange(1, 10**6), 10**6))
+            terms = [phi_raw(q, k) for k in range(1, k_max + 1)]
+            if half_last:
+                terms[-1] = terms[-1] / 2
+            closed = Enclosure(sum(terms[1:], terms[0]))
+            positive = Enclosure(lemma_functions.phi_integer_sum_raw(q, k_max, half_last))
+            assert positive.intersects(closed), (q, k_max)
+            assert positive.width_upper() < 1e-60, (q, k_max)
+
+
+def test_j2_at_an_exact_one_is_its_limit():
+    """The positive form has no singularity at q = 1: each term is
+    (k-1)/(2k), so J2(1) is the pinned limit in exact rationals."""
+    assert j2_raw(Fraction(1)) == J2_LIMIT
 
 
 def test_antiderivative_vs_quadrature_spot():

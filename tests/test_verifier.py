@@ -85,17 +85,22 @@ def test_grid_cells_are_exact():
 @pytest.mark.parametrize("grid_fn", [lemma_2_4_ii_grid, lemma_2_9_grid,
                                      lemma_2_4_i_v_prime_grid])
 def test_grid_cell_matches_enumeration(grid_fn):
-    """cell(idx) from segment offsets against the segment-by-segment walk."""
+    """cell(idx) and point(k) from segment offsets against the
+    segment-by-segment walk."""
     grid = grid_fn()
     walk = [(seg.start + k * seg.step, seg.start + (k + 1) * seg.step)
             for seg in grid.segments for k in range(seg.count)]
     assert len(walk) == grid.total_cells
     for idx, (left, right) in enumerate(walk):
         assert grid.cell(idx) == (idx, left, right)
+        assert grid.point(idx) == left and grid.point(idx + 1) == right
     assert list(grid.cells()) == [(idx, *ends) for idx, ends in enumerate(walk)]
     for outside in (-1, grid.total_cells):
         with pytest.raises(IndexError):
             grid.cell(outside)
+    for outside in (-1, grid.total_cells + 1):
+        with pytest.raises(IndexError):
+            grid.point(outside)
 
 
 # -- sandwich engine -----------------------------------------------------------
