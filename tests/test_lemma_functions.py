@@ -221,6 +221,62 @@ def test_phi_integer_sum_meets_the_closed_form_terms_at_256_bits(k_max, half_las
             assert positive.width_upper() < 1e-60, (q, k_max)
 
 
+def _hex(x: DoubleInterval) -> tuple[str, str]:
+    return x.lo.hex(), x.hi.hex()
+
+
+def _float_loop_points() -> list[DoubleInterval]:
+    """Seeded q inside the float loop's guard [2^-24, 1]: lifted rationals in
+    (0, 1) and near the threshold, exact dyadic points, 1 and the threshold."""
+    rng = random.Random(20261019)
+    lifted = [Fraction(rng.randrange(1, 10**6), 10**6) for _ in range(150)]
+    lifted += [Fraction(rng.randrange(60, 1000), 10**9) for _ in range(20)]
+    dyadic = [rng.randrange(1, 2**30) / 2**30 for _ in range(50)]
+    return ([DoubleInterval.lift(f) for f in lifted] + [DoubleInterval(x, x) for x in dyadic]
+            + [DoubleInterval.lift(1), DoubleInterval(2.0**-24, 2.0**-24),
+               DoubleInterval(2.0**-24, 1.0)])
+
+
+@pytest.mark.parametrize("half_last", [False, True])
+@pytest.mark.parametrize("k_max", [11, 40])
+def test_phi_sum_float_loop_is_the_generic_body_bit_for_bit(k_max, half_last):
+    """_phi_integer_sum_doubles replays the generic body on DoubleInterval:
+    both ends carry the same doubles (float.hex) at every guarded q."""
+    for q in _float_loop_points():
+        loop = lemma_functions._phi_integer_sum_doubles(q, k_max, half_last)
+        body = lemma_functions._phi_integer_sum_generic(q, k_max, half_last)
+        assert _hex(loop) == _hex(body), (q, k_max, half_last)
+
+
+def test_phi_sum_takes_the_float_loop_only_inside_its_guard(monkeypatch):
+    """A DoubleInterval q in [2^-24, 1] with k_max <= 40 runs the float loop;
+    a q reaching 0, below 2^-24 or above 1, a larger k_max, floats and ivmpf
+    run the generic body.  At q.lo = 0 the loop's lower end is not the body's."""
+    loop, calls = lemma_functions._phi_integer_sum_doubles, []
+    monkeypatch.setattr(lemma_functions, "_phi_integer_sum_doubles",
+                        lambda *args: calls.append(args) or loop(*args))
+    sum_ = lemma_functions.phi_integer_sum_raw
+    for q in (DoubleInterval.lift(Fraction(9, 10)), DoubleInterval.lift(1),
+              DoubleInterval(2.0**-24, 1.0)):
+        assert _hex(sum_(q, 40)) == _hex(lemma_functions._phi_integer_sum_generic(q, 40, False))
+    assert len(calls) == 3
+    outside = [(DoubleInterval(0.0, 0.5), 40), (DoubleInterval(2.0**-25, 0.5), 11),
+               (DoubleInterval(0.5, math.nextafter(1.0, 2.0)), 40),
+               (DoubleInterval.lift(Fraction(9, 10)), 41)]
+    for q, k_max in outside:
+        for half_last in (False, True):
+            body = lemma_functions._phi_integer_sum_generic(q, k_max, half_last)
+            assert _hex(sum_(q, k_max, half_last)) == _hex(body), (q, k_max)
+    assert sum_(0.9, 40) == lemma_functions._phi_integer_sum_generic(0.9, 40, False)
+    with interval_precision(53):
+        q_iv = to_ivmpf(Fraction(9, 10))
+        body = lemma_functions._phi_integer_sum_generic(q_iv, 11, True)
+        assert sum_(q_iv, 11, True)._mpi_ == body._mpi_
+    assert len(calls) == 3
+    zero = DoubleInterval(0.0, 0.5)
+    assert loop(zero, 40, False).lo != lemma_functions._phi_integer_sum_generic(zero, 40, False).lo
+
+
 def test_j2_at_an_exact_one_is_its_limit():
     """The positive form has no singularity at q = 1: each term is
     (k-1)/(2k), so J2(1) is the pinned limit in exact rationals."""
