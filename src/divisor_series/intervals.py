@@ -307,6 +307,27 @@ def _ceil_float(m) -> float:
     return math.nextafter(f, math.inf) if libmp.mpf_lt(libmp.from_float(f), m) else f
 
 
+def product_ends(a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """The round-to-nearest ends of [a, b] * [c, d], from the sign table."""
+    if a >= 0:
+        if c >= 0:
+            return a * c, b * d
+        if d <= 0:
+            return b * c, a * d
+        return b * c, b * d
+    if b <= 0:
+        if c >= 0:
+            return a * d, b * c
+        if d <= 0:
+            return b * d, a * c
+        return a * d, a * c
+    if c >= 0:
+        return a * d, b * d
+    if d <= 0:
+        return b * c, a * c
+    return min(a * d, b * c), max(a * c, b * d)
+
+
 class DoubleInterval:
     """A closed interval [lo, hi] of doubles certified to contain a real value.
 
@@ -389,26 +410,7 @@ class DoubleInterval:
             a, b, c, d = self.lo, self.hi, other, other
         else:
             return self * DoubleInterval.lift(other)
-        if a >= 0:
-            if c >= 0:
-                lo, hi = a * c, b * d
-            elif d <= 0:
-                lo, hi = b * c, a * d
-            else:
-                lo, hi = b * c, b * d
-        elif b <= 0:
-            if c >= 0:
-                lo, hi = a * d, b * c
-            elif d <= 0:
-                lo, hi = b * d, a * c
-            else:
-                lo, hi = a * d, a * c
-        elif c >= 0:
-            lo, hi = a * d, b * d
-        elif d <= 0:
-            lo, hi = b * c, a * c
-        else:
-            lo, hi = min(a * d, b * c), max(a * c, b * d)
+        lo, hi = product_ends(a, b, c, d)
         lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
         return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
 

@@ -18,7 +18,12 @@ sums C, D) decide the sign of F'.  This module provides:
   h2 = 1/S, h3 = P/S^2 also available as exact rational polynomials.
 
 Formulas are written once against generic arithmetic: feed floats for FAST
-results, mpmath intervals for CERTIFIED enclosures.
+results, mpmath intervals for CERTIFIED enclosures, DoubleInterval for the
+cheap first pass of certified sandwich checks.  On a DoubleInterval q
+inside their guards two float-pair kernels replay a generic body bit for
+bit on local pairs of doubles: _phi_integer_sum_doubles the phi sum of W2
+and J2, and _phi_integral_doubles the antiderivative difference of W1 and
+J1.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .intervals import (
     lift,
     ln,
     powr,
+    product_ends,
     working_precision,
 )
 from .polynomials import Polynomial
@@ -170,8 +176,7 @@ def phi_integer_sum_raw(q, k_max: int, half_last: bool = False):
     q^k - qk + k - 1 is (1-q)^2 N_k and the denominator (1-q^k)^2 is
     (1-q)^2 S_k^2.  q^k, S_k and N_k are running sums and products, so a term
     costs seven operations, and nothing cancels as q -> 1, where the term is
-    (k-1)/(2k).  N_1 = 0 makes phi_q(1) vanish, so the sum starts at k = 2.
-    In a profiled certified roll-up it takes 45% as DoubleInterval operations, 16% as floats."""
+    (k-1)/(2k).  N_1 = 0 makes phi_q(1) vanish, so the sum starts at k = 2."""
     if q.__class__ is DoubleInterval and 2.0 ** -24 <= q.lo and q.hi <= 1 and k_max <= 40:
         return _phi_integer_sum_doubles(q, k_max, half_last)
     return _phi_integer_sum_generic(q, k_max, half_last)
@@ -212,10 +217,80 @@ def _phi_integer_sum_doubles(q: DoubleInterval, k_max: int, half_last: bool) -> 
     return DoubleInterval(tl, th)
 
 
+def phi_integral_raw(q, x: int):
+    """integral of phi_q over [1, x], x a positive int, as the antiderivative
+    difference Phi_q(x) - Phi_q(1) with one log(q)."""
+    if q.__class__ is DoubleInterval and 2.0 ** -24 <= q.lo and q.hi < 1:
+        return _phi_integral_doubles(q, x)
+    return _phi_integral_generic(q, x)
+
+
+def _phi_integral_generic(q, x: int):
+    lq = ln(q)
+    return phi_antiderivative_raw(q, x, lq) - phi_antiderivative_raw(q, 1, lq)
+
+
+def _phi_integral_doubles(q: DoubleInterval, x: int) -> DoubleInterval:
+    """_phi_integral_generic on DoubleInterval, bit for bit: each operation of
+    phi_antiderivative_raw rounds to nearest, then moves one nextafter
+    outward, with the sign-table corners of DoubleInterval; the three logs
+    run DoubleInterval.log.  2^-24 <= q.lo and q.hi < 1 fix most corners:
+    a product of ends in (0, 1) rounds strictly below the larger one, so
+    every power q^k lies in (2^-1000, q.hi], 1 - q^k in [2^-54, 1 + 2^-52]
+    and log(q) in [-17, -1e-16].  Then no end is infinite or NaN, every
+    denominator is positive, and only (1 + log q) q^x, the product with
+    log(1 - q^x) (both on product_ends) and the quotient take their corners
+    by sign; the numerator of the quotient has a negative lower end, since
+    Phi_q < 0 and every enclosure holds its value."""
+    lq = q.log()
+    ll, lh = lq.lo, lq.hi
+    hl, hh = _phi_antiderivative_doubles(q, x, ll, lh)
+    gl, gh = _phi_antiderivative_doubles(q, 1, ll, lh)
+    return DoubleInterval(nextafter(hl - gh, -inf), nextafter(hh - gl, inf))
+
+
+def _phi_antiderivative_doubles(q: DoubleInterval, x: int, ll: float, lh: float):
+    """The ends of phi_antiderivative_raw(q, x, DoubleInterval(ll, lh)), for
+    _phi_integral_doubles."""
+    ql, qh, down, up = q.lo, q.hi, -inf, inf
+    xl = xh = None  # qx = q**x by the binary powering of DoubleInterval.__pow__
+    bl, bh, e = ql, qh, x
+    while e:
+        if e & 1:
+            if xl is None:
+                xl, xh = bl, bh
+            else:
+                xl, xh = nextafter(xl * bl, down), nextafter(xh * bh, up)
+        e >>= 1
+        if e:
+            bl, bh = nextafter(bl * bl, down), nextafter(bh * bh, up)
+    # p = q*qx - (1 + lq)*qx + 1 - q + lq, left to right
+    al, ah = nextafter(ql * xl, down), nextafter(qh * xh, up)
+    cl, ch = product_ends(nextafter(ll + 1, down), nextafter(lh + 1, up), xl, xh)
+    cl, ch = nextafter(cl, down), nextafter(ch, up)
+    pl, ph = nextafter(al - ch, down), nextafter(ah - cl, up)
+    pl, ph = nextafter(pl + 1, down), nextafter(ph + 1, up)
+    pl, ph = nextafter(pl - qh, down), nextafter(ph - ql, up)
+    pl, ph = nextafter(pl + ll, down), nextafter(ph + lh, up)
+    # m = p * log(1 - qx)
+    ol, oh = nextafter(1 - xh, down), nextafter(1 - xl, up)
+    log_o = DoubleInterval(ol, oh).log()
+    ml, mh = product_ends(pl, ph, log_o.lo, log_o.hi)
+    ml, mh = nextafter(ml, down), nextafter(mh, up)
+    # num = m + x*qx*(1 - q)*lq, where x*qx*(1 - q) > 0 > lq
+    tl, th = nextafter(xl * x, down), nextafter(xh * x, up)
+    tl, th = nextafter(tl * nextafter(1 - qh, down), down), nextafter(th * nextafter(1 - ql, up), up)
+    tl, th = nextafter(th * ll, down), nextafter(tl * lh, up)
+    nl, nh = nextafter(ml + tl, down), nextafter(mh + th, up)
+    # num / ((1 - qx) * lq**2): Phi_q < 0, so num encloses a negative value
+    sl, sh = nextafter(lh * lh, down), nextafter(ll * ll, up)
+    dl, dh = nextafter(ol * sl, down), nextafter(oh * sh, up)
+    return nextafter(nl / dl, down), nextafter(nh / (dh if nh <= 0 else dl), up)
+
+
 def w1_raw(q):
     """W1(q) = integral of phi over [1, 40] as an antiderivative difference."""
-    lq = ln(q)
-    return phi_antiderivative_raw(q, 40, lq) - phi_antiderivative_raw(q, 1, lq)
+    return phi_integral_raw(q, 40)
 
 
 def w2_raw(q):
@@ -230,9 +305,7 @@ def w2_raw(q):
 
 def j1_raw(q):
     """J1(q) = integral of phi over [1, 11] minus 0.036."""
-    lq = ln(q)
-    integral = phi_antiderivative_raw(q, 11, lq) - phi_antiderivative_raw(q, 1, lq)
-    return integral - const(Fraction(36, 1000), q)
+    return phi_integral_raw(q, 11) - const(Fraction(36, 1000), q)
 
 
 def j2_raw(q):

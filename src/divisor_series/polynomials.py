@@ -1,9 +1,12 @@
 """Dense univariate polynomials over the rationals and Sturm root counting.
 
-Sturm chains are computed with exact Fraction coefficients; after every
-Euclidean remainder the polynomial is reduced to its primitive part (content
-divided out, sign kept) to stop the coefficient blow-up that degree-29
-chains produce otherwise.
+Sturm chains run on integers (Brown and Traub, "On Euclid's algorithm and the
+theory of subresultants", JACM 18, 1971): the denominators are cleared once,
+each remainder is a pseudo-remainder with the positive multiplier
+|lc|^(m-n+1), so its signs are those of the Euclidean remainder, and is
+reduced to its primitive part by integer gcd, which stops the coefficient
+blow-up of degree-29 chains.  Signs at a rational n/d come from homogeneous
+integer Horner, d^deg p(n/d).
 """
 
 from __future__ import annotations
@@ -99,44 +102,85 @@ class Polynomial:
                 rem[k - dd + j] -= f * dcs[j]
         return Polynomial(quot), Polynomial(rem[:dd] if dd else [Fraction(0)])
 
-    def primitive_part(self) -> "Polynomial":
-        """Divide out the positive content; preserves signs and roots."""
-        if self.is_zero:
-            return self
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            if c:
-                num = gcd(num, abs(c.numerator))
-                den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
-        return Polynomial([c / content for c in self.coeffs])
-
     def __repr__(self) -> str:
         return f"Polynomial(degree={self.degree}, {list(self.coeffs)})"
+
+
+def _integer_primitive(cs: Sequence[int]) -> list[int]:
+    """Integer coefficients divided by their gcd; signs and roots kept."""
+    g = 0
+    for c in cs:
+        g = gcd(g, c)
+    return [c // g for c in cs] if g > 1 else list(cs)
+
+
+def _integer_coefficients(p: Polynomial) -> list[int]:
+    """The primitive integer multiple of p: denominators cleared by their lcm."""
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return _integer_primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _negated_pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
+    """-|lc(g)|^(deg f - deg g + 1) (f mod g) on integers, trailing zeros
+    dropped: a positive multiple of the negated Euclidean remainder."""
+    r, n, lc = list(f), len(g) - 1, g[-1]
+    mult, sign = abs(lc), 1 if lc > 0 else -1
+    for k in range(len(r) - 1, n - 1, -1):
+        c = sign * r.pop()
+        r = [mult * v for v in r]
+        for j in range(n):
+            r[k - n + j] -= c * g[j]
+    while r and not r[-1]:
+        r.pop()
+    return [-v for v in r]
+
+
+def _integer_sturm_chain(cs: list[int]) -> list[list[int]]:
+    """The Sturm chain of a primitive integer polynomial (coefficients lowest
+    degree first), each element a primitive integer polynomial."""
+    chain = [cs]
+    d = _integer_primitive([k * c for k, c in enumerate(cs)][1:])
+    if any(d):
+        chain.append(d)
+    while len(chain[-1]) > 1:
+        rem = _negated_pseudo_remainder(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(_integer_primitive(rem))
+    return chain
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
     """p, p', then negated Euclidean remainders, each reduced to primitive
     part; stops at the last nonzero element."""
-    chain = [p.primitive_part()]
-    d = p.derivative()
-    if not d.is_zero:
-        chain.append(d.primitive_part())
-    while chain[-1].degree > 0:
-        _, rem = chain[-2].divmod(chain[-1])
-        if rem.is_zero:
-            break
-        chain.append(rem.scale(-1).primitive_part())
-    return chain
+    return [Polynomial(cs) for cs in _integer_sturm_chain(_integer_coefficients(p))]
 
 
-def _sign_variations(chain: Sequence[Polynomial], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        v = poly(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+def _sign_at(cs: Sequence[int], num: int, den: int) -> int:
+    """The sign of the integer polynomial cs at num/den, den > 0, by
+    homogeneous Horner: den^deg * p(num/den) on integers."""
+    acc, scale = 0, 1
+    for c in reversed(cs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _deflate(cs: list[int], num: int, den: int) -> list[int]:
+    """cs divided by den*x - num, a factor of cs: the quotient has integer
+    coefficients (Gauss's lemma, gcd(num, den) = 1)."""
+    quot, carry = [0] * (len(cs) - 1), 0
+    for i in range(len(cs) - 1, 0, -1):
+        carry = (cs[i] + carry) // den
+        quot[i - 1] = carry
+        carry *= num
+    return quot
+
+
+def _variations(chain: Sequence[Sequence[int]], num: int, den: int) -> int:
+    signs = [s for s in (_sign_at(cs, num, den) for cs in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -154,14 +198,16 @@ def sturm_root_count(p: Polynomial, a: Rational, b: Rational) -> int:
     b = Fraction(b)
     if not a < b:
         raise DomainError("need a < b")
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    cs = _integer_coefficients(p)
     count = 0
-    if p(b) == 0:
+    if _sign_at(cs, bn, bd) == 0:
         count += 1
-        while p(b) == 0 and p.degree > 0:
-            p, _ = p.divmod(Polynomial([-b, 1]))
-    while p(a) == 0 and p.degree > 0:
-        p, _ = p.divmod(Polynomial([-a, 1]))
-    if p.degree == 0:
+        while len(cs) > 1 and _sign_at(cs, bn, bd) == 0:
+            cs = _deflate(cs, bn, bd)
+    while len(cs) > 1 and _sign_at(cs, an, ad) == 0:
+        cs = _deflate(cs, an, ad)
+    if len(cs) == 1:
         return count
-    chain = sturm_chain(p)
-    return count + _sign_variations(chain, a) - _sign_variations(chain, b)
+    chain = _integer_sturm_chain(_integer_primitive(cs))
+    return count + _variations(chain, an, ad) - _variations(chain, bn, bd)

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from mpmath import iv
 
@@ -464,15 +464,26 @@ class _VPrimeMargins:
         return value.is_positive(), *value.to_floats()
 
 
-def _all_and_min(
-    values: Iterable[Enclosure], ok: Callable[[Enclosure], bool]
-) -> tuple[bool, float]:
-    """(every value passes ok, the smallest lower endpoint as a double), in
-    one pass so that long grids are never held in memory."""
+def _phi_prime_witness(points: Sequence[tuple[Fraction, int]],
+                       threshold: Fraction) -> tuple[bool, float]:
+    """(phi'_q(x) > threshold at every exact point (q, x), the smallest lower
+    endpoint at working precision as a double).  Each point is evaluated in
+    doubles first.  The ceiling is the smallest double upper endpoint: a
+    point whose double lower endpoint exceeds it lies above the smallest
+    value, and one of those that clears the threshold in doubles is settled;
+    the others are evaluated again at working precision, as in phase 2 of
+    _prove_by_runs."""
+    doubles = [phi_prime_raw(DoubleInterval.lift(q), x) for q, x in points]
+    ceiling = min(value.hi for value in doubles)
     all_ok, min_lo = True, math.inf
-    for v in values:
-        all_ok = all_ok and ok(v)
-        min_lo = min(min_lo, v.to_floats()[0])
+    with interval_precision(working_precision()):
+        for (q, x), in_doubles in zip(points, doubles):
+            clears = math.isfinite(in_doubles.lo) and Fraction(in_doubles.lo) > threshold
+            if in_doubles.lo > ceiling and clears:
+                continue
+            value = Enclosure(phi_prime_raw(to_ivmpf(q), x))
+            all_ok = all_ok and (clears or value.strictly_above(threshold))
+            min_lo = min(min_lo, value.to_floats()[0])
     return all_ok, min_lo
 
 
@@ -645,11 +656,8 @@ def verify_lemma_2_8() -> Certificate:
     qs = [Fraction(91, 100) + k * Fraction(1, 100) for k in range(9)]
     qs += [Fraction(999, 1000), Fraction(9999, 10000)]
     xs = [1, 2, 3, 5, 8, 11, 14, 17, 20, 35, 50, 100, 200]
-    with interval_precision(working_precision()):
-        grid_ok, details["min_phi_prime_on_grid"] = _all_and_min(
-            (Enclosure(phi_prime_raw(q_iv, x)) for q_iv in map(to_ivmpf, qs) for x in xs),
-            lambda val: val.strictly_above(threshold),
-        )
+    grid_ok, details["min_phi_prime_on_grid"] = _phi_prime_witness(
+        [(q, x) for q in qs for x in xs], threshold)
     details["grid_points"] = len(qs) * len(xs)
 
     return Certificate(

@@ -11,7 +11,7 @@ import pytest
 from mpmath import iv
 from scipy.integrate import quad
 
-from divisor_series import lemma_functions
+from divisor_series import lemma_functions, verifier
 from divisor_series.intervals import (
     BracketSearchError,
     DomainError,
@@ -275,6 +275,67 @@ def test_phi_sum_takes_the_float_loop_only_inside_its_guard(monkeypatch):
     assert len(calls) == 3
     zero = DoubleInterval(0.0, 0.5)
     assert loop(zero, 40, False).lo != lemma_functions._phi_integer_sum_generic(zero, 40, False).lo
+
+
+def _phi_integral_kernel_points(monkeypatch) -> list[DoubleInterval]:
+    """DoubleInterval q inside the kernel's guard: 150 seeded lifted rationals
+    in [0.117, 0.9999], the left endpoints of the 2.9 grid, the points of
+    both spot checks and 50 exact dyadic points in [2^-24, 1)."""
+    rng = random.Random(20261020)
+    qs = [Fraction(rng.randrange(117000, 999901), 10**6) for _ in range(150)]
+    grid = verifier.lemma_2_9_grid()
+    qs += [grid.point(k) for k in range(grid.total_cells)]
+    spotted = []
+    monkeypatch.setattr(verifier, "_separates",
+                        lambda fn, _, b, a: spotted.extend((a, b)) or True)
+    for span in ((Fraction(117, 1000), Fraction(91, 100)),
+                 (Fraction(91, 100), Fraction(9999, 10000))):
+        assert verifier._spot_check_monotone(None, *span)
+    assert len(spotted) == 4 * verifier._SPOT_CHECK_PAIRS
+    qs += spotted
+    dyadic = [rng.randrange(2**6, 2**30) / 2**30 for _ in range(48)]
+    return ([DoubleInterval.lift(q) for q in qs] + [DoubleInterval(x, x) for x in dyadic]
+            + [DoubleInterval(2.0**-24, 2.0**-24), DoubleInterval(2.0**-24, 1 - 2.0**-53)])
+
+
+def test_w1_and_j1_kernel_is_the_generic_body_bit_for_bit(monkeypatch):
+    """_phi_integral_doubles replays the generic antiderivative difference on
+    DoubleInterval: both ends of W1 (x = 40) and J1 (x = 11) carry the same
+    doubles (float.hex) at every guarded q, and w1_raw and j1_raw return them."""
+    shift = DoubleInterval.lift(Fraction(36, 1000))
+    for q in _phi_integral_kernel_points(monkeypatch):
+        for x, raw in ((40, w1_raw), (11, j1_raw)):
+            kernel = lemma_functions._phi_integral_doubles(q, x)
+            body = lemma_functions._phi_integral_generic(q, x)
+            assert _hex(kernel) == _hex(body), (q, x)
+            expected = kernel if x == 40 else kernel - shift
+            assert _hex(raw(q)) == _hex(expected), (q, x)
+
+
+def test_w1_and_j1_take_the_kernel_only_inside_its_guard(monkeypatch):
+    """A DoubleInterval q with 2^-24 <= q.lo and q.hi < 1 runs the kernel; a q
+    reaching 1 or starting below 2^-24, floats and ivmpf run the generic body."""
+    kernel, calls = lemma_functions._phi_integral_doubles, []
+    monkeypatch.setattr(lemma_functions, "_phi_integral_doubles",
+                        lambda *args: calls.append(args) or kernel(*args))
+    inside = (DoubleInterval.lift(Fraction(9, 10)), DoubleInterval(2.0**-24, 0.5))
+    for q in inside:
+        assert _hex(w1_raw(q)) == _hex(lemma_functions._phi_integral_generic(q, 40))
+    assert len(calls) == 2
+    outside = (DoubleInterval.lift(1), DoubleInterval(0.5, 1.0),
+               DoubleInterval(2.0**-25, 0.5), DoubleInterval(math.nextafter(2.0**-24, 0), 0.5))
+    for q in outside:
+        for x, raw in ((40, w1_raw), (11, j1_raw)):
+            body = lemma_functions._phi_integral_generic(q, x)
+            if x == 11:
+                body = body - DoubleInterval.lift(Fraction(36, 1000))
+            assert _hex(raw(q)) == _hex(body), (q, x)
+    assert w1_raw(0.9) == lemma_functions._phi_integral_generic(0.9, 40)
+    with interval_precision(53):
+        q_iv = to_ivmpf(Fraction(9, 10))
+        assert j1_raw(q_iv)._mpi_ == (lemma_functions._phi_integral_generic(q_iv, 11)
+                                      - to_ivmpf(Fraction(36, 1000)))._mpi_
+    assert len(calls) == 2
 
 
 def test_j2_at_an_exact_one_is_its_limit():

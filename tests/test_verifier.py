@@ -19,11 +19,15 @@ from divisor_series.intervals import (
     DoubleInterval,
     Enclosure,
     Mode,
+    interval_precision,
     mpf_to_fraction,
+    to_ivmpf,
+    working_precision,
 )
 from divisor_series.lemma_functions import (
     h2_denominator_polynomial,
     h3_numerator_polynomial,
+    phi_prime_raw,
     v_prime_run_raw,
     w1_raw,
 )
@@ -453,6 +457,72 @@ def test_lemma_2_8_fails_where_h3_turns(monkeypatch):
     cert = verify_lemma("2.8")
     assert cert.details["h3_prime_roots_in_0_1"] == 1 and cert.min_margin > 0
     assert not cert.passed
+
+
+def _phi_prime_at_working_precision(points, threshold) -> tuple[bool, float]:
+    """Reference for 2.8's witness: every point at working precision."""
+    with interval_precision(working_precision()):
+        values = [Enclosure(phi_prime_raw(to_ivmpf(q), x)) for q, x in points]
+    return (all(v.strictly_above(threshold) for v in values),
+            min(v.to_floats()[0] for v in values))
+
+
+def _count_working_precision_points(monkeypatch) -> list:
+    """Patch verifier.phi_prime_raw to record the (q, x) it takes as ivmpf."""
+    raw, seen = verifier.phi_prime_raw, []
+    monkeypatch.setattr(verifier, "phi_prime_raw", lambda q, x: (
+        seen.append((q, x)) if not isinstance(q, DoubleInterval) else None) or raw(q, x))
+    return seen
+
+
+@pytest.mark.parametrize("bits", ["53", "128", "1024"])
+def test_lemma_2_8_witness_in_doubles_first_is_the_working_precision_grid(monkeypatch, bits):
+    """The doubles-first phi' witness gives the passed, min_phi_prime_on_grid
+    and grid_points of evaluating all 143 points at working precision, and
+    evaluates one point again at working precision."""
+    monkeypatch.setenv("DIVISOR_SERIES_PREC", bits)
+    witness, calls = verifier._phi_prime_witness, []
+    monkeypatch.setattr(verifier, "_phi_prime_witness",
+                        lambda *args: calls.append(args) or witness(*args))
+    rechecked = _count_working_precision_points(monkeypatch)
+    cert = verify_lemma("2.8")
+    ((points, threshold),) = calls
+    assert threshold == Fraction(-35, 1000) and len(rechecked) == 1
+    passed, min_lo = _phi_prime_at_working_precision(points, threshold)
+    assert cert.passed is passed is True
+    assert cert.details["min_phi_prime_on_grid"] == min_lo
+    assert cert.details["grid_points"] == len(points) == 143
+
+
+def test_phi_prime_witness_rechecks_a_point_that_doubles_do_not_clear(monkeypatch):
+    """With the threshold at the double lower end of a point above the ceiling,
+    doubles cannot settle that point: it goes to working precision, while a
+    point that clears the threshold above the ceiling does not."""
+    low, mid, high = (Fraction(91, 100), 14), (Fraction(91, 100), 3), (Fraction(95, 100), 1)
+    values = {p: phi_prime_raw(DoubleInterval.lift(p[0]), p[1]) for p in (low, mid, high)}
+    assert values[low].hi < values[mid].lo and values[mid].hi < values[high].lo
+    rechecked = _count_working_precision_points(monkeypatch)
+    ok, min_lo = verifier._phi_prime_witness([low, mid, high], Fraction(-35, 1000))
+    assert ok and len(rechecked) == 1
+    rechecked.clear()
+    ok, min_lo = verifier._phi_prime_witness([low, mid, high], Fraction(values[mid].lo))
+    assert not ok and [x for _, x in rechecked] == [14, 3]
+    assert min_lo == _phi_prime_at_working_precision([low], 0)[1]
+
+
+def test_lemma_2_8_fails_where_phi_prime_really_fails(monkeypatch):
+    """phi' lowered by 1 at (0.95, 17), far from the minimum, fails the
+    witness and the certificate at that point."""
+    raw = verifier.phi_prime_raw
+
+    def lowered(q, x):
+        at = q.lo if isinstance(q, DoubleInterval) else float(q.a)
+        return raw(q, x) - 1 if x == 17 and abs(at - 0.95) < 1e-9 else raw(q, x)
+
+    monkeypatch.setattr(verifier, "phi_prime_raw", lowered)
+    cert = verify_lemma("2.8")
+    assert not cert.passed
+    assert -1.02 < cert.details["min_phi_prime_on_grid"] < -1
 
 
 @pytest.mark.parametrize("bits", ["53", "128", "1024"])
