@@ -133,20 +133,6 @@ def mpf_to_fraction(x) -> Fraction:
     return -value if sign else value
 
 
-def _float_down(x) -> float:
-    f = float(x)
-    if math.isinf(f):
-        return f
-    return f if mp.mpf(f) <= x else math.nextafter(f, -math.inf)
-
-
-def _float_up(x) -> float:
-    f = float(x)
-    if math.isinf(f):
-        return f
-    return f if mp.mpf(f) >= x else math.nextafter(f, math.inf)
-
-
 class Enclosure:
     """A closed interval certified to contain the exact real value.
 
@@ -197,7 +183,8 @@ class Enclosure:
 
     def to_floats(self) -> tuple[float, float]:
         """Endpoints as doubles, rounded outward so containment survives."""
-        return _float_down(self.lo), _float_up(self.hi)
+        lo, hi = self._iv._mpi_
+        return _floor_float(lo), _ceil_float(hi)
 
     # -- order queries ------------------------------------------------------
 
@@ -335,8 +322,8 @@ class DoubleInterval:
     methods", Acta Numerica 19, 2010).  IEEE ``+ - * /`` round to nearest,
     off by at most half a unit in the last place, so each operation takes
     its ends from a sign table and moves each one double outward
-    (``math.nextafter``) in one step.  An int of magnitude <= 2^53 enters as
-    itself, which IEEE arithmetic takes exactly; any other scalar is lifted.
+    (``math.nextafter``) in one step.  A scalar operand is first lifted to
+    its tightest pair of doubles; ints of magnitude <= 2^53 lift exactly.
     Integer powers are repeated products.  ``log`` and ``exp`` take mpmath's
     directed rounding at 53 bits, since libm promises no rounding direction.
 
@@ -376,40 +363,28 @@ class DoubleInterval:
         return cls(f, f)
 
     def __add__(self, other):
-        if other.__class__ is DoubleInterval:
-            lo, hi = self.lo + other.lo, self.hi + other.hi
-        elif other.__class__ is int and -2**53 <= other <= 2**53:
-            lo, hi = self.lo + other, self.hi + other
-        else:
+        if other.__class__ is not DoubleInterval:
             return self + DoubleInterval.lift(other)
+        lo, hi = self.lo + other.lo, self.hi + other.hi
         lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
         return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is DoubleInterval:
-            lo, hi = self.lo - other.hi, self.hi - other.lo
-        elif other.__class__ is int and -2**53 <= other <= 2**53:
-            lo, hi = self.lo - other, self.hi - other
-        else:
+        if other.__class__ is not DoubleInterval:
             return self - DoubleInterval.lift(other)
+        lo, hi = self.lo - other.hi, self.hi - other.lo
         lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
         return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
 
     def __rsub__(self, other):
-        if other.__class__ is not int or not -2**53 <= other <= 2**53:
-            return DoubleInterval.lift(other) - self
-        lo, hi = nextafter(other - self.hi, -inf), nextafter(other - self.lo, inf)
-        return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
+        return DoubleInterval.lift(other) - self
 
     def __mul__(self, other):
-        if other.__class__ is DoubleInterval:
-            a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        elif other.__class__ is int and -2**53 <= other <= 2**53:
-            a, b, c, d = self.lo, self.hi, other, other
-        else:
+        if other.__class__ is not DoubleInterval:
             return self * DoubleInterval.lift(other)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
         lo, hi = product_ends(a, b, c, d)
         lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
         return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
@@ -417,12 +392,9 @@ class DoubleInterval:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if other.__class__ is DoubleInterval:
-            a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        elif other.__class__ is int and -2**53 <= other <= 2**53:
-            a, b, c, d = self.lo, self.hi, other, other
-        else:
+        if other.__class__ is not DoubleInterval:
             return self / DoubleInterval.lift(other)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
         if c > 0:
             if a >= 0:
                 lo, hi = a / d, b / c
@@ -448,8 +420,6 @@ class DoubleInterval:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent == 2:
-            return self * self
         if exponent < 0:
             return 1 / self ** -exponent
         result, base = None, self

@@ -539,21 +539,27 @@ def evaluate_named(name: str, *, q=None, x=None, y=None, n=None, mode: Mode = Mo
     if name in _Y_ARG:
         if y is None:
             raise DomainError(f"{name} needs --y")
-        return _in_mode(mode, fn, Fraction(y) if not isinstance(y, Fraction) else y)
-    qp = QPoint.coerce(q) if q is not None else None
-    if qp is None:
+        args = (Fraction(y),)
+    elif q is None:
         raise DomainError(f"{name} needs --q")
+    else:
+        args = (QPoint.coerce(q).value,)
     if name in _TWO_ARG:
         if x is None:
             raise DomainError(f"{name} needs --x")
-        x = Fraction(x) if not isinstance(x, Fraction) else x
-        try:
-            return _in_mode(mode, fn, qp.value, x)
-        except (ZeroDivisionError, ValueError) as exc:
-            if mode is not Mode.FAST or isinstance(exc, DomainError):
-                raise
-            if powr(lift(qp.value, mode), lift(x, mode)) != 1.0:
-                raise DomainError(f"FAST {name} is undefined at x = {float(x):g}: {exc}") from None
-            raise DomainError(f"FAST {name} divides by 1 - q^x, and q^x rounds to 1.0 in"
-                              f" doubles at x = {float(x):g}; certified mode takes it") from None
-    return _in_mode(mode, fn, qp.value)
+        x = Fraction(x)
+        args += (x,)
+    try:
+        return _in_mode(mode, fn, *args)
+    except OverflowError as exc:
+        if mode is not Mode.FAST:
+            raise
+        raise DomainError(f"FAST {name} overflows a double ({exc});"
+                          " certified mode takes it") from None
+    except (ZeroDivisionError, ValueError) as exc:
+        if mode is not Mode.FAST or isinstance(exc, DomainError) or name not in _TWO_ARG:
+            raise
+        if powr(lift(args[0], mode), lift(x, mode)) != 1.0:
+            raise DomainError(f"FAST {name} is undefined at x = {float(x):g}: {exc}") from None
+        raise DomainError(f"FAST {name} divides by 1 - q^x, and q^x rounds to 1.0 in"
+                          f" doubles at x = {float(x):g}; certified mode takes it") from None

@@ -59,7 +59,7 @@ from .intervals import (
     precision_ladder,
     to_ivmpf,
     working_precision,
-    _float_up,
+    _ceil_float,
 )
 from .power_series import RepresentationId
 
@@ -107,11 +107,6 @@ class QPoint:
 
     def to_ivmpf(self) -> ivmpf:
         return to_ivmpf(self.value)
-
-    def float_up(self) -> float:
-        """Double upper bound on q, for term-count heuristics."""
-        f = float(self.value)
-        return f if Fraction(f) >= self.value else math.nextafter(f, 1.0)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -239,7 +234,7 @@ def t_enclosure_for_interval(
     returns (enclosure, terms_used, tail_bound).  The tail bound is evaluated
     on the interval argument, so it covers every q in it.
     """
-    q_hi = _float_up(Enclosure(q_iv).hi)
+    q_hi = _ceil_float(q_iv._mpi_[1])
     table = None
     terms = _choose_terms(
         lambda k: _t_tail(q_hi, representation, k), max(eps / 4.0, 5e-323)
@@ -250,7 +245,7 @@ def t_enclosure_for_interval(
     s = _t_partial_sum(q_fx, representation, terms, table).to_ivmpf()
     tail_hi = Enclosure(_t_tail(q_iv, representation, terms)).hi
     value = Enclosure(s) + Enclosure(0, tail_hi)
-    return value, terms, _float_up(tail_hi)
+    return value, terms, _ceil_float(tail_hi._mpf_)
 
 
 # -- public evaluators --------------------------------------------------------
@@ -296,13 +291,14 @@ def eval_T(
 
 def _eval_t_fast(qp: QPoint, eps: float, representation: RepresentationId) -> EvalReport:
     q = float(qp)
+    q_di = DoubleInterval.lift(qp.value)
     terms = _choose_terms(
-        lambda k: _t_tail(qp.float_up(), representation, k), max(eps / 2.0, 5e-323)
+        lambda k: _t_tail(q_di.hi, representation, k), max(eps / 2.0, 5e-323)
     )
     table = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
     s = _t_partial_sum(q, representation, terms, table)
     # on intervals, a q^(K+1) that underflows still leaves a positive bound
-    tail = _t_tail(DoubleInterval.lift(qp.value), representation, terms).hi
+    tail = _t_tail(q_di, representation, terms).hi
     err = tail + 10.0 * _OPS_PER_TERM[representation] * terms * math.ulp(s)
     return EvalReport(
         Enclosure(s - err, s + err), representation, terms, tail, Mode.FAST
@@ -325,7 +321,7 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
     # The tail grows with q, so a double q_hi >= q picks enough terms; the
     # floor keeps a = q^(x-1) finite in doubles, and since q_hi <= 1, cutting
     # an exponent beyond the doubles down to 2^1000 only raises a_hi.
-    q_hi = max(qp.float_up(), _PSI_Q_FLOOR)
+    q_hi = max(DoubleInterval.lift(qp.value).hi, _PSI_Q_FLOOR)
     a_hi = q_hi ** float(min(x_frac - 1, 2 ** 1000))
     # eps budget for the bare sum: the sum is scaled by log(q) afterwards.  The
     # log is taken of the exact rational, so a q below the smallest double works.
@@ -351,7 +347,7 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
             sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
             value = Enclosure(_minus_log1m(qp)) + Enclosure(iv.log(q_iv)) * sum_enc
         if fast or float(value.width_upper()) <= eps:
-            return EvalReport(value, PSI_FORMULA, terms, _float_up(tail_hi), mode)
+            return EvalReport(value, PSI_FORMULA, terms, _ceil_float(tail_hi._mpf_), mode)
     raise PrecisionError(f"cannot reach width {eps} for psi_q at q={float(qp)}")
 
 

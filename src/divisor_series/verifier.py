@@ -33,8 +33,6 @@ from .intervals import (
     interval_precision,
     to_ivmpf,
     working_precision,
-    _float_down,
-    _float_up,
 )
 from .lemma_functions import (
     _in_mode,
@@ -200,40 +198,29 @@ class Certificate:
 
 class SandwichBound:
     """One side of a monotone sandwich: a raw formula of lemma_functions at an
-    exact cell endpoint q, with an optional exact value at q = 1, where the
-    formula is singular.
+    exact cell endpoint q, where the formula must be regular (J2's positive
+    phi sum is, at q = 1).
 
     Calling it gives a certified Enclosure.  `doubles` gives a
     DoubleInterval: sandwich checks try that cheap enclosure first and go to
     working precision only where it does not separate.
     """
 
-    def __init__(self, raw: Callable, value_at_one: Optional[Fraction] = None):
+    def __init__(self, raw: Callable):
         self.raw = raw
-        self.value_at_one = value_at_one
-
-    def _formula(self, q: Fraction):
-        if q == 1 and self.value_at_one is not None:
-            return _constant, self.value_at_one
-        return self.raw, q
 
     def __call__(self, q: Fraction) -> Enclosure:
-        return _in_mode(Mode.CERTIFIED, *self._formula(q))
+        return _in_mode(Mode.CERTIFIED, self.raw, q)
 
     def doubles(self, q: Fraction) -> DoubleInterval:
-        fn, arg = self._formula(q)
-        return fn(DoubleInterval.lift(arg))
-
-
-def _constant(value):
-    return value
+        return self.raw(DoubleInterval.lift(q))
 
 
 def _working_margin(lower, upper, left, right) -> tuple[bool, float, float]:
     """(passes, lower endpoint, upper endpoint) of the certified margin
     lower(left) - upper(right) at working precision."""
     margin = lower(left) - upper(right)
-    return margin.lo > 0, float(_float_down(margin.lo)), _float_up(margin.hi)
+    return margin.lo > 0, *margin.to_floats()
 
 
 def _separates(lower: SandwichBound, upper: SandwichBound, left, right) -> bool:
@@ -415,11 +402,11 @@ def j2_limit_exact() -> Fraction:
 J2_LIMIT = Fraction(208609, 55440)
 
 #: W1, W2 (Lemma 2.4ii) and J1, J2 (Lemma 2.9) as sandwich sides: see
-#: lemma_functions.w1_raw .. j2_raw.  J2 takes its exact limit at q = 1.
+#: lemma_functions.w1_raw .. j2_raw.  At q = 1, J2 encloses its limit J2_LIMIT.
 w1_lower = SandwichBound(w1_raw)
 w2_upper = SandwichBound(w2_raw)
 j1_lower = SandwichBound(j1_raw)
-j2_upper = SandwichBound(j2_raw, J2_LIMIT)
+j2_upper = SandwichBound(j2_raw)
 
 
 # -- monotonicity spot checks -----------------------------------------------------
@@ -558,8 +545,8 @@ def verify_lemma_2_4_ii() -> Certificate:
 
 
 def verify_lemma_2_9() -> Certificate:
-    """D_q(10) > 0.036 on [0.91, 1) by the J1/J2 monotone sandwich; the last
-    cell's right endpoint q = 1 uses the exact limit J2(1) = 208609/55440."""
+    """D_q(10) > 0.036 on [0.91, 1) by the J1/J2 monotone sandwich; at the
+    last cell's right endpoint q = 1, J2 encloses its exact limit 208609/55440."""
     premises = (
         "J1 and J2 are increasing in q on [0.91, 1) (q -> phi_q(x) increasing)",
         "J2 extends to q = 1 by its exact rational limit 208609/55440,"

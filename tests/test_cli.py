@@ -151,6 +151,29 @@ def test_lemma_fn_argument_beyond_the_doubles(capsys, argv):
     assert doc["lo"] <= expected <= doc["hi"]
 
 
+@pytest.mark.parametrize("argv", [("--name", "V", "--y", "-800"),
+                                  ("--name", "V_prime", "--y", "-800"),
+                                  ("--name", "phi", "--q", "0.5", "--x", "-2000"),
+                                  ("--name", "K", "--q", "0.5", "--x", "-2000")])
+def test_lemma_fn_where_a_fast_formula_overflows(capsys, argv):
+    """An exp past the doubles inside a FAST formula exits 2 naming the
+    overflow, with no traceback; certified mode takes the argument."""
+    code, out, err = run_cli(capsys, "lemma-fn", *argv)
+    assert code == 2 and out == ""
+    assert f"FAST {argv[1]} overflows a double" in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "lemma-fn", *argv, "--mode", "certified")
+    assert code == 0 and {"lo", "hi"} <= set(json.loads(out))
+
+
+def test_lemma_fn_certified_end_beyond_the_doubles_rounds_outward(capsys):
+    """V(-800), about -e^2400, is finite but below the doubles: its upper
+    end is the most negative double, never -inf."""
+    code, out, _ = run_cli(capsys, "lemma-fn", "--name", "V", "--y", "-800",
+                           "--mode", "certified")
+    assert code == 0
+    assert '"hi": -1.7976931348623157e+308' in out
+
+
 @pytest.mark.parametrize("argv", [("--name", "K", "--q", "0.5", "--x", "0"),
                                   ("--name", "phi", "--q", "0.5", "--x", "1e-20"),
                                   ("--name", "Phi", "--q", "0.5", "--x", "1e-20")])

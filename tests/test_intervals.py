@@ -87,6 +87,19 @@ def test_to_floats_round_outward():
     assert Fraction(hi) >= mpf_to_fraction(enc.hi)
 
 
+@pytest.mark.parametrize("value", [Fraction(2) ** 2000, -Fraction(2) ** 2000,
+                                   Fraction(2) ** -1100, -Fraction(2) ** -1100])
+def test_to_floats_enclose_values_beyond_the_doubles(value):
+    """An end past the largest double or below the smallest subnormal still
+    rounds outward: 2^2000 gets the largest double as its lower end, never
+    +inf, and 2^-1100 the smallest subnormal as its upper end."""
+    lo, hi = Enclosure(value).to_floats()
+    assert not math.isnan(lo) and not math.isnan(hi)
+    assert lo != math.inf and hi != -math.inf
+    assert lo == -math.inf or Fraction(lo) <= value
+    assert hi == math.inf or value <= Fraction(hi)
+
+
 def test_endpoints_out_of_order_rejected():
     with pytest.raises(ValueError):
         Enclosure(2, 1)

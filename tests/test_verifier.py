@@ -238,7 +238,7 @@ class _Counted(SandwichBound):
     """A SandwichBound that records the points of its calls to `doubles`."""
 
     def __init__(self, bound):
-        super().__init__(bound.raw, bound.value_at_one)
+        super().__init__(bound.raw)
         self.points = []
 
     def doubles(self, q):
@@ -407,9 +407,13 @@ def test_fast_sandwich_evaluators_match_certified(evaluate, q):
 
 
 def test_j2_limit_rederived():
+    """J2's positive phi sum is regular at q = 1: its certified enclosure and
+    its DoubleInterval there both contain the limit, as exact rationals."""
     assert j2_limit_exact() == J2_LIMIT == Fraction(208609, 55440)
     limit_enc = j2_upper(Fraction(1))
     assert limit_enc.contains(Fraction(208609, 55440))
+    limit_doubles = j2_upper.doubles(Fraction(1))
+    assert Fraction(limit_doubles.lo) <= J2_LIMIT <= Fraction(limit_doubles.hi)
 
 
 def test_j_last_cell_uses_exact_limit():
