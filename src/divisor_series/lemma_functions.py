@@ -557,7 +557,12 @@ def evaluate_named(name: str, *, q=None, x=None, y=None, n=None, mode: Mode = Mo
         raise DomainError(f"FAST {name} overflows a double ({exc});"
                           " certified mode takes it") from None
     except (ZeroDivisionError, ValueError) as exc:
-        if mode is not Mode.FAST or isinstance(exc, DomainError) or name not in _TWO_ARG:
+        if mode is not Mode.FAST or isinstance(exc, DomainError):
+            raise
+        if name not in _Y_ARG and lift(args[0], mode) == 0.0:
+            raise DomainError(f"FAST {name}: q underflows a double (it rounds to 0.0);"
+                              " certified mode takes it") from None
+        if name not in _TWO_ARG:
             raise
         if powr(lift(args[0], mode), lift(x, mode)) != 1.0:
             raise DomainError(f"FAST {name} is undefined at x = {float(x):g}: {exc}") from None

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -53,9 +52,6 @@ from .lemma_functions import (
 from .polynomials import sturm_root_count
 
 SCHEMA_VERSION = 1
-
-_SPOT_CHECK_SEED = 20260810
-_SPOT_CHECK_PAIRS = 100
 
 
 # -- grids ---------------------------------------------------------------------
@@ -221,14 +217,6 @@ def _working_margin(lower, upper, left, right) -> tuple[bool, float, float]:
     lower(left) - upper(right) at working precision."""
     margin = lower(left) - upper(right)
     return margin.lo > 0, *margin.to_floats()
-
-
-def _separates(lower: SandwichBound, upper: SandwichBound, left, right) -> bool:
-    """Whether the certified margin lower(left) - upper(right) is strictly
-    positive: tried in doubles first, and where those do not separate,
-    evaluated at working precision."""
-    return ((lower.doubles(left) - upper.doubles(right)).lo > 0
-            or _working_margin(lower, upper, left, right)[0])
 
 
 class _Settled(NamedTuple):
@@ -409,23 +397,6 @@ j1_lower = SandwichBound(j1_raw)
 j2_upper = SandwichBound(j2_raw)
 
 
-# -- monotonicity spot checks -----------------------------------------------------
-
-
-def _spot_check_monotone(fn: SandwichBound, lo: Fraction, hi: Fraction) -> bool:
-    """Certified increase of fn at _SPOT_CHECK_PAIRS random point pairs
-    a < b at least 1/100 apart (seeded RNG): the margin fn(b) - fn(a) > 0."""
-    rng = random.Random(_SPOT_CHECK_SEED)
-    gap = Fraction(1, 100)
-    span = hi - lo - gap
-    for _ in range(_SPOT_CHECK_PAIRS):
-        a = lo + span * Fraction(rng.randrange(10**6), 10**6)
-        b = a + gap + (hi - a - gap) * Fraction(rng.randrange(10**6), 10**6)
-        if not _separates(fn, fn, b, a):
-            return False
-    return True
-
-
 # -- lemma pipelines ---------------------------------------------------------------
 
 
@@ -511,55 +482,39 @@ def verify_lemma_2_4_i() -> Certificate:
     )
 
 
-def _verify_sandwich_lemma(
-    target: str,
-    lower: Callable,
-    upper: Callable,
-    grid: GridSpec,
-    spot_span: tuple[Fraction, Fraction],
-    premises: Sequence[str],
-    details: dict,
-) -> Certificate:
-    """Sandwich-verify lower > upper (two SandwichBounds) on the grid.  Both
-    are also spot-checked for increase on spot_span, and a failed spot check
-    fails the certificate."""
-    spot_ok = all(_spot_check_monotone(fn, *spot_span) for fn in (lower, upper))
-    details["monotonicity_spot_checks"] = spot_ok
-    cert = sandwich_verify(lower, upper, grid, target=target, premises=premises,
-                           details=details)
-    cert.passed = cert.passed and spot_ok
-    return cert
+#: Why both sides of the sandwiches of 2.4ii and 2.9 increase in q.
+_PHI_INCREASES_IN_Q = (
+    "with s = q^x, t = -log q and g = s - 1 + x(1-q), phi_q(x) = s g/(1-s)^2, and g > 0"
+    " for 0 < q < 1 < x: x -> q^x is convex and g vanishes at x = 0 and x = 1",
+    "d/dq log phi_q(x) = (x/q)(1+q)(1+s)(x tanh(t/2) - tanh(xt/2))/((1-s) g) > 0 for"
+    " x > 1, since tanh is strictly concave on [0, inf) and tanh 0 = 0",
+    "so q -> phi_q(x) increases for every x > 1, and phi_q(1) = 0 for every q",
+)
 
 
 def verify_lemma_2_4_ii() -> Certificate:
     """C_q(39) > 0 on (0.117, 0.91] by the W1/W2 monotone sandwich."""
-    premises = (
-        "W1(q) = Phi_q(40) - Phi_q(1) and W2(q) = sum_{k=1}^{40} phi_q(k) are"
-        " increasing in q (q -> phi_q(x) is increasing for each x >= 1)",
-        "monotonicity spot-checked on 100 seeded random pairs",
+    premises = _PHI_INCREASES_IN_Q + (
+        "W1(q) = Phi_q(40) - Phi_q(1) integrates phi over [1, 40] and"
+        " W2(q) = sum_{k=1}^{40} phi_q(k) sums it, so both increase in q",
     )
-    return _verify_sandwich_lemma(
-        "2.4ii", w1_lower, w2_upper, lemma_2_4_ii_grid(),
-        (Fraction(117, 1000), Fraction(91, 100)), premises, {},
-    )
+    return sandwich_verify(w1_lower, w2_upper, lemma_2_4_ii_grid(), target="2.4ii",
+                           premises=premises)
 
 
 def verify_lemma_2_9() -> Certificate:
     """D_q(10) > 0.036 on [0.91, 1) by the J1/J2 monotone sandwich; at the
     last cell's right endpoint q = 1, J2 encloses its exact limit 208609/55440."""
-    premises = (
-        "J1 and J2 are increasing in q on [0.91, 1) (q -> phi_q(x) increasing)",
+    premises = _PHI_INCREASES_IN_Q + (
+        "J1 = integral of phi over [1, 11] minus 0.036 and J2 = sum_{k=1}^{10} phi_q(k)"
+        " + phi_q(11)/2 weigh phi positively, so both increase in q on [0.91, 1)",
         "J2 extends to q = 1 by its exact rational limit 208609/55440,"
-        " re-derived from lim phi_q(k) = (k-1)/(2k)",
-        "monotonicity spot-checked on 100 seeded random pairs",
+        " re-derived from lim phi_q(k) = (k-1)/(2k); an increasing J2 stays below it",
     )
     if j2_limit_exact() != J2_LIMIT:
         raise ArithmeticError("exact J2 limit does not match the pinned fixture")
-    return _verify_sandwich_lemma(
-        "2.9", j1_lower, j2_upper, lemma_2_9_grid(),
-        (Fraction(91, 100), Fraction(9999, 10000)), premises,
-        {"j2_limit": str(J2_LIMIT)},
-    )
+    return sandwich_verify(j1_lower, j2_upper, lemma_2_9_grid(), target="2.9",
+                           premises=premises, details={"j2_limit": str(J2_LIMIT)})
 
 
 def verify_lemma_2_5() -> Certificate:

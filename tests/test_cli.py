@@ -187,6 +187,21 @@ def test_lemma_fn_where_q_to_the_x_rounds_to_one(capsys, argv):
     assert code == 0 and {"lo", "hi"} <= set(json.loads(out))
 
 
+@pytest.mark.parametrize("argv", [("--name", "U", "--q", "1e-400"),
+                                  ("--name", "h1", "--q", "1e-400"),
+                                  ("--name", "A", "--q", "1e-400"),
+                                  ("--name", "Theta", "--q", "1e-400", "--x", "2")])
+def test_lemma_fn_where_q_underflows_a_double(capsys, argv):
+    """q = 1e-400 rounds to 0.0 in doubles, where FAST takes log(0): exit 2
+    naming the underflow, no traceback; certified mode takes the argument."""
+    code, out, err = run_cli(capsys, "lemma-fn", *argv)
+    assert code == 2 and out == ""
+    assert f"FAST {argv[1]}: q underflows a double" in err and "Traceback" not in err
+    assert "certified mode takes it" in err
+    code, out, _ = run_cli(capsys, "lemma-fn", *argv, "--mode", "certified")
+    assert code == 0 and {"lo", "hi"} <= set(json.loads(out))
+
+
 def test_lemma_fn_outside_the_domain_of_a_fast_formula(capsys):
     """log(1 - q^x) of a negative number: exit 2 with the cause, no traceback."""
     code, out, err = run_cli(capsys, "lemma-fn", "--name", "Phi", "--q", "0.5", "--x", "-1")

@@ -277,33 +277,116 @@ def test_phi_sum_takes_the_float_loop_only_inside_its_guard(monkeypatch):
     assert loop(zero, 40, False).lo != lemma_functions._phi_integer_sum_generic(zero, 40, False).lo
 
 
-def _phi_integral_kernel_points(monkeypatch) -> list[DoubleInterval]:
+# -- phi_q(x) increases in q: the premise of the 2.4ii and 2.9 sandwiches ----
+
+
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _int_poly_add(a: list[int], b: list[int]) -> list[int]:
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def _int_poly_derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:] or [0]
+
+
+def test_phi_increases_in_q_by_the_tanh_lemma():
+    """With s = q^x, t = -log q and g = s - 1 + x(1-q), at 512 bits and 240
+    seeded (q, x) with q up to 1 - 1e-12 and x in (1, 320]: the closed form
+    d/dq log phi = (x/q)(1+q)(1+s)(x tanh(t/2) - tanh(xt/2))/((1-s) g) agrees
+    with a centred difference of log phi, and the identity
+    x(1-q)(1+s) - (1+q)(1-s) = (1+q)(1+s)(x tanh(t/2) - tanh(xt/2)) holds
+    with both sides positive."""
+    from mpmath import mp
+    rng = random.Random(20261021)
+    points = [(1 - mp.mpf(10) ** -12, 320), (1 - mp.mpf(10) ** -12, 1 + 2.0**-20), (0.5, 320)]
+    while len(points) < 240:
+        q = (rng.uniform(1e-3, 0.999) if len(points) % 2
+             else 1 - mp.mpf(10) ** -rng.uniform(3, 12))
+        x = 1 + 319 * rng.uniform(1e-6, 1) if len(points) % 3 else 1 + 10 ** -rng.uniform(0, 6)
+        points.append((q, x))
+    with mp.workprec(512):
+        def log_phi(q, x):
+            s = q ** x
+            return mp.log(s) + mp.log(s - 1 + x * (1 - q)) - 2 * mp.log(1 - s)
+
+        for q, x in points:
+            q, x = mp.mpf(q), mp.mpf(x)
+            s, t = q ** x, -mp.log(q)
+            g = s - 1 + x * (1 - q)
+            tanh_gap = x * mp.tanh(t / 2) - mp.tanh(x * t / 2)
+            closed = (x / q) * (1 + q) * (1 + s) * tanh_gap / ((1 - s) * g)
+            h = min(q, 1 - q) * mp.mpf(10) ** -40
+            centred = (log_phi(q + h, x) - log_phi(q - h, x)) / (2 * h)
+            assert g > 0 and closed > 0, (q, x)
+            assert abs(centred - closed) <= mp.mpf(10) ** -60 * closed, (q, x)
+            lhs = x * (1 - q) * (1 + s) - (1 + q) * (1 - s)
+            rhs = (1 + q) * (1 + s) * tanh_gap
+            assert lhs > 0 and rhs > 0, (q, x)
+            assert abs(lhs - rhs) <= mp.mpf(10) ** -100 * rhs, (q, x)
+
+
+def test_phi_integer_terms_increase_in_q_by_their_coefficients():
+    """phi_q(k) = q^k N_k / S_k^2 has d/dq = q^(k-1) D_k / S_k^3 with
+    D_k = k N_k S_k + q (N_k' S_k - 2 N_k S_k'); for k = 2..40 every integer
+    coefficient of D_k is >= 0 and D_k(0) = k(k-1), so each term, W2 and J2
+    increase in q on (0, 1)."""
+    for k in range(2, 41):
+        s_k = [1] * k
+        n_k = [0]
+        for j in range(1, k):
+            n_k = _int_poly_add(n_k, [1] * j)
+        inner = _int_poly_add(_int_poly_mul(_int_poly_derivative(n_k), s_k),
+                              [-2 * c for c in _int_poly_mul(n_k, _int_poly_derivative(s_k))])
+        d_k = _int_poly_add([k * c for c in _int_poly_mul(n_k, s_k)], [0] + inner)
+        assert all(type(c) is int and c >= 0 for c in d_k), k
+        assert d_k[0] == k * (k - 1), k
+
+
+def _monotone_pair_points() -> list[Fraction]:
+    """The 400 points of the seeded monotonicity pairs that 2.4ii and 2.9
+    once drew: for each span, 100 pairs a < b at least 1/100 apart from a
+    fresh RNG seeded 20260810, listed a, b."""
+    points, gap = [], Fraction(1, 100)
+    for lo, hi in ((Fraction(117, 1000), Fraction(91, 100)),
+                   (Fraction(91, 100), Fraction(9999, 10000))):
+        rng = random.Random(20260810)
+        for _ in range(100):
+            a = lo + (hi - lo - gap) * Fraction(rng.randrange(10**6), 10**6)
+            b = a + gap + (hi - a - gap) * Fraction(rng.randrange(10**6), 10**6)
+            points += [a, b]
+    return points
+
+
+def _phi_integral_kernel_points() -> list[DoubleInterval]:
     """DoubleInterval q inside the kernel's guard: 150 seeded lifted rationals
-    in [0.117, 0.9999], the left endpoints of the 2.9 grid, the points of
-    both spot checks and 50 exact dyadic points in [2^-24, 1)."""
+    in [0.117, 0.9999], the left endpoints of the 2.9 grid, the 400 seeded
+    monotonicity pair points and 50 exact dyadic points in [2^-24, 1)."""
     rng = random.Random(20261020)
     qs = [Fraction(rng.randrange(117000, 999901), 10**6) for _ in range(150)]
     grid = verifier.lemma_2_9_grid()
     qs += [grid.point(k) for k in range(grid.total_cells)]
-    spotted = []
-    monkeypatch.setattr(verifier, "_separates",
-                        lambda fn, _, b, a: spotted.extend((a, b)) or True)
-    for span in ((Fraction(117, 1000), Fraction(91, 100)),
-                 (Fraction(91, 100), Fraction(9999, 10000))):
-        assert verifier._spot_check_monotone(None, *span)
-    assert len(spotted) == 4 * verifier._SPOT_CHECK_PAIRS
-    qs += spotted
+    pairs = _monotone_pair_points()
+    assert len(pairs) == 400
+    qs += pairs
     dyadic = [rng.randrange(2**6, 2**30) / 2**30 for _ in range(48)]
     return ([DoubleInterval.lift(q) for q in qs] + [DoubleInterval(x, x) for x in dyadic]
             + [DoubleInterval(2.0**-24, 2.0**-24), DoubleInterval(2.0**-24, 1 - 2.0**-53)])
 
 
-def test_w1_and_j1_kernel_is_the_generic_body_bit_for_bit(monkeypatch):
+def test_w1_and_j1_kernel_is_the_generic_body_bit_for_bit():
     """_phi_integral_doubles replays the generic antiderivative difference on
     DoubleInterval: both ends of W1 (x = 40) and J1 (x = 11) carry the same
     doubles (float.hex) at every guarded q, and w1_raw and j1_raw return them."""
     shift = DoubleInterval.lift(Fraction(36, 1000))
-    for q in _phi_integral_kernel_points(monkeypatch):
+    for q in _phi_integral_kernel_points():
         for x, raw in ((40, w1_raw), (11, j1_raw)):
             kernel = lemma_functions._phi_integral_doubles(q, x)
             body = lemma_functions._phi_integral_generic(q, x)

@@ -1,6 +1,8 @@
 """Sandwich engine, grids, certificates and the lemma pipelines (on reduced
 grids here; the full production grids run in the acceptance suite)."""
 
+import ast
+import json
 import math
 import os
 import random
@@ -152,6 +154,39 @@ def test_certificates_deterministic():
     a = sandwich_verify(j1_lower, j2_upper, grid, target="det-check")
     b = sandwich_verify(j1_lower, j2_upper, grid, target="det-check")
     assert a.to_json().encode() == b.to_json().encode()
+
+
+_GOLDEN_CERTIFICATES = Path(__file__).parent / "data" / "certificates"
+
+
+@pytest.mark.parametrize("lemma_id, passed, min_margin, cells_checked, grid", [
+    ("2.4ii", True, 0.00034299469112613045, 7018, {"segments": [
+        {"start": "117/1000", "step": "1/1000", "count": 718},
+        {"start": "167/200", "step": "1/20000", "count": 1300},
+        {"start": "9/10", "step": "1/500000", "count": 5000}]}),
+    ("2.9", True, 1.069841298949963e-05, 900, {"segments": [
+        {"start": "91/100", "step": "1/10000", "count": 900}]}),
+])
+def test_sandwich_goldens_keep_their_verdicts(lemma_id, passed, min_margin, cells_checked, grid):
+    """Stating the monotonicity lemma as a premise rewrote the premises of
+    2.4ii and 2.9; their verdict, margin, cell count and grid stay pinned."""
+    doc = json.loads((_GOLDEN_CERTIFICATES / f"{lemma_id}.json").read_text())
+    assert (doc["passed"], doc["min_margin"], doc["cells_checked"], doc["grid"]) == (
+        passed, min_margin, cells_checked, grid)
+    assert "monotonicity_spot_checks" not in doc["details"]
+
+
+def test_no_module_samples_with_random():
+    """No premise is sampled: no module of the package imports random."""
+    src = Path(divisor_series.__file__).parent
+    importers = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "random" for name in names):
+                importers.append(path.name)
+    assert importers == []
 
 
 # -- double-first certified sandwich ------------------------------------------------
@@ -535,7 +570,6 @@ def test_lemmas_2_4_i_and_2_8_pass_at_every_precision(monkeypatch, bits):
     moves with the working precision; 2.8's is its exact margin
     35/1000 - (h2(0.91) + h3(0.91))/14 rounded down."""
     monkeypatch.setenv("DIVISOR_SERIES_PREC", bits)
-    monkeypatch.setattr(verifier, "_spot_check_monotone", None)  # neither lemma calls it
     cert_i, cert_8 = verify_lemma("2.4i"), verify_lemma("2.8")
     assert cert_i.passed and cert_i.min_margin == 4.816088370365902e-19
     assert cert_8.passed and cert_8.min_margin == 1.0001963997251833e-4
