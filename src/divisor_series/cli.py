@@ -79,8 +79,8 @@ def _print_json(doc: dict) -> None:
 def _print_sandwich_cells(certs: dict) -> None:
     """One stderr line: per sandwich lemma, how many cells were settled in
     doubles and how many at working precision, how many runs of cells proved
-    them, and how many double evaluations that took; for 2.4i the same counts
-    of its V' witness points."""
+    them, and how many double evaluations that took; for 2.4i and 2.8 the
+    same counts of their witness points."""
     counts = {lid: cert.settled for lid, cert in certs.items() if cert.settled}
     print(f"sandwich_cells: {json.dumps(counts, sort_keys=True)}", file=sys.stderr)
 

@@ -33,6 +33,8 @@ from fractions import Fraction
 from math import inf, nextafter
 from typing import Callable
 
+from mpmath.ctx_iv import ivmpf
+
 from .intervals import (
     BracketSearchError,
     DomainError,
@@ -49,7 +51,7 @@ from .intervals import (
     working_precision,
 )
 from .polynomials import Polynomial
-from .special_eval import QPoint
+from .special_eval import QPoint, _minus_log1m
 
 
 # -- raw formulas (generic arithmetic) ----------------------------------------
@@ -60,11 +62,17 @@ def phi_raw(q, x):
     return qx * (qx - q * x + x - 1) / (1 - qx) ** 2
 
 
-def phi_prime_raw(q, x):
+def _phi_prime_form(q, x, c):
+    """-q^x log(q)/(1-q^x)^2 (-x(1-q)(1+q^x)/(1-q^x) + c - (1-q)/log q):
+    phi'_q(x) at c = 1, Theta_q(x) at c = q."""
     qx = powr(q, x)
     lq = ln(q)
-    inner = -x * (1 - q) * (1 + qx) / (1 - qx) + 1 - (1 - q) / lq
+    inner = -x * (1 - q) * (1 + qx) / (1 - qx) + c - (1 - q) / lq
     return -qx * lq / (1 - qx) ** 2 * inner
+
+
+def phi_prime_raw(q, x):
+    return _phi_prime_form(q, x, 1)
 
 
 def a_raw(q, x):
@@ -104,9 +112,11 @@ def a_constant_raw(q):
 
 
 def u_raw(q):
-    """U(q) = C_q(1) * (q+1)^2 log^2(q)."""
+    """U(q) = C_q(1) * (q+1)^2 log^2(q).  An interval q takes log(1 + q) as
+    -(-log(1 - z)) at z = -q, from its series for q <= 2^-64."""
     lq = ln(q)
-    return -(1 - q * q + q * lq) * q * lq - (q + 1) ** 2 * (q - 1 - lq) * ln(1 + q)
+    log1p = -_minus_log1m(-q) if isinstance(q, ivmpf) else ln(1 + q)
+    return -(1 - q * q + q * lq) * q * lq - (q + 1) ** 2 * (q - 1 - lq) * log1p
 
 
 def v_raw(y):
@@ -126,10 +136,7 @@ def v_prime_raw(y):
 
 def theta_raw(q, x):
     """Lower envelope of phi' past the inflection point; increasing in x."""
-    qx = powr(q, x)
-    lq = ln(q)
-    inner = -x * (1 - q) * (1 + qx) / (1 - qx) + q - (1 - q) / lq
-    return -qx * lq / (1 - qx) ** 2 * inner
+    return _phi_prime_form(q, x, q)
 
 
 def k_raw(q, x):

@@ -101,8 +101,6 @@ class QPoint:
     def coerce(cls, q: "QPoint | float | Fraction | str") -> "QPoint":
         if isinstance(q, QPoint):
             return q
-        if isinstance(q, str):
-            return cls(Fraction(q))
         return cls(Fraction(q))
 
     def to_ivmpf(self) -> ivmpf:
@@ -345,37 +343,39 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
                 continue
             tail_hi = Enclosure(_psi_tail(q_iv, a, terms)).hi
             sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
-            value = Enclosure(_minus_log1m(qp)) + Enclosure(iv.log(q_iv)) * sum_enc
+            value = Enclosure(_minus_log1m(q_iv)) + Enclosure(iv.log(q_iv)) * sum_enc
         if fast or float(value.width_upper()) <= eps:
             return EvalReport(value, PSI_FORMULA, terms, _ceil_float(tail_hi._mpf_), mode)
     raise PrecisionError(f"cannot reach width {eps} for psi_q at q={float(qp)}")
 
 
-#: At and below this q, -log(1-q) is summed from its power series.
-_LOG1M_SERIES_MAX_Q = Fraction(1, 2**64)
+#: At and below this |z|, -log(1-z) is summed from its power series.
+_LOG1M_SERIES_MAX = 2.0 ** -64
 
 
-def _minus_log1m(qp: QPoint) -> ivmpf:
-    """-log(1-q) at the current interval precision.
+def _minus_log1m(z: ivmpf) -> ivmpf:
+    """-log(1-z) for an interval z < 1 at the current interval precision.
 
-    iv.log(1 - q) is accurate to about 2^-prec absolutely, which leaves no
-    correct digit once q is that small.  For q <= 2^-64 the enclosure is
-    sum_{k<=n} q^k/k plus [0, q^(n+1)/((n+1)(1-q))], the geometric bound on
-    the remaining terms, with n = prec // 64 + 1: relative to q the tail is
-    below 2^(-64n), under the rounding error of the sum.
+    iv.log(1 - z) is accurate to about 2^-prec absolutely, which leaves no
+    correct digit once z is that small.  For |z| <= 2^-64 the enclosure is
+    sum_{k<=n} z^k/k plus the geometric bound t = |z|^(n+1)/((n+1)(1-|z|))
+    on the remaining terms, [0, t] for z >= 0 and [-t, t] otherwise, with
+    n = prec // 64 + 1: relative to z the tail is below 2^(-64n), under the
+    rounding error of the sum.
     """
-    q_iv = qp.to_ivmpf()
-    if qp.value > _LOG1M_SERIES_MAX_Q:
-        return -iv.log(1 - q_iv)
+    size = abs(z)
+    if size.b > _LOG1M_SERIES_MAX:
+        return -iv.log(1 - z)
     n = iv.prec // 64 + 1
-    total = sum((q_iv ** k / k for k in range(2, n + 1)), q_iv)
-    tail = q_iv ** (n + 1) / ((n + 1) * (1 - q_iv))
-    return total + iv.mpf([0, tail.b])
+    total = sum((z ** k / k for k in range(2, n + 1)), z)
+    tail = size ** (n + 1) / ((n + 1) * (1 - size))
+    return total + iv.mpf([0 if z.a >= 0 else -tail.b, tail.b])
 
 
 def _log_ratio_enclosure(qp: QPoint) -> Enclosure:
     """log(1-q)/log(q) at the current interval precision."""
-    return Enclosure(-_minus_log1m(qp) / iv.log(qp.to_ivmpf()))
+    q_iv = qp.to_ivmpf()
+    return Enclosure(-_minus_log1m(q_iv) / iv.log(q_iv))
 
 
 def eval_H(
@@ -463,7 +463,7 @@ _AFFINE_IN_T = {
     TheoremId.T4_1: lambda qp, b: (1, 0),
     TheoremId.T4_2: lambda qp, b: ((1 - qp.value) / qp.value, -1),
     TheoremId.T4_3: lambda qp, b: (1 / (1 - qp.value), 0),
-    TheoremId.T4_4: lambda qp, b: (_minus_log1m(qp), 0),
+    TheoremId.T4_4: lambda qp, b: (_minus_log1m(qp.to_ivmpf()), 0),
     TheoremId.SALEM_1_3: lambda qp, b: (-(1 - qp.value) / qp.value,
                                         b * ((1 - qp.value) / qp.value) + 1),
 }

@@ -10,6 +10,10 @@ margin is strictly positive: first in outward-rounded doubles, and at
 working precision where those do not separate.  Certificates record the
 grid, the smallest verified margin, the monotonicity premises taken as
 input, and pass/fail.
+
+One run engine, _prove_by_runs, makes every such check (the grids of 2.4ii
+and 2.9, the V' witness of 2.4i and the phi' witness of 2.8), and it alone
+picks the items evaluated again at working precision.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .lemma_functions import (
     phi_limit_at_one,
     phi_prime_raw,
     v_raw,
-    v_prime_raw,
     v_prime_run_raw,
     w1_raw,
     w2_raw,
@@ -162,8 +165,8 @@ class Certificate:
     failures: tuple[int, ...] = ()
     premises: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
-    #: how a certified sandwich settled its cells, or 2.4i its V' witness
-    #: points: counts of cells (points) settled in "doubles" and at
+    #: how a certified sandwich settled its cells, or 2.4i and 2.8 their
+    #: witness points: counts of cells (points) settled in "doubles" and at
     #: "working_precision", and "min_margin_rechecks" of those settled in
     #: doubles and re-evaluated for the minimum; "runs", the runs that the
     #: first phase proved in doubles, and "evaluations", the double
@@ -212,13 +215,6 @@ class SandwichBound:
         return self.raw(DoubleInterval.lift(q))
 
 
-def _working_margin(lower, upper, left, right) -> tuple[bool, float, float]:
-    """(passes, lower endpoint, upper endpoint) of the certified margin
-    lower(left) - upper(right) at working precision."""
-    margin = lower(left) - upper(right)
-    return margin.lo > 0, *margin.to_floats()
-
-
 class _Settled(NamedTuple):
     """Cells [start, stop) whose margin lies in [lo, hi]: a run settled in
     doubles, or one cell that doubles do not separate, evaluated at working
@@ -259,7 +255,8 @@ class _RunMargins:
 
     def working(self, idx: int) -> tuple[bool, float, float]:
         _, left, right = self.grid.cell(idx)
-        return _working_margin(self.lower, self.upper, left, right)
+        margin = self.lower(left) - self.upper(right)
+        return margin.lo > 0, *margin.to_floats()
 
 
 def _settle(margins: _RunMargins, start: int, stop: int) -> list[_Settled]:
@@ -358,8 +355,9 @@ def sandwich_verify(
 
     Both phases share one memo, so no side is evaluated twice at one cell
     endpoint.  Plain callables have no doubles: every cell is evaluated at
-    working precision.  _prove_by_runs runs the two phases, here and on the
-    V' witness points of 2.4i.
+    working precision.  _prove_by_runs runs the two phases for every check
+    of this module: here on the grids of 2.4ii and 2.9, and on the witness
+    points of 2.4i (V', by runs of points) and 2.8 (phi', one point a root).
     """
     margins = _RunMargins(lower, upper, grid)
     bounds = list(accumulate((seg.count for seg in grid.segments), initial=0))
@@ -400,49 +398,41 @@ j2_upper = SandwichBound(j2_raw)
 # -- lemma pipelines ---------------------------------------------------------------
 
 
-class _VPrimeMargins:
-    """Lower bounds of V' on runs [i, j) of the points y_k = start + k*step of
-    a segment: v_prime_run_raw(y_i, y_{j-1}) in doubles, a bound on the
-    whole span [y_i, y_{j-1}] since start^2 > 3 (checked exactly here).
-    working(k) is V'(y_k) at working precision."""
+class _PointMargins:
+    """Margins of items k = 0, 1, ... from one formula bound(lift, i, j), a
+    lower bound on the margin of every item i..j with exact inputs mapped
+    through lift: of_run(i, j) takes it in doubles, working(k) at working
+    precision on the one item k."""
 
-    def __init__(self, segment: GridSegment):
-        if not segment.start * segment.start > 3:
-            raise ArithmeticError(f"V' run bounds need start^2 > 3, got start {segment.start}")
-        self.start, self.step, self.evaluations = segment.start, segment.step, 0
+    def __init__(self, bound: Callable):
+        self.bound, self.evaluations = bound, 0
 
     def of_run(self, start: int, stop: int) -> DoubleInterval:
         self.evaluations += 1
-        a, b = (DoubleInterval.lift(self.start + k * self.step) for k in (start, stop - 1))
-        return v_prime_run_raw(a, b)
+        return self.bound(DoubleInterval.lift, start, stop - 1)
 
     def working(self, k: int) -> tuple[bool, float, float]:
         with interval_precision(working_precision()):
-            value = Enclosure(v_prime_raw(to_ivmpf(self.start + k * self.step)))
+            value = Enclosure(self.bound(to_ivmpf, k, k))
         return value.is_positive(), *value.to_floats()
 
 
-def _phi_prime_witness(points: Sequence[tuple[Fraction, int]],
-                       threshold: Fraction) -> tuple[bool, float]:
-    """(phi'_q(x) > threshold at every exact point (q, x), the smallest lower
-    endpoint at working precision as a double).  Each point is evaluated in
-    doubles first.  The ceiling is the smallest double upper endpoint: a
-    point whose double lower endpoint exceeds it lies above the smallest
-    value, and one of those that clears the threshold in doubles is settled;
-    the others are evaluated again at working precision, as in phase 2 of
-    _prove_by_runs."""
-    doubles = [phi_prime_raw(DoubleInterval.lift(q), x) for q, x in points]
-    ceiling = min(value.hi for value in doubles)
-    all_ok, min_lo = True, math.inf
-    with interval_precision(working_precision()):
-        for (q, x), in_doubles in zip(points, doubles):
-            clears = math.isfinite(in_doubles.lo) and Fraction(in_doubles.lo) > threshold
-            if in_doubles.lo > ceiling and clears:
-                continue
-            value = Enclosure(phi_prime_raw(to_ivmpf(q), x))
-            all_ok = all_ok and (clears or value.strictly_above(threshold))
-            min_lo = min(min_lo, value.to_floats()[0])
-    return all_ok, min_lo
+def _v_prime_margins(segment: GridSegment) -> _PointMargins:
+    """V' at the points y_k = start + k*step of a segment.  On a run of them
+    v_prime_run_raw(y_i, y_j) bounds V' on the whole span [y_i, y_j] from
+    below, since start^2 > 3 (checked exactly here); at i = j it is V'(y_i)."""
+    if not segment.start * segment.start > 3:
+        raise ArithmeticError(f"V' run bounds need start^2 > 3, got start {segment.start}")
+    start, step = segment.start, segment.step
+    return _PointMargins(lambda lift, i, j: v_prime_run_raw(lift(start + i * step),
+                                                            lift(start + j * step)))
+
+
+def _phi_prime_margins(points: Sequence[tuple[Fraction, int]],
+                       threshold: Fraction) -> _PointMargins:
+    """phi'_q(x) - threshold at the exact points (q, x), one item each."""
+    return _PointMargins(lambda lift, k, _: (phi_prime_raw(lift(points[k][0]), points[k][1])
+                                             - lift(threshold)))
 
 
 def verify_lemma_2_4_i() -> Certificate:
@@ -466,7 +456,7 @@ def verify_lemma_2_4_i() -> Certificate:
 
     # V' > 0 at every grid boundary point, proved by runs of points
     min_vp, failures, settled = _prove_by_runs(
-        _VPrimeMargins(grid.segments[0]), [(0, grid.total_cells + 1)])
+        _v_prime_margins(grid.segments[0]), [(0, grid.total_cells + 1)])
     details["min_v_prime_on_grid"] = min_vp
 
     return Certificate(
@@ -475,7 +465,7 @@ def verify_lemma_2_4_i() -> Certificate:
         cells_checked=grid.total_cells,
         min_margin=min_vp,
         passed=v0_ok and not failures and min_vp > 0,
-        failures=(),
+        failures=failures,
         premises=premises,
         details=details,
         settled=settled,
@@ -593,24 +583,26 @@ def verify_lemma_2_8() -> Certificate:
     exact_ok = (all(c > 0 for c in s.coeffs) and d3_roots == 0 and d3(1) < 0
                 and p(1) == 0 and margin > 0)
 
-    # witness grid: phi' >= -0.035 on sampled (q, x)
-    threshold = Fraction(-35, 1000)
+    # witness grid: phi' > -0.035 at sampled (q, x), proved point by point
     qs = [Fraction(91, 100) + k * Fraction(1, 100) for k in range(9)]
     qs += [Fraction(999, 1000), Fraction(9999, 10000)]
     xs = [1, 2, 3, 5, 8, 11, 14, 17, 20, 35, 50, 100, 200]
-    grid_ok, details["min_phi_prime_on_grid"] = _phi_prime_witness(
-        [(q, x) for q in qs for x in xs], threshold)
-    details["grid_points"] = len(qs) * len(xs)
+    points = [(q, x) for q in qs for x in xs]
+    min_pp, failures, settled = _prove_by_runs(
+        _phi_prime_margins(points, Fraction(-35, 1000)), [(k, k + 1) for k in range(len(points))])
+    details["min_phi_prime_margin_on_grid"] = min_pp
+    details["grid_points"] = len(points)
 
     return Certificate(
         target="2.8",
         grid=None,
-        cells_checked=len(qs) * len(xs),
+        cells_checked=len(points),
         min_margin=DoubleInterval.lift(margin).lo,
-        passed=exact_ok and grid_ok,
-        failures=(),
+        passed=exact_ok and not failures and min_pp > 0,
+        failures=failures,
         premises=premises,
         details=details,
+        settled=settled,
     )
 
 

@@ -301,11 +301,11 @@ def test_criterion_7_analytic_spot_checks(certificates):
     sqrt3_ok = Fraction(2145, 1000) ** 2 > 3  # grid start is past sqrt(3), exactly
     env = c_8.details["envelope_(h2+h3)/14_at_0.91"]
     env_ok = abs(env[1] - 0.034) < 1e-3 and env[1] < 0.035
-    phi_prime_ok = c_8.details["min_phi_prime_on_grid"] >= -0.035
+    phi_prime_ok = c_8.details["min_phi_prime_margin_on_grid"] >= 0
     _record(
         "criterion 7 (V endpoint + V' grid; h-envelope and phi' >= -0.035)",
         c_i.passed and c_8.passed and v_ok and vp_ok and sqrt3_ok and env_ok and phi_prime_ok,
-        f"V={v_enc}, envelope_hi={env[1]:.6f}, min_phi'={c_8.details['min_phi_prime_on_grid']:.4f}",
+        f"V={v_enc}, envelope_hi={env[1]:.6f}, min_phi'+0.035={c_8.details['min_phi_prime_margin_on_grid']:.4f}",
     )
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from mpmath import iv
+from mpmath import iv, mp
 from scipy.integrate import quad
 
 from divisor_series import lemma_functions, verifier
@@ -476,6 +476,26 @@ def test_c1_matches_u_closed_form():
     c1 = correction_sums(q, 1).c_n
     closed = u_raw(q) / ((q + 1) ** 2 * math.log(q) ** 2)
     assert c1 == pytest.approx(closed, rel=1e-10)
+
+
+def test_certified_u_is_positive_below_the_smallest_double():
+    """U(q) = q + O(q^2 log^2 q) > 0; at q = 1e-400, where iv.log(1 + q) is
+    [0, 2^-128], the certified enclosure of U is still positive."""
+    u = evaluate_named("U", q="1e-400", mode=Mode.CERTIFIED)
+    assert u.lo > 0
+
+
+def test_certified_u_keeps_relative_accuracy_at_tiny_q():
+    """At q = 1e-30 the certified U encloses a 300-bit value within 1e-25
+    relative."""
+    q = Fraction(1, 10**30)
+    u = evaluate_named("U", q=q, mode=Mode.CERTIFIED)
+    with mp.workprec(300):
+        qm = mp.mpf(1) / 10**30
+        lq = mp.log(qm)
+        reference = -(1 - qm * qm + qm * lq) * qm * lq - (qm + 1) ** 2 * (qm - 1 - lq) * mp.log1p(qm)
+        assert u.contains(mpf_to_fraction(reference))
+    assert u.lo > 0 and u.width_upper() <= 1e-25 * u.lo
 
 
 def test_c_minus_d_is_half_phi_difference():

@@ -592,9 +592,22 @@ def test_certified_minus_log1m_keeps_relative_accuracy(q, bits):
     """For q <= 2^-64, -log(1-q) is the series sum q^k/k with a tail bound:
     it encloses a 2000-bit value and is tight relative to q."""
     with interval_precision(bits):
-        enc = Enclosure(_minus_log1m(QPoint(q)))
+        enc = Enclosure(_minus_log1m(to_ivmpf(q)))
     with mp.workprec(2000):
         reference = mpf_to_fraction(-mp.log1p(-mp.mpf(q.numerator) / q.denominator))
+    assert enc.contains(reference)
+    assert mpf_to_fraction(enc.width_upper()) <= q * Fraction(1, 2 ** (bits - 8))
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2**64), Fraction(1, 10**30), Fraction(1, 10**400)])
+@pytest.mark.parametrize("bits", [53, 128, 1024])
+def test_minus_log1m_at_a_negative_argument_is_log1p(q, bits):
+    """At z = -q the series gives -log(1+q), with a two-sided tail: it
+    encloses a 2000-bit value and is tight relative to q."""
+    with interval_precision(bits):
+        enc = Enclosure(_minus_log1m(-to_ivmpf(q)))
+    with mp.workprec(2000):
+        reference = mpf_to_fraction(-mp.log1p(mp.mpf(q.numerator) / q.denominator))
     assert enc.contains(reference)
     assert mpf_to_fraction(enc.width_upper()) <= q * Fraction(1, 2 ** (bits - 8))
 

@@ -35,8 +35,10 @@ from divisor_series.lemma_functions import (
 )
 from divisor_series.polynomials import Polynomial
 from divisor_series.verifier import (
+    _PointMargins,
+    _phi_prime_margins,
     _prove_by_runs,
-    _VPrimeMargins,
+    _v_prime_margins,
     Certificate,
     GridSegment,
     GridSpec,
@@ -363,12 +365,12 @@ def test_lemma_2_4_i_proves_its_grid_by_runs(monkeypatch):
     assert cert.settled["doubles"] + cert.settled["working_precision"] == 9572
 
 
-class _WholeLineAt(_VPrimeMargins):
+class _WholeLineAt(_PointMargins):
     """V' run bounds that are the whole line on any run holding one of the
     forced points, so each of those points is settled at working precision."""
 
     def __init__(self, segment, forced):
-        super().__init__(segment)
+        super().__init__(_v_prime_margins(segment).bound)
         self.forced = forced
 
     def of_run(self, start, stop):
@@ -393,7 +395,25 @@ def test_v_prime_forced_fallback_points_match_working_precision():
 
 def test_v_prime_run_bounds_need_a_start_past_sqrt_3():
     with pytest.raises(ArithmeticError):
-        _VPrimeMargins(GridSegment(Fraction(173, 100), Fraction(1, 100), 10))
+        _v_prime_margins(GridSegment(Fraction(173, 100), Fraction(1, 100), 10))
+
+
+def test_lemma_2_4_i_records_the_points_where_v_prime_fails(monkeypatch):
+    """V' lowered by 1 on any span holding y_100 = 2.645 or y_5000 = 27.145
+    fails the witness at exactly those two points, and the certificate says so."""
+    raw, grid = verifier.v_prime_run_raw, lemma_2_4_i_v_prime_grid()
+    forced = [float(grid.point(k)) for k in (100, 5000)]
+
+    def lowered(a, b):
+        lo, hi = (a.lo, b.hi) if isinstance(a, DoubleInterval) else (float(a.a), float(b.b))
+        return raw(a, b) - 1 if any(lo - 1e-9 <= y <= hi + 1e-9 for y in forced) else raw(a, b)
+
+    monkeypatch.setattr(verifier, "v_prime_run_raw", lowered)
+    cert = verify_lemma_2_4_i()
+    assert cert.passed is False
+    assert cert.failures == (100, 5000)
+    assert cert.to_json_dict()["failures"] == [100, 5000]
+    assert cert.details["min_v_prime_on_grid"] < -0.9
 
 
 def test_sandwich_bound_doubles_enclose_certified_values():
@@ -474,7 +494,8 @@ def test_lemma_2_8_certificate():
     assert cert.passed
     env = cert.details["envelope_(h2+h3)/14_at_0.91"]
     assert abs(env[1] - 0.034) < 1e-3
-    assert cert.details["min_phi_prime_on_grid"] >= -0.035
+    assert cert.details["min_phi_prime_margin_on_grid"] >= 0
+    assert cert.failures == () and cert.to_json_dict()["failures"] == []
 
 
 def test_lemma_2_8_fails_on_a_denominator_with_a_negative_coefficient(monkeypatch):
@@ -498,12 +519,13 @@ def test_lemma_2_8_fails_where_h3_turns(monkeypatch):
     assert not cert.passed
 
 
-def _phi_prime_at_working_precision(points, threshold) -> tuple[bool, float]:
-    """Reference for 2.8's witness: every point at working precision."""
+def _phi_prime_margins_at_working_precision(points, threshold) -> tuple[bool, float]:
+    """Reference for 2.8's witness: phi' - threshold at every point at
+    working precision."""
     with interval_precision(working_precision()):
-        values = [Enclosure(phi_prime_raw(to_ivmpf(q), x)) for q, x in points]
-    return (all(v.strictly_above(threshold) for v in values),
-            min(v.to_floats()[0] for v in values))
+        values = [Enclosure(phi_prime_raw(to_ivmpf(q), x) - to_ivmpf(threshold))
+                  for q, x in points]
+    return all(v.is_positive() for v in values), min(v.to_floats()[0] for v in values)
 
 
 def _count_working_precision_points(monkeypatch) -> list:
@@ -516,21 +538,23 @@ def _count_working_precision_points(monkeypatch) -> list:
 
 @pytest.mark.parametrize("bits", ["53", "128", "1024"])
 def test_lemma_2_8_witness_in_doubles_first_is_the_working_precision_grid(monkeypatch, bits):
-    """The doubles-first phi' witness gives the passed, min_phi_prime_on_grid
-    and grid_points of evaluating all 143 points at working precision, and
-    evaluates one point again at working precision."""
+    """The run engine proves 2.8's phi' witness with the passed,
+    min_phi_prime_margin_on_grid and grid_points of evaluating all 143
+    points at working precision, from 143 double evaluations and one
+    point evaluated again at working precision."""
     monkeypatch.setenv("DIVISOR_SERIES_PREC", bits)
-    witness, calls = verifier._phi_prime_witness, []
-    monkeypatch.setattr(verifier, "_phi_prime_witness",
-                        lambda *args: calls.append(args) or witness(*args))
+    margins, calls = verifier._phi_prime_margins, []
+    monkeypatch.setattr(verifier, "_phi_prime_margins",
+                        lambda *args: calls.append(args) or margins(*args))
     rechecked = _count_working_precision_points(monkeypatch)
     cert = verify_lemma("2.8")
     ((points, threshold),) = calls
     assert threshold == Fraction(-35, 1000) and len(rechecked) == 1
-    passed, min_lo = _phi_prime_at_working_precision(points, threshold)
+    passed, min_lo = _phi_prime_margins_at_working_precision(points, threshold)
     assert cert.passed is passed is True
-    assert cert.details["min_phi_prime_on_grid"] == min_lo
+    assert cert.details["min_phi_prime_margin_on_grid"] == min_lo
     assert cert.details["grid_points"] == len(points) == 143
+    assert cert.settled["evaluations"] == 143 and cert.settled["min_margin_rechecks"] == 1
 
 
 def test_phi_prime_witness_rechecks_a_point_that_doubles_do_not_clear(monkeypatch):
@@ -540,18 +564,22 @@ def test_phi_prime_witness_rechecks_a_point_that_doubles_do_not_clear(monkeypatc
     low, mid, high = (Fraction(91, 100), 14), (Fraction(91, 100), 3), (Fraction(95, 100), 1)
     values = {p: phi_prime_raw(DoubleInterval.lift(p[0]), p[1]) for p in (low, mid, high)}
     assert values[low].hi < values[mid].lo and values[mid].hi < values[high].lo
+    points, roots = [low, mid, high], [(0, 1), (1, 2), (2, 3)]
     rechecked = _count_working_precision_points(monkeypatch)
-    ok, min_lo = verifier._phi_prime_witness([low, mid, high], Fraction(-35, 1000))
-    assert ok and len(rechecked) == 1
+    min_margin, failures, settled = _prove_by_runs(
+        _phi_prime_margins(points, Fraction(-35, 1000)), roots)
+    assert failures == () and len(rechecked) == 1 and settled["working_precision"] == 0
     rechecked.clear()
-    ok, min_lo = verifier._phi_prime_witness([low, mid, high], Fraction(values[mid].lo))
-    assert not ok and [x for _, x in rechecked] == [14, 3]
-    assert min_lo == _phi_prime_at_working_precision([low], 0)[1]
+    threshold = Fraction(values[mid].lo)
+    min_margin, failures, settled = _prove_by_runs(_phi_prime_margins(points, threshold), roots)
+    assert failures and failures[0] == 0 and [x for _, x in rechecked] == [14, 3]
+    assert settled["working_precision"] == 2 and settled["doubles"] == 1
+    assert min_margin == _phi_prime_margins_at_working_precision([low], threshold)[1]
 
 
 def test_lemma_2_8_fails_where_phi_prime_really_fails(monkeypatch):
     """phi' lowered by 1 at (0.95, 17), far from the minimum, fails the
-    witness and the certificate at that point."""
+    witness and the certificate at that point, item 4 * 13 + 7 of the grid."""
     raw = verifier.phi_prime_raw
 
     def lowered(q, x):
@@ -560,8 +588,9 @@ def test_lemma_2_8_fails_where_phi_prime_really_fails(monkeypatch):
 
     monkeypatch.setattr(verifier, "phi_prime_raw", lowered)
     cert = verify_lemma("2.8")
-    assert not cert.passed
-    assert -1.02 < cert.details["min_phi_prime_on_grid"] < -1
+    assert cert.passed is False
+    assert cert.failures == (59,)
+    assert -0.985 < cert.details["min_phi_prime_margin_on_grid"] < -0.965
 
 
 @pytest.mark.parametrize("bits", ["53", "128", "1024"])
