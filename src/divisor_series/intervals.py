@@ -623,6 +623,31 @@ def exp_(x):
     return math.exp(x)
 
 
+#: At and below this |x|, log(1-x) of an interval is summed from its series.
+_LOG1M_SERIES_MAX = 2.0 ** -64
+
+
+def log1m(x):
+    """log(1-x) for x < 1.
+
+    On an interval, iv.log(1 - x) is accurate to about 2^-prec absolutely,
+    which leaves no correct digit once x is that small.  For |x| <= 2^-64 the
+    enclosure is -(sum_{k<=n} x^k/k) less the geometric bound
+    t = |x|^(n+1)/((n+1)(1-|x|)) on the remaining terms, [0, t] for x >= 0
+    and [-t, t] otherwise, with n = prec // 64 + 1: relative to x the tail
+    is below 2^(-64n), under the rounding error of the sum.  Every other
+    argument takes ln(1 - x).
+    """
+    if isinstance(x, ivmpf):
+        size = abs(x)
+        if size.b <= _LOG1M_SERIES_MAX:
+            n = iv.prec // 64 + 1
+            total = sum((x ** k / k for k in range(2, n + 1)), x)
+            tail = size ** (n + 1) / ((n + 1) * (1 - size))
+            return -(total + iv.mpf([0 if x.a >= 0 else -tail.b, tail.b]))
+    return ln(1 - x)
+
+
 def lift(value: Scalar, mode: Mode):
     """An exact scalar in the arithmetic of `mode`: the nearest double (FAST)
     or the tightest outward-rounded interval (CERTIFIED)."""
@@ -639,8 +664,15 @@ def const(value: Scalar, like):
     """A rational constant of a formula, lifted into the arithmetic of the
     formula's argument `like` the same way mode dispatch lifts q."""
     if isinstance(like, DoubleInterval):
-        return DoubleInterval.lift(value)
+        return _double_const(value)
     return lift(value, Mode.CERTIFIED if isinstance(like, ivmpf) else Mode.FAST)
+
+
+@lru_cache(maxsize=None)
+def _double_const(value: Scalar) -> DoubleInterval:
+    """DoubleInterval.lift(value), once per constant: the lift depends on the
+    value alone, and a formula has few constants."""
+    return DoubleInterval.lift(value)
 
 
 def powr(base, exponent):

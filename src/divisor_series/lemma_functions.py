@@ -33,8 +33,6 @@ from fractions import Fraction
 from math import inf, nextafter
 from typing import Callable
 
-from mpmath.ctx_iv import ivmpf
-
 from .intervals import (
     BracketSearchError,
     DomainError,
@@ -46,12 +44,13 @@ from .intervals import (
     interval_precision,
     lift,
     ln,
+    log1m,
     powr,
     product_ends,
     working_precision,
 )
 from .polynomials import Polynomial
-from .special_eval import QPoint, _minus_log1m
+from .special_eval import QPoint
 
 
 # -- raw formulas (generic arithmetic) ----------------------------------------
@@ -101,22 +100,20 @@ def phi_antiderivative_raw(q, x, lq=None):
     A difference of antiderivatives passes lq = ln(q), taken once."""
     qx = powr(q, x)
     lq = ln(q) if lq is None else lq
-    num = (q * qx - (1 + lq) * qx + 1 - q + lq) * ln(1 - qx) + x * qx * (1 - q) * lq
+    num = (q * qx - (1 + lq) * qx + 1 - q + lq) * log1m(qx) + x * qx * (1 - q) * lq
     return num / ((1 - qx) * lq ** 2)
 
 
 def a_constant_raw(q):
     """A_q = integral_1^inf phi_q(x) dx in closed form."""
     lq = ln(q)
-    return -((1 - q + lq) * ln(1 - q) + q * lq) / lq ** 2
+    return -((1 - q + lq) * log1m(q) + q * lq) / lq ** 2
 
 
 def u_raw(q):
-    """U(q) = C_q(1) * (q+1)^2 log^2(q).  An interval q takes log(1 + q) as
-    -(-log(1 - z)) at z = -q, from its series for q <= 2^-64."""
+    """U(q) = C_q(1) * (q+1)^2 log^2(q)."""
     lq = ln(q)
-    log1p = -_minus_log1m(-q) if isinstance(q, ivmpf) else ln(1 + q)
-    return -(1 - q * q + q * lq) * q * lq - (q + 1) ** 2 * (q - 1 - lq) * log1p
+    return -(1 - q * q + q * lq) * q * lq - (q + 1) ** 2 * (q - 1 - lq) * log1m(-q)
 
 
 def v_raw(y):

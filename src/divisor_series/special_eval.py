@@ -56,6 +56,7 @@ from .intervals import (
     fixed_shift,
     gamma_enclosure,
     interval_precision,
+    log1m,
     precision_ladder,
     to_ivmpf,
     working_precision,
@@ -343,39 +344,16 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
                 continue
             tail_hi = Enclosure(_psi_tail(q_iv, a, terms)).hi
             sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
-            value = Enclosure(_minus_log1m(q_iv)) + Enclosure(iv.log(q_iv)) * sum_enc
+            value = Enclosure(-log1m(q_iv)) + Enclosure(iv.log(q_iv)) * sum_enc
         if fast or float(value.width_upper()) <= eps:
             return EvalReport(value, PSI_FORMULA, terms, _ceil_float(tail_hi._mpf_), mode)
     raise PrecisionError(f"cannot reach width {eps} for psi_q at q={float(qp)}")
 
 
-#: At and below this |z|, -log(1-z) is summed from its power series.
-_LOG1M_SERIES_MAX = 2.0 ** -64
-
-
-def _minus_log1m(z: ivmpf) -> ivmpf:
-    """-log(1-z) for an interval z < 1 at the current interval precision.
-
-    iv.log(1 - z) is accurate to about 2^-prec absolutely, which leaves no
-    correct digit once z is that small.  For |z| <= 2^-64 the enclosure is
-    sum_{k<=n} z^k/k plus the geometric bound t = |z|^(n+1)/((n+1)(1-|z|))
-    on the remaining terms, [0, t] for z >= 0 and [-t, t] otherwise, with
-    n = prec // 64 + 1: relative to z the tail is below 2^(-64n), under the
-    rounding error of the sum.
-    """
-    size = abs(z)
-    if size.b > _LOG1M_SERIES_MAX:
-        return -iv.log(1 - z)
-    n = iv.prec // 64 + 1
-    total = sum((z ** k / k for k in range(2, n + 1)), z)
-    tail = size ** (n + 1) / ((n + 1) * (1 - size))
-    return total + iv.mpf([0 if z.a >= 0 else -tail.b, tail.b])
-
-
 def _log_ratio_enclosure(qp: QPoint) -> Enclosure:
     """log(1-q)/log(q) at the current interval precision."""
     q_iv = qp.to_ivmpf()
-    return Enclosure(-_minus_log1m(q_iv) / iv.log(q_iv))
+    return Enclosure(log1m(q_iv) / iv.log(q_iv))
 
 
 def eval_H(
@@ -463,7 +441,7 @@ _AFFINE_IN_T = {
     TheoremId.T4_1: lambda qp, b: (1, 0),
     TheoremId.T4_2: lambda qp, b: ((1 - qp.value) / qp.value, -1),
     TheoremId.T4_3: lambda qp, b: (1 / (1 - qp.value), 0),
-    TheoremId.T4_4: lambda qp, b: (_minus_log1m(qp.to_ivmpf()), 0),
+    TheoremId.T4_4: lambda qp, b: (-log1m(qp.to_ivmpf()), 0),
     TheoremId.SALEM_1_3: lambda qp, b: (-(1 - qp.value) / qp.value,
                                         b * ((1 - qp.value) / qp.value) + 1),
 }

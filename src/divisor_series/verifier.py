@@ -168,9 +168,9 @@ class Certificate:
     #: how a certified sandwich settled its cells, or 2.4i and 2.8 their
     #: witness points: counts of cells (points) settled in "doubles" and at
     #: "working_precision", and "min_margin_rechecks" of those settled in
-    #: doubles and re-evaluated for the minimum; "runs", the runs that the
-    #: first phase proved in doubles, and "evaluations", the double
-    #: evaluations of a run bound (either sandwich side) in both phases.
+    #: doubles and re-evaluated for the minimum; "runs", the runs proved in
+    #: doubles that are not pieces of a split proved run, and "evaluations",
+    #: the double evaluations of a run bound (either sandwich side).
     #: A diagnostic, not part of the JSON document.
     settled: dict = field(default_factory=dict)
 
@@ -216,13 +216,10 @@ class SandwichBound:
 
 
 class _Settled(NamedTuple):
-    """Cells [start, stop) whose margin lies in [lo, hi]: a run settled in
-    doubles, or one cell that doubles do not separate, evaluated at working
-    precision.  Tuples order by lo, then start, as the phase-2 heap needs."""
+    """Item idx, its margin in [lo, hi]: in doubles or at working precision."""
 
     lo: float
-    start: int
-    stop: int
+    idx: int
     hi: float
     in_doubles: bool
     passes: bool
@@ -255,57 +252,48 @@ class _RunMargins:
 
     def working(self, idx: int) -> tuple[bool, float, float]:
         _, left, right = self.grid.cell(idx)
-        margin = self.lower(left) - self.upper(right)
+        with interval_precision(working_precision()):
+            margin = self.lower(left) - self.upper(right)
         return margin.lo > 0, *margin.to_floats()
-
-
-def _settle(margins: _RunMargins, start: int, stop: int) -> list[_Settled]:
-    """Bisect the cells [start, stop) into runs whose double margin is
-    strictly positive; a single cell that doubles do not separate is
-    evaluated at working precision."""
-    settled, todo = [], [(start, stop)]
-    while todo:
-        i, j = todo.pop()
-        margin = margins.of_run(i, j)
-        if margin is not None and margin.lo > 0:
-            settled.append(_Settled(margin.lo, i, j, margin.hi, True, True))
-        elif j - i == 1:
-            passes, lo, hi = margins.working(i)
-            settled.append(_Settled(lo, i, j, hi, False, passes))
-        else:
-            mid = (i + j) // 2
-            todo += [(mid, j), (i, mid)]
-    return settled
 
 
 def _prove_by_runs(margins, roots: Sequence[tuple[int, int]]) -> tuple[float, tuple, dict]:
     """(min_margin, failing indices, settled counts) of the items of roots,
-    ranges [start, stop) of item indices, proved in the two phases described
-    at sandwich_verify.  margins has of_run(start, stop), a DoubleInterval
-    whose lower endpoint bounds the margin of every item of the run, or None;
+    ranges [start, stop) of item indices, proved by the loop described at
+    sandwich_verify.  margins has of_run(start, stop), a DoubleInterval whose
+    lower endpoint bounds the margin of every item of the run, or None;
     working(idx), (passes, lower endpoint, upper endpoint) of one item at
-    working precision; and evaluations, its count of double evaluations."""
-    settled = [piece for start, stop in roots for piece in _settle(margins, start, stop)]
-    runs = sum(piece.in_doubles for piece in settled)
-    cells = [piece for piece in settled if piece.stop - piece.start == 1]
-    heap = [piece for piece in settled if piece.stop - piece.start > 1]
+    working precision; and evaluations, its count of double evaluations.
+    Heap entries are (key, start, stop, piece); piece marks the runs cut from
+    a proved run, which "runs" does not count."""
+    heap = [(-math.inf, start, stop, False) for start, stop in roots]
     heapq.heapify(heap)
-    ceiling = min((cell.hi for cell in cells), default=math.inf)
-    while heap and heap[0].lo <= ceiling:
-        run = heapq.heappop(heap)
-        mid = (run.start + run.stop) // 2
-        for piece in _settle(margins, run.start, mid) + _settle(margins, mid, run.stop):
-            if piece.stop - piece.start > 1:
-                heapq.heappush(heap, piece)
-            else:
-                cells.append(piece)
-                ceiling = min(ceiling, piece.hi)
+    cells, runs, ceiling = [], 0, math.inf
+    while heap and heap[0][0] <= ceiling:
+        key, i, j, piece = heapq.heappop(heap)
+        margin = margins.of_run(i, j) if key == -math.inf else None
+        if margin is not None and margin.lo > 0:
+            runs += not piece
+            if j - i > 1:
+                heapq.heappush(heap, (margin.lo, i, j, piece))
+                continue
+            cell = _Settled(margin.lo, i, margin.hi, True, True)
+        elif j - i == 1:
+            passes, lo, hi = margins.working(i)
+            cell = _Settled(lo, i, hi, False, passes)
+        else:  # a proved run, or an unproved one that does not separate
+            mid, piece = (i + j) // 2, piece or key > -math.inf
+            heapq.heappush(heap, (-math.inf, i, mid, piece))
+            heapq.heappush(heap, (-math.inf, mid, j, piece))
+            continue
+        cells.append(cell)
+        ceiling = min(ceiling, cell.hi)
     # a cell whose lower endpoint exceeds the ceiling cannot hold the minimum;
     # the others settled in doubles are re-evaluated at working precision
     candidates = [cell for cell in cells if cell.lo <= ceiling]
-    min_margin = min((margins.working(cell.start)[1] if cell.in_doubles else cell.lo
+    min_margin = min((margins.working(cell.idx)[1] if cell.in_doubles else cell.lo
                       for cell in candidates), default=math.inf)
-    failures = tuple(sorted(cell.start for cell in cells if not cell.passes))
+    failures = tuple(sorted(cell.idx for cell in cells if not cell.passes))
     working = sum(not cell.in_doubles for cell in cells)
     return min_margin, failures, {
         "doubles": sum(stop - start for start, stop in roots) - working,
@@ -332,31 +320,31 @@ def sandwich_verify(
 
     The callables return Enclosure, and a cell passes only when the margin
     enclosure is strictly positive.  When both callables are SandwichBounds
-    the cells are proved by runs, in two phases:
+    the cells are proved by runs, in one best-first loop over a heap of runs
+    of cells [i, j), which starts with the cells of each grid segment:
 
-    * Phase 1 settles each root, the cells of one grid segment.  A run of
-      cells [i, j) passes when the DoubleInterval margin
+    * A run is proved when the DoubleInterval margin
       lower(left_i) - upper(right_{j-1}) is strictly positive: under the
       premise, every cell k of the run has lower(left_k) >= lower(left_i)
       and upper(right_k) <= upper(right_{j-1}), so its margin is at least
-      the run's.  A run that does not separate is split at its midpoint; a
-      single cell that does not separate is evaluated at working precision.
-      Each side is memoised by grid endpoint, so a root of n cells costs at
-      most 2n double evaluations.
-    * Phase 2 finds min_margin at working precision.  The ceiling is the
-      smallest upper endpoint of any single cell's margin.  Runs are split
-      best first, smallest double lower endpoint first, while that endpoint
-      is at most the ceiling; the cells of the other runs have margins
-      above the ceiling.  A single cell settled in doubles whose lower
-      endpoint is at most the ceiling is re-evaluated at working precision.
-      Those are the cells a per-cell check re-evaluates, unless two cell
-      margins agree to within the width of their double enclosures, so the
-      certificate is the same.
+      the run's.  An unproved run has key -inf and pops first.  When it
+      does not separate it is split at its midpoint; a single cell that
+      does not separate is evaluated at working precision.
+    * A proved run goes back on the heap under its double lower endpoint.
+      The loop pops while the smallest key is at most the ceiling, the
+      smallest upper endpoint of any single cell's margin, and splits a
+      proved run into two unproved halves; the cells of the runs left on
+      the heap have margins above the ceiling.  A single cell settled in
+      doubles whose lower endpoint is at most the ceiling is re-evaluated
+      at working precision for min_margin.  Those are the cells a per-cell
+      check re-evaluates, unless two cell margins agree to within the width
+      of their double enclosures, so the certificate is the same.
 
-    Both phases share one memo, so no side is evaluated twice at one cell
-    endpoint.  Plain callables have no doubles: every cell is evaluated at
-    working precision.  _prove_by_runs runs the two phases for every check
-    of this module: here on the grids of 2.4ii and 2.9, and on the witness
+    Each side is memoised by grid endpoint, so no side is evaluated twice at
+    one cell endpoint and a segment of n cells costs at most 2n double
+    evaluations.  Plain callables have no doubles: every cell is evaluated
+    at working precision.  _prove_by_runs runs this loop for every check of
+    this module: here on the grids of 2.4ii and 2.9, and on the witness
     points of 2.4i (V', by runs of points) and 2.8 (phi', one point a root).
     """
     margins = _RunMargins(lower, upper, grid)

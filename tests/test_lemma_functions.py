@@ -463,6 +463,37 @@ def test_antiderivative_domain():
         phi_antiderivative(0.5, 0.5)
 
 
+def _a_and_phi_at_300_bits(q: Fraction, x) -> "mp.mpf":
+    """A_q (x None) or Phi_q(x) from the closed forms at 300 bits, log(1-z)
+    taken as log1p(-z)."""
+    with mp.workprec(300):
+        q = mp.mpf(q.numerator) / q.denominator
+        lq = mp.log(q)
+        if x is None:
+            return -((1 - q + lq) * mp.log1p(-q) + q * lq) / lq ** 2
+        qx = q ** x
+        num = (q * qx - (1 + lq) * qx + 1 - q + lq) * mp.log1p(-qx) + x * qx * (1 - q) * lq
+        return num / ((1 - qx) * lq ** 2)
+
+
+@pytest.mark.parametrize("name, q, x", [
+    ("A", Fraction(1, 10**30), None),
+    ("A", Fraction(1, 10**400), None),
+    ("Phi", Fraction(1, 2), 200),
+])
+def test_certified_a_and_phi_keep_relative_accuracy_where_log_1_minus_q_is_tiny(name, q, x):
+    """log(1 - z) at z = q or q^x below 2^-64 comes from its series: certified
+    A and Phi keep about 25 digits where log(1 - z) taken directly kept none."""
+    value = evaluate_named(name, q=q, x=x, mode=Mode.CERTIFIED)
+    reference = mpf_to_fraction(_a_and_phi_at_300_bits(q, x))
+    lo, hi = mpf_to_fraction(value.lo), mpf_to_fraction(value.hi)
+    slack = abs(reference) * Fraction(1, 10**60)  # the 300-bit rounding, with room
+    assert lo - slack <= reference <= hi + slack
+    assert hi - lo <= abs(reference) * Fraction(1, 10**25)
+    if name == "A":
+        assert lo > 0
+
+
 # -- correction sums -----------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from divisor_series.intervals import (
     fixed_shift,
     gamma_enclosure,
     interval_precision,
+    log1m,
     mpf_to_fraction,
     to_ivmpf,
 )
@@ -35,7 +36,6 @@ from divisor_series.special_eval import (
     fibonacci_partial_sum,
     landau_constant_from_t,
     landau_fibonacci,
-    _minus_log1m,
     _psi_partial_sum,
     _psi_tail,
     _t_partial_sum,
@@ -592,7 +592,7 @@ def test_certified_minus_log1m_keeps_relative_accuracy(q, bits):
     """For q <= 2^-64, -log(1-q) is the series sum q^k/k with a tail bound:
     it encloses a 2000-bit value and is tight relative to q."""
     with interval_precision(bits):
-        enc = Enclosure(_minus_log1m(to_ivmpf(q)))
+        enc = Enclosure(-log1m(to_ivmpf(q)))
     with mp.workprec(2000):
         reference = mpf_to_fraction(-mp.log1p(-mp.mpf(q.numerator) / q.denominator))
     assert enc.contains(reference)
@@ -605,7 +605,7 @@ def test_minus_log1m_at_a_negative_argument_is_log1p(q, bits):
     """At z = -q the series gives -log(1+q), with a two-sided tail: it
     encloses a 2000-bit value and is tight relative to q."""
     with interval_precision(bits):
-        enc = Enclosure(_minus_log1m(-to_ivmpf(q)))
+        enc = Enclosure(-log1m(-to_ivmpf(q)))
     with mp.workprec(2000):
         reference = mpf_to_fraction(-mp.log1p(mp.mpf(q.numerator) / q.denominator))
     assert enc.contains(reference)

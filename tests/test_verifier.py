@@ -5,12 +5,15 @@ import ast
 import json
 import math
 import os
+import heapq
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -283,12 +286,11 @@ class _Counted(SandwichBound):
         return super().doubles(q)
 
 
-def test_runs_match_per_cell_working_precision_on_random_grids():
+def _random_sandwiches():
     """Seeded grids of 1-3 segments in [0, 3.4], increasing cubic over
     increasing line, margins of both signs, and points where doubles do not
-    separate: the certificate equals the per-cell working-precision one."""
+    separate: 30 triples (lower, upper, grid)."""
     rng = random.Random(20261018)
-    signs = set()
     for _ in range(30):
         start = Fraction(rng.randrange(0, 100), 100)
         segments = []
@@ -300,6 +302,14 @@ def test_runs_match_per_cell_working_precision_on_random_grids():
         forced = {grid.cell(rng.randrange(grid.total_cells))[1] for _ in range(3)}
         lower = _NotSeparatingAt(forced, partial(_cubic, rng.randrange(1, 20), rng.randrange(40)))
         upper = SandwichBound(partial(_line, rng.randrange(1, 30), rng.randrange(-10, 10)))
+        yield lower, upper, grid
+
+
+def test_runs_match_per_cell_working_precision_on_random_grids():
+    """On the seeded random sandwiches the certificate equals the per-cell
+    working-precision one."""
+    signs = set()
+    for lower, upper, grid in _random_sandwiches():
         cert = sandwich_verify(lower, upper, grid)
         reference = sandwich_verify(partial(lower), partial(upper), grid)
         assert cert.to_json() == reference.to_json()
@@ -344,6 +354,156 @@ def test_runs_match_per_cell_working_precision_across_segments():
     reference = sandwich_verify(partial(j1_lower), partial(j2_upper), grid)
     assert cert.passed and cert.settled["working_precision"] >= 2
     assert cert.to_json() == reference.to_json()
+
+
+def test_run_margins_subtract_at_working_precision(monkeypatch):
+    """At 1024 bits the margin of 2.9's cell 899 is about as narrow as its
+    sides, which are below 1e-290 wide: the difference is taken at working
+    precision, not at mpmath's ambient 53 bits (2.2e-19 wide)."""
+    monkeypatch.setenv("DIVISOR_SERIES_PREC", "1024")
+    differences = []
+
+    class Recorded(Enclosure):
+        __slots__ = ()
+
+        def __sub__(self, other):
+            differences.append(super().__sub__(other))
+            return differences[-1]
+
+    margins = verifier._RunMargins(lambda q: Recorded(j1_lower(q)), j2_upper, lemma_2_9_grid())
+    passes, lo, hi = margins.working(899)
+    (margin,) = differences
+    assert passes and 0 < lo <= hi
+    assert margin.width_upper() <= 1e-250
+
+
+# -- the one loop against a two-phase reference ------------------------------------
+
+
+class _ReferenceSettled(NamedTuple):
+    lo: float
+    start: int
+    stop: int
+    hi: float
+    in_doubles: bool
+    passes: bool
+
+
+def _reference_settle(margins, start, stop):
+    """Phase 1: bisect [start, stop) on a stack into runs whose double margin
+    is positive; a single item that doubles do not separate is evaluated at
+    working precision."""
+    settled, todo = [], [(start, stop)]
+    while todo:
+        i, j = todo.pop()
+        margin = margins.of_run(i, j)
+        if margin is not None and margin.lo > 0:
+            settled.append(_ReferenceSettled(margin.lo, i, j, margin.hi, True, True))
+        elif j - i == 1:
+            passes, lo, hi = margins.working(i)
+            settled.append(_ReferenceSettled(lo, i, j, hi, False, passes))
+        else:
+            mid = (i + j) // 2
+            todo += [(mid, j), (i, mid)]
+    return settled
+
+
+def _reference_prove_by_runs(margins, roots):
+    """The stack bisection and the best-first heap that calls it again, as two
+    phases: the engine that _prove_by_runs folds into one loop."""
+    settled = [piece for start, stop in roots for piece in _reference_settle(margins, start, stop)]
+    runs = sum(piece.in_doubles for piece in settled)
+    cells = [piece for piece in settled if piece.stop - piece.start == 1]
+    heap = [piece for piece in settled if piece.stop - piece.start > 1]
+    heapq.heapify(heap)
+    ceiling = min((cell.hi for cell in cells), default=math.inf)
+    while heap and heap[0].lo <= ceiling:
+        run = heapq.heappop(heap)
+        mid = (run.start + run.stop) // 2
+        for piece in (_reference_settle(margins, run.start, mid)
+                      + _reference_settle(margins, mid, run.stop)):
+            if piece.stop - piece.start > 1:
+                heapq.heappush(heap, piece)
+            else:
+                cells.append(piece)
+                ceiling = min(ceiling, piece.hi)
+    candidates = [cell for cell in cells if cell.lo <= ceiling]
+    min_margin = min((margins.working(cell.start)[1] if cell.in_doubles else cell.lo
+                      for cell in candidates), default=math.inf)
+    failures = tuple(sorted(cell.start for cell in cells if not cell.passes))
+    working = sum(not cell.in_doubles for cell in cells)
+    return min_margin, failures, {
+        "doubles": sum(stop - start for start, stop in roots) - working,
+        "working_precision": working,
+        "min_margin_rechecks": sum(cell.in_doubles for cell in candidates),
+        "runs": runs, "evaluations": margins.evaluations}
+
+
+def _logged(margins):
+    """margins, recording each of_run and working call in margins.calls."""
+    margins.calls = []
+    of_run, working = margins.of_run, margins.working
+    margins.of_run = lambda i, j: margins.calls.append((i, j)) or of_run(i, j)
+    margins.working = lambda k: margins.calls.append(k) or working(k)
+    return margins
+
+
+def _assert_one_loop_matches_reference(make_margins, roots) -> tuple:
+    """Both engines on fresh margins: the same result and the same calls, in
+    the same order.  Returns the result."""
+    ours, reference = _logged(make_margins()), _logged(make_margins())
+    result = _prove_by_runs(ours, roots)
+    assert result == _reference_prove_by_runs(reference, roots)
+    assert ours.calls == reference.calls
+    return result
+
+
+def test_one_loop_matches_the_two_phase_reference_on_random_grids():
+    """The seeded random sandwiches, some failing and some with cells that
+    doubles do not separate, by runs of cells over their grid segments."""
+    results = []
+    for lower, upper, grid in _random_sandwiches():
+        bounds = list(accumulate((seg.count for seg in grid.segments), initial=0))
+        results.append(_assert_one_loop_matches_reference(
+            partial(verifier._RunMargins, lower, upper, grid), list(zip(bounds, bounds[1:]))))
+    assert any(failures for _, failures, _ in results)
+    assert any(not failures and min_margin > 0 for min_margin, failures, _ in results)
+    assert any(settled["working_precision"] for _, _, settled in results)
+    assert any(settled["runs"] < settled["doubles"] for _, _, settled in results)
+
+
+class _SeededPoints(_PointMargins):
+    """Items with exact margins values[k]: the run bound of i..j is their
+    minimum, and the whole line on any run holding a forced item."""
+
+    def __init__(self, values, forced):
+        super().__init__(lambda lift, i, j: lift(min(values[i:j + 1])))
+        self.forced = forced
+
+    def of_run(self, start, stop):
+        if any(start <= k < stop for k in self.forced):
+            self.evaluations += 1
+            return DoubleInterval(-math.inf, math.inf)
+        return super().of_run(start, stop)
+
+
+def test_one_loop_matches_the_two_phase_reference_on_seeded_points():
+    """Seeded point margins with ties, negative items and forced items, as
+    one run, as random consecutive runs and as one point per root."""
+    rng = random.Random(20261019)
+    results = []
+    for _ in range(40):
+        n = rng.randrange(1, 60)
+        values = [Fraction(rng.randrange(-3, 40), rng.choice((1, 7, 10))) for _ in range(n)]
+        forced = {rng.randrange(n) for _ in range(rng.randrange(4))}
+        cuts = sorted({0, n, *(rng.randrange(1, n + 1) for _ in range(rng.randrange(4)))})
+        for roots in ([(0, n)], list(zip(cuts, cuts[1:])), [(k, k + 1) for k in range(n)]):
+            results.append(_assert_one_loop_matches_reference(
+                partial(_SeededPoints, values, forced), roots))
+    assert any(failures for _, failures, _ in results)
+    assert any(not failures and min_margin > 0 for min_margin, failures, _ in results)
+    assert any(settled["working_precision"] for _, _, settled in results)
+    assert any(settled["runs"] < settled["doubles"] for _, _, settled in results)
 
 
 # -- the 2.4i V' witness grid ------------------------------------------------------
