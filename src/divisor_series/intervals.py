@@ -63,10 +63,11 @@ class BracketSearchError(ArithmeticError):
 
 class Mode(enum.Enum):
     """Arithmetic mode of the evaluators and lemma functions.  CERTIFIED
-    carries proofs and meets the requested width.  FAST promises no width
-    and issues no certificate or verdict: T is a double sum with a heuristic
-    pad; psi_q, H and F run the certified bodies once at 53 bits, H and F on
-    FAST T.  Lemma verification and the bound checks are certified only."""
+    carries proofs and meets the requested width: every evaluator doubles its
+    precision up to 1024 bits until it does.  FAST promises no width and
+    issues no certificate or verdict: T is a double sum with a heuristic pad;
+    psi_q, H and F run the certified bodies once at 53 bits, H and F on FAST
+    T.  Lemma verification and the bound checks are certified only."""
 
     FAST = "fast"
     CERTIFIED = "certified"
@@ -635,8 +636,9 @@ def log1m(x):
     enclosure is -(sum_{k<=n} x^k/k) less the geometric bound
     t = |x|^(n+1)/((n+1)(1-|x|)) on the remaining terms, [0, t] for x >= 0
     and [-t, t] otherwise, with n = prec // 64 + 1: relative to x the tail
-    is below 2^(-64n), under the rounding error of the sum.  Every other
-    argument takes ln(1 - x).
+    is below 2^(-64n), under the rounding error of the sum.  A float takes
+    math.log1p(-x), which keeps its relative accuracy as x -> 0 where
+    math.log(1 - x) loses every digit; every other argument takes ln(1 - x).
     """
     if isinstance(x, ivmpf):
         size = abs(x)
@@ -645,6 +647,8 @@ def log1m(x):
             total = sum((x ** k / k for k in range(2, n + 1)), x)
             tail = size ** (n + 1) / ((n + 1) * (1 - size))
             return -(total + iv.mpf([0 if x.a >= 0 else -tail.b, tail.b]))
+    if isinstance(x, float):
+        return math.log1p(-x)
     return ln(1 - x)
 
 

@@ -22,20 +22,20 @@ integer intervals (``FixedInterval``): q, and a for psi_q, are lifted from
 their ``ivmpf`` enclosures at a scale that keeps the working precision's
 significant bits of q, however small, and the sum returns to ``ivmpf``
 rounded outward.  The tail bound is certified by ``ivmpf`` evaluation, so
-the reported enclosure accounts for both rounding and truncation.  FAST mode
-runs the same psi_q, H and F bodies once at ``FAST_PRECISION`` bits, with no
-promise on the width; only FAST T sums native doubles, padded with the tail
-bound (evaluated on a ``DoubleInterval`` around q) plus a heuristic 10 ulp
-per operation.  FAST issues no certificates, and the bound checks at the end
-of this module are certified only.
+the reported enclosure accounts for both rounding and truncation.  Every
+evaluator climbs one precision ladder (``_climb``) to width eps; H and F are
+one body, scale * (T - log(1-q)/log(q)).  FAST runs the psi_q, H and F
+bodies once at ``FAST_PRECISION`` bits, with no promise on the width; only
+FAST T sums native doubles, padded with the tail bound (on a
+``DoubleInterval`` around q) plus a heuristic 10 ulp per operation.  FAST
+issues no certificates; the bound checks below are certified only.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Union
@@ -226,25 +226,18 @@ def _psi_partial_sum(q, a, terms: int):
 
 def t_enclosure_for_interval(
     q_iv: ivmpf, eps: float, representation: RepresentationId = RepresentationId.CLAUSEN
-) -> tuple[Enclosure, int, float]:
-    """Certified enclosure of T over an interval argument already in scope.
-
-    Assumes the current mpmath interval precision is the one to compute at;
-    returns (enclosure, terms_used, tail_bound).  The tail bound is evaluated
-    on the interval argument, so it covers every q in it.
-    """
+) -> EvalReport:
+    """Certified enclosure of T over an interval argument already in scope,
+    at the current mpmath interval precision.  The tail bound is evaluated on
+    the interval argument, so it covers every q in it."""
     q_hi = _ceil_float(q_iv._mpi_[1])
-    table = None
-    terms = _choose_terms(
-        lambda k: _t_tail(q_hi, representation, k), max(eps / 4.0, 5e-323)
-    )
-    if representation is RepresentationId.DIVISOR:
-        table = divisor_sieve(terms)
+    terms = _choose_terms(lambda k: _t_tail(q_hi, representation, k), max(eps / 4.0, 5e-323))
+    table = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
     q_fx = FixedInterval.from_ivmpf(q_iv, fixed_shift(q_iv))
     s = _t_partial_sum(q_fx, representation, terms, table).to_ivmpf()
     tail_hi = Enclosure(_t_tail(q_iv, representation, terms)).hi
     value = Enclosure(s) + Enclosure(0, tail_hi)
-    return value, terms, _ceil_float(tail_hi._mpf_)
+    return EvalReport(value, representation, terms, _ceil_float(tail_hi._mpf_), Mode.CERTIFIED)
 
 
 # -- public evaluators --------------------------------------------------------
@@ -255,6 +248,20 @@ def _bits_for_eps(eps: float) -> int:
     if eps < 1e-30:
         wanted = max(wanted, int(-math.log2(eps)) + 32)
     return min(wanted, MAX_PRECISION)
+
+
+def _climb(eps: float, mode: Mode, rung) -> EvalReport:
+    """The one precision ladder of the evaluators.  rung() evaluates at the
+    current interval precision and returns None to be tried higher; FAST takes
+    the first report from FAST_PRECISION up, CERTIFIED the first from
+    _bits_for_eps(eps) up whose width is at most eps."""
+    fast = mode is Mode.FAST
+    for prec in precision_ladder(FAST_PRECISION if fast else _bits_for_eps(eps)):
+        with interval_precision(prec):
+            report = rung()
+        if report is not None and (fast or float(report.value.width_upper()) <= eps):
+            return report
+    raise PrecisionError(f"cannot reach width {eps} within {MAX_PRECISION} bits")
 
 
 def eval_T(
@@ -277,15 +284,7 @@ def eval_T(
 
     if mode is Mode.FAST:
         return _eval_t_fast(qp, eps, representation)
-
-    for prec in precision_ladder(_bits_for_eps(eps)):
-        with interval_precision(prec):
-            value, terms, tail = t_enclosure_for_interval(qp.to_ivmpf(), eps, representation)
-        if float(value.width_upper()) <= eps:
-            return EvalReport(value, representation, terms, tail, Mode.CERTIFIED)
-    raise PrecisionError(
-        f"cannot reach width {eps} for T({float(qp)}) within {MAX_PRECISION} bits"
-    )
+    return _climb(eps, mode, lambda: t_enclosure_for_interval(qp.to_ivmpf(), eps, representation))
 
 
 def _eval_t_fast(qp: QPoint, eps: float, representation: RepresentationId) -> EvalReport:
@@ -328,32 +327,47 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
     sum_target = max(eps / (4.0 * log_scale), 5e-323)
     terms = _choose_terms(lambda k: _psi_tail(q_hi, a_hi, k), sum_target)
 
-    fast = mode is Mode.FAST
-    for prec in precision_ladder(FAST_PRECISION if fast else _bits_for_eps(eps)):
-        with interval_precision(prec):
-            q_iv = qp.to_ivmpf()
-            if x_frac.denominator == 1:
-                a = q_iv ** int(x_frac - 1)
-            else:
-                a = iv.exp(to_ivmpf(x_frac - 1) * iv.log(q_iv))
-            shift = fixed_shift(q_iv)
-            try:
-                s = _psi_partial_sum(FixedInterval.from_ivmpf(q_iv, shift),
-                                     FixedInterval.from_ivmpf(a, shift), terms).to_ivmpf()
-            except DomainError:  # 1 - a q^k contains 0 at this precision (x near 0)
-                continue
-            tail_hi = Enclosure(_psi_tail(q_iv, a, terms)).hi
-            sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
-            value = Enclosure(-log1m(q_iv)) + Enclosure(iv.log(q_iv)) * sum_enc
-        if fast or float(value.width_upper()) <= eps:
-            return EvalReport(value, PSI_FORMULA, terms, _ceil_float(tail_hi._mpf_), mode)
-    raise PrecisionError(f"cannot reach width {eps} for psi_q at q={float(qp)}")
+    def rung():
+        q_iv = qp.to_ivmpf()
+        if x_frac.denominator == 1:
+            a = q_iv ** int(x_frac - 1)
+        else:
+            a = iv.exp(to_ivmpf(x_frac - 1) * iv.log(q_iv))
+        shift = fixed_shift(q_iv)
+        try:
+            s = _psi_partial_sum(FixedInterval.from_ivmpf(q_iv, shift),
+                                 FixedInterval.from_ivmpf(a, shift), terms).to_ivmpf()
+        except DomainError:  # 1 - a q^k contains 0 at this precision (x near 0)
+            return None
+        tail_hi = Enclosure(_psi_tail(q_iv, a, terms)).hi
+        sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
+        value = Enclosure(-log1m(q_iv)) + Enclosure(iv.log(q_iv)) * sum_enc
+        return EvalReport(value, PSI_FORMULA, terms, _ceil_float(tail_hi._mpf_), mode)
+
+    return _climb(eps, mode, rung)
 
 
 def _log_ratio_enclosure(qp: QPoint) -> Enclosure:
     """log(1-q)/log(q) at the current interval precision."""
     q_iv = qp.to_ivmpf()
     return Enclosure(log1m(q_iv) / iv.log(q_iv))
+
+
+def _scaled_h(qp: QPoint, scale: Fraction, eps: float, representation: RepresentationId,
+              mode: Mode) -> EvalReport:
+    """scale * (T(q) - b) with b = log(1-q)/log(q): H at scale 1, F at (1-q)/q.
+    T is taken once to width eps/(2 scale), in Fraction since F's scale
+    exceeds the largest double below q = 5.6e-309; the ladder then narrows b,
+    which cancels near q = 1."""
+    if not eps > 0:
+        raise DomainError("eps must be positive")
+    t_eps = float(Fraction(eps) / (2 * scale)) if eps < math.inf else eps
+    if not t_eps > 0:
+        raise DomainError("q underflows in double precision: eps/(2 scale) rounds to 0")
+    t = eval_T(qp, t_eps, representation, mode)
+    return _climb(eps, mode, lambda: EvalReport(
+        (t.value - _log_ratio_enclosure(qp)) * scale,
+        representation, t.terms_used, t.tail_bound, mode))
 
 
 def eval_H(
@@ -363,13 +377,7 @@ def eval_H(
     mode: Mode = Mode.CERTIFIED,
 ) -> EvalReport:
     """H(q) = T(q) - log(1-q)/log(q)."""
-    qp = QPoint.coerce(q)
-    t = eval_T(qp, eps / 2.0, representation, mode)
-    with interval_precision(FAST_PRECISION if mode is Mode.FAST else _bits_for_eps(eps)):
-        value = t.value - _log_ratio_enclosure(qp)
-    if mode is Mode.CERTIFIED and float(value.width_upper()) > eps:
-        raise PrecisionError(f"H enclosure wider than eps={eps}")
-    return EvalReport(value, representation, t.terms_used, t.tail_bound, mode)
+    return _scaled_h(QPoint.coerce(q), Fraction(1), eps, representation, mode)
 
 
 def eval_F(
@@ -380,17 +388,7 @@ def eval_F(
 ) -> EvalReport:
     """F(q) = ((1-q)/q) * H(q)."""
     qp = QPoint.coerce(q)
-    scale = (1 - qp.value) / qp.value
-    if scale > sys.float_info.max:
-        raise DomainError("q underflows in double precision: (1-q)/q exceeds the "
-                          "largest double")
-    # halve eps before dividing: 2 * scale overflows for q just above the guard
-    h = eval_H(qp, eps / 2.0 / float(scale), representation, mode)
-    with interval_precision(FAST_PRECISION if mode is Mode.FAST else _bits_for_eps(eps)):
-        value = h.value * to_ivmpf(scale)
-    if mode is Mode.CERTIFIED and float(value.width_upper()) > eps:
-        raise PrecisionError(f"F enclosure wider than eps={eps}")
-    return EvalReport(value, representation, h.terms_used, h.tail_bound, mode)
+    return _scaled_h(qp, (1 - qp.value) / qp.value, eps, representation, mode)
 
 
 # -- double-inequality checkers ----------------------------------------------
@@ -542,13 +540,15 @@ def landau_fibonacci(k_max: int) -> Enclosure:
 
 
 def landau_constant_from_t(eps: float = 1e-7) -> Enclosure:
-    """sqrt(5) * (T(c) - T(c^2)) with c = ((sqrt(5)-1)/2)^2, certified."""
+    """sqrt(5) * (T(c) - T(c^2)) with c = ((sqrt(5)-1)/2)^2, certified to width eps."""
     if not eps > 0:
         raise DomainError("eps must be positive")
-    with interval_precision(working_precision()):
+
+    def rung():
         sqrt5 = iv.sqrt(iv.mpf(5))
         c = ((sqrt5 - 1) / 2) ** 2
-        t_c, _, _ = t_enclosure_for_interval(c, eps / 8.0)
-        t_c2, _, _ = t_enclosure_for_interval(c ** 2, eps / 8.0)
-        value = Enclosure(sqrt5) * (t_c - t_c2)
-    return value
+        t_c = t_enclosure_for_interval(c, eps / 8.0)
+        t_c2 = t_enclosure_for_interval(c ** 2, eps / 8.0)
+        return replace(t_c, value=Enclosure(sqrt5) * (t_c.value - t_c2.value))
+
+    return _climb(eps, Mode.CERTIFIED, rung).value

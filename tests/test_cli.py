@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -78,11 +79,31 @@ def test_eval_q_whose_double_is_one_exit_2(capsys):
 
 @pytest.mark.parametrize("fn, mode", [("F", "fast"), ("F", "certified")])
 def test_eval_q_below_smallest_double_exit_2(capsys, fn, mode):
-    """(1-q)/q exceeds the largest double, in either mode."""
+    """The width eps q/(2(1-q)) that F asks of T underflows a double, in
+    either mode."""
     code, out, err = run_cli(capsys, "eval", "--fn", fn, "--q", "1e-400", "--mode", mode)
     assert code == 2
     assert out == ""
     assert "underflows" in err
+
+
+def test_eval_f_where_the_width_of_t_underflows_exit_2(capsys):
+    """At q = 1e-300 and eps = 1e-30, F's width for T, eps q/(2(1-q)), rounds
+    to 0 in doubles: the error names the underflow, not the eps."""
+    code, out, err = run_cli(capsys, "eval", "--fn", "F", "--q", "1e-300", "--eps", "1e-30",
+                             "--mode", "certified")
+    assert code == 2 and out == ""
+    assert "underflows" in err and "eps must be positive" not in err
+
+
+@pytest.mark.parametrize("mode", ["fast", "certified"])
+def test_eval_f_where_its_scale_passes_the_largest_double(capsys, mode):
+    """(1-q)/q is 1e310 at q = 1e-310, past the largest double, but the width
+    5e-323 it leaves for T is a double: F is 1 - 1/log(1/q) to within O(q)."""
+    code, out, _ = run_cli(capsys, "eval", "--fn", "F", "--q", "1e-310", "--mode", mode)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["lo"] + doc["hi"]) / 2 == pytest.approx(1 - 1 / (310 * math.log(10)), abs=1e-10)
 
 
 def _fast_meets_certified(capsys, *argv):
@@ -404,9 +425,18 @@ def test_number_options_keep_the_string_as_typed(capsys):
 @pytest.mark.parametrize("argv", [
     ["--fn", "psi", "--q", "0.3"],
     ["--fn", "T", "--q", "0.3", "--mode", "certified"],
-], ids=["fast-psi", "certified-T"])
+    ["--fn", "H", "--q", "0.3"],
+    ["--fn", "H", "--q", "0.3", "--mode", "certified"],
+    ["--fn", "F", "--q", "0.3"],
+    ["--fn", "F", "--q", "0.3", "--mode", "certified"],
+], ids=["fast-psi", "certified-T", "fast-H", "certified-H", "fast-F", "certified-F"])
 def test_nan_eps_is_a_usage_error(capsys, argv):
-    assert "error: eps must be positive" in _usage_error(capsys, ["eval", *argv, "--eps", "nan"])
+    """nan, 0 and -1 are usage errors; an infinite eps asks for no width."""
+    for eps in ("nan", "0", "-1"):
+        err = _usage_error(capsys, ["eval", *argv, "--eps", eps])
+        assert "error: eps must be positive" in err
+    code, out, _ = run_cli(capsys, "eval", *argv, "--eps", "inf")
+    assert code == 0 and json.loads(out)["lo"] <= json.loads(out)["hi"]
 
 
 def test_verify_lemma_25_and_out_file(tmp_path, capsys):

@@ -494,6 +494,19 @@ def test_certified_a_and_phi_keep_relative_accuracy_where_log_1_minus_q_is_tiny(
         assert lo > 0
 
 
+@pytest.mark.parametrize("name, q, x", [
+    ("A", Fraction(1, 10**30), None),
+    ("U", Fraction(1, 10**30), None),
+    ("Phi", Fraction(1, 2), 200),
+])
+def test_fast_log_1_minus_z_keeps_relative_accuracy_where_z_is_tiny(name, q, x):
+    """A float z takes log(1 - z) as log1p(-z): FAST A, U and Phi agree with
+    the certified midpoint to 1e-12 relative where log(1 - z) is 0 in doubles."""
+    fast = evaluate_named(name, q=q, x=x, mode=Mode.FAST)
+    certified = evaluate_named(name, q=q, x=x, mode=Mode.CERTIFIED).midpoint()
+    assert fast == pytest.approx(certified, rel=1e-12, abs=0)
+
+
 # -- correction sums -----------------------------------------------------------
 
 

@@ -414,6 +414,25 @@ def test_f_fast_mode():
     assert fast.value.intersects(certified.value)
 
 
+@pytest.mark.parametrize("q, eps", [("0.9999", 1e-30), ("0.99999", 1e-35),
+                                    ("0.999997", 1e-40), ("0.999999", 1e-60)])
+def test_certified_h_and_f_climb_the_precision_ladder_near_one(q, eps):
+    """Near q = 1, b = log(1-q)/log(q) cancels and its enclosure at the first
+    rung is wider than eps, so H and F climb the ladder as T does.  Each
+    enclosure meets H = psi_q(1)/log(q) (Salem's identity
+    psi_q(1) = -log(1-q) + log(q) T(q)) or F = (1-q)/q H, with psi_q(1) taken
+    to width eps^2, at about twice the bits."""
+    qp = QPoint.coerce(q)
+    h, f = eval_H(qp, eps), eval_F(qp, eps)
+    psi = eval_psi_q(qp, 1, eps * eps)
+    with interval_precision(1024):
+        h_ref = psi.value / Enclosure(iv.log(qp.to_ivmpf()))
+        f_ref = h_ref * ((1 - qp.value) / qp.value)
+    for value, reference in ((h.value, h_ref), (f.value, f_ref)):
+        assert float(value.width_upper()) <= eps
+        assert value.intersects(reference)
+
+
 @pytest.mark.parametrize("q", ["1e-6", "1e-12", "1e-25", "1e-100"])
 def test_fast_meets_certified_near_zero(q):
     """FAST log(1-q) must not cancel near q = 0 (log1p), or FAST F and
@@ -434,7 +453,8 @@ def test_fast_meets_certified_at_a_subnormal_q(evaluate):
 def test_fast_meets_certified_from_subnormal_q_to_near_one():
     """On seeded q from 1e-320 to 0.999, and at 1e-400, FAST psi_q (five x),
     H and F meet the certified enclosures.  Where certified F refuses
-    because (1-q)/q overflows a double, FAST F refuses too."""
+    because the width eps q/(2(1-q)) it asks of T underflows a double, FAST
+    F refuses too."""
     rng = random.Random(23)
     qs = [Fraction(1, 10**400), Fraction(1, 10**320), Fraction(999, 1000)]
     qs += [Fraction(rng.randint(1, 999), 1000) / 10**rng.randint(0, 317) for _ in range(40)]
@@ -572,6 +592,17 @@ def test_landau_fibonacci_is_tight_at_the_default_precision():
     with interval_precision(53):
         fib = landau_fibonacci(60)
     assert float(fib.width_upper()) < 1e-24
+
+
+@pytest.mark.parametrize("eps", [1e-40, 1e-60])
+def test_landau_constant_from_t_climbs_the_precision_ladder(eps):
+    """Below the width the working precision reaches (2.5e-37 at 128 bits),
+    landau_constant_from_t doubles the precision until it meets eps."""
+    with interval_precision(1024):
+        fib = landau_fibonacci(200)
+    direct = landau_constant_from_t(eps)
+    assert float(direct.width_upper()) <= eps
+    assert direct.intersects(fib)
 
 
 def test_landau_constant_from_t_on_an_interval_argument_is_tight():
