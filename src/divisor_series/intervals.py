@@ -65,9 +65,10 @@ class Mode(enum.Enum):
     """Arithmetic mode of the evaluators and lemma functions.  CERTIFIED
     carries proofs and meets the requested width: every evaluator doubles its
     precision up to 1024 bits until it does.  FAST promises no width and
-    issues no certificate or verdict: T is a double sum with a heuristic pad;
-    psi_q, H and F run the certified bodies once at 53 bits, H and F on FAST
-    T.  Lemma verification and the bound checks are certified only."""
+    issues no certificate or verdict: psi_q, H, F and the lemma functions run
+    the certified bodies once at 53 bits, H and F on FAST T, a double sum with
+    a heuristic pad.  Lemma verification and the bound checks are certified
+    only."""
 
     FAST = "fast"
     CERTIFIED = "certified"
@@ -179,8 +180,14 @@ class Enclosure:
         """An upper bound on hi - lo (outward-rounded subtraction)."""
         return mp.make_mpf(self._iv.delta._mpi_[1])
 
+    def is_bounded(self) -> bool:
+        return mp.isfinite(self.lo) and mp.isfinite(self.hi)
+
     def midpoint(self) -> float:
-        return (self.to_floats()[0] + self.to_floats()[1]) / 2.0
+        """A double between the ends of to_floats(), halved before the sum
+        (which may overflow) and clamped (halving may round a subnormal)."""
+        lo, hi = self.to_floats()
+        return min(max(lo / 2 + hi / 2, lo), hi)
 
     def to_floats(self) -> tuple[float, float]:
         """Endpoints as doubles, rounded outward so containment survives."""
@@ -601,11 +608,10 @@ def _gamma_at(bits: int) -> Enclosure:
 # -- generic elementary functions ------------------------------------------
 #
 # Formula code in lemma_functions/special_eval is written once against these
-# helpers: floats give the FAST lemma functions and the FAST T sum, ivmpf the
-# certified enclosures (FAST psi_q, H and F included, at 53 bits).
+# helpers: ivmpf gives the certified enclosures and, once at 53 bits, the FAST
+# values; floats the FAST T sum, its term counts and critical_points.
 # DoubleInterval runs the same formulas as the first pass of certified checks.
-# FixedInterval runs the T and psi_q partial sums on intervals, which need
-# only + - * / and so call none of these helpers.
+# FixedInterval runs the T and psi_q partial sums, which need only + - * /.
 
 
 def ln(x):
@@ -652,24 +658,12 @@ def log1m(x):
     return ln(1 - x)
 
 
-def lift(value: Scalar, mode: Mode):
-    """An exact scalar in the arithmetic of `mode`: the nearest double (FAST)
-    or the tightest outward-rounded interval (CERTIFIED)."""
-    if mode is Mode.FAST:
-        try:
-            return float(value)
-        except OverflowError:
-            raise DomainError("a FAST argument overflows a double (beyond 1.8e308);"
-                              " certified mode takes it") from None
-    return to_ivmpf(value if isinstance(value, (int, Fraction)) else Fraction(value))
-
-
 def const(value: Scalar, like):
     """A rational constant of a formula, lifted into the arithmetic of the
-    formula's argument `like` the same way mode dispatch lifts q."""
+    formula's argument `like`: its nearest double beside a float."""
     if isinstance(like, DoubleInterval):
         return _double_const(value)
-    return lift(value, Mode.CERTIFIED if isinstance(like, ivmpf) else Mode.FAST)
+    return to_ivmpf(value) if isinstance(like, ivmpf) else float(value)
 
 
 @lru_cache(maxsize=None)

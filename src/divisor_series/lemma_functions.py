@@ -17,9 +17,10 @@ sums C, D) decide the sign of F'.  This module provides:
   the grid/Sturm verifications, with Delta, G0 and the pieces S, P of
   h2 = 1/S, h3 = P/S^2 also available as exact rational polynomials.
 
-Formulas are written once against generic arithmetic: feed floats for FAST
-results, mpmath intervals for CERTIFIED enclosures, DoubleInterval for the
-cheap first pass of certified sandwich checks.  On a DoubleInterval q
+Formulas are written once against generic arithmetic: mpmath intervals give
+the CERTIFIED enclosures and, run once at 53 bits, the FAST values (their
+midpoints); DoubleInterval gives the cheap first pass of certified sandwich
+checks, and floats the bisection of critical_points.  On a DoubleInterval q
 inside their guards two float-pair kernels replay a generic body bit for
 bit on local pairs of doubles: _phi_integer_sum_doubles the phi sum of W2
 and J2, and _phi_integral_doubles the antiderivative difference of W1 and
@@ -30,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, nextafter
+from functools import partial
+from math import inf, isfinite, nextafter
 from typing import Callable
 
 from .intervals import (
@@ -42,15 +44,15 @@ from .intervals import (
     const,
     exp_,
     interval_precision,
-    lift,
     ln,
     log1m,
     powr,
     product_ends,
+    to_ivmpf,
     working_precision,
 )
 from .polynomials import Polynomial
-from .special_eval import QPoint
+from .special_eval import FAST_PRECISION, QPoint
 
 
 # -- raw formulas (generic arithmetic) ----------------------------------------
@@ -360,12 +362,17 @@ def h3_numerator_polynomial() -> Polynomial:
 # -- mode-dispatching wrappers -------------------------------------------------
 
 
+def _on_intervals(mode: Mode, fn: Callable, *args):
+    """A raw formula on the tightest intervals around its exact arguments, at
+    FAST_PRECISION bits (FAST) or the working precision (CERTIFIED)."""
+    with interval_precision(FAST_PRECISION if mode is Mode.FAST else working_precision()):
+        return fn(*[to_ivmpf(a) for a in args])
+
+
 def _in_mode(mode: Mode, fn: Callable, *args):
-    """Run a raw formula on floats (FAST) or as a certified Enclosure."""
-    if mode is Mode.FAST:
-        return fn(*[lift(a, mode) for a in args])
-    with interval_precision(working_precision()):
-        return Enclosure(fn(*[lift(a, mode) for a in args]))
+    """A raw formula's certified Enclosure, or its 53-bit midpoint (FAST)."""
+    value = Enclosure(_on_intervals(mode, fn, *args))
+    return value.midpoint() if mode is Mode.FAST else value
 
 
 @dataclass(frozen=True)
@@ -408,33 +415,28 @@ class CorrectionSums:
     d_n: object
 
 
-def correction_sums(q, n: int, mode: Mode = Mode.FAST) -> CorrectionSums:
-    """sigma_q(j), rho_q(j) for j = 1..n via exact antiderivative differences."""
-    qp = QPoint.coerce(q)
+def _correction_sums_raw(q, n: int):
+    """sigma_q(j), rho_q(j) for j = 1..n via exact antiderivative
+    differences, and their sums C_q(n), D_q(n)."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    phis = [phi_raw(q, j) for j in range(1, n + 2)]
+    lq = ln(q)
+    caps = [phi_antiderivative_raw(q, j, lq) for j in range(1, n + 2)]
+    sigma, rho = [], []
+    for j in range(1, n + 1):
+        integral = caps[j] - caps[j - 1]
+        sigma.append(integral - phis[j])
+        rho.append(integral - (phis[j - 1] + phis[j]) / 2)
+    return sigma, rho, sum(sigma[1:], sigma[0]), sum(rho[1:], rho[0])
 
-    def compute(qv):
-        phis = [phi_raw(qv, j) for j in range(1, n + 2)]
-        lq = ln(qv)
-        caps = [phi_antiderivative_raw(qv, j, lq) for j in range(1, n + 2)]
-        sigma, rho = [], []
-        for j in range(1, n + 1):
-            integral = caps[j] - caps[j - 1]
-            sigma.append(integral - phis[j])
-            rho.append(integral - (phis[j - 1] + phis[j]) / 2)
-        return sigma, rho
 
-    if mode is Mode.FAST:
-        sigma, rho = compute(float(qp))
-        return CorrectionSums(tuple(sigma), tuple(rho), sum(sigma), sum(rho))
-    with interval_precision(working_precision()):
-        sigma, rho = compute(qp.to_ivmpf())
-        sigma_enc = tuple(Enclosure(s) for s in sigma)
-        rho_enc = tuple(Enclosure(r) for r in rho)
-        c_n = Enclosure(sum(sigma[1:], sigma[0]))
-        d_n = Enclosure(sum(rho[1:], rho[0]))
-    return CorrectionSums(sigma_enc, rho_enc, c_n, d_n)
+def correction_sums(q, n: int, mode: Mode = Mode.FAST) -> CorrectionSums:
+    """Enclosures of sigma, rho, C_q(n) and D_q(n), or their midpoints (FAST)."""
+    qv = QPoint.coerce(q).value
+    sigma, rho, c_n, d_n = _on_intervals(mode, partial(_correction_sums_raw, n=n), qv)
+    out = Enclosure if mode is Mode.CERTIFIED else lambda v: Enclosure(v).midpoint()
+    return CorrectionSums(tuple(map(out, sigma)), tuple(map(out, rho)), out(c_n), out(d_n))
 
 
 # -- critical points -----------------------------------------------------------
@@ -530,16 +532,16 @@ _Y_ARG = {"V", "V_prime"}
 
 
 def evaluate_named(name: str, *, q=None, x=None, y=None, n=None, mode: Mode = Mode.FAST):
-    """Evaluate one named function; float in FAST mode, Enclosure otherwise."""
+    """One named function as a float (FAST) or an Enclosure.  A DomainError
+    naming it is raised where the formula raises, where an end of its
+    enclosure is infinite, or where the FAST midpoint is no finite double."""
+    fn = aux_bound_functions().get(name)
     if name in ("C", "D"):
-        if q is None or n is None:
-            raise DomainError(f"{name} needs --q and --n")
-        sums = correction_sums(q, int(n), mode)
-        return sums.c_n if name == "C" else sums.d_n
-    table = aux_bound_functions()
-    if name not in table:
+        if n is None:
+            raise DomainError(f"{name} needs --n")
+        fn = lambda qv: _correction_sums_raw(qv, int(n))[2 if name == "C" else 3]
+    elif fn is None:
         raise DomainError(f"unknown function {name!r}")
-    fn = table[name]
     if name in _Y_ARG:
         if y is None:
             raise DomainError(f"{name} needs --y")
@@ -551,24 +553,13 @@ def evaluate_named(name: str, *, q=None, x=None, y=None, n=None, mode: Mode = Mo
     if name in _TWO_ARG:
         if x is None:
             raise DomainError(f"{name} needs --x")
-        x = Fraction(x)
-        args += (x,)
+        args += (Fraction(x),)
     try:
-        return _in_mode(mode, fn, *args)
-    except OverflowError as exc:
-        if mode is not Mode.FAST:
-            raise
-        raise DomainError(f"FAST {name} overflows a double ({exc});"
-                          " certified mode takes it") from None
-    except (ZeroDivisionError, ValueError) as exc:
-        if mode is not Mode.FAST or isinstance(exc, DomainError):
-            raise
-        if name not in _Y_ARG and lift(args[0], mode) == 0.0:
-            raise DomainError(f"FAST {name}: q underflows a double (it rounds to 0.0);"
-                              " certified mode takes it") from None
-        if name not in _TWO_ARG:
-            raise
-        if powr(lift(args[0], mode), lift(x, mode)) != 1.0:
-            raise DomainError(f"FAST {name} is undefined at x = {float(x):g}: {exc}") from None
-        raise DomainError(f"FAST {name} divides by 1 - q^x, and q^x rounds to 1.0 in"
-                          f" doubles at x = {float(x):g}; certified mode takes it") from None
+        value = Enclosure(_on_intervals(mode, fn, *args))
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"{name} has no value at these arguments: {exc}") from None
+    if not value.is_bounded():
+        raise DomainError(f"{name} has no bounded enclosure in {mode.value} mode")
+    if mode is Mode.FAST and not isfinite(value.midpoint()):
+        raise DomainError(f"FAST {name} lies beyond the doubles; certified mode takes it")
+    return value.midpoint() if mode is Mode.FAST else value

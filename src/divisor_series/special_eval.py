@@ -487,7 +487,9 @@ def check_bounds(
 
         def triple(e):
             w_r = e * h_s_est / 4.0
-            w_s = e * h_s_est**2 / max(h_r_est, 1e-300) / 4.0
+            w_s = w_r * (h_s_est / max(h_r_est, 5e-324))  # inf where H(r) underflows
+            if not w_s > 0:  # 0 or NaN where w_r is 0
+                raise DomainError("s underflows in double precision: e H(s)/4 rounds to 0")
             h_r = eval_H(rp, w_r)
             h_s = eval_H(sp, w_s)
             with interval_precision(_bits_for_eps(e)):

@@ -157,33 +157,62 @@ def test_eval_certified_t_and_h_q_below_smallest_double(capsys, fn):
     assert doc["lo"] <= 0.0 <= doc["hi"] and doc["hi"] - doc["lo"] <= 1e-12
 
 
-@pytest.mark.parametrize("argv", [("--name", "phi", "--q", "0.5", "--x", "1e400"),
-                                  ("--name", "V", "--y", "1e400")])
-def test_lemma_fn_argument_beyond_the_doubles(capsys, argv):
-    """FAST cannot take the argument and exits 2 naming the overflow;
-    certified mode takes it: V(y) -> 1 as y grows."""
+def _lemma_fn_ends(capsys, argv):
+    """The ends of certified lemma-fn."""
+    code, out, err = run_cli(capsys, "lemma-fn", *argv, "--mode", "certified")
+    assert code == 0, err
+    doc = json.loads(out)
+    return doc["lo"], doc["hi"]
+
+
+def _fast_lemma_fn_inside(capsys, monkeypatch, argv):
+    """FAST lemma-fn exits 0 with a value inside its enclosure at 53 bits
+    (certified mode at DIVISOR_SERIES_PREC=53 runs the same formula at the
+    same precision), and that enclosure meets the certified one [lo, hi].
+    Returns the value, lo and hi."""
+    code, out, err = run_cli(capsys, "lemma-fn", *argv)
+    assert code == 0, err
+    value = json.loads(out)["value"]
+    lo, hi = _lemma_fn_ends(capsys, argv)
+    with monkeypatch.context() as env:
+        env.setenv("DIVISOR_SERIES_PREC", "53")
+        lo53, hi53 = _lemma_fn_ends(capsys, argv)
+    assert lo53 <= value <= hi53
+    assert lo53 <= hi and lo <= hi53
+    return value, lo, hi
+
+
+def _lemma_fn_refused(capsys, argv, message):
     code, out, err = run_cli(capsys, "lemma-fn", *argv)
     assert code == 2 and out == ""
-    assert "overflows a double" in err
-    code, out, _ = run_cli(capsys, "lemma-fn", *argv, "--mode", "certified")
-    assert code == 0
-    doc = json.loads(out)
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("--name", "phi", "--q", "0.5", "--x", "1e400"),
+                                  ("--name", "V", "--y", "1e400")])
+def test_lemma_fn_argument_beyond_the_doubles(capsys, monkeypatch, argv):
+    """Both modes lift the argument exactly, past the largest double:
+    phi_q(x) -> 0 and V(y) -> 1 as x and y grow."""
+    value, lo, hi = _fast_lemma_fn_inside(capsys, monkeypatch, argv)
     expected = 1.0 if argv[1] == "V" else 0.0
-    assert doc["lo"] <= expected <= doc["hi"]
+    assert value == pytest.approx(expected, abs=1e-15)
+    assert lo <= expected <= hi
 
 
 @pytest.mark.parametrize("argv", [("--name", "V", "--y", "-800"),
                                   ("--name", "V_prime", "--y", "-800"),
                                   ("--name", "phi", "--q", "0.5", "--x", "-2000"),
                                   ("--name", "K", "--q", "0.5", "--x", "-2000")])
-def test_lemma_fn_where_a_fast_formula_overflows(capsys, argv):
-    """An exp past the doubles inside a FAST formula exits 2 naming the
-    overflow, with no traceback; certified mode takes the argument."""
-    code, out, err = run_cli(capsys, "lemma-fn", *argv)
-    assert code == 2 and out == ""
-    assert f"FAST {argv[1]} overflows a double" in err and "Traceback" not in err
-    code, out, _ = run_cli(capsys, "lemma-fn", *argv, "--mode", "certified")
-    assert code == 0 and {"lo", "hi"} <= set(json.loads(out))
+def test_lemma_fn_where_a_fast_formula_overflows(capsys, monkeypatch, argv):
+    """q^x = 2^2000 passes the doubles inside phi and K, whose values stay
+    finite: FAST answers.  V(-800) and V'(-800), about -e^2400, lie beyond
+    the doubles themselves: FAST exits 2 naming that, with no traceback.
+    Certified mode takes every argument."""
+    if argv[1].startswith("V"):
+        _lemma_fn_refused(capsys, argv, f"FAST {argv[1]} lies beyond the doubles")
+        _lemma_fn_ends(capsys, argv)
+    else:
+        _fast_lemma_fn_inside(capsys, monkeypatch, argv)
 
 
 def test_lemma_fn_certified_end_beyond_the_doubles_rounds_outward(capsys):
@@ -199,35 +228,38 @@ def test_lemma_fn_certified_end_beyond_the_doubles_rounds_outward(capsys):
                                   ("--name", "phi", "--q", "0.5", "--x", "1e-20"),
                                   ("--name", "Phi", "--q", "0.5", "--x", "1e-20")])
 def test_lemma_fn_where_q_to_the_x_rounds_to_one(capsys, argv):
-    """FAST divides by 1 - q^x = 0 in doubles and exits 2 naming the cause;
-    certified mode takes the argument."""
-    code, out, err = run_cli(capsys, "lemma-fn", *argv)
-    assert code == 2 and out == ""
-    assert "q^x rounds to 1.0 in doubles" in err and "certified mode takes it" in err
-    code, out, _ = run_cli(capsys, "lemma-fn", *argv, "--mode", "certified")
-    assert code == 0 and {"lo", "hi"} <= set(json.loads(out))
+    """1 - q^x encloses 0 at 53 bits: FAST exits 2 naming the unbounded
+    enclosure, with no traceback.  At x = 1e-20 certified mode separates
+    q^x from 1; at x = 0 it divides by 0 as well (see the test below)."""
+    _lemma_fn_refused(capsys, argv, f"{argv[1]} has no bounded enclosure in fast mode")
+    if argv[-1] != "0":
+        _lemma_fn_ends(capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [("--name", "U", "--q", "1e-400"),
                                   ("--name", "h1", "--q", "1e-400"),
                                   ("--name", "A", "--q", "1e-400"),
                                   ("--name", "Theta", "--q", "1e-400", "--x", "2")])
-def test_lemma_fn_where_q_underflows_a_double(capsys, argv):
-    """q = 1e-400 rounds to 0.0 in doubles, where FAST takes log(0): exit 2
-    naming the underflow, no traceback; certified mode takes the argument."""
-    code, out, err = run_cli(capsys, "lemma-fn", *argv)
-    assert code == 2 and out == ""
-    assert f"FAST {argv[1]}: q underflows a double" in err and "Traceback" not in err
-    assert "certified mode takes it" in err
-    code, out, _ = run_cli(capsys, "lemma-fn", *argv, "--mode", "certified")
-    assert code == 0 and {"lo", "hi"} <= set(json.loads(out))
+def test_lemma_fn_where_q_underflows_a_double(capsys, monkeypatch, argv):
+    """q = 1e-400 is below the smallest double, but both modes lift it
+    exactly: FAST prints the 53-bit midpoint, a signed zero here."""
+    assert _fast_lemma_fn_inside(capsys, monkeypatch, argv)[0] == 0.0
 
 
 def test_lemma_fn_outside_the_domain_of_a_fast_formula(capsys):
     """log(1 - q^x) of a negative number: exit 2 with the cause, no traceback."""
-    code, out, err = run_cli(capsys, "lemma-fn", "--name", "Phi", "--q", "0.5", "--x", "-1")
-    assert code == 2 and out == ""
-    assert "FAST Phi is undefined at x = -1" in err
+    _lemma_fn_refused(capsys, ("--name", "Phi", "--q", "0.5", "--x", "-1"),
+                      "Phi has no value at these arguments: logarithm of a negative number")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--name", "Phi", "--q", "0.5", "--x", "-1"), "Phi has no value at these arguments"),
+    (("--name", "K", "--q", "0.5", "--x", "0"), "K has no bounded enclosure in certified mode"),
+], ids=["Phi-log-of-a-negative", "K-divides-by-0"])
+def test_lemma_fn_certified_refusals(capsys, argv, message):
+    """Certified mode follows the rule of FAST: exit 2, no traceback, where
+    the formula raises or an end of its enclosure is infinite."""
+    _lemma_fn_refused(capsys, (*argv, "--mode", "certified"), message)
 
 
 @pytest.mark.parametrize("mode", ["fast", "certified"])
@@ -392,6 +424,19 @@ def test_bounds_scan_where_the_width_of_t_underflows_exits_2(capsys, theorem):
     of T rounds to 0; the error names the underflow, not eps."""
     err = _usage_error(capsys, ["bounds-scan", "--theorem", theorem,
                                 "--grid-start", "1e-400", "--grid-end", "1e-400"])
+    assert "underflows" in err and "eps must be positive" not in err
+
+
+def test_bounds_scan_c33_below_the_square_root_of_the_smallest_double(capsys):
+    """H(s)^2 underflows a double at s = 2e-200; the pair still passes."""
+    code, out, _ = run_cli(capsys, "bounds-scan", "--theorem", "C3_3", "--grid-start",
+                           "1e-200", "--grid-end", "2e-200", "--grid-step", "1e-200")
+    assert code == 0 and out.endswith(",PASS\n")
+
+
+def test_bounds_scan_c33_at_a_subnormal_s_exits_2(capsys):
+    err = _usage_error(capsys, ["bounds-scan", "--theorem", "C3_3", "--grid-start",
+                                "1e-320", "--grid-end", "2e-320", "--grid-step", "1e-320"])
     assert "underflows" in err and "eps must be positive" not in err
 
 

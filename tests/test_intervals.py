@@ -100,6 +100,17 @@ def test_to_floats_enclose_values_beyond_the_doubles(value):
     assert hi == math.inf or value <= Fraction(hi)
 
 
+@pytest.mark.parametrize("lo, hi", [(1e308, 1.5e308), (-1.7e308, -1.6e308),
+                                     (-1.7e308, 1.7e308), (5e-324, 5e-324),
+                                     (1.5e-323, 1.5e-323), (0.25, 0.75)])
+def test_midpoint_lies_between_the_ends(lo, hi):
+    """Halving each end first keeps the sum of ends near the largest double
+    finite; a subnormal end that halving rounds is clamped back."""
+    mid = Enclosure(lo, hi).midpoint()
+    assert lo <= mid <= hi
+    assert mid == pytest.approx(lo / 2 + hi / 2, rel=1e-15, abs=5e-324)
+
+
 def test_endpoints_out_of_order_rejected():
     with pytest.raises(ValueError):
         Enclosure(2, 1)

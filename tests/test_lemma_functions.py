@@ -699,6 +699,37 @@ def test_h1_limit():
     assert h1_raw(0.91) < 1 / 14
 
 
+def _named_arguments(name: str, q: Fraction, rng: random.Random) -> dict:
+    if name in ("V", "V_prime"):
+        return {"y": Fraction(rng.uniform(0.5, 40.0))}
+    if name in ("C", "D"):
+        return {"q": q, "n": rng.randint(1, 12)}
+    if name in lemma_functions._TWO_ARG:
+        return {"q": q, "x": Fraction(rng.uniform(1.0, 60.0))}
+    return {"q": q}
+
+
+@pytest.mark.parametrize("name", [*lemma_functions.aux_bound_functions(), "C", "D"])
+def test_fast_lemma_values_lie_in_their_53_bit_enclosures(monkeypatch, name):
+    """FAST runs the certified formula once at 53 bits: each FAST value lies
+    between the double ends of that enclosure (certified mode at
+    DIVISOR_SERIES_PREC=53), and the enclosure meets the certified one."""
+    rng = random.Random(f"fast-lemma-{name}")
+    qs = [Fraction(1, 10**400), Fraction(1, 10**30), Fraction(1, 1000),
+          *(Fraction(rng.uniform(0.01, 0.99)) for _ in range(4)),
+          Fraction(99, 100), Fraction(9999, 10000)]
+    for q in qs:
+        args = _named_arguments(name, q, rng)
+        fast = evaluate_named(name, **args)
+        certified = evaluate_named(name, mode=Mode.CERTIFIED, **args)
+        with monkeypatch.context() as env:
+            env.setenv("DIVISOR_SERIES_PREC", "53")
+            at_53 = evaluate_named(name, mode=Mode.CERTIFIED, **args)
+        lo, hi = at_53.to_floats()
+        assert lo <= fast <= hi, (q, args)
+        assert at_53.intersects(certified), (q, args)
+
+
 # -- named evaluator dispatch -------------------------------------------------------
 
 

@@ -540,6 +540,24 @@ def test_c33_example():
     assert res.lhs.contains(Fraction(1, 16))  # 0.2*0.2/(0.8*0.8)
 
 
+@pytest.mark.parametrize("s", ["1e-160", "1e-200", "1e-300", "1e-305"])
+def test_c33_where_the_square_of_h_underflows(s):
+    """H(s)^2 underflows a double below s = 1.5e-162; the width asked of H(s)
+    is taken as e H(s) (H(s)/H(r)) / 4, which does not."""
+    r = Fraction(s) / 2
+    assert check_bounds(TheoremId.C3_3, pair=(r, Fraction(s))).status is BoundsStatus.PASS
+
+
+def test_c33_where_h_of_r_underflows():
+    """H(r) rounds to 0.0 at r = 1e-330; the pair still separates."""
+    assert check_bounds(TheoremId.C3_3, pair=("1e-330", "0.5")).status is BoundsStatus.PASS
+
+
+def test_c33_at_a_subnormal_s_names_the_underflow():
+    with pytest.raises(DomainError, match="underflows"):
+        check_bounds(TheoremId.C3_3, pair=("1e-320", "2e-320"))
+
+
 def test_c33_requires_ordered_pair():
     with pytest.raises(DomainError):
         check_bounds(TheoremId.C3_3, pair=(0.8, 0.2))
