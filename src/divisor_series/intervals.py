@@ -611,7 +611,8 @@ def _gamma_at(bits: int) -> Enclosure:
 # helpers: ivmpf gives the certified enclosures and, once at 53 bits, the FAST
 # values; floats the FAST T sum, its term counts and critical_points.
 # DoubleInterval runs the same formulas as the first pass of certified checks.
-# FixedInterval runs the T and psi_q partial sums, which need only + - * /.
+# FixedInterval runs the T and psi_q partial sums, which need only + - * /;
+# inside their guards special_eval replays them on plain ints, one end at a time.
 
 
 def ln(x):

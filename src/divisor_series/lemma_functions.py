@@ -309,9 +309,13 @@ def w2_raw(q):
     return phi_integer_sum_raw(q, 40)
 
 
+#: The constant J1 subtracts: Lemma 2.9 bounds D_q(10) below by 0.036.
+_J1_OFFSET = Fraction(36, 1000)
+
+
 def j1_raw(q):
     """J1(q) = integral of phi over [1, 11] minus 0.036."""
-    return phi_integral_raw(q, 11) - const(Fraction(36, 1000), q)
+    return phi_integral_raw(q, 11) - const(_J1_OFFSET, q)
 
 
 def j2_raw(q):

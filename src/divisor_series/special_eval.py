@@ -21,7 +21,10 @@ In CERTIFIED mode the partial sum runs on outward-rounded fixed-point
 integer intervals (``FixedInterval``): q, and a for psi_q, are lifted from
 their ``ivmpf`` enclosures at a scale that keeps the working precision's
 significant bits of q, however small, and the sum returns to ``ivmpf``
-rounded outward.  The tail bound is certified by ``ivmpf`` evaluation, so
+rounded outward.  Inside their guards (q, and a for psi_q, non-negative; q
+and a q below 1 at that scale) the two partial sums run one integer kernel
+per end, _t_sum_end and _psi_sum_end, which replay the generic body bit for
+bit on plain ints.  The tail bound is certified by ``ivmpf`` evaluation, so
 the reported enclosure accounts for both rounding and truncation.  Every
 evaluator climbs one precision ladder (``_climb``) to width eps; H and F are
 one body, scale * (T - log(1-q)/log(q)).  FAST runs the psi_q, H and F
@@ -185,6 +188,14 @@ def _choose_terms(tail_at, target: float) -> int:
 
 
 def _t_partial_sum(q, rep: RepresentationId, terms: int, table=None):
+    if q.__class__ is FixedInterval and 0 <= q.lo and q.hi < 1 << q.shift:
+        s = q.shift
+        return FixedInterval(_t_sum_end(q.lo, s, rep, terms, table, 0),
+                             _t_sum_end(q.hi, s, rep, terms, table, 1), s)
+    return _t_partial_sum_generic(q, rep, terms, table)
+
+
+def _t_partial_sum_generic(q, rep: RepresentationId, terms: int, table=None):
     s = 0 * q
     if rep is RepresentationId.LAMBERT:
         qk = q
@@ -209,9 +220,57 @@ def _t_partial_sum(q, rep: RepresentationId, terms: int, table=None):
     raise ValueError(f"{rep!r} has no numeric summation")
 
 
+def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table, up: int) -> int:
+    """One end of _t_partial_sum_generic on a FixedInterval q at scale 2^-s,
+    bit for bit: x is q.lo with up = 0 (the lower end) or q.hi with up = 1.
+    With 0 <= q.lo and q.hi < 2^s every operand is non-negative and every
+    power of q stays below 1, so FixedInterval's products take lo = a*c,
+    hi = b*d, its quotients lo = a/d, hi = b/c, and 1 +- q^k is exact: each
+    end depends on its own end of q alone.  up = 0 rounds down, (x*y) >> s
+    and n // y; up = 1 rounds up, (x*y + 2^s - 1) >> s and (n + y - 1) // y."""
+    one = 1 << s
+    r = up * (one - 1)
+    total = 0
+    if rep is RepresentationId.LAMBERT:
+        qk = x
+        for _ in range(terms):
+            den = one - qk
+            total += ((qk << s) + up * (den - 1)) // den
+            qk = (qk * x + r) >> s
+        return total
+    if rep is RepresentationId.DIVISOR:
+        qk, d = x, table.d
+        for k in range(1, terms + 1):
+            total += d[k] * qk
+            qk = (qk * x + r) >> s
+        return total
+    if rep is RepresentationId.CLAUSEN:
+        qk = qk2 = x  # q^k, q^{k^2}
+        for _ in range(terms):
+            den = one - qk
+            ratio = (((one + qk) << s) + up * (den - 1)) // den
+            total += (ratio * qk2 + r) >> s
+            qk2 = (((((qk2 * qk + r) >> s) * qk + r) >> s) * x + r) >> s
+            qk = (qk * x + r) >> s
+        return total
+    raise ValueError(f"{rep!r} has no numeric summation")
+
+
 def _psi_partial_sum(q, a, terms: int):
     """sum_{k<=terms} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k)), a = q^(x-1);
     at x = 1 this is Clausen's series for T."""
+    if (q.__class__ is FixedInterval and a.__class__ is FixedInterval
+            and a.shift == q.shift and 0 <= q.lo and 0 <= a.lo):
+        s = q.shift
+        one = 1 << s
+        # a q^k shrinks as k grows, so a q < 1 keeps every 1 - a q^k positive
+        if q.hi < one and (a.hi * q.hi + one - 1) >> s < one:
+            return FixedInterval(_psi_sum_end(q.lo, a.lo, s, terms, 0),
+                                 _psi_sum_end(q.hi, a.hi, s, terms, 1), s)
+    return _psi_partial_sum_generic(q, a, terms)
+
+
+def _psi_partial_sum_generic(q, a, terms: int):
     s = 0 * q
     qk = q
     aqk = a * q  # a q^k
@@ -222,6 +281,27 @@ def _psi_partial_sum(q, a, terms: int):
         c = c * aqk * qk
         aqk = aqk * q
     return s
+
+
+def _psi_sum_end(x: int, y: int, s: int, terms: int, up: int) -> int:
+    """One end of _psi_partial_sum_generic on FixedInterval q and a at scale
+    2^-s, bit for bit, as _t_sum_end: (x, y) is (q.lo, a.lo) with up = 0 or
+    (q.hi, a.hi) with up = 1."""
+    one = 1 << s
+    r = up * (one - 1)
+    unit = one << s  # 1 at scale 2^-2s, the dividend of 1 / (1 - q^k)
+    total = 0
+    qk = x
+    aqk = c = (y * x + r) >> s
+    for _ in range(terms):
+        den, den_a = one - qk, one - aqk
+        inv = (unit + up * (den - 1)) // den
+        part = ((aqk << s) + up * (den_a - 1)) // den_a
+        total += (c * (inv + part) + r) >> s
+        qk = (qk * x + r) >> s
+        c = (((c * aqk + r) >> s) * qk + r) >> s
+        aqk = (aqk * x + r) >> s
+    return total
 
 
 def t_enclosure_for_interval(

@@ -42,6 +42,24 @@ def test_sieve_matches_trial_division_up_to_200():
         assert table.d[k] == divisor_count_trial(k)
 
 
+def divisor_counts_by_multiples(n: int) -> list[int]:
+    """Oracle: each k adds 1 to every multiple of k up to n."""
+    d = [0] * (n + 1)
+    for k in range(1, n + 1):
+        for m in range(k, n + 1, k):
+            d[m] += 1
+    return d
+
+
+def test_sieve_matches_the_multiples_loop_up_to_2000():
+    """Every table size from 1 to 2000, so the square edges n = k^2 - 1, k^2,
+    k^2 + 1, where the pair count's outer loop gains or keeps a row, are
+    each a table's last entry."""
+    reference = divisor_counts_by_multiples(2000)
+    for n in range(1, 2001):
+        assert divisor_sieve(n).d == tuple(reference[: n + 1]), n
+
+
 def test_sieve_invariants():
     table = divisor_sieve(150)
     assert table.d[1] == 1

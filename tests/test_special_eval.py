@@ -9,9 +9,11 @@ from functools import partial
 import pytest
 from mpmath import iv, mp
 
+from divisor_series import special_eval
 from divisor_series.divisor_core import divisor_sieve
 from divisor_series.intervals import (
     DomainError,
+    DoubleInterval,
     Enclosure,
     FixedInterval,
     Mode,
@@ -37,8 +39,12 @@ from divisor_series.special_eval import (
     landau_constant_from_t,
     landau_fibonacci,
     _psi_partial_sum,
+    _psi_partial_sum_generic,
+    _psi_sum_end,
     _psi_tail,
     _t_partial_sum,
+    _t_partial_sum_generic,
+    _t_sum_end,
 )
 
 NUMERIC_REPS = (RepresentationId.DIVISOR, RepresentationId.LAMBERT, RepresentationId.CLAUSEN)
@@ -200,6 +206,130 @@ def test_certified_psi_partial_sum_on_fixed_intervals_encloses_exact(q, x):
     high = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.hi), _FIXED_TERMS)
     assert got.contains(low) and got.contains(high)
     assert mpf_to_fraction(got.width_upper()) <= max(low, q) / 2**100
+
+
+_KERNEL_QS = _FIXED_QS + [1 - Fraction(1, 10**k) for k in range(1, 7)]
+
+
+def _lifted(q: Fraction, x: Fraction | None = None):
+    """q, and a = q^(x-1) when x is given, lifted at fixed_shift(q) from
+    their enclosures at the current precision, as the certified evaluators
+    lift them."""
+    q_iv = to_ivmpf(q)
+    shift = fixed_shift(q_iv)
+    q_fx = FixedInterval.from_ivmpf(q_iv, shift)
+    if x is None:
+        return q_fx
+    return q_fx, FixedInterval.from_ivmpf(iv.exp(to_ivmpf(x - 1) * iv.log(q_iv)), shift)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 512])
+@pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
+def test_t_sum_kernel_is_the_generic_body_bit_for_bit(rep, prec):
+    """_t_sum_end replays _t_partial_sum_generic on FixedInterval: its lower
+    end from q.lo and its upper end from q.hi are the generic body's ends,
+    as ints, for 1, 6 and 300 terms, up to q = 1 - 1e-6."""
+    for terms in (1, _FIXED_TERMS, 300):
+        table = divisor_sieve(terms) if rep is RepresentationId.DIVISOR else None
+        for q in _KERNEL_QS:
+            with interval_precision(prec):
+                q_fx = _lifted(q)
+            body = _t_partial_sum_generic(q_fx, rep, terms, table)
+            lo = _t_sum_end(q_fx.lo, q_fx.shift, rep, terms, table, 0)
+            hi = _t_sum_end(q_fx.hi, q_fx.shift, rep, terms, table, 1)
+            assert (lo, hi) == (body.lo, body.hi), (q, terms)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 512])
+@pytest.mark.parametrize("x", [Fraction(1, 100), Fraction(1, 5), Fraction(1), Fraction(3, 2),
+                               Fraction(7, 3)], ids=str)
+def test_psi_sum_kernel_is_the_generic_body_bit_for_bit(x, prec):
+    """_psi_sum_end replays _psi_partial_sum_generic on FixedInterval q and a
+    wherever the kernel's guard holds, as ints; a case whose a q reaches 1
+    is outside the guard and left to the guard test below."""
+    kernel_cases = 0
+    for terms in (1, _FIXED_TERMS, 300):
+        for q in _KERNEL_QS:
+            with interval_precision(prec):
+                q_fx, a_fx = _lifted(q, x)
+            s = q_fx.shift
+            if (a_fx.hi * q_fx.hi + (1 << s) - 1) >> s >= 1 << s:
+                continue  # a q reaches 1: outside the guard
+            kernel_cases += 1
+            body = _psi_partial_sum_generic(q_fx, a_fx, terms)
+            lo = _psi_sum_end(q_fx.lo, a_fx.lo, s, terms, 0)
+            hi = _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1)
+            assert (lo, hi) == (body.lo, body.hi), (q, terms)
+    assert kernel_cases >= 3 * len(_FIXED_QS)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    kernel, calls = getattr(special_eval, name), []
+    monkeypatch.setattr(special_eval, name, lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+def _same(got, body) -> bool:
+    if isinstance(body, FixedInterval):
+        return (got.lo, got.hi, got.shift) == (body.lo, body.hi, body.shift)
+    if isinstance(body, DoubleInterval):
+        return (got.lo, got.hi) == (body.lo, body.hi)
+    return got == body
+
+
+def test_t_sum_takes_the_kernel_only_inside_its_guard(monkeypatch):
+    """A FixedInterval q with 0 <= q.lo and q.hi below 1 runs the kernel, once
+    per end; a q whose 53-bit enclosure reaches 1, a q reaching below 0,
+    floats and DoubleInterval run the generic body, which raises the same
+    DomainError where a 1 - q^k meets 0."""
+    calls = _count_calls(monkeypatch, "_t_sum_end")
+    table = divisor_sieve(6)
+    with interval_precision(53):
+        inside = _lifted(Fraction(1, 2))
+        at_one = _lifted(1 - Fraction(1, 2**60))
+    assert at_one.hi == 1 << at_one.shift
+    for rep in NUMERIC_REPS:
+        assert _same(_t_partial_sum(inside, rep, 6, table),
+                     _t_partial_sum_generic(inside, rep, 6, table))
+    assert len(calls) == 2 * len(NUMERIC_REPS)
+    for rep in (RepresentationId.LAMBERT, RepresentationId.CLAUSEN):
+        with pytest.raises(DomainError):
+            _t_partial_sum(at_one, rep, 6, table)
+    below_zero = FixedInterval(-1, inside.hi, inside.shift)
+    for q in (at_one, below_zero, 0.5, DoubleInterval.lift(Fraction(1, 2))):
+        assert _same(_t_partial_sum(q, RepresentationId.DIVISOR, 6, table),
+                     _t_partial_sum_generic(q, RepresentationId.DIVISOR, 6, table))
+    for q in (0.5, DoubleInterval.lift(Fraction(1, 2))):
+        for rep in (RepresentationId.LAMBERT, RepresentationId.CLAUSEN):
+            assert _same(_t_partial_sum(q, rep, 6), _t_partial_sum_generic(q, rep, 6))
+    assert len(calls) == 2 * len(NUMERIC_REPS)
+
+
+def test_psi_sum_takes_the_kernel_only_inside_its_guard(monkeypatch):
+    """psi runs the kernel where q also passes T's guard, 0 <= a.lo and a q
+    rounded up stays below 1.  A q reaching 1 and an a with a q = 1 run the
+    generic body into its DomainError; an a with a q > 1, an a at another
+    scale, floats and DoubleInterval run the generic body."""
+    calls = _count_calls(monkeypatch, "_psi_sum_end")
+    with interval_precision(53):
+        q, a = _lifted(Fraction(1, 2), Fraction(3, 2))
+        at_one = _lifted(1 - Fraction(1, 2**60))
+    s = q.shift
+    assert _same(_psi_partial_sum(q, a, 6), _psi_partial_sum_generic(q, a, 6))
+    assert len(calls) == 2
+    a_times_q_is_one = FixedInterval(2 << s, 2 << s, s)
+    for q_, a_ in ((at_one, a), (q, a_times_q_is_one)):
+        with pytest.raises(DomainError):
+            _psi_partial_sum(q_, a_, 6)
+    a_times_q_above_one = FixedInterval(3 << s, 3 << s, s)
+    assert _same(_psi_partial_sum(q, a_times_q_above_one, 6),
+                 _psi_partial_sum_generic(q, a_times_q_above_one, 6))
+    with pytest.raises(DomainError):  # scales 2^-s and 2^-(s+1) differ
+        _psi_partial_sum(q, FixedInterval(a.lo, a.hi, s + 1), 6)
+    d = DoubleInterval.lift
+    for q_, a_ in ((0.5, 0.7), (d(Fraction(1, 2)), d(Fraction(7, 10)))):
+        assert _same(_psi_partial_sum(q_, a_, 6), _psi_partial_sum_generic(q_, a_, 6))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
