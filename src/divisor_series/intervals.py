@@ -38,13 +38,6 @@ DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
 PRECISION_ENV_VAR = "DIVISOR_SERIES_PREC"
 
-#: Euler's constant, first 60 decimal digits (truncated, not rounded).
-#: Stored as an input rather than computed; the digits are the standard
-#: published expansion and are cross-checked against an independent
-#: high-precision computation in the test suite.
-GAMMA_DIGITS = "0.577215664901532860606512090082402431042159335939923598805767"
-
-
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
@@ -65,10 +58,9 @@ class Mode(enum.Enum):
     """Arithmetic mode of the evaluators and lemma functions.  CERTIFIED
     carries proofs and meets the requested width: every evaluator doubles its
     precision up to 1024 bits until it does.  FAST promises no width and
-    issues no certificate or verdict: psi_q, H, F and the lemma functions run
-    the certified bodies once at 53 bits, H and F on FAST T, a double sum with
-    a heuristic pad.  Lemma verification and the bound checks are certified
-    only."""
+    issues no certificate or verdict: every evaluator and lemma function runs
+    its certified body once at 53 bits.  Lemma verification and the bound
+    checks are certified only."""
 
     FAST = "fast"
     CERTIFIED = "certified"
@@ -587,29 +579,23 @@ class FixedInterval:
 
 
 def gamma_enclosure() -> Enclosure:
-    """Enclosure of Euler's constant from the stored decimal digits, at no
-    less than the working precision; built once per precision.
-
-    The digits are a truncation, so the true value lies strictly between
-    digits/10^k and (digits+1)/10^k.
-    """
+    """Enclosure of Euler's constant at no less than the working precision,
+    from mpmath's directed rounding of ``iv.euler``; built once per
+    precision."""
     return _gamma_at(max(iv.prec, working_precision()))
 
 
 @lru_cache(maxsize=None)
 def _gamma_at(bits: int) -> Enclosure:
-    digits = GAMMA_DIGITS.replace("0.", "", 1)
-    scale = 10 ** len(digits)
-    d = int(digits)
     with interval_precision(bits):
-        return Enclosure(Fraction(d, scale), Fraction(d + 1, scale))
+        return Enclosure(+iv.euler)  # unary + fixes the constant at `bits`
 
 
 # -- generic elementary functions ------------------------------------------
 #
 # Formula code in lemma_functions/special_eval is written once against these
 # helpers: ivmpf gives the certified enclosures and, once at 53 bits, the FAST
-# values; floats the FAST T sum, its term counts and critical_points.
+# values; floats the term counts of the series and critical_points.
 # DoubleInterval runs the same formulas as the first pass of certified checks.
 # FixedInterval runs the T and psi_q partial sums, which need only + - * /;
 # inside their guards special_eval replays them on plain ints, one end at a time.

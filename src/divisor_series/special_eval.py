@@ -27,11 +27,9 @@ per end, _t_sum_end and _psi_sum_end, which replay the generic body bit for
 bit on plain ints.  The tail bound is certified by ``ivmpf`` evaluation, so
 the reported enclosure accounts for both rounding and truncation.  Every
 evaluator climbs one precision ladder (``_climb``) to width eps; H and F are
-one body, scale * (T - log(1-q)/log(q)).  FAST runs the psi_q, H and F
-bodies once at ``FAST_PRECISION`` bits, with no promise on the width; only
-FAST T sums native doubles, padded with the tail bound (on a
-``DoubleInterval`` around q) plus a heuristic 10 ulp per operation.  FAST
-issues no certificates; the bound checks below are certified only.
+one body, scale * (T - log(1-q)/log(q)).  FAST runs the same T, psi_q, H
+and F bodies once at ``FAST_PRECISION`` bits, with no promise on the width;
+it issues no certificates, and the bound checks below are certified only.
 """
 
 from __future__ import annotations
@@ -78,15 +76,8 @@ _NUMERIC_REPRESENTATIONS = (
     RepresentationId.CLAUSEN,
 )
 
-#: Interval precision of FAST psi_q, H and F: one pass, no width gate.
+#: Interval precision of every FAST evaluator: one pass, no width gate.
 FAST_PRECISION = 53
-
-# rough operation counts per series term, for the FAST T ulp heuristic
-_OPS_PER_TERM = {
-    RepresentationId.DIVISOR: 3,
-    RepresentationId.LAMBERT: 4,
-    RepresentationId.CLAUSEN: 7,
-}
 
 
 @dataclass(frozen=True)
@@ -131,8 +122,7 @@ def _check_below_one(*values) -> None:
     whose double rounds to 1.0 has no finite tail bound.  0 itself is kept,
     where a power q^x underflows."""
     for v in values:
-        lo, hi = (v.lo, v.hi) if isinstance(v, DoubleInterval) else (v, v)
-        if not (0 <= lo and hi < 1):
+        if not (0 <= v and v < 1):
             raise DomainError("series argument must lie inside (0, 1) at working precision")
 
 
@@ -362,25 +352,8 @@ def eval_T(
     if not eps > 0:
         raise DomainError("eps must be positive")
 
-    if mode is Mode.FAST:
-        return _eval_t_fast(qp, eps, representation)
-    return _climb(eps, mode, lambda: t_enclosure_for_interval(qp.to_ivmpf(), eps, representation))
-
-
-def _eval_t_fast(qp: QPoint, eps: float, representation: RepresentationId) -> EvalReport:
-    q = float(qp)
-    q_di = DoubleInterval.lift(qp.value)
-    terms = _choose_terms(
-        lambda k: _t_tail(q_di.hi, representation, k), max(eps / 2.0, 5e-323)
-    )
-    table = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
-    s = _t_partial_sum(q, representation, terms, table)
-    # on intervals, a q^(K+1) that underflows still leaves a positive bound
-    tail = _t_tail(q_di, representation, terms).hi
-    err = tail + 10.0 * _OPS_PER_TERM[representation] * terms * math.ulp(s)
-    return EvalReport(
-        Enclosure(s - err, s + err), representation, terms, tail, Mode.FAST
-    )
+    return _climb(eps, mode, lambda: replace(
+        t_enclosure_for_interval(qp.to_ivmpf(), eps, representation), mode=mode))
 
 
 #: Term counts for psi_q are chosen at q >= 2^-512, where q^(x-1) <= 2^512.

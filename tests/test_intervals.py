@@ -14,9 +14,9 @@ from divisor_series.intervals import (
     DoubleInterval,
     Enclosure,
     FixedInterval,
-    GAMMA_DIGITS,
     _ceil_float,
     _floor_float,
+    _gamma_at,
     const,
     exp_,
     fixed_shift,
@@ -116,19 +116,31 @@ def test_endpoints_out_of_order_rejected():
         Enclosure(2, 1)
 
 
+#: Euler's constant, first 60 decimal digits (truncated, not rounded): the
+#: standard published expansion, so gamma lies in [d, d + 1] 10^-60.
+GAMMA_DIGITS = "0.577215664901532860606512090082402431042159335939923598805767"
+
+
 def test_gamma_digits_cross_check():
-    """The stored digits bracket an independently computed Euler constant."""
-    with mp.workprec(300):
-        independent = +mp.euler
-    gamma = gamma_enclosure()
-    value = mpf_to_fraction(independent)
-    assert mpf_to_fraction(gamma.lo) < value < mpf_to_fraction(gamma.hi)
-    assert len(GAMMA_DIGITS.split(".")[1]) >= 50
+    """The enclosure of gamma and the bracket [d, d + 1] 10^-60 of the
+    published digits agree, the narrower inside the wider: the enclosure
+    is 1.1e-16 wide at 53 bits, 2.9e-39 at 128 and 5.6e-309 at 1024, where
+    it lies inside the bracket."""
+    digits = GAMMA_DIGITS.split(".")[1]
+    d, scale = int(digits), 10 ** len(digits)
+    lo, hi = Fraction(d, scale), Fraction(d + 1, scale)
+    for bits in (53, 128, 1024):
+        gamma = _gamma_at(bits)
+        g_lo, g_hi = mpf_to_fraction(gamma.lo), mpf_to_fraction(gamma.hi)
+        if bits == 1024:
+            assert lo < g_lo and g_hi < hi, bits
+        else:
+            assert g_lo < lo and hi < g_hi, bits
 
 
 def test_gamma_enclosure_is_tight_at_the_default_precision():
-    """The stored digits bracket gamma far inside 1e-37 at the working
-    precision; rounding the bracket at 53 bits would widen it to 3.3e-16."""
+    """A 53-bit caller still gets gamma at the working precision, far inside
+    1e-37; at 53 bits the enclosure would be 1.1e-16 wide."""
     with interval_precision(53):
         gamma = gamma_enclosure()
     assert float(gamma.width_upper()) < 1e-37
@@ -136,16 +148,14 @@ def test_gamma_enclosure_is_tight_at_the_default_precision():
 
 @pytest.mark.parametrize("bits", [128, 1024])
 def test_gamma_enclosure_is_built_once_per_precision(bits):
-    """The cached enclosure has the endpoints of a fresh build from the
-    stored digits at the same precision."""
-    digits = GAMMA_DIGITS.split(".")[1]
-    d, scale = int(digits), 10 ** len(digits)
+    """The cached enclosure has the endpoints of mpmath's iv.euler at the
+    same precision, as narrow as that precision allows."""
     with interval_precision(bits):
         cached = gamma_enclosure()
-        fresh = Enclosure.from_fraction_pair(Fraction(d, scale), Fraction(d + 1, scale))
+        fresh = +iv.euler
         assert gamma_enclosure() is cached
-    assert (cached.lo, cached.hi) == (fresh.lo, fresh.hi)
-    assert cached.contains(Fraction(d, scale)) and cached.contains(Fraction(d + 1, scale))
+    assert cached._iv._mpi_ == fresh._mpi_
+    assert cached.width_upper() <= 2.0 ** (1 - bits)
 
 
 def test_width_upper_bounds_true_width():

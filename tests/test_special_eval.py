@@ -27,6 +27,7 @@ from divisor_series.intervals import (
 )
 from divisor_series.power_series import RepresentationId
 from divisor_series.special_eval import (
+    FAST_PRECISION,
     BoundsStatus,
     QPoint,
     TheoremId,
@@ -38,6 +39,7 @@ from divisor_series.special_eval import (
     fibonacci_partial_sum,
     landau_constant_from_t,
     landau_fibonacci,
+    t_enclosure_for_interval,
     _psi_partial_sum,
     _psi_partial_sum_generic,
     _psi_sum_end,
@@ -102,11 +104,44 @@ def test_t_fast_mode_contains_certified():
 @pytest.mark.parametrize("rep", NUMERIC_REPS)
 @pytest.mark.parametrize("q", ["1e-200", "3e-320", "1e-400"])
 def test_fast_t_tail_bound_stays_positive_where_q_powers_underflow(q, rep):
-    """q^(K+1) underflows a double here; the FAST tail bound is evaluated on
-    a double interval around q, so it stays above the true tail (> 0)."""
+    """q^(K+1) underflows a double here; the FAST tail bound is evaluated in
+    ivmpf at 53 bits, whose exponent does not underflow, so it stays above
+    the true tail (> 0)."""
     fast = eval_T(q, 1e-12, rep, Mode.FAST)
     assert fast.tail_bound > 0
     assert fast.value.intersects(eval_T(q, 1e-12, rep).value)
+
+
+_NEAR_ONE = [(rep, k) for rep in NUMERIC_REPS
+             for k in range(1, 9 if rep is RepresentationId.CLAUSEN else 4)]
+
+
+@pytest.mark.parametrize("rep, k", _NEAR_ONE, ids=lambda v: getattr(v, "value", v))
+def test_fast_t_contains_certified_t_near_one(rep, k):
+    """At q = 1 - m 10^-k the ends of FAST T, as exact rationals, contain
+    the certified T, also at CLAUSEN k = 7 and 8, where 1 - q^k cancels in
+    the leading terms."""
+    for m in (1, 3, 7):
+        q = 1 - Fraction(m, 10**k)
+        fast = eval_T(q, 1e-12, rep, Mode.FAST).value
+        certified = eval_T(q, 1e-12, rep).value
+        assert certified.contained_in(mpf_to_fraction(fast.lo), mpf_to_fraction(fast.hi)), (rep, q)
+
+
+_BODY_POINTS = ([(q, rep) for q in ("1e-400", "1/7", "0.99") for rep in NUMERIC_REPS]
+                + [("0.9999999", RepresentationId.CLAUSEN)])
+
+
+@pytest.mark.parametrize("q, rep", _BODY_POINTS, ids=lambda v: getattr(v, "value", v))
+def test_fast_t_is_the_certified_body_at_fast_precision(q, rep):
+    """FAST T is t_enclosure_for_interval run once at FAST_PRECISION bits:
+    the same ends bit for bit and the same term count, tagged FAST."""
+    fast = eval_T(q, 1e-12, rep, Mode.FAST)
+    with interval_precision(FAST_PRECISION):
+        body = t_enclosure_for_interval(QPoint.coerce(q).to_ivmpf(), 1e-12, rep)
+    assert fast.mode is Mode.FAST and body.mode is Mode.CERTIFIED
+    assert (fast.value.lo, fast.value.hi, fast.terms_used, fast.tail_bound) == (
+        body.value.lo, body.value.hi, body.terms_used, body.tail_bound)
 
 
 def test_t_rejects_bad_inputs():
