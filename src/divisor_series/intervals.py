@@ -15,8 +15,8 @@ met.
 A :class:`DoubleInterval` is the same guarantee on a pair of doubles: much
 cheaper per operation and much wider, it settles the certified sandwich
 cells that do not need working precision.  A :class:`FixedInterval` is the
-same guarantee on a pair of integers over one power-of-two scale: it sums the
-certified series of special_eval at working precision on plain int arithmetic.
+same guarantee on a pair of integers over one power-of-two scale: it holds the
+certified series sums of special_eval at working precision on plain ints.
 """
 
 from __future__ import annotations
@@ -597,8 +597,8 @@ def _gamma_at(bits: int) -> Enclosure:
 # helpers: ivmpf gives the certified enclosures and, once at 53 bits, the FAST
 # values; floats the term counts of the series and critical_points.
 # DoubleInterval runs the same formulas as the first pass of certified checks.
-# FixedInterval runs the T and psi_q partial sums, which need only + - * /;
-# inside their guards special_eval replays them on plain ints, one end at a time.
+# FixedInterval's + - * / run the generic T and psi_q partial sums, which only
+# the tests call: special_eval's integer kernels replay them one end at a time.
 
 
 def ln(x):

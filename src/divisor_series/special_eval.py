@@ -17,19 +17,19 @@ Tail bounds used to truncate the series (K = number of retained terms,
                  (from k to k+1, both halves of the term shrink by a factor
                  <= a q^{2k+1}, which is <= a p^2 q < 1 for k > K)
 
-In CERTIFIED mode the partial sum runs on outward-rounded fixed-point
-integer intervals (``FixedInterval``): q, and a for psi_q, are lifted from
-their ``ivmpf`` enclosures at a scale that keeps the working precision's
-significant bits of q, however small, and the sum returns to ``ivmpf``
-rounded outward.  Inside their guards (q, and a for psi_q, non-negative; q
-and a q below 1 at that scale) the two partial sums run one integer kernel
-per end, _t_sum_end and _psi_sum_end, which replay the generic body bit for
-bit on plain ints.  The tail bound is certified by ``ivmpf`` evaluation, so
-the reported enclosure accounts for both rounding and truncation.  Every
-evaluator climbs one precision ladder (``_climb``) to width eps; H and F are
-one body, scale * (T - log(1-q)/log(q)).  FAST runs the same T, psi_q, H
-and F bodies once at ``FAST_PRECISION`` bits, with no promise on the width;
-it issues no certificates, and the bound checks below are certified only.
+The partial sums run on outward-rounded fixed-point integers: q, and a for
+psi_q, are lifted from their ``ivmpf`` enclosures at a scale that keeps the
+working precision's significant bits of q, however small; one integer kernel
+per series (_t_sum_end, _psi_sum_end) sums each end on plain ints, and the
+sum returns to ``ivmpf`` rounded outward.  The generic bodies on
+``FixedInterval`` are the kernels' bit-for-bit reference; no evaluator calls
+them.  The tail bound is certified by ``ivmpf`` evaluation, so the enclosure
+accounts for both rounding and truncation.  Every evaluator climbs one
+precision ladder (``_climb``, which also rejects a bad eps) to width eps; H
+and F are one body, scale * (T - log(1-q)/log(q)).  FAST runs the same T,
+psi_q, H and F bodies once at ``FAST_PRECISION`` bits, with no promise on the
+width; it issues no certificates, and the bound checks below are certified
+only.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional, Union
 
-from mpmath import iv
+from mpmath import iv, libmp, mp
 from mpmath.ctx_iv import ivmpf
 
 from .divisor_core import divisor_sieve
@@ -58,6 +58,8 @@ from .intervals import (
     gamma_enclosure,
     interval_precision,
     log1m,
+    mpf_to_fraction,
+    powr,
     precision_ladder,
     to_ivmpf,
     working_precision,
@@ -155,8 +157,6 @@ def _psi_tail(q, a, terms: int):
 
 def _choose_terms(tail_at, target: float) -> int:
     """Smallest power-of-two-refined K with tail_at(K) <= target."""
-    if not target > 0:
-        raise DomainError("eps must be positive")
     k = 1
     while tail_at(k) > target:
         if k >= TERM_BUDGET:
@@ -177,15 +177,9 @@ def _choose_terms(tail_at, target: float) -> int:
 # -- series summation (generic over float / ivmpf) ---------------------------
 
 
-def _t_partial_sum(q, rep: RepresentationId, terms: int, table=None):
-    if q.__class__ is FixedInterval and 0 <= q.lo and q.hi < 1 << q.shift:
-        s = q.shift
-        return FixedInterval(_t_sum_end(q.lo, s, rep, terms, table, 0),
-                             _t_sum_end(q.hi, s, rep, terms, table, 1), s)
-    return _t_partial_sum_generic(q, rep, terms, table)
-
-
 def _t_partial_sum_generic(q, rep: RepresentationId, terms: int, table=None):
+    """T's partial sum, the kernels' bit-for-bit reference on FixedInterval;
+    only the tests call it."""
     s = 0 * q
     if rep is RepresentationId.LAMBERT:
         qk = q
@@ -246,21 +240,9 @@ def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table, up: int
     raise ValueError(f"{rep!r} has no numeric summation")
 
 
-def _psi_partial_sum(q, a, terms: int):
-    """sum_{k<=terms} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k)), a = q^(x-1);
-    at x = 1 this is Clausen's series for T."""
-    if (q.__class__ is FixedInterval and a.__class__ is FixedInterval
-            and a.shift == q.shift and 0 <= q.lo and 0 <= a.lo):
-        s = q.shift
-        one = 1 << s
-        # a q^k shrinks as k grows, so a q < 1 keeps every 1 - a q^k positive
-        if q.hi < one and (a.hi * q.hi + one - 1) >> s < one:
-            return FixedInterval(_psi_sum_end(q.lo, a.lo, s, terms, 0),
-                                 _psi_sum_end(q.hi, a.hi, s, terms, 1), s)
-    return _psi_partial_sum_generic(q, a, terms)
-
-
 def _psi_partial_sum_generic(q, a, terms: int):
+    """sum_{k<=terms} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k)), a = q^(x-1),
+    the kernel's bit-for-bit reference on FixedInterval; only the tests call it."""
     s = 0 * q
     qk = q
     aqk = a * q  # a q^k
@@ -297,39 +279,48 @@ def _psi_sum_end(x: int, y: int, s: int, terms: int, up: int) -> int:
 def t_enclosure_for_interval(
     q_iv: ivmpf, eps: float, representation: RepresentationId = RepresentationId.CLAUSEN
 ) -> EvalReport:
-    """Certified enclosure of T over an interval argument already in scope,
-    at the current mpmath interval precision.  The tail bound is evaluated on
-    the interval argument, so it covers every q in it."""
+    """Certified enclosure of T over an interval argument already in scope, at
+    the current interval precision; eps may be a Fraction past the doubles.
+    The tail bound covers every q in the interval.  The term count refuses a q
+    whose double upper bound reaches 1, the tail bound one below 0."""
     q_hi = _ceil_float(q_iv._mpi_[1])
-    terms = _choose_terms(lambda k: _t_tail(q_hi, representation, k), max(eps / 4.0, 5e-323))
-    table = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
-    q_fx = FixedInterval.from_ivmpf(q_iv, fixed_shift(q_iv))
-    s = _t_partial_sum(q_fx, representation, terms, table).to_ivmpf()
+    target = max(float(min(eps, 1e300)) / 4, 5e-323)
+    terms = _choose_terms(lambda k: _t_tail(q_hi, representation, k), target)
     tail_hi = Enclosure(_t_tail(q_iv, representation, terms)).hi
-    value = Enclosure(s) + Enclosure(0, tail_hi)
+    table = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
+    s = fixed_shift(q_iv)
+    q_fx = FixedInterval.from_ivmpf(q_iv, s)
+    total = FixedInterval(_t_sum_end(q_fx.lo, s, representation, terms, table, 0),
+                          _t_sum_end(q_fx.hi, s, representation, terms, table, 1), s)
+    value = Enclosure(total.to_ivmpf()) + Enclosure(0, tail_hi)
     return EvalReport(value, representation, terms, _ceil_float(tail_hi._mpf_), Mode.CERTIFIED)
 
 
 # -- public evaluators --------------------------------------------------------
 
 
-def _bits_for_eps(eps: float) -> int:
+def _bits_for_eps(eps: float | Fraction) -> int:
     wanted = working_precision()
     if eps < 1e-30:
-        wanted = max(wanted, int(-math.log2(eps)) + 32)
+        e = Fraction(eps)  # log2 of each part: a Fraction eps may be below the doubles
+        wanted = max(wanted, int(math.log2(e.denominator) - math.log2(e.numerator)) + 32)
     return min(wanted, MAX_PRECISION)
 
 
-def _climb(eps: float, mode: Mode, rung) -> EvalReport:
-    """The one precision ladder of the evaluators.  rung() evaluates at the
-    current interval precision and returns None to be tried higher; FAST takes
-    the first report from FAST_PRECISION up, CERTIFIED the first from
-    _bits_for_eps(eps) up whose width is at most eps."""
+def _climb(eps: float | Fraction, mode: Mode, rung) -> EvalReport:
+    """The one precision ladder of the evaluators, which also rejects a bad eps.
+    rung() evaluates at the current interval precision, None to be tried
+    higher; FAST takes the first report from FAST_PRECISION up, CERTIFIED the
+    first from _bits_for_eps(eps) up no wider than a 64-bit lower bound on eps."""
+    if not eps > 0:
+        raise DomainError("eps must be positive")
     fast = mode is Mode.FAST
+    bound = mp.make_mpf(libmp.from_float(eps) if isinstance(eps, float) else
+                        libmp.from_rational(eps.numerator, eps.denominator, 64, libmp.round_floor))
     for prec in precision_ladder(FAST_PRECISION if fast else _bits_for_eps(eps)):
         with interval_precision(prec):
             report = rung()
-        if report is not None and (fast or float(report.value.width_upper()) <= eps):
+        if report is not None and (fast or report.value.width_upper() <= bound):
             return report
     raise PrecisionError(f"cannot reach width {eps} within {MAX_PRECISION} bits")
 
@@ -349,9 +340,6 @@ def eval_T(
     if representation not in _NUMERIC_REPRESENTATIONS:
         raise DomainError(f"{representation} is not evaluable numerically; "
                           "use DIVISOR, LAMBERT or CLAUSEN")
-    if not eps > 0:
-        raise DomainError("eps must be positive")
-
     return _climb(eps, mode, lambda: replace(
         t_enclosure_for_interval(qp.to_ivmpf(), eps, representation), mode=mode))
 
@@ -366,8 +354,6 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
     qp = QPoint.coerce(q)
     if x <= 0:
         raise DomainError("x must be positive")
-    if not eps > 0:
-        raise DomainError("eps must be positive")
     x_frac = Fraction(x) if not isinstance(x, Fraction) else x
     # The tail grows with q, so a double q_hi >= q picks enough terms; the
     # floor keeps a = q^(x-1) finite in doubles, and since q_hi <= 1, cutting
@@ -377,23 +363,22 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
     # eps budget for the bare sum: the sum is scaled by log(q) afterwards.  The
     # log is taken of the exact rational, so a q below the smallest double works.
     log_scale = max(math.log(qp.value.denominator) - math.log(qp.value.numerator), 1e-300)
-    sum_target = max(eps / (4.0 * log_scale), 5e-323)
-    terms = _choose_terms(lambda k: _psi_tail(q_hi, a_hi, k), sum_target)
 
     def rung():
+        # the term count refuses a q whose double reaches 1, so q.hi < 2^s below
+        terms = _choose_terms(lambda k: _psi_tail(q_hi, a_hi, k),
+                              max(eps / (4.0 * log_scale), 5e-323))
         q_iv = qp.to_ivmpf()
-        if x_frac.denominator == 1:
-            a = q_iv ** int(x_frac - 1)
-        else:
-            a = iv.exp(to_ivmpf(x_frac - 1) * iv.log(q_iv))
-        shift = fixed_shift(q_iv)
-        try:
-            s = _psi_partial_sum(FixedInterval.from_ivmpf(q_iv, shift),
-                                 FixedInterval.from_ivmpf(a, shift), terms).to_ivmpf()
-        except DomainError:  # 1 - a q^k contains 0 at this precision (x near 0)
-            return None
+        a = powr(q_iv, int(x_frac - 1) if x_frac.denominator == 1 else x_frac - 1)
+        s = fixed_shift(q_iv)
+        q_fx, a_fx = FixedInterval.from_ivmpf(q_iv, s), FixedInterval.from_ivmpf(a, s)
+        # a q^k shrinks as k grows, so a q < 1 keeps every 1 - a q^k positive
+        if (a_fx.hi * q_fx.hi + (1 << s) - 1) >> s >= 1 << s:
+            return None  # a q reaches 1 at this precision (x near 0)
+        total = FixedInterval(_psi_sum_end(q_fx.lo, a_fx.lo, s, terms, 0),
+                              _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1), s)
         tail_hi = Enclosure(_psi_tail(q_iv, a, terms)).hi
-        sum_enc = Enclosure(s) + Enclosure(0, tail_hi)
+        sum_enc = Enclosure(total.to_ivmpf()) + Enclosure(0, tail_hi)
         value = Enclosure(-log1m(q_iv)) + Enclosure(iv.log(q_iv)) * sum_enc
         return EvalReport(value, PSI_FORMULA, terms, _ceil_float(tail_hi._mpf_), mode)
 
@@ -409,14 +394,12 @@ def _log_ratio_enclosure(qp: QPoint) -> Enclosure:
 def _scaled_h(qp: QPoint, scale: Fraction, eps: float, representation: RepresentationId,
               mode: Mode) -> EvalReport:
     """scale * (T(q) - b) with b = log(1-q)/log(q): H at scale 1, F at (1-q)/q.
-    T is taken once to width eps/(2 scale), in Fraction since F's scale
-    exceeds the largest double below q = 5.6e-309; the ladder then narrows b,
-    which cancels near q = 1."""
+    T is taken once to width eps/(2 scale), exact, since F's scale passes the
+    doubles below q = 5.6e-309; the ladder then narrows b, which cancels near
+    q = 1.  eps is checked first, as Fraction(nan) raises ValueError."""
     if not eps > 0:
         raise DomainError("eps must be positive")
-    t_eps = float(Fraction(eps) / (2 * scale)) if eps < math.inf else eps
-    if not t_eps > 0:
-        raise DomainError("q underflows in double precision: eps/(2 scale) rounds to 0")
+    t_eps = Fraction(eps) / (2 * scale) if eps < math.inf else eps
     t = eval_T(qp, t_eps, representation, mode)
     return _climb(eps, mode, lambda: EvalReport(
         (t.value - _log_ratio_enclosure(qp)) * scale,
@@ -502,10 +485,7 @@ def _bounds_triple(theorem: TheoremId, qp: QPoint, eps: float):
     with interval_precision(_bits_for_eps(eps)):
         b = _log_ratio_enclosure(qp)
         scale, shift = (Enclosure(v) for v in _AFFINE_IN_T[theorem](qp, b))
-        # in mpf, since a scale of -log(1-q) underflows a double at q = 1e-400
-        width = float(eps / (2 * abs(scale.hi)))
-        if not width > 0:
-            raise DomainError("q underflows in double precision: eps/(2|scale|) rounds to 0")
+        width = Fraction(eps) / (2 * mpf_to_fraction(abs(scale.hi))) if eps < math.inf else eps
         t = eval_T(qp, width)
         mid = t.value * scale + shift
         if theorem is TheoremId.SALEM_1_3:
@@ -527,6 +507,8 @@ def check_bounds(
     INDETERMINATE, never a pass; with eps unset the check retries at
     decreasing widths before giving up.
     """
+    if eps is not None and not eps > 0:
+        raise DomainError("eps must be positive")
     if theorem is TheoremId.C3_3:
         if pair is None:
             raise DomainError("C3_3 takes a pair (r, s) with r < s")
@@ -596,8 +578,6 @@ def landau_fibonacci(k_max: int) -> Enclosure:
 
 def landau_constant_from_t(eps: float = 1e-7) -> Enclosure:
     """sqrt(5) * (T(c) - T(c^2)) with c = ((sqrt(5)-1)/2)^2, certified to width eps."""
-    if not eps > 0:
-        raise DomainError("eps must be positive")
 
     def rung():
         sqrt5 = iv.sqrt(iv.mpf(5))

@@ -77,23 +77,28 @@ def test_eval_q_whose_double_is_one_exit_2(capsys):
     assert "inside (0, 1)" in err
 
 
-@pytest.mark.parametrize("fn, mode", [("F", "fast"), ("F", "certified")])
-def test_eval_q_below_smallest_double_exit_2(capsys, fn, mode):
-    """The width eps q/(2(1-q)) that F asks of T underflows a double, in
-    either mode."""
-    code, out, err = run_cli(capsys, "eval", "--fn", fn, "--q", "1e-400", "--mode", mode)
-    assert code == 2
-    assert out == ""
-    assert "underflows" in err
+def _f_near_zero(capsys, q: str, *argv) -> None:
+    """F at a tiny q meets criterion 4a's window 1 - 1/L < F < 1 - 1/L + O(q),
+    L = log(1/q): the double nearest 1 - 1/L lies between F's ends."""
+    code, out, _ = run_cli(capsys, "eval", "--fn", "F", "--q", q, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    with mpmath.workprec(200):
+        window = float(1 - 1 / mpmath.log(1 / mpmath.mpf(q)))
+    assert doc["lo"] <= window <= doc["hi"] and doc["hi"] - doc["lo"] <= 2e-15
 
 
-def test_eval_f_where_the_width_of_t_underflows_exit_2(capsys):
-    """At q = 1e-300 and eps = 1e-30, F's width for T, eps q/(2(1-q)), rounds
-    to 0 in doubles: the error names the underflow, not the eps."""
-    code, out, err = run_cli(capsys, "eval", "--fn", "F", "--q", "1e-300", "--eps", "1e-30",
-                             "--mode", "certified")
-    assert code == 2 and out == ""
-    assert "underflows" in err and "eps must be positive" not in err
+@pytest.mark.parametrize("mode", ["fast", "certified"])
+def test_eval_f_q_below_smallest_double_exit_0(capsys, mode):
+    """The width eps q/(2(1-q)) that F asks of T is below the doubles, in
+    either mode; T takes it as an exact rational."""
+    _f_near_zero(capsys, "1e-400", "--mode", mode)
+
+
+def test_eval_f_where_the_width_of_t_underflows_exit_0(capsys):
+    """At q = 1e-300 and eps = 1e-30, F's width for T, eps q/(2(1-q)), is
+    below the doubles; certified F still meets the window."""
+    _f_near_zero(capsys, "1e-300", "--eps", "1e-30", "--mode", "certified")
 
 
 @pytest.mark.parametrize("mode", ["fast", "certified"])
@@ -418,13 +423,14 @@ def test_bounds_scan_that_checks_nothing_is_a_usage_error(capsys, argv, message)
     assert f"error: {message}" in err
 
 
-@pytest.mark.parametrize("theorem", ["T4_2", "SALEM_1_3"])
-def test_bounds_scan_where_the_width_of_t_underflows_exits_2(capsys, theorem):
+@pytest.mark.parametrize("theorem", ["T4_2", "SALEM_1_3", "T4_4"])
+def test_bounds_scan_where_the_width_of_t_underflows_passes(capsys, theorem):
     """(1-q)/q exceeds the largest double at q = 1e-400, so the width asked
-    of T rounds to 0; the error names the underflow, not eps."""
-    err = _usage_error(capsys, ["bounds-scan", "--theorem", theorem,
-                                "--grid-start", "1e-400", "--grid-end", "1e-400"])
-    assert "underflows" in err and "eps must be positive" not in err
+    of T is below the doubles (for T4_4, whose scale is 1e-400, above them);
+    T takes it as an exact rational and the point passes."""
+    code, out, _ = run_cli(capsys, "bounds-scan", "--theorem", theorem,
+                           "--grid-start", "1e-400", "--grid-end", "1e-400")
+    assert code == 0 and out.endswith(",PASS\n")
 
 
 def test_bounds_scan_c33_below_the_square_root_of_the_smallest_double(capsys):
@@ -482,6 +488,14 @@ def test_nan_eps_is_a_usage_error(capsys, argv):
         assert "error: eps must be positive" in err
     code, out, _ = run_cli(capsys, "eval", *argv, "--eps", "inf")
     assert code == 0 and json.loads(out)["lo"] <= json.loads(out)["hi"]
+
+
+@pytest.mark.parametrize("theorem", ["T4_1", "C3_3"])
+def test_bounds_scan_bad_eps_is_a_usage_error(capsys, theorem):
+    for eps in ("nan", "0", "-1"):
+        err = _usage_error(capsys, ["bounds-scan", "--theorem", theorem, "--grid-start", "0.5",
+                                    "--grid-end", "0.6", "--grid-step", "0.1", "--eps", eps])
+        assert "error: eps must be positive" in err
 
 
 def test_verify_lemma_25_and_out_file(tmp_path, capsys):

@@ -13,7 +13,6 @@ from divisor_series import special_eval
 from divisor_series.divisor_core import divisor_sieve
 from divisor_series.intervals import (
     DomainError,
-    DoubleInterval,
     Enclosure,
     FixedInterval,
     Mode,
@@ -40,11 +39,9 @@ from divisor_series.special_eval import (
     landau_constant_from_t,
     landau_fibonacci,
     t_enclosure_for_interval,
-    _psi_partial_sum,
     _psi_partial_sum_generic,
     _psi_sum_end,
     _psi_tail,
-    _t_partial_sum,
     _t_partial_sum_generic,
     _t_sum_end,
 )
@@ -144,6 +141,42 @@ def test_fast_t_is_the_certified_body_at_fast_precision(q, rep):
         body.value.lo, body.value.hi, body.terms_used, body.tail_bound)
 
 
+_EPS_RULE = [partial(eval_T, mode=Mode.FAST), eval_T,
+             partial(eval_psi_q, x=1, mode=Mode.FAST), partial(eval_psi_q, x=1),
+             partial(eval_H, mode=Mode.FAST), eval_H,
+             partial(eval_F, mode=Mode.FAST), eval_F,
+             lambda q, eps: landau_constant_from_t(eps),
+             partial(check_bounds, TheoremId.T4_1)]
+
+
+@pytest.mark.parametrize("evaluate", _EPS_RULE)
+def test_one_eps_rule(evaluate):
+    """eps of 0, -1 or NaN is a DomainError from every evaluator, in either
+    mode, and from the bound checks; an infinite eps asks for no width."""
+    for eps in (0, -1, math.nan):
+        with pytest.raises(DomainError, match="^eps must be positive$"):
+            evaluate(q="0.3", eps=eps)
+    evaluate(q="0.3", eps=math.inf)
+
+
+@pytest.mark.parametrize("mode", [Mode.FAST, Mode.CERTIFIED])
+def test_f_where_the_width_of_t_underflows(mode):
+    """At q = 1e-400 F's scale (1-q)/q is 1e400, so the width eps q/(2(1-q))
+    asked of T is below the doubles; T takes it as an exact rational and F
+    meets criterion 4a's window 1 - 1/L < F < 1 - 1/L + a+ + b+/L,
+    L = log(1/q), which is about 1e-400 wide there."""
+    q = Fraction(1, 10**400)
+    a_plus = q + 1 / (1 - q) ** 2 - 1 - 2 * q - 3 * q**2
+    b_plus = q / 2 + q**2 / (6 * (1 - q))
+    with interval_precision(128):
+        log_inv_q = iv.log(to_ivmpf(1 / q))
+        window = Enclosure((1 - 1 / log_inv_q).a, (1 - 1 / log_inv_q + to_ivmpf(a_plus)
+                                                   + to_ivmpf(b_plus) / log_inv_q).b)
+    f = eval_F(q, 1e-12, mode=mode)
+    assert f.value.intersects(window)
+    assert float(f.value.width_upper()) <= (1e-12 if mode is Mode.CERTIFIED else 1e-14)
+
+
 def test_t_rejects_bad_inputs():
     with pytest.raises(DomainError):
         eval_T(0.5, -1e-3)
@@ -157,11 +190,13 @@ def test_t_rejects_bad_inputs():
 @pytest.mark.parametrize("evaluate", [eval_T, eval_psi_q, eval_H, eval_F])
 def test_q_whose_double_is_one_is_a_domain_error(evaluate, mode):
     """q = 1 - 10^-17 lies in (0, 1), but its double is 1.0, where no tail
-    bound is finite: every evaluator rejects it instead of dividing by 0."""
-    q = Fraction(1) - Fraction(1, 10**17)
-    args = (q, 1) if evaluate is eval_psi_q else (q,)
-    with pytest.raises(DomainError):
-        evaluate(*args, mode=mode)
+    bound is finite: every evaluator rejects it instead of dividing by 0.
+    At q = 1 - 10^-400 the width eps q/(2(1-q)) that F asks of T passes the
+    largest double; F still names the domain, not an overflow."""
+    for q in (1 - Fraction(1, 10**17), 1 - Fraction(1, 10**400)):
+        args = (q, 1) if evaluate is eval_psi_q else (q,)
+        with pytest.raises(DomainError):
+            evaluate(*args, mode=mode)
 
 
 def test_t_term_budget_error():
@@ -202,13 +237,16 @@ def _exact_t_partial_sum(q: Fraction, rep: RepresentationId, terms: int) -> Frac
 @pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
 def test_certified_t_partial_sum_on_fixed_intervals_encloses_exact(rep, q):
     """q lifted from its 128-bit enclosure at fixed_shift, as the certified
-    evaluator lifts it: the sum encloses the exact partial sum and keeps 100
-    significant bits of it, at q = 1e-400 too."""
+    evaluator lifts it: the kernel's two ends enclose the exact partial sum
+    and keep 100 significant bits of it, at q = 1e-400 too."""
     with interval_precision(128):
         q_iv = to_ivmpf(q)
-        q_fx = FixedInterval.from_ivmpf(q_iv, fixed_shift(q_iv))
+        s = fixed_shift(q_iv)
+        q_fx = FixedInterval.from_ivmpf(q_iv, s)
         table = divisor_sieve(_FIXED_TERMS) if rep is RepresentationId.DIVISOR else None
-        got = Enclosure(_t_partial_sum(q_fx, rep, _FIXED_TERMS, table).to_ivmpf())
+        got = Enclosure(FixedInterval(_t_sum_end(q_fx.lo, s, rep, _FIXED_TERMS, table, 0),
+                                      _t_sum_end(q_fx.hi, s, rep, _FIXED_TERMS, table, 1),
+                                      s).to_ivmpf())
     exact = _exact_t_partial_sum(q, rep, _FIXED_TERMS)
     assert got.contains(exact)
     assert mpf_to_fraction(got.width_upper()) <= exact / 2**100
@@ -228,14 +266,16 @@ def test_certified_psi_partial_sum_on_fixed_intervals_encloses_exact(q, x):
     side of the true partial sum; the fixed-point sum encloses both.  Its
     scale follows q, so it keeps 100 significant bits of the sum or of q,
     whichever is larger: for x > 1 at tiny q the sum is far below q, and
-    psi_q = -log(1-q) + log(q) * sum is dominated by -log(1-q) ~ q."""
+    psi_q = -log(1-q) + log(q) * sum is dominated by -log(1-q) ~ q.  The sum
+    is the kernel's, one end from (q.lo, a.lo), the other from (q.hi, a.hi)."""
     with interval_precision(128):
         q_iv = to_ivmpf(q)
         a = iv.exp(to_ivmpf(x - 1) * iv.log(q_iv))
-        shift = fixed_shift(q_iv)
-        got = Enclosure(_psi_partial_sum(FixedInterval.from_ivmpf(q_iv, shift),
-                                         FixedInterval.from_ivmpf(a, shift),
-                                         _FIXED_TERMS).to_ivmpf())
+        s = fixed_shift(q_iv)
+        q_fx, a_fx = FixedInterval.from_ivmpf(q_iv, s), FixedInterval.from_ivmpf(a, s)
+        got = Enclosure(FixedInterval(_psi_sum_end(q_fx.lo, a_fx.lo, s, _FIXED_TERMS, 0),
+                                      _psi_sum_end(q_fx.hi, a_fx.hi, s, _FIXED_TERMS, 1),
+                                      s).to_ivmpf())
     a_enc = Enclosure(a)
     low = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.lo), _FIXED_TERMS)
     high = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.hi), _FIXED_TERMS)
@@ -304,67 +344,92 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-def _same(got, body) -> bool:
-    if isinstance(body, FixedInterval):
-        return (got.lo, got.hi, got.shift) == (body.lo, body.hi, body.shift)
-    if isinstance(body, DoubleInterval):
-        return (got.lo, got.hi) == (body.lo, body.hi)
-    return got == body
+_RUNG_POINTS = ([(q, rep) for q in (Fraction(1, 10**400), Fraction(1, 7)) for rep in NUMERIC_REPS]
+                + [(1 - Fraction(1, 10**6), RepresentationId.CLAUSEN)])
 
 
-def test_t_sum_takes_the_kernel_only_inside_its_guard(monkeypatch):
-    """A FixedInterval q with 0 <= q.lo and q.hi below 1 runs the kernel, once
-    per end; a q whose 53-bit enclosure reaches 1, a q reaching below 0,
-    floats and DoubleInterval run the generic body, which raises the same
-    DomainError where a 1 - q^k meets 0."""
+@pytest.mark.parametrize("q, rep", _RUNG_POINTS, ids=lambda v: getattr(v, "value", str(v)))
+def test_certified_t_rung_runs_the_kernel_once_per_end(monkeypatch, q, rep):
+    """One certified T rung sums q's lower end rounded down and its upper end
+    rounded up, each by one kernel call on the lifted q, and nothing else."""
     calls = _count_calls(monkeypatch, "_t_sum_end")
-    table = divisor_sieve(6)
-    with interval_precision(53):
-        inside = _lifted(Fraction(1, 2))
-        at_one = _lifted(1 - Fraction(1, 2**60))
-    assert at_one.hi == 1 << at_one.shift
+    with interval_precision(128):
+        q_iv = to_ivmpf(q)
+        q_fx = _lifted(q)
+        report = t_enclosure_for_interval(q_iv, 1e-12, rep)
+    assert [(c[0], c[1], c[5]) for c in calls] == [(q_fx.lo, q_fx.shift, 0),
+                                                   (q_fx.hi, q_fx.shift, 1)]
+    assert all(c[3] == report.terms_used for c in calls)
+
+
+def test_certified_t_refuses_a_q_reaching_one_before_the_kernel(monkeypatch):
+    """A q whose double upper bound is 1 has no finite tail bound: the term
+    count raises before any kernel call, so the kernel never sees q.hi = 2^s."""
+    calls = _count_calls(monkeypatch, "_t_sum_end")
+    q = 1 - Fraction(1, 2**60)
     for rep in NUMERIC_REPS:
-        assert _same(_t_partial_sum(inside, rep, 6, table),
-                     _t_partial_sum_generic(inside, rep, 6, table))
-    assert len(calls) == 2 * len(NUMERIC_REPS)
-    for rep in (RepresentationId.LAMBERT, RepresentationId.CLAUSEN):
+        with interval_precision(128), pytest.raises(DomainError):
+            t_enclosure_for_interval(to_ivmpf(q), 1e-12, rep)
         with pytest.raises(DomainError):
-            _t_partial_sum(at_one, rep, 6, table)
-    below_zero = FixedInterval(-1, inside.hi, inside.shift)
-    for q in (at_one, below_zero, 0.5, DoubleInterval.lift(Fraction(1, 2))):
-        assert _same(_t_partial_sum(q, RepresentationId.DIVISOR, 6, table),
-                     _t_partial_sum_generic(q, RepresentationId.DIVISOR, 6, table))
-    for q in (0.5, DoubleInterval.lift(Fraction(1, 2))):
-        for rep in (RepresentationId.LAMBERT, RepresentationId.CLAUSEN):
-            assert _same(_t_partial_sum(q, rep, 6), _t_partial_sum_generic(q, rep, 6))
-    assert len(calls) == 2 * len(NUMERIC_REPS)
+            eval_T(q, 1e-12, rep)
+    assert calls == []
 
 
-def test_psi_sum_takes_the_kernel_only_inside_its_guard(monkeypatch):
-    """psi runs the kernel where q also passes T's guard, 0 <= a.lo and a q
-    rounded up stays below 1.  A q reaching 1 and an a with a q = 1 run the
-    generic body into its DomainError; an a with a q > 1, an a at another
-    scale, floats and DoubleInterval run the generic body."""
+def test_psi_rung_guard_returns_none_without_a_kernel_call(monkeypatch):
+    """At x = 1e-50 and q = 1/2, a q = 2^(-1e-50) rounds up to 1 at 128 bits:
+    psi's rung returns None, to be tried higher, without calling the kernel.
+    At 256 bits a q < 1 and the rung calls it once per end, for an enclosure
+    the ladder then narrows further.  An a with a q = 1 exactly, where the
+    kernel would divide by 1 - a q = 0, is refused too."""
     calls = _count_calls(monkeypatch, "_psi_sum_end")
-    with interval_precision(53):
-        q, a = _lifted(Fraction(1, 2), Fraction(3, 2))
-        at_one = _lifted(1 - Fraction(1, 2**60))
-    s = q.shift
-    assert _same(_psi_partial_sum(q, a, 6), _psi_partial_sum_generic(q, a, 6))
+    monkeypatch.setattr(special_eval, "_climb", lambda eps, mode, rung: rung)
+    rung = eval_psi_q(Fraction(1, 2), Fraction(1, 10**50), 1e-12)
+    with interval_precision(128):
+        assert rung() is None
+    assert calls == []
+    with interval_precision(256):
+        assert rung() is not None
+    assert [c[4] for c in calls] == [0, 1]
+    monkeypatch.setattr(special_eval, "powr", lambda q, exponent: iv.mpf(2))
+    with interval_precision(128):
+        assert eval_psi_q(Fraction(1, 2), Fraction(1, 2), 1e-12)() is None
     assert len(calls) == 2
-    a_times_q_is_one = FixedInterval(2 << s, 2 << s, s)
-    for q_, a_ in ((at_one, a), (q, a_times_q_is_one)):
-        with pytest.raises(DomainError):
-            _psi_partial_sum(q_, a_, 6)
-    a_times_q_above_one = FixedInterval(3 << s, 3 << s, s)
-    assert _same(_psi_partial_sum(q, a_times_q_above_one, 6),
-                 _psi_partial_sum_generic(q, a_times_q_above_one, 6))
-    with pytest.raises(DomainError):  # scales 2^-s and 2^-(s+1) differ
-        _psi_partial_sum(q, FixedInterval(a.lo, a.hi, s + 1), 6)
-    d = DoubleInterval.lift
-    for q_, a_ in ((0.5, 0.7), (d(Fraction(1, 2)), d(Fraction(7, 10)))):
-        assert _same(_psi_partial_sum(q_, a_, 6), _psi_partial_sum_generic(q_, a_, 6))
-    assert len(calls) == 2
+
+
+_GENERIC_ONLY = ["__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__"]
+
+
+@pytest.mark.parametrize("mode", [Mode.FAST, Mode.CERTIFIED])
+@pytest.mark.parametrize("q, pair", [("1e-400", ("1e-20", "2e-20")), ("1/2", ("1/4", "1/2")),
+                                     ("99/100", ("49/50", "99/100"))], ids=lambda v: str(v))
+def test_evaluators_never_run_the_generic_bodies(monkeypatch, q, pair, mode):
+    """With both generic bodies and every arithmetic operator of
+    FixedInterval made to raise, T (three series), psi_q (four x), H, F and,
+    certified only, Landau's constant and one bound check of each theorem
+    still evaluate: the integer kernels are the only partial sums the
+    evaluators run.  C3_3 takes its pair near q (at 1e-20 near 0, where H
+    is still a normal double)."""
+    def refuse(*args):
+        raise AssertionError("a generic body ran")
+
+    for name in ("_t_partial_sum_generic", "_psi_partial_sum_generic"):
+        monkeypatch.setattr(special_eval, name, refuse)
+    for name in _GENERIC_ONLY:
+        monkeypatch.setattr(FixedInterval, name, refuse)
+    for rep in NUMERIC_REPS:
+        eval_T(q, 1e-12, rep, mode)
+    for x in (Fraction(1, 100), Fraction(1, 5), Fraction(1), Fraction(3, 2)):
+        eval_psi_q(q, x, 1e-12, mode)
+    eval_H(q, 1e-12, mode=mode)
+    eval_F(q, 1e-12, mode=mode)
+    if mode is Mode.CERTIFIED:
+        landau_constant_from_t(1e-12)
+        for theorem in TheoremId:
+            if theorem is TheoremId.C3_3:
+                check_bounds(theorem, pair=pair)
+            else:
+                check_bounds(theorem, q=q)
 
 
 @pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
@@ -617,9 +682,9 @@ def test_fast_meets_certified_at_a_subnormal_q(evaluate):
 
 def test_fast_meets_certified_from_subnormal_q_to_near_one():
     """On seeded q from 1e-320 to 0.999, and at 1e-400, FAST psi_q (five x),
-    H and F meet the certified enclosures.  Where certified F refuses
-    because the width eps q/(2(1-q)) it asks of T underflows a double, FAST
-    F refuses too."""
+    H and F meet the certified enclosures, also where the width
+    eps q/(2(1-q)) that F asks of T underflows a double.  Where a certified
+    evaluator refuses, FAST refuses too."""
     rng = random.Random(23)
     qs = [Fraction(1, 10**400), Fraction(1, 10**320), Fraction(999, 1000)]
     qs += [Fraction(rng.randint(1, 999), 1000) / 10**rng.randint(0, 317) for _ in range(40)]
@@ -694,9 +759,9 @@ def test_t44_where_its_scale_underflows_a_double():
 @pytest.mark.parametrize("theorem", [TheoremId.T4_2, TheoremId.SALEM_1_3])
 def test_one_point_theorems_where_the_width_of_t_underflows(theorem):
     """Their scale (1-q)/q exceeds the largest double at q = 1e-400, so
-    eps/(2|scale|) rounds to 0.0: a DomainError names the underflow."""
-    with pytest.raises(DomainError, match="underflows"):
-        check_bounds(theorem, q="1e-400")
+    eps/(2|scale|) underflows one; T takes that width as an exact rational
+    and both checks pass."""
+    assert check_bounds(theorem, q="1e-400").status is BoundsStatus.PASS
 
 
 def test_c33_example():
