@@ -28,6 +28,7 @@ from .intervals import (
     Enclosure,
     Mode,
     PrecisionError,
+    QPoint,
     TermBudgetError,
     gamma_enclosure,
 )
@@ -44,7 +45,6 @@ from .special_eval import (
     BoundsCheck,
     BoundsStatus,
     EvalReport,
-    QPoint,
     TheoremId,
     check_bounds,
     eval_F,

@@ -65,6 +65,15 @@ def _number_arg(value: str) -> str:
     return value
 
 
+def _eps_arg(value: str) -> float | Fraction:
+    """A width as a double, or as its exact Fraction where the double rounds
+    to 0 (1e-400), so that no positive width reads as 0."""
+    try:
+        return float(value) or Fraction(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}")
+
+
 def _repr_arg(value: str) -> RepresentationId:
     try:
         return RepresentationId(value.upper())
@@ -105,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", choices=("T", "psi", "H", "F"), required=True)
     p.add_argument("--q", type=_number_arg, required=True)
     p.add_argument("--x", type=_number_arg, default="1", help="argument of psi (default 1)")
-    p.add_argument("--eps", type=float, default=1e-12)
+    p.add_argument("--eps", type=_eps_arg, default=1e-12)
     p.add_argument("--mode", type=_mode_arg, default=Mode.FAST)
     p.add_argument("--repr", type=_repr_arg, default=RepresentationId.CLAUSEN)
 
@@ -123,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-start", type=_number_arg, default="0.01")
     p.add_argument("--grid-end", type=_number_arg, default="0.99")
     p.add_argument("--grid-step", type=_number_arg, default="0.01")
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", type=_eps_arg, default=None)
 
     p = sub.add_parser("verify", help="run a lemma verification and emit a certificate")
     p.add_argument("--lemma", required=True,

@@ -17,6 +17,7 @@ cheaper per operation and much wider, it settles the certified sandwich
 cells that do not need working precision.  A :class:`FixedInterval` is the
 same guarantee on a pair of integers over one power-of-two scale: it holds the
 certified series sums of special_eval at working precision on plain ints.
+A :class:`QPoint` holds an argument q in (0, 1) as an exact rational.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, nextafter
@@ -64,6 +66,33 @@ class Mode(enum.Enum):
 
     FAST = "fast"
     CERTIFIED = "certified"
+
+
+#: Interval precision of every FAST evaluator: one pass, no width gate.
+FAST_PRECISION = 53
+
+
+@dataclass(frozen=True)
+class QPoint:
+    """A point q strictly inside (0, 1), held as an exact rational."""
+
+    value: Fraction
+
+    def __post_init__(self):
+        if not isinstance(self.value, Fraction):
+            object.__setattr__(self, "value", Fraction(self.value))
+        if not (0 < self.value < 1):
+            raise DomainError(f"q must lie in (0, 1), got {self.value}")
+
+    @classmethod
+    def coerce(cls, q: "QPoint | float | Fraction | str") -> "QPoint":
+        return q if isinstance(q, QPoint) else cls(Fraction(q))
+
+    def to_ivmpf(self) -> ivmpf:
+        return to_ivmpf(self.value)
+
+    def __float__(self) -> float:
+        return float(self.value)
 
 
 Scalar = Union[int, float, Fraction, str]

@@ -20,11 +20,12 @@ sums C, D) decide the sign of F'.  This module provides:
 Formulas are written once against generic arithmetic: mpmath intervals give
 the CERTIFIED enclosures and, run once at 53 bits, the FAST values (their
 midpoints); DoubleInterval gives the cheap first pass of certified sandwich
-checks, and floats the bisection of critical_points.  On a DoubleInterval q
-inside their guards two float-pair kernels replay a generic body bit for
-bit on local pairs of doubles: _phi_integer_sum_doubles the phi sum of W2
-and J2, and _phi_integral_doubles the antiderivative difference of W1 and
-J1.
+checks, and floats the bisection of critical_points.  NAMED_FUNCTIONS names
+each lemma-fn function with its arguments; evaluate_named and its wrappers
+refuse by one rule, _checked.  On a DoubleInterval q inside their guards two
+float-pair kernels replay a generic body bit for bit on local pairs of
+doubles: _phi_integer_sum_doubles the phi sum of W2 and J2, and
+_phi_integral_doubles the antiderivative difference of W1 and J1.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from .intervals import (
     DomainError,
     DoubleInterval,
     Enclosure,
+    FAST_PRECISION,
     Mode,
+    QPoint,
     const,
     exp_,
     interval_precision,
@@ -52,7 +55,6 @@ from .intervals import (
     working_precision,
 )
 from .polynomials import Polynomial
-from .special_eval import FAST_PRECISION, QPoint
 
 
 # -- raw formulas (generic arithmetic) ----------------------------------------
@@ -363,7 +365,7 @@ def h3_numerator_polynomial() -> Polynomial:
     return p
 
 
-# -- mode-dispatching wrappers -------------------------------------------------
+# -- one table and one entry for the named functions ---------------------------
 
 
 def _on_intervals(mode: Mode, fn: Callable, *args):
@@ -373,50 +375,17 @@ def _on_intervals(mode: Mode, fn: Callable, *args):
         return fn(*[to_ivmpf(a) for a in args])
 
 
-def _in_mode(mode: Mode, fn: Callable, *args):
-    """A raw formula's certified Enclosure, or its 53-bit midpoint (FAST)."""
-    value = Enclosure(_on_intervals(mode, fn, *args))
-    return value.midpoint() if mode is Mode.FAST else value
-
-
-@dataclass(frozen=True)
-class PhiBundle:
-    """phi, phi', a_q and phi'' at one (q, x); floats or Enclosures by mode."""
-
-    phi: object
-    phi_prime: object
-    a_value: object
-    phi_second: object
-
-
-def phi_bundle(q, x, mode: Mode = Mode.FAST) -> PhiBundle:
-    qp = QPoint.coerce(q)
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    return PhiBundle(
-        phi=_in_mode(mode, phi_raw, qp.value, x),
-        phi_prime=_in_mode(mode, phi_prime_raw, qp.value, x),
-        a_value=_in_mode(mode, a_raw, qp.value, x),
-        phi_second=_in_mode(mode, phi_second_raw, qp.value, x),
-    )
-
-
-def phi_antiderivative(q, x, mode: Mode = Mode.FAST):
-    qp = QPoint.coerce(q)
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    return _in_mode(mode, phi_antiderivative_raw, qp.value, x)
-
-
-@dataclass(frozen=True)
-class CorrectionSums:
-    """Rectangle (sigma) and trapezoid (rho) errors of integral phi over
-    [j, j+1], and their partial sums C_q(n), D_q(n)."""
-
-    sigma: tuple
-    rho: tuple
-    c_n: object
-    d_n: object
+def _checked(name: str, mode: Mode, interval):
+    """The one failure rule: an Enclosure with finite ends, or its midpoint in
+    FAST mode, which must be a finite double; else a DomainError naming name."""
+    value = Enclosure(interval)
+    if not value.is_bounded():
+        raise DomainError(f"{name} has no bounded enclosure in {mode.value} mode")
+    if mode is Mode.FAST:
+        value = value.midpoint()
+        if not isfinite(value):
+            raise DomainError(f"FAST {name} lies beyond the doubles; certified mode takes it")
+    return value
 
 
 def _correction_sums_raw(q, n: int):
@@ -435,12 +404,87 @@ def _correction_sums_raw(q, n: int):
     return sigma, rho, sum(sigma[1:], sigma[0]), sum(rho[1:], rho[0])
 
 
+#: Name -> (raw formula, its argument letters in order), for evaluate_named
+#: and lemma-fn: q a point of (0, 1), x and y rationals, n an int.
+NAMED_FUNCTIONS: dict[str, tuple[Callable, str]] = {
+    "phi": (phi_raw, "qx"), "phi_prime": (phi_prime_raw, "qx"),
+    "phi_second": (phi_second_raw, "qx"), "a": (a_raw, "qx"), "b": (b_raw, "qx"),
+    "Phi": (phi_antiderivative_raw, "qx"), "A": (a_constant_raw, "q"), "U": (u_raw, "q"),
+    "V": (v_raw, "y"), "V_prime": (v_prime_raw, "y"), "Theta": (theta_raw, "qx"),
+    "K": (k_raw, "qx"), "h1": (h1_raw, "q"), "h2": (h2_raw, "q"), "h3": (h3_raw, "q"),
+    "Delta": (delta_raw, "q"), "G": (g_raw, "q"), "G0": (g0_raw, "q"),
+    "C": (lambda n, q: _correction_sums_raw(q, n)[2], "nq"),
+    "D": (lambda n, q: _correction_sums_raw(q, n)[3], "nq"),
+}
+
+
+def evaluate_named(name: str, *, q=None, x=None, y=None, n=None, mode: Mode = Mode.FAST):
+    """One named function as a float (FAST) or an Enclosure.  A DomainError
+    naming it is raised where an argument is missing, where the formula
+    raises, and by the failure rule of _checked."""
+    if name not in NAMED_FUNCTIONS:
+        raise DomainError(f"unknown function {name!r}")
+    fn, letters = NAMED_FUNCTIONS[name]
+    given, args = {"q": q, "x": x, "y": y, "n": n}, []
+    for letter in letters:
+        value = given[letter]
+        if value is None:
+            raise DomainError(f"{name} needs --{letter}")
+        if letter == "n":
+            fn = partial(fn, int(value))
+        else:
+            args.append(QPoint.coerce(value).value if letter == "q" else Fraction(value))
+    try:
+        interval = _on_intervals(mode, fn, *args)
+    except (ArithmeticError, ValueError) as exc:
+        raise DomainError(f"{name} has no value at these arguments: {exc}") from None
+    return _checked(name, mode, interval)
+
+
+@dataclass(frozen=True)
+class PhiBundle:
+    """phi, phi', a_q and phi'' at one (q, x); floats or Enclosures by mode."""
+
+    phi: object
+    phi_prime: object
+    a_value: object
+    phi_second: object
+
+
+def phi_bundle(q, x, mode: Mode = Mode.FAST) -> PhiBundle:
+    qp = QPoint.coerce(q)
+    if x < 1:
+        raise DomainError("x must be >= 1")
+    return PhiBundle(*(evaluate_named(name, q=qp, x=x, mode=mode)
+                       for name in ("phi", "phi_prime", "a", "phi_second")))
+
+
+def phi_antiderivative(q, x, mode: Mode = Mode.FAST):
+    qp = QPoint.coerce(q)
+    if x < 1:
+        raise DomainError("x must be >= 1")
+    return evaluate_named("Phi", q=qp, x=x, mode=mode)
+
+
+@dataclass(frozen=True)
+class CorrectionSums:
+    """Rectangle (sigma) and trapezoid (rho) errors of integral phi over
+    [j, j+1], and their partial sums C_q(n), D_q(n)."""
+
+    sigma: tuple
+    rho: tuple
+    c_n: object
+    d_n: object
+
+
 def correction_sums(q, n: int, mode: Mode = Mode.FAST) -> CorrectionSums:
-    """Enclosures of sigma, rho, C_q(n) and D_q(n), or their midpoints (FAST)."""
+    """Enclosures of sigma, rho, C_q(n) and D_q(n), or their midpoints (FAST),
+    under the failure rule of _checked."""
     qv = QPoint.coerce(q).value
     sigma, rho, c_n, d_n = _on_intervals(mode, partial(_correction_sums_raw, n=n), qv)
-    out = Enclosure if mode is Mode.CERTIFIED else lambda v: Enclosure(v).midpoint()
-    return CorrectionSums(tuple(map(out, sigma)), tuple(map(out, rho)), out(c_n), out(d_n))
+    return CorrectionSums(tuple(_checked("sigma", mode, v) for v in sigma),
+                          tuple(_checked("rho", mode, v) for v in rho),
+                          _checked("C", mode, c_n), _checked("D", mode, d_n))
 
 
 # -- critical points -----------------------------------------------------------
@@ -498,72 +542,3 @@ def critical_points(q) -> CriticalPoints:
     if not (1.0 < m_q < n_q):
         raise ArithmeticError(f"critical points out of order: m={m_q}, n={n_q}")
     return CriticalPoints(m_q=m_q, n_q=n_q, bracket_width=_BISECTION_WIDTH)
-
-
-# -- named evaluator table (CLI surface) ---------------------------------------
-
-
-def aux_bound_functions() -> dict[str, Callable]:
-    """Name -> raw formula for the scalar bound functions.
-
-    Single-argument entries take q (or y for V, V'); two-argument entries
-    take (q, x).
-    """
-    return {
-        "phi": phi_raw,
-        "phi_prime": phi_prime_raw,
-        "phi_second": phi_second_raw,
-        "a": a_raw,
-        "b": b_raw,
-        "Phi": phi_antiderivative_raw,
-        "A": a_constant_raw,
-        "U": u_raw,
-        "V": v_raw,
-        "V_prime": v_prime_raw,
-        "Theta": theta_raw,
-        "K": k_raw,
-        "h1": h1_raw,
-        "h2": h2_raw,
-        "h3": h3_raw,
-        "Delta": delta_raw,
-        "G": g_raw,
-        "G0": g0_raw,
-    }
-
-
-_TWO_ARG = {"phi", "phi_prime", "phi_second", "a", "b", "Phi", "Theta", "K"}
-_Y_ARG = {"V", "V_prime"}
-
-
-def evaluate_named(name: str, *, q=None, x=None, y=None, n=None, mode: Mode = Mode.FAST):
-    """One named function as a float (FAST) or an Enclosure.  A DomainError
-    naming it is raised where the formula raises, where an end of its
-    enclosure is infinite, or where the FAST midpoint is no finite double."""
-    fn = aux_bound_functions().get(name)
-    if name in ("C", "D"):
-        if n is None:
-            raise DomainError(f"{name} needs --n")
-        fn = lambda qv: _correction_sums_raw(qv, int(n))[2 if name == "C" else 3]
-    elif fn is None:
-        raise DomainError(f"unknown function {name!r}")
-    if name in _Y_ARG:
-        if y is None:
-            raise DomainError(f"{name} needs --y")
-        args = (Fraction(y),)
-    elif q is None:
-        raise DomainError(f"{name} needs --q")
-    else:
-        args = (QPoint.coerce(q).value,)
-    if name in _TWO_ARG:
-        if x is None:
-            raise DomainError(f"{name} needs --x")
-        args += (Fraction(x),)
-    try:
-        value = Enclosure(_on_intervals(mode, fn, *args))
-    except (ArithmeticError, ValueError) as exc:
-        raise DomainError(f"{name} has no value at these arguments: {exc}") from None
-    if not value.is_bounded():
-        raise DomainError(f"{name} has no bounded enclosure in {mode.value} mode")
-    if mode is Mode.FAST and not isfinite(value.midpoint()):
-        raise DomainError(f"FAST {name} lies beyond the doubles; certified mode takes it")
-    return value.midpoint() if mode is Mode.FAST else value

@@ -49,10 +49,12 @@ from .intervals import (
     DomainError,
     DoubleInterval,
     Enclosure,
+    FAST_PRECISION,
     FixedInterval,
     MAX_PRECISION,
     Mode,
     PrecisionError,
+    QPoint,
     TermBudgetError,
     fixed_shift,
     gamma_enclosure,
@@ -61,7 +63,6 @@ from .intervals import (
     mpf_to_fraction,
     powr,
     precision_ladder,
-    to_ivmpf,
     working_precision,
     _ceil_float,
 )
@@ -77,35 +78,6 @@ _NUMERIC_REPRESENTATIONS = (
     RepresentationId.LAMBERT,
     RepresentationId.CLAUSEN,
 )
-
-#: Interval precision of every FAST evaluator: one pass, no width gate.
-FAST_PRECISION = 53
-
-
-@dataclass(frozen=True)
-class QPoint:
-    """A point q strictly inside (0, 1), held as an exact rational."""
-
-    value: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-        if not (0 < self.value < 1):
-            raise DomainError(f"q must lie in (0, 1), got {self.value}")
-
-    @classmethod
-    def coerce(cls, q: "QPoint | float | Fraction | str") -> "QPoint":
-        if isinstance(q, QPoint):
-            return q
-        return cls(Fraction(q))
-
-    def to_ivmpf(self) -> ivmpf:
-        return to_ivmpf(self.value)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -322,7 +294,7 @@ def _climb(eps: float | Fraction, mode: Mode, rung) -> EvalReport:
             report = rung()
         if report is not None and (fast or report.value.width_upper() <= bound):
             return report
-    raise PrecisionError(f"cannot reach width {eps} within {MAX_PRECISION} bits")
+    raise PrecisionError(f"cannot reach width {mp.nstr(bound, 6)} within {MAX_PRECISION} bits")
 
 
 def eval_T(

@@ -38,7 +38,7 @@ from .intervals import (
     working_precision,
 )
 from .lemma_functions import (
-    _in_mode,
+    _on_intervals,
     delta_polynomial,
     g0_polynomial,
     h2_denominator_polynomial,
@@ -209,7 +209,7 @@ class SandwichBound:
         self.raw = raw
 
     def __call__(self, q: Fraction) -> Enclosure:
-        return _in_mode(Mode.CERTIFIED, self.raw, q)
+        return Enclosure(_on_intervals(Mode.CERTIFIED, self.raw, q))
 
     def doubles(self, q: Fraction) -> DoubleInterval:
         return self.raw(DoubleInterval.lift(q))

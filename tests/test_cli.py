@@ -490,6 +490,28 @@ def test_nan_eps_is_a_usage_error(capsys, argv):
     assert code == 0 and json.loads(out)["lo"] <= json.loads(out)["hi"]
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["eval", "--fn", "T", "--q", "0.5"], 0),
+    (["eval", "--fn", "T", "--q", "0.5", "--mode", "certified"], 1),
+    (["bounds-scan", "--theorem", "T4_1", "--grid-start", "0.5", "--grid-end", "0.5"], 1),
+], ids=["eval-fast", "eval-certified", "bounds-scan-T4_1"])
+def test_eps_below_the_doubles_is_not_read_as_0(capsys, argv, want):
+    """--eps 1e-400 rounds to 0 as a double and is taken as its exact value:
+    FAST answers, certified cannot reach the width; -1e-400 stays an error."""
+    code, _, err = run_cli(capsys, *argv, "--eps", "1e-400")
+    assert code == want and "eps must be positive" not in err
+    assert "eps must be positive" in _usage_error(capsys, [*argv, "--eps=-1e-400"])
+
+
+def test_precision_error_prints_a_short_width(capsys):
+    """F's width at eps 1e-310 is an exact Fraction; the error prints it as a
+    short decimal on one line."""
+    code, _, err = run_cli(capsys, "eval", "--fn", "F", "--q", "0.5", "--eps", "1e-310",
+                           "--mode", "certified")
+    assert code == 1 and err.startswith("error: cannot reach width ")
+    assert len(err.splitlines()) == 1 and len(err) < 80
+
+
 @pytest.mark.parametrize("theorem", ["T4_1", "C3_3"])
 def test_bounds_scan_bad_eps_is_a_usage_error(capsys, theorem):
     for eps in ("nan", "0", "-1"):

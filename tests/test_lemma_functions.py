@@ -23,7 +23,8 @@ from divisor_series.intervals import (
     to_ivmpf,
 )
 from divisor_series.lemma_functions import (
-    _in_mode,
+    PhiBundle,
+    _on_intervals,
     a_constant_raw,
     a_raw,
     b_raw,
@@ -149,15 +150,15 @@ def test_v_prime_run_bound_is_below_v_prime_on_its_span():
     for _ in range(200):
         a, y, b = sorted(Fraction(rng.randrange(2145, 50001), 1000) for _ in range(3))
         bound = v_prime_run_raw(DoubleInterval.lift(a), DoubleInterval.lift(b))
-        value = _in_mode(Mode.CERTIFIED, v_prime_raw, y)
+        value = Enclosure(_on_intervals(Mode.CERTIFIED, v_prime_raw, y))
         assert Fraction(bound.lo) <= mpf_to_fraction(value.hi)
 
 
 @pytest.mark.parametrize("y", [Fraction(2145, 1000), Fraction(7, 2), Fraction(50)])
 def test_v_prime_run_bound_at_one_point_is_v_prime(y):
     """v_prime_run_raw(y, y) is V'(y) bit for bit at working precision."""
-    run = _in_mode(Mode.CERTIFIED, v_prime_run_raw, y, y)
-    value = _in_mode(Mode.CERTIFIED, v_prime_raw, y)
+    run = Enclosure(_on_intervals(Mode.CERTIFIED, v_prime_run_raw, y, y))
+    value = Enclosure(_on_intervals(Mode.CERTIFIED, v_prime_raw, y))
     assert (run.lo, run.hi) == (value.lo, value.hi)
 
 
@@ -560,6 +561,47 @@ def test_correction_sums_domain():
         correction_sums(0.5, 0)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda q: phi_antiderivative(q, 40), "Phi"),
+    (lambda q: correction_sums(q, 3), "sigma"),
+    (lambda q: phi_bundle(q, 3), "phi"),
+], ids=["phi_antiderivative", "correction_sums", "phi_bundle"])
+def test_fast_wrappers_refuse_what_lemma_fn_refuses(call, name):
+    """At q = 1 - 10^-17 the 53-bit enclosures are unbounded: the library
+    wrappers raise lemma-fn's DomainError naming the function, not nan."""
+    with pytest.raises(DomainError, match=f"^{name} has no bounded enclosure in fast mode$"):
+        call(1 - Fraction(1, 10**17))
+
+
+def _outcome(call):
+    """The ends of each value (a float's one end in FAST), or the refusal."""
+    try:
+        value = call()
+    except DomainError as exc:
+        return str(exc)
+    values = vars(value).values() if isinstance(value, PhiBundle) else [value]
+    return [(v.lo, v.hi) if isinstance(v, Enclosure) else v for v in values]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_wrappers_are_evaluate_named_bit_for_bit(mode):
+    """phi_bundle's fields and phi_antiderivative are evaluate_named of the
+    same names, value or refusal, at seeded (q, x) and at q = 1e-400, 0.9999
+    and 1 - 10^-17."""
+    rng = random.Random(f"wrappers-{mode.value}")
+    qs = [Fraction(1, 10**400), Fraction(9999, 10000), 1 - Fraction(1, 10**17),
+          *(Fraction(rng.random()) for _ in range(6))]
+    for q in qs:
+        x = Fraction(rng.uniform(1.0, 60.0))
+        named = [_outcome(lambda: evaluate_named(name, q=q, x=x, mode=mode))
+                 for name in ("phi", "phi_prime", "a", "phi_second")]
+        refusals = [outcome for outcome in named if isinstance(outcome, str)]
+        expected = refusals[0] if refusals else [end for outcome in named for end in outcome]
+        assert _outcome(lambda: phi_bundle(q, x, mode)) == expected, q
+        wrapper = _outcome(lambda: phi_antiderivative(q, x, mode))
+        assert wrapper == _outcome(lambda: evaluate_named("Phi", q=q, x=x, mode=mode)), q
+
+
 # -- critical points -------------------------------------------------------------
 
 
@@ -624,8 +666,8 @@ def test_h2_h3_polynomial_forms_lie_in_certified_enclosures():
     qs += [Fraction(rng.randrange(1, 10**4), 10**4) for _ in range(28)]
     s, p = h2_denominator_polynomial(), h3_numerator_polynomial()
     for q in qs:
-        assert _in_mode(Mode.CERTIFIED, h2_raw, q).contains(1 / s(q)), q
-        assert _in_mode(Mode.CERTIFIED, h3_raw, q).contains(p(q) / s(q) ** 2), q
+        assert Enclosure(_on_intervals(Mode.CERTIFIED, h2_raw, q)).contains(1 / s(q)), q
+        assert Enclosure(_on_intervals(Mode.CERTIFIED, h3_raw, q)).contains(p(q) / s(q) ** 2), q
 
 
 def test_h3_numerator_is_an_exact_quotient(monkeypatch):
@@ -700,16 +742,12 @@ def test_h1_limit():
 
 
 def _named_arguments(name: str, q: Fraction, rng: random.Random) -> dict:
-    if name in ("V", "V_prime"):
-        return {"y": Fraction(rng.uniform(0.5, 40.0))}
-    if name in ("C", "D"):
-        return {"q": q, "n": rng.randint(1, 12)}
-    if name in lemma_functions._TWO_ARG:
-        return {"q": q, "x": Fraction(rng.uniform(1.0, 60.0))}
-    return {"q": q}
+    draw = {"q": lambda: q, "x": lambda: Fraction(rng.uniform(1.0, 60.0)),
+            "y": lambda: Fraction(rng.uniform(0.5, 40.0)), "n": lambda: rng.randint(1, 12)}
+    return {letter: draw[letter]() for letter in lemma_functions.NAMED_FUNCTIONS[name][1]}
 
 
-@pytest.mark.parametrize("name", [*lemma_functions.aux_bound_functions(), "C", "D"])
+@pytest.mark.parametrize("name", lemma_functions.NAMED_FUNCTIONS)
 def test_fast_lemma_values_lie_in_their_53_bit_enclosures(monkeypatch, name):
     """FAST runs the certified formula once at 53 bits: each FAST value lies
     between the double ends of that enclosure (certified mode at
