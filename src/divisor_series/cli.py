@@ -143,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=200)
     p.add_argument("--skip", action="append", default=[],
                    choices=("identities", "verify", "bounds"))
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
 
@@ -245,17 +244,13 @@ def _scan_rows(theorem: TheoremId, start: Fraction, end: Fraction, step: Fractio
     return rows
 
 
-def _scan_csv(rows) -> str:
-    lines = [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-             for row in rows]
-    return "\n".join(["q,lhs_lo,lhs_hi,mid_lo,mid_hi,rhs_lo,rhs_hi,status", *lines])
-
-
 def _cmd_bounds_scan(args) -> int:
     theorem = TheoremId(args.theorem)
     rows = _scan_rows(theorem, Fraction(args.grid_start), Fraction(args.grid_end),
                       Fraction(args.grid_step), args.eps)
-    print(_scan_csv(rows))
+    print("q,lhs_lo,lhs_hi,mid_lo,mid_hi,rhs_lo,rhs_hi,status")
+    for row in rows:
+        print(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     all_pass = all(row[-1] == BoundsStatus.PASS.value for row in rows)
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
 
@@ -309,25 +304,17 @@ def _cmd_report(args) -> int:
     if "bounds" not in args.skip:
         t0 = time.perf_counter()
         bounds_section = {}
-        csv_blocks = []
         for theorem in TheoremId:
             rows = _scan_rows(theorem, Fraction(1, 100), Fraction(99, 100),
                               Fraction(1, 100), None)
             ok = all(row[-1] == BoundsStatus.PASS.value for row in rows)
             bounds_section[theorem.value] = {"points": len(rows), "all_strict": ok}
             overall_ok &= ok
-            if args.format == "csv":
-                csv_blocks.append(f"# theorem={theorem.value}\n" + _scan_csv(rows))
         doc["sections"]["bounds"] = bounds_section
         timings["bounds"] = round(time.perf_counter() - t0, 3)
-        if args.format == "csv":
-            print("\n\n".join(csv_blocks))
 
     doc["passed"] = overall_ok
-    if args.format == "json":
-        _print_json(doc)
-    else:
-        _print_json({"schema_version": SCHEMA_VERSION, "passed": overall_ok})
+    _print_json(doc)
     # wall times vary from run to run, so they stay out of the stdout document
     print(f"timings_s: {json.dumps(timings, sort_keys=True)}", file=sys.stderr)
     _print_sandwich_cells(certs)

@@ -497,9 +497,9 @@ class FixedInterval:
 
     Outward-rounded fixed-point arithmetic (Brent and Zimmermann, *Modern
     Computer Arithmetic*, CUP 2010, sections 3-4): ``+`` and ``-`` are exact;
-    ``*`` and ``/`` take the extreme corner products or quotients (one pair
-    where both operands are non-negative), then round lo down (``>>``,
-    ``//``) and hi up (``-((-x) >> s)``).  An int operand enters exactly.
+    ``*`` and ``/`` take the extreme corner products or quotients, then
+    round lo down (``>>``, ``//``) and hi up (``-((-x) >> s)``).  An int
+    operand enters exactly.
     Each rounding costs at most 2^-shift absolutely, so the caller picks the
     scale from the smallest magnitude it must resolve (:func:`fixed_shift`).
     On plain ints a product costs a fraction of an ``ivmpf`` one at the same
@@ -533,18 +533,21 @@ class FixedInterval:
             libmp.from_man_exp(self.hi, -self.shift, prec, libmp.round_ceiling),
         ))
 
-    def _same_scale(self, other: "FixedInterval") -> None:
-        if other.shift != self.shift:
-            raise DomainError(f"fixed-point scales 2^-{self.shift} and "
-                              f"2^-{other.shift} differ")
+    def _operand(self, other):
+        """other at this scale, an int exactly; None for any other type."""
+        s = self.shift
+        if isinstance(other, int):
+            return FixedInterval(other << s, other << s, s)
+        if other.__class__ is not FixedInterval:
+            return None
+        if other.shift != s:
+            raise DomainError(f"fixed-point scales 2^-{s} and 2^-{other.shift} differ")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, int):
-            c = other << self.shift
-            return FixedInterval(self.lo + c, self.hi + c, self.shift)
-        if other.__class__ is not FixedInterval:
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
-        self._same_scale(other)
         return FixedInterval(self.lo + other.lo, self.hi + other.hi, self.shift)
 
     __radd__ = __add__
@@ -553,55 +556,36 @@ class FixedInterval:
         return self + -other
 
     def __rsub__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        c = other << self.shift
-        return FixedInterval(c - self.hi, c - self.lo, self.shift)
+        return -self + other
 
     def __neg__(self):
         return FixedInterval(-self.hi, -self.lo, self.shift)
 
     def __mul__(self, other):
-        s = self.shift
-        if isinstance(other, int):
-            if other >= 0:
-                return FixedInterval(self.lo * other, self.hi * other, s)
-            return FixedInterval(self.hi * other, self.lo * other, s)
-        if other.__class__ is not FixedInterval:
+        other, s = self._operand(other), self.shift
+        if other is None:
             return NotImplemented
-        self._same_scale(other)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a >= 0 and c >= 0:  # the series sums multiply only these
-            lo, hi = a * c, b * d
-        else:
-            corners = (a * c, a * d, b * c, b * d)
-            lo, hi = min(corners), max(corners)
-        return FixedInterval(lo >> s, -(-hi >> s), s)
+        corners = (a * c, a * d, b * c, b * d)
+        return FixedInterval(min(corners) >> s, -(-max(corners) >> s), s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        s = self.shift
-        if isinstance(other, int):
-            other = FixedInterval(other << s, other << s, s)
-        elif other.__class__ is not FixedInterval:
+        other, s = self._operand(other), self.shift
+        if other is None:
             return NotImplemented
-        self._same_scale(other)
         # (x 2^-s) / (y 2^-s) = ((x << s) / y) 2^-s
         a, b, c, d = self.lo << s, self.hi << s, other.lo, other.hi
         if c <= 0 <= d:
             raise DomainError("fixed-point division by an interval containing 0")
-        if a >= 0 and c > 0:
-            return FixedInterval(a // d, -(-b // c), s)
         corners = [(x, y) for x in (a, b) for y in (c, d)]
         return FixedInterval(min(x // y for x, y in corners),
                              max(-(-x // y) for x, y in corners), s)
 
     def __rtruediv__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        c = other << self.shift
-        return FixedInterval(c, c, self.shift) / self
+        other = self._operand(other)
+        return NotImplemented if other is None else other / self
 
     def __repr__(self) -> str:
         return f"FixedInterval({self.lo!r}, {self.hi!r}, shift={self.shift})"
@@ -678,15 +662,8 @@ def const(value: Scalar, like):
     """A rational constant of a formula, lifted into the arithmetic of the
     formula's argument `like`: its nearest double beside a float."""
     if isinstance(like, DoubleInterval):
-        return _double_const(value)
+        return DoubleInterval.lift(value)
     return to_ivmpf(value) if isinstance(like, ivmpf) else float(value)
-
-
-@lru_cache(maxsize=None)
-def _double_const(value: Scalar) -> DoubleInterval:
-    """DoubleInterval.lift(value), once per constant: the lift depends on the
-    value alone, and a formula has few constants."""
-    return DoubleInterval.lift(value)
 
 
 def powr(base, exponent):

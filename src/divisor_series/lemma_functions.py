@@ -6,11 +6,12 @@ sums C, D) decide the sign of F'.  This module provides:
 
 * phi and its first two derivatives in closed form, plus the factor a_q(x)
   carrying the sign of phi'' and the convexity witness b_q(x);
-* the closed-form antiderivative Phi_q (so the integrals in sigma/rho are
-  exact differences, no quadrature in the verified path) and the constant
-  A_q = integral of phi over [1, inf);
-* the correction sums sigma_q(j), rho_q(j), C_q(n), D_q(n);
-* the monotone-sandwich bounds W1, W2 (Lemma 2.4ii) and J1, J2 (Lemma 2.9);
+* the closed-form antiderivative Phi_q (so every integral of phi is an exact
+  difference, no quadrature) and the constant A_q = integral of phi over
+  [1, inf);
+* the monotone-sandwich bounds W1, W2 (Lemma 2.4ii) and J1, J2 (Lemma 2.9),
+  and on their bodies sigma_q(j), rho_q(j), C_q(n) and D_q(n): C_q(39) is
+  W1 - W2 and D_q(10) is J1 - J2 + 0.036;
 * the critical points M_q (maximizer) and N_q (inflection) by bracketed
   bisection;
 * the bound functions U, V, V', Theta_q, K_q, h1..h3, Delta, G, G0 used by
@@ -191,14 +192,23 @@ def phi_integer_sum_raw(q, k_max: int, half_last: bool = False):
 
 
 def _phi_integer_sum_generic(q, k_max: int, half_last: bool):
-    total = 0 * q
-    qk, s, n = q * q, 1 + q, 1
-    for k in range(2, k_max + 1):
-        term = qk * n / (s * s)
-        if half_last and k == k_max:
-            term = term / 2
-        total = total + term
+    return _rule_sum(_phi_terms(q, k_max), half_last)
+
+
+def _phi_terms(q, k_max: int) -> list:
+    """[0 q, phi_q(2), ..., phi_q(k_max)], the terms of phi_integer_sum_raw."""
+    terms, qk, s, n = [0 * q], q * q, 1 + q, 1
+    for _ in range(2, k_max + 1):
+        terms.append(qk * n / (s * s))
         n, s, qk = n + s, s + qk, qk * q
+    return terms
+
+
+def _rule_sum(terms: list, half_last: bool):
+    """The terms left to right, the last of two or more halved when half_last."""
+    total, last = terms[0], len(terms) - 1
+    for k in range(1, last + 1):
+        total = total + (terms[k] / 2 if half_last and k == last else terms[k])
     return total
 
 
@@ -333,13 +343,9 @@ def phi_limit_at_one(x: Fraction) -> Fraction:
 
 
 def delta_polynomial() -> Polynomial:
-    coeffs = [Fraction(0)] * 30
-    coeffs[0] = Fraction(13)
-    coeffs[1] = Fraction(-14)
-    coeffs[14] = Fraction(56)
-    coeffs[15] = Fraction(-56)
-    coeffs[28] = Fraction(15)
-    coeffs[29] = Fraction(-14)
+    coeffs = [0] * 30
+    for k, c in ((0, 13), (1, -14), (14, 56), (15, -56), (28, 15), (29, -14)):
+        coeffs[k] = c
     return Polynomial(coeffs)
 
 
@@ -389,19 +395,19 @@ def _checked(name: str, mode: Mode, interval):
 
 
 def _correction_sums_raw(q, n: int):
-    """sigma_q(j), rho_q(j) for j = 1..n via exact antiderivative
-    differences, and their sums C_q(n), D_q(n)."""
+    """sigma_q(j), rho_q(j) for j = 1..n, and C_q(n), D_q(n): the integral of
+    phi over [1, n+1] less its rectangle and its trapezoid sum, in the order
+    of w1_raw - w2_raw and phi_integral_raw(q, 11) - j2_raw."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    phis = [phi_raw(q, j) for j in range(1, n + 2)]
+    phis = _phi_terms(q, n + 1)
     lq = ln(q)
     caps = [phi_antiderivative_raw(q, j, lq) for j in range(1, n + 2)]
-    sigma, rho = [], []
-    for j in range(1, n + 1):
-        integral = caps[j] - caps[j - 1]
-        sigma.append(integral - phis[j])
-        rho.append(integral - (phis[j - 1] + phis[j]) / 2)
-    return sigma, rho, sum(sigma[1:], sigma[0]), sum(rho[1:], rho[0])
+    steps = [(caps[j] - caps[j - 1], phis[j - 1], phis[j]) for j in range(1, n + 1)]
+    sigma = [step - b for step, a, b in steps]
+    rho = [step - (a + b) / 2 for step, a, b in steps]
+    integral = caps[n] - caps[0]
+    return sigma, rho, integral - _rule_sum(phis, False), integral - _rule_sum(phis, True)
 
 
 #: Name -> (raw formula, its argument letters in order), for evaluate_named

@@ -180,10 +180,11 @@ def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table, up: int
     """One end of _t_partial_sum_generic on a FixedInterval q at scale 2^-s,
     bit for bit: x is q.lo with up = 0 (the lower end) or q.hi with up = 1.
     With 0 <= q.lo and q.hi < 2^s every operand is non-negative and every
-    power of q stays below 1, so FixedInterval's products take lo = a*c,
-    hi = b*d, its quotients lo = a/d, hi = b/c, and 1 +- q^k is exact: each
-    end depends on its own end of q alone.  up = 0 rounds down, (x*y) >> s
-    and n // y; up = 1 rounds up, (x*y + 2^s - 1) >> s and (n + y - 1) // y."""
+    power of q stays below 1, so FixedInterval's corner rules pick lo = a*c,
+    hi = b*d for a product and lo = a/d, hi = b/c for a quotient, and
+    1 +- q^k is exact: each end depends on its own end of q alone.  up = 0
+    rounds down, (x*y) >> s and n // y; up = 1 rounds up,
+    (x*y + 2^s - 1) >> s and (n + y - 1) // y."""
     one = 1 << s
     r = up * (one - 1)
     total = 0
@@ -279,6 +280,12 @@ def _bits_for_eps(eps: float | Fraction) -> int:
     return min(wanted, MAX_PRECISION)
 
 
+def _precision_error(eps: float | Fraction) -> PrecisionError:
+    """The one error of a width out of reach, naming eps as the caller gave it."""
+    return PrecisionError(f"cannot reach width {mp.nstr(mp.mpf(str(eps)), 6)} "
+                          f"within {MAX_PRECISION} bits")
+
+
 def _climb(eps: float | Fraction, mode: Mode, rung) -> EvalReport:
     """The one precision ladder of the evaluators, which also rejects a bad eps.
     rung() evaluates at the current interval precision, None to be tried
@@ -294,7 +301,7 @@ def _climb(eps: float | Fraction, mode: Mode, rung) -> EvalReport:
             report = rung()
         if report is not None and (fast or report.value.width_upper() <= bound):
             return report
-    raise PrecisionError(f"cannot reach width {mp.nstr(bound, 6)} within {MAX_PRECISION} bits")
+    raise _precision_error(eps)
 
 
 def eval_T(
@@ -372,7 +379,10 @@ def _scaled_h(qp: QPoint, scale: Fraction, eps: float, representation: Represent
     if not eps > 0:
         raise DomainError("eps must be positive")
     t_eps = Fraction(eps) / (2 * scale) if eps < math.inf else eps
-    t = eval_T(qp, t_eps, representation, mode)
+    try:
+        t = eval_T(qp, t_eps, representation, mode)
+    except PrecisionError:
+        raise _precision_error(eps) from None
     return _climb(eps, mode, lambda: EvalReport(
         (t.value - _log_ratio_enclosure(qp)) * scale,
         representation, t.terms_used, t.tail_bound, mode))
@@ -510,7 +520,10 @@ def check_bounds(
         triple = partial(_bounds_triple, theorem, qp)
 
     for e in [eps] if eps is not None else [1e-8, 1e-12, 1e-16, 1e-20]:
-        lhs, mid, rhs = triple(e)
+        try:
+            lhs, mid, rhs = triple(e)
+        except PrecisionError:
+            raise _precision_error(e) from None
         status = _decide(lhs, mid, rhs)
         if status is not BoundsStatus.INDETERMINATE:
             break

@@ -512,6 +512,25 @@ def test_precision_error_prints_a_short_width(capsys):
     assert len(err.splitlines()) == 1 and len(err) < 80
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "F", "--q", "0.5", "--mode", "certified"],
+    ["eval", "--fn", "H", "--q", "0.5", "--mode", "certified"],
+    ["bounds-scan", "--theorem", "T4_1", "--grid-start", "0.5", "--grid-end", "0.5"],
+    ["bounds-scan", "--theorem", "T4_3", "--grid-start", "0.5", "--grid-end", "0.5"],
+], ids=["F", "H", "T4_1", "T4_3"])
+def test_precision_error_names_the_eps_given(capsys, argv):
+    """F, H, T4_1 and T4_3 ask T for eps/2 or eps/4; the error names --eps."""
+    code, _, err = run_cli(capsys, *argv, "--eps", "1e-400")
+    assert code == 1 and err == "error: cannot reach width 1.0e-400 within 1024 bits\n"
+
+
+def test_bounds_scan_indeterminate_exits_1(capsys):
+    """At eps = 1 T4_2's middle term overlaps its left bound at q = 0.99."""
+    code, out, _ = run_cli(capsys, "bounds-scan", "--theorem", "T4_2", "--grid-start", "0.99",
+                           "--grid-end", "0.99", "--eps", "1")
+    assert code == 1 and out.splitlines()[1].endswith(",INDETERMINATE")
+
+
 @pytest.mark.parametrize("theorem", ["T4_1", "C3_3"])
 def test_bounds_scan_bad_eps_is_a_usage_error(capsys, theorem):
     for eps in ("nan", "0", "-1"):
@@ -545,3 +564,30 @@ def test_report_skip_everything_but_identities(capsys):
     _, out_again, _ = run_cli(capsys, *argv)
     assert out.encode() == out_again.encode()
     assert "identities" in err
+
+
+def test_report_verify_section_matches_the_certificates(capsys):
+    """The verify section lists the five lemmas and thm3.2 as passed, with
+    the golden certificates' min_margin, and writes the sandwich_cells line
+    of verify --lemma thm3.2."""
+    code, out, err = run_cli(capsys, "report", "--skip", "identities", "--skip", "bounds")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True and set(doc["sections"]) == {"verify"}
+    section = doc["sections"]["verify"]
+    lemmas = ["2.4i", "2.4ii", "2.5", "2.8", "2.9"]
+    assert section["lemmas"] == dict.fromkeys(lemmas, True) and section["thm3.2"] is True
+    golden = Path(__file__).parent / "data" / "certificates"
+    assert section["min_margins"] == {
+        lemma: json.loads((golden / f"{lemma}.json").read_text(encoding="utf-8"))["min_margin"]
+        for lemma in lemmas}
+    _, _, verify_err = run_cli(capsys, "verify", "--lemma", "thm3.2")
+    cells = [line for line in err.splitlines() if line.startswith("sandwich_cells: ")]
+    assert cells == [line for line in verify_err.splitlines()
+                     if line.startswith("sandwich_cells: ")]
+    assert len(cells) == 1
+
+
+def test_report_prints_json_only(capsys):
+    """report has no --format: its one document is JSON."""
+    assert "--format" in _usage_error(capsys, ["report", "--format", "csv"])

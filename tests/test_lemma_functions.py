@@ -556,6 +556,43 @@ def test_d10_bound_near_one():
     assert sums.d_n.strictly_above(Fraction(36, 1000))
 
 
+def _seeded_q(name: str) -> list[Fraction]:
+    """Seeded q in the 2.4ii span [0.117, 0.91] and the 2.9 span [0.91, 1)."""
+    rng = random.Random(name)
+    return [Fraction(rng.uniform(lo, hi)).limit_denominator(10**12)
+            for lo, hi in ((0.117, 0.91), (0.91, 1.0)) for _ in range(6)]
+
+
+def test_c_and_d_are_the_sandwich_differences_bit_for_bit():
+    """C_q(39) is w1_raw - w2_raw and D_q(10) is phi_integral_raw(q, 11) -
+    j2_raw at working precision, end for end: the same terms and Phi
+    differences in the same order."""
+    raw = lemma_functions._correction_sums_raw
+    for q in _seeded_q("c-and-d"):
+        with interval_precision(128):
+            q_iv = to_ivmpf(q)
+            assert raw(q_iv, 39)[2]._mpi_ == (w1_raw(q_iv) - w2_raw(q_iv))._mpi_, q
+            d_10 = lemma_functions.phi_integral_raw(q_iv, 11) - j2_raw(q_iv)
+            assert raw(q_iv, 10)[3]._mpi_ == d_10._mpi_, q
+
+
+def test_c_and_d_call_no_closed_form_phi(monkeypatch):
+    """The terms of C and D are the positive-form terms of the phi sums."""
+    monkeypatch.setattr(lemma_functions, "phi_raw", None)
+    sums = correction_sums("0.95", 10, mode=Mode.CERTIFIED)
+    assert sums.d_n.strictly_above(Fraction(36, 1000))
+
+
+def test_fast_d_near_one_is_narrow_at_53_bits():
+    """The 53-bit enclosure of D_q(3) at q = 0.9999 is at most 0.015 wide
+    and holds the certified value."""
+    q = Fraction(9999, 10000)
+    with interval_precision(53):
+        d_3 = Enclosure(lemma_functions._correction_sums_raw(to_ivmpf(q), 3)[3])
+    assert d_3.width_upper() <= 0.015
+    assert d_3.intersects(correction_sums(q, 3, mode=Mode.CERTIFIED).d_n)
+
+
 def test_correction_sums_domain():
     with pytest.raises(DomainError):
         correction_sums(0.5, 0)

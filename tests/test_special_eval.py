@@ -16,6 +16,7 @@ from divisor_series.intervals import (
     Enclosure,
     FixedInterval,
     Mode,
+    PrecisionError,
     TermBudgetError,
     fixed_shift,
     gamma_enclosure,
@@ -801,6 +802,53 @@ def test_indeterminate_on_huge_eps():
     assert res.status in (BoundsStatus.INDETERMINATE, BoundsStatus.PASS)
     if res.status is BoundsStatus.INDETERMINATE:
         assert not res.strict_ok
+
+
+@pytest.mark.parametrize("lhs, mid, rhs, want", [
+    ((0, 1), (2, 3), (4, 5), BoundsStatus.PASS),
+    ((2, 3), (1, 2), (4, 5), BoundsStatus.FAIL),
+    ((0, 1), (4, 5), (3, 4), BoundsStatus.FAIL),
+    ((0, 2), (1, 3), (4, 5), BoundsStatus.INDETERMINATE),
+    ((0, 1), (2, 4), (3, 5), BoundsStatus.INDETERMINATE),
+], ids=["pass", "fail-left", "fail-right", "overlap-left", "overlap-right"])
+def test_decide_on_constructed_enclosures(lhs, mid, rhs, want):
+    """FAIL needs a certified violation of either side, touching ends
+    included; overlapping enclosures are INDETERMINATE."""
+    assert special_eval._decide(*(Enclosure(*e) for e in (lhs, mid, rhs))) is want
+
+
+def test_bounds_check_indeterminate_at_a_wide_eps():
+    """T4_2 at q = 0.99 with eps = 1: mid [4.2013, 4.3081] overlaps
+    lhs 4.20561, and the check does not pass."""
+    res = check_bounds(TheoremId.T4_2, q="0.99", eps=1.0)
+    assert res.status is BoundsStatus.INDETERMINATE and not res.strict_ok
+    assert res.mid.lo < res.lhs.hi < res.mid.hi
+
+
+def test_bounds_check_without_eps_narrows_after_indeterminate(monkeypatch):
+    """With eps unset an INDETERMINATE answer sends the check to the next
+    width, which passes."""
+    decide, widths = special_eval._decide, []
+    answers = iter([BoundsStatus.INDETERMINATE])
+    monkeypatch.setattr(special_eval, "_decide",
+                        lambda *e: next(answers, None) or decide(*e))
+    triple = special_eval._bounds_triple
+    monkeypatch.setattr(special_eval, "_bounds_triple",
+                        lambda th, qp, e: widths.append(e) or triple(th, qp, e))
+    res = check_bounds(TheoremId.T4_1, q="0.5")
+    assert widths == [1e-8, 1e-12] and res.status is BoundsStatus.PASS and res.strict_ok
+
+
+@pytest.mark.parametrize("call", [
+    partial(eval_F, "0.5"), partial(eval_H, "0.5"),
+    lambda eps: check_bounds(TheoremId.T4_1, q="0.5", eps=eps),
+    lambda eps: check_bounds(TheoremId.T4_3, q="0.5", eps=eps),
+], ids=["F", "H", "T4_1", "T4_3"])
+def test_precision_error_names_the_callers_eps(call):
+    """F, H and the bound checks ask T for a narrower width; the error names
+    the eps their caller gave."""
+    with pytest.raises(PrecisionError, match=r"^cannot reach width 1\.0e-400 within 1024 bits$"):
+        call(Fraction(1, 10**400))
 
 
 # -- Landau's constant ----------------------------------------------------------------
