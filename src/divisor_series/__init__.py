@@ -23,7 +23,6 @@ from .divisor_core import (
     divisor_sieve,
 )
 from .intervals import (
-    BracketSearchError,
     DomainError,
     Enclosure,
     Mode,
@@ -56,10 +55,8 @@ from .special_eval import (
 )
 from .lemma_functions import (
     CorrectionSums,
-    CriticalPoints,
     PhiBundle,
     correction_sums,
-    critical_points,
     phi_antiderivative,
     phi_bundle,
 )

@@ -63,8 +63,7 @@ def divisor_partial_sums(table: DivisorTable) -> tuple[int, ...]:
     """out[n] = sum_{k<=n} d(k); out[0] = 0.
 
     By counting lattice points under the hyperbola xy <= n both ways, the
-    result also equals sum_{k<=n} floor(n/k) for every n (the test suite
-    checks this against the floor-sum directly).
+    result also equals sum_{k<=n} floor(n/k) for every n.
     """
     out = [0] * (table.n_max + 1)
     acc = 0
@@ -72,11 +71,6 @@ def divisor_partial_sums(table: DivisorTable) -> tuple[int, ...]:
         acc += table.d[n]
         out[n] = acc
     return tuple(out)
-
-
-def floor_sum(n: int) -> int:
-    """sum_{k=1}^{n} floor(n/k) -- independent oracle for the partial sums."""
-    return sum(n // k for k in range(1, n + 1))
 
 
 def distinct_partition_stats(n_max: int) -> PartitionStats:
@@ -104,30 +98,3 @@ def distinct_partition_stats(n_max: int) -> PartitionStats:
     s_odd = tuple((a + b) // 2 for a, b in zip(d_plus, d_minus))
     s_even = tuple((a - b) // 2 for a, b in zip(d_plus, d_minus))
     return PartitionStats(n_max=n_max, s_odd=s_odd, s_even=s_even)
-
-
-def distinct_partition_stats_enumerated(n_max: int) -> PartitionStats:
-    """Same statistics by exhaustive enumeration of distinct partitions.
-
-    Exponential in n_max; meant as an independent cross-check for small
-    orders (the suite compares it with the product-rule rows up to 40).
-    """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    s_odd = [0] * (n_max + 1)
-    s_even = [0] * (n_max + 1)
-
-    def extend(remaining: int, min_part: int, parts: int, total: int):
-        # `total` is the full partition size once `remaining` reaches 0
-        if remaining == 0:
-            if parts % 2:
-                s_odd[total] += parts
-            else:
-                s_even[total] += parts
-            return
-        for p in range(min_part, remaining + 1):
-            extend(remaining - p, p + 1, parts + 1, total)
-
-    for n in range(1, n_max + 1):
-        extend(n, 1, 0, n)
-    return PartitionStats(n_max=n_max, s_odd=tuple(s_odd), s_even=tuple(s_even))

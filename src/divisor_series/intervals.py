@@ -15,8 +15,9 @@ met.
 A :class:`DoubleInterval` is the same guarantee on a pair of doubles: much
 cheaper per operation and much wider, it settles the certified sandwich
 cells that do not need working precision.  A :class:`FixedInterval` is the
-same guarantee on a pair of integers over one power-of-two scale: it holds the
-certified series sums of special_eval at working precision on plain ints.
+same guarantee on a pair of integers over one power-of-two scale, with no
+arithmetic of its own: it holds the certified series sums of special_eval,
+which its integer kernels compute at working precision on plain ints.
 A :class:`QPoint` holds an argument q in (0, 1) as an exact rational.
 """
 
@@ -50,10 +51,6 @@ class PrecisionError(ArithmeticError):
 
 class TermBudgetError(ArithmeticError):
     """A series evaluation would need more terms than the configured budget."""
-
-
-class BracketSearchError(ArithmeticError):
-    """A sign-change bracket search ran past its expansion limit."""
 
 
 class Mode(enum.Enum):
@@ -495,18 +492,11 @@ class FixedInterval:
     """A closed interval [lo, hi] * 2^-shift, lo <= hi integers, certified to
     contain a real value.
 
-    Outward-rounded fixed-point arithmetic (Brent and Zimmermann, *Modern
-    Computer Arithmetic*, CUP 2010, sections 3-4): ``+`` and ``-`` are exact;
-    ``*`` and ``/`` take the extreme corner products or quotients, then
-    round lo down (``>>``, ``//``) and hi up (``-((-x) >> s)``).  An int
-    operand enters exactly.
-    Each rounding costs at most 2^-shift absolutely, so the caller picks the
-    scale from the smallest magnitude it must resolve (:func:`fixed_shift`).
-    On plain ints a product costs a fraction of an ``ivmpf`` one at the same
-    bits.
-
-    The type has no unbounded interval: dividing by an interval that contains
-    0 and mixing two scales raise DomainError.
+    The fixed-point format of special_eval's integer kernels, which sum each
+    end on plain ints, rounding lo down and hi up at 2^-shift (Brent and
+    Zimmermann, *Modern Computer Arithmetic*, CUP 2010, sections 3-4); the
+    caller picks the scale from the smallest magnitude it must resolve
+    (:func:`fixed_shift`).  The type has no unbounded interval.
     """
 
     __slots__ = ("lo", "hi", "shift")
@@ -533,60 +523,6 @@ class FixedInterval:
             libmp.from_man_exp(self.hi, -self.shift, prec, libmp.round_ceiling),
         ))
 
-    def _operand(self, other):
-        """other at this scale, an int exactly; None for any other type."""
-        s = self.shift
-        if isinstance(other, int):
-            return FixedInterval(other << s, other << s, s)
-        if other.__class__ is not FixedInterval:
-            return None
-        if other.shift != s:
-            raise DomainError(f"fixed-point scales 2^-{s} and 2^-{other.shift} differ")
-        return other
-
-    def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        return FixedInterval(self.lo + other.lo, self.hi + other.hi, self.shift)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __neg__(self):
-        return FixedInterval(-self.hi, -self.lo, self.shift)
-
-    def __mul__(self, other):
-        other, s = self._operand(other), self.shift
-        if other is None:
-            return NotImplemented
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        corners = (a * c, a * d, b * c, b * d)
-        return FixedInterval(min(corners) >> s, -(-max(corners) >> s), s)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other, s = self._operand(other), self.shift
-        if other is None:
-            return NotImplemented
-        # (x 2^-s) / (y 2^-s) = ((x << s) / y) 2^-s
-        a, b, c, d = self.lo << s, self.hi << s, other.lo, other.hi
-        if c <= 0 <= d:
-            raise DomainError("fixed-point division by an interval containing 0")
-        corners = [(x, y) for x in (a, b) for y in (c, d)]
-        return FixedInterval(min(x // y for x, y in corners),
-                             max(-(-x // y) for x, y in corners), s)
-
-    def __rtruediv__(self, other):
-        other = self._operand(other)
-        return NotImplemented if other is None else other / self
-
     def __repr__(self) -> str:
         return f"FixedInterval({self.lo!r}, {self.hi!r}, shift={self.shift})"
 
@@ -608,10 +544,8 @@ def _gamma_at(bits: int) -> Enclosure:
 #
 # Formula code in lemma_functions/special_eval is written once against these
 # helpers: ivmpf gives the certified enclosures and, once at 53 bits, the FAST
-# values; floats the term counts of the series and critical_points.
-# DoubleInterval runs the same formulas as the first pass of certified checks.
-# FixedInterval's + - * / run the generic T and psi_q partial sums, which only
-# the tests call: special_eval's integer kernels replay them one end at a time.
+# values; floats the term counts of the series.  DoubleInterval runs the same
+# formulas as the first pass of certified checks.
 
 
 def ln(x):

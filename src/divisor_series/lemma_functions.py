@@ -12,8 +12,6 @@ sums C, D) decide the sign of F'.  This module provides:
 * the monotone-sandwich bounds W1, W2 (Lemma 2.4ii) and J1, J2 (Lemma 2.9),
   and on their bodies sigma_q(j), rho_q(j), C_q(n) and D_q(n): C_q(39) is
   W1 - W2 and D_q(10) is J1 - J2 + 0.036;
-* the critical points M_q (maximizer) and N_q (inflection) by bracketed
-  bisection;
 * the bound functions U, V, V', Theta_q, K_q, h1..h3, Delta, G, G0 used by
   the grid/Sturm verifications, with Delta, G0 and the pieces S, P of
   h2 = 1/S, h3 = P/S^2 also available as exact rational polynomials.
@@ -21,12 +19,12 @@ sums C, D) decide the sign of F'.  This module provides:
 Formulas are written once against generic arithmetic: mpmath intervals give
 the CERTIFIED enclosures and, run once at 53 bits, the FAST values (their
 midpoints); DoubleInterval gives the cheap first pass of certified sandwich
-checks, and floats the bisection of critical_points.  NAMED_FUNCTIONS names
-each lemma-fn function with its arguments; evaluate_named and its wrappers
-refuse by one rule, _checked.  On a DoubleInterval q inside their guards two
-float-pair kernels replay a generic body bit for bit on local pairs of
-doubles: _phi_integer_sum_doubles the phi sum of W2 and J2, and
-_phi_integral_doubles the antiderivative difference of W1 and J1.
+checks.  NAMED_FUNCTIONS names each lemma-fn function with its arguments;
+evaluate_named and its wrappers refuse by one rule, _checked.  On a
+DoubleInterval q inside their guards two float-pair kernels replay a generic
+body bit for bit on local pairs of doubles: _phi_integer_sum_doubles the phi
+sum of W2 and J2, and _phi_integral_doubles the antiderivative difference of
+W1 and J1.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from math import inf, isfinite, nextafter
 from typing import Callable
 
 from .intervals import (
-    BracketSearchError,
     DomainError,
     DoubleInterval,
     Enclosure,
@@ -491,60 +488,3 @@ def correction_sums(q, n: int, mode: Mode = Mode.FAST) -> CorrectionSums:
     return CorrectionSums(tuple(_checked("sigma", mode, v) for v in sigma),
                           tuple(_checked("rho", mode, v) for v in rho),
                           _checked("C", mode, c_n), _checked("D", mode, d_n))
-
-
-# -- critical points -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CriticalPoints:
-    """m_q < n_q: maximizer of phi and inflection point, with 1 < m_q < n_q."""
-
-    m_q: float
-    n_q: float
-    bracket_width: float
-
-
-_BISECTION_WIDTH = 1e-10
-_BRACKET_START = 64.0
-_BRACKET_LIMIT = 2.0 ** 20
-
-
-def _bracket_and_bisect(f: Callable[[float], float], label: str) -> float:
-    """Bisect to the sign change of f, expanding the bracket [1, X] by
-    doubling X until f changes sign (X capped at 2^20)."""
-    left = 1.0
-    f_left = f(left)
-    right = _BRACKET_START
-    while True:
-        f_right = f(right)
-        if f_left * f_right < 0:
-            break
-        if right >= _BRACKET_LIMIT:
-            raise BracketSearchError(f"no sign change of {label} on [1, {right}]")
-        right *= 2.0
-    while right - left > _BISECTION_WIDTH:
-        mid = 0.5 * (left + right)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_left * f_mid < 0:
-            right = mid
-        else:
-            left, f_left = mid, f_mid
-    return 0.5 * (left + right)
-
-
-def critical_points(q) -> CriticalPoints:
-    """Locate M_q (phi' sign change) and N_q (a_q sign change) by bisection.
-
-    Diagnostic-grade: plain float arithmetic, bracket verified post hoc by a
-    sign check on each side of the returned point.
-    """
-    qp = QPoint.coerce(q)
-    qf = float(qp)
-    m_q = _bracket_and_bisect(lambda x: phi_prime_raw(qf, x), "phi'")
-    n_q = _bracket_and_bisect(lambda x: a_raw(qf, x), "a_q")
-    if not (1.0 < m_q < n_q):
-        raise ArithmeticError(f"critical points out of order: m={m_q}, n={n_q}")
-    return CriticalPoints(m_q=m_q, n_q=n_q, bracket_width=_BISECTION_WIDTH)

@@ -152,12 +152,6 @@ def _integer_sturm_chain(cs: list[int]) -> list[list[int]]:
     return chain
 
 
-def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    """p, p', then negated Euclidean remainders, each reduced to primitive
-    part; stops at the last nonzero element."""
-    return [Polynomial(cs) for cs in _integer_sturm_chain(_integer_coefficients(p))]
-
-
 def _sign_at(cs: Sequence[int], num: int, den: int) -> int:
     """The sign of the integer polynomial cs at num/den, den > 0, by
     homogeneous Horner: den^deg * p(num/den) on integers."""

@@ -3,7 +3,7 @@ series representations of T(q) = sum d(k) q^k as coefficient sequences.
 
 Every representation is built on integer lists from one exact step, the
 factor (1 - q^k), plus adding terms.  A ``Fraction`` appears only in the
-log-convolution series, which divides by k - j.
+reciprocal of a series whose constant term is not 1 or -1.
 
 All arithmetic is exact, and truncation points are chosen so that omitted
 terms of each representation have degree beyond the retained order.  A match
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .divisor_core import distinct_partition_stats, divisor_partial_sums, divisor_sieve
+from .divisor_core import distinct_partition_stats, divisor_sieve
 from .intervals import DomainError
 
 Coeff = Union[int, Fraction]
@@ -251,37 +251,3 @@ def identity_report(order: int) -> dict[RepresentationId, IdentityMatch]:
         idx = first_mismatch(built, reference)
         report[rep] = IdentityMatch(match=idx is None, first_mismatch_index=idx)
     return report
-
-
-# -- companion coefficient sequences -----------------------------------------
-#
-# Direct constructions of the three series whose closed forms
-# ((1/q - 1) T(q) - 1,  T(q)/(1-q),  -log(1-q) T(q)) back the sharp-bound
-# checks; the closed-form equalities are unit-tested coefficient-by-
-# coefficient against these.
-
-
-def divisor_difference_series(order: int) -> TruncatedSeries:
-    """sum_{k>=1} (d(k+1) - d(k)) q^k."""
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    table = divisor_sieve(order + 1)
-    return TruncatedSeries([0] + [table.d[k + 1] - table.d[k] for k in range(1, order + 1)])
-
-
-def divisor_partial_sum_series(order: int) -> TruncatedSeries:
-    """sum_{k>=1} (sum_{j<=k} d(j)) q^k."""
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    return TruncatedSeries(divisor_partial_sums(divisor_sieve(order)))
-
-
-def divisor_log_convolution_series(order: int) -> TruncatedSeries:
-    """sum_{k>=2} (sum_{j<k} d(j)/(k-j)) q^k."""
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    table = divisor_sieve(order)
-    coeffs = [Fraction(0), Fraction(0)]
-    for k in range(2, order + 1):
-        coeffs.append(sum(Fraction(table.d[j], k - j) for j in range(1, k)))
-    return TruncatedSeries(coeffs)

@@ -21,15 +21,16 @@ The partial sums run on outward-rounded fixed-point integers: q, and a for
 psi_q, are lifted from their ``ivmpf`` enclosures at a scale that keeps the
 working precision's significant bits of q, however small; one integer kernel
 per series (_t_sum_end, _psi_sum_end) sums each end on plain ints, and the
-sum returns to ``ivmpf`` rounded outward.  The generic bodies on
-``FixedInterval`` are the kernels' bit-for-bit reference; no evaluator calls
-them.  The tail bound is certified by ``ivmpf`` evaluation, so the enclosure
-accounts for both rounding and truncation.  Every evaluator climbs one
-precision ladder (``_climb``, which also rejects a bad eps) to width eps; H
-and F are one body, scale * (T - log(1-q)/log(q)).  FAST runs the same T,
-psi_q, H and F bodies once at ``FAST_PRECISION`` bits, with no promise on the
-width; it issues no certificates, and the bound checks below are certified
-only.
+sum returns to ``ivmpf`` rounded outward.  They are the only partial sums
+here; their bit-for-bit references, the same sums written once on
+outward-rounded fixed-point arithmetic, live with the tests
+(``tests/oracles.py``).  The tail bound is certified by ``ivmpf`` evaluation,
+so the enclosure accounts for both rounding and truncation.  Every evaluator
+climbs one precision ladder (``_climb``, which also rejects a bad eps) to
+width eps; H and F are one body, scale * (T - log(1-q)/log(q)).  FAST runs
+the same T, psi_q, H and F bodies once at ``FAST_PRECISION`` bits, with no
+promise on the width; it issues no certificates, and the bound checks below
+are certified only.
 """
 
 from __future__ import annotations
@@ -146,45 +147,18 @@ def _choose_terms(tail_at, target: float) -> int:
     return hi
 
 
-# -- series summation (generic over float / ivmpf) ---------------------------
-
-
-def _t_partial_sum_generic(q, rep: RepresentationId, terms: int, table=None):
-    """T's partial sum, the kernels' bit-for-bit reference on FixedInterval;
-    only the tests call it."""
-    s = 0 * q
-    if rep is RepresentationId.LAMBERT:
-        qk = q
-        for _ in range(terms):
-            s = s + qk / (1 - qk)
-            qk = qk * q
-        return s
-    if rep is RepresentationId.DIVISOR:
-        qk = q
-        for k in range(1, terms + 1):
-            s = s + table.d[k] * qk
-            qk = qk * q
-        return s
-    if rep is RepresentationId.CLAUSEN:
-        qk = q
-        qk2 = q  # q^{k^2}
-        for _ in range(terms):
-            s = s + (1 + qk) / (1 - qk) * qk2
-            qk2 = qk2 * qk * qk * q
-            qk = qk * q
-        return s
-    raise ValueError(f"{rep!r} has no numeric summation")
+# -- series summation (integer kernels, one end each) -------------------------
 
 
 def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table, up: int) -> int:
-    """One end of _t_partial_sum_generic on a FixedInterval q at scale 2^-s,
-    bit for bit: x is q.lo with up = 0 (the lower end) or q.hi with up = 1.
-    With 0 <= q.lo and q.hi < 2^s every operand is non-negative and every
-    power of q stays below 1, so FixedInterval's corner rules pick lo = a*c,
-    hi = b*d for a product and lo = a/d, hi = b/c for a quotient, and
-    1 +- q^k is exact: each end depends on its own end of q alone.  up = 0
-    rounds down, (x*y) >> s and n // y; up = 1 rounds up,
-    (x*y + 2^s - 1) >> s and (n + y - 1) // y."""
+    """One end of T's partial sum on a FixedInterval q at scale 2^-s: x is
+    q.lo with up = 0 (the lower end) or q.hi with up = 1.  Interval
+    arithmetic takes the extreme corners of a product or quotient; with
+    0 <= q.lo and q.hi < 2^s every operand is non-negative and every power of
+    q stays below 1, so those are lo = a*c, hi = b*d for a product and
+    lo = a/d, hi = b/c for a quotient, and 1 +- q^k is exact: each end
+    depends on its own end of q alone.  up = 0 rounds down, (x*y) >> s and
+    n // y; up = 1 rounds up, (x*y + 2^s - 1) >> s and (n + y - 1) // y."""
     one = 1 << s
     r = up * (one - 1)
     total = 0
@@ -213,25 +187,10 @@ def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table, up: int
     raise ValueError(f"{rep!r} has no numeric summation")
 
 
-def _psi_partial_sum_generic(q, a, terms: int):
-    """sum_{k<=terms} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k)), a = q^(x-1),
-    the kernel's bit-for-bit reference on FixedInterval; only the tests call it."""
-    s = 0 * q
-    qk = q
-    aqk = a * q  # a q^k
-    c = aqk  # a^k q^{k^2}
-    for _ in range(terms):
-        s = s + c * (1 / (1 - qk) + aqk / (1 - aqk))
-        qk = qk * q
-        c = c * aqk * qk
-        aqk = aqk * q
-    return s
-
-
 def _psi_sum_end(x: int, y: int, s: int, terms: int, up: int) -> int:
-    """One end of _psi_partial_sum_generic on FixedInterval q and a at scale
-    2^-s, bit for bit, as _t_sum_end: (x, y) is (q.lo, a.lo) with up = 0 or
-    (q.hi, a.hi) with up = 1."""
+    """One end of sum_{k<=terms} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k))
+    on FixedInterval q and a = q^(x-1) at scale 2^-s, as _t_sum_end: (x, y)
+    is (q.lo, a.lo) with up = 0 or (q.hi, a.hi) with up = 1."""
     one = 1 << s
     r = up * (one - 1)
     unit = one << s  # 1 at scale 2^-2s, the dividend of 1 / (1 - q^k)
@@ -503,8 +462,11 @@ def check_bounds(
         h_s_est = float(eval_H(sp, 1e-6, mode=Mode.FAST).value.midpoint())
 
         def triple(e):
-            w_r = e * h_s_est / 4.0
-            w_s = w_r * (h_s_est / max(h_r_est, 5e-324))  # inf where H(r) underflows
+            # a Fraction eps may lie below the doubles: its widths stay exact
+            exact = isinstance(e, Fraction)
+            h_s, h_r = (Fraction(v) if exact else v for v in (h_s_est, max(h_r_est, 5e-324)))
+            w_r = e * h_s / 4
+            w_s = w_r * (h_s / h_r)  # a double inf where H(r) underflows
             if not w_s > 0:  # 0 or NaN where w_r is 0
                 raise DomainError("s underflows in double precision: e H(s)/4 rounds to 0")
             h_r = eval_H(rp, w_r)

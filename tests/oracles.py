@@ -1,0 +1,219 @@
+"""Reference bodies and brute-force oracles that only the tests run.
+
+* :class:`FixedArithmetic` -- outward-rounded ``+ - * /`` on the fixed-point
+  format of :class:`divisor_series.intervals.FixedInterval`;
+* :func:`t_partial_sum_generic` and :func:`psi_partial_sum_generic` -- the
+  partial sums of T and psi_q written once on that arithmetic, the
+  bit-for-bit references of special_eval's integer kernels ``_t_sum_end``
+  and ``_psi_sum_end``;
+* :func:`floor_sum` and :func:`distinct_partition_stats_enumerated` --
+  independent oracles for divisor_core;
+* :func:`sturm_chain` -- the integer Sturm chain of polynomials as a list of
+  Polynomials;
+* the three companion series of power_series' sharp-bound closed forms.
+
+Pytest puts this directory on ``sys.path``, so the tests import it as
+``oracles``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from divisor_series.divisor_core import PartitionStats, divisor_partial_sums, divisor_sieve
+from divisor_series.intervals import DomainError, FixedInterval
+from divisor_series.polynomials import (
+    Polynomial,
+    _integer_coefficients,
+    _integer_sturm_chain,
+)
+from divisor_series.power_series import RepresentationId, TruncatedSeries
+
+
+# -- fixed-point arithmetic and the kernels' reference bodies --------------------
+
+
+class FixedArithmetic(FixedInterval):
+    """FixedInterval with outward-rounded arithmetic (Brent and Zimmermann,
+    *Modern Computer Arithmetic*, CUP 2010, sections 3-4): ``+`` and ``-``
+    are exact; ``*`` and ``/`` take the extreme corner products or
+    quotients, then round lo down (``>>``, ``//``) and hi up
+    (``-((-x) >> s)``).  An int operand enters exactly.  Each rounding costs
+    at most 2^-shift absolutely.  Dividing by an interval that contains 0 and
+    mixing two scales raise DomainError."""
+
+    __slots__ = ()
+
+    def _operand(self, other):
+        """other at this scale, an int exactly; None for any other type."""
+        s = self.shift
+        if isinstance(other, int):
+            return FixedArithmetic(other << s, other << s, s)
+        if other.__class__ is not FixedArithmetic:
+            return None
+        if other.shift != s:
+            raise DomainError(f"fixed-point scales 2^-{s} and 2^-{other.shift} differ")
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return FixedArithmetic(self.lo + other.lo, self.hi + other.hi, self.shift)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return FixedArithmetic(-self.hi, -self.lo, self.shift)
+
+    def __mul__(self, other):
+        other, s = self._operand(other), self.shift
+        if other is None:
+            return NotImplemented
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        corners = (a * c, a * d, b * c, b * d)
+        return FixedArithmetic(min(corners) >> s, -(-max(corners) >> s), s)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other, s = self._operand(other), self.shift
+        if other is None:
+            return NotImplemented
+        # (x 2^-s) / (y 2^-s) = ((x << s) / y) 2^-s
+        a, b, c, d = self.lo << s, self.hi << s, other.lo, other.hi
+        if c <= 0 <= d:
+            raise DomainError("fixed-point division by an interval containing 0")
+        corners = [(x, y) for x in (a, b) for y in (c, d)]
+        return FixedArithmetic(min(x // y for x, y in corners),
+                               max(-(-x // y) for x, y in corners), s)
+
+    def __rtruediv__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else other / self
+
+
+def t_partial_sum_generic(q, rep: RepresentationId, terms: int, table=None):
+    """T's partial sum on FixedArithmetic q, the bit-for-bit reference of
+    special_eval._t_sum_end."""
+    s = 0 * q
+    if rep is RepresentationId.LAMBERT:
+        qk = q
+        for _ in range(terms):
+            s = s + qk / (1 - qk)
+            qk = qk * q
+        return s
+    if rep is RepresentationId.DIVISOR:
+        qk = q
+        for k in range(1, terms + 1):
+            s = s + table.d[k] * qk
+            qk = qk * q
+        return s
+    if rep is RepresentationId.CLAUSEN:
+        qk = q
+        qk2 = q  # q^{k^2}
+        for _ in range(terms):
+            s = s + (1 + qk) / (1 - qk) * qk2
+            qk2 = qk2 * qk * qk * q
+            qk = qk * q
+        return s
+    raise ValueError(f"{rep!r} has no numeric summation")
+
+
+def psi_partial_sum_generic(q, a, terms: int):
+    """sum_{k<=terms} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k)), a = q^(x-1),
+    on FixedArithmetic q and a: the bit-for-bit reference of
+    special_eval._psi_sum_end."""
+    s = 0 * q
+    qk = q
+    aqk = a * q  # a q^k
+    c = aqk  # a^k q^{k^2}
+    for _ in range(terms):
+        s = s + c * (1 / (1 - qk) + aqk / (1 - aqk))
+        qk = qk * q
+        c = c * aqk * qk
+        aqk = aqk * q
+    return s
+
+
+# -- divisor_core oracles --------------------------------------------------------
+
+
+def floor_sum(n: int) -> int:
+    """sum_{k=1}^{n} floor(n/k) -- independent oracle for the partial sums."""
+    return sum(n // k for k in range(1, n + 1))
+
+
+def distinct_partition_stats_enumerated(n_max: int) -> PartitionStats:
+    """divisor_core.distinct_partition_stats by exhaustive enumeration of
+    distinct partitions.  Exponential in n_max; an independent cross-check
+    for small orders."""
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    s_odd = [0] * (n_max + 1)
+    s_even = [0] * (n_max + 1)
+
+    def extend(remaining: int, min_part: int, parts: int, total: int):
+        # `total` is the full partition size once `remaining` reaches 0
+        if remaining == 0:
+            if parts % 2:
+                s_odd[total] += parts
+            else:
+                s_even[total] += parts
+            return
+        for p in range(min_part, remaining + 1):
+            extend(remaining - p, p + 1, parts + 1, total)
+
+    for n in range(1, n_max + 1):
+        extend(n, 1, 0, n)
+    return PartitionStats(n_max=n_max, s_odd=tuple(s_odd), s_even=tuple(s_even))
+
+
+# -- polynomials -----------------------------------------------------------------
+
+
+def sturm_chain(p: Polynomial) -> list[Polynomial]:
+    """p, p', then negated Euclidean remainders, each reduced to primitive
+    part; stops at the last nonzero element.  The chain sturm_root_count
+    runs on integers."""
+    return [Polynomial(cs) for cs in _integer_sturm_chain(_integer_coefficients(p))]
+
+
+# -- companion coefficient sequences ---------------------------------------------
+#
+# Direct constructions of the three series whose closed forms
+# ((1/q - 1) T(q) - 1,  T(q)/(1-q),  -log(1-q) T(q)) back the sharp-bound
+# checks; the closed-form equalities are tested coefficient by coefficient
+# against these.
+
+
+def divisor_difference_series(order: int) -> TruncatedSeries:
+    """sum_{k>=1} (d(k+1) - d(k)) q^k."""
+    if order < 1:
+        raise DomainError("order must be >= 1")
+    table = divisor_sieve(order + 1)
+    return TruncatedSeries([0] + [table.d[k + 1] - table.d[k] for k in range(1, order + 1)])
+
+
+def divisor_partial_sum_series(order: int) -> TruncatedSeries:
+    """sum_{k>=1} (sum_{j<=k} d(j)) q^k."""
+    if order < 1:
+        raise DomainError("order must be >= 1")
+    return TruncatedSeries(divisor_partial_sums(divisor_sieve(order)))
+
+
+def divisor_log_convolution_series(order: int) -> TruncatedSeries:
+    """sum_{k>=2} (sum_{j<k} d(j)/(k-j)) q^k."""
+    if order < 1:
+        raise DomainError("order must be >= 1")
+    table = divisor_sieve(order)
+    coeffs = [Fraction(0), Fraction(0)]
+    for k in range(2, order + 1):
+        coeffs.append(sum(Fraction(table.d[j], k - j) for j in range(1, k)))
+    return TruncatedSeries(coeffs)

@@ -517,9 +517,12 @@ def test_precision_error_prints_a_short_width(capsys):
     ["eval", "--fn", "H", "--q", "0.5", "--mode", "certified"],
     ["bounds-scan", "--theorem", "T4_1", "--grid-start", "0.5", "--grid-end", "0.5"],
     ["bounds-scan", "--theorem", "T4_3", "--grid-start", "0.5", "--grid-end", "0.5"],
-], ids=["F", "H", "T4_1", "T4_3"])
+    ["bounds-scan", "--theorem", "C3_3", "--grid-start", "0.5", "--grid-end", "0.51",
+     "--grid-step", "0.01"],
+], ids=["F", "H", "T4_1", "T4_3", "C3_3"])
 def test_precision_error_names_the_eps_given(capsys, argv):
-    """F, H, T4_1 and T4_3 ask T for eps/2 or eps/4; the error names --eps."""
+    """F, H, T4_1 and T4_3 ask T for eps/2 or eps/4, C3_3 asks H for about
+    eps H(s)/4; the error names --eps."""
     code, _, err = run_cli(capsys, *argv, "--eps", "1e-400")
     assert code == 1 and err == "error: cannot reach width 1.0e-400 within 1024 bits\n"
 

@@ -5,12 +5,11 @@ import pytest
 
 from divisor_series.divisor_core import (
     distinct_partition_stats,
-    distinct_partition_stats_enumerated,
     divisor_partial_sums,
     divisor_sieve,
-    floor_sum,
 )
 from divisor_series.intervals import DomainError
+from oracles import distinct_partition_stats_enumerated, floor_sum
 
 
 def divisor_count_trial(n: int) -> int:

@@ -1,5 +1,6 @@
 """Outward rounding and ordering semantics of the Enclosure,
-DoubleInterval and FixedInterval types."""
+DoubleInterval and FixedInterval types, and of the tests' fixed-point
+arithmetic FixedArithmetic."""
 
 import math
 import random
@@ -27,6 +28,7 @@ from divisor_series.intervals import (
     to_ivmpf,
     working_precision,
 )
+from oracles import FixedArithmetic
 
 
 def test_third_times_three_contains_one():
@@ -386,27 +388,27 @@ def test_floor_and_ceil_floats_match_rounding_and_comparing_back():
         assert _ceil_float(m).hex() == _rounded_float(m, libmp.round_ceiling).hex(), m
 
 
-# -- FixedInterval: outward-rounded integers over one power-of-two scale --------
+# -- FixedArithmetic: outward-rounded integers over one power-of-two scale -----
 
 
-def _fixed_operands(seed: int, shift: int, count: int) -> list[FixedInterval]:
+def _fixed_operands(seed: int, shift: int, count: int) -> list[FixedArithmetic]:
     """Points and intervals of both signs, some crossing 0, with endpoints
     from 1 ulp to 2^40 units of 1."""
     rng = random.Random(seed)
-    out = [FixedInterval(0, 0, shift), FixedInterval(-1, 1, shift),
-           FixedInterval(1 << shift, 1 << shift, shift)]
+    out = [FixedArithmetic(0, 0, shift), FixedArithmetic(-1, 1, shift),
+           FixedArithmetic(1 << shift, 1 << shift, shift)]
     while len(out) < count:
         lo = rng.choice((1, -1)) * rng.randrange(1, 1 << rng.choice((1, 20, shift, shift + 40)))
         hi = lo if rng.random() < 0.3 else lo + rng.randrange(0, 1 << rng.choice((1, 30, shift + 41)))
-        out.append(FixedInterval(lo, hi, shift))
+        out.append(FixedArithmetic(lo, hi, shift))
     return out
 
 
-def _corners(x: FixedInterval) -> list[Fraction]:
+def _corners(x: FixedArithmetic) -> list[Fraction]:
     return [Fraction(x.lo, 2 ** x.shift), Fraction(x.hi, 2 ** x.shift)]
 
 
-def _contains_zero(x: FixedInterval) -> bool:
+def _contains_zero(x: FixedArithmetic) -> bool:
     return x.lo <= 0 <= x.hi
 
 
@@ -450,9 +452,9 @@ def test_fixed_interval_arithmetic_is_the_tightest_enclosure(op, shift):
 
 
 def test_fixed_interval_division_by_an_interval_containing_zero_raises():
-    one = FixedInterval(1 << 64, 1 << 64, 64)
-    for divisor in (FixedInterval(0, 0, 64), FixedInterval(-1, 1, 64),
-                    FixedInterval(0, 5, 64), FixedInterval(-5, 0, 64)):
+    one = FixedArithmetic(1 << 64, 1 << 64, 64)
+    for divisor in (FixedArithmetic(0, 0, 64), FixedArithmetic(-1, 1, 64),
+                    FixedArithmetic(0, 5, 64), FixedArithmetic(-5, 0, 64)):
         with pytest.raises(DomainError):
             one / divisor
         with pytest.raises(DomainError):
@@ -464,7 +466,7 @@ def test_fixed_interval_division_by_an_interval_containing_zero_raises():
 @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
 def test_fixed_interval_mixed_scales_raise(op):
     fn = _OPS[op]
-    x, y = FixedInterval(3 << 64, 5 << 64, 64), FixedInterval(3 << 65, 5 << 65, 65)
+    x, y = FixedArithmetic(3 << 64, 5 << 64, 64), FixedArithmetic(3 << 65, 5 << 65, 65)
     with pytest.raises(DomainError):
         fn(x, y)
     with pytest.raises(DomainError):
@@ -472,12 +474,15 @@ def test_fixed_interval_mixed_scales_raise(op):
 
 
 def test_fixed_interval_takes_no_inexact_operand():
-    x = FixedInterval(3, 5, 64)
+    x = FixedArithmetic(3, 5, 64)
     for other in (0.5, Fraction(1, 3)):
         with pytest.raises(TypeError):
             x + other
         with pytest.raises(TypeError):
             x * other
+
+
+# -- FixedInterval: the fixed-point format of the kernels ----------------------
 
 
 @pytest.mark.parametrize("bits", [53, 128, 1024])

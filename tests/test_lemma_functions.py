@@ -13,7 +13,6 @@ from scipy.integrate import quad
 
 from divisor_series import lemma_functions, verifier
 from divisor_series.intervals import (
-    BracketSearchError,
     DomainError,
     DoubleInterval,
     Enclosure,
@@ -29,7 +28,6 @@ from divisor_series.lemma_functions import (
     a_raw,
     b_raw,
     correction_sums,
-    critical_points,
     delta_polynomial,
     delta_raw,
     g0_polynomial,
@@ -639,25 +637,55 @@ def test_wrappers_are_evaluate_named_bit_for_bit(mode):
         assert wrapper == _outcome(lambda: evaluate_named("Phi", q=q, x=x, mode=mode)), q
 
 
-# -- critical points -------------------------------------------------------------
+# -- the maximizer M_q and the inflection point N_q ----------------------------
+
+#: q -> (M bracket, N bracket): phi'_q changes sign from + to - across the
+#: first, a_q (the sign of phi''_q) from - to + across the second.
+_CRITICAL_BRACKETS = {
+    Fraction(1, 5): ((Fraction(161, 100), Fraction(1611, 1000)),
+                     (Fraction(2247, 1000), Fraction(281, 125))),
+    Fraction(1, 2): ((Fraction(2239, 1000), Fraction(56, 25)),
+                     (Fraction(369, 100), Fraction(3691, 1000))),
+    Fraction(91, 100): ((Fraction(5697, 1000), Fraction(2849, 500)),
+                        (Fraction(14537, 1000), Fraction(7269, 500))),
+    Fraction(99, 100): ((Fraction(3459, 200), Fraction(2162, 125)),
+                        (Fraction(37493, 500), Fraction(74987, 1000))),
+}
 
 
-def test_critical_points_ordering():
-    for q in (0.2, 0.5, 0.91, 0.99):
-        cp = critical_points(q)
-        assert 1.0 < cp.m_q < cp.n_q
-        assert cp.bracket_width <= 1e-10
+def _certified(name: str, q: Fraction, x: Fraction) -> Enclosure:
+    return evaluate_named(name, q=q, x=x, mode=Mode.CERTIFIED)
 
 
-def test_critical_points_sign_changes():
-    cp = critical_points(0.5)
-    delta = 1e-6
-    assert phi_prime_raw(0.5, cp.m_q - delta) > 0 > phi_prime_raw(0.5, cp.m_q + delta)
-    assert a_raw(0.5, cp.n_q - delta) < 0 < a_raw(0.5, cp.n_q + delta)
+@pytest.mark.parametrize("q", list(_CRITICAL_BRACKETS), ids=str)
+def test_phi_prime_changes_sign_across_pinned_brackets(q):
+    (m_lo, m_hi), _ = _CRITICAL_BRACKETS[q]
+    assert _certified("phi_prime", q, m_lo).is_positive()
+    assert _certified("phi_prime", q, m_hi).strictly_below(0)
+
+
+@pytest.mark.parametrize("q", list(_CRITICAL_BRACKETS), ids=str)
+def test_a_changes_sign_across_pinned_brackets(q):
+    _, (n_lo, n_hi) = _CRITICAL_BRACKETS[q]
+    assert _certified("a", q, n_lo).strictly_below(0)
+    assert _certified("a", q, n_hi).is_positive()
+
+
+@pytest.mark.parametrize("q", list(_CRITICAL_BRACKETS), ids=str)
+def test_maximizer_lies_below_inflection_point(q):
+    """1 < M_q < N_q: each M bracket lies below its N bracket, and between
+    them phi is decreasing and concave, phi' < 0 and a_q < 0 at both ends."""
+    (_, m_hi), (n_lo, _) = _CRITICAL_BRACKETS[q]
+    assert 1 < m_hi < n_lo
+    for x in (m_hi, n_lo):
+        assert _certified("phi_prime", q, x).strictly_below(0)
+        assert _certified("a", q, x).strictly_below(0)
 
 
 def test_inflection_point_bound_near_one():
-    assert critical_points(0.91).n_q >= 14.0
+    """N_{0.91} > 14: a_q(14) < 0 at q = 91/100, certified."""
+    a_14 = _certified("a", Fraction(91, 100), Fraction(14))
+    assert a_14.contained_in(Fraction(-5119, 10**7), Fraction(-5117, 10**7))
 
 
 # -- pinned spot values (recomputed tighter, within the stated windows) ----------

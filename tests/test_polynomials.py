@@ -13,7 +13,8 @@ from divisor_series.lemma_functions import (
     h2_denominator_polynomial,
     h3_numerator_polynomial,
 )
-from divisor_series.polynomials import Polynomial, sturm_chain, sturm_root_count
+from divisor_series.polynomials import Polynomial, sturm_root_count
+from oracles import sturm_chain
 
 
 def poly_from_roots(roots) -> Polynomial:

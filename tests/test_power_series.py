@@ -11,12 +11,14 @@ from divisor_series.power_series import (
     RepresentationId,
     TruncatedSeries,
     build_representation,
-    divisor_difference_series,
-    divisor_log_convolution_series,
-    divisor_partial_sum_series,
     first_mismatch,
     identity_report,
     q_pochhammer,
+)
+from oracles import (
+    divisor_difference_series,
+    divisor_log_convolution_series,
+    divisor_partial_sum_series,
 )
 
 

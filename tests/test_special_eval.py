@@ -1,6 +1,7 @@
 """Certified evaluators: cross-representation consistency, the q-digamma
 identity, limit behavior, sharp-bound checks and Landau's constant."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -40,12 +41,11 @@ from divisor_series.special_eval import (
     landau_constant_from_t,
     landau_fibonacci,
     t_enclosure_for_interval,
-    _psi_partial_sum_generic,
     _psi_sum_end,
     _psi_tail,
-    _t_partial_sum_generic,
     _t_sum_end,
 )
+from oracles import FixedArithmetic, psi_partial_sum_generic, t_partial_sum_generic
 
 NUMERIC_REPS = (RepresentationId.DIVISOR, RepresentationId.LAMBERT, RepresentationId.CLAUSEN)
 
@@ -293,16 +293,16 @@ def _lifted(q: Fraction, x: Fraction | None = None):
     lift them."""
     q_iv = to_ivmpf(q)
     shift = fixed_shift(q_iv)
-    q_fx = FixedInterval.from_ivmpf(q_iv, shift)
+    q_fx = FixedArithmetic.from_ivmpf(q_iv, shift)
     if x is None:
         return q_fx
-    return q_fx, FixedInterval.from_ivmpf(iv.exp(to_ivmpf(x - 1) * iv.log(q_iv)), shift)
+    return q_fx, FixedArithmetic.from_ivmpf(iv.exp(to_ivmpf(x - 1) * iv.log(q_iv)), shift)
 
 
 @pytest.mark.parametrize("prec", [53, 128, 512])
 @pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
 def test_t_sum_kernel_is_the_generic_body_bit_for_bit(rep, prec):
-    """_t_sum_end replays _t_partial_sum_generic on FixedInterval: its lower
+    """_t_sum_end replays t_partial_sum_generic on FixedArithmetic: its lower
     end from q.lo and its upper end from q.hi are the generic body's ends,
     as ints, for 1, 6 and 300 terms, up to q = 1 - 1e-6."""
     for terms in (1, _FIXED_TERMS, 300):
@@ -310,7 +310,7 @@ def test_t_sum_kernel_is_the_generic_body_bit_for_bit(rep, prec):
         for q in _KERNEL_QS:
             with interval_precision(prec):
                 q_fx = _lifted(q)
-            body = _t_partial_sum_generic(q_fx, rep, terms, table)
+            body = t_partial_sum_generic(q_fx, rep, terms, table)
             lo = _t_sum_end(q_fx.lo, q_fx.shift, rep, terms, table, 0)
             hi = _t_sum_end(q_fx.hi, q_fx.shift, rep, terms, table, 1)
             assert (lo, hi) == (body.lo, body.hi), (q, terms)
@@ -320,7 +320,7 @@ def test_t_sum_kernel_is_the_generic_body_bit_for_bit(rep, prec):
 @pytest.mark.parametrize("x", [Fraction(1, 100), Fraction(1, 5), Fraction(1), Fraction(3, 2),
                                Fraction(7, 3)], ids=str)
 def test_psi_sum_kernel_is_the_generic_body_bit_for_bit(x, prec):
-    """_psi_sum_end replays _psi_partial_sum_generic on FixedInterval q and a
+    """_psi_sum_end replays psi_partial_sum_generic on FixedArithmetic q and a
     wherever the kernel's guard holds, as ints; a case whose a q reaches 1
     is outside the guard and left to the guard test below."""
     kernel_cases = 0
@@ -332,7 +332,7 @@ def test_psi_sum_kernel_is_the_generic_body_bit_for_bit(x, prec):
             if (a_fx.hi * q_fx.hi + (1 << s) - 1) >> s >= 1 << s:
                 continue  # a q reaches 1: outside the guard
             kernel_cases += 1
-            body = _psi_partial_sum_generic(q_fx, a_fx, terms)
+            body = psi_partial_sum_generic(q_fx, a_fx, terms)
             lo = _psi_sum_end(q_fx.lo, a_fx.lo, s, terms, 0)
             hi = _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1)
             assert (lo, hi) == (body.lo, body.hi), (q, terms)
@@ -397,27 +397,31 @@ def test_psi_rung_guard_returns_none_without_a_kernel_call(monkeypatch):
     assert len(calls) == 2
 
 
-_GENERIC_ONLY = ["__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__"]
+#: The functions of special_eval that sum a series: the two integer kernels
+#: and Landau's exact rational partial sum.
+_SUMS = {"_t_sum_end", "_psi_sum_end", "fibonacci_partial_sum"}
+
+#: What src's FixedInterval defines: the fixed-point format, no arithmetic.
+_FIXED_FORMAT = {"__init__", "from_ivmpf", "to_ivmpf", "__repr__"}
 
 
 @pytest.mark.parametrize("mode", [Mode.FAST, Mode.CERTIFIED])
 @pytest.mark.parametrize("q, pair", [("1e-400", ("1e-20", "2e-20")), ("1/2", ("1/4", "1/2")),
                                      ("99/100", ("49/50", "99/100"))], ids=lambda v: str(v))
 def test_evaluators_never_run_the_generic_bodies(monkeypatch, q, pair, mode):
-    """With both generic bodies and every arithmetic operator of
-    FixedInterval made to raise, T (three series), psi_q (four x), H, F and,
-    certified only, Landau's constant and one bound check of each theorem
-    still evaluate: the integer kernels are the only partial sums the
-    evaluators run.  C3_3 takes its pair near q (at 1e-20 near 0, where H
-    is still a normal double)."""
-    def refuse(*args):
-        raise AssertionError("a generic body ran")
-
-    for name in ("_t_partial_sum_generic", "_psi_partial_sum_generic"):
-        monkeypatch.setattr(special_eval, name, refuse)
-    for name in _GENERIC_ONLY:
-        monkeypatch.setattr(FixedInterval, name, refuse)
+    """special_eval defines no generic partial sum, and FixedInterval defines
+    no operator a generic body could run on: the integer kernels are the only
+    partial sums the evaluators run.  T (three series), psi_q (four x), H, F
+    and, certified only, Landau's constant and one bound check of each
+    theorem evaluate, and call both kernels.  C3_3 takes its pair near q (at
+    1e-20 near 0, where H is still a normal double)."""
+    functions = {name for name, value in vars(special_eval).items()
+                 if inspect.isfunction(value) and value.__module__ == special_eval.__name__}
+    assert {name for name in functions if "sum" in name} == _SUMS
+    assert {name for name, value in vars(FixedInterval).items() if callable(value)
+            or isinstance(value, classmethod)} == _FIXED_FORMAT
+    t_calls = _count_calls(monkeypatch, "_t_sum_end")
+    psi_calls = _count_calls(monkeypatch, "_psi_sum_end")
     for rep in NUMERIC_REPS:
         eval_T(q, 1e-12, rep, mode)
     for x in (Fraction(1, 100), Fraction(1, 5), Fraction(1), Fraction(3, 2)):
@@ -431,6 +435,7 @@ def test_evaluators_never_run_the_generic_bodies(monkeypatch, q, pair, mode):
                 check_bounds(theorem, pair=pair)
             else:
                 check_bounds(theorem, q=q)
+    assert t_calls and psi_calls
 
 
 @pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
