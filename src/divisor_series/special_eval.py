@@ -6,6 +6,7 @@ Tail bounds used to truncate the series (K = number of retained terms,
 
 * Lambert        sum_{k>K} q^k/(1-q^k)        <= q^{K+1} / ((1-q)(1-q^{K+1}))
 * divisor        sum_{k>K} d(k) q^k           <= q^{K+1}((K+1) - Kq)/(1-q)^2
+                                               = q^{K+1}/(1-q)^2 + K q^{K+1}/(1-q)
                  (uses d(k) <= k)
 * Clausen        sum_{k>K} (1+q^k)/(1-q^k) q^{k^2}
                  <= ((1+q)/(1-q)) q^{(K+1)^2} / (1 - q^{2K+3})
@@ -24,8 +25,12 @@ per series (_t_sum_end, _psi_sum_end) sums each end on plain ints, and the
 sum returns to ``ivmpf`` rounded outward.  They are the only partial sums
 here; their bit-for-bit references, the same sums written once on
 outward-rounded fixed-point arithmetic, live with the tests
-(``tests/oracles.py``).  The tail bound is certified by ``ivmpf`` evaluation,
-so the enclosure accounts for both rounding and truncation.  Every evaluator
+(``tests/oracles.py``).  The upper pass of each kernel also forms the tail
+bound above at q.hi (and a.hi) from the powers it has just rounded up, with
+ceiling divisions, and adds it to its end: every term is positive and grows
+with q and a, so the bound at the upper ends covers the whole interval, and
+the enclosure accounts for both rounding and truncation.  The same bounds in
+doubles (_t_tail, _psi_tail) only pick the term count.  Every evaluator
 climbs one precision ladder (``_climb``, which also rejects a bad eps) to
 width eps; H and F are one body, scale * (T - log(1-q)/log(q)).  FAST runs
 the same T, psi_q, H and F bodies once at ``FAST_PRECISION`` bits, with no
@@ -89,21 +94,21 @@ class EvalReport:
     mode: Mode
 
 
-# -- tail bounds (generic over float / ivmpf) and term-count selection -------
+# -- tail bounds in doubles and term-count selection -------------------------
 
 
-def _check_below_one(*values) -> None:
-    """Reject series arguments (doubles or intervals) outside [0, 1): a q
-    whose double rounds to 1.0 has no finite tail bound.  0 itself is kept,
-    where a power q^x underflows."""
+def _check_below_one(*values: float) -> None:
+    """Reject double series arguments outside [0, 1): a q whose double
+    rounds to 1.0 has no finite tail bound.  0 itself is kept, where a power
+    q^x underflows."""
     for v in values:
-        if not (0 <= v and v < 1):
+        if not 0 <= v < 1:
             raise DomainError("series argument must lie inside (0, 1) at working precision")
 
 
-def _t_tail(q, rep: RepresentationId, terms: int):
-    """Tail bound of T's series past `terms` terms (module docstring); a
-    double upper bound on q picks the term count, an interval certifies."""
+def _t_tail(q: float, rep: RepresentationId, terms: int) -> float:
+    """Tail bound of T's series past `terms` terms (module docstring) at a
+    double upper bound on q, which picks the term count."""
     _check_below_one(q)
     if rep is RepresentationId.LAMBERT:
         p = q ** (terms + 1)
@@ -117,11 +122,11 @@ def _t_tail(q, rep: RepresentationId, terms: int):
     raise ValueError(f"no tail bound for {rep!r}")
 
 
-def _psi_tail(q, a, terms: int):
+def _psi_tail(q: float, a: float, terms: int) -> float:
     """Tail bound of the q-digamma sum in Clausen's form past `terms` terms,
-    a = q^(x-1) (module docstring); doubles pick the term count, intervals
-    certify.  The head is (a p)^(K+1): a alone overflows a double when x < 1
-    and q is tiny, while a p = q^(x+K) < 1."""
+    a = q^(x-1) (module docstring), at double upper bounds on q and a, which
+    pick the term count.  The head is (a p)^(K+1): a alone overflows a
+    double when x < 1 and q is tiny, while a p = q^(x+K) < 1."""
     p = q ** (terms + 1)
     ap = a * p
     _check_below_one(q, ap)
@@ -150,15 +155,25 @@ def _choose_terms(tail_at, target: float) -> int:
 # -- series summation (integer kernels, one end each) -------------------------
 
 
-def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table, up: int) -> int:
-    """One end of T's partial sum on a FixedInterval q at scale 2^-s: x is
-    q.lo with up = 0 (the lower end) or q.hi with up = 1.  Interval
-    arithmetic takes the extreme corners of a product or quotient; with
-    0 <= q.lo and q.hi < 2^s every operand is non-negative and every power of
-    q stays below 1, so those are lo = a*c, hi = b*d for a product and
-    lo = a/d, hi = b/c for a quotient, and 1 +- q^k is exact: each end
-    depends on its own end of q alone.  up = 0 rounds down, (x*y) >> s and
-    n // y; up = 1 rounds up, (x*y + 2^s - 1) >> s and (n + y - 1) // y."""
+def _up_div(n: int, d: int, s: int) -> int:
+    """(n 2^-s) / (d 2^-s) at scale 2^-s rounded up, for n >= 0 and d >= 1."""
+    return ((n << s) + d - 1) // d
+
+
+def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table,
+               up: int) -> tuple[int, int]:
+    """One end of T's enclosure on a FixedInterval q at scale 2^-s, as
+    (end, tail): x is q.lo with up = 0 (the lower end, tail 0) or q.hi with
+    up = 1.  Interval arithmetic takes the extreme corners of a product or
+    quotient; with 0 <= q.lo and q.hi < 2^s every operand is non-negative
+    and every power of q stays below 1, so those are lo = a*c, hi = b*d for
+    a product and lo = a/d, hi = b/c for a quotient, and 1 +- q^k is exact:
+    each end depends on its own end of q alone.  up = 0 rounds down,
+    (x*y) >> s and n // y; up = 1 rounds up, (x*y + 2^s - 1) >> s and
+    (n + y - 1) // y.  The upper pass then forms the tail bound of the
+    module docstring at q.hi from its rounded-up q^(K+1) (and q^((K+1)^2)),
+    dividing by lower bounds of each 1 - q^j and rounding every quotient
+    up, and adds it to the end."""
     one = 1 << s
     r = up * (one - 1)
     total = 0
@@ -168,14 +183,19 @@ def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table, up: int
             den = one - qk
             total += ((qk << s) + up * (den - 1)) // den
             qk = (qk * x + r) >> s
-        return total
-    if rep is RepresentationId.DIVISOR:
+        if not up:
+            return total, 0
+        tail = _up_div(_up_div(qk, one - x, s), one - qk, s)
+    elif rep is RepresentationId.DIVISOR:
         qk, d = x, table.d
         for k in range(1, terms + 1):
             total += d[k] * qk
             qk = (qk * x + r) >> s
-        return total
-    if rep is RepresentationId.CLAUSEN:
+        if not up:
+            return total, 0
+        head = _up_div(qk, one - x, s)  # q^(K+1) / (1-q)
+        tail = _up_div(head, one - x, s) + terms * head
+    elif rep is RepresentationId.CLAUSEN:
         qk = qk2 = x  # q^k, q^{k^2}
         for _ in range(terms):
             den = one - qk
@@ -183,14 +203,22 @@ def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table, up: int
             total += (ratio * qk2 + r) >> s
             qk2 = (((((qk2 * qk + r) >> s) * qk + r) >> s) * x + r) >> s
             qk = (qk * x + r) >> s
-        return total
-    raise ValueError(f"{rep!r} has no numeric summation")
+        if not up:
+            return total, 0
+        head = (_up_div(one + x, one - x, s) * qk2 + r) >> s
+        tail = _up_div(head, one - ((((qk * qk + r) >> s) * x + r) >> s), s)
+    else:
+        raise ValueError(f"{rep!r} has no numeric summation")
+    return total + tail, tail
 
 
-def _psi_sum_end(x: int, y: int, s: int, terms: int, up: int) -> int:
+def _psi_sum_end(x: int, y: int, s: int, terms: int, up: int) -> tuple[int, int]:
     """One end of sum_{k<=terms} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k))
-    on FixedInterval q and a = q^(x-1) at scale 2^-s, as _t_sum_end: (x, y)
-    is (q.lo, a.lo) with up = 0 or (q.hi, a.hi) with up = 1."""
+    on FixedInterval q and a = q^(x-1) at scale 2^-s, as (end, tail) like
+    _t_sum_end: (x, y) is (q.lo, a.lo) with up = 0 or (q.hi, a.hi) with
+    up = 1.  The upper pass ends holding c = (a p)^(K+1), p = q^(K+1) and
+    a p, each rounded up, and adds the module docstring's tail bound, the
+    next term over 1 - a p^2 q."""
     one = 1 << s
     r = up * (one - 1)
     unit = one << s  # 1 at scale 2^-2s, the dividend of 1 / (1 - q^k)
@@ -205,7 +233,11 @@ def _psi_sum_end(x: int, y: int, s: int, terms: int, up: int) -> int:
         qk = (qk * x + r) >> s
         c = (((c * aqk + r) >> s) * qk + r) >> s
         aqk = (aqk * x + r) >> s
-    return total
+    if not up:
+        return total, 0
+    head = (c * (_up_div(one, one - qk, s) + _up_div(aqk, one - aqk, s)) + r) >> s
+    tail = _up_div(head, one - ((((aqk * qk + r) >> s) * x + r) >> s), s)
+    return total + tail, tail
 
 
 def t_enclosure_for_interval(
@@ -214,18 +246,19 @@ def t_enclosure_for_interval(
     """Certified enclosure of T over an interval argument already in scope, at
     the current interval precision; eps may be a Fraction past the doubles.
     The tail bound covers every q in the interval.  The term count refuses a q
-    whose double upper bound reaches 1, the tail bound one below 0."""
+    whose double upper bound reaches 1, the lift one below 0."""
     q_hi = _ceil_float(q_iv._mpi_[1])
     target = max(float(min(eps, 1e300)) / 4, 5e-323)
     terms = _choose_terms(lambda k: _t_tail(q_hi, representation, k), target)
-    tail_hi = Enclosure(_t_tail(q_iv, representation, terms)).hi
     table = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
     s = fixed_shift(q_iv)
     q_fx = FixedInterval.from_ivmpf(q_iv, s)
-    total = FixedInterval(_t_sum_end(q_fx.lo, s, representation, terms, table, 0),
-                          _t_sum_end(q_fx.hi, s, representation, terms, table, 1), s)
-    value = Enclosure(total.to_ivmpf()) + Enclosure(0, tail_hi)
-    return EvalReport(value, representation, terms, _ceil_float(tail_hi._mpf_), Mode.CERTIFIED)
+    if q_fx.lo < 0:  # the term count has checked q.hi < 1 on q's double
+        raise DomainError("series argument must lie inside (0, 1) at working precision")
+    lo, _ = _t_sum_end(q_fx.lo, s, representation, terms, table, 0)
+    hi, tail = _t_sum_end(q_fx.hi, s, representation, terms, table, 1)
+    return EvalReport(Enclosure(FixedInterval(lo, hi, s).to_ivmpf()), representation, terms,
+                      _ceil_float(libmp.from_man_exp(tail, -s)), Mode.CERTIFIED)
 
 
 # -- public evaluators --------------------------------------------------------
@@ -313,12 +346,12 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
         # a q^k shrinks as k grows, so a q < 1 keeps every 1 - a q^k positive
         if (a_fx.hi * q_fx.hi + (1 << s) - 1) >> s >= 1 << s:
             return None  # a q reaches 1 at this precision (x near 0)
-        total = FixedInterval(_psi_sum_end(q_fx.lo, a_fx.lo, s, terms, 0),
-                              _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1), s)
-        tail_hi = Enclosure(_psi_tail(q_iv, a, terms)).hi
-        sum_enc = Enclosure(total.to_ivmpf()) + Enclosure(0, tail_hi)
-        value = Enclosure(-log1m(q_iv)) + Enclosure(iv.log(q_iv)) * sum_enc
-        return EvalReport(value, PSI_FORMULA, terms, _ceil_float(tail_hi._mpf_), mode)
+        lo, _ = _psi_sum_end(q_fx.lo, a_fx.lo, s, terms, 0)
+        hi, tail = _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1)
+        value = (Enclosure(-log1m(q_iv))
+                 + Enclosure(iv.log(q_iv)) * Enclosure(FixedInterval(lo, hi, s).to_ivmpf()))
+        return EvalReport(value, PSI_FORMULA, terms, _ceil_float(libmp.from_man_exp(tail, -s)),
+                          mode)
 
     return _climb(eps, mode, rung)
 

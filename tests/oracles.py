@@ -3,9 +3,11 @@
 * :class:`FixedArithmetic` -- outward-rounded ``+ - * /`` on the fixed-point
   format of :class:`divisor_series.intervals.FixedInterval`;
 * :func:`t_partial_sum_generic` and :func:`psi_partial_sum_generic` -- the
-  partial sums of T and psi_q written once on that arithmetic, the
-  bit-for-bit references of special_eval's integer kernels ``_t_sum_end``
-  and ``_psi_sum_end``;
+  partial sums of T and psi_q and their tail bounds written once on that
+  arithmetic, the bit-for-bit references of special_eval's integer kernels
+  ``_t_sum_end`` and ``_psi_sum_end``;
+* :func:`t_tail` and :func:`psi_tail` -- the same tail bounds on ``ivmpf``
+  intervals (or exact rationals), the reference for the kernels' tails;
 * :func:`floor_sum` and :func:`distinct_partition_stats_enumerated` --
   independent oracles for divisor_core;
 * :func:`sturm_chain` -- the integer Sturm chain of polynomials as a list of
@@ -100,7 +102,9 @@ class FixedArithmetic(FixedInterval):
 
 
 def t_partial_sum_generic(q, rep: RepresentationId, terms: int, table=None):
-    """T's partial sum on FixedArithmetic q, the bit-for-bit reference of
+    """T's partial sum on FixedArithmetic q with the tail bound of
+    special_eval's module docstring added to its upper end, the tail formed
+    from the final powers of q: the bit-for-bit reference of
     special_eval._t_sum_end."""
     s = 0 * q
     if rep is RepresentationId.LAMBERT:
@@ -108,28 +112,32 @@ def t_partial_sum_generic(q, rep: RepresentationId, terms: int, table=None):
         for _ in range(terms):
             s = s + qk / (1 - qk)
             qk = qk * q
-        return s
-    if rep is RepresentationId.DIVISOR:
+        tail = qk / (1 - q) / (1 - qk)
+    elif rep is RepresentationId.DIVISOR:
         qk = q
         for k in range(1, terms + 1):
             s = s + table.d[k] * qk
             qk = qk * q
-        return s
-    if rep is RepresentationId.CLAUSEN:
+        head = qk / (1 - q)
+        tail = head / (1 - q) + terms * head
+    elif rep is RepresentationId.CLAUSEN:
         qk = q
         qk2 = q  # q^{k^2}
         for _ in range(terms):
             s = s + (1 + qk) / (1 - qk) * qk2
             qk2 = qk2 * qk * qk * q
             qk = qk * q
-        return s
-    raise ValueError(f"{rep!r} has no numeric summation")
+        tail = (1 + q) / (1 - q) * qk2 / (1 - qk * qk * q)
+    else:
+        raise ValueError(f"{rep!r} has no numeric summation")
+    return s + FixedArithmetic(0, tail.hi, q.shift)
 
 
 def psi_partial_sum_generic(q, a, terms: int):
     """sum_{k<=terms} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k)), a = q^(x-1),
-    on FixedArithmetic q and a: the bit-for-bit reference of
-    special_eval._psi_sum_end."""
+    on FixedArithmetic q and a, with the tail bound, the next term over
+    1 - a q^(2 terms + 3), added to its upper end: the bit-for-bit
+    reference of special_eval._psi_sum_end."""
     s = 0 * q
     qk = q
     aqk = a * q  # a q^k
@@ -139,7 +147,32 @@ def psi_partial_sum_generic(q, a, terms: int):
         qk = qk * q
         c = c * aqk * qk
         aqk = aqk * q
-    return s
+    tail = c * (1 / (1 - qk) + aqk / (1 - aqk)) / (1 - aqk * qk * q)
+    return s + FixedArithmetic(0, tail.hi, q.shift)
+
+
+def t_tail(q, rep: RepresentationId, terms: int):
+    """Tail bound of T's series past `terms` terms (special_eval's module
+    docstring) for 0 <= q < 1, on ivmpf intervals or exact rationals."""
+    if rep is RepresentationId.LAMBERT:
+        p = q ** (terms + 1)
+        return p / ((1 - q) * (1 - p))
+    if rep is RepresentationId.DIVISOR:
+        p = q ** (terms + 1)
+        return p * ((terms + 1) - terms * q) / (1 - q) ** 2
+    if rep is RepresentationId.CLAUSEN:
+        p = q ** ((terms + 1) ** 2)
+        return (1 + q) / (1 - q) * p / (1 - q ** (2 * terms + 3))
+    raise ValueError(f"no tail bound for {rep!r}")
+
+
+def psi_tail(q, a, terms: int):
+    """Tail bound of the q-digamma sum in Clausen's form past `terms` terms,
+    a = q^(x-1), for 0 <= q < 1 and a q < 1, on ivmpf intervals or exact
+    rationals."""
+    p = q ** (terms + 1)
+    ap = a * p
+    return ap ** (terms + 1) * (1 / (1 - p) + ap / (1 - ap)) / (1 - ap * p * q)
 
 
 # -- divisor_core oracles --------------------------------------------------------

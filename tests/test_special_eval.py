@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from mpmath import iv, mp
+from mpmath import iv, libmp, mp
 
 from divisor_series import special_eval
 from divisor_series.divisor_core import divisor_sieve
@@ -42,10 +42,15 @@ from divisor_series.special_eval import (
     landau_fibonacci,
     t_enclosure_for_interval,
     _psi_sum_end,
-    _psi_tail,
     _t_sum_end,
 )
-from oracles import FixedArithmetic, psi_partial_sum_generic, t_partial_sum_generic
+from oracles import (
+    FixedArithmetic,
+    psi_partial_sum_generic,
+    psi_tail,
+    t_partial_sum_generic,
+    t_tail,
+)
 
 NUMERIC_REPS = (RepresentationId.DIVISOR, RepresentationId.LAMBERT, RepresentationId.CLAUSEN)
 
@@ -102,9 +107,9 @@ def test_t_fast_mode_contains_certified():
 @pytest.mark.parametrize("rep", NUMERIC_REPS)
 @pytest.mark.parametrize("q", ["1e-200", "3e-320", "1e-400"])
 def test_fast_t_tail_bound_stays_positive_where_q_powers_underflow(q, rep):
-    """q^(K+1) underflows a double here; the FAST tail bound is evaluated in
-    ivmpf at 53 bits, whose exponent does not underflow, so it stays above
-    the true tail (> 0)."""
+    """q^(K+1) underflows a double here; the FAST tail bound is formed on the
+    kernel's integers at a scale that keeps q's 53 bits, with every power
+    rounded up, so it stays above the true tail (> 0)."""
     fast = eval_T(q, 1e-12, rep, Mode.FAST)
     assert fast.tail_bound > 0
     assert fast.value.intersects(eval_T(q, 1e-12, rep).value)
@@ -238,19 +243,21 @@ def _exact_t_partial_sum(q: Fraction, rep: RepresentationId, terms: int) -> Frac
 @pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
 def test_certified_t_partial_sum_on_fixed_intervals_encloses_exact(rep, q):
     """q lifted from its 128-bit enclosure at fixed_shift, as the certified
-    evaluator lifts it: the kernel's two ends enclose the exact partial sum
-    and keep 100 significant bits of it, at q = 1e-400 too."""
+    evaluator lifts it: the kernel's two ends enclose both the exact partial
+    sum and that sum plus the exact tail bound at q, and exceed that span by
+    no more than 2^-100 of the sum, at q = 1e-400 too."""
     with interval_precision(128):
         q_iv = to_ivmpf(q)
         s = fixed_shift(q_iv)
         q_fx = FixedInterval.from_ivmpf(q_iv, s)
         table = divisor_sieve(_FIXED_TERMS) if rep is RepresentationId.DIVISOR else None
-        got = Enclosure(FixedInterval(_t_sum_end(q_fx.lo, s, rep, _FIXED_TERMS, table, 0),
-                                      _t_sum_end(q_fx.hi, s, rep, _FIXED_TERMS, table, 1),
-                                      s).to_ivmpf())
+        lo, _ = _t_sum_end(q_fx.lo, s, rep, _FIXED_TERMS, table, 0)
+        hi, _ = _t_sum_end(q_fx.hi, s, rep, _FIXED_TERMS, table, 1)
+        got = Enclosure(FixedInterval(lo, hi, s).to_ivmpf())
     exact = _exact_t_partial_sum(q, rep, _FIXED_TERMS)
-    assert got.contains(exact)
-    assert mpf_to_fraction(got.width_upper()) <= exact / 2**100
+    tail = t_tail(q, rep, _FIXED_TERMS)
+    assert got.contains(exact) and got.contains(exact + tail)
+    assert mpf_to_fraction(got.hi) - mpf_to_fraction(got.lo) - tail <= exact / 2**100
 
 
 def _exact_psi_partial_sum(q: Fraction, a: Fraction, terms: int) -> Fraction:
@@ -264,8 +271,9 @@ def _exact_psi_partial_sum(q: Fraction, a: Fraction, terms: int) -> Fraction:
 def test_certified_psi_partial_sum_on_fixed_intervals_encloses_exact(q, x):
     """Every term of the sum grows with a = q^(x-1) > 0, so the exact
     rational sums at the endpoints of a's 128-bit enclosure lie on either
-    side of the true partial sum; the fixed-point sum encloses both.  Its
-    scale follows q, so it keeps 100 significant bits of the sum or of q,
+    side of the true partial sum; the fixed-point sum encloses both, and its
+    upper end also the exact tail bound at a's upper end.  Its scale follows
+    q, so past that span it keeps 100 significant bits of the sum or of q,
     whichever is larger: for x > 1 at tiny q the sum is far below q, and
     psi_q = -log(1-q) + log(q) * sum is dominated by -log(1-q) ~ q.  The sum
     is the kernel's, one end from (q.lo, a.lo), the other from (q.hi, a.hi)."""
@@ -274,14 +282,15 @@ def test_certified_psi_partial_sum_on_fixed_intervals_encloses_exact(q, x):
         a = iv.exp(to_ivmpf(x - 1) * iv.log(q_iv))
         s = fixed_shift(q_iv)
         q_fx, a_fx = FixedInterval.from_ivmpf(q_iv, s), FixedInterval.from_ivmpf(a, s)
-        got = Enclosure(FixedInterval(_psi_sum_end(q_fx.lo, a_fx.lo, s, _FIXED_TERMS, 0),
-                                      _psi_sum_end(q_fx.hi, a_fx.hi, s, _FIXED_TERMS, 1),
-                                      s).to_ivmpf())
+        lo, _ = _psi_sum_end(q_fx.lo, a_fx.lo, s, _FIXED_TERMS, 0)
+        hi, _ = _psi_sum_end(q_fx.hi, a_fx.hi, s, _FIXED_TERMS, 1)
+        got = Enclosure(FixedInterval(lo, hi, s).to_ivmpf())
     a_enc = Enclosure(a)
     low = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.lo), _FIXED_TERMS)
     high = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.hi), _FIXED_TERMS)
-    assert got.contains(low) and got.contains(high)
-    assert mpf_to_fraction(got.width_upper()) <= max(low, q) / 2**100
+    tail = psi_tail(q, mpf_to_fraction(a_enc.hi), _FIXED_TERMS)
+    assert got.contains(low) and got.contains(high + tail)
+    assert mpf_to_fraction(got.hi) - mpf_to_fraction(got.lo) - tail <= max(low, q) / 2**100
 
 
 _KERNEL_QS = _FIXED_QS + [1 - Fraction(1, 10**k) for k in range(1, 7)]
@@ -303,16 +312,17 @@ def _lifted(q: Fraction, x: Fraction | None = None):
 @pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
 def test_t_sum_kernel_is_the_generic_body_bit_for_bit(rep, prec):
     """_t_sum_end replays t_partial_sum_generic on FixedArithmetic: its lower
-    end from q.lo and its upper end from q.hi are the generic body's ends,
-    as ints, for 1, 6 and 300 terms, up to q = 1 - 1e-6."""
+    end from q.lo and its upper end from q.hi, tail bound included, are the
+    generic body's ends, as ints, for 1, 6 and 300 terms, up to
+    q = 1 - 1e-6."""
     for terms in (1, _FIXED_TERMS, 300):
         table = divisor_sieve(terms) if rep is RepresentationId.DIVISOR else None
         for q in _KERNEL_QS:
             with interval_precision(prec):
                 q_fx = _lifted(q)
             body = t_partial_sum_generic(q_fx, rep, terms, table)
-            lo = _t_sum_end(q_fx.lo, q_fx.shift, rep, terms, table, 0)
-            hi = _t_sum_end(q_fx.hi, q_fx.shift, rep, terms, table, 1)
+            lo, _ = _t_sum_end(q_fx.lo, q_fx.shift, rep, terms, table, 0)
+            hi, _ = _t_sum_end(q_fx.hi, q_fx.shift, rep, terms, table, 1)
             assert (lo, hi) == (body.lo, body.hi), (q, terms)
 
 
@@ -321,8 +331,9 @@ def test_t_sum_kernel_is_the_generic_body_bit_for_bit(rep, prec):
                                Fraction(7, 3)], ids=str)
 def test_psi_sum_kernel_is_the_generic_body_bit_for_bit(x, prec):
     """_psi_sum_end replays psi_partial_sum_generic on FixedArithmetic q and a
-    wherever the kernel's guard holds, as ints; a case whose a q reaches 1
-    is outside the guard and left to the guard test below."""
+    wherever the kernel's guard holds, as ints, tail bound included; a case
+    whose a q reaches 1 is outside the guard and left to the guard test
+    below."""
     kernel_cases = 0
     for terms in (1, _FIXED_TERMS, 300):
         for q in _KERNEL_QS:
@@ -333,8 +344,8 @@ def test_psi_sum_kernel_is_the_generic_body_bit_for_bit(x, prec):
                 continue  # a q reaches 1: outside the guard
             kernel_cases += 1
             body = psi_partial_sum_generic(q_fx, a_fx, terms)
-            lo = _psi_sum_end(q_fx.lo, a_fx.lo, s, terms, 0)
-            hi = _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1)
+            lo, _ = _psi_sum_end(q_fx.lo, a_fx.lo, s, terms, 0)
+            hi, _ = _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1)
             assert (lo, hi) == (body.lo, body.hi), (q, terms)
     assert kernel_cases >= 3 * len(_FIXED_QS)
 
@@ -373,6 +384,16 @@ def test_certified_t_refuses_a_q_reaching_one_before_the_kernel(monkeypatch):
             t_enclosure_for_interval(to_ivmpf(q), 1e-12, rep)
         with pytest.raises(DomainError):
             eval_T(q, 1e-12, rep)
+    assert calls == []
+
+
+def test_certified_t_refuses_an_interval_below_zero_before_the_kernel(monkeypatch):
+    """An interval q reaching below 0 breaks the kernels' premise
+    0 <= q.lo: it is refused before any kernel call."""
+    calls = _count_calls(monkeypatch, "_t_sum_end")
+    for rep in NUMERIC_REPS:
+        with interval_precision(128), pytest.raises(DomainError):
+            t_enclosure_for_interval(iv.mpf(["-0.25", "0.5"]), 1e-12, rep)
     assert calls == []
 
 
@@ -564,7 +585,81 @@ def test_psi_tail_bounds_the_next_terms():
             a = iv.exp(to_ivmpf(x - 1) * iv.log(q_iv))
             head = sum(_clausen_psi_term(q_iv, a, k) for k in range(k_max + 1, k_max + 201))
             rest = _clausen_psi_term(q_iv, a, k_max + 201) / (1 - a * q_iv ** (2 * k_max + 403))
-            assert Enclosure(_psi_tail(q_iv, a, k_max)).lo >= (head + rest).b, (q, x, k_max)
+            assert Enclosure(psi_tail(q_iv, a, k_max)).lo >= (head + rest).b, (q, x, k_max)
+
+
+#: q for the kernels' tails; None stands for Landau's interval
+#: c = ((sqrt(5)-1)/2)^2 of landau_constant_from_t.
+_TAIL_QS = [Fraction(1, 10**400), Fraction(1, 7), Fraction(99, 100), Fraction(9999999, 10**7), None]
+
+
+def _next_terms_bound(series, q, a, k_max: int):
+    """The 200 terms of T's series (series a representation) or of psi's sum
+    in Clausen's form (series = x) past k_max, at interval q (and a), by
+    running products, plus a bound on the rest: the term after them over one
+    less the largest ratio of later terms, q for LAMBERT and (a) q^(2m+3),
+    m = k_max + 200, in Clausen's form; for DIVISOR, d(k) <= k and
+    sum_{k>m} k q^k in closed form."""
+    m = k_max + 200
+    qk, total = q ** (k_max + 1), 0
+    if series is RepresentationId.LAMBERT:
+        for _ in range(200):
+            total, qk = total + qk / (1 - qk), qk * q
+        return total + qk / (1 - qk) / (1 - q)
+    if series is RepresentationId.DIVISOR:
+        d = divisor_sieve(m).d
+        for k in range(k_max + 1, m + 1):
+            total, qk = total + d[k] * qk, qk * q
+        return total + qk * ((m + 1) - m * q) / (1 - q) ** 2
+    if series is RepresentationId.CLAUSEN:
+        qk2 = q ** ((k_max + 1) ** 2)  # q^{k^2}
+        for _ in range(201):
+            term = (1 + qk) / (1 - qk) * qk2
+            total, qk2, qk = total + term, qk2 * qk * qk * q, qk * q
+        return total + term * (1 / (1 - q ** (2 * m + 3)) - 1)
+    aqk = a * qk
+    c = aqk ** (k_max + 1)  # a^k q^{k^2}
+    for _ in range(201):
+        term = c * (1 / (1 - qk) + aqk / (1 - aqk))
+        total, qk = total + term, qk * q
+        c, aqk = c * aqk * qk, aqk * q
+    return total + term * (1 / (1 - a * q ** (2 * m + 3)) - 1)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 512])
+@pytest.mark.parametrize("series", NUMERIC_REPS + (Fraction(1, 5), Fraction(1), Fraction(2)),
+                         ids=lambda v: getattr(v, "value", f"psi-{v}"))
+def test_kernel_tail_bounds_the_next_terms_and_the_ivmpf_tail(series, prec):
+    """The tail bound that a kernel's upper pass adds, with q (and a = q^(x-1)
+    for psi at x = series) lifted at prec bits as the evaluators lift them,
+    is at least the next 200 terms at q.hi (and a.hi), summed at 512 bits,
+    plus a bound on the rest; and at least the oracle's ivmpf tail bound at
+    q.hi (and a.hi).  At q = 1e-400, 1/7, 0.99, 0.9999999 and Landau's
+    interval c, past 1, 6 and 300 terms."""
+    for q in _TAIL_QS:
+        with interval_precision(prec):
+            q_iv = ((iv.sqrt(iv.mpf(5)) - 1) / 2) ** 2 if q is None else to_ivmpf(q)
+            s = fixed_shift(q_iv)
+            q_fx = FixedInterval.from_ivmpf(q_iv, s)
+            if not isinstance(series, RepresentationId):
+                a_fx = FixedInterval.from_ivmpf(iv.exp(to_ivmpf(series - 1) * iv.log(q_iv)), s)
+        for terms in (1, _FIXED_TERMS, 300):
+            if isinstance(series, RepresentationId):
+                table = divisor_sieve(terms) if series is RepresentationId.DIVISOR else None
+                _, tail = _t_sum_end(q_fx.hi, s, series, terms, table, 1)
+            else:
+                _, tail = _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1)
+            tail = mp.make_mpf(libmp.from_man_exp(tail, -s))
+            with interval_precision(512):
+                q_hi = FixedInterval(q_fx.hi, q_fx.hi, s).to_ivmpf()
+                if isinstance(series, RepresentationId):
+                    a_hi, oracle = None, t_tail(q_hi, series, terms)
+                else:
+                    a_hi = FixedInterval(a_fx.hi, a_fx.hi, s).to_ivmpf()
+                    oracle = psi_tail(q_hi, a_hi, terms)
+                assert tail >= Enclosure(oracle).lo, (q, terms)
+                assert tail >= Enclosure(_next_terms_bound(series, q_hi, a_hi, terms)).hi, (
+                    q, terms)
 
 
 @pytest.mark.parametrize("q, eps", [("0.999", 1e-40), ("0.9999", 1e-12)])
