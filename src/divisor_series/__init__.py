@@ -55,10 +55,8 @@ from .special_eval import (
 )
 from .lemma_functions import (
     CorrectionSums,
-    PhiBundle,
     correction_sums,
     phi_antiderivative,
-    phi_bundle,
 )
 from .polynomials import Polynomial, sturm_root_count
 from .verifier import (

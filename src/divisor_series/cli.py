@@ -105,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="dump coefficients of one representation of T")
     p.add_argument("--repr", type=_repr_arg, default=RepresentationId.DIVISOR)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("identity-check", help="compare all representations against DIVISOR")
     p.add_argument("--order", type=int, required=True)
@@ -113,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate T, psi, H or F at a point")
     p.add_argument("--fn", choices=("T", "psi", "H", "F"), required=True)
     p.add_argument("--q", type=_number_arg, required=True)
-    p.add_argument("--x", type=_number_arg, default="1", help="argument of psi (default 1)")
+    p.add_argument("--x", type=_number_arg, help="argument of psi (default 1)")
     p.add_argument("--eps", type=_eps_arg, default=1e-12)
     p.add_argument("--mode", type=_mode_arg, default=Mode.FAST)
-    p.add_argument("--repr", type=_repr_arg, default=RepresentationId.CLAUSEN)
+    p.add_argument("--repr", type=_repr_arg, help="series of T (default CLAUSEN)")
 
     p = sub.add_parser("lemma-fn", help="evaluate one named auxiliary function")
     p.add_argument("--name", required=True)
@@ -149,17 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_coeffs(args) -> int:
     series = build_representation(args.repr, args.order)
-    if args.format == "json":
-        _print_json({
-            "schema_version": SCHEMA_VERSION,
-            "representation": args.repr.value,
-            "order": args.order,
-            "coefficients": [str(c) for c in series.coeffs],
-        })
-    else:
-        print("index,coefficient")
-        for k, c in enumerate(series.coeffs):
-            print(f"{k},{c}")
+    print("index,coefficient")
+    for k, c in enumerate(series.coeffs):
+        print(f"{k},{c}")
     return EXIT_OK
 
 
@@ -182,14 +173,17 @@ def _cmd_identity_check(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    for flag, fn in (("repr", "T"), ("x", "psi")):
+        if getattr(args, flag) is not None and args.fn != fn:
+            raise DomainError(f"--{flag} applies to --fn {fn} only")
     if args.fn == "T":
-        rep = eval_T(args.q, args.eps, args.repr, args.mode)
+        rep = eval_T(args.q, args.eps, args.repr or RepresentationId.CLAUSEN, args.mode)
     elif args.fn == "psi":
-        rep = eval_psi_q(args.q, Fraction(args.x), args.eps, args.mode)
+        rep = eval_psi_q(args.q, Fraction(args.x or 1), args.eps, args.mode)
     elif args.fn == "H":
-        rep = eval_H(args.q, args.eps, args.repr, args.mode)
+        rep = eval_H(args.q, args.eps, args.mode)
     else:
-        rep = eval_F(args.q, args.eps, args.repr, args.mode)
+        rep = eval_F(args.q, args.eps, args.mode)
     lo, hi = rep.value.to_floats()
     _print_json({
         "schema_version": SCHEMA_VERSION,

@@ -271,20 +271,11 @@ class Enclosure:
     def __rtruediv__(self, other):
         return Enclosure(self._coerce(other) / self._iv)
 
-    def __pow__(self, exponent):
-        return Enclosure(self._iv ** self._coerce(exponent))
-
     def __neg__(self):
         return Enclosure(-self._iv)
 
     def log(self) -> "Enclosure":
         return Enclosure(iv.log(self._iv))
-
-    def exp(self) -> "Enclosure":
-        return Enclosure(iv.exp(self._iv))
-
-    def sqrt(self) -> "Enclosure":
-        return Enclosure(iv.sqrt(self._iv))
 
     def __repr__(self) -> str:
         lo, hi = self.to_floats()

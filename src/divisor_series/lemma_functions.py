@@ -333,12 +333,6 @@ def j2_raw(q):
     return phi_integer_sum_raw(q, 11, half_last=True)
 
 
-def phi_limit_at_one(x: Fraction) -> Fraction:
-    """lim_{q->1-} phi_q(x) = (x-1)/(2x), exact."""
-    x = Fraction(x)
-    return (x - 1) / (2 * x)
-
-
 def delta_polynomial() -> Polynomial:
     coeffs = [0] * 30
     for k, c in ((0, 13), (1, -14), (14, 56), (15, -56), (28, 15), (29, -14)):
@@ -423,12 +417,15 @@ NAMED_FUNCTIONS: dict[str, tuple[Callable, str]] = {
 
 def evaluate_named(name: str, *, q=None, x=None, y=None, n=None, mode: Mode = Mode.FAST):
     """One named function as a float (FAST) or an Enclosure.  A DomainError
-    naming it is raised where an argument is missing, where the formula
-    raises, and by the failure rule of _checked."""
+    naming it is raised where an argument is missing or one it does not take
+    is given, where the formula raises, and by the failure rule of _checked."""
     if name not in NAMED_FUNCTIONS:
         raise DomainError(f"unknown function {name!r}")
     fn, letters = NAMED_FUNCTIONS[name]
     given, args = {"q": q, "x": x, "y": y, "n": n}, []
+    for letter, value in given.items():
+        if value is not None and letter not in letters:
+            raise DomainError(f"{name} takes no --{letter}")
     for letter in letters:
         value = given[letter]
         if value is None:
@@ -442,24 +439,6 @@ def evaluate_named(name: str, *, q=None, x=None, y=None, n=None, mode: Mode = Mo
     except (ArithmeticError, ValueError) as exc:
         raise DomainError(f"{name} has no value at these arguments: {exc}") from None
     return _checked(name, mode, interval)
-
-
-@dataclass(frozen=True)
-class PhiBundle:
-    """phi, phi', a_q and phi'' at one (q, x); floats or Enclosures by mode."""
-
-    phi: object
-    phi_prime: object
-    a_value: object
-    phi_second: object
-
-
-def phi_bundle(q, x, mode: Mode = Mode.FAST) -> PhiBundle:
-    qp = QPoint.coerce(q)
-    if x < 1:
-        raise DomainError("x must be >= 1")
-    return PhiBundle(*(evaluate_named(name, q=qp, x=x, mode=mode)
-                       for name in ("phi", "phi_prime", "a", "phi_second")))
 
 
 def phi_antiderivative(q, x, mode: Mode = Mode.FAST):

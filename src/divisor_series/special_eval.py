@@ -296,12 +296,8 @@ def _climb(eps: float | Fraction, mode: Mode, rung) -> EvalReport:
     raise _precision_error(eps)
 
 
-def eval_T(
-    q,
-    eps: float = 1e-12,
-    representation: RepresentationId = RepresentationId.CLAUSEN,
-    mode: Mode = Mode.CERTIFIED,
-) -> EvalReport:
+def eval_T(q, eps: float = 1e-12, representation: RepresentationId = RepresentationId.CLAUSEN,
+           mode: Mode = Mode.CERTIFIED) -> EvalReport:
     """Enclosure of T(q) with width <= eps (CERTIFIED) from the chosen series.
 
     Only the DIVISOR, LAMBERT and CLAUSEN forms converge term by term for a
@@ -348,10 +344,12 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
             return None  # a q reaches 1 at this precision (x near 0)
         lo, _ = _psi_sum_end(q_fx.lo, a_fx.lo, s, terms, 0)
         hi, tail = _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1)
+        log_q = iv.log(q_iv)
         value = (Enclosure(-log1m(q_iv))
-                 + Enclosure(iv.log(q_iv)) * Enclosure(FixedInterval(lo, hi, s).to_ivmpf()))
-        return EvalReport(value, PSI_FORMULA, terms, _ceil_float(libmp.from_man_exp(tail, -s)),
-                          mode)
+                 + Enclosure(log_q) * Enclosure(FixedInterval(lo, hi, s).to_ivmpf()))
+        # the sum's truncation enters the value times log(q) < 0
+        tail_bound = libmp.mpf_mul(libmp.from_man_exp(tail, -s), libmp.mpf_neg(log_q._mpi_[0]))
+        return EvalReport(value, PSI_FORMULA, terms, _ceil_float(tail_bound), mode)
 
     return _climb(eps, mode, rung)
 
@@ -362,43 +360,37 @@ def _log_ratio_enclosure(qp: QPoint) -> Enclosure:
     return Enclosure(log1m(q_iv) / iv.log(q_iv))
 
 
-def _scaled_h(qp: QPoint, scale: Fraction, eps: float, representation: RepresentationId,
-              mode: Mode) -> EvalReport:
+def _scaled_h(qp: QPoint, scale: Fraction, eps: float, mode: Mode) -> EvalReport:
     """scale * (T(q) - b) with b = log(1-q)/log(q): H at scale 1, F at (1-q)/q.
-    T is taken once to width eps/(2 scale), exact, since F's scale passes the
-    doubles below q = 5.6e-309; the ladder then narrows b, which cancels near
-    q = 1.  eps is checked first, as Fraction(nan) raises ValueError."""
+    T is taken once from Clausen's series to width eps/(2 scale), exact, since
+    F's scale passes the doubles below q = 5.6e-309; the ladder then narrows
+    b, which cancels near q = 1.  T's truncation enters times scale, and so
+    does its bound, the smaller of T's tail bound (a double, so >= 5e-324) and
+    T's width, which holds it.  eps is checked first, as Fraction(nan) raises."""
     if not eps > 0:
         raise DomainError("eps must be positive")
     t_eps = Fraction(eps) / (2 * scale) if eps < math.inf else eps
     try:
-        t = eval_T(qp, t_eps, representation, mode)
+        t = eval_T(qp, t_eps, RepresentationId.CLAUSEN, mode)
     except PrecisionError:
         raise _precision_error(eps) from None
+    truncation = min(mp.make_mpf(libmp.from_float(t.tail_bound)), t.value.width_upper())._mpf_
+    scale_hi = libmp.from_rational(scale.numerator, scale.denominator, 53, libmp.round_ceiling)
+    tail_bound = _ceil_float(libmp.mpf_mul(truncation, scale_hi))
     return _climb(eps, mode, lambda: EvalReport(
         (t.value - _log_ratio_enclosure(qp)) * scale,
-        representation, t.terms_used, t.tail_bound, mode))
+        t.representation, t.terms_used, tail_bound, mode))
 
 
-def eval_H(
-    q,
-    eps: float = 1e-12,
-    representation: RepresentationId = RepresentationId.CLAUSEN,
-    mode: Mode = Mode.CERTIFIED,
-) -> EvalReport:
+def eval_H(q, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalReport:
     """H(q) = T(q) - log(1-q)/log(q)."""
-    return _scaled_h(QPoint.coerce(q), Fraction(1), eps, representation, mode)
+    return _scaled_h(QPoint.coerce(q), Fraction(1), eps, mode)
 
 
-def eval_F(
-    q,
-    eps: float = 1e-12,
-    representation: RepresentationId = RepresentationId.CLAUSEN,
-    mode: Mode = Mode.CERTIFIED,
-) -> EvalReport:
+def eval_F(q, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalReport:
     """F(q) = ((1-q)/q) * H(q)."""
     qp = QPoint.coerce(q)
-    return _scaled_h(qp, (1 - qp.value) / qp.value, eps, representation, mode)
+    return _scaled_h(qp, (1 - qp.value) / qp.value, eps, mode)
 
 
 # -- double-inequality checkers ----------------------------------------------

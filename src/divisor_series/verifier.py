@@ -45,7 +45,6 @@ from .lemma_functions import (
     h3_numerator_polynomial,
     j1_raw,
     j2_raw,
-    phi_limit_at_one,
     phi_prime_raw,
     v_raw,
     v_prime_run_raw,
@@ -366,13 +365,9 @@ def sandwich_verify(
 # -- lemma-specific evaluators ---------------------------------------------------
 
 
-def j2_limit_exact() -> Fraction:
-    """Limit of J2 at q -> 1-, from lim phi_q(k) = (k-1)/(2k), exactly."""
-    total = sum(phi_limit_at_one(Fraction(k)) for k in range(1, 11))
-    return total + phi_limit_at_one(Fraction(11)) / 2
-
-
-#: Exact value of the J2 limit; reproduced by j2_limit_exact() and pinned here.
+#: The limit of J2 as q -> 1-, sum_{k<=10} (k-1)/(2k) + 5/22 from
+#: lim phi_q(k) = (k-1)/(2k), pinned here.  The positive form of j2_raw gives
+#: it exactly at q = 1, the last endpoint the 2.9 sandwich evaluates.
 J2_LIMIT = Fraction(208609, 55440)
 
 #: W1, W2 (Lemma 2.4ii) and J1, J2 (Lemma 2.9) as sandwich sides: see
@@ -489,8 +484,8 @@ def verify_lemma_2_9() -> Certificate:
         "J2 extends to q = 1 by its exact rational limit 208609/55440,"
         " re-derived from lim phi_q(k) = (k-1)/(2k); an increasing J2 stays below it",
     )
-    if j2_limit_exact() != J2_LIMIT:
-        raise ArithmeticError("exact J2 limit does not match the pinned fixture")
+    if j2_raw(Fraction(1)) != J2_LIMIT:
+        raise ArithmeticError("J2 at q = 1 does not match the pinned limit")
     return sandwich_verify(j1_lower, j2_upper, lemma_2_9_grid(), target="2.9",
                            premises=premises, details={"j2_limit": str(J2_LIMIT)})
 

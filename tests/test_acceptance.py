@@ -23,8 +23,8 @@ from divisor_series.intervals import Enclosure, Mode, gamma_enclosure, interval_
 from divisor_series.lemma_functions import (
     delta_polynomial,
     g0_polynomial,
+    evaluate_named,
     phi_antiderivative_raw,
-    phi_bundle,
     phi_raw,
 )
 from divisor_series.polynomials import Polynomial, sturm_root_count
@@ -359,11 +359,12 @@ def test_criterion_9_oracle_equivalences():
         q = 0.05 + 0.1 * i
         for j in range(10):
             x = 1.2 + 1.1 * j
-            bundle = phi_bundle(q, x)
+            d1 = evaluate_named("phi_prime", q=q, x=x)
+            d2 = evaluate_named("phi_second", q=q, x=x)
             fd1, fd2 = phi_fd_oracle(q, x)
-            if abs(fd1 - bundle.phi_prime) > 1e-5 * max(abs(bundle.phi_prime), 1e-12):
+            if abs(fd1 - d1) > 1e-5 * max(abs(d1), 1e-12):
                 fd_ok = False
-            if abs(fd2 - bundle.phi_second) > 1e-5 * max(abs(bundle.phi_second), 1e-12):
+            if abs(fd2 - d2) > 1e-5 * max(abs(d2), 1e-12):
                 fd_ok = False
 
     # (b) quadrature vs antiderivative differences on 20 intervals

@@ -26,15 +26,6 @@ def test_coeffs_csv(capsys):
     assert lines[1:] == ["0,0", "1,1", "2,2", "3,2", "4,3", "5,2", "6,4"]
 
 
-def test_coeffs_json(capsys):
-    code, out, _ = run_cli(capsys, "coeffs", "--repr", "LAMBERT", "--order", "4",
-                           "--format", "json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["coefficients"] == ["0", "1", "2", "2", "3"]
-    assert doc["schema_version"] == 1
-
-
 def test_identity_check(capsys):
     code, out, _ = run_cli(capsys, "identity-check", "--order", "50")
     assert code == 0
@@ -407,6 +398,22 @@ def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
     """Values once rejected by --jobs stay usage errors now that it is gone."""
     err = _usage_error(capsys, [*command, "--jobs", jobs])
     assert f"unrecognized arguments: --jobs {jobs}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coeffs", "--order", "5", "--format", "json"], "unrecognized arguments: --format json"),
+    (["eval", "--fn", "psi", "--q", "0.5", "--repr", "LAMBERT"], "--repr applies to --fn T only"),
+    (["eval", "--fn", "H", "--q", "0.5", "--repr", "CLAUSEN"], "--repr applies to --fn T only"),
+    (["eval", "--fn", "T", "--q", "0.5", "--x", "2"], "--x applies to --fn psi only"),
+    (["eval", "--fn", "F", "--q", "0.5", "--x", "1"], "--x applies to --fn psi only"),
+    (["lemma-fn", "--name", "A", "--q", "0.5", "--x", "2"], "A takes no --x"),
+    (["lemma-fn", "--name", "V", "--y", "1", "--q", "0.5"], "V takes no --q"),
+    (["lemma-fn", "--name", "C", "--n", "3", "--q", "0.5", "--y", "1"], "C takes no --y"),
+], ids=["coeffs-format", "psi-repr", "H-repr", "T-x", "F-x", "A-x", "V-q", "C-y"])
+def test_a_flag_that_does_nothing_is_a_usage_error(capsys, argv, message):
+    """A flag the command or function does not read is refused by name, not
+    ignored."""
+    assert message in _usage_error(capsys, argv)
 
 
 @pytest.mark.parametrize("argv, message", [

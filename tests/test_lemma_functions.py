@@ -22,7 +22,6 @@ from divisor_series.intervals import (
     to_ivmpf,
 )
 from divisor_series.lemma_functions import (
-    PhiBundle,
     _on_intervals,
     a_constant_raw,
     a_raw,
@@ -41,8 +40,6 @@ from divisor_series.lemma_functions import (
     k_raw,
     phi_antiderivative,
     phi_antiderivative_raw,
-    phi_bundle,
-    phi_limit_at_one,
     phi_prime_raw,
     phi_raw,
     theta_raw,
@@ -66,8 +63,7 @@ from divisor_series.verifier import J2_LIMIT
 def test_phi_vanishes_at_one():
     for q in (0.1, 0.5, 0.9, 0.999):
         assert phi_raw(q, 1.0) == pytest.approx(0.0, abs=1e-14)
-    bundle = phi_bundle(0.37, 1, mode=Mode.CERTIFIED)
-    assert bundle.phi.contains(0)
+    assert evaluate_named("phi", q=0.37, x=1, mode=Mode.CERTIFIED).contains(0)
 
 
 def test_phi_hand_value():
@@ -107,9 +103,10 @@ def test_derivatives_finite_difference_grid():
     for q in qs:
         for x in xs:
             fd1, fd2 = phi_fd_oracle(q, x)
-            bundle = phi_bundle(q, x)
-            assert abs(fd1 - bundle.phi_prime) <= 1e-5 * max(abs(bundle.phi_prime), 1e-12)
-            assert abs(fd2 - bundle.phi_second) <= 1e-5 * max(abs(bundle.phi_second), 1e-12)
+            d1 = evaluate_named("phi_prime", q=q, x=x)
+            d2 = evaluate_named("phi_second", q=q, x=x)
+            assert abs(fd1 - d1) <= 1e-5 * max(abs(d1), 1e-12)
+            assert abs(fd2 - d2) <= 1e-5 * max(abs(d2), 1e-12)
 
 
 def test_a_second_derivative_matches_b():
@@ -599,8 +596,7 @@ def test_correction_sums_domain():
 @pytest.mark.parametrize("call, name", [
     (lambda q: phi_antiderivative(q, 40), "Phi"),
     (lambda q: correction_sums(q, 3), "sigma"),
-    (lambda q: phi_bundle(q, 3), "phi"),
-], ids=["phi_antiderivative", "correction_sums", "phi_bundle"])
+], ids=["phi_antiderivative", "correction_sums"])
 def test_fast_wrappers_refuse_what_lemma_fn_refuses(call, name):
     """At q = 1 - 10^-17 the 53-bit enclosures are unbounded: the library
     wrappers raise lemma-fn's DomainError naming the function, not nan."""
@@ -609,30 +605,23 @@ def test_fast_wrappers_refuse_what_lemma_fn_refuses(call, name):
 
 
 def _outcome(call):
-    """The ends of each value (a float's one end in FAST), or the refusal."""
+    """The ends of the value (a float in FAST), or the refusal."""
     try:
         value = call()
     except DomainError as exc:
         return str(exc)
-    values = vars(value).values() if isinstance(value, PhiBundle) else [value]
-    return [(v.lo, v.hi) if isinstance(v, Enclosure) else v for v in values]
+    return (value.lo, value.hi) if isinstance(value, Enclosure) else value
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_wrappers_are_evaluate_named_bit_for_bit(mode):
-    """phi_bundle's fields and phi_antiderivative are evaluate_named of the
-    same names, value or refusal, at seeded (q, x) and at q = 1e-400, 0.9999
-    and 1 - 10^-17."""
+    """phi_antiderivative is evaluate_named of Phi, value or refusal, at
+    seeded (q, x) and at q = 1e-400, 0.9999 and 1 - 10^-17."""
     rng = random.Random(f"wrappers-{mode.value}")
     qs = [Fraction(1, 10**400), Fraction(9999, 10000), 1 - Fraction(1, 10**17),
           *(Fraction(rng.random()) for _ in range(6))]
     for q in qs:
         x = Fraction(rng.uniform(1.0, 60.0))
-        named = [_outcome(lambda: evaluate_named(name, q=q, x=x, mode=mode))
-                 for name in ("phi", "phi_prime", "a", "phi_second")]
-        refusals = [outcome for outcome in named if isinstance(outcome, str)]
-        expected = refusals[0] if refusals else [end for outcome in named for end in outcome]
-        assert _outcome(lambda: phi_bundle(q, x, mode)) == expected, q
         wrapper = _outcome(lambda: phi_antiderivative(q, x, mode))
         assert wrapper == _outcome(lambda: evaluate_named("Phi", q=q, x=x, mode=mode)), q
 
@@ -797,7 +786,7 @@ def test_phi_prime_lower_bound_sampled():
 def test_phi_limit_formula():
     q = 1 - 1e-6
     for x in (2, 5, 11):
-        limit = float(phi_limit_at_one(Fraction(x)))
+        limit = (x - 1) / (2 * x)
         assert abs(phi_raw(q, float(x)) - limit) < 1e-4
 
 
@@ -847,3 +836,11 @@ def test_evaluate_named_dispatch():
         evaluate_named("nosuch", q="0.5")
     with pytest.raises(DomainError):
         evaluate_named("phi", q="0.5")  # missing x
+
+
+@pytest.mark.parametrize("name, extra", [("A", {"x": 2}), ("V", {"q": "0.5"}),
+                                         ("phi", {"n": 3}), ("C", {"y": 1})])
+def test_evaluate_named_refuses_an_argument_the_function_does_not_take(name, extra):
+    args = {**_named_arguments(name, Fraction(1, 2), random.Random(name)), **extra}
+    with pytest.raises(DomainError, match=f"^{name} takes no --{next(iter(extra))}$"):
+        evaluate_named(name, **args)

@@ -219,6 +219,19 @@ def test_t_tail_bound_is_sound():
         assert refined.value.lo >= r.value.lo - r.value.width_upper()
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("q", ["1e-100", "0.5", "0.999"])
+@pytest.mark.parametrize("evaluate", [eval_T, partial(eval_psi_q, x=1), eval_H, eval_F],
+                         ids=["T", "psi", "H", "F"])
+def test_tail_bound_is_the_truncation_in_the_value(evaluate, q, mode):
+    """The reported tail bound is the truncation as it enters the value
+    returned, scaled by log(q) for psi and by (1-q)/q for F: no more than
+    the width of the printed ends, up to one rounding."""
+    report = evaluate(q, eps=1e-12, mode=mode)
+    lo, hi = report.value.to_floats()
+    assert Fraction(report.tail_bound) <= (Fraction(hi) - Fraction(lo)) * (1 + Fraction(1, 2**52))
+
+
 # -- q-digamma --------------------------------------------------------------------
 
 

@@ -32,6 +32,7 @@ from divisor_series.intervals import (
 from divisor_series.lemma_functions import (
     h2_denominator_polynomial,
     h3_numerator_polynomial,
+    j2_raw,
     phi_prime_raw,
     v_prime_run_raw,
     w1_raw,
@@ -49,7 +50,6 @@ from divisor_series.verifier import (
     SandwichBound,
     combine_theorem_3_2,
     j1_lower,
-    j2_limit_exact,
     j2_upper,
     lemma_2_4_i_v_prime_grid,
     lemma_2_4_ii_grid,
@@ -622,9 +622,10 @@ def test_fast_sandwich_evaluators_match_certified(evaluate, q):
 
 
 def test_j2_limit_rederived():
-    """J2's positive phi sum is regular at q = 1: its certified enclosure and
-    its DoubleInterval there both contain the limit, as exact rationals."""
-    assert j2_limit_exact() == J2_LIMIT == Fraction(208609, 55440)
+    """J2's positive phi sum is regular at q = 1: on an exact 1 it is the
+    pinned limit, and its certified enclosure and its DoubleInterval there
+    both contain it, as exact rationals."""
+    assert j2_raw(Fraction(1)) == J2_LIMIT == Fraction(208609, 55440)
     limit_enc = j2_upper(Fraction(1))
     assert limit_enc.contains(Fraction(208609, 55440))
     limit_doubles = j2_upper.doubles(Fraction(1))
