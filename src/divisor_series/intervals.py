@@ -14,11 +14,8 @@ met.
 
 A :class:`DoubleInterval` is the same guarantee on a pair of doubles: much
 cheaper per operation and much wider, it settles the certified sandwich
-cells that do not need working precision.  A :class:`FixedInterval` is the
-same guarantee on a pair of integers over one power-of-two scale, with no
-arithmetic of its own: it holds the certified series sums of special_eval,
-which its integer kernels compute at working precision on plain ints.
-A :class:`QPoint` holds an argument q in (0, 1) as an exact rational.
+cells that do not need working precision.  A :class:`QPoint` holds an
+argument q in (0, 1) as an exact rational.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, nextafter
-from typing import Iterator, Union
+from typing import Union
 
 from mpmath import iv, libmp, mp
 from mpmath.ctx_iv import ivmpf
@@ -105,15 +102,6 @@ def working_precision() -> int:
     except ValueError as exc:
         raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from exc
     return max(53, min(bits, MAX_PRECISION))
-
-
-def precision_ladder(start: int | None = None) -> Iterator[int]:
-    """Yield the working precision and its doublings up to MAX_PRECISION."""
-    bits = start if start is not None else working_precision()
-    while bits < MAX_PRECISION:
-        yield bits
-        bits *= 2
-    yield MAX_PRECISION
 
 
 @contextmanager
@@ -466,56 +454,6 @@ class DoubleInterval:
 
     def __repr__(self) -> str:
         return f"DoubleInterval({self.lo!r}, {self.hi!r})"
-
-
-def fixed_shift(x: ivmpf) -> int:
-    """The scale 2^-shift at which x keeps iv.prec significant bits, as an
-    ivmpf would: iv.prec plus the leading zero bits of a positive lower
-    endpoint below 1.  The exponent comes from the mpf itself, so an x below
-    the smallest double works."""
-    sign, man, exp, bc = x._mpi_[0]
-    if man and not sign:
-        return iv.prec + max(0, -(exp + bc))
-    return iv.prec
-
-
-class FixedInterval:
-    """A closed interval [lo, hi] * 2^-shift, lo <= hi integers, certified to
-    contain a real value.
-
-    The fixed-point format of special_eval's integer kernels, which sum each
-    end on plain ints, rounding lo down and hi up at 2^-shift (Brent and
-    Zimmermann, *Modern Computer Arithmetic*, CUP 2010, sections 3-4); the
-    caller picks the scale from the smallest magnitude it must resolve
-    (:func:`fixed_shift`).  The type has no unbounded interval.
-    """
-
-    __slots__ = ("lo", "hi", "shift")
-
-    def __init__(self, lo: int, hi: int, shift: int):
-        self.lo = lo
-        self.hi = hi
-        self.shift = shift
-
-    @classmethod
-    def from_ivmpf(cls, x: ivmpf, shift: int) -> "FixedInterval":
-        """x at scale 2^-shift, its endpoints rounded outward."""
-        a, b = x._mpi_
-        if a in (libmp.fninf, libmp.fnan) or b in (libmp.finf, libmp.fnan):
-            raise DomainError("an unbounded interval has no fixed-point enclosure")
-        return cls(libmp.to_int(libmp.mpf_shift(a, shift), libmp.round_floor),
-                   libmp.to_int(libmp.mpf_shift(b, shift), libmp.round_ceiling), shift)
-
-    def to_ivmpf(self) -> ivmpf:
-        """The tightest outward-rounded ivmpf at the current precision."""
-        prec = iv.prec
-        return iv.make_mpf((
-            libmp.from_man_exp(self.lo, -self.shift, prec, libmp.round_floor),
-            libmp.from_man_exp(self.hi, -self.shift, prec, libmp.round_ceiling),
-        ))
-
-    def __repr__(self) -> str:
-        return f"FixedInterval({self.lo!r}, {self.hi!r}, shift={self.shift})"
 
 
 def gamma_enclosure() -> Enclosure:

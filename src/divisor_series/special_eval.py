@@ -18,24 +18,24 @@ Tail bounds used to truncate the series (K = number of retained terms,
                  (from k to k+1, both halves of the term shrink by a factor
                  <= a q^{2k+1}, which is <= a p^2 q < 1 for k > K)
 
-The partial sums run on outward-rounded fixed-point integers: q, and a for
-psi_q, are lifted from their ``ivmpf`` enclosures at a scale that keeps the
-working precision's significant bits of q, however small; one integer kernel
-per series (_t_sum_end, _psi_sum_end) sums each end on plain ints, and the
-sum returns to ``ivmpf`` rounded outward.  They are the only partial sums
-here; their bit-for-bit references, the same sums written once on
-outward-rounded fixed-point arithmetic, live with the tests
-(``tests/oracles.py``).  The upper pass of each kernel also forms the tail
-bound above at q.hi (and a.hi) from the powers it has just rounded up, with
-ceiling divisions, and adds it to its end: every term is positive and grows
-with q and a, so the bound at the upper ends covers the whole interval, and
-the enclosure accounts for both rounding and truncation.  The same bounds in
-doubles (_t_tail, _psi_tail) only pick the term count.  Every evaluator
-climbs one precision ladder (``_climb``, which also rejects a bad eps) to
-width eps; H and F are one body, scale * (T - log(1-q)/log(q)).  FAST runs
-the same T, psi_q, H and F bodies once at ``FAST_PRECISION`` bits, with no
-promise on the width; it issues no certificates, and the bound checks below
-are certified only.
+The partial sums run on outward-rounded fixed-point integers, through one
+step (_fixed_point_sum): q, and a for psi_q, are lifted from their ``ivmpf``
+enclosures at a scale that keeps the working precision's significant bits of
+q, however small; one integer kernel per series (_t_sum_end, _psi_sum_end)
+sums each end on plain ints, and the sum returns to ``ivmpf`` rounded
+outward.  They are the only partial sums here; their bit-for-bit references,
+the same sums written once on outward-rounded fixed-point arithmetic, live
+with the tests (``tests/oracles.py``).  The upper pass of each kernel also
+forms the tail bound above at q.hi (and a.hi) from the powers it has just
+rounded up, with ceiling divisions, and adds it to its end: every term is
+positive and grows with q and a, so the bound at the upper ends covers the
+whole interval, and the enclosure accounts for both rounding and truncation.
+The same bounds in doubles (_t_tail, _psi_tail) only pick the term count.
+Every evaluator climbs one precision ladder (``_climb``, which also rejects
+a bad eps) to width eps; H and F are one body,
+scale * (T - log(1-q)/log(q)).  FAST runs the same T, psi_q, H and F bodies
+once at ``FAST_PRECISION`` bits, with no promise on the width; it issues no
+certificates, and the bound checks below are certified only.
 """
 
 from __future__ import annotations
@@ -56,19 +56,16 @@ from .intervals import (
     DoubleInterval,
     Enclosure,
     FAST_PRECISION,
-    FixedInterval,
     MAX_PRECISION,
     Mode,
     PrecisionError,
     QPoint,
     TermBudgetError,
-    fixed_shift,
     gamma_enclosure,
     interval_precision,
     log1m,
     mpf_to_fraction,
     powr,
-    precision_ladder,
     working_precision,
     _ceil_float,
 )
@@ -160,9 +157,9 @@ def _up_div(n: int, d: int, s: int) -> int:
     return ((n << s) + d - 1) // d
 
 
-def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table,
-               up: int) -> tuple[int, int]:
-    """One end of T's enclosure on a FixedInterval q at scale 2^-s, as
+def _t_sum_end(rep: RepresentationId, terms: int, table, s: int, up: int,
+               x: int) -> tuple[int, int]:
+    """One end of T's enclosure on a fixed-point q at scale 2^-s, as
     (end, tail): x is q.lo with up = 0 (the lower end, tail 0) or q.hi with
     up = 1.  Interval arithmetic takes the extreme corners of a product or
     quotient; with 0 <= q.lo and q.hi < 2^s every operand is non-negative
@@ -212,9 +209,9 @@ def _t_sum_end(x: int, s: int, rep: RepresentationId, terms: int, table,
     return total + tail, tail
 
 
-def _psi_sum_end(x: int, y: int, s: int, terms: int, up: int) -> tuple[int, int]:
+def _psi_sum_end(terms: int, s: int, up: int, x: int, y: int) -> tuple[int, int]:
     """One end of sum_{k<=terms} a^k q^{k^2} (1/(1-q^k) + a q^k/(1-a q^k))
-    on FixedInterval q and a = q^(x-1) at scale 2^-s, as (end, tail) like
+    on fixed-point q and a = q^(x-1) at scale 2^-s, as (end, tail) like
     _t_sum_end: (x, y) is (q.lo, a.lo) with up = 0 or (q.hi, a.hi) with
     up = 1.  The upper pass ends holding c = (a p)^(K+1), p = q^(K+1) and
     a p, each rounded up, and adds the module docstring's tail bound, the
@@ -240,6 +237,38 @@ def _psi_sum_end(x: int, y: int, s: int, terms: int, up: int) -> tuple[int, int]
     return total + tail, tail
 
 
+def _fixed_point_sum(kernel, q: ivmpf, a: Optional[ivmpf] = None):
+    """The one fixed-point step of the certified sums, as (sum, tail): q, and
+    psi's a, lifted to integers at scale 2^-s, their lower ends rounded down
+    and their upper ends up; kernel(s, up, *ends) run on the lower ends
+    (up = 0) and on the upper ends (up = 1); and the two sums returned as an
+    ivmpf rounded outward at the current precision, with the upper pass's
+    tail as an exact mpf.  The scale keeps iv.prec significant bits of q
+    however small, as an ivmpf would (Brent and Zimmermann, *Modern Computer
+    Arithmetic*, CUP 2010, sections 3-4).  An unbounded end or a lift of q
+    below 0 raises; None where a q reaches 1 (x near 0), to be tried higher:
+    a q^k shrinks as k grows, so a q < 1 keeps every 1 - a q^k positive."""
+    prec = iv.prec
+    sign, man, exp, bc = q._mpi_[0]
+    s = prec + max(0, -(exp + bc)) if man and not sign else prec
+    lo, hi = [], []
+    for x in (q,) if a is None else (q, a):
+        x_lo, x_hi = x._mpi_
+        if x_lo in (libmp.fninf, libmp.fnan) or x_hi in (libmp.finf, libmp.fnan):
+            raise DomainError("an unbounded interval has no fixed-point enclosure")
+        lo.append(libmp.to_int(libmp.mpf_shift(x_lo, s), libmp.round_floor))
+        hi.append(libmp.to_int(libmp.mpf_shift(x_hi, s), libmp.round_ceiling))
+    if lo[0] < 0:  # the term count has checked q.hi < 1 on q's double
+        raise DomainError("series argument must lie inside (0, 1) at working precision")
+    if a is not None and (hi[1] * hi[0] + (1 << s) - 1) >> s >= 1 << s:
+        return None
+    sum_lo, _ = kernel(s, 0, *lo)
+    sum_hi, tail = kernel(s, 1, *hi)
+    return (iv.make_mpf((libmp.from_man_exp(sum_lo, -s, prec, libmp.round_floor),
+                         libmp.from_man_exp(sum_hi, -s, prec, libmp.round_ceiling))),
+            libmp.from_man_exp(tail, -s))
+
+
 def t_enclosure_for_interval(
     q_iv: ivmpf, eps: float, representation: RepresentationId = RepresentationId.CLAUSEN
 ) -> EvalReport:
@@ -251,14 +280,9 @@ def t_enclosure_for_interval(
     target = max(float(min(eps, 1e300)) / 4, 5e-323)
     terms = _choose_terms(lambda k: _t_tail(q_hi, representation, k), target)
     table = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
-    s = fixed_shift(q_iv)
-    q_fx = FixedInterval.from_ivmpf(q_iv, s)
-    if q_fx.lo < 0:  # the term count has checked q.hi < 1 on q's double
-        raise DomainError("series argument must lie inside (0, 1) at working precision")
-    lo, _ = _t_sum_end(q_fx.lo, s, representation, terms, table, 0)
-    hi, tail = _t_sum_end(q_fx.hi, s, representation, terms, table, 1)
-    return EvalReport(Enclosure(FixedInterval(lo, hi, s).to_ivmpf()), representation, terms,
-                      _ceil_float(libmp.from_man_exp(tail, -s)), Mode.CERTIFIED)
+    value, tail = _fixed_point_sum(partial(_t_sum_end, representation, terms, table), q_iv)
+    return EvalReport(Enclosure(value), representation, terms, _ceil_float(tail),
+                      Mode.CERTIFIED)
 
 
 # -- public evaluators --------------------------------------------------------
@@ -280,20 +304,24 @@ def _precision_error(eps: float | Fraction) -> PrecisionError:
 
 def _climb(eps: float | Fraction, mode: Mode, rung) -> EvalReport:
     """The one precision ladder of the evaluators, which also rejects a bad eps.
-    rung() evaluates at the current interval precision, None to be tried
-    higher; FAST takes the first report from FAST_PRECISION up, CERTIFIED the
-    first from _bits_for_eps(eps) up no wider than a 64-bit lower bound on eps."""
+    rung() evaluates at the current interval precision, None to be tried at
+    twice it, up to MAX_PRECISION; FAST takes the first report from
+    FAST_PRECISION up, CERTIFIED the first from _bits_for_eps(eps) up no
+    wider than a 64-bit lower bound on eps."""
     if not eps > 0:
         raise DomainError("eps must be positive")
     fast = mode is Mode.FAST
     bound = mp.make_mpf(libmp.from_float(eps) if isinstance(eps, float) else
                         libmp.from_rational(eps.numerator, eps.denominator, 64, libmp.round_floor))
-    for prec in precision_ladder(FAST_PRECISION if fast else _bits_for_eps(eps)):
+    prec = FAST_PRECISION if fast else _bits_for_eps(eps)
+    while True:
         with interval_precision(prec):
             report = rung()
         if report is not None and (fast or report.value.width_upper() <= bound):
             return report
-    raise _precision_error(eps)
+        if prec >= MAX_PRECISION:
+            raise _precision_error(eps)
+        prec = min(2 * prec, MAX_PRECISION)
 
 
 def eval_T(q, eps: float = 1e-12, representation: RepresentationId = RepresentationId.CLAUSEN,
@@ -337,18 +365,13 @@ def eval_psi_q(q, x, eps: float = 1e-12, mode: Mode = Mode.CERTIFIED) -> EvalRep
                               max(eps / (4.0 * log_scale), 5e-323))
         q_iv = qp.to_ivmpf()
         a = powr(q_iv, int(x_frac - 1) if x_frac.denominator == 1 else x_frac - 1)
-        s = fixed_shift(q_iv)
-        q_fx, a_fx = FixedInterval.from_ivmpf(q_iv, s), FixedInterval.from_ivmpf(a, s)
-        # a q^k shrinks as k grows, so a q < 1 keeps every 1 - a q^k positive
-        if (a_fx.hi * q_fx.hi + (1 << s) - 1) >> s >= 1 << s:
+        total = _fixed_point_sum(partial(_psi_sum_end, terms), q_iv, a)
+        if total is None:
             return None  # a q reaches 1 at this precision (x near 0)
-        lo, _ = _psi_sum_end(q_fx.lo, a_fx.lo, s, terms, 0)
-        hi, tail = _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1)
         log_q = iv.log(q_iv)
-        value = (Enclosure(-log1m(q_iv))
-                 + Enclosure(log_q) * Enclosure(FixedInterval(lo, hi, s).to_ivmpf()))
+        value = Enclosure(-log1m(q_iv)) + Enclosure(log_q) * Enclosure(total[0])
         # the sum's truncation enters the value times log(q) < 0
-        tail_bound = libmp.mpf_mul(libmp.from_man_exp(tail, -s), libmp.mpf_neg(log_q._mpi_[0]))
+        tail_bound = libmp.mpf_mul(total[1], libmp.mpf_neg(log_q._mpi_[0]))
         return EvalReport(value, PSI_FORMULA, terms, _ceil_float(tail_bound), mode)
 
     return _climb(eps, mode, rung)
@@ -487,13 +510,12 @@ def check_bounds(
         h_s_est = float(eval_H(sp, 1e-6, mode=Mode.FAST).value.midpoint())
 
         def triple(e):
-            # a Fraction eps may lie below the doubles: its widths stay exact
-            exact = isinstance(e, Fraction)
-            h_s, h_r = (Fraction(v) if exact else v for v in (h_s_est, max(h_r_est, 5e-324)))
-            w_r = e * h_s / 4
-            w_s = w_r * (h_s / h_r)  # a double inf where H(r) underflows
-            if not w_s > 0:  # 0 or NaN where w_r is 0
-                raise DomainError("s underflows in double precision: e H(s)/4 rounds to 0")
+            # exact widths, as e H(s)/4 may lie below the doubles; an infinite e stays
+            h_s, h_r = Fraction(h_s_est), Fraction(max(h_r_est, 5e-324))
+            w_r = (Fraction(e) if e < math.inf else e) * h_s / 4
+            w_s = w_r * (h_s / h_r)
+            if not w_s > 0:  # 0, or NaN for an infinite e, where H(s)'s estimate is 0
+                raise DomainError("s is too small: the FAST estimate of H(s) rounds to 0.0")
             h_r = eval_H(rp, w_r)
             h_s = eval_H(sp, w_s)
             with interval_precision(_bits_for_eps(e)):

@@ -1,7 +1,8 @@
 """Reference bodies and brute-force oracles that only the tests run.
 
-* :class:`FixedArithmetic` -- outward-rounded ``+ - * /`` on the fixed-point
-  format of :class:`divisor_series.intervals.FixedInterval`;
+* :class:`FixedArithmetic` -- outward-rounded ``+ - * /`` on ints over one
+  power-of-two scale, lifted by special_eval's fixed-point step
+  ``_fixed_point_sum``;
 * :func:`t_partial_sum_generic` and :func:`psi_partial_sum_generic` -- the
   partial sums of T and psi_q and their tail bounds written once on that
   arithmetic, the bit-for-bit references of special_eval's integer kernels
@@ -23,28 +24,46 @@ from __future__ import annotations
 from fractions import Fraction
 
 from divisor_series.divisor_core import PartitionStats, divisor_partial_sums, divisor_sieve
-from divisor_series.intervals import DomainError, FixedInterval
+from divisor_series.intervals import DomainError
 from divisor_series.polynomials import (
     Polynomial,
     _integer_coefficients,
     _integer_sturm_chain,
 )
 from divisor_series.power_series import RepresentationId, TruncatedSeries
+from divisor_series.special_eval import _fixed_point_sum
 
 
 # -- fixed-point arithmetic and the kernels' reference bodies --------------------
 
 
-class FixedArithmetic(FixedInterval):
-    """FixedInterval with outward-rounded arithmetic (Brent and Zimmermann,
-    *Modern Computer Arithmetic*, CUP 2010, sections 3-4): ``+`` and ``-``
-    are exact; ``*`` and ``/`` take the extreme corner products or
-    quotients, then round lo down (``>>``, ``//``) and hi up
+class FixedArithmetic:
+    """[lo, hi] * 2^-shift, lo <= hi ints, with outward-rounded arithmetic
+    (Brent and Zimmermann, *Modern Computer Arithmetic*, CUP 2010, sections
+    3-4): ``+`` and ``-`` are exact; ``*`` and ``/`` take the extreme corner
+    products or quotients, then round lo down (``>>``, ``//``) and hi up
     (``-((-x) >> s)``).  An int operand enters exactly.  Each rounding costs
     at most 2^-shift absolutely.  Dividing by an interval that contains 0 and
     mixing two scales raise DomainError."""
 
-    __slots__ = ()
+    __slots__ = ("lo", "hi", "shift")
+
+    def __init__(self, lo: int, hi: int, shift: int):
+        self.lo, self.hi, self.shift = lo, hi, shift
+
+    @classmethod
+    def lift(cls, *ivs):
+        """q (and psi's a) as special_eval's fixed-point step lifts them at
+        the current precision, one FixedArithmetic each; None where the step
+        refuses them (a q reaches 1)."""
+        ends = []
+        if _fixed_point_sum(lambda s, up, *xs: ends.append((s, xs)) or (0, 0), *ivs) is None:
+            return None
+        (shift, lo), (_, hi) = ends
+        return [cls(x, y, shift) for x, y in zip(lo, hi)]
+
+    def __repr__(self) -> str:
+        return f"FixedArithmetic({self.lo!r}, {self.hi!r}, shift={self.shift})"
 
     def _operand(self, other):
         """other at this scale, an int exactly; None for any other type."""

@@ -27,7 +27,7 @@ from divisor_series.lemma_functions import (
     phi_antiderivative_raw,
     phi_raw,
 )
-from divisor_series.polynomials import Polynomial, sturm_root_count
+from divisor_series.polynomials import sturm_root_count
 from divisor_series.power_series import (
     RepresentationId,
     TruncatedSeries,
@@ -36,7 +36,6 @@ from divisor_series.power_series import (
     q_pochhammer,
 )
 from divisor_series.special_eval import (
-    BoundsStatus,
     QPoint,
     TheoremId,
     check_bounds,

@@ -447,10 +447,17 @@ def test_bounds_scan_c33_below_the_square_root_of_the_smallest_double(capsys):
     assert code == 0 and out.endswith(",PASS\n")
 
 
-def test_bounds_scan_c33_at_a_subnormal_s_exits_2(capsys):
+def test_bounds_scan_c33_at_a_subnormal_s_passes(capsys):
+    """H(s) is a subnormal double at s = 2e-320; the pair still passes."""
+    code, out, _ = run_cli(capsys, "bounds-scan", "--theorem", "C3_3", "--grid-start",
+                           "1e-320", "--grid-end", "2e-320", "--grid-step", "1e-320")
+    assert code == 0 and out.endswith(",PASS\n")
+
+
+def test_bounds_scan_c33_where_h_of_s_rounds_to_zero_exits_2(capsys):
     err = _usage_error(capsys, ["bounds-scan", "--theorem", "C3_3", "--grid-start",
-                                "1e-320", "--grid-end", "2e-320", "--grid-step", "1e-320"])
-    assert "underflows" in err and "eps must be positive" not in err
+                                "1e-330", "--grid-end", "2e-330", "--grid-step", "1e-330"])
+    assert "estimate of H(s) rounds to 0" in err and "eps must be positive" not in err
 
 
 def test_bounds_scan_over_the_point_cap_is_a_usage_error(capsys):

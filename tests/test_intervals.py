@@ -1,6 +1,6 @@
-"""Outward rounding and ordering semantics of the Enclosure,
-DoubleInterval and FixedInterval types, and of the tests' fixed-point
-arithmetic FixedArithmetic."""
+"""Outward rounding and ordering semantics of the Enclosure and
+DoubleInterval types, and of the tests' fixed-point arithmetic
+FixedArithmetic."""
 
 import math
 import random
@@ -14,18 +14,15 @@ from divisor_series.intervals import (
     DomainError,
     DoubleInterval,
     Enclosure,
-    FixedInterval,
     _ceil_float,
     _floor_float,
     _gamma_at,
     const,
     exp_,
-    fixed_shift,
     gamma_enclosure,
     interval_precision,
     ln,
     mpf_to_fraction,
-    to_ivmpf,
     working_precision,
 )
 from oracles import FixedArithmetic
@@ -473,54 +470,3 @@ def test_fixed_interval_takes_no_inexact_operand():
             x + other
         with pytest.raises(TypeError):
             x * other
-
-
-# -- FixedInterval: the fixed-point format of the kernels ----------------------
-
-
-@pytest.mark.parametrize("bits", [53, 128, 1024])
-def test_fixed_interval_round_trip_through_ivmpf_rounds_outward(bits):
-    """from_ivmpf floors and ceils the endpoints at the scale, to_ivmpf rounds
-    them outward to the working precision; at fixed_shift a value keeps the
-    working precision's significant bits, however small it is."""
-    rng = random.Random(8)
-    values = [Fraction(1, 7), Fraction(99, 100), Fraction(-5, 3), Fraction(1, 10**300),
-              Fraction(1, 10**400), Fraction(10**40, 3)]
-    values += [Fraction(rng.randrange(1, 10**30), rng.randrange(1, 10**30)) *
-               Fraction(10) ** rng.randrange(-400, 40) for _ in range(30)]
-    with interval_precision(bits):
-        for value in values:
-            enc = to_ivmpf(value)
-            lo = mpf_to_fraction(mp.make_mpf(enc._mpi_[0]))
-            hi = mpf_to_fraction(mp.make_mpf(enc._mpi_[1]))
-            shift = fixed_shift(enc)
-            x = FixedInterval.from_ivmpf(enc, shift)
-            assert (x.lo, x.hi) == (math.floor(lo * 2 ** shift), math.ceil(hi * 2 ** shift))
-            if 0 < value < 1:
-                assert 2 ** (bits - 1) <= x.lo < 2 ** bits
-            back = Enclosure(x.to_ivmpf())
-            assert mpf_to_fraction(back.lo) <= Fraction(x.lo, 2 ** shift)
-            assert Fraction(x.hi, 2 ** shift) <= mpf_to_fraction(back.hi)
-            # outward by less than one unit in the last of `bits` places
-            assert back.contained_in(lo - abs(lo) / 2 ** (bits - 2), hi + abs(hi) / 2 ** (bits - 2))
-            assert back.contains(value)
-            # a coarser scale still encloses, with fewer bits
-            coarse = FixedInterval.from_ivmpf(enc, 64)
-            assert Fraction(coarse.lo, 2**64) <= value <= Fraction(coarse.hi, 2**64)
-
-
-def test_fixed_interval_refuses_an_unbounded_ivmpf():
-    with pytest.raises(DomainError):
-        FixedInterval.from_ivmpf(iv.mpf([0, "inf"]), 64)
-    with pytest.raises(DomainError):
-        FixedInterval.from_ivmpf(iv.mpf(["-inf", 0]), 64)
-
-
-def test_fixed_shift_follows_the_exponent_of_the_lower_endpoint():
-    with interval_precision(128):
-        assert fixed_shift(to_ivmpf(Fraction(3, 4))) == 128
-        assert fixed_shift(to_ivmpf(7)) == 128
-        assert fixed_shift(to_ivmpf(Fraction(1, 8))) == 130
-        assert fixed_shift(to_ivmpf(Fraction(1, 2**1000))) == 128 + 999
-        assert fixed_shift(iv.mpf([0, 1])) == 128
-        assert fixed_shift(iv.mpf([-1, 1])) == 128

@@ -54,7 +54,6 @@ from divisor_series.lemma_functions import (
     w2_raw,
 )
 from divisor_series.polynomials import Polynomial
-from divisor_series.verifier import J2_LIMIT
 
 
 # -- closed forms vs finite differences ---------------------------------------
@@ -415,12 +414,6 @@ def test_w1_and_j1_take_the_kernel_only_inside_its_guard(monkeypatch):
         assert j1_raw(q_iv)._mpi_ == (lemma_functions._phi_integral_generic(q_iv, 11)
                                       - to_ivmpf(Fraction(36, 1000)))._mpi_
     assert len(calls) == 2
-
-
-def test_j2_at_an_exact_one_is_its_limit():
-    """The positive form has no singularity at q = 1: each term is
-    (k-1)/(2k), so J2(1) is the pinned limit in exact rationals."""
-    assert j2_raw(Fraction(1)) == J2_LIMIT
 
 
 def test_antiderivative_vs_quadrature_spot():

@@ -15,11 +15,9 @@ from divisor_series.divisor_core import divisor_sieve
 from divisor_series.intervals import (
     DomainError,
     Enclosure,
-    FixedInterval,
     Mode,
     PrecisionError,
     TermBudgetError,
-    fixed_shift,
     gamma_enclosure,
     interval_precision,
     log1m,
@@ -41,6 +39,7 @@ from divisor_series.special_eval import (
     landau_constant_from_t,
     landau_fibonacci,
     t_enclosure_for_interval,
+    _fixed_point_sum,
     _psi_sum_end,
     _t_sum_end,
 )
@@ -255,18 +254,14 @@ def _exact_t_partial_sum(q: Fraction, rep: RepresentationId, terms: int) -> Frac
 @pytest.mark.parametrize("q", _FIXED_QS, ids=str)
 @pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
 def test_certified_t_partial_sum_on_fixed_intervals_encloses_exact(rep, q):
-    """q lifted from its 128-bit enclosure at fixed_shift, as the certified
-    evaluator lifts it: the kernel's two ends enclose both the exact partial
+    """q's 128-bit enclosure through the fixed-point step, as the certified
+    evaluator sums it: the kernel's two ends enclose both the exact partial
     sum and that sum plus the exact tail bound at q, and exceed that span by
     no more than 2^-100 of the sum, at q = 1e-400 too."""
+    table = divisor_sieve(_FIXED_TERMS) if rep is RepresentationId.DIVISOR else None
     with interval_precision(128):
-        q_iv = to_ivmpf(q)
-        s = fixed_shift(q_iv)
-        q_fx = FixedInterval.from_ivmpf(q_iv, s)
-        table = divisor_sieve(_FIXED_TERMS) if rep is RepresentationId.DIVISOR else None
-        lo, _ = _t_sum_end(q_fx.lo, s, rep, _FIXED_TERMS, table, 0)
-        hi, _ = _t_sum_end(q_fx.hi, s, rep, _FIXED_TERMS, table, 1)
-        got = Enclosure(FixedInterval(lo, hi, s).to_ivmpf())
+        got, _ = _fixed_point_sum(partial(_t_sum_end, rep, _FIXED_TERMS, table), to_ivmpf(q))
+    got = Enclosure(got)
     exact = _exact_t_partial_sum(q, rep, _FIXED_TERMS)
     tail = t_tail(q, rep, _FIXED_TERMS)
     assert got.contains(exact) and got.contains(exact + tail)
@@ -289,15 +284,13 @@ def test_certified_psi_partial_sum_on_fixed_intervals_encloses_exact(q, x):
     q, so past that span it keeps 100 significant bits of the sum or of q,
     whichever is larger: for x > 1 at tiny q the sum is far below q, and
     psi_q = -log(1-q) + log(q) * sum is dominated by -log(1-q) ~ q.  The sum
-    is the kernel's, one end from (q.lo, a.lo), the other from (q.hi, a.hi)."""
+    is the kernel's through the fixed-point step, one end from (q.lo, a.lo),
+    the other from (q.hi, a.hi)."""
     with interval_precision(128):
         q_iv = to_ivmpf(q)
         a = iv.exp(to_ivmpf(x - 1) * iv.log(q_iv))
-        s = fixed_shift(q_iv)
-        q_fx, a_fx = FixedInterval.from_ivmpf(q_iv, s), FixedInterval.from_ivmpf(a, s)
-        lo, _ = _psi_sum_end(q_fx.lo, a_fx.lo, s, _FIXED_TERMS, 0)
-        hi, _ = _psi_sum_end(q_fx.hi, a_fx.hi, s, _FIXED_TERMS, 1)
-        got = Enclosure(FixedInterval(lo, hi, s).to_ivmpf())
+        got, _ = _fixed_point_sum(partial(_psi_sum_end, _FIXED_TERMS), q_iv, a)
+    got = Enclosure(got)
     a_enc = Enclosure(a)
     low = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.lo), _FIXED_TERMS)
     high = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.hi), _FIXED_TERMS)
@@ -306,19 +299,73 @@ def test_certified_psi_partial_sum_on_fixed_intervals_encloses_exact(q, x):
     assert mpf_to_fraction(got.hi) - mpf_to_fraction(got.lo) - tail <= max(low, q) / 2**100
 
 
+@pytest.mark.parametrize("bits", [53, 128, 1024])
+def test_fixed_point_step_rounds_outward(bits):
+    """The step floors and ceils q's ends at its scale, and returns the sums
+    rounded outward to the working precision (here the ends themselves, from
+    a kernel that returns its end); at that scale q keeps the working
+    precision's significant bits, however small it is."""
+    rng = random.Random(8)
+    values = [Fraction(1, 7), Fraction(99, 100), Fraction(1, 10**300), Fraction(1, 10**400),
+              Fraction(10**40, 3)]
+    values += [Fraction(rng.randrange(1, 10**30), rng.randrange(1, 10**30)) *
+               Fraction(10) ** rng.randrange(-400, 40) for _ in range(30)]
+    with interval_precision(bits):
+        for value in values:
+            enc = to_ivmpf(value)
+            lo = mpf_to_fraction(mp.make_mpf(enc._mpi_[0]))
+            hi = mpf_to_fraction(mp.make_mpf(enc._mpi_[1]))
+            [x] = FixedArithmetic.lift(enc)
+            assert (x.lo, x.hi) == (math.floor(lo * 2 ** x.shift), math.ceil(hi * 2 ** x.shift))
+            if 0 < value < 1:
+                assert 2 ** (bits - 1) <= x.lo < 2 ** bits
+            back, tail = _fixed_point_sum(lambda s, up, end: (end, 0), enc)
+            back = Enclosure(back)
+            assert mpf_to_fraction(back.lo) <= Fraction(x.lo, 2 ** x.shift)
+            assert Fraction(x.hi, 2 ** x.shift) <= mpf_to_fraction(back.hi)
+            # outward by less than one unit in the last of `bits` places
+            assert back.contained_in(lo - abs(lo) / 2 ** (bits - 2), hi + abs(hi) / 2 ** (bits - 2))
+            assert back.contains(value) and tail == libmp.fzero
+
+
+def test_fixed_point_step_refuses_an_unbounded_end():
+    """An unbounded end of q or of psi's a has no fixed-point enclosure."""
+    with interval_precision(128):
+        for ivs in ([iv.mpf([0, "inf"])], [iv.mpf(["-inf", 0])],
+                    [to_ivmpf(Fraction(1, 2)), iv.mpf([1, "inf"])]):
+            with pytest.raises(DomainError, match="unbounded"):
+                FixedArithmetic.lift(*ivs)
+
+
+def test_fixed_point_scale_follows_the_exponent_of_q():
+    """The scale is 2^-(iv.prec + the leading zero bits of q's lower end),
+    whatever psi's a is; a q whose lower end is below 0 is refused."""
+    def shift(*ivs):
+        return FixedArithmetic.lift(*ivs)[0].shift
+
+    with interval_precision(128):
+        assert shift(to_ivmpf(Fraction(3, 4))) == 128
+        assert shift(to_ivmpf(7)) == 128
+        assert shift(to_ivmpf(Fraction(1, 8))) == 130
+        assert shift(to_ivmpf(Fraction(1, 2**1000))) == 128 + 999
+        assert shift(iv.mpf([0, 1])) == 128
+        assert shift(to_ivmpf(Fraction(1, 8)), to_ivmpf(Fraction(1, 2**1000))) == 130
+        with pytest.raises(DomainError):
+            shift(iv.mpf([-1, 1]))
+
+
 _KERNEL_QS = _FIXED_QS + [1 - Fraction(1, 10**k) for k in range(1, 7)]
 
 
-def _lifted(q: Fraction, x: Fraction | None = None):
-    """q, and a = q^(x-1) when x is given, lifted at fixed_shift(q) from
-    their enclosures at the current precision, as the certified evaluators
-    lift them."""
+def _lifted(q, x: Fraction | None = None):
+    """q, and a = q^(x-1) when x is given, from their enclosures at the
+    current precision, as the fixed-point step lifts them for the certified
+    evaluators (q alone for T); None where the step refuses (a q reaches 1).
+    q may be an ivmpf."""
     q_iv = to_ivmpf(q)
-    shift = fixed_shift(q_iv)
-    q_fx = FixedArithmetic.from_ivmpf(q_iv, shift)
     if x is None:
-        return q_fx
-    return q_fx, FixedArithmetic.from_ivmpf(iv.exp(to_ivmpf(x - 1) * iv.log(q_iv)), shift)
+        return FixedArithmetic.lift(q_iv)[0]
+    return FixedArithmetic.lift(q_iv, iv.exp(to_ivmpf(x - 1) * iv.log(q_iv)))
 
 
 @pytest.mark.parametrize("prec", [53, 128, 512])
@@ -334,8 +381,8 @@ def test_t_sum_kernel_is_the_generic_body_bit_for_bit(rep, prec):
             with interval_precision(prec):
                 q_fx = _lifted(q)
             body = t_partial_sum_generic(q_fx, rep, terms, table)
-            lo, _ = _t_sum_end(q_fx.lo, q_fx.shift, rep, terms, table, 0)
-            hi, _ = _t_sum_end(q_fx.hi, q_fx.shift, rep, terms, table, 1)
+            lo, _ = _t_sum_end(rep, terms, table, q_fx.shift, 0, q_fx.lo)
+            hi, _ = _t_sum_end(rep, terms, table, q_fx.shift, 1, q_fx.hi)
             assert (lo, hi) == (body.lo, body.hi), (q, terms)
 
 
@@ -344,21 +391,22 @@ def test_t_sum_kernel_is_the_generic_body_bit_for_bit(rep, prec):
                                Fraction(7, 3)], ids=str)
 def test_psi_sum_kernel_is_the_generic_body_bit_for_bit(x, prec):
     """_psi_sum_end replays psi_partial_sum_generic on FixedArithmetic q and a
-    wherever the kernel's guard holds, as ints, tail bound included; a case
-    whose a q reaches 1 is outside the guard and left to the guard test
-    below."""
+    wherever the fixed-point step's guard holds, as ints, tail bound
+    included; a case whose a q reaches 1 is refused by the step and left to
+    the guard test below."""
     kernel_cases = 0
     for terms in (1, _FIXED_TERMS, 300):
         for q in _KERNEL_QS:
             with interval_precision(prec):
-                q_fx, a_fx = _lifted(q, x)
-            s = q_fx.shift
-            if (a_fx.hi * q_fx.hi + (1 << s) - 1) >> s >= 1 << s:
+                lifted = _lifted(q, x)
+            if lifted is None:
                 continue  # a q reaches 1: outside the guard
             kernel_cases += 1
+            q_fx, a_fx = lifted
+            s = q_fx.shift
             body = psi_partial_sum_generic(q_fx, a_fx, terms)
-            lo, _ = _psi_sum_end(q_fx.lo, a_fx.lo, s, terms, 0)
-            hi, _ = _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1)
+            lo, _ = _psi_sum_end(terms, s, 0, q_fx.lo, a_fx.lo)
+            hi, _ = _psi_sum_end(terms, s, 1, q_fx.hi, a_fx.hi)
             assert (lo, hi) == (body.lo, body.hi), (q, terms)
     assert kernel_cases >= 3 * len(_FIXED_QS)
 
@@ -382,9 +430,8 @@ def test_certified_t_rung_runs_the_kernel_once_per_end(monkeypatch, q, rep):
         q_iv = to_ivmpf(q)
         q_fx = _lifted(q)
         report = t_enclosure_for_interval(q_iv, 1e-12, rep)
-    assert [(c[0], c[1], c[5]) for c in calls] == [(q_fx.lo, q_fx.shift, 0),
-                                                   (q_fx.hi, q_fx.shift, 1)]
-    assert all(c[3] == report.terms_used for c in calls)
+    assert [c[3:] for c in calls] == [(q_fx.shift, 0, q_fx.lo), (q_fx.shift, 1, q_fx.hi)]
+    assert all(c[1] == report.terms_used for c in calls)
 
 
 def test_certified_t_refuses_a_q_reaching_one_before_the_kernel(monkeypatch):
@@ -424,36 +471,33 @@ def test_psi_rung_guard_returns_none_without_a_kernel_call(monkeypatch):
     assert calls == []
     with interval_precision(256):
         assert rung() is not None
-    assert [c[4] for c in calls] == [0, 1]
+    assert [c[2] for c in calls] == [0, 1]
     monkeypatch.setattr(special_eval, "powr", lambda q, exponent: iv.mpf(2))
     with interval_precision(128):
         assert eval_psi_q(Fraction(1, 2), Fraction(1, 2), 1e-12)() is None
     assert len(calls) == 2
 
 
-#: The functions of special_eval that sum a series: the two integer kernels
-#: and Landau's exact rational partial sum.
-_SUMS = {"_t_sum_end", "_psi_sum_end", "fibonacci_partial_sum"}
-
-#: What src's FixedInterval defines: the fixed-point format, no arithmetic.
-_FIXED_FORMAT = {"__init__", "from_ivmpf", "to_ivmpf", "__repr__"}
+#: The functions of special_eval that sum a series: the two integer kernels,
+#: the fixed-point step that runs them, and Landau's exact rational partial
+#: sum.
+_SUMS = {"_t_sum_end", "_psi_sum_end", "_fixed_point_sum", "fibonacci_partial_sum"}
 
 
 @pytest.mark.parametrize("mode", [Mode.FAST, Mode.CERTIFIED])
 @pytest.mark.parametrize("q, pair", [("1e-400", ("1e-20", "2e-20")), ("1/2", ("1/4", "1/2")),
                                      ("99/100", ("49/50", "99/100"))], ids=lambda v: str(v))
 def test_evaluators_never_run_the_generic_bodies(monkeypatch, q, pair, mode):
-    """special_eval defines no generic partial sum, and FixedInterval defines
-    no operator a generic body could run on: the integer kernels are the only
-    partial sums the evaluators run.  T (three series), psi_q (four x), H, F
-    and, certified only, Landau's constant and one bound check of each
-    theorem evaluate, and call both kernels.  C3_3 takes its pair near q (at
-    1e-20 near 0, where H is still a normal double)."""
+    """special_eval defines no generic partial sum, and the fixed-point step
+    hands the kernels plain ints, on which no generic body could run: the
+    integer kernels are the only partial sums the evaluators run.  T (three
+    series), psi_q (four x), H, F and, certified only, Landau's constant and
+    one bound check of each theorem evaluate, and call both kernels.  C3_3
+    takes its pair near q (at 1e-20 near 0, where H is still a normal
+    double)."""
     functions = {name for name, value in vars(special_eval).items()
                  if inspect.isfunction(value) and value.__module__ == special_eval.__name__}
     assert {name for name in functions if "sum" in name} == _SUMS
-    assert {name for name, value in vars(FixedInterval).items() if callable(value)
-            or isinstance(value, classmethod)} == _FIXED_FORMAT
     t_calls = _count_calls(monkeypatch, "_t_sum_end")
     psi_calls = _count_calls(monkeypatch, "_psi_sum_end")
     for rep in NUMERIC_REPS:
@@ -470,6 +514,8 @@ def test_evaluators_never_run_the_generic_bodies(monkeypatch, q, pair, mode):
             else:
                 check_bounds(theorem, q=q)
     assert t_calls and psi_calls
+    assert all(type(v) is int for c in t_calls for v in (c[1], *c[3:]))
+    assert all(type(v) is int for c in psi_calls for v in c)
 
 
 @pytest.mark.parametrize("rep", NUMERIC_REPS, ids=lambda r: r.value)
@@ -649,27 +695,23 @@ def test_kernel_tail_bounds_the_next_terms_and_the_ivmpf_tail(series, prec):
     plus a bound on the rest; and at least the oracle's ivmpf tail bound at
     q.hi (and a.hi).  At q = 1e-400, 1/7, 0.99, 0.9999999 and Landau's
     interval c, past 1, 6 and 300 terms."""
+    is_t = isinstance(series, RepresentationId)
     for q in _TAIL_QS:
-        with interval_precision(prec):
-            q_iv = ((iv.sqrt(iv.mpf(5)) - 1) / 2) ** 2 if q is None else to_ivmpf(q)
-            s = fixed_shift(q_iv)
-            q_fx = FixedInterval.from_ivmpf(q_iv, s)
-            if not isinstance(series, RepresentationId):
-                a_fx = FixedInterval.from_ivmpf(iv.exp(to_ivmpf(series - 1) * iv.log(q_iv)), s)
         for terms in (1, _FIXED_TERMS, 300):
-            if isinstance(series, RepresentationId):
-                table = divisor_sieve(terms) if series is RepresentationId.DIVISOR else None
-                _, tail = _t_sum_end(q_fx.hi, s, series, terms, table, 1)
-            else:
-                _, tail = _psi_sum_end(q_fx.hi, a_fx.hi, s, terms, 1)
-            tail = mp.make_mpf(libmp.from_man_exp(tail, -s))
-            with interval_precision(512):
-                q_hi = FixedInterval(q_fx.hi, q_fx.hi, s).to_ivmpf()
-                if isinstance(series, RepresentationId):
-                    a_hi, oracle = None, t_tail(q_hi, series, terms)
+            with interval_precision(prec):
+                q_iv = ((iv.sqrt(iv.mpf(5)) - 1) / 2) ** 2 if q is None else to_ivmpf(q)
+                if is_t:
+                    table = divisor_sieve(terms) if series is RepresentationId.DIVISOR else None
+                    ivs, kernel = (q_iv,), partial(_t_sum_end, series, terms, table)
                 else:
-                    a_hi = FixedInterval(a_fx.hi, a_fx.hi, s).to_ivmpf()
-                    oracle = psi_tail(q_hi, a_hi, terms)
+                    ivs = (q_iv, iv.exp(to_ivmpf(series - 1) * iv.log(q_iv)))
+                    kernel = partial(_psi_sum_end, terms)
+                tail = mp.make_mpf(_fixed_point_sum(kernel, *ivs)[1])
+                ends = FixedArithmetic.lift(*ivs)
+            with interval_precision(512):
+                q_hi, *a_hi = [to_ivmpf(Fraction(x.hi, 2 ** x.shift)) for x in ends]
+                a_hi = a_hi[0] if a_hi else None
+                oracle = t_tail(q_hi, series, terms) if is_t else psi_tail(q_hi, a_hi, terms)
                 assert tail >= Enclosure(oracle).lo, (q, terms)
                 assert tail >= Enclosure(_next_terms_bound(series, q_hi, a_hi, terms)).hi, (
                     q, terms)
@@ -897,9 +939,18 @@ def test_c33_where_h_of_r_underflows():
     assert check_bounds(TheoremId.C3_3, pair=("1e-330", "0.5")).status is BoundsStatus.PASS
 
 
-def test_c33_at_a_subnormal_s_names_the_underflow():
-    with pytest.raises(DomainError, match="underflows"):
-        check_bounds(TheoremId.C3_3, pair=("1e-320", "2e-320"))
+def test_c33_at_a_subnormal_s():
+    """H(s) ~ 2e-320 is a subnormal double here, and e H(s)/4 lies below the
+    doubles; the widths are exact rationals and the pair passes."""
+    res = check_bounds(TheoremId.C3_3, pair=("1e-320", "2e-320"))
+    assert res.status is BoundsStatus.PASS and res.mid.contained_in(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**6))
+
+
+def test_c33_refuses_an_s_whose_h_has_no_double():
+    """H(s) ~ 2e-330 rounds to 0.0 as a double, which leaves no width to ask
+    of H: the check names that refusal."""
+    with pytest.raises(DomainError, match="estimate of H\\(s\\) rounds to 0"):
+        check_bounds(TheoremId.C3_3, pair=("1e-330", "2e-330"))
 
 
 def test_c33_requires_ordered_pair():
