@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Exit codes: 0 on success or a passing verification, 1 when a verification
-fails or stays indeterminate, 2 on usage or domain errors.  Numeric output
-is locale-independent JSON/CSV with a schema_version field on structured
-documents.
+fails or stays indeterminate, 2 on usage or domain errors, 141 when the
+reader of stdout has closed it.  Numeric output is locale-independent
+JSON/CSV with a schema_version field on structured documents; each stdout
+document is one write.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -43,6 +45,7 @@ from .verifier import (
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # as a shell reports a command that SIGPIPE ended
 
 #: Most grid points a bounds-scan checks.  The count is computed exactly
 #: before any point is built, and a larger grid is a usage error.
@@ -82,7 +85,7 @@ def _repr_arg(value: str) -> RepresentationId:
 
 
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _print_sandwich_cells(certs: dict) -> None:
@@ -148,9 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_coeffs(args) -> int:
     series = build_representation(args.repr, args.order)
-    print("index,coefficient")
-    for k, c in enumerate(series.coeffs):
-        print(f"{k},{c}")
+    sys.stdout.write("index,coefficient\n"
+                     + "".join(f"{k},{c}\n" for k, c in enumerate(series.coeffs)))
     return EXIT_OK
 
 
@@ -242,9 +244,8 @@ def _cmd_bounds_scan(args) -> int:
     theorem = TheoremId(args.theorem)
     rows = _scan_rows(theorem, Fraction(args.grid_start), Fraction(args.grid_end),
                       Fraction(args.grid_step), args.eps)
-    print("q,lhs_lo,lhs_hi,mid_lo,mid_hi,rhs_lo,rhs_hi,status")
-    for row in rows:
-        print(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    sys.stdout.write("q,lhs_lo,lhs_hi,mid_lo,mid_hi,rhs_lo,rhs_hi,status\n" + "".join(
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n" for row in rows))
     all_pass = all(row[-1] == BoundsStatus.PASS.value for row in rows)
     return EXIT_OK if all_pass else EXIT_VERIFICATION_FAILED
 
@@ -261,7 +262,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    print(text, end="")
+    sys.stdout.write(text)
     return EXIT_OK if cert.passed else EXIT_VERIFICATION_FAILED
 
 
@@ -330,7 +331,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # as Python's signal docs do: no second error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (DomainError, TermBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from mpmath import iv, libmp, mp
 from mpmath.ctx_iv import ivmpf
@@ -303,11 +303,12 @@ def _precision_error(eps: float | Fraction) -> PrecisionError:
 
 
 def _climb(eps: float | Fraction, mode: Mode, rung) -> EvalReport:
-    """The one precision ladder of the evaluators, which also rejects a bad eps.
-    rung() evaluates at the current interval precision, None to be tried at
-    twice it, up to MAX_PRECISION; FAST takes the first report from
-    FAST_PRECISION up, CERTIFIED the first from _bits_for_eps(eps) up no
-    wider than a 64-bit lower bound on eps."""
+    """The one precision ladder of the evaluators and the bound checks, which
+    also rejects a bad eps.  rung() evaluates at the current interval
+    precision, an EvalReport (or a bound check's _Triple) whose value is
+    gated, or None to be tried at twice it, up to MAX_PRECISION; FAST takes
+    the first report from FAST_PRECISION up, CERTIFIED the first from
+    _bits_for_eps(eps) up no wider than a 64-bit lower bound on eps."""
     if not eps > 0:
         raise DomainError("eps must be positive")
     fast = mode is Mode.FAST
@@ -470,17 +471,20 @@ _AFFINE_IN_T = {
 }
 
 
-def _bounds_triple(theorem: TheoremId, qp: QPoint, eps: float):
-    with interval_precision(_bits_for_eps(eps)):
-        b = _log_ratio_enclosure(qp)
-        scale, shift = (Enclosure(v) for v in _AFFINE_IN_T[theorem](qp, b))
-        width = Fraction(eps) / (2 * mpf_to_fraction(abs(scale.hi))) if eps < math.inf else eps
-        t = eval_T(qp, width)
-        mid = t.value * scale + shift
-        if theorem is TheoremId.SALEM_1_3:
-            return Enclosure(0), mid, Enclosure(Fraction(1, 2))
-        r = Enclosure(Fraction(qp.value, 1 - qp.value))
-        return (gamma_enclosure() * r + b) * scale + shift, mid, (b + r) * scale + shift
+#: lhs, mid and rhs of a bound check, a rung of _climb, which gates on mid
+_Triple = NamedTuple("_Triple", [("lhs", Enclosure), ("value", Enclosure), ("rhs", Enclosure)])
+
+
+def _bounds_triple(theorem: TheoremId, qp: QPoint, eps: float) -> _Triple:
+    """A one-point check at width eps from T's rung body at this precision."""
+    b = _log_ratio_enclosure(qp)
+    scale, shift = (Enclosure(v) for v in _AFFINE_IN_T[theorem](qp, b))
+    width = Fraction(eps) / (2 * mpf_to_fraction(abs(scale.hi))) if eps < math.inf else eps
+    mid = t_enclosure_for_interval(qp.to_ivmpf(), width).value * scale + shift
+    if theorem is TheoremId.SALEM_1_3:
+        return _Triple(Enclosure(0), mid, Enclosure(Fraction(1, 2)))
+    r = Enclosure(Fraction(qp.value, 1 - qp.value))
+    return _Triple((gamma_enclosure() * r + b) * scale + shift, mid, (b + r) * scale + shift)
 
 
 def check_bounds(
@@ -509,28 +513,25 @@ def check_bounds(
         h_r_est = float(eval_H(rp, 1e-6, mode=Mode.FAST).value.midpoint())
         h_s_est = float(eval_H(sp, 1e-6, mode=Mode.FAST).value.midpoint())
 
-        def triple(e):
+        def rung_at(e):
             # exact widths, as e H(s)/4 may lie below the doubles; an infinite e stays
             h_s, h_r = Fraction(h_s_est), Fraction(max(h_r_est, 5e-324))
             w_r = (Fraction(e) if e < math.inf else e) * h_s / 4
             w_s = w_r * (h_s / h_r)
             if not w_s > 0:  # 0, or NaN for an infinite e, where H(s)'s estimate is 0
                 raise DomainError("s is too small: the FAST estimate of H(s) rounds to 0.0")
-            h_r = eval_H(rp, w_r)
-            h_s = eval_H(sp, w_s)
-            with interval_precision(_bits_for_eps(e)):
-                mid = h_r.value / h_s.value
-            return Enclosure(lhs_exact), mid, Enclosure(1)
+            h_r, h_s = eval_H(rp, w_r).value, eval_H(sp, w_s).value
+            return lambda: _Triple(Enclosure(lhs_exact), h_r / h_s, Enclosure(1))
     else:
         if q is None:
             raise DomainError(f"{theorem} takes a point q")
         qp = QPoint.coerce(q)
         argument = (float(qp),)
-        triple = partial(_bounds_triple, theorem, qp)
+        rung_at = partial(partial, _bounds_triple, theorem, qp)
 
     for e in [eps] if eps is not None else [1e-8, 1e-12, 1e-16, 1e-20]:
         try:
-            lhs, mid, rhs = triple(e)
+            lhs, mid, rhs = _climb(e, Mode.CERTIFIED, rung_at(e))
         except PrecisionError:
             raise _precision_error(e) from None
         status = _decide(lhs, mid, rhs)

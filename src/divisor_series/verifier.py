@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -86,10 +87,6 @@ class GridSpec:
                 raise DomainError(f"grid segments leave a gap: {a.end} != {b.start}")
 
     @property
-    def span(self) -> tuple[Fraction, Fraction]:
-        return self.segments[0].start, self.segments[-1].end
-
-    @property
     def total_cells(self) -> int:
         return sum(s.count for s in self.segments)
 
@@ -105,17 +102,6 @@ class GridSpec:
             if rest == 0:
                 return self.segments[-1].end
         raise IndexError(f"endpoint {k} is outside a grid of {self.total_cells} cells")
-
-    def cell(self, idx: int) -> tuple[int, Fraction, Fraction]:
-        """(idx, left, right) of cell idx, with exact rational endpoints
-        computed from the segment they fall in."""
-        if not 0 <= idx < self.total_cells:
-            raise IndexError(f"cell {idx} is outside a grid of {self.total_cells} cells")
-        return idx, self.point(idx), self.point(idx + 1)
-
-    def cells(self):
-        """Yield (index, left, right) with exact rational endpoints."""
-        return map(self.cell, range(self.total_cells))
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,26 +180,6 @@ class Certificate:
 # -- sandwich engine --------------------------------------------------------------
 
 
-class SandwichBound:
-    """One side of a monotone sandwich: a raw formula of lemma_functions at an
-    exact cell endpoint q, where the formula must be regular (J2's positive
-    phi sum is, at q = 1).
-
-    Calling it gives a certified Enclosure.  `doubles` gives a
-    DoubleInterval: sandwich checks try that cheap enclosure first and go to
-    working precision only where it does not separate.
-    """
-
-    def __init__(self, raw: Callable):
-        self.raw = raw
-
-    def __call__(self, q: Fraction) -> Enclosure:
-        return Enclosure(_on_intervals(Mode.CERTIFIED, self.raw, q))
-
-    def doubles(self, q: Fraction) -> DoubleInterval:
-        return self.raw(DoubleInterval.lift(q))
-
-
 class _Settled(NamedTuple):
     """Item idx, its margin in [lo, hi]: in doubles or at working precision."""
 
@@ -224,47 +190,47 @@ class _Settled(NamedTuple):
     passes: bool
 
 
-class _RunMargins:
-    """Double margins lower(left_i) - upper(right_{j-1}) of runs [i, j) of
-    grid cells.  Each side is memoised by grid endpoint, so splitting a run in
-    two costs two new evaluations.  Plain callables have no doubles, and
-    their margins are None."""
+class _Margins:
+    """Margins of items k = 0, 1, ... of one check.  bound(at, i, j) bounds
+    the margin of every item i..j from below, from formula values at(raw,
+    key): raw at the exact inputs(key), Fractions lifted and ints (phi's x)
+    as they are.  of_run(start, stop) takes it on items start..stop-1 in
+    doubles, memoised by formula and key, so evaluations, the memo's size,
+    counts double evaluations; working(k), (passes, lower end, upper end),
+    takes it on the one item k at working precision."""
 
-    def __init__(self, lower, upper, grid: GridSpec):
-        self.lower, self.upper, self.grid = lower, upper, grid
-        self.in_doubles = isinstance(lower, SandwichBound) and isinstance(upper, SandwichBound)
-        self.evaluations = 0
-        self._lower, self._upper = {}, {}
+    def __init__(self, bound: Callable, inputs: Callable):
+        self.bound, self.inputs, self._memos = bound, inputs, {}
 
-    def _side(self, memo: dict, bound: SandwichBound, k: int) -> DoubleInterval:
-        """bound at grid endpoint k, memoised by k."""
-        if k not in memo:
-            memo[k] = bound.doubles(self.grid.point(k))
-            self.evaluations += 1
-        return memo[k]
+    @property
+    def evaluations(self) -> int:
+        return sum(map(len, self._memos.values()))
 
-    def of_run(self, start: int, stop: int) -> Optional[DoubleInterval]:
-        if not self.in_doubles:
-            return None
-        return (self._side(self._lower, self.lower, start)
-                - self._side(self._upper, self.upper, stop))
+    def _in_doubles(self, raw: Callable, key):
+        memo = self._memos.setdefault(raw, {})
+        if key not in memo:
+            memo[key] = raw(*[DoubleInterval.lift(v) if isinstance(v, Fraction) else v
+                              for v in self.inputs(key)])
+        return memo[key]
 
-    def working(self, idx: int) -> tuple[bool, float, float]:
-        _, left, right = self.grid.cell(idx)
+    def _at_working(self, raw: Callable, key):
+        return raw(*[to_ivmpf(v) if isinstance(v, Fraction) else v for v in self.inputs(key)])
+
+    def of_run(self, start: int, stop: int) -> DoubleInterval:
+        return self.bound(self._in_doubles, start, stop - 1)
+
+    def working(self, k: int) -> tuple[bool, float, float]:
         with interval_precision(working_precision()):
-            margin = self.lower(left) - self.upper(right)
-        return margin.lo > 0, *margin.to_floats()
+            value = Enclosure(self.bound(self._at_working, k, k))
+        return value.is_positive(), *value.to_floats()
 
 
 def _prove_by_runs(margins, roots: Sequence[tuple[int, int]]) -> tuple[float, tuple, dict]:
     """(min_margin, failing indices, settled counts) of the items of roots,
-    ranges [start, stop) of item indices, proved by the loop described at
-    sandwich_verify.  margins has of_run(start, stop), a DoubleInterval whose
-    lower endpoint bounds the margin of every item of the run, or None;
-    working(idx), (passes, lower endpoint, upper endpoint) of one item at
-    working precision; and evaluations, its count of double evaluations.
-    Heap entries are (key, start, stop, piece); piece marks the runs cut from
-    a proved run, which "runs" does not count."""
+    ranges [start, stop) of the item indices of margins, a _Margins, proved
+    by the loop described at sandwich_verify.  Heap entries are (key, start,
+    stop, piece); piece marks the runs cut from a proved run, which "runs"
+    does not count."""
     heap = [(-math.inf, start, stop, False) for start, stop in roots]
     heapq.heapify(heap)
     cells, runs, ceiling = [], 0, math.inf
@@ -302,14 +268,16 @@ def _prove_by_runs(margins, roots: Sequence[tuple[int, int]]) -> tuple[float, tu
 
 
 def sandwich_verify(
-    lower: Callable[[Fraction], Enclosure],
-    upper: Callable[[Fraction], Enclosure],
+    lower: Callable,
+    upper: Callable,
     grid: GridSpec,
     target: str = "sandwich",
     premises: Sequence[str] = (),
     details: Optional[dict] = None,
 ) -> Certificate:
-    """Check lower(cell_left) - upper(cell_right) > 0 on every grid cell.
+    """Check lower(cell_left) - upper(cell_right) > 0 on every grid cell, for
+    raw formulas lower and upper of lemma_functions, regular at every grid
+    endpoint (J2's positive phi sum is, at q = 1).
 
     The caller asserts (and should document via `premises`) that both
     functions are increasing on the grid span; under that premise a passing
@@ -317,10 +285,10 @@ def sandwich_verify(
     can only grow cell margins, so min_margin of a 2x-refined run is never
     below ~0.99 of the coarse run's (up to outward-rounding slack).
 
-    The callables return Enclosure, and a cell passes only when the margin
-    enclosure is strictly positive.  When both callables are SandwichBounds
-    the cells are proved by runs, in one best-first loop over a heap of runs
-    of cells [i, j), which starts with the cells of each grid segment:
+    Every evaluation is an outward-rounded enclosure, and a cell passes only
+    when its margin enclosure is strictly positive.  The cells are proved by
+    runs, in one best-first loop over a heap of runs of cells [i, j), which
+    starts with the cells of each grid segment:
 
     * A run is proved when the DoubleInterval margin
       lower(left_i) - upper(right_{j-1}) is strictly positive: under the
@@ -341,12 +309,12 @@ def sandwich_verify(
 
     Each side is memoised by grid endpoint, so no side is evaluated twice at
     one cell endpoint and a segment of n cells costs at most 2n double
-    evaluations.  Plain callables have no doubles: every cell is evaluated
-    at working precision.  _prove_by_runs runs this loop for every check of
-    this module: here on the grids of 2.4ii and 2.9, and on the witness
-    points of 2.4i (V', by runs of points) and 2.8 (phi', one point a root).
+    evaluations.  _prove_by_runs runs this loop for every check of this
+    module: here on the grids of 2.4ii and 2.9, and on the witness points of
+    2.4i (V', by runs of points) and 2.8 (phi', one point a root).
     """
-    margins = _RunMargins(lower, upper, grid)
+    margins = _Margins(lambda at, i, j: at(lower, i) - at(upper, j + 1),
+                       lambda k: (grid.point(k),))
     bounds = list(accumulate((seg.count for seg in grid.segments), initial=0))
     min_margin, failures, settled = _prove_by_runs(margins, list(zip(bounds, bounds[1:])))
     return Certificate(
@@ -370,52 +338,19 @@ def sandwich_verify(
 #: it exactly at q = 1, the last endpoint the 2.9 sandwich evaluates.
 J2_LIMIT = Fraction(208609, 55440)
 
-#: W1, W2 (Lemma 2.4ii) and J1, J2 (Lemma 2.9) as sandwich sides: see
-#: lemma_functions.w1_raw .. j2_raw.  At q = 1, J2 encloses its limit J2_LIMIT.
-w1_lower = SandwichBound(w1_raw)
-w2_upper = SandwichBound(w2_raw)
-j1_lower = SandwichBound(j1_raw)
-j2_upper = SandwichBound(j2_raw)
+
+def _certified(raw: Callable, q: Fraction) -> Enclosure:
+    return Enclosure(_on_intervals(Mode.CERTIFIED, raw, q))
+
+
+#: W1, W2 (Lemma 2.4ii) and J1, J2 (Lemma 2.9), the sandwich sides of
+#: lemma_functions.w1_raw .. j2_raw, as certified Enclosures at working
+#: precision of an exact q.  At q = 1, J2 encloses its limit J2_LIMIT.
+w1_lower, w2_upper, j1_lower, j2_upper = (
+    partial(_certified, raw) for raw in (w1_raw, w2_raw, j1_raw, j2_raw))
 
 
 # -- lemma pipelines ---------------------------------------------------------------
-
-
-class _PointMargins:
-    """Margins of items k = 0, 1, ... from one formula bound(lift, i, j), a
-    lower bound on the margin of every item i..j with exact inputs mapped
-    through lift: of_run(i, j) takes it in doubles, working(k) at working
-    precision on the one item k."""
-
-    def __init__(self, bound: Callable):
-        self.bound, self.evaluations = bound, 0
-
-    def of_run(self, start: int, stop: int) -> DoubleInterval:
-        self.evaluations += 1
-        return self.bound(DoubleInterval.lift, start, stop - 1)
-
-    def working(self, k: int) -> tuple[bool, float, float]:
-        with interval_precision(working_precision()):
-            value = Enclosure(self.bound(to_ivmpf, k, k))
-        return value.is_positive(), *value.to_floats()
-
-
-def _v_prime_margins(segment: GridSegment) -> _PointMargins:
-    """V' at the points y_k = start + k*step of a segment.  On a run of them
-    v_prime_run_raw(y_i, y_j) bounds V' on the whole span [y_i, y_j] from
-    below, since start^2 > 3 (checked exactly here); at i = j it is V'(y_i)."""
-    if not segment.start * segment.start > 3:
-        raise ArithmeticError(f"V' run bounds need start^2 > 3, got start {segment.start}")
-    start, step = segment.start, segment.step
-    return _PointMargins(lambda lift, i, j: v_prime_run_raw(lift(start + i * step),
-                                                            lift(start + j * step)))
-
-
-def _phi_prime_margins(points: Sequence[tuple[Fraction, int]],
-                       threshold: Fraction) -> _PointMargins:
-    """phi'_q(x) - threshold at the exact points (q, x), one item each."""
-    return _PointMargins(lambda lift, k, _: (phi_prime_raw(lift(points[k][0]), points[k][1])
-                                             - lift(threshold)))
 
 
 def verify_lemma_2_4_i() -> Certificate:
@@ -437,9 +372,16 @@ def verify_lemma_2_4_i() -> Certificate:
     details["v_at_minus_log_0.117"] = v0.to_floats()
     v0_ok = v0.contained_in(Fraction(17, 10000), Fraction(27, 10000)) and v0.is_positive()
 
-    # V' > 0 at every grid boundary point, proved by runs of points
-    min_vp, failures, settled = _prove_by_runs(
-        _v_prime_margins(grid.segments[0]), [(0, grid.total_cells + 1)])
+    # V' > 0 at every grid point y_k = start + k step, proved by runs of points:
+    # on a run, v_prime_run_raw(y_i, y_j) bounds V' on [y_i, y_j] from below,
+    # since start^2 > 3 (checked exactly here); at i = j it is V'(y_i)
+    (segment,) = grid.segments
+    if not segment.start * segment.start > 3:
+        raise ArithmeticError(f"V' run bounds need start^2 > 3, got start {segment.start}")
+    min_vp, failures, settled = _prove_by_runs(_Margins(
+        lambda at, i, j: at(v_prime_run_raw, (i, j)),
+        lambda key: tuple(segment.start + k * segment.step for k in key)),
+        [(0, grid.total_cells + 1)])
     details["min_v_prime_on_grid"] = min_vp
 
     return Certificate(
@@ -471,7 +413,7 @@ def verify_lemma_2_4_ii() -> Certificate:
         "W1(q) = Phi_q(40) - Phi_q(1) integrates phi over [1, 40] and"
         " W2(q) = sum_{k=1}^{40} phi_q(k) sums it, so both increase in q",
     )
-    return sandwich_verify(w1_lower, w2_upper, lemma_2_4_ii_grid(), target="2.4ii",
+    return sandwich_verify(w1_raw, w2_raw, lemma_2_4_ii_grid(), target="2.4ii",
                            premises=premises)
 
 
@@ -486,7 +428,7 @@ def verify_lemma_2_9() -> Certificate:
     )
     if j2_raw(Fraction(1)) != J2_LIMIT:
         raise ArithmeticError("J2 at q = 1 does not match the pinned limit")
-    return sandwich_verify(j1_lower, j2_upper, lemma_2_9_grid(), target="2.9",
+    return sandwich_verify(j1_raw, j2_raw, lemma_2_9_grid(), target="2.9",
                            premises=premises, details={"j2_limit": str(J2_LIMIT)})
 
 
@@ -571,8 +513,13 @@ def verify_lemma_2_8() -> Certificate:
     qs += [Fraction(999, 1000), Fraction(9999, 10000)]
     xs = [1, 2, 3, 5, 8, 11, 14, 17, 20, 35, 50, 100, 200]
     points = [(q, x) for q in qs for x in xs]
-    min_pp, failures, settled = _prove_by_runs(
-        _phi_prime_margins(points, Fraction(-35, 1000)), [(k, k + 1) for k in range(len(points))])
+
+    def phi_prime_margin(q, x, threshold):
+        return phi_prime_raw(q, x) - threshold
+
+    min_pp, failures, settled = _prove_by_runs(_Margins(
+        lambda at, k, _: at(phi_prime_margin, k),
+        lambda k: (*points[k], Fraction(-35, 1000))), [(k, k + 1) for k in range(len(points))])
     details["min_phi_prime_margin_on_grid"] = min_pp
     details["grid_points"] = len(points)
 

@@ -9,6 +9,8 @@
   ``_t_sum_end`` and ``_psi_sum_end``;
 * :func:`t_tail` and :func:`psi_tail` -- the same tail bounds on ``ivmpf``
   intervals (or exact rationals), the reference for the kernels' tails;
+* :func:`per_cell_sandwich` -- verifier.sandwich_verify's certificate with
+  every cell evaluated at working precision, the reference of its runs;
 * :func:`floor_sum` and :func:`distinct_partition_stats_enumerated` --
   independent oracles for divisor_core;
 * :func:`sturm_chain` -- the integer Sturm chain of polynomials as a list of
@@ -24,7 +26,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from divisor_series.divisor_core import PartitionStats, divisor_partial_sums, divisor_sieve
-from divisor_series.intervals import DomainError
+from divisor_series.intervals import (
+    DomainError,
+    Enclosure,
+    interval_precision,
+    to_ivmpf,
+    working_precision,
+)
 from divisor_series.polynomials import (
     Polynomial,
     _integer_coefficients,
@@ -32,6 +40,7 @@ from divisor_series.polynomials import (
 )
 from divisor_series.power_series import RepresentationId, TruncatedSeries
 from divisor_series.special_eval import _fixed_point_sum
+from divisor_series.verifier import Certificate, GridSpec
 
 
 # -- fixed-point arithmetic and the kernels' reference bodies --------------------
@@ -192,6 +201,26 @@ def psi_tail(q, a, terms: int):
     p = q ** (terms + 1)
     ap = a * p
     return ap ** (terms + 1) * (1 / (1 - p) + ap / (1 - ap)) / (1 - ap * p * q)
+
+
+# -- the per-cell sandwich -------------------------------------------------------
+
+
+def per_cell_sandwich(lower, upper, grid: GridSpec) -> Certificate:
+    """The certificate of sandwich_verify(lower, upper, grid) from every cell
+    at working precision: lower(left) - upper(right) on the tightest ivmpf
+    around each exact endpoint.  The runs in doubles must give the same JSON;
+    `settled` counts every cell at working precision."""
+    with interval_precision(working_precision()):
+        margins = [Enclosure(lower(to_ivmpf(grid.point(k))) - upper(to_ivmpf(grid.point(k + 1))))
+                   for k in range(grid.total_cells)]
+    min_margin = min(margin.to_floats()[0] for margin in margins)
+    failures = tuple(k for k, margin in enumerate(margins) if not margin.is_positive())
+    return Certificate(
+        target="sandwich", grid=grid, cells_checked=grid.total_cells,
+        min_margin=min_margin, passed=not failures and min_margin > 0, failures=failures,
+        settled={"doubles": 0, "working_precision": grid.total_cells,
+                 "min_margin_rechecks": 0, "runs": 0, "evaluations": 0})
 
 
 # -- divisor_core oracles --------------------------------------------------------

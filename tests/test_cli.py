@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +12,8 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from divisor_series.cli import main
+import divisor_series
+from divisor_series.cli import EXIT_BROKEN_PIPE, main
 
 
 def run_cli(capsys, *argv):
@@ -608,3 +612,24 @@ def test_report_verify_section_matches_the_certificates(capsys):
 def test_report_prints_json_only(capsys):
     """report has no --format: its one document is JSON."""
     assert "--format" in _usage_error(capsys, ["report", "--format", "csv"])
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_ends_without_a_traceback(unbuffered):
+    """A reader that has closed the pipe before the CLI writes (grep -q past
+    its match): the CLI exits EXIT_BROKEN_PIPE with nothing on stderr, with
+    stdout buffered or not."""
+    src = str(Path(divisor_series.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "divisor_series.cli", "lemma-fn", "--name", "A", "--q", "1e-30"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (EXIT_BROKEN_PIPE, "")

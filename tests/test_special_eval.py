@@ -23,6 +23,7 @@ from divisor_series.intervals import (
     log1m,
     mpf_to_fraction,
     to_ivmpf,
+    working_precision,
 )
 from divisor_series.power_series import RepresentationId
 from divisor_series.special_eval import (
@@ -918,6 +919,19 @@ def test_one_point_theorems_where_the_width_of_t_underflows(theorem):
     eps/(2|scale|) underflows one; T takes that width as an exact rational
     and both checks pass."""
     assert check_bounds(theorem, q="1e-400").status is BoundsStatus.PASS
+
+
+def test_t42_at_a_tiny_q_sums_t_at_working_precision(monkeypatch):
+    """T's fixed-point sum keeps relative precision: at q = 1e-300, where
+    T4_2's scale is about 1e300, working precision already narrows mid to
+    the width asked, so the check sums T once, at working precision, not at
+    the 1024 bits that the absolute width asked of T would take."""
+    body, precisions = special_eval.t_enclosure_for_interval, []
+    monkeypatch.setattr(special_eval, "t_enclosure_for_interval",
+                        lambda *args: precisions.append(iv.prec) or body(*args))
+    res = check_bounds(TheoremId.T4_2, q="1e-300")
+    assert res.status is BoundsStatus.PASS and res.mid.width_upper() <= 1e-8
+    assert precisions == [working_precision()]
 
 
 def test_c33_example():

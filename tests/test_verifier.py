@@ -32,22 +32,21 @@ from divisor_series.intervals import (
 from divisor_series.lemma_functions import (
     h2_denominator_polynomial,
     h3_numerator_polynomial,
+    j1_raw,
     j2_raw,
     phi_prime_raw,
     v_prime_run_raw,
     w1_raw,
+    w2_raw,
 )
 from divisor_series.polynomials import Polynomial
 from divisor_series.verifier import (
-    _PointMargins,
-    _phi_prime_margins,
+    _Margins,
     _prove_by_runs,
-    _v_prime_margins,
     Certificate,
     GridSegment,
     GridSpec,
     J2_LIMIT,
-    SandwichBound,
     combine_theorem_3_2,
     j1_lower,
     j2_upper,
@@ -61,6 +60,7 @@ from divisor_series.verifier import (
     w1_lower,
     w2_upper,
 )
+from oracles import per_cell_sandwich
 
 
 # -- grids -------------------------------------------------------------------
@@ -72,10 +72,11 @@ def test_lemma_grids_tile_exactly():
     assert s1.start + s1.count * s1.step == Fraction(835, 1000)
     assert s2.start + s2.count * s2.step == Fraction(9, 10)
     assert s3.start + s3.count * s3.step == Fraction(91, 100)
-    assert grid.span == (Fraction(117, 1000), Fraction(91, 100))
+    assert (grid.point(0), grid.point(grid.total_cells)) == (Fraction(117, 1000), Fraction(91, 100))
     assert grid.total_cells == 7018
-    assert lemma_2_9_grid().span == (Fraction(91, 100), Fraction(1))
-    assert lemma_2_9_grid().total_cells == 900
+    grid = lemma_2_9_grid()
+    assert (grid.point(0), grid.point(grid.total_cells)) == (Fraction(91, 100), Fraction(1))
+    assert grid.total_cells == 900
 
 
 def test_grid_rejects_gaps():
@@ -86,29 +87,16 @@ def test_grid_rejects_gaps():
         ))
 
 
-def test_grid_cells_are_exact():
-    grid = GridSpec((GridSegment(Fraction(117, 1000), Fraction(1, 1000), 3),))
-    cells = list(grid.cells())
-    assert cells[0] == (0, Fraction(117, 1000), Fraction(118, 1000))
-    assert cells[2] == (2, Fraction(119, 1000), Fraction(120, 1000))
-
-
 @pytest.mark.parametrize("grid_fn", [lemma_2_4_ii_grid, lemma_2_9_grid,
                                      lemma_2_4_i_v_prime_grid])
 def test_grid_cell_matches_enumeration(grid_fn):
-    """cell(idx) and point(k) from segment offsets against the
-    segment-by-segment walk."""
+    """point(k) from segment offsets against the segment-by-segment walk."""
     grid = grid_fn()
     walk = [(seg.start + k * seg.step, seg.start + (k + 1) * seg.step)
             for seg in grid.segments for k in range(seg.count)]
     assert len(walk) == grid.total_cells
     for idx, (left, right) in enumerate(walk):
-        assert grid.cell(idx) == (idx, left, right)
         assert grid.point(idx) == left and grid.point(idx + 1) == right
-    assert list(grid.cells()) == [(idx, *ends) for idx, ends in enumerate(walk)]
-    for outside in (-1, grid.total_cells):
-        with pytest.raises(IndexError):
-            grid.cell(outside)
     for outside in (-1, grid.total_cells + 1):
         with pytest.raises(IndexError):
             grid.point(outside)
@@ -119,13 +107,13 @@ def test_grid_cell_matches_enumeration(grid_fn):
 
 def test_degenerate_sandwich():
     grid = GridSpec((GridSegment(Fraction(0), Fraction(1), 1),))
-    cert = sandwich_verify(lambda q: Enclosure(1), lambda q: Enclosure(0), grid)
+    cert = sandwich_verify(lambda q: q * 0 + 1, lambda q: q * 0, grid)
     assert cert.passed and cert.min_margin == 1.0 and cert.cells_checked == 1
 
 
 def test_sandwich_failure_lists_cells():
     grid = GridSpec((GridSegment(Fraction(0), Fraction(1), 2),))
-    cert = sandwich_verify(lambda q: Enclosure(0), lambda q: Enclosure(1), grid)
+    cert = sandwich_verify(lambda q: q * 0, lambda q: q * 0 + 1, grid)
     assert not cert.passed
     assert cert.failures == (0, 1)
 
@@ -138,10 +126,10 @@ def test_sandwich_refinement_keeps_margin():
     """Halving the cell width never shrinks the verified margin below ~0.99x
     of the coarse one (monotone sandwich: refined cells are sub-cells)."""
     coarse = sandwich_verify(
-        j1_lower, j2_upper, _j_subgrid(Fraction(92, 100), Fraction(1, 10000), 10)
+        j1_raw, j2_raw, _j_subgrid(Fraction(92, 100), Fraction(1, 10000), 10)
     )
     refined = sandwich_verify(
-        j1_lower, j2_upper, _j_subgrid(Fraction(92, 100), Fraction(1, 20000), 20)
+        j1_raw, j2_raw, _j_subgrid(Fraction(92, 100), Fraction(1, 20000), 20)
     )
     assert coarse.passed and refined.passed
     assert refined.min_margin >= 0.99 * coarse.min_margin
@@ -149,15 +137,15 @@ def test_sandwich_refinement_keeps_margin():
 
 def test_sandwich_matches_per_cell_working_precision():
     grid = _j_subgrid(Fraction(92, 100), Fraction(1, 1000), 8)
-    cert = sandwich_verify(j1_lower, j2_upper, grid)
-    reference = sandwich_verify(partial(j1_lower), partial(j2_upper), grid)
+    cert = sandwich_verify(j1_raw, j2_raw, grid)
+    reference = per_cell_sandwich(j1_raw, j2_raw, grid)
     assert cert.to_json() == reference.to_json()
 
 
 def test_certificates_deterministic():
     grid = _j_subgrid(Fraction(95, 100), Fraction(1, 1000), 5)
-    a = sandwich_verify(j1_lower, j2_upper, grid, target="det-check")
-    b = sandwich_verify(j1_lower, j2_upper, grid, target="det-check")
+    a = sandwich_verify(j1_raw, j2_raw, grid, target="det-check")
+    b = sandwich_verify(j1_raw, j2_raw, grid, target="det-check")
     assert a.to_json().encode() == b.to_json().encode()
 
 
@@ -197,28 +185,25 @@ def test_no_module_samples_with_random():
 # -- double-first certified sandwich ------------------------------------------------
 
 
-class _NotSeparatingAt(SandwichBound):
+class _NotSeparatingAt:
     """W1, or another raw formula, whose DoubleInterval is the whole line at
     the chosen points: no run or cell that starts at one of them separates
     in doubles."""
 
     def __init__(self, points, raw=w1_raw):
-        super().__init__(raw)
-        self.points = set(points)
+        self.raw, self.points = raw, {(p.lo, p.hi) for p in map(DoubleInterval.lift, points)}
 
-    def doubles(self, q):
-        if q in self.points:
+    def __call__(self, q):
+        if isinstance(q, DoubleInterval) and (q.lo, q.hi) in self.points:
             return DoubleInterval(-math.inf, math.inf)
-        return super().doubles(q)
+        return self.raw(q)
 
 
 def test_forced_fallback_cells_match_working_precision_certificate():
     grid = GridSpec((GridSegment(Fraction(835, 1000), Fraction(1, 20000), 12),))
-    cells = {idx: left for idx, left, _ in grid.cells()}
     forced = (0, 5, 6, 11)
-    cert = sandwich_verify(_NotSeparatingAt(cells[i] for i in forced), w2_upper, grid)
-    # plain callables returning Enclosure: every cell at working precision
-    reference = sandwich_verify(partial(w1_lower), partial(w2_upper), grid)
+    cert = sandwich_verify(_NotSeparatingAt(grid.point(i) for i in forced), w2_raw, grid)
+    reference = per_cell_sandwich(w1_raw, w2_raw, grid)
     assert cert.passed and reference.passed
     assert cert.to_json() == reference.to_json()
     assert cert.settled["doubles"] == 12 - len(forced)
@@ -232,20 +217,21 @@ def test_lemma_2_9_last_cells_pass_by_fallback():
     doubles, where the closed form of J1 cancels; they pass at working
     precision, the last one against the exact limit J2(1)."""
     grid = _j_subgrid(Fraction(9997, 10000), Fraction(1, 10000), 3)  # cells 897..899
-    for _, left, right in list(grid.cells())[1:]:
-        assert not (j1_lower.doubles(left) - j2_upper.doubles(right)).lo > 0
-    cert = sandwich_verify(j1_lower, j2_upper, grid)
+    for k in (1, 2):
+        left, right = DoubleInterval.lift(grid.point(k)), DoubleInterval.lift(grid.point(k + 1))
+        assert not (j1_raw(left) - j2_raw(right)).lo > 0
+    cert = sandwich_verify(j1_raw, j2_raw, grid)
     assert cert.passed and cert.failures == ()
     assert cert.settled["doubles"] == 1 and cert.settled["working_precision"] == 2
-    reference = sandwich_verify(partial(j1_lower), partial(j2_upper), grid)
+    reference = per_cell_sandwich(j1_raw, j2_raw, grid)
     assert cert.to_json() == reference.to_json()
 
 
 def test_truly_negative_cell_is_the_only_failure():
     """margin(l) = l^2 - (4(l+1) - 15/2) = l^2 - 4l + 7/2 on cells [l, l+1],
     l = 0..4: 7/2, 1/2, -1/2, 1/2, 7/2, so only cell 2 fails."""
-    lower = SandwichBound(lambda q: q * q)
-    upper = SandwichBound(lambda q: (8 * q - 15) / 2)
+    lower = lambda q: q * q
+    upper = lambda q: (8 * q - 15) / 2
     grid = GridSpec((GridSegment(Fraction(0), Fraction(1), 5),))
     cert = sandwich_verify(lower, upper, grid)
     assert not cert.passed
@@ -257,8 +243,8 @@ def test_truly_negative_cell_is_the_only_failure():
 def test_double_first_sandwich_fallback_matches_per_cell_working_precision():
     """The last ten cells of the 2.9 grid: two fall back to working precision."""
     grid = _j_subgrid(Fraction(9990, 10000), Fraction(1, 10000), 10)
-    cert = sandwich_verify(j1_lower, j2_upper, grid)
-    reference = sandwich_verify(partial(j1_lower), partial(j2_upper), grid)
+    cert = sandwich_verify(j1_raw, j2_raw, grid)
+    reference = per_cell_sandwich(j1_raw, j2_raw, grid)
     assert cert.passed and cert.settled["working_precision"] == 2
     assert cert.to_json() == reference.to_json()
 
@@ -274,16 +260,16 @@ def _line(c, d, q):
     return (c * q + d) / 7
 
 
-class _Counted(SandwichBound):
-    """A SandwichBound that records the points of its calls to `doubles`."""
+class _Counted:
+    """A raw formula that records the points of its calls on DoubleIntervals."""
 
-    def __init__(self, bound):
-        super().__init__(bound.raw)
-        self.points = []
+    def __init__(self, raw):
+        self.raw, self.points = raw, []
 
-    def doubles(self, q):
-        self.points.append(q)
-        return super().doubles(q)
+    def __call__(self, q):
+        if isinstance(q, DoubleInterval):
+            self.points.append((q.lo, q.hi))
+        return self.raw(q)
 
 
 def _random_sandwiches():
@@ -299,9 +285,9 @@ def _random_sandwiches():
             segments.append(seg)
             start = seg.end
         grid = GridSpec(tuple(segments))
-        forced = {grid.cell(rng.randrange(grid.total_cells))[1] for _ in range(3)}
+        forced = {grid.point(rng.randrange(grid.total_cells)) for _ in range(3)}
         lower = _NotSeparatingAt(forced, partial(_cubic, rng.randrange(1, 20), rng.randrange(40)))
-        upper = SandwichBound(partial(_line, rng.randrange(1, 30), rng.randrange(-10, 10)))
+        upper = partial(_line, rng.randrange(1, 30), rng.randrange(-10, 10))
         yield lower, upper, grid
 
 
@@ -311,7 +297,7 @@ def test_runs_match_per_cell_working_precision_on_random_grids():
     signs = set()
     for lower, upper, grid in _random_sandwiches():
         cert = sandwich_verify(lower, upper, grid)
-        reference = sandwich_verify(partial(lower), partial(upper), grid)
+        reference = per_cell_sandwich(lower, upper, grid)
         assert cert.to_json() == reference.to_json()
         assert cert.settled["evaluations"] <= 2 * grid.total_cells
         signs.add(cert.passed)
@@ -322,19 +308,19 @@ def test_phase_two_descends_into_a_settled_run():
     """margin(l) = l^3 + 10 - 3(l + 1/32) on 64 cells of [0, 2]: one run
     settles the whole grid (10 - 6 > 0), and the smallest cell margin,
     8 - 3/32 at l = 1, lies strictly inside it."""
-    lower = SandwichBound(lambda q: q**3 + 10)
-    upper = SandwichBound(lambda q: 3 * q)
+    lower = lambda q: q**3 + 10
+    upper = lambda q: 3 * q
     grid = GridSpec((GridSegment(Fraction(0), Fraction(1, 32), 64),))
     cert = sandwich_verify(lower, upper, grid)
     assert cert.passed and cert.min_margin == 8 - 3 / 32
     assert cert.settled["runs"] == 1 and cert.settled["min_margin_rechecks"] == 1
     assert cert.settled["evaluations"] < 64
-    assert cert.to_json() == sandwich_verify(partial(lower), partial(upper), grid).to_json()
+    assert cert.to_json() == per_cell_sandwich(lower, upper, grid).to_json()
 
 
 @pytest.mark.parametrize("lower, upper, grid_fn, most", [
-    (w1_lower, w2_upper, lemma_2_4_ii_grid, 1200),  # 14036 one cell at a time
-    (j1_lower, j2_upper, lemma_2_9_grid, 1800),
+    (w1_raw, w2_raw, lemma_2_4_ii_grid, 1200),  # 14036 one cell at a time
+    (j1_raw, j2_raw, lemma_2_9_grid, 1800),
 ])
 def test_lemma_grids_take_few_double_evaluations(lower, upper, grid_fn, most):
     """Both phases share one memo: no side is evaluated twice at one point."""
@@ -350,10 +336,22 @@ def test_runs_match_per_cell_working_precision_across_segments():
     """Two segments, fallback cells and the exact limit at q = 1."""
     grid = GridSpec((GridSegment(Fraction(9980, 10000), Fraction(1, 10000), 10),
                      GridSegment(Fraction(9990, 10000), Fraction(1, 20000), 20)))
-    cert = sandwich_verify(j1_lower, j2_upper, grid)
-    reference = sandwich_verify(partial(j1_lower), partial(j2_upper), grid)
+    cert = sandwich_verify(j1_raw, j2_raw, grid)
+    reference = per_cell_sandwich(j1_raw, j2_raw, grid)
     assert cert.passed and cert.settled["working_precision"] >= 2
     assert cert.to_json() == reference.to_json()
+
+
+def _sandwich_margins(lower, upper, grid) -> _Margins:
+    """The margins sandwich_verify(lower, upper, grid) builds, caught where it
+    hands them to the run engine, before any evaluation."""
+    caught = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verifier, "_prove_by_runs",
+                      lambda margins, roots: caught.append(margins) or (1.0, (), {}))
+        sandwich_verify(lower, upper, grid)
+    (margins,) = caught
+    return margins
 
 
 def test_run_margins_subtract_at_working_precision(monkeypatch):
@@ -370,7 +368,7 @@ def test_run_margins_subtract_at_working_precision(monkeypatch):
             differences.append(super().__sub__(other))
             return differences[-1]
 
-    margins = verifier._RunMargins(lambda q: Recorded(j1_lower(q)), j2_upper, lemma_2_9_grid())
+    margins = _sandwich_margins(lambda q: Recorded(j1_raw(q)), j2_raw, lemma_2_9_grid())
     passes, lo, hi = margins.working(899)
     (margin,) = differences
     assert passes and 0 < lo <= hi
@@ -465,26 +463,35 @@ def test_one_loop_matches_the_two_phase_reference_on_random_grids():
     for lower, upper, grid in _random_sandwiches():
         bounds = list(accumulate((seg.count for seg in grid.segments), initial=0))
         results.append(_assert_one_loop_matches_reference(
-            partial(verifier._RunMargins, lower, upper, grid), list(zip(bounds, bounds[1:]))))
+            partial(_sandwich_margins, lower, upper, grid), list(zip(bounds, bounds[1:]))))
     assert any(failures for _, failures, _ in results)
     assert any(not failures and min_margin > 0 for min_margin, failures, _ in results)
     assert any(settled["working_precision"] for _, _, settled in results)
     assert any(settled["runs"] < settled["doubles"] for _, _, settled in results)
 
 
-class _SeededPoints(_PointMargins):
+def _whole_line_where(raw):
+    """raw with one more argument, forced: where it is true, the formula is
+    the whole line on DoubleIntervals, so no run holding a forced item
+    separates in doubles."""
+
+    def formula(*args):
+        *args, forced = args
+        if forced and isinstance(args[0], DoubleInterval):
+            return DoubleInterval(-math.inf, math.inf)
+        return raw(*args)
+
+    return formula
+
+
+class _SeededPoints(_Margins):
     """Items with exact margins values[k]: the run bound of i..j is their
     minimum, and the whole line on any run holding a forced item."""
 
     def __init__(self, values, forced):
-        super().__init__(lambda lift, i, j: lift(min(values[i:j + 1])))
-        self.forced = forced
-
-    def of_run(self, start, stop):
-        if any(start <= k < stop for k in self.forced):
-            self.evaluations += 1
-            return DoubleInterval(-math.inf, math.inf)
-        return super().of_run(start, stop)
+        formula = _whole_line_where(lambda value: value)
+        super().__init__(lambda at, i, j: at(formula, (i, j)), lambda key: (
+            min(values[key[0]:key[1] + 1]), any(key[0] <= k <= key[1] for k in forced)))
 
 
 def test_one_loop_matches_the_two_phase_reference_on_seeded_points():
@@ -525,19 +532,17 @@ def test_lemma_2_4_i_proves_its_grid_by_runs(monkeypatch):
     assert cert.settled["doubles"] + cert.settled["working_precision"] == 9572
 
 
-class _WholeLineAt(_PointMargins):
-    """V' run bounds that are the whole line on any run holding one of the
-    forced points, so each of those points is settled at working precision."""
+class _WholeLineAt(_Margins):
+    """V' run bounds, v_prime_run_raw(y_i, y_j) at the points y_k of a
+    segment as 2.4i takes them, that are the whole line on any run holding
+    one of the forced points, so each of those points is settled at working
+    precision."""
 
     def __init__(self, segment, forced):
-        super().__init__(_v_prime_margins(segment).bound)
-        self.forced = forced
-
-    def of_run(self, start, stop):
-        if any(start <= k < stop for k in self.forced):
-            self.evaluations += 1
-            return DoubleInterval(-math.inf, math.inf)
-        return super().of_run(start, stop)
+        formula = _whole_line_where(v_prime_run_raw)
+        super().__init__(lambda at, i, j: at(formula, (i, j)), lambda key: (
+            *(segment.start + k * segment.step for k in key),
+            any(key[0] <= k <= key[1] for k in forced)))
 
 
 def test_v_prime_forced_fallback_points_match_working_precision():
@@ -553,9 +558,11 @@ def test_v_prime_forced_fallback_points_match_working_precision():
     assert min_vp == margins.working(20)[1]
 
 
-def test_v_prime_run_bounds_need_a_start_past_sqrt_3():
-    with pytest.raises(ArithmeticError):
-        _v_prime_margins(GridSegment(Fraction(173, 100), Fraction(1, 100), 10))
+def test_v_prime_run_bounds_need_a_start_past_sqrt_3(monkeypatch):
+    monkeypatch.setattr(verifier, "lemma_2_4_i_v_prime_grid", lambda: GridSpec(
+        (GridSegment(Fraction(173, 100), Fraction(1, 100), 10),)))
+    with pytest.raises(ArithmeticError, match=r"start\^2 > 3"):
+        verify_lemma_2_4_i()
 
 
 def test_lemma_2_4_i_records_the_points_where_v_prime_fails(monkeypatch):
@@ -577,10 +584,12 @@ def test_lemma_2_4_i_records_the_points_where_v_prime_fails(monkeypatch):
 
 
 def test_sandwich_bound_doubles_enclose_certified_values():
-    for bound, q in ((w1_lower, Fraction(117, 1000)), (w2_upper, Fraction(91, 100)),
-                     (j1_lower, Fraction(95, 100)), (j2_upper, Fraction(99, 100)),
-                     (j2_upper, Fraction(1))):
-        d, enc = bound.doubles(q), bound(q)
+    for raw, bound, q in ((w1_raw, w1_lower, Fraction(117, 1000)),
+                          (w2_raw, w2_upper, Fraction(91, 100)),
+                          (j1_raw, j1_lower, Fraction(95, 100)),
+                          (j2_raw, j2_upper, Fraction(99, 100)),
+                          (j2_raw, j2_upper, Fraction(1))):
+        d, enc = raw(DoubleInterval.lift(q)), bound(q)
         assert Fraction(d.lo) <= mpf_to_fraction(enc.lo)
         assert mpf_to_fraction(enc.hi) <= Fraction(d.hi)
 
@@ -599,24 +608,26 @@ def test_w_functions_first_cells():
         assert margin.is_positive()
 
 
-_BOUND_NAMES = {id(w1_lower): "w1_lower", id(w2_upper): "w2_upper",
-                id(j1_lower): "j1_lower", id(j2_upper): "j2_upper"}
+_SIDES = {"w1_lower": (w1_raw, w1_lower), "w2_upper": (w2_raw, w2_upper),
+          "j1_lower": (j1_raw, j1_lower), "j2_upper": (j2_raw, j2_upper)}
 
 
-@pytest.mark.parametrize("evaluate, q", [
-    *((fn, q) for fn in (w1_lower, w2_upper) for q in (
+@pytest.mark.parametrize("side, q", [
+    *((name, q) for name in ("w1_lower", "w2_upper") for q in (
         Fraction(117, 1000), Fraction(1, 2), Fraction(835, 1000), Fraction(9, 10),
         Fraction(91, 100))),
-    *((fn, q) for fn in (j1_lower, j2_upper) for q in (
+    *((name, q) for name in ("j1_lower", "j2_upper") for q in (
         Fraction(91, 100), Fraction(95, 100), Fraction(99, 100))),
-    (j2_upper, Fraction(1)),
-], ids=lambda value: _BOUND_NAMES.get(id(value)))  # SandwichBounds have no __name__
-def test_fast_sandwich_evaluators_match_certified(evaluate, q):
-    """The fast evaluator of each sandwich bound, its DoubleInterval, lies
-    within 1e-8 relative of the certified enclosure on cells of the 2.4ii and
-    2.9 grids, so those cells settle in doubles.  The closed form of Phi_q
-    cancels in doubles as q -> 1: J1 at 0.99 is the widest, 2.7e-9."""
-    fast = evaluate.doubles(q)
+    ("j2_upper", Fraction(1)),
+])
+def test_fast_sandwich_evaluators_match_certified(side, q):
+    """The fast evaluator of each sandwich bound, its raw formula on a
+    DoubleInterval, lies within 1e-8 relative of the certified enclosure on
+    cells of the 2.4ii and 2.9 grids, so those cells settle in doubles.  The
+    closed form of Phi_q cancels in doubles as q -> 1: J1 at 0.99 is the
+    widest, 2.7e-9."""
+    raw, evaluate = _SIDES[side]
+    fast = raw(DoubleInterval.lift(q))
     lo, hi = evaluate(q).to_floats()
     assert lo - 1e-8 * abs(lo) <= fast.lo and fast.hi <= hi + 1e-8 * abs(hi)
 
@@ -628,7 +639,7 @@ def test_j2_limit_rederived():
     assert j2_raw(Fraction(1)) == J2_LIMIT == Fraction(208609, 55440)
     limit_enc = j2_upper(Fraction(1))
     assert limit_enc.contains(Fraction(208609, 55440))
-    limit_doubles = j2_upper.doubles(Fraction(1))
+    limit_doubles = j2_raw(DoubleInterval.lift(Fraction(1)))
     assert Fraction(limit_doubles.lo) <= J2_LIMIT <= Fraction(limit_doubles.hi)
 
 
@@ -689,6 +700,16 @@ def _phi_prime_margins_at_working_precision(points, threshold) -> tuple[bool, fl
     return all(v.is_positive() for v in values), min(v.to_floats()[0] for v in values)
 
 
+def _phi_prime_margins(points, threshold) -> _Margins:
+    """2.8's witness margins on other points: phi'_q(x) - threshold at the
+    exact points (q, x), one item each."""
+
+    def phi_prime_margin(q, x, threshold):
+        return verifier.phi_prime_raw(q, x) - threshold
+
+    return _Margins(lambda at, k, _: at(phi_prime_margin, k), lambda k: (*points[k], threshold))
+
+
 def _count_working_precision_points(monkeypatch) -> list:
     """Patch verifier.phi_prime_raw to record the (q, x) it takes as ivmpf."""
     raw, seen = verifier.phi_prime_raw, []
@@ -704,12 +725,17 @@ def test_lemma_2_8_witness_in_doubles_first_is_the_working_precision_grid(monkey
     points at working precision, from 143 double evaluations and one
     point evaluated again at working precision."""
     monkeypatch.setenv("DIVISOR_SERIES_PREC", bits)
-    margins, calls = verifier._phi_prime_margins, []
-    monkeypatch.setattr(verifier, "_phi_prime_margins",
-                        lambda *args: calls.append(args) or margins(*args))
+    engine, calls = verifier._prove_by_runs, []
+    monkeypatch.setattr(verifier, "_prove_by_runs",
+                        lambda margins, roots: calls.append(margins) or engine(margins, roots))
     rechecked = _count_working_precision_points(monkeypatch)
     cert = verify_lemma("2.8")
-    ((points, threshold),) = calls
+    (margins,) = calls
+    inputs = [margins.inputs(k) for k in range(cert.details["grid_points"])]
+    with pytest.raises(IndexError):
+        margins.inputs(len(inputs))
+    points = [(q, x) for q, x, _ in inputs]
+    (threshold,) = {threshold for _, _, threshold in inputs}
     assert threshold == Fraction(-35, 1000) and len(rechecked) == 1
     passed, min_lo = _phi_prime_margins_at_working_precision(points, threshold)
     assert cert.passed is passed is True
