@@ -15,13 +15,7 @@ Layers:
 * :mod:`divisor_series.cli` -- the ``divisor-series`` command.
 """
 
-from .divisor_core import (
-    DivisorTable,
-    PartitionStats,
-    distinct_partition_stats,
-    divisor_partial_sums,
-    divisor_sieve,
-)
+from .divisor_core import distinct_partition_stats, divisor_partial_sums, divisor_sieve
 from .intervals import (
     DomainError,
     Enclosure,

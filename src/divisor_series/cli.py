@@ -139,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a lemma verification and emit a certificate")
     p.add_argument("--lemma", required=True,
                    choices=sorted(LEMMA_VERIFIERS) + ["thm3.2"])
-    p.add_argument("--out", default=None, help="write the certificate JSON here")
 
     p = sub.add_parser("report", help="run the full verification suite")
     p.add_argument("--order", type=int, default=200)
@@ -258,11 +257,7 @@ def _cmd_verify(args) -> int:
         cert = verify_lemma(args.lemma)
         certs = {args.lemma: cert}
     _print_sandwich_cells(certs)
-    text = cert.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(cert.to_json())
     return EXIT_OK if cert.passed else EXIT_VERIFICATION_FAILED
 
 

@@ -7,48 +7,19 @@ so there is no silent wraparound to guard against).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 
 from .intervals import DomainError
 
 
-@dataclass(frozen=True)
-class DivisorTable:
+def divisor_sieve(n_max: int) -> tuple[int, ...]:
     """d[k] = number of positive divisors of k, for 1 <= k <= n_max.
 
     Index 0 is a sentinel with d[0] = 0, which is also the convention the
-    power-series layer uses for the constant coefficient of T.
-    """
-
-    n_max: int
-    d: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise DomainError("n_max must be >= 1")
-        if len(self.d) != self.n_max + 1 or self.d[0] != 0:
-            raise ValueError("divisor table malformed")
-
-
-@dataclass(frozen=True)
-class PartitionStats:
-    """Part counts over partitions into distinct parts, split by parity.
-
-    s_odd[k] sums the number of parts over all partitions of k into an odd
-    number of distinct parts; s_even[k] does the same for an even number of
-    parts.  Index 0 is an unused sentinel.
-    """
-
-    n_max: int
-    s_odd: tuple[int, ...]
-    s_even: tuple[int, ...]
-
-
-def divisor_sieve(n_max: int) -> DivisorTable:
-    """Divisor-count table by counting each divisor pair (i, m/i) with
-    i <= sqrt(m) once: i*i gains 1, and each larger multiple i*j, j > i,
-    gains 2.  About (n/2) ln n increments."""
+    power-series layer uses for the constant coefficient of T.  Each divisor
+    pair (i, m/i) with i <= sqrt(m) is counted once: i*i gains 1, and each
+    larger multiple i*j, j > i, gains 2.  About (n/2) ln n increments."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     d = [0] * (n_max + 1)
@@ -56,25 +27,27 @@ def divisor_sieve(n_max: int) -> DivisorTable:
         d[i * i] += 1
         for m in range(i * (i + 1), n_max + 1, i):
             d[m] += 2
-    return DivisorTable(n_max=n_max, d=tuple(d))
+    return tuple(d)
 
 
-def divisor_partial_sums(table: DivisorTable) -> tuple[int, ...]:
-    """out[n] = sum_{k<=n} d(k); out[0] = 0.
+def divisor_partial_sums(d: tuple[int, ...]) -> tuple[int, ...]:
+    """out[n] = sum_{k<=n} d(k) for a table d from :func:`divisor_sieve`;
+    out[0] = 0.
 
     By counting lattice points under the hyperbola xy <= n both ways, the
     result also equals sum_{k<=n} floor(n/k) for every n.
     """
-    out = [0] * (table.n_max + 1)
-    acc = 0
-    for n in range(1, table.n_max + 1):
-        acc += table.d[n]
-        out[n] = acc
-    return tuple(out)
+    return tuple(accumulate(d))
 
 
-def distinct_partition_stats(n_max: int) -> PartitionStats:
-    """Part-count statistics by the product rule on P(z) = prod_p (1 + z q^p).
+def distinct_partition_stats(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Part counts over partitions into distinct parts, split by parity, as
+    the pair (s_odd, s_even).
+
+    s_odd[k] sums the number of parts over all partitions of k into an odd
+    number of distinct parts; s_even[k] does the same for an even number of
+    parts.  Index 0 is an unused sentinel.  Both come from the product rule
+    on P(z) = prod_p (1 + z q^p).
 
     The coefficient of z^m q^n in P counts partitions of n into m distinct
     parts, so dP/dz = P' weights each one by m z^(m-1): P'(1) sums the part
@@ -97,4 +70,4 @@ def distinct_partition_stats(n_max: int) -> PartitionStats:
     # P'(1) + P'(-1) = 2 s_odd and P'(1) - P'(-1) = 2 s_even: exact halving
     s_odd = tuple((a + b) // 2 for a, b in zip(d_plus, d_minus))
     s_even = tuple((a - b) // 2 for a, b in zip(d_plus, d_minus))
-    return PartitionStats(n_max=n_max, s_odd=s_odd, s_even=s_even)
+    return s_odd, s_even

@@ -473,24 +473,17 @@ def _gamma_at(bits: int) -> Enclosure:
 #
 # Formula code in lemma_functions/special_eval is written once against these
 # helpers: ivmpf gives the certified enclosures and, once at 53 bits, the FAST
-# values; floats the term counts of the series.  DoubleInterval runs the same
-# formulas as the first pass of certified checks.
+# values; DoubleInterval runs the same formulas as the first pass of certified
+# checks.  The term counts of the series come from special_eval's own double
+# tail bounds (_t_tail, _psi_tail), not from these helpers.
 
 
 def ln(x):
-    if isinstance(x, ivmpf):
-        return iv.log(x)
-    if isinstance(x, DoubleInterval):
-        return x.log()
-    return math.log(x)
+    return iv.log(x) if isinstance(x, ivmpf) else x.log()
 
 
 def exp_(x):
-    if isinstance(x, ivmpf):
-        return iv.exp(x)
-    if isinstance(x, DoubleInterval):
-        return x.exp()
-    return math.exp(x)
+    return iv.exp(x) if isinstance(x, ivmpf) else x.exp()
 
 
 #: At and below this |x|, log(1-x) of an interval is summed from its series.
@@ -505,9 +498,8 @@ def log1m(x):
     enclosure is -(sum_{k<=n} x^k/k) less the geometric bound
     t = |x|^(n+1)/((n+1)(1-|x|)) on the remaining terms, [0, t] for x >= 0
     and [-t, t] otherwise, with n = prec // 64 + 1: relative to x the tail
-    is below 2^(-64n), under the rounding error of the sum.  A float takes
-    math.log1p(-x), which keeps its relative accuracy as x -> 0 where
-    math.log(1 - x) loses every digit; every other argument takes ln(1 - x).
+    is below 2^(-64n), under the rounding error of the sum.  Every other
+    argument takes ln(1 - x).
     """
     if isinstance(x, ivmpf):
         size = abs(x)
@@ -516,17 +508,13 @@ def log1m(x):
             total = sum((x ** k / k for k in range(2, n + 1)), x)
             tail = size ** (n + 1) / ((n + 1) * (1 - size))
             return -(total + iv.mpf([0 if x.a >= 0 else -tail.b, tail.b]))
-    if isinstance(x, float):
-        return math.log1p(-x)
     return ln(1 - x)
 
 
 def const(value: Scalar, like):
     """A rational constant of a formula, lifted into the arithmetic of the
-    formula's argument `like`: its nearest double beside a float."""
-    if isinstance(like, DoubleInterval):
-        return DoubleInterval.lift(value)
-    return to_ivmpf(value) if isinstance(like, ivmpf) else float(value)
+    formula's argument `like`."""
+    return to_ivmpf(value) if isinstance(like, ivmpf) else DoubleInterval.lift(value)
 
 
 def powr(base, exponent):
@@ -535,6 +523,4 @@ def powr(base, exponent):
         return base ** exponent
     if isinstance(base, ivmpf) or isinstance(exponent, ivmpf):
         return iv.exp(to_ivmpf(exponent) * iv.log(to_ivmpf(base)))
-    if isinstance(base, DoubleInterval):
-        return (base.log() * exponent).exp()
-    return math.exp(exponent * math.log(base))
+    return (base.log() * exponent).exp()

@@ -1,9 +1,12 @@
 """Exact truncated power series over the integers, and the five classical
 series representations of T(q) = sum d(k) q^k as coefficient sequences.
 
-Every representation is built on integer lists from one exact step, the
-factor (1 - q^k), plus adding terms.  A ``Fraction`` appears only in the
-reciprocal of a series whose constant term is not 1 or -1.
+Every representation is built on integer lists.  Lambert's and Clausen's
+series are sums of geometric series, so they are expanded directly: each
+adds 1 or 2 at every k-th exponent.  Uchimura's and both of Merca's forms
+are built from one exact step, the factor (1 - q^k) or its inverse, plus
+adding terms.  A ``Fraction`` appears only in the reciprocal of a series
+whose constant term is not 1 or -1.
 
 All arithmetic is exact, and truncation points are chosen so that omitted
 terms of each representation have degree beyond the retained order.  A match
@@ -140,12 +143,6 @@ def _divide_one_minus(c: list, k: int) -> None:
         c[i] += c[i - k]
 
 
-def _add_shifted(total: list, c: list, shift: int) -> None:
-    """total <- total + q^shift * c, truncated to the order of total."""
-    for i in range(len(total) - shift):
-        total[i + shift] += c[i]
-
-
 def q_pochhammer(k: Optional[int | float], order: int) -> TruncatedSeries:
     """(q;q)_k = prod_{j=1}^{k} (1 - q^j) truncated at `order`.
 
@@ -178,24 +175,24 @@ def build_representation(rep: RepresentationId, order: int) -> TruncatedSeries:
     n = order
 
     if rep is RepresentationId.DIVISOR:
-        return TruncatedSeries(divisor_sieve(n).d)
+        return TruncatedSeries(divisor_sieve(n))
     total = [0] * (n + 1)
 
     if rep is RepresentationId.LAMBERT:
-        # sum_{k>=1} q^k / (1 - q^k)
+        # sum_{k>=1} q^k / (1 - q^k) = sum_k (q^k + q^2k + ...): 1 at every
+        # multiple of k
         for k in range(1, n + 1):
-            geometric = [1] + [0] * n
-            _divide_one_minus(geometric, k)
-            _add_shifted(total, geometric, k)
+            for m in range(k, n + 1, k):
+                total[m] += 1
         return TruncatedSeries(total)
 
     if rep is RepresentationId.CLAUSEN:
-        # sum_{k>=1} q^{k^2} (1 + q^k) / (1 - q^k)
+        # sum_{k>=1} q^{k^2} (1 + q^k) / (1 - q^k) = sum_k (q^{k^2} + 2 q^{k^2+k}
+        # + 2 q^{k^2+2k} + ...)
         for k in range(1, math.isqrt(n) + 1):
-            geometric = [1] + [0] * n
-            _divide_one_minus(geometric, k)
-            _add_shifted(total, geometric, k * k)
-            _add_shifted(total, geometric, k * k + k)
+            total[k * k] += 1
+            for m in range(k * k + k, n + 1, k):
+                total[m] += 2
         return TruncatedSeries(total)
 
     if rep is RepresentationId.UCHIMURA:
@@ -217,8 +214,8 @@ def build_representation(rep: RepresentationId, order: int) -> TruncatedSeries:
     elif rep is RepresentationId.MERCA_PARTITION:
         # (1/(q;q)_inf) * sum_{k>=1} (s_odd(k) - s_even(k)) q^k; the weights
         # are the derivative at z = -1 of prod_p (1 + z q^p)
-        stats = distinct_partition_stats(n)
-        total = [odd - even for odd, even in zip(stats.s_odd, stats.s_even)]
+        s_odd, s_even = distinct_partition_stats(n)
+        total = [odd - even for odd, even in zip(s_odd, s_even)]
     else:
         raise ValueError(f"unknown representation {rep!r}")
     # both Merca forms end by dividing by (q;q)_inf, one factor at a time

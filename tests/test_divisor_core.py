@@ -23,22 +23,20 @@ def is_square(n: int) -> bool:
 
 
 def test_sieve_small_values():
-    table = divisor_sieve(1)
-    assert table.d == (0, 1)
-    table = divisor_sieve(12)
-    assert table.d[12] == 6  # divisors 1,2,3,4,6,12
+    assert divisor_sieve(1) == (0, 1)
+    assert divisor_sieve(12)[12] == 6  # divisors 1,2,3,4,6,12
 
 
 def test_sieve_d100_against_trial_division():
-    table = divisor_sieve(100)
+    d = divisor_sieve(100)
     assert divisor_count_trial(100) == 9
-    assert table.d[100] == 9
+    assert d[100] == 9
 
 
 def test_sieve_matches_trial_division_up_to_200():
-    table = divisor_sieve(200)
+    d = divisor_sieve(200)
     for k in range(1, 201):
-        assert table.d[k] == divisor_count_trial(k)
+        assert d[k] == divisor_count_trial(k)
 
 
 def divisor_counts_by_multiples(n: int) -> list[int]:
@@ -56,18 +54,18 @@ def test_sieve_matches_the_multiples_loop_up_to_2000():
     each a table's last entry."""
     reference = divisor_counts_by_multiples(2000)
     for n in range(1, 2001):
-        assert divisor_sieve(n).d == tuple(reference[: n + 1]), n
+        assert divisor_sieve(n) == tuple(reference[: n + 1]), n
 
 
 def test_sieve_invariants():
-    table = divisor_sieve(150)
-    assert table.d[1] == 1
+    d = divisor_sieve(150)
+    assert d[1] == 1
     for p in (2, 3, 5, 7, 11, 13, 101, 149):
-        assert table.d[p] == 2
+        assert d[p] == 2
     for k in range(2, 151):
-        assert table.d[k] >= 2
-        assert table.d[k] <= k
-        assert (table.d[k] % 2 == 1) == is_square(k)
+        assert d[k] >= 2
+        assert d[k] <= k
+        assert (d[k] % 2 == 1) == is_square(k)
 
 
 def test_sieve_rejects_zero():
@@ -76,42 +74,40 @@ def test_sieve_rejects_zero():
 
 
 def test_partial_sums_small():
-    table = divisor_sieve(3)
-    sums = divisor_partial_sums(table)
+    sums = divisor_partial_sums(divisor_sieve(3))
     assert sums[1] == 1
     assert sums[3] == 5  # 1 + 2 + 2
 
 
 def test_partial_sums_floor_identity():
-    table = divisor_sieve(100)
-    sums = divisor_partial_sums(table)
+    sums = divisor_partial_sums(divisor_sieve(100))
     assert sums[100] == floor_sum(100)
     for n in range(1, 101):
         assert sums[n] == floor_sum(n)
 
 
 def test_partition_stats_examples():
-    stats = distinct_partition_stats(6)
+    s_odd, s_even = distinct_partition_stats(6)
     # k=1: {1}
-    assert stats.s_odd[1] == 1 and stats.s_even[1] == 0
+    assert s_odd[1] == 1 and s_even[1] == 0
     # k=3: {3}, {2,1}
-    assert stats.s_odd[3] == 1 and stats.s_even[3] == 2
+    assert s_odd[3] == 1 and s_even[3] == 2
     # k=6: {6}, {5,1}, {4,2}, {3,2,1}
-    assert stats.s_odd[6] == 4 and stats.s_even[6] == 4
+    assert s_odd[6] == 4 and s_even[6] == 4
 
 
 def test_partition_stats_invariants():
-    stats = distinct_partition_stats(50)
-    assert stats.s_even[1] == 0 and stats.s_even[2] == 0
+    s_odd, s_even = distinct_partition_stats(50)
+    assert s_even[1] == 0 and s_even[2] == 0
     for k in range(1, 51):
-        assert stats.s_odd[k] >= 1  # the singleton partition {k}
+        assert s_odd[k] >= 1  # the singleton partition {k}
 
 
 def test_partition_dp_agrees_with_enumeration():
-    dp = distinct_partition_stats(40)
-    brute = distinct_partition_stats_enumerated(40)
-    assert dp.s_odd == brute.s_odd
-    assert dp.s_even == brute.s_even
+    dp_odd, dp_even = distinct_partition_stats(40)
+    brute_odd, brute_even = distinct_partition_stats_enumerated(40)
+    assert dp_odd == brute_odd
+    assert dp_even == brute_even
 
 
 def test_partition_stats_rejects_zero():

@@ -23,27 +23,17 @@ from divisor_series.intervals import (
 )
 from divisor_series.lemma_functions import (
     _on_intervals,
-    a_constant_raw,
-    a_raw,
-    b_raw,
     correction_sums,
     delta_polynomial,
-    delta_raw,
     g0_polynomial,
-    g0_raw,
-    g_raw,
     h1_raw,
     h2_denominator_polynomial,
     h2_raw,
     h3_numerator_polynomial,
     h3_raw,
-    k_raw,
     phi_antiderivative,
-    phi_antiderivative_raw,
-    phi_prime_raw,
     phi_raw,
     theta_raw,
-    u_raw,
     v_prime_raw,
     v_prime_run_raw,
     v_raw,
@@ -61,19 +51,20 @@ from divisor_series.polynomials import Polynomial
 
 def test_phi_vanishes_at_one():
     for q in (0.1, 0.5, 0.9, 0.999):
-        assert phi_raw(q, 1.0) == pytest.approx(0.0, abs=1e-14)
+        lo, hi = evaluate_named("phi", q=q, x=1, mode=Mode.CERTIFIED).to_floats()
+        assert -1e-14 <= lo <= 0 <= hi <= 1e-14
     assert evaluate_named("phi", q=0.37, x=1, mode=Mode.CERTIFIED).contains(0)
 
 
 def test_phi_hand_value():
     # q=0.5, x=2: 0.25 * 0.25 / 0.75^2 = 1/9
-    assert phi_raw(0.5, 2.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
+    assert evaluate_named("phi", q=0.5, x=2.0) == pytest.approx(1.0 / 9.0, rel=1e-14)
 
 
 def test_phi_prime_finite_difference_spot():
     q, x, h = 0.7, 3.0, 1e-6
-    fd = (phi_raw(q, x + h) - phi_raw(q, x - h)) / (2 * h)
-    closed = phi_prime_raw(q, x)
+    fd = (evaluate_named("phi", q=q, x=x + h) - evaluate_named("phi", q=q, x=x - h)) / (2 * h)
+    closed = evaluate_named("phi_prime", q=q, x=x)
     assert abs(fd - closed) / abs(closed) < 1e-6
 
 
@@ -126,15 +117,15 @@ def test_a_second_derivative_matches_b():
                 )
 
             fd = float((a_mp(xm + h) - 2 * a_mp(xm) + a_mp(xm - h)) / h**2)
-        closed = 4 * q**x * math.log(q) ** 2 * (1 - q) * b_raw(q, x)
+        closed = 4 * q**x * math.log(q) ** 2 * (1 - q) * evaluate_named("b", q=q, x=x)
         assert abs(fd - closed) <= 1e-5 * abs(closed)
 
 
 def test_v_prime_finite_difference():
     for y in (2.2, 3.0, 10.0):
         h = 1e-6
-        fd = (v_raw(y + h) - v_raw(y - h)) / (2 * h)
-        assert abs(fd - v_prime_raw(y)) < 1e-9
+        fd = (evaluate_named("V", y=y + h) - evaluate_named("V", y=y - h)) / (2 * h)
+        assert abs(fd - evaluate_named("V_prime", y=y)) < 1e-9
 
 
 def test_v_prime_run_bound_is_below_v_prime_on_its_span():
@@ -392,7 +383,7 @@ def test_w1_and_j1_kernel_is_the_generic_body_bit_for_bit():
 
 def test_w1_and_j1_take_the_kernel_only_inside_its_guard(monkeypatch):
     """A DoubleInterval q with 2^-24 <= q.lo and q.hi < 1 runs the kernel; a q
-    reaching 1 or starting below 2^-24, floats and ivmpf run the generic body."""
+    reaching 1 or starting below 2^-24, and ivmpf, run the generic body."""
     kernel, calls = lemma_functions._phi_integral_doubles, []
     monkeypatch.setattr(lemma_functions, "_phi_integral_doubles",
                         lambda *args: calls.append(args) or kernel(*args))
@@ -408,7 +399,6 @@ def test_w1_and_j1_take_the_kernel_only_inside_its_guard(monkeypatch):
             if x == 11:
                 body = body - DoubleInterval.lift(Fraction(36, 1000))
             assert _hex(raw(q)) == _hex(body), (q, x)
-    assert w1_raw(0.9) == lemma_functions._phi_integral_generic(0.9, 40)
     with interval_precision(53):
         q_iv = to_ivmpf(Fraction(9, 10))
         assert j1_raw(q_iv)._mpi_ == (lemma_functions._phi_integral_generic(q_iv, 11)
@@ -418,8 +408,9 @@ def test_w1_and_j1_take_the_kernel_only_inside_its_guard(monkeypatch):
 
 def test_antiderivative_vs_quadrature_spot():
     q = 0.6
-    integral, err = quad(lambda x: phi_raw(q, x), 2.0, 5.0, epsabs=1e-12, epsrel=1e-12)
-    closed = phi_antiderivative_raw(q, 5.0) - phi_antiderivative_raw(q, 2.0)
+    integral, err = quad(lambda x: evaluate_named("phi", q=q, x=x), 2.0, 5.0,
+                         epsabs=1e-12, epsrel=1e-12)
+    closed = phi_antiderivative(q, 5.0) - phi_antiderivative(q, 2.0)
     assert abs(integral - closed) < 1e-8
 
 
@@ -429,15 +420,16 @@ def test_antiderivative_vs_quadrature_random_intervals():
         q = rng.uniform(0.05, 0.95)
         a = rng.uniform(1.0, 20.0)
         b = a + rng.uniform(0.5, 10.0)
-        integral, _ = quad(lambda x: phi_raw(q, x), a, b, epsabs=1e-12, epsrel=1e-12)
-        closed = phi_antiderivative_raw(q, b) - phi_antiderivative_raw(q, a)
+        integral, _ = quad(lambda x: evaluate_named("phi", q=q, x=x), a, b,
+                           epsabs=1e-12, epsrel=1e-12)
+        closed = phi_antiderivative(q, b) - phi_antiderivative(q, a)
         assert abs(integral - closed) < 1e-8
 
 
 def test_antiderivative_boundary_values(monkeypatch):
     # Phi_q(1) = -A_q
     for q in (0.3, 0.7):
-        assert phi_antiderivative_raw(q, 1.0) == pytest.approx(-a_constant_raw(q), rel=1e-12)
+        assert phi_antiderivative(q, 1.0) == pytest.approx(-evaluate_named("A", q=q), rel=1e-12)
     # decay at infinity, certified; the enclosure width floors at one ulp of
     # the working precision, so certifying < 1e-100 needs > 333 bits
     monkeypatch.setenv("DIVISOR_SERIES_PREC", "512")
@@ -507,7 +499,7 @@ def test_c1_positive_small_q():
 def test_c1_matches_u_closed_form():
     q = 0.1
     c1 = correction_sums(q, 1).c_n
-    closed = u_raw(q) / ((q + 1) ** 2 * math.log(q) ** 2)
+    closed = evaluate_named("U", q=q) / ((q + 1) ** 2 * math.log(q) ** 2)
     assert c1 == pytest.approx(closed, rel=1e-10)
 
 
@@ -535,7 +527,7 @@ def test_c_minus_d_is_half_phi_difference():
     """C_q(n) - D_q(n) = (phi_q(1) - phi_q(n+1)) / 2 by definition."""
     q, n = 0.5, 5
     sums = correction_sums(q, n)
-    expected = (phi_raw(q, 1.0) - phi_raw(q, float(n + 1))) / 2
+    expected = (evaluate_named("phi", q=q, x=1) - evaluate_named("phi", q=q, x=n + 1)) / 2
     assert sums.c_n - sums.d_n == pytest.approx(expected, abs=1e-12)
 
 
@@ -674,29 +666,31 @@ def test_inflection_point_bound_near_one():
 
 
 def test_v_at_minus_log_0117():
-    value = v_raw(-math.log(0.117))
+    value = evaluate_named("V", y=-math.log(0.117))
     assert abs(value - 0.0022898677918644553) < 1e-12
     assert abs(value - 0.0022) < 5e-4
 
 
 def test_v_prime_positive_past_sqrt3():
     for y in (2.145, 3.0, 10.0, 50.0):
-        assert v_prime_raw(y) > 0
+        assert evaluate_named("V_prime", y=y) > 0
 
 
 def test_delta_and_g0_values():
-    assert abs(delta_raw(0.91) - 1.7670552059568436) < 1e-12
-    assert abs(delta_raw(0.91) - 1.76) < 0.01
-    assert abs(g0_raw(0.91) - (-0.0028527540246422855)) < 1e-12
-    assert abs(g0_raw(0.91) - (-0.0028)) < 5e-4
+    delta, g0 = evaluate_named("Delta", q=0.91), evaluate_named("G0", q=0.91)
+    assert abs(delta - 1.7670552059568436) < 1e-12
+    assert abs(delta - 1.76) < 0.01
+    assert abs(g0 - (-0.0028527540246422855)) < 1e-12
+    assert abs(g0 - (-0.0028)) < 5e-4
     assert delta_polynomial()(1) == 0
     assert g0_polynomial()(1) == 0
 
 
 def test_polynomials_match_formulas():
     for q in (Fraction(91, 100), Fraction(19, 20), Fraction(999, 1000)):
-        assert delta_polynomial()(q) == pytest.approx(delta_raw(float(q)), rel=1e-10)
-        assert g0_polynomial()(q) == pytest.approx(g0_raw(float(q)), rel=1e-9)
+        assert delta_polynomial()(q) == pytest.approx(evaluate_named("Delta", q=float(q)),
+                                                      rel=1e-10)
+        assert g0_polynomial()(q) == pytest.approx(evaluate_named("G0", q=float(q)), rel=1e-9)
 
 
 def test_h_envelope_value():
@@ -744,7 +738,8 @@ def test_envelope_slack_is_its_closed_form():
 
 def test_g_equals_a_at_14():
     for q in (0.91, 0.93, 0.99):
-        assert g_raw(q) == pytest.approx(a_raw(q, 14.0), rel=1e-10)
+        assert evaluate_named("G", q=q) == pytest.approx(evaluate_named("a", q=q, x=14.0),
+                                                         rel=1e-10)
 
 
 # -- monotonicity witnesses --------------------------------------------------------
@@ -753,39 +748,39 @@ def test_g_equals_a_at_14():
 def test_phi_increasing_in_q():
     # at x = 1 the map is constant (phi_q(1) = 0); strictly increasing beyond
     for x in (1.5, 2.5, 7.0, 40.0):
-        values = [phi_raw(q, x) for q in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
+        values = [evaluate_named("phi", q=q, x=x) for q in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)]
         assert all(a < b for a, b in zip(values, values[1:]))
-    assert all(abs(phi_raw(q, 1.0)) < 1e-14 for q in (0.1, 0.5, 0.9))
+    assert all(abs(evaluate_named("phi", q=q, x=1.0)) < 1e-14 for q in (0.1, 0.5, 0.9))
 
 
 def test_k_decreasing_in_x():
     for q in (0.2, 0.5, 0.9):
-        values = [k_raw(q, x) for x in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
+        values = [evaluate_named("K", q=q, x=x) for x in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_theta_increasing_in_x_near_one():
     for q in (0.91, 0.95, 0.99):
-        values = [theta_raw(q, x) for x in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)]
+        values = [evaluate_named("Theta", q=q, x=x) for x in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_phi_prime_lower_bound_sampled():
     for q in (0.91, 0.95, 0.99, 0.999):
         for x in (1.0, 2.0, 5.0, 14.0, 50.0, 200.0):
-            assert phi_prime_raw(q, x) >= -0.035
+            assert evaluate_named("phi_prime", q=q, x=x) >= -0.035
 
 
 def test_phi_limit_formula():
     q = 1 - 1e-6
     for x in (2, 5, 11):
         limit = (x - 1) / (2 * x)
-        assert abs(phi_raw(q, float(x)) - limit) < 1e-4
+        assert abs(evaluate_named("phi", q=q, x=x) - limit) < 1e-4
 
 
 def test_h1_limit():
-    assert h1_raw(1 - 1e-10) == pytest.approx(1 / 14, rel=1e-6)
-    assert h1_raw(0.91) < 1 / 14
+    assert evaluate_named("h1", q=1 - 1e-10) == pytest.approx(1 / 14, rel=1e-6)
+    assert evaluate_named("h1", q=0.91) < 1 / 14
 
 
 def _named_arguments(name: str, q: Fraction, rng: random.Random) -> dict:
@@ -820,7 +815,8 @@ def test_fast_lemma_values_lie_in_their_53_bit_enclosures(monkeypatch, name):
 
 def test_evaluate_named_dispatch():
     assert evaluate_named("phi", q="0.5", x=2) == pytest.approx(1 / 9)
-    assert evaluate_named("V", y="2.5") == pytest.approx(v_raw(2.5))
+    v = v_raw(DoubleInterval.lift(Fraction(5, 2)))
+    assert evaluate_named("V", y="2.5") == pytest.approx((v.lo + v.hi) / 2)
     enc = evaluate_named("Delta", q="0.91", mode=Mode.CERTIFIED)
     assert enc.contains(delta_polynomial()(Fraction(91, 100)))
     c = evaluate_named("C", q="0.1", n=1)

@@ -189,10 +189,13 @@ def test_companion_series_coefficient_types():
                for c in divisor_log_convolution_series(30).coeffs)
 
 
-def test_identity_report_n1():
-    report = identity_report(1)
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17])
+def test_identity_report_small_orders(order):
+    """The stride expansions' edges: the smallest orders, and orders one
+    below, at and one above Clausen's squares 4, 9 and 16."""
+    report = identity_report(order)
     assert all(r.match for r in report.values())
-    assert build_representation(RepresentationId.DIVISOR, 1).coeffs == (0, 1)
+    assert build_representation(RepresentationId.DIVISOR, order).coeffs[:2] == (0, 1)
 
 
 def test_fault_injection_detected():
@@ -218,10 +221,10 @@ def test_merca_partition_product_identity_n60():
 
     n = 60
     t = build_representation(RepresentationId.DIVISOR, n)
-    stats = distinct_partition_stats(n)
+    s_odd, s_even = distinct_partition_stats(n)
     lhs = q_pochhammer(None, n) * t
     rhs = TruncatedSeries(
-        [Fraction(0)] + [Fraction(stats.s_odd[k] - stats.s_even[k]) for k in range(1, n + 1)]
+        [Fraction(0)] + [Fraction(s_odd[k] - s_even[k]) for k in range(1, n + 1)]
     )
     assert lhs == rhs
 
@@ -239,8 +242,8 @@ def test_partition_part_count_sum_product_identity_n300():
         factor = TruncatedSeries.one(n) + TruncatedSeries.monomial(1, p, n)
         product = product * factor
         weights = weights + TruncatedSeries.monomial(1, p, n) * factor.reciprocal()
-    stats = distinct_partition_stats(n)
-    total = [odd + even for odd, even in zip(stats.s_odd, stats.s_even)]
+    s_odd, s_even = distinct_partition_stats(n)
+    total = [odd + even for odd, even in zip(s_odd, s_even)]
     assert (product * weights).coeffs == tuple(total)
 
 
@@ -263,8 +266,7 @@ def test_uchimura_inner_sum_identity_n100():
 def test_difference_series_closed_form():
     """1 + sum (d(k+1)-d(k)) q^k == (1/q - 1) T(q), checked via a shift."""
     n = 40
-    table = divisor_sieve(n + 1)
-    t = TruncatedSeries(table.d[: n + 2])  # T up to order n+1
+    t = TruncatedSeries(divisor_sieve(n + 1)[: n + 2])  # T up to order n+1
     one_minus_q = TruncatedSeries.one(n + 1) - TruncatedSeries.monomial(1, 1, n + 1)
     product = one_minus_q * t  # (1-q) T, divisible by q
     assert product.coeffs[0] == 0

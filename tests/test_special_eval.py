@@ -259,9 +259,9 @@ def test_certified_t_partial_sum_on_fixed_intervals_encloses_exact(rep, q):
     evaluator sums it: the kernel's two ends enclose both the exact partial
     sum and that sum plus the exact tail bound at q, and exceed that span by
     no more than 2^-100 of the sum, at q = 1e-400 too."""
-    table = divisor_sieve(_FIXED_TERMS) if rep is RepresentationId.DIVISOR else None
+    d = divisor_sieve(_FIXED_TERMS) if rep is RepresentationId.DIVISOR else None
     with interval_precision(128):
-        got, _ = _fixed_point_sum(partial(_t_sum_end, rep, _FIXED_TERMS, table), to_ivmpf(q))
+        got, _ = _fixed_point_sum(partial(_t_sum_end, rep, _FIXED_TERMS, d), to_ivmpf(q))
     got = Enclosure(got)
     exact = _exact_t_partial_sum(q, rep, _FIXED_TERMS)
     tail = t_tail(q, rep, _FIXED_TERMS)
@@ -377,13 +377,13 @@ def test_t_sum_kernel_is_the_generic_body_bit_for_bit(rep, prec):
     generic body's ends, as ints, for 1, 6 and 300 terms, up to
     q = 1 - 1e-6."""
     for terms in (1, _FIXED_TERMS, 300):
-        table = divisor_sieve(terms) if rep is RepresentationId.DIVISOR else None
+        d = divisor_sieve(terms) if rep is RepresentationId.DIVISOR else None
         for q in _KERNEL_QS:
             with interval_precision(prec):
                 q_fx = _lifted(q)
-            body = t_partial_sum_generic(q_fx, rep, terms, table)
-            lo, _ = _t_sum_end(rep, terms, table, q_fx.shift, 0, q_fx.lo)
-            hi, _ = _t_sum_end(rep, terms, table, q_fx.shift, 1, q_fx.hi)
+            body = t_partial_sum_generic(q_fx, rep, terms, d)
+            lo, _ = _t_sum_end(rep, terms, d, q_fx.shift, 0, q_fx.lo)
+            hi, _ = _t_sum_end(rep, terms, d, q_fx.shift, 1, q_fx.hi)
             assert (lo, hi) == (body.lo, body.hi), (q, terms)
 
 
@@ -667,7 +667,7 @@ def _next_terms_bound(series, q, a, k_max: int):
             total, qk = total + qk / (1 - qk), qk * q
         return total + qk / (1 - qk) / (1 - q)
     if series is RepresentationId.DIVISOR:
-        d = divisor_sieve(m).d
+        d = divisor_sieve(m)
         for k in range(k_max + 1, m + 1):
             total, qk = total + d[k] * qk, qk * q
         return total + qk * ((m + 1) - m * q) / (1 - q) ** 2
@@ -702,8 +702,8 @@ def test_kernel_tail_bounds_the_next_terms_and_the_ivmpf_tail(series, prec):
             with interval_precision(prec):
                 q_iv = ((iv.sqrt(iv.mpf(5)) - 1) / 2) ** 2 if q is None else to_ivmpf(q)
                 if is_t:
-                    table = divisor_sieve(terms) if series is RepresentationId.DIVISOR else None
-                    ivs, kernel = (q_iv,), partial(_t_sum_end, series, terms, table)
+                    d = divisor_sieve(terms) if series is RepresentationId.DIVISOR else None
+                    ivs, kernel = (q_iv,), partial(_t_sum_end, series, terms, d)
                 else:
                     ivs = (q_iv, iv.exp(to_ivmpf(series - 1) * iv.log(q_iv)))
                     kernel = partial(_psi_sum_end, terms)
