@@ -24,7 +24,6 @@ import enum
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -104,29 +103,43 @@ def working_precision() -> int:
     return max(53, min(bits, MAX_PRECISION))
 
 
-@contextmanager
-def interval_precision(bits: int):
-    """Temporarily set the precision of the global mpmath interval context."""
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = old
+class interval_precision:
+    """Temporarily set the precision of the global mpmath interval context.
+
+    A plain class, not a generator-based context manager: the certified
+    ladder enters one per rung, and this costs about a third less a use."""
+
+    __slots__ = ("bits", "old")
+
+    def __init__(self, bits: int):
+        self.bits = bits
+
+    def __enter__(self) -> None:
+        self.old = iv.prec
+        iv.prec = self.bits
+
+    def __exit__(self, *exc) -> None:
+        iv.prec = self.old
 
 
 def to_ivmpf(value: Scalar | ivmpf) -> ivmpf:
-    """Convert a scalar to an interval at the current working precision.
+    """Lift a scalar to an interval at the current working precision.
 
-    int and float convert exactly; Fraction and decimal strings convert to the
-    tightest representable outward-rounded interval.
+    A Fraction or int lifts in one step to the tightest outward-rounded
+    interval: libmp's conversion of its exact value (``from_rational``,
+    ``from_int``) at iv.prec, rounded down and up.  A float (exact at 53 bits
+    and up) and a decimal string go through mpmath's own conversion.
     """
     if isinstance(value, ivmpf):
         return value
+    prec = iv.prec
+    if isinstance(value, int):
+        return iv.make_mpf((libmp.from_int(value, prec, libmp.round_floor),
+                            libmp.from_int(value, prec, libmp.round_ceiling)))
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return iv.mpf(value.numerator)
-        return iv.mpf(value.numerator) / iv.mpf(value.denominator)
+        num, den = value.numerator, value.denominator
+        return iv.make_mpf((libmp.from_rational(num, den, prec, libmp.round_floor),
+                            libmp.from_rational(num, den, prec, libmp.round_ceiling)))
     return iv.mpf(value)
 
 
@@ -486,8 +499,9 @@ def exp_(x):
     return iv.exp(x) if isinstance(x, ivmpf) else x.exp()
 
 
-#: At and below this |x|, log(1-x) of an interval is summed from its series.
-_LOG1M_SERIES_MAX = 2.0 ** -64
+#: At and below this |x|, log(1-x) of an interval is summed from its series
+#: (2^-64 as a raw mpf).
+_LOG1M_SERIES_MAX = libmp.from_man_exp(1, -64)
 
 
 def log1m(x):
@@ -499,15 +513,17 @@ def log1m(x):
     t = |x|^(n+1)/((n+1)(1-|x|)) on the remaining terms, [0, t] for x >= 0
     and [-t, t] otherwise, with n = prec // 64 + 1: relative to x the tail
     is below 2^(-64n), under the rounding error of the sum.  Every other
-    argument takes ln(1 - x).
+    argument takes ln(1 - x).  On an interval |x| is compared with the
+    threshold on raw ends, and 1 - x is formed from the exact iv.one.
     """
     if isinstance(x, ivmpf):
-        size = abs(x)
-        if size.b <= _LOG1M_SERIES_MAX:
+        if libmp.mpf_le(libmp.mpi_abs(x._mpi_)[1], _LOG1M_SERIES_MAX):
+            size = abs(x)
             n = iv.prec // 64 + 1
             total = sum((x ** k / k for k in range(2, n + 1)), x)
             tail = size ** (n + 1) / ((n + 1) * (1 - size))
             return -(total + iv.mpf([0 if x.a >= 0 else -tail.b, tail.b]))
+        return iv.log(iv.one - x)
     return ln(1 - x)
 
 

@@ -366,8 +366,9 @@ def h3_numerator_polynomial() -> Polynomial:
 
 
 def _on_intervals(mode: Mode, fn: Callable, *args):
-    """A raw formula on the tightest intervals around its exact arguments, at
-    FAST_PRECISION bits (FAST) or the working precision (CERTIFIED)."""
+    """A raw formula on its exact arguments, each lifted by to_ivmpf in one
+    step to the tightest interval around it, at FAST_PRECISION bits (FAST) or
+    the working precision (CERTIFIED)."""
     with interval_precision(FAST_PRECISION if mode is Mode.FAST else working_precision()):
         return fn(*[to_ivmpf(a) for a in args])
 

@@ -277,7 +277,7 @@ def t_enclosure_for_interval(
     The tail bound covers every q in the interval.  The term count refuses a q
     whose double upper bound reaches 1, the lift one below 0."""
     q_hi = _ceil_float(q_iv._mpi_[1])
-    target = max(float(min(eps, 1e300)) / 4, 5e-323)
+    target = max((float(eps) if _below(eps, 1e300) else 1e300) / 4, 5e-323)
     terms = _choose_terms(lambda k: _t_tail(q_hi, representation, k), target)
     d = divisor_sieve(terms) if representation is RepresentationId.DIVISOR else None
     value, tail = _fixed_point_sum(partial(_t_sum_end, representation, terms, d), q_iv)
@@ -288,11 +288,27 @@ def t_enclosure_for_interval(
 # -- public evaluators --------------------------------------------------------
 
 
-def _bits_for_eps(eps: float | Fraction) -> int:
+def _below(eps: float | Fraction, limit: float) -> bool:
+    """eps < limit, a float eps compared as a float and an int or Fraction
+    one through its numerator and denominator, against limit's exact ratio."""
+    if isinstance(eps, float):
+        return eps < limit
+    num, den = limit.as_integer_ratio()
+    return eps.numerator * den < num * eps.denominator
+
+
+def _bits_for_eps(eps: float | Fraction, size: tuple[int, int] = (1, 1)) -> int:
+    """Where the certified ladder starts for width eps: working precision,
+    or for eps below 1e-30, if more, 32 bits past log2(1/w) with w the
+    relative width eps / min(size, 1).  size = (numerator, denominator)
+    bounds the value; the fixed-point sums keep relative precision, so a
+    size below 1 lowers their start and never raises it."""
     wanted = working_precision()
-    if eps < 1e-30:
-        e = Fraction(eps)  # log2 of each part: a Fraction eps may be below the doubles
-        wanted = max(wanted, int(math.log2(e.denominator) - math.log2(e.numerator)) + 32)
+    if _below(eps, 1e-30):
+        num, den = eps.as_integer_ratio()
+        if size[0] < size[1]:
+            num, den = num * size[1], den * size[0]
+        wanted = max(wanted, int(math.log2(den) - math.log2(num)) + 32)
     return min(wanted, MAX_PRECISION)
 
 
@@ -302,23 +318,24 @@ def _precision_error(eps: float | Fraction) -> PrecisionError:
                           f"within {MAX_PRECISION} bits")
 
 
-def _climb(eps: float | Fraction, mode: Mode, rung) -> EvalReport:
+def _climb(eps: float | Fraction, mode: Mode, rung,
+           size: tuple[int, int] = (1, 1)) -> EvalReport:
     """The one precision ladder of the evaluators and the bound checks, which
     also rejects a bad eps.  rung() evaluates at the current interval
     precision, an EvalReport (or a bound check's _Triple) whose value is
     gated, or None to be tried at twice it, up to MAX_PRECISION; FAST takes
     the first report from FAST_PRECISION up, CERTIFIED the first from
-    _bits_for_eps(eps) up no wider than a 64-bit lower bound on eps."""
+    _bits_for_eps(eps, size) up no wider than a 64-bit lower bound on eps."""
     if not eps > 0:
         raise DomainError("eps must be positive")
     fast = mode is Mode.FAST
-    bound = mp.make_mpf(libmp.from_float(eps) if isinstance(eps, float) else
-                        libmp.from_rational(eps.numerator, eps.denominator, 64, libmp.round_floor))
-    prec = FAST_PRECISION if fast else _bits_for_eps(eps)
+    bound = (libmp.from_float(eps) if isinstance(eps, float) else
+             libmp.from_rational(eps.numerator, eps.denominator, 64, libmp.round_floor))
+    prec = FAST_PRECISION if fast else _bits_for_eps(eps, size)
     while True:
         with interval_precision(prec):
             report = rung()
-        if report is not None and (fast or report.value.width_upper() <= bound):
+        if report is not None and (fast or libmp.mpf_le(report.value.width_upper()._mpf_, bound)):
             return report
         if prec >= MAX_PRECISION:
             raise _precision_error(eps)
@@ -331,13 +348,17 @@ def eval_T(q, eps: float = 1e-12, representation: RepresentationId = Representat
 
     Only the DIVISOR, LAMBERT and CLAUSEN forms converge term by term for a
     fixed numeric q; the q-factorial forms live in the power-series layer.
+    The ladder starts from T's relative width, with T(q) <= q/(1-q)^2 from
+    d(k) <= k, taken at the exact q.
     """
     qp = QPoint.coerce(q)
     if representation not in _NUMERIC_REPRESENTATIONS:
         raise DomainError(f"{representation} is not evaluable numerically; "
                           "use DIVISOR, LAMBERT or CLAUSEN")
+    num, den = qp.value.numerator, qp.value.denominator
     return _climb(eps, mode, lambda: replace(
-        t_enclosure_for_interval(qp.to_ivmpf(), eps, representation), mode=mode))
+        t_enclosure_for_interval(qp.to_ivmpf(), eps, representation), mode=mode),
+        size=(num * den, (den - num) ** 2))
 
 
 #: Term counts for psi_q are chosen at q >= 2^-512, where q^(x-1) <= 2^512.

@@ -23,6 +23,7 @@ from divisor_series.intervals import (
     interval_precision,
     ln,
     mpf_to_fraction,
+    to_ivmpf,
     working_precision,
 )
 from oracles import FixedArithmetic
@@ -36,11 +37,27 @@ def test_third_times_three_contains_one():
     assert third.lo < third.hi  # genuinely outward
 
 
-def test_fraction_conversion_outward():
-    with interval_precision(128):
-        enc = Enclosure(Fraction(117, 1000))
-    assert enc.contains(Fraction(117, 1000))
-    assert enc.lo < enc.hi or mpf_to_fraction(enc.lo) == Fraction(117, 1000)
+@pytest.mark.parametrize("value", [
+    Fraction(117, 1000), Fraction(-5, 7), 1 - Fraction(1, 10**17),
+    Fraction(1, 3**40), Fraction(1, 10**300), 3**200])
+@pytest.mark.parametrize("bits", [53, 128, 1024])
+def test_fraction_conversion_outward(value, bits):
+    """A rational or int lifts to libmp's floor and ceiling of its exact
+    value: mpmath's quotient of the lifted numerator and denominator where
+    both fit in the precision, and no wider where either does not."""
+    num, den = Fraction(value).as_integer_ratio()
+    with interval_precision(bits):
+        lifted = to_ivmpf(value)
+        quotient = iv.mpf(num) / iv.mpf(den)
+    assert lifted._mpi_ == (libmp.from_rational(num, den, bits, libmp.round_floor),
+                            libmp.from_rational(num, den, bits, libmp.round_ceiling))
+    assert Enclosure(lifted).contains(Fraction(value))
+    if max(abs(num).bit_length(), den.bit_length()) <= bits:
+        assert lifted._mpi_ == quotient._mpi_
+    else:
+        lifted, quotient = Enclosure(lifted), Enclosure(quotient)
+        assert (mpf_to_fraction(lifted.hi) - mpf_to_fraction(lifted.lo)
+                <= mpf_to_fraction(quotient.hi) - mpf_to_fraction(quotient.lo))
 
 
 def test_dyadic_conversion_exact():

@@ -158,11 +158,31 @@ _EPS_RULE = [partial(eval_T, mode=Mode.FAST), eval_T,
 @pytest.mark.parametrize("evaluate", _EPS_RULE)
 def test_one_eps_rule(evaluate):
     """eps of 0, -1 or NaN is a DomainError from every evaluator, in either
-    mode, and from the bound checks; an infinite eps asks for no width."""
-    for eps in (0, -1, math.nan):
+    mode, and from the bound checks, whether it is a float, an int or a
+    Fraction; an infinite eps asks for no width."""
+    for eps in (0, -1, math.nan, Fraction(0), Fraction(-1)):
         with pytest.raises(DomainError, match="^eps must be positive$"):
             evaluate(q="0.3", eps=eps)
     evaluate(q="0.3", eps=math.inf)
+
+
+def test_the_ladder_restores_the_interval_precision():
+    """_climb sets iv.prec for each rung and restores it on every exit: a
+    report from a rung above working precision, a width out of reach, and an
+    error raised inside a rung."""
+    before = iv.prec
+
+    def raising_rung():
+        raise ZeroDivisionError
+
+    eval_T("0.5", 1e-40)
+    assert iv.prec == before
+    with pytest.raises(PrecisionError):
+        eval_T("0.5", Fraction(1, 10**400))
+    assert iv.prec == before
+    with pytest.raises(ZeroDivisionError):
+        special_eval._climb(1e-12, Mode.CERTIFIED, raising_rung)
+    assert iv.prec == before
 
 
 @pytest.mark.parametrize("mode", [Mode.FAST, Mode.CERTIFIED])
@@ -932,6 +952,35 @@ def test_t42_at_a_tiny_q_sums_t_at_working_precision(monkeypatch):
     res = check_bounds(TheoremId.T4_2, q="1e-300")
     assert res.status is BoundsStatus.PASS and res.mid.width_upper() <= 1e-8
     assert precisions == [working_precision()]
+
+
+def test_f_at_a_tiny_q_sums_t_at_working_precision(monkeypatch):
+    """At q = 1e-300 F asks T for width about 5e-313, absolute; T's ladder
+    starts from the relative width, against T(q) <= q/(1-q)^2, so certified
+    F sums T once, at working precision, not at 1024 bits."""
+    body, precisions = special_eval.t_enclosure_for_interval, []
+    monkeypatch.setattr(special_eval, "t_enclosure_for_interval",
+                        lambda *args: precisions.append(iv.prec) or body(*args))
+    f = eval_F("1e-300", 1e-12)
+    assert f.value.width_upper() <= 1e-12
+    assert precisions == [working_precision()]
+
+
+@pytest.mark.parametrize("lo, hi, series", [
+    (Fraction(1, 2**64) - Fraction(1, 2**170), Fraction(1, 2**64), True),
+    (Fraction(1, 2**64), Fraction(1, 2**64) + Fraction(1, 2**170), False),
+    (-Fraction(1, 2**64), Fraction(1, 2**170) - Fraction(1, 2**64), True),
+    (-Fraction(1, 2**64) - Fraction(1, 2**170), -Fraction(1, 2**64), False)])
+def test_log1m_takes_its_series_up_to_two_to_the_minus_64(lo, hi, series):
+    """|x| <= 2^-64, compared on the raw ends, takes the series, as tight
+    as x is wide (2^-170); an x past it takes iv.log(1 - x), where 1 - x
+    rounds at 128 bits and the width is at least 2^-128."""
+    with interval_precision(128):
+        x = Enclosure(lo, hi)._iv
+        got = log1m(x)
+        if not series:
+            assert got._mpi_ == iv.log(1 - x)._mpi_
+    assert (mpf_to_fraction(Enclosure(got).width_upper()) <= Fraction(1, 2**160)) == series
 
 
 def test_c33_example():
