@@ -23,6 +23,7 @@ from .intervals import (
     Mode,
     PrecisionError,
     TermBudgetError,
+    working_precision,
 )
 from .lemma_functions import evaluate_named
 from .power_series import RepresentationId, build_representation, identity_report
@@ -326,6 +327,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        working_precision()  # a malformed DIVISOR_SERIES_PREC is a usage error everywhere
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()
         return code

@@ -32,6 +32,7 @@ from typing import Union
 
 from mpmath import iv, libmp, mp
 from mpmath.ctx_iv import ivmpf
+from mpmath.libmp.libelefun import log_taylor_cached
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1024
@@ -92,14 +93,14 @@ Scalar = Union[int, float, Fraction, str]
 
 
 def working_precision() -> int:
-    """Default certified precision in bits (env override, floor 53)."""
+    """Default certified precision in bits (env override, floor 53; DomainError if no int)."""
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
         return DEFAULT_PRECISION
     try:
         bits = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise DomainError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from exc
     return max(53, min(bits, MAX_PRECISION))
 
 
@@ -312,6 +313,36 @@ def _ceil_float(m) -> float:
     return math.nextafter(f, math.inf) if libmp.mpf_lt(libmp.from_float(f), m) else f
 
 
+def _log_end(x: float, up: bool) -> float:
+    """The floor (ceiling if up) double of log x, for a positive finite
+    double x = f 2^e, 1/2 <= f < 1: libmp.mpf_log's general case at 53 bits
+    in one integer step, so the bits are mpf_log's.  A power of two is
+    (e - 1) ln 2 at wp = 73 bits; any other x is log f by the fixed-point
+    Taylor series plus e ln 2, at wp = 73 plus, as mpf_log adds them for
+    e in -1..1, the leading zeros of 1 - f (e = 0) or 2f - 1.  m 2^-wp is
+    cut to 53 bits by one shift, down or up (Brent and Zimmermann, *Modern
+    Computer Arithmetic*, 2010, sections 3-4): the log of a double is 0 or
+    a normal double."""
+    f, e = math.frexp(x)
+    wp = 73
+    if f == 0.5:
+        if e == 1:
+            return 0.0
+        m = (e - 1) * libmp.ln2_fixed(wp)
+    else:
+        man = int(f * 9007199254740992.0)  # f 2^53, exact
+        if -1 <= e <= 1:
+            wp += 53 - ((1 << 53) - man if e == 0 else man - (1 << 52)).bit_length()
+        m = log_taylor_cached(man << (wp - 53), wp)
+        if e:
+            m += e * libmp.ln2_fixed(wp)
+    shift = abs(m).bit_length() - 53
+    if shift > 0:
+        m = -(-m >> shift) if up else m >> shift
+        wp -= shift
+    return math.ldexp(m, -wp)
+
+
 def product_ends(a: float, b: float, c: float, d: float) -> tuple[float, float]:
     """The round-to-nearest ends of [a, b] * [c, d], from the sign table."""
     if a >= 0:
@@ -342,8 +373,10 @@ class DoubleInterval:
     its ends from a sign table and moves each one double outward
     (``math.nextafter``) in one step.  A scalar operand is first lifted to
     its tightest pair of doubles; ints of magnitude <= 2^53 lift exactly.
-    Integer powers are repeated products.  ``log`` and ``exp`` take mpmath's
-    directed rounding at 53 bits, since libm promises no rounding direction.
+    Integer powers are repeated products.  libm promises no rounding
+    direction, so ``log`` takes each end from one fixed-point Taylor step,
+    the bits of mpmath's ``mpf_log`` at 53 bits rounded down or up, and
+    ``exp`` takes mpmath's directed rounding at 53 bits.
 
     Endpoints satisfy lo <= hi, lo < +inf and hi > -inf and are never NaN.
     An operation without a bounded result (a divisor containing 0, inf * 0,
@@ -455,9 +488,8 @@ class DoubleInterval:
     def log(self) -> "DoubleInterval":
         if not self.hi > 0:
             return DoubleInterval(-math.inf, math.inf)
-        lo = -math.inf if self.lo <= 0 else _floor_float(
-            libmp.mpf_log(libmp.from_float(self.lo), 53, libmp.round_floor))
-        hi = _ceil_float(libmp.mpf_log(libmp.from_float(self.hi), 53, libmp.round_ceiling))
+        lo = -math.inf if self.lo <= 0 else _log_end(self.lo, False)
+        hi = math.inf if self.hi == math.inf else _log_end(self.hi, True)
         return DoubleInterval(lo, hi)
 
     def exp(self) -> "DoubleInterval":

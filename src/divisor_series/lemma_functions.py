@@ -249,7 +249,7 @@ def _phi_integral_doubles(q: DoubleInterval, x: int) -> DoubleInterval:
     """_phi_integral_generic on DoubleInterval, bit for bit: each operation of
     phi_antiderivative_raw rounds to nearest, then moves one nextafter
     outward, with the sign-table corners of DoubleInterval; the three logs
-    run DoubleInterval.log.  2^-24 <= q.lo and q.hi < 1 fix most corners:
+    run DoubleInterval.log, each end one fixed-point step.  2^-24 <= q.lo and q.hi < 1 fix most corners:
     a product of ends in (0, 1) rounds strictly below the larger one, so
     every power q^k lies in (2^-1000, q.hi], 1 - q^k in [2^-54, 1 + 2^-52]
     and log(q) in [-17, -1e-16].  Then no end is infinite or NaN, every

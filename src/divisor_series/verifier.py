@@ -197,11 +197,12 @@ class _Margins:
     key): raw at the exact inputs(key), Fractions lifted and ints (phi's x)
     as they are.  of_run(start, stop) takes it on items start..stop-1 in
     doubles, memoised by formula and key, so evaluations, the memo's size,
-    counts double evaluations; working(k), (passes, lower end, upper end),
-    takes it on the one item k at working precision."""
+    counts double evaluations; each key's inputs are built and lifted once,
+    for every formula.  working(k), (passes, lower end, upper end), takes it
+    on the one item k at working precision."""
 
     def __init__(self, bound: Callable, inputs: Callable):
-        self.bound, self.inputs, self._memos = bound, inputs, {}
+        self.bound, self.inputs, self._memos, self._lifted = bound, inputs, {}, {}
 
     @property
     def evaluations(self) -> int:
@@ -210,8 +211,10 @@ class _Margins:
     def _in_doubles(self, raw: Callable, key):
         memo = self._memos.setdefault(raw, {})
         if key not in memo:
-            memo[key] = raw(*[DoubleInterval.lift(v) if isinstance(v, Fraction) else v
-                              for v in self.inputs(key)])
+            if key not in self._lifted:
+                self._lifted[key] = [DoubleInterval.lift(v) if isinstance(v, Fraction) else v
+                                     for v in self.inputs(key)]
+            memo[key] = raw(*self._lifted[key])
         return memo[key]
 
     def _at_working(self, raw: Callable, key):

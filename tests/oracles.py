@@ -11,8 +11,11 @@
   intervals (or exact rationals), the reference for the kernels' tails;
 * :func:`per_cell_sandwich` -- verifier.sandwich_verify's certificate with
   every cell evaluated at working precision, the reference of its runs;
-* :func:`floor_sum` and :func:`distinct_partition_stats_enumerated` --
-  independent oracles for divisor_core;
+* :func:`double_interval_log` -- ``DoubleInterval.log`` through mpmath's
+  ``mpf_log`` at 53 bits, the bit-for-bit reference of its fixed-point step;
+* :func:`divisor_count_trial`, :func:`floor_sum` and
+  :func:`distinct_partition_stats_enumerated` -- independent oracles for
+  divisor_core and for the representations of T;
 * :func:`sturm_chain` -- the integer Sturm chain of polynomials as a list of
   Polynomials;
 * the three companion series of power_series' sharp-bound closed forms.
@@ -23,12 +26,18 @@ Pytest puts this directory on ``sys.path``, so the tests import it as
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from mpmath import libmp
 
 from divisor_series.divisor_core import divisor_partial_sums, divisor_sieve
 from divisor_series.intervals import (
     DomainError,
+    DoubleInterval,
     Enclosure,
+    _ceil_float,
+    _floor_float,
     interval_precision,
     to_ivmpf,
     working_precision,
@@ -223,7 +232,27 @@ def per_cell_sandwich(lower, upper, grid: GridSpec) -> Certificate:
                  "min_margin_rechecks": 0, "runs": 0, "evaluations": 0})
 
 
+# -- the log of a DoubleInterval ------------------------------------------------
+
+
+def double_interval_log(x: DoubleInterval) -> DoubleInterval:
+    """DoubleInterval.log by mpmath: each end is libmp.mpf_log of the double
+    at 53 bits, rounded down (lower end) or up (upper end), then taken to the
+    floor or ceiling double; the same guards for ends <= 0 and at +inf."""
+    if not x.hi > 0:
+        return DoubleInterval(-math.inf, math.inf)
+    lo = -math.inf if x.lo <= 0 else _floor_float(
+        libmp.mpf_log(libmp.from_float(x.lo), 53, libmp.round_floor))
+    hi = _ceil_float(libmp.mpf_log(libmp.from_float(x.hi), 53, libmp.round_ceiling))
+    return DoubleInterval(lo, hi)
+
+
 # -- divisor_core oracles --------------------------------------------------------
+
+
+def divisor_count_trial(n: int) -> int:
+    """d(n) by trial division over 1..n."""
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
 def floor_sum(n: int) -> int:

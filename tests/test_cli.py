@@ -487,6 +487,22 @@ def test_malformed_number_is_a_usage_error(capsys, argv, option):
     assert f"argument {option}: expected a rational number, got 'abc'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--lemma", "2.5"],
+    ["verify", "--lemma", "2.9"],
+    ["eval", "--fn", "T", "--q", "0.5", "--mode", "certified"],
+    ["lemma-fn", "--name", "phi", "--q", "0.5", "--x", "2", "--mode", "certified"],
+    ["bounds-scan", "--theorem", "T4_1", "--grid-start", "0.5", "--grid-end", "0.5"],
+    ["identity-check", "--order", "10"],
+], ids=["verify-2.5", "verify-2.9", "eval", "lemma-fn", "bounds-scan", "identity-check"])
+def test_a_precision_that_is_no_integer_is_a_usage_error(capsys, monkeypatch, argv):
+    """Every command reads DIVISOR_SERIES_PREC before it starts, including
+    2.5, whose proof is exact."""
+    monkeypatch.setenv("DIVISOR_SERIES_PREC", "abc")
+    err = _usage_error(capsys, argv)
+    assert err == "error: DIVISOR_SERIES_PREC must be an integer, got 'abc'\n"
+
+
 def test_number_options_keep_the_string_as_typed(capsys):
     code, out, _ = run_cli(capsys, "eval", "--fn", "T", "--q", "0.50")
     assert code == 0 and json.loads(out)["q"] == "0.50"

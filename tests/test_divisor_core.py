@@ -9,12 +9,7 @@ from divisor_series.divisor_core import (
     divisor_sieve,
 )
 from divisor_series.intervals import DomainError
-from oracles import distinct_partition_stats_enumerated, floor_sum
-
-
-def divisor_count_trial(n: int) -> int:
-    """Oracle: trial division over 1..n."""
-    return sum(1 for d in range(1, n + 1) if n % d == 0)
+from oracles import distinct_partition_stats_enumerated, divisor_count_trial, floor_sum
 
 
 def is_square(n: int) -> bool:

@@ -26,7 +26,7 @@ from divisor_series.intervals import (
     to_ivmpf,
     working_precision,
 )
-from oracles import FixedArithmetic
+from oracles import FixedArithmetic, double_interval_log
 
 
 def test_third_times_three_contains_one():
@@ -180,6 +180,10 @@ def test_working_precision_env(monkeypatch):
     assert working_precision() == 53  # floored
     monkeypatch.delenv("DIVISOR_SERIES_PREC")
     assert working_precision() == 128
+    monkeypatch.setenv("DIVISOR_SERIES_PREC", "abc")
+    with pytest.raises(DomainError, match="must be an integer, got 'abc'"):
+        working_precision()
+    assert issubclass(DomainError, ValueError)  # library callers may catch ValueError
 
 
 # -- DoubleInterval: outward-rounded doubles --------------------------------
@@ -269,6 +273,69 @@ def test_double_interval_log_exp_enclose_256_bit_values():
     # the generic helpers dispatch to the same enclosures
     assert ln(DoubleInterval.lift(2.0)).hi == DoubleInterval.lift(2.0).log().hi
     assert exp_(DoubleInterval.lift(2.0)).lo == DoubleInterval.lift(2.0).exp().lo
+
+
+def _seeded_positive_doubles(seed: int, count: int) -> list[float]:
+    """Positive finite doubles: uniform on (0, 3), log-uniform from 1e-320
+    to 1e308, and random bit patterns, subnormals included."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = rng.randrange(3)
+        if kind == 0:
+            x = rng.uniform(0.0, 3.0)
+        elif kind == 1:
+            x = 10.0 ** rng.uniform(-320, 308)
+        else:
+            x = math.ldexp(rng.randrange(1, 1 << 52), rng.randrange(-1074, 972))
+        if 0 < x < math.inf:
+            out.append(x)
+    return out
+
+
+def _log_classes() -> list[float]:
+    """1.0, every power of two, 2000 ulps on each side of 1, (1/2, 2),
+    subnormals down to 5e-324 and the largest double."""
+    rng = random.Random(11)
+    xs = [1.0, sys.float_info.max, 5e-324, math.nextafter(0.0, 1.0) * 3,
+          sys.float_info.min, math.nextafter(sys.float_info.min, 0.0)]
+    xs += [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    below = above = 1.0
+    for _ in range(2000):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
+        xs += [below, above]
+    xs += [rng.uniform(0.5, 2.0) for _ in range(2000)]
+    xs += [math.nextafter(0.5, 1.0), math.nextafter(2.0, 0.0), math.nextafter(0.25, 1.0)]
+    xs += [math.ldexp(rng.randrange(1, 1 << 52), -1074) for _ in range(500)]
+    return xs
+
+
+def test_double_interval_log_is_mpf_log_bit_for_bit():
+    """Each end of DoubleInterval.log is the floor (lower) or ceiling (upper)
+    double of mpf_log at 53 bits, as tests/oracles.py takes it, on 20000
+    seeded doubles and the classes where the step branches."""
+    xs = _seeded_positive_doubles(13, 20000) + _log_classes()
+    for x in xs:
+        got, want = DoubleInterval(x, x).log(), double_interval_log(DoubleInterval(x, x))
+        assert _bits(got) == _bits(want), x.hex()
+    assert _bits(DoubleInterval(1.0, 1.0).log()) == ("0x0.0p+0", "0x0.0p+0")
+    rng = random.Random(17)
+    for _ in range(500):  # two ends, each rounded its own way
+        a, b = sorted(rng.sample(xs, 2))
+        assert _bits(DoubleInterval(a, b).log()) == _bits(double_interval_log(DoubleInterval(a, b)))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, 2.0), (-1.0, 0.5), (-math.inf, 3.0),  # lo <= 0: lower end -inf
+    (0.5, math.inf), (0.0, math.inf), (sys.float_info.max, math.inf),  # hi = +inf
+    (-math.inf, math.inf),  # the whole line
+    (-1.0, 0.0), (-2.0, -1.0), (0.0, 0.0), (-math.inf, -1.0),  # hi <= 0
+])
+def test_double_interval_log_guards(lo, hi):
+    got = DoubleInterval(lo, hi).log()
+    assert _bits(got) == _bits(double_interval_log(DoubleInterval(lo, hi)))
+    assert got.lo == -math.inf if lo <= 0 else got.lo > -math.inf
+    assert got.hi == math.inf if hi == math.inf or hi <= 0 else got.hi < math.inf
 
 
 def test_double_interval_unbounded_results_are_never_positive():

@@ -16,6 +16,7 @@ from divisor_series.power_series import (
     q_pochhammer,
 )
 from oracles import (
+    divisor_count_trial,
     divisor_difference_series,
     divisor_log_convolution_series,
     divisor_partial_sum_series,
@@ -148,6 +149,17 @@ def test_divisor_representation_small():
 def test_clausen_order_one():
     series = build_representation(RepresentationId.CLAUSEN, 1)
     assert series.coeffs == (Fraction(0), Fraction(1))
+
+
+@pytest.mark.parametrize("order", [1, 4, 9, 16, 17, 200])
+def test_clausen_series_and_the_sieve_meet_trial_division(order):
+    """build_representation(CLAUSEN) runs divisor_sieve's loop (1 at k^2, 2 at
+    k^2 + k, k^2 + 2k, ...), so identity_report's CLAUSEN row compares that
+    loop with itself; trial division checks both, at Clausen's squares 4, 9
+    and 16, one past 16, and order 200."""
+    want = (0, *(divisor_count_trial(k) for k in range(1, order + 1)))
+    assert build_representation(RepresentationId.CLAUSEN, order).coeffs == want
+    assert divisor_sieve(order) == want
 
 
 def test_identity_report_n50():

@@ -332,6 +332,42 @@ def test_lemma_grids_take_few_double_evaluations(lower, upper, grid_fn, most):
         assert len(set(side.points)) == len(side.points)
 
 
+@pytest.mark.parametrize("lemma, evaluations", [("2.4ii", 1064), ("2.9", 1588)])
+def test_lemma_grids_build_and_lift_each_endpoint_once(monkeypatch, lemma, evaluations):
+    """The two sides share the doubles of each grid endpoint: outside the
+    working-precision re-evaluations, GridSpec.point builds each endpoint
+    once, and DoubleInterval.lift lifts each point it built once."""
+    built, lifts, in_working = {}, [], [False]
+    point, lift, working = GridSpec.point, DoubleInterval.lift.__func__, _Margins.working
+
+    def counted_point(self, k):
+        value = point(self, k)
+        if not in_working[0]:
+            built.setdefault(k, []).append(value)
+        return value
+
+    def counted_lift(cls, value):
+        lifts.append(value)
+        return lift(cls, value)
+
+    def flagged_working(self, k):
+        in_working[0] = True
+        try:
+            return working(self, k)
+        finally:
+            in_working[0] = False
+
+    monkeypatch.setattr(GridSpec, "point", counted_point)
+    monkeypatch.setattr(DoubleInterval, "lift", classmethod(counted_lift))
+    monkeypatch.setattr(_Margins, "working", flagged_working)
+    cert = verify_lemma(lemma)
+    assert cert.passed and cert.settled["evaluations"] == evaluations
+    assert all(len(values) == 1 for values in built.values())
+    points = {id(value): value for (value,) in built.values()}
+    lifted = [value for value in lifts if points.get(id(value)) is value]
+    assert len(lifted) == len(built) < evaluations
+
+
 def test_runs_match_per_cell_working_precision_across_segments():
     """Two segments, fallback cells and the exact limit at q = 1."""
     grid = GridSpec((GridSegment(Fraction(9980, 10000), Fraction(1, 10000), 10),
