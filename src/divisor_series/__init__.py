@@ -4,8 +4,8 @@ Layers:
 
 * :mod:`divisor_series.divisor_core` -- exact divisor counts and partition
   part-count statistics;
-* :mod:`divisor_series.power_series` -- exact truncated series and the five
-  classical representations of T, with coefficient-level identity checks;
+* :mod:`divisor_series.power_series` -- the five classical representations
+  of T as exact coefficient sequences, with coefficient-level identity checks;
 * :mod:`divisor_series.special_eval` -- certified numeric evaluation of T,
   the q-digamma function, H and F, plus the sharp-bound checkers;
 * :mod:`divisor_series.lemma_functions` -- the auxiliary functions of the
@@ -32,7 +32,6 @@ from .power_series import (
     build_representation,
     first_mismatch,
     identity_report,
-    q_pochhammer,
 )
 from .special_eval import (
     BoundsCheck,

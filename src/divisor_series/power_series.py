@@ -1,12 +1,11 @@
-"""Exact truncated power series over the integers, and the five classical
-series representations of T(q) = sum d(k) q^k as coefficient sequences.
+"""The five classical series representations of T(q) = sum d(k) q^k as exact
+integer coefficient sequences, truncated at an order N.
 
 Every representation is built on integer lists.  Lambert's and Clausen's
 series are sums of geometric series, so they are expanded directly: each
 adds 1 or 2 at every k-th exponent.  Uchimura's and both of Merca's forms
 are built from one exact step, the factor (1 - q^k) or its inverse, plus
-adding terms.  A ``Fraction`` appears only in the reciprocal of a series
-whose constant term is not 1 or -1.
+adding terms.
 
 All arithmetic is exact, and truncation points are chosen so that omitted
 terms of each representation have degree beyond the retained order.  A match
@@ -19,13 +18,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .divisor_core import distinct_partition_stats, divisor_sieve
 from .intervals import DomainError
-
-Coeff = Union[int, Fraction]
 
 
 class RepresentationId(enum.Enum):
@@ -40,16 +36,12 @@ class RepresentationId(enum.Enum):
 
 
 class TruncatedSeries:
-    """sum c[k] q^k + O(q^{N+1}) with exact coefficients, stored as given.
-
-    Values are immutable; all operations return new series.  Binary
-    operations truncate to the smaller order, so retained coefficients only
-    ever depend on retained coefficients of the inputs.
-    """
+    """sum c[k] q^k + O(q^{N+1}) with exact integer coefficients: the record
+    that :func:`build_representation` returns."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Sequence[Coeff]):
+    def __init__(self, coeffs: Sequence[int]):
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant term")
         self.coeffs = tuple(coeffs)
@@ -57,78 +49,6 @@ class TruncatedSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1] + [0] * order)
-
-    @classmethod
-    def monomial(cls, coeff: Coeff, degree: int, order: int) -> "TruncatedSeries":
-        c = [0] * (order + 1)
-        if degree <= order:
-            c[degree] = coeff
-        return cls(c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        # Cauchy product; iterate the sparser factor on the outside.
-        nz_a = [(i, c) for i, c in enumerate(a[: n + 1]) if c]
-        nz_b = [(i, c) for i, c in enumerate(b[: n + 1]) if c]
-        if len(nz_b) < len(nz_a):
-            nz_a, b = nz_b, a
-        out = [0] * (n + 1)
-        for i, c in nz_a:
-            for j in range(n + 1 - i):
-                d = b[j]
-                if d:
-                    out[i + j] += c * d
-        return TruncatedSeries(out)
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Series b with self * b = 1 up to the order; needs c[0] != 0.  A
-        constant term of 1 or -1 is its own inverse, so an integer series
-        keeps integer coefficients."""
-        a = self.coeffs
-        if a[0] == 0:
-            raise DomainError("series with zero constant term has no reciprocal")
-        n = self.order
-        inv0 = a[0] if a[0] in (1, -1) else Fraction(1, a[0])
-        support = [(j, c) for j, c in enumerate(a) if j > 0 and c]
-        b = [inv0]
-        for k in range(1, n + 1):
-            acc = 0
-            for j, c in support:
-                if j > k:
-                    break
-                acc += c * b[k - j]
-            b.append(-acc * inv0)
-        return TruncatedSeries(b)
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.order >= 8 else ""
-        return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
 
 def _times_one_minus(c: list, k: int) -> None:
@@ -141,26 +61,6 @@ def _divide_one_minus(c: list, k: int) -> None:
     """c <- c / (1 - q^k): an ascending prefix sum with stride k."""
     for i in range(k, len(c)):
         c[i] += c[i - k]
-
-
-def q_pochhammer(k: Optional[int | float], order: int) -> TruncatedSeries:
-    """(q;q)_k = prod_{j=1}^{k} (1 - q^j) truncated at `order`.
-
-    Pass ``None`` (or ``math.inf``) for the infinite product; factors with
-    j > order cannot touch retained coefficients and are skipped.
-    """
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    infinite = k is None or (isinstance(k, float) and math.isinf(k))
-    if not infinite:
-        k = int(k)
-        if k < 0:
-            raise DomainError("k must be >= 0 or infinite")
-    last = order if infinite else min(k, order)
-    result = [1] + [0] * order
-    for j in range(1, last + 1):
-        _times_one_minus(result, j)
-    return TruncatedSeries(result)
 
 
 def build_representation(rep: RepresentationId, order: int) -> TruncatedSeries:

@@ -519,13 +519,15 @@ def check_bounds(
     strict_ok is True only when the enclosures separate strictly
     (lhs.hi < mid.lo and mid.hi < rhs.lo).  Overlapping enclosures yield
     INDETERMINATE, never a pass; with eps unset the check retries at
-    decreasing widths before giving up.
+    decreasing widths before giving up.  C3_3 takes a pair alone and every
+    other theorem a q alone; an argument the theorem would not read is a
+    DomainError.
     """
     if eps is not None and not eps > 0:
         raise DomainError("eps must be positive")
     if theorem is TheoremId.C3_3:
-        if pair is None:
-            raise DomainError("C3_3 takes a pair (r, s) with r < s")
+        if pair is None or q is not None:
+            raise DomainError("C3_3 takes a pair (r, s) with r < s, and no point q")
         rp, sp = QPoint.coerce(pair[0]), QPoint.coerce(pair[1])
         if not rp.value < sp.value:
             raise DomainError("C3_3 requires r < s")
@@ -544,8 +546,8 @@ def check_bounds(
             h_r, h_s = eval_H(rp, w_r).value, eval_H(sp, w_s).value
             return lambda: _Triple(Enclosure(lhs_exact), h_r / h_s, Enclosure(1))
     else:
-        if q is None:
-            raise DomainError(f"{theorem} takes a point q")
+        if q is None or pair is not None:
+            raise DomainError(f"{theorem.value} takes a point q, and no pair")
         qp = QPoint.coerce(q)
         argument = (float(qp),)
         rung_at = partial(partial, _bounds_triple, theorem, qp)

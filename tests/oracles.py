@@ -18,6 +18,9 @@
   divisor_core and for the representations of T;
 * :func:`sturm_chain` -- the integer Sturm chain of polynomials as a list of
   Polynomials;
+* :func:`series_product` and :func:`series_reciprocal` -- truncated power
+  series arithmetic on coefficient tuples, for the identities of T that the
+  tests check beyond power_series' builders;
 * the three companion series of power_series' sharp-bound closed forms.
 
 Pytest puts this directory on ``sys.path``, so the tests import it as
@@ -47,7 +50,7 @@ from divisor_series.polynomials import (
     _integer_coefficients,
     _integer_sturm_chain,
 )
-from divisor_series.power_series import RepresentationId, TruncatedSeries
+from divisor_series.power_series import RepresentationId
 from divisor_series.special_eval import _fixed_point_sum
 from divisor_series.verifier import Certificate, GridSpec
 
@@ -295,6 +298,46 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
     return [Polynomial(cs) for cs in _integer_sturm_chain(_integer_coefficients(p))]
 
 
+# -- truncated series on coefficient tuples ----------------------------------------
+
+
+def series_product(a, b) -> tuple:
+    """The Cauchy product of two coefficient sequences, truncated to the
+    smaller order, so retained coefficients depend only on retained ones."""
+    n = min(len(a), len(b)) - 1
+    # iterate the sparser factor on the outside
+    nz_a = [(i, c) for i, c in enumerate(a[: n + 1]) if c]
+    nz_b = [(i, c) for i, c in enumerate(b[: n + 1]) if c]
+    if len(nz_b) < len(nz_a):
+        nz_a, b = nz_b, a
+    out = [0] * (n + 1)
+    for i, c in nz_a:
+        for j in range(n + 1 - i):
+            d = b[j]
+            if d:
+                out[i + j] += c * d
+    return tuple(out)
+
+
+def series_reciprocal(a) -> tuple:
+    """b with a * b = 1 up to a's order, by the recurrence
+    b[k] = -(sum_{j=1..k} a[j] b[k-j]) / a[0], for a constant term a[0] of
+    1 or -1, which is its own inverse: integer series stay integer."""
+    inv0 = a[0]
+    if inv0 not in (1, -1):
+        raise ValueError("series_reciprocal needs a constant term of 1 or -1")
+    support = [(j, c) for j, c in enumerate(a) if j > 0 and c]
+    b = [inv0]
+    for k in range(1, len(a)):
+        acc = 0
+        for j, c in support:
+            if j > k:
+                break
+            acc += c * b[k - j]
+        b.append(-acc * inv0)
+    return tuple(b)
+
+
 # -- companion coefficient sequences ---------------------------------------------
 #
 # Direct constructions of the three series whose closed forms
@@ -303,22 +346,22 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
 # against these.
 
 
-def divisor_difference_series(order: int) -> TruncatedSeries:
+def divisor_difference_series(order: int) -> tuple:
     """sum_{k>=1} (d(k+1) - d(k)) q^k."""
     if order < 1:
         raise DomainError("order must be >= 1")
     d = divisor_sieve(order + 1)
-    return TruncatedSeries([0] + [d[k + 1] - d[k] for k in range(1, order + 1)])
+    return (0, *(d[k + 1] - d[k] for k in range(1, order + 1)))
 
 
-def divisor_partial_sum_series(order: int) -> TruncatedSeries:
+def divisor_partial_sum_series(order: int) -> tuple:
     """sum_{k>=1} (sum_{j<=k} d(j)) q^k."""
     if order < 1:
         raise DomainError("order must be >= 1")
-    return TruncatedSeries(divisor_partial_sums(divisor_sieve(order)))
+    return divisor_partial_sums(divisor_sieve(order))
 
 
-def divisor_log_convolution_series(order: int) -> TruncatedSeries:
+def divisor_log_convolution_series(order: int) -> tuple:
     """sum_{k>=2} (sum_{j<k} d(j)/(k-j)) q^k."""
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -326,4 +369,4 @@ def divisor_log_convolution_series(order: int) -> TruncatedSeries:
     coeffs = [Fraction(0), Fraction(0)]
     for k in range(2, order + 1):
         coeffs.append(sum(Fraction(d[j], k - j) for j in range(1, k)))
-    return TruncatedSeries(coeffs)
+    return tuple(coeffs)

@@ -29,10 +29,8 @@ from divisor_series.lemma_functions import (
 from divisor_series.polynomials import sturm_root_count
 from divisor_series.power_series import (
     RepresentationId,
-    TruncatedSeries,
     build_representation,
     identity_report,
-    q_pochhammer,
 )
 from divisor_series.special_eval import (
     QPoint,
@@ -47,6 +45,7 @@ from divisor_series.verifier import (
     combine_theorem_3_2,
     verify_lemma,
 )
+from oracles import series_product
 
 GRID = [Fraction(k, 100) for k in range(1, 100)]  # 0.01 .. 0.99
 
@@ -77,8 +76,11 @@ def test_criterion_1_coefficient_identities():
     from divisor_series.divisor_core import distinct_partition_stats
     n = 60
     s_odd, s_even = distinct_partition_stats(n)
-    lhs = q_pochhammer(None, n) * build_representation(RepresentationId.DIVISOR, n)
-    rhs = TruncatedSeries(
+    euler = (1,) + (0,) * n  # (q;q)_inf, one factor 1 - q^j at a time
+    for j in range(1, n + 1):
+        euler = series_product(euler, [1] + [-1 if k == j else 0 for k in range(1, n + 1)])
+    lhs = series_product(euler, build_representation(RepresentationId.DIVISOR, n).coeffs)
+    rhs = tuple(
         [Fraction(0)] + [Fraction(s_odd[k] - s_even[k]) for k in range(1, n + 1)]
     )
     merca_ok = lhs == rhs

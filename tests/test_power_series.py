@@ -1,6 +1,6 @@
-"""Exact series arithmetic and the coefficient-level identities for T."""
+"""The representations of T and the coefficient-level identities for T,
+checked with the tuple series arithmetic of the oracles."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -13,13 +13,14 @@ from divisor_series.power_series import (
     build_representation,
     first_mismatch,
     identity_report,
-    q_pochhammer,
 )
 from oracles import (
     divisor_count_trial,
     divisor_difference_series,
     divisor_log_convolution_series,
     divisor_partial_sum_series,
+    series_product,
+    series_reciprocal,
 )
 
 
@@ -34,107 +35,44 @@ def partition_count_oracle(n_max: int) -> list[int]:
     return p
 
 
-def random_series(rng: random.Random, order: int, nonzero_constant=False) -> TruncatedSeries:
-    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(order + 1)]
-    if nonzero_constant and coeffs[0] == 0:
-        coeffs[0] = Fraction(1)
-    return TruncatedSeries(coeffs)
+def monomial(coeff, degree: int, order: int) -> tuple:
+    c = [0] * (order + 1)
+    c[degree] = coeff
+    return tuple(c)
 
 
-# -- arithmetic ----------------------------------------------------------------
+def add(a, b) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
 
 
-def test_multiply_basic():
-    one_plus = TruncatedSeries([1, 1, 0])
-    one_minus = TruncatedSeries([1, -1, 0])
-    assert (one_plus * one_minus).coeffs == (1, 0, -1)
+def one_minus(degree: int, order: int) -> tuple:
+    """1 - q^degree, truncated at the order."""
+    return add(monomial(1, 0, order), monomial(-1, degree, order))
 
 
-def test_multiply_identity_element():
-    rng = random.Random(1)
-    a = random_series(rng, 12)
-    assert a * TruncatedSeries.one(12) == a
+def euler_function(order: int) -> tuple:
+    """(q;q)_inf = prod_{j>=1} (1 - q^j); factors with j > order cannot touch
+    retained coefficients."""
+    result = monomial(1, 0, order)
+    for j in range(1, order + 1):
+        result = series_product(result, one_minus(j, order))
+    return result
 
 
-def test_geometric_telescopes():
-    n = 10
-    geometric = TruncatedSeries([1] * (n + 1))
-    one_minus_q = TruncatedSeries.one(n) - TruncatedSeries.monomial(1, 1, n)
-    assert geometric * one_minus_q == TruncatedSeries.one(n)
-
-
-def test_multiply_commutative_associative():
-    rng = random.Random(7)
-    for _ in range(20):
-        a, b, c = (random_series(rng, 8) for _ in range(3))
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-
-
-def test_reciprocal_of_one_minus_q():
-    n = 4
-    s = TruncatedSeries.one(n) - TruncatedSeries.monomial(1, 1, n)
-    assert s.reciprocal().coeffs == (1, 1, 1, 1, 1)
-
-
-def test_reciprocal_involution():
-    rng = random.Random(3)
-    for _ in range(10):
-        a = random_series(rng, 9, nonzero_constant=True)
-        assert a.reciprocal().reciprocal() == a
-
-
-def test_reciprocal_rejects_zero_constant():
-    with pytest.raises(DomainError):
-        TruncatedSeries([0, 1, 2]).reciprocal()
-
-
-def test_reciprocal_of_integer_series_stays_exact():
-    recip = TruncatedSeries([2, 1, 0]).reciprocal()
-    assert recip.coeffs == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
-    assert all(isinstance(c, Fraction) for c in recip.coeffs)
-    partitions = q_pochhammer(None, 30).reciprocal()
-    assert not any(isinstance(c, float) for c in partitions.coeffs)
-
-
-def test_reciprocal_with_unit_constant_term_keeps_int_coefficients():
-    """1/(1 + q) = 1 - q + q^2 and 1/(-1 + 2q + 3q^2) = -1 - 2q - 7q^2 stay in
-    int arithmetic, not Fraction."""
-    for series, expected in [(TruncatedSeries([1, 1, 0]), (1, -1, 1)),
-                             (TruncatedSeries([-1, 2, 3]), (-1, -2, -7))]:
-        recip = series.reciprocal()
-        assert recip.coeffs == expected
-        assert all(type(c) is int for c in recip.coeffs)
+# -- (q;q)_inf ---------------------------------------------------------------------
 
 
 def test_reciprocal_euler_function_gives_partition_numbers():
     n = 20
-    recip = q_pochhammer(None, n).reciprocal()
+    recip = series_reciprocal(euler_function(n))
     oracle = partition_count_oracle(n)
-    assert [int(c) for c in recip.coeffs] == oracle
+    assert [int(c) for c in recip] == oracle
     assert oracle[:12] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56]
-
-
-# -- q-Pochhammer ----------------------------------------------------------------
-
-
-def test_pochhammer_empty_product():
-    assert q_pochhammer(0, 6) == TruncatedSeries.one(6)
-
-
-def test_pochhammer_k2():
-    # (1-q)(1-q^2) = 1 - q - q^2 + q^3
-    assert q_pochhammer(2, 4).coeffs == (1, -1, -1, 1, 0)
-
-
-def test_pochhammer_has_integer_coefficients():
-    for k in (None, 0, 3, 40):
-        assert all(type(c) is int for c in q_pochhammer(k, 40).coeffs)
 
 
 def test_pochhammer_infinite_pentagonal():
     # generalized pentagonal exponents 0,1,2,5,7,12,15 with signs +,-,-,+,+,-,-
-    coeffs = [int(c) for c in q_pochhammer(None, 15).coeffs]
+    coeffs = [int(c) for c in euler_function(15)]
     assert coeffs == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0, 0, -1]
 
 
@@ -183,22 +121,11 @@ def test_representations_have_integer_coefficients(rep, order):
     assert all(type(c) is int for c in series.coeffs)
 
 
-def test_builders_use_neither_reciprocal_nor_product(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("generic series arithmetic on the build path")
-
-    monkeypatch.setattr(TruncatedSeries, "reciprocal", forbidden)
-    monkeypatch.setattr(TruncatedSeries, "__mul__", forbidden)
-    for rep in RepresentationId:
-        build_representation(rep, 60)
-    q_pochhammer(None, 60)
-
-
 def test_companion_series_coefficient_types():
-    assert all(type(c) is int for c in divisor_difference_series(30).coeffs)
-    assert all(type(c) is int for c in divisor_partial_sum_series(30).coeffs)
+    assert all(type(c) is int for c in divisor_difference_series(30))
+    assert all(type(c) is int for c in divisor_partial_sum_series(30))
     assert any(isinstance(c, Fraction) and c.denominator > 1
-               for c in divisor_log_convolution_series(30).coeffs)
+               for c in divisor_log_convolution_series(30))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17])
@@ -234,8 +161,8 @@ def test_merca_partition_product_identity_n60():
     n = 60
     t = build_representation(RepresentationId.DIVISOR, n)
     s_odd, s_even = distinct_partition_stats(n)
-    lhs = q_pochhammer(None, n) * t
-    rhs = TruncatedSeries(
+    lhs = series_product(euler_function(n), t.coeffs)
+    rhs = tuple(
         [Fraction(0)] + [Fraction(s_odd[k] - s_even[k]) for k in range(1, n + 1)]
     )
     assert lhs == rhs
@@ -248,27 +175,27 @@ def test_partition_part_count_sum_product_identity_n300():
     from divisor_series.divisor_core import distinct_partition_stats
 
     n = 300
-    product = TruncatedSeries.one(n)
-    weights = TruncatedSeries.zero(n)
+    product = monomial(1, 0, n)
+    weights = (0,) * (n + 1)
     for p in range(1, n + 1):
-        factor = TruncatedSeries.one(n) + TruncatedSeries.monomial(1, p, n)
-        product = product * factor
-        weights = weights + TruncatedSeries.monomial(1, p, n) * factor.reciprocal()
+        factor = add(monomial(1, 0, n), monomial(1, p, n))
+        product = series_product(product, factor)
+        weights = add(weights, series_product(monomial(1, p, n), series_reciprocal(factor)))
     s_odd, s_even = distinct_partition_stats(n)
     total = [odd + even for odd, even in zip(s_odd, s_even)]
-    assert (product * weights).coeffs == tuple(total)
+    assert series_product(product, weights) == tuple(total)
 
 
 def test_uchimura_inner_sum_identity_n100():
     """sum k q^k/(q;q)_k equals T/(q;q)_inf coefficientwise up to 100."""
     n = 100
-    total = TruncatedSeries.zero(n)
-    recip = TruncatedSeries.one(n)
+    total = (0,) * (n + 1)
+    recip = monomial(1, 0, n)
     for k in range(1, n + 1):
-        binomial = TruncatedSeries.one(n) - TruncatedSeries.monomial(1, k, n)
-        recip = recip * binomial.reciprocal()
-        total = total + recip * TruncatedSeries.monomial(k, k, n)
-    rhs = build_representation(RepresentationId.DIVISOR, n) * q_pochhammer(None, n).reciprocal()
+        recip = series_product(recip, series_reciprocal(one_minus(k, n)))
+        total = add(total, series_product(recip, monomial(k, k, n)))
+    t = build_representation(RepresentationId.DIVISOR, n)
+    rhs = series_product(t.coeffs, series_reciprocal(euler_function(n)))
     assert total == rhs
 
 
@@ -278,12 +205,11 @@ def test_uchimura_inner_sum_identity_n100():
 def test_difference_series_closed_form():
     """1 + sum (d(k+1)-d(k)) q^k == (1/q - 1) T(q), checked via a shift."""
     n = 40
-    t = TruncatedSeries(divisor_sieve(n + 1)[: n + 2])  # T up to order n+1
-    one_minus_q = TruncatedSeries.one(n + 1) - TruncatedSeries.monomial(1, 1, n + 1)
-    product = one_minus_q * t  # (1-q) T, divisible by q
-    assert product.coeffs[0] == 0
-    shifted = TruncatedSeries(product.coeffs[1:])  # (1-q) T / q
-    direct = TruncatedSeries.one(n) + divisor_difference_series(n)
+    t = divisor_sieve(n + 1)[: n + 2]  # T up to order n+1
+    product = series_product(one_minus(1, n + 1), t)  # (1-q) T, divisible by q
+    assert product[0] == 0
+    shifted = product[1:]  # (1-q) T / q
+    direct = add(monomial(1, 0, n), divisor_difference_series(n))
     assert shifted == direct
 
 
@@ -291,13 +217,13 @@ def test_partial_sum_series_closed_form():
     """sum_k (sum_{j<=k} d(j)) q^k == T(q) / (1-q)."""
     n = 60
     t = build_representation(RepresentationId.DIVISOR, n)
-    geometric = (TruncatedSeries.one(n) - TruncatedSeries.monomial(1, 1, n)).reciprocal()
-    assert t * geometric == divisor_partial_sum_series(n)
+    geometric = series_reciprocal(one_minus(1, n))
+    assert series_product(t.coeffs, geometric) == divisor_partial_sum_series(n)
 
 
 def test_log_convolution_series_closed_form():
     """sum_{k>=2} (sum_{j<k} d(j)/(k-j)) q^k == -log(1-q) * T(q)."""
     n = 60
     t = build_representation(RepresentationId.DIVISOR, n)
-    log_series = TruncatedSeries([Fraction(0)] + [Fraction(1, k) for k in range(1, n + 1)])
-    assert t * log_series == divisor_log_convolution_series(n)
+    log_series = (Fraction(0), *(Fraction(1, k) for k in range(1, n + 1)))
+    assert series_product(t.coeffs, log_series) == divisor_log_convolution_series(n)

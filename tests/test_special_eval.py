@@ -1023,6 +1023,19 @@ def test_c33_requires_ordered_pair():
         check_bounds(TheoremId.C3_3)
 
 
+def test_c33_refuses_a_point_q():
+    """C3_3 reads only its pair, so a q next to it would go unchecked."""
+    with pytest.raises(DomainError, match="no point q"):
+        check_bounds(TheoremId.C3_3, q=0.9, pair=(0.1, 0.2))
+
+
+def test_one_point_theorem_refuses_a_pair():
+    """T4_1 reads only q; the pair (0.9, 0.1), whose r > s C3_3 would refuse,
+    must not pass unread."""
+    with pytest.raises(DomainError, match="no pair"):
+        check_bounds(TheoremId.T4_1, q=0.5, pair=(0.9, 0.1))
+
+
 def test_indeterminate_on_huge_eps():
     """A hopeless width request must not produce a false pass."""
     res = check_bounds(TheoremId.T4_1, q="0.99", eps=10.0)
