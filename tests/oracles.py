@@ -321,11 +321,12 @@ def series_product(a, b) -> tuple:
 
 def series_reciprocal(a) -> tuple:
     """b with a * b = 1 up to a's order, by the recurrence
-    b[k] = -(sum_{j=1..k} a[j] b[k-j]) / a[0], for a constant term a[0] of
-    1 or -1, which is its own inverse: integer series stay integer."""
-    inv0 = a[0]
-    if inv0 not in (1, -1):
-        raise ValueError("series_reciprocal needs a constant term of 1 or -1")
+    b[k] = -(sum_{j=1..k} a[j] b[k-j]) / a[0].  A constant term of 1 or -1 is
+    its own inverse, so integer series stay integer; any other nonzero one
+    gives Fraction coefficients."""
+    if a[0] == 0:
+        raise DomainError("series_reciprocal needs a nonzero constant term")
+    inv0 = a[0] if a[0] in (1, -1) else 1 / Fraction(a[0])
     support = [(j, c) for j, c in enumerate(a) if j > 0 and c]
     b = [inv0]
     for k in range(1, len(a)):

@@ -1,6 +1,7 @@
 """The representations of T and the coefficient-level identities for T,
 checked with the tuple series arithmetic of the oracles."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -50,16 +51,84 @@ def one_minus(degree: int, order: int) -> tuple:
     return add(monomial(1, 0, order), monomial(-1, degree, order))
 
 
-def euler_function(order: int) -> tuple:
-    """(q;q)_inf = prod_{j>=1} (1 - q^j); factors with j > order cannot touch
-    retained coefficients."""
+def pochhammer(k, order: int) -> tuple:
+    """(q;q)_k = prod_{j=1..k} (1 - q^j), or (q;q)_inf for k None; factors
+    with j > order cannot touch retained coefficients."""
     result = monomial(1, 0, order)
-    for j in range(1, order + 1):
+    for j in range(1, min(order if k is None else k, order) + 1):
         result = series_product(result, one_minus(j, order))
     return result
 
 
-# -- (q;q)_inf ---------------------------------------------------------------------
+def euler_function(order: int) -> tuple:
+    """(q;q)_inf."""
+    return pochhammer(None, order)
+
+
+def random_series(rng: random.Random, order: int, nonzero_constant=False) -> tuple:
+    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(order + 1)]
+    if nonzero_constant and coeffs[0] == 0:
+        coeffs[0] = Fraction(1)
+    return tuple(coeffs)
+
+
+# -- the oracle arithmetic the identity tests below rely on -----------------------
+
+
+def test_multiply_basic():
+    assert series_product((1, 1, 0), (1, -1, 0)) == (1, 0, -1)
+
+
+def test_multiply_identity_element():
+    rng = random.Random(1)
+    a = random_series(rng, 12)
+    assert series_product(a, monomial(1, 0, 12)) == a
+
+
+def test_geometric_telescopes():
+    n = 10
+    assert series_product((1,) * (n + 1), one_minus(1, n)) == monomial(1, 0, n)
+
+
+def test_multiply_commutative_associative():
+    rng = random.Random(7)
+    for _ in range(20):
+        a, b, c = (random_series(rng, 8) for _ in range(3))
+        assert series_product(a, b) == series_product(b, a)
+        assert series_product(series_product(a, b), c) == series_product(a, series_product(b, c))
+
+
+def test_reciprocal_of_one_minus_q():
+    assert series_reciprocal(one_minus(1, 4)) == (1, 1, 1, 1, 1)
+
+
+def test_reciprocal_involution():
+    rng = random.Random(3)
+    for _ in range(10):
+        a = random_series(rng, 9, nonzero_constant=True)
+        assert series_reciprocal(series_reciprocal(a)) == a
+
+
+def test_reciprocal_rejects_zero_constant():
+    with pytest.raises(DomainError):
+        series_reciprocal((0, 1, 2))
+
+
+def test_reciprocal_of_integer_series_stays_exact():
+    recip = series_reciprocal((2, 1, 0))
+    assert recip == (Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8))
+    assert all(isinstance(c, Fraction) for c in recip)
+    partitions = series_reciprocal(euler_function(30))
+    assert not any(isinstance(c, float) for c in partitions)
+
+
+def test_reciprocal_with_unit_constant_term_keeps_int_coefficients():
+    """1/(1 + q) = 1 - q + q^2 and 1/(-1 + 2q + 3q^2) = -1 - 2q - 7q^2 stay in
+    int arithmetic, not Fraction."""
+    for series, expected in [((1, 1, 0), (1, -1, 1)), ((-1, 2, 3), (-1, -2, -7))]:
+        recip = series_reciprocal(series)
+        assert recip == expected
+        assert all(type(c) is int for c in recip)
 
 
 def test_reciprocal_euler_function_gives_partition_numbers():
@@ -68,6 +137,23 @@ def test_reciprocal_euler_function_gives_partition_numbers():
     oracle = partition_count_oracle(n)
     assert [int(c) for c in recip] == oracle
     assert oracle[:12] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56]
+
+
+# -- q-Pochhammer ------------------------------------------------------------------
+
+
+def test_pochhammer_empty_product():
+    assert pochhammer(0, 6) == monomial(1, 0, 6)
+
+
+def test_pochhammer_k2():
+    # (1-q)(1-q^2) = 1 - q - q^2 + q^3
+    assert pochhammer(2, 4) == (1, -1, -1, 1, 0)
+
+
+def test_pochhammer_has_integer_coefficients():
+    for k in (None, 0, 3, 40):
+        assert all(type(c) is int for c in pochhammer(k, 40))
 
 
 def test_pochhammer_infinite_pentagonal():
@@ -119,6 +205,18 @@ def test_representations_have_integer_coefficients(rep, order):
     series = build_representation(rep, order)
     assert len(series.coeffs) == order + 1
     assert all(type(c) is int for c in series.coeffs)
+
+
+def test_builders_use_neither_reciprocal_nor_product():
+    """The builders step through int lists: the record they return carries no
+    series arithmetic, and the package has no q_pochhammer."""
+    import divisor_series
+    from divisor_series import power_series
+
+    for name in ("__add__", "__sub__", "__mul__", "reciprocal", "zero", "one", "monomial"):
+        assert not hasattr(TruncatedSeries, name)
+    assert not hasattr(power_series, "q_pochhammer")
+    assert not hasattr(divisor_series, "q_pochhammer")
 
 
 def test_companion_series_coefficient_types():
