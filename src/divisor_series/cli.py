@@ -37,7 +37,7 @@ from .special_eval import (
     eval_psi_q,
 )
 from .verifier import (
-    LEMMA_VERIFIERS,
+    CONCLUSIONS,
     SCHEMA_VERSION,
     combine_theorem_3_2,
     verify_lemma,
@@ -51,6 +51,12 @@ EXIT_BROKEN_PIPE = 141  # as a shell reports a command that SIGPIPE ended
 #: Most grid points a bounds-scan checks.  The count is computed exactly
 #: before any point is built, and a larger grid is a usage error.
 MAX_SCAN_POINTS = 100_000
+
+#: Largest --order of coeffs, identity-check and report, and --n of lemma-fn.
+#: On a 2-core x86-64 machine under Python 3.11, identity-check (quadratic)
+#: takes 4.2 s at 4000 and 6.6 s at 5000; lemma-fn --name D --q 0.95 (linear)
+#: takes 2.0 s at --n 10 000.
+MAX_ORDER, MAX_LEMMA_N = 4000, 10_000
 
 
 def _mode_arg(value: str) -> Mode:
@@ -83,6 +89,13 @@ def _repr_arg(value: str) -> RepresentationId:
         return RepresentationId(value.upper())
     except ValueError:
         raise argparse.ArgumentTypeError(f"unknown representation {value!r}")
+
+
+def _capped(value, flag: str, cap: int):
+    """value, unless it exceeds cap: a usage error, raised before any work."""
+    if value is not None and value > cap:
+        raise DomainError(f"--{flag} {value} exceeds the cap of {cap}")
+    return value
 
 
 def _print_json(doc: dict) -> None:
@@ -139,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a lemma verification and emit a certificate")
     p.add_argument("--lemma", required=True,
-                   choices=sorted(LEMMA_VERIFIERS) + ["thm3.2"])
+                   choices=[*CONCLUSIONS, "thm3.2"])
 
     p = sub.add_parser("report", help="run the full verification suite")
     p.add_argument("--order", type=int, default=200)
@@ -150,14 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeffs(args) -> int:
-    series = build_representation(args.repr, args.order)
+    series = build_representation(args.repr, _capped(args.order, "order", MAX_ORDER))
     sys.stdout.write("index,coefficient\n"
                      + "".join(f"{k},{c}\n" for k, c in enumerate(series.coeffs)))
     return EXIT_OK
 
 
 def _cmd_identity_check(args) -> int:
-    report = identity_report(args.order)
+    report = identity_report(_capped(args.order, "order", MAX_ORDER))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "order": args.order,
@@ -203,8 +216,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_lemma_fn(args) -> int:
-    value = evaluate_named(args.name, q=args.q, x=args.x, y=args.y, n=args.n,
-                           mode=args.mode)
+    value = evaluate_named(args.name, q=args.q, x=args.x, y=args.y,
+                           n=_capped(args.n, "n", MAX_LEMMA_N), mode=args.mode)
     if isinstance(value, Enclosure):
         lo, hi = value.to_floats()
         _print_json({"schema_version": SCHEMA_VERSION, "name": args.name,
@@ -252,7 +265,7 @@ def _cmd_bounds_scan(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.lemma == "thm3.2":
-        certs = {lid: verify_lemma(lid) for lid in LEMMA_VERIFIERS}
+        certs = {lid: verify_lemma(lid) for lid in CONCLUSIONS}
         cert = combine_theorem_3_2(certs)
     else:
         cert = verify_lemma(args.lemma)
@@ -270,7 +283,7 @@ def _cmd_report(args) -> int:
 
     if "identities" not in args.skip:
         t0 = time.perf_counter()
-        rep = identity_report(args.order)
+        rep = identity_report(_capped(args.order, "order", MAX_ORDER))
         ok = all(r.match for r in rep.values())
         doc["sections"]["identities"] = {
             "order": args.order,
@@ -282,7 +295,7 @@ def _cmd_report(args) -> int:
 
     if "verify" not in args.skip:
         t0 = time.perf_counter()
-        certs = {lid: verify_lemma(lid) for lid in LEMMA_VERIFIERS}
+        certs = {lid: verify_lemma(lid) for lid in CONCLUSIONS}
         rollup = combine_theorem_3_2(certs)
         doc["sections"]["verify"] = {
             "lemmas": {lid: c.passed for lid, c in certs.items()},

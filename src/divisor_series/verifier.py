@@ -13,7 +13,8 @@ input, and pass/fail.
 
 One run engine, _prove_by_runs, makes every such check (the grids of 2.4ii
 and 2.9, the V' witness of 2.4i and the phi' witness of 2.8), and it alone
-picks the items evaluated again at working precision.
+picks the items evaluated again at working precision.  CONCLUSIONS declares
+each lemma's claim, constant, exact span of q and check once, for all readers.
 """
 
 from __future__ import annotations
@@ -113,10 +114,18 @@ class GridSpec:
         }
 
 
+def _spanning(lemma_id: str, segments: tuple[GridSegment, ...]) -> GridSpec:
+    """The grid of segments, checked to start and end at lemma_id's span."""
+    span, lo, hi = CONCLUSIONS[lemma_id], segments[0].start, segments[-1].end
+    if (lo, hi) != (span.lo, span.hi):
+        raise ArithmeticError(f"{lemma_id} grid [{lo}, {hi}] != its span [{span.lo}, {span.hi}]")
+    return GridSpec(segments)
+
+
 def lemma_2_4_ii_grid() -> GridSpec:
     """[0.117, 0.91]: coarse to 0.835, finer to 0.9, finest to 0.91."""
-    return GridSpec((
-        GridSegment(Fraction(117, 1000), Fraction(1, 1000), 718),
+    return _spanning("2.4ii", (
+        GridSegment(CONCLUSIONS["2.4ii"].lo, Fraction(1, 1000), 718),
         GridSegment(Fraction(835, 1000), Fraction(1, 20000), 1300),
         GridSegment(Fraction(9, 10), Fraction(1, 500000), 5000),
     ))
@@ -124,7 +133,7 @@ def lemma_2_4_ii_grid() -> GridSpec:
 
 def lemma_2_9_grid() -> GridSpec:
     """[0.91, 1.0] in 900 cells of width 1e-4."""
-    return GridSpec((GridSegment(Fraction(91, 100), Fraction(1, 10000), 900),))
+    return _spanning("2.9", (GridSegment(CONCLUSIONS["2.9"].lo, Fraction(1, 10000), 900),))
 
 
 def lemma_2_4_i_v_prime_grid() -> GridSpec:
@@ -372,7 +381,7 @@ def verify_lemma_2_4_i() -> Certificate:
     )
     details: dict = {}
     with interval_precision(working_precision()):
-        v0 = Enclosure(v_raw(-iv.log(to_ivmpf(Fraction(117, 1000)))))
+        v0 = Enclosure(v_raw(-iv.log(to_ivmpf(CONCLUSIONS["2.4i"].hi))))
     details["v_at_minus_log_0.117"] = v0.to_floats()
     v0_ok = v0.contained_in(Fraction(17, 10000), Fraction(27, 10000)) and v0.is_positive()
 
@@ -441,7 +450,7 @@ def verify_lemma_2_5() -> Certificate:
     [0.91, 1] (Sturm), and the endpoint values pin their signs."""
     delta = delta_polynomial()
     g0 = g0_polynomial()
-    a, b = Fraction(91, 100), Fraction(1)
+    a, b = CONCLUSIONS["2.5"].lo, CONCLUSIONS["2.5"].hi
     roots_delta = sturm_root_count(delta, a, b)
     roots_g0 = sturm_root_count(g0, a, b)
     delta_at_a = delta(a)
@@ -482,10 +491,6 @@ def verify_lemma_2_5() -> Certificate:
     )
 
 
-#: Lemma 2.8 bounds phi'_q(x) below by -0.035 on [0.91, 1) x [1, inf).
-_PHI_PRIME_FLOOR = Fraction(35, 1000)
-
-
 def verify_lemma_2_8() -> Certificate:
     """phi'_q(x) >= -0.035 for q in [0.91, 1), x >= 1, via the h1/h2/h3
     envelope of -Theta_q(14): the directions of h2 = 1/S and h3 = P/S^2 from
@@ -505,9 +510,9 @@ def verify_lemma_2_8() -> Certificate:
     s, p = h2_denominator_polynomial(), h3_numerator_polynomial()
     d3 = p.derivative() * s - (p * s.derivative()).scale(2)
     d3_roots = sturm_root_count(d3, 0, 1)
-    q91 = Fraction(91, 100)
-    envelope = (1 / s(q91) + p(q91) / s(q91) ** 2) / 14
-    margin = _PHI_PRIME_FLOOR - envelope
+    floor, q0 = CONCLUSIONS["2.8"].constant, CONCLUSIONS["2.8"].lo
+    envelope = (1 / s(q0) + p(q0) / s(q0) ** 2) / 14
+    margin = -floor - envelope
     envelope_doubles = DoubleInterval.lift(envelope)
     details: dict = {
         "envelope_(h2+h3)/14_at_0.91": (envelope_doubles.lo, envelope_doubles.hi),
@@ -517,7 +522,7 @@ def verify_lemma_2_8() -> Certificate:
                 and p(1) == 0 and margin > 0)
 
     # witness grid: phi' > -0.035 at sampled (q, x), proved point by point
-    qs = [Fraction(91, 100) + k * Fraction(1, 100) for k in range(9)]
+    qs = [q0 + k * Fraction(1, 100) for k in range(9)]
     qs += [Fraction(999, 1000), Fraction(9999, 10000)]
     xs = [1, 2, 3, 5, 8, 11, 14, 17, 20, 35, 50, 100, 200]
     points = [(q, x) for q in qs for x in xs]
@@ -527,7 +532,7 @@ def verify_lemma_2_8() -> Certificate:
 
     min_pp, failures, settled = _prove_by_runs(_Margins(
         lambda at, k, _: at(phi_prime_margin, k),
-        lambda k: (*points[k], -_PHI_PRIME_FLOOR)), [(k, k + 1) for k in range(len(points))])
+        lambda k: (*points[k], floor)), [(k, k + 1) for k in range(len(points))])
     details["min_phi_prime_margin_on_grid"] = min_pp
     details["grid_points"] = len(points)
 
@@ -544,38 +549,55 @@ def verify_lemma_2_8() -> Certificate:
     )
 
 
-LEMMA_VERIFIERS = {
-    "2.4i": verify_lemma_2_4_i,
-    "2.4ii": verify_lemma_2_4_ii,
-    "2.5": verify_lemma_2_5,
-    "2.8": verify_lemma_2_8,
-    "2.9": verify_lemma_2_9,
+class Conclusion(NamedTuple):
+    """What one lemma gives Theorem 3.2: its claim, the constant the claim
+    compares with, the exact span [lo, hi] of q it covers, and its check."""
+
+    claim: str
+    constant: Fraction
+    lo: Fraction
+    hi: Fraction
+    check: Callable[[], Certificate]
+
+
+#: The cut points of Theorem 3.2's case split, and its lemmas ordered by q:
+#: combine_theorem_3_2 refuses spans that do not tile (0, 1).  2.9's constant
+#: is the one j1_raw subtracts.
+_CUT_LOW, _CUT_HIGH = Fraction(117, 1000), Fraction(91, 100)
+CONCLUSIONS: dict[str, Conclusion] = {
+    "2.4i": Conclusion("C_q(1) > 0", Fraction(0), Fraction(0), _CUT_LOW, verify_lemma_2_4_i),
+    "2.4ii": Conclusion("C_q(39) > 0", Fraction(0), _CUT_LOW, _CUT_HIGH, verify_lemma_2_4_ii),
+    "2.5": Conclusion("N_q > 14", Fraction(14), _CUT_HIGH, Fraction(1), verify_lemma_2_5),
+    "2.8": Conclusion("phi'_q(x) >= -0.035 for x >= 1", Fraction(-35, 1000), _CUT_HIGH,
+                      Fraction(1), verify_lemma_2_8),
+    "2.9": Conclusion("D_q(10) > 0.036", _J1_OFFSET, _CUT_HIGH, Fraction(1), verify_lemma_2_9),
 }
 
 
 def verify_lemma(lemma_id: str, mode: Mode = Mode.CERTIFIED, jobs: int = 1) -> Certificate:
-    """Run one lemma pipeline by id ('2.4i', '2.4ii', '2.5', '2.8', '2.9').
+    """Run the check of one lemma of CONCLUSIONS, by its id.
     Verification is certified only and runs in one process; any other mode,
     or jobs other than 1, is a DomainError."""
     if mode is not Mode.CERTIFIED:
         raise DomainError(f"lemma verification is certified only, got mode {mode!r}")
     if jobs != 1:
         raise DomainError(f"lemma verification runs in one process, got jobs={jobs!r}")
-    if lemma_id not in LEMMA_VERIFIERS:
-        raise DomainError(f"unknown lemma id {lemma_id!r}; "
-                          f"choose from {sorted(LEMMA_VERIFIERS)}")
-    return LEMMA_VERIFIERS[lemma_id]()
+    if lemma_id not in CONCLUSIONS:
+        raise DomainError(f"unknown lemma id {lemma_id!r}; choose from {list(CONCLUSIONS)}")
+    return CONCLUSIONS[lemma_id].check()
 
 
 #: Exact roll-up margin 0.036 - 0.035/2 - 0.035/8 = 113/8000 = 0.014125, from
-#: Lemma 2.9's offset and Lemma 2.8's floor.
-THEOREM_3_2_MARGIN = _J1_OFFSET - _PHI_PRIME_FLOOR / 2 - _PHI_PRIME_FLOOR / 8
+#: Lemma 2.9's constant and Lemma 2.8's floor.
+THEOREM_3_2_MARGIN = (CONCLUSIONS["2.9"].constant + CONCLUSIONS["2.8"].constant / 2
+                      + CONCLUSIONS["2.8"].constant / 8)
 
 
 def combine_theorem_3_2(certificates: dict[str, Certificate]) -> Certificate:
     """Roll up the five ingredient certificates into the F-monotonicity
-    verdict: sum of trapezoid errors > 0.036 - 0.035/2 - 0.035/8 > 0."""
-    required = ("2.4i", "2.4ii", "2.5", "2.8", "2.9")
+    verdict: sum of trapezoid errors > 0.036 - 0.035/2 - 0.035/8 > 0.  The
+    distinct spans of CONCLUSIONS must tile (0, 1), each from the last's end."""
+    required = list(CONCLUSIONS)
     missing = [k for k in required if k not in certificates]
     if missing:
         raise DomainError(f"missing ingredient certificates: {missing}")
@@ -583,6 +605,10 @@ def combine_theorem_3_2(certificates: dict[str, Certificate]) -> Certificate:
     margin = THEOREM_3_2_MARGIN
     if margin <= 0:
         raise ArithmeticError("roll-up margin arithmetic is broken")
+    spans = list(dict.fromkeys((c.lo, c.hi) for c in CONCLUSIONS.values()))
+    if [lo for lo, _ in spans] + [1] != [0] + [hi for _, hi in spans]:
+        raise ArithmeticError("the lemma spans " + ", ".join(f"[{lo}, {hi}]" for lo, hi in spans)
+                              + " do not tile (0, 1)")
     details = {
         "margin_exact": str(margin),
         "margin_decimal": float(margin),

@@ -13,7 +13,8 @@ import mpmath
 import pytest
 
 import divisor_series
-from divisor_series.cli import EXIT_BROKEN_PIPE, main
+from divisor_series import cli
+from divisor_series.cli import EXIT_BROKEN_PIPE, MAX_LEMMA_N, MAX_ORDER, main
 
 
 def run_cli(capsys, *argv):
@@ -473,6 +474,38 @@ def test_bounds_scan_over_the_point_cap_is_a_usage_error(capsys):
     assert time.perf_counter() - start < 0.5
     assert ("error: grid from 1/100 to 99/100 in steps of 1/1000000000000 has 980000000001"
             " points; bounds-scan checks at most 100000") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--order", str(MAX_ORDER + 1)],
+    ["coeffs", "--repr", "MERCA_PARTITION", "--order", "100000"],
+    ["identity-check", "--order", str(MAX_ORDER + 1)],
+    ["report", "--order", str(MAX_ORDER + 1)],
+    ["lemma-fn", "--name", "C", "--q", "0.5", "--n", str(MAX_LEMMA_N + 1)],
+    ["lemma-fn", "--name", "D", "--q", "0.95", "--mode", "certified", "--n", "100000000"],
+], ids=["coeffs", "coeffs-merca-partition", "identity-check", "report", "lemma-fn-C",
+        "lemma-fn-D"])
+def test_a_size_over_its_cap_is_a_usage_error(capsys, argv):
+    """An --order or --n past its cap is refused before any work, where it
+    would run for minutes."""
+    start = time.perf_counter()
+    err = _usage_error(capsys, argv)
+    assert time.perf_counter() - start < 0.5
+    flag, value = argv[-2:]
+    cap = MAX_ORDER if flag == "--order" else MAX_LEMMA_N
+    assert f"error: {flag} {value} exceeds the cap of {cap}\n" in err
+
+
+def test_a_size_at_its_cap_is_accepted(capsys, monkeypatch):
+    """The caps are inclusive, and the order cap admits CI's
+    identity-check --order 1000."""
+    assert MAX_ORDER >= 1000
+    code, out, _ = run_cli(capsys, "coeffs", "--order", str(MAX_ORDER))
+    assert code == 0 and out.count("\n") == MAX_ORDER + 2  # the header, then indices 0..cap
+    seen = []
+    monkeypatch.setattr(cli, "evaluate_named", lambda name, **kw: seen.append(kw["n"]) or 0.5)
+    code, _, _ = run_cli(capsys, "lemma-fn", "--name", "D", "--q", "0.95", "--n", str(MAX_LEMMA_N))
+    assert code == 0 and seen == [MAX_LEMMA_N]
 
 
 @pytest.mark.parametrize("argv, option", [

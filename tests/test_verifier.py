@@ -43,10 +43,12 @@ from divisor_series.polynomials import Polynomial
 from divisor_series.verifier import (
     _Margins,
     _prove_by_runs,
+    CONCLUSIONS,
     Certificate,
     GridSegment,
     GridSpec,
     J2_LIMIT,
+    THEOREM_3_2_MARGIN,
     combine_theorem_3_2,
     j1_lower,
     j2_upper,
@@ -77,6 +79,29 @@ def test_lemma_grids_tile_exactly():
     grid = lemma_2_9_grid()
     assert (grid.point(0), grid.point(grid.total_cells)) == (Fraction(91, 100), Fraction(1))
     assert grid.total_cells == 900
+    for grid_fn, lemma_id in ((lemma_2_4_ii_grid, "2.4ii"), (lemma_2_9_grid, "2.9")):
+        grid, span = grid_fn(), CONCLUSIONS[lemma_id]
+        assert (grid.point(0), grid.point(grid.total_cells)) == (span.lo, span.hi)
+
+
+@pytest.mark.parametrize("grid_fn, lemma_id, change, error, message", [
+    (lemma_2_4_ii_grid, "2.4ii", {"hi": Fraction(92, 100)}, ArithmeticError,
+     r"^2\.4ii grid \[117/1000, 91/100\] != its span \[117/1000, 23/25\]$"),
+    (lemma_2_4_ii_grid, "2.4ii", {"lo": Fraction(118, 1000)}, DomainError,
+     "grid segments leave a gap: 209/250 != 167/200"),
+    (lemma_2_9_grid, "2.9", {"lo": Fraction(92, 100)}, ArithmeticError,
+     r"^2\.9 grid \[23/25, 101/100\] != its span \[23/25, 1\]$"),
+    (lemma_2_9_grid, "2.9", {"hi": Fraction(99, 100)}, ArithmeticError,
+     r"^2\.9 grid \[91/100, 1\] != its span \[91/100, 99/100\]$"),
+], ids=["2.4ii-end", "2.4ii-start", "2.9-start", "2.9-end"])
+def test_lemma_grid_refuses_a_span_it_does_not_cover(monkeypatch, grid_fn, lemma_id, change,
+                                                     error, message):
+    """Each grid starts at its lemma's span and is checked to end there: a
+    moved start leaves the fixed segments short or disjoint, a moved end
+    leaves the grid's end behind."""
+    monkeypatch.setitem(CONCLUSIONS, lemma_id, CONCLUSIONS[lemma_id]._replace(**change))
+    with pytest.raises(error, match=message):
+        grid_fn()
 
 
 def test_grid_rejects_gaps():
@@ -828,7 +853,8 @@ def test_lemmas_2_4_i_and_2_8_pass_at_every_precision(monkeypatch, bits):
 
 
 def test_unknown_lemma_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^unknown lemma id '9\.9'; choose from "
+                       r"\['2\.4i', '2\.4ii', '2\.5', '2\.8', '2\.9'\]$"):
         verify_lemma("9.9")
 
 
@@ -873,6 +899,37 @@ def test_rollup_margin_exact():
     assert rollup.details["margin_exact"] == "113/8000"
     assert rollup.min_margin == 0.014125
     assert Fraction(36, 1000) - Fraction(35, 2000) - Fraction(35, 8000) == Fraction(113, 8000)
+
+
+def test_conclusions_tile_zero_one_in_order_of_q():
+    """Literal oracles: the case split (0, 0.117], [0.117, 0.91], [0.91, 1)
+    and the constants 0, 0, 14, -0.035 and 0.036 give the margin 113/8000."""
+    assert list(CONCLUSIONS) == ["2.4i", "2.4ii", "2.5", "2.8", "2.9"]
+    assert [(c.lo, c.hi) for c in CONCLUSIONS.values()] == [
+        (0, Fraction(117, 1000)), (Fraction(117, 1000), Fraction(91, 100))] + [
+        (Fraction(91, 100), 1)] * 3
+    assert [c.constant for c in CONCLUSIONS.values()] == [
+        0, 0, 14, Fraction(-35, 1000), Fraction(36, 1000)]
+    assert THEOREM_3_2_MARGIN == Fraction(113, 8000)
+    assert [c.check for c in CONCLUSIONS.values()] == [
+        verify_lemma_2_4_i, verifier.verify_lemma_2_4_ii, verify_lemma_2_5,
+        verifier.verify_lemma_2_8, verifier.verify_lemma_2_9]
+
+
+@pytest.mark.parametrize("lemma_id, change, spans", [
+    ("2.9", {"hi": Fraction(99, 100)}, "[91/100, 1], [91/100, 99/100]"),
+    ("2.4i", {"lo": Fraction(1, 1000)}, "[1/1000, 117/1000]"),
+    ("2.4ii", {"hi": Fraction(9, 10)}, "[117/1000, 9/10], [91/100, 1]"),
+    ("2.5", {"lo": Fraction(9, 10)}, "[117/1000, 91/100], [9/10, 1], [91/100, 1]"),
+], ids=["moved-end", "moved-start", "gap", "overlap"])
+def test_rollup_refuses_spans_that_do_not_tile(monkeypatch, lemma_id, change, spans):
+    """A table whose distinct spans leave a gap, overlap, or do not start at
+    0 and end at 1 is refused, however the certificates read."""
+    monkeypatch.setitem(CONCLUSIONS, lemma_id, CONCLUSIONS[lemma_id]._replace(**change))
+    certs = {k: _stub_cert(k, True) for k in ("2.4i", "2.4ii", "2.5", "2.8", "2.9")}
+    with pytest.raises(ArithmeticError, match="do not tile") as raised:
+        combine_theorem_3_2(certs)
+    assert spans in str(raised.value)
 
 
 def test_rollup_fails_on_bad_ingredient():
