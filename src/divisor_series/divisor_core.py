@@ -1,6 +1,9 @@
 """Integer ground truth: divisor counts, their partial sums, and the
 part-count statistics of partitions into distinct parts.
 
+:func:`divisor_sieve` is the one source of d(k): the DIVISOR series, the
+identity checks' reference and the DIVISOR kernel of pointwise evaluation.
+
 Everything here is exact integer arithmetic (Python integers are unbounded,
 so there is no silent wraparound to guard against).
 """
@@ -17,16 +20,25 @@ def divisor_sieve(n_max: int) -> tuple[int, ...]:
     """d[k] = number of positive divisors of k, for 1 <= k <= n_max.
 
     Index 0 is a sentinel with d[0] = 0, which is also the convention the
-    power-series layer uses for the constant coefficient of T.  Each divisor
-    pair (i, m/i) with i <= sqrt(m) is counted once: i*i gains 1, and each
-    larger multiple i*j, j > i, gains 2.  About (n/2) ln n increments."""
+    power-series layer uses for the constant coefficient of T.  Counted
+    multiplicatively, d(p1^e1 ... pr^er) = (e1 + 1) ... (er + 1), so no
+    series of T shares its loop: k = p m with p the smallest prime of k and
+    e its exponent gives d(k) = d(m) (e + 1)/e."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    d = [0] * (n_max + 1)
-    for i in range(1, isqrt(n_max) + 1):
-        d[i * i] += 1
-        for m in range(i * (i + 1), n_max + 1, i):
-            d[m] += 2
+    # smallest prime factor of a composite k, else 0; the smallest p writes last
+    spf = [0] * (n_max + 1)
+    for p in range(isqrt(n_max), 1, -1):
+        spf[p * p :: p] = [p] * ((n_max - p * p) // p + 1)
+    d, e = [0, 1] + [2] * (n_max - 1), bytearray([1]) * (n_max + 1)
+    for k, p in enumerate(spf):
+        if p:
+            m = k // p
+            if m % p:
+                d[k] = 2 * d[m]
+            else:
+                e[k] = x = e[m] + 1
+                d[k] = d[m] * (x + 1) // x
     return tuple(d)
 
 

@@ -252,9 +252,6 @@ class Enclosure:
     def __add__(self, other):
         return Enclosure(self._iv + self._coerce(other))
 
-    def __radd__(self, other):
-        return Enclosure(self._coerce(other) + self._iv)
-
     def __sub__(self, other):
         return Enclosure(self._iv - self._coerce(other))
 
@@ -264,17 +261,8 @@ class Enclosure:
     def __mul__(self, other):
         return Enclosure(self._iv * self._coerce(other))
 
-    def __rmul__(self, other):
-        return Enclosure(self._coerce(other) * self._iv)
-
     def __truediv__(self, other):
         return Enclosure(self._iv / self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return Enclosure(self._coerce(other) / self._iv)
-
-    def __neg__(self):
-        return Enclosure(-self._iv)
 
     def log(self) -> "Enclosure":
         return Enclosure(iv.log(self._iv))

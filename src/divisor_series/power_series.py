@@ -1,11 +1,11 @@
 """The five classical series representations of T(q) = sum d(k) q^k as exact
 integer coefficient sequences, truncated at an order N.
 
-Every representation is built on integer lists.  Lambert's and Clausen's
-series are sums of geometric series, so they are expanded directly: each
-adds 1 or 2 at every k-th exponent.  Uchimura's and both of Merca's forms
-are built from one exact step, the factor (1 - q^k) or its inverse, plus
-adding terms.
+Every representation is built on integer lists: DIVISOR's is the
+multiplicative count of :func:`divisor_sieve`, and Lambert's and Clausen's
+geometric series add 1 or 2 at every k-th exponent.  Uchimura's and both of
+Merca's forms are built from one exact step, the factor (1 - q^k) or its
+inverse, plus adding terms.
 
 All arithmetic is exact, and truncation points are chosen so that omitted
 terms of each representation have degree beyond the retained order.  A match
@@ -126,11 +126,8 @@ def build_representation(rep: RepresentationId, order: int) -> TruncatedSeries:
 
 def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> Optional[int]:
     """Smallest index where the coefficients differ, or None if equal."""
-    n = min(a.order, b.order)
-    for k in range(n + 1):
-        if a.coeffs[k] != b.coeffs[k]:
-            return k
-    return None
+    pairs = enumerate(zip(a.coeffs, b.coeffs))
+    return next((k for k, (x, y) in pairs if x != y), None)
 
 
 @dataclass(frozen=True)
@@ -140,11 +137,11 @@ class IdentityMatch:
 
 
 def identity_report(order: int) -> dict[RepresentationId, IdentityMatch]:
-    """Compare every representation's coefficients against DIVISOR, exactly."""
-    reference = build_representation(RepresentationId.DIVISOR, order)
-    report = {}
-    for rep in RepresentationId:
-        built = build_representation(rep, order)
-        idx = first_mismatch(built, reference)
-        report[rep] = IdentityMatch(match=idx is None, first_mismatch_index=idx)
-    return report
+    """Compare every representation's coefficients against DIVISOR, exactly.
+
+    Each series is built once.  DIVISOR, the multiplicative count of d(k), is
+    the reference, so its own row always matches."""
+    built = {rep: build_representation(rep, order) for rep in RepresentationId}
+    reference = built[RepresentationId.DIVISOR]
+    indices = {rep: first_mismatch(series, reference) for rep, series in built.items()}
+    return {rep: IdentityMatch(idx is None, idx) for rep, idx in indices.items()}

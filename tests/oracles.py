@@ -16,6 +16,8 @@
 * :func:`divisor_count_trial`, :func:`floor_sum` and
   :func:`distinct_partition_stats_enumerated` -- independent oracles for
   divisor_core and for the representations of T;
+* :func:`divisor_pairs_without_squares` -- a deliberately wrong d table, to
+  show that every row of the identity checks can fail;
 * :func:`sturm_chain` -- the integer Sturm chain of polynomials as a list of
   Polynomials;
 * :func:`series_product` and :func:`series_reciprocal` -- truncated power
@@ -256,6 +258,17 @@ def double_interval_log(x: DoubleInterval) -> DoubleInterval:
 def divisor_count_trial(n: int) -> int:
     """d(n) by trial division over 1..n."""
     return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def divisor_pairs_without_squares(n_max: int) -> tuple[int, ...]:
+    """A wrong d table for fault injection: the divisor-pair count (2 at
+    i^2 + i, i^2 + 2i, ...) with its square term dropped, so d(1) reads 0
+    and every square reads one short."""
+    d = [0] * (n_max + 1)
+    for i in range(1, math.isqrt(n_max) + 1):
+        for m in range(i * (i + 1), n_max + 1, i):
+            d[m] += 2
+    return tuple(d)
 
 
 def floor_sum(n: int) -> int:

@@ -15,6 +15,7 @@ import pytest
 import divisor_series
 from divisor_series import cli
 from divisor_series.cli import EXIT_BROKEN_PIPE, MAX_LEMMA_N, MAX_ORDER, main
+from oracles import divisor_pairs_without_squares
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +38,20 @@ def test_identity_check(capsys):
     doc = json.loads(out)
     assert all(entry["match"] for entry in doc["results"].values())
     assert len(doc["results"]) == 6
+
+
+def test_identity_check_fails_each_series_on_a_wrong_reference(capsys, monkeypatch):
+    """With a wrong d table, identity-check exits 1 and every series but
+    DIVISOR reports its mismatch and its first wrong index."""
+    monkeypatch.setattr(divisor_series.power_series, "divisor_sieve",
+                        divisor_pairs_without_squares)
+    code, out, _ = run_cli(capsys, "identity-check", "--order", "50")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results.pop("DIVISOR") == {"match": True, "first_mismatch_index": None}
+    assert len(results) == 5
+    for rep, row in results.items():
+        assert row == {"match": False, "first_mismatch_index": 1}, rep
 
 
 def test_verify_lemma_29_cell_count(capsys):
@@ -403,6 +418,21 @@ def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
     """Values once rejected by --jobs stay usage errors now that it is gone."""
     err = _usage_error(capsys, [*command, "--jobs", jobs])
     assert f"unrecognized arguments: --jobs {jobs}" in err
+
+
+def test_report_order_sizes_the_identities_only(capsys):
+    """--order is read by report's identities section alone: with that
+    section skipped it is refused before any work, else it sets the order."""
+    start = time.perf_counter()
+    err = _usage_error(capsys, ["report", "--skip", "identities", "--order", "5"])
+    assert time.perf_counter() - start < 0.5
+    assert err == "error: --order applies to the identities section only\n"
+    code, out, _ = run_cli(capsys, "report", "--order", "10", "--skip", "verify",
+                           "--skip", "bounds")
+    assert code == 0
+    assert json.loads(out)["sections"] == {"identities": {
+        "order": 10, "all_match": True, "results": {r: True for r in (
+            "DIVISOR", "LAMBERT", "CLAUSEN", "UCHIMURA", "MERCA_ALT", "MERCA_PARTITION")}}}
 
 
 @pytest.mark.parametrize("argv, message", [

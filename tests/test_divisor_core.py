@@ -1,6 +1,8 @@
 """Divisor table, partial sums and partition statistics against brute-force
 oracles."""
 
+import itertools
+
 import pytest
 
 from divisor_series.divisor_core import (
@@ -44,12 +46,25 @@ def divisor_counts_by_multiples(n: int) -> list[int]:
 
 
 def test_sieve_matches_the_multiples_loop_up_to_2000():
-    """Every table size from 1 to 2000, so the square edges n = k^2 - 1, k^2,
-    k^2 + 1, where the pair count's outer loop gains or keeps a row, are
-    each a table's last entry."""
+    """Every table size from 1 to 2000, so each edge of the smallest-prime
+    table is a table's last entry: the primes, the prime powers, and the
+    squares p^2 where a prime's slice of the table starts, with the sizes
+    one below and one above."""
     reference = divisor_counts_by_multiples(2000)
     for n in range(1, 2001):
         assert divisor_sieve(n) == tuple(reference[: n + 1]), n
+
+
+def test_sieve_is_multiplicative_on_known_factorisations():
+    """d(2^a 3^b 5^c 7^e) = (a + 1)(b + 1)(c + 1)(e + 1) for every such
+    k <= 2^17, from the exponents themselves, not from a factorisation."""
+    n = 2**17
+    d = divisor_sieve(n)
+    for a, b, c, e in itertools.product(range(18), range(11), range(8), range(7)):
+        k = 2**a * 3**b * 5**c * 7**e
+        if k <= n:
+            assert d[k] == (a + 1) * (b + 1) * (c + 1) * (e + 1), (a, b, c, e)
+    assert d[n] == 18 and d[2**16 - 1] == divisor_count_trial(2**16 - 1)
 
 
 def test_sieve_invariants():

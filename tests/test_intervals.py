@@ -82,6 +82,19 @@ def test_strict_ordering_and_overlap():
     assert not a.intersects(b)
 
 
+def test_enclosure_reflects_subtraction_only():
+    """A scalar may stand left of `-` (1 - x); scalar + x, scalar * x,
+    scalar / x and -x, which no caller wrote, are refused."""
+    x = Enclosure(Fraction(1, 4), Fraction(1, 2))
+    assert (1 - x).contained_in(Fraction(1, 2), Fraction(3, 4))
+    for name in ("__radd__", "__rmul__", "__rtruediv__", "__neg__"):
+        assert not hasattr(Enclosure, name), name
+    with pytest.raises(TypeError):
+        2 * x
+    with pytest.raises(TypeError):
+        -x
+
+
 def test_contained_in_is_exact():
     enc = Enclosure(Fraction(1, 3), Fraction(2, 3))
     assert enc.contained_in(Fraction(1, 4), Fraction(3, 4))

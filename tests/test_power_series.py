@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from divisor_series import power_series
 from divisor_series.divisor_core import divisor_sieve
 from divisor_series.intervals import DomainError
 from divisor_series.power_series import (
+    IdentityMatch,
     RepresentationId,
     TruncatedSeries,
     build_representation,
@@ -19,6 +21,7 @@ from oracles import (
     divisor_count_trial,
     divisor_difference_series,
     divisor_log_convolution_series,
+    divisor_pairs_without_squares,
     divisor_partial_sum_series,
     series_product,
     series_reciprocal,
@@ -177,10 +180,11 @@ def test_clausen_order_one():
 
 @pytest.mark.parametrize("order", [1, 4, 9, 16, 17, 200])
 def test_clausen_series_and_the_sieve_meet_trial_division(order):
-    """build_representation(CLAUSEN) runs divisor_sieve's loop (1 at k^2, 2 at
-    k^2 + k, k^2 + 2k, ...), so identity_report's CLAUSEN row compares that
-    loop with itself; trial division checks both, at Clausen's squares 4, 9
-    and 16, one past 16, and order 200."""
+    """build_representation(CLAUSEN) counts divisor pairs (1 at k^2, 2 at
+    k^2 + k, k^2 + 2k, ...) and divisor_sieve counts d multiplicatively, so
+    identity_report's CLAUSEN row compares two loops that share no code;
+    trial division checks both, at Clausen's squares 4, 9 and 16, one past
+    16, and order 200."""
     want = (0, *(divisor_count_trial(k) for k in range(1, order + 1)))
     assert build_representation(RepresentationId.CLAUSEN, order).coeffs == want
     assert divisor_sieve(order) == want
@@ -233,6 +237,27 @@ def test_identity_report_small_orders(order):
     report = identity_report(order)
     assert all(r.match for r in report.values())
     assert build_representation(RepresentationId.DIVISOR, order).coeffs[:2] == (0, 1)
+
+
+def test_identity_report_builds_each_series_once(monkeypatch):
+    """DIVISOR's own build is the reference: six builds, not seven."""
+    built = []
+    build = power_series.build_representation
+    monkeypatch.setattr(power_series, "build_representation",
+                        lambda rep, order: built.append(rep) or build(rep, order))
+    assert all(r.match for r in identity_report(40).values())
+    assert len(built) == 6 and set(built) == set(RepresentationId)
+
+
+def test_identity_report_blames_every_series_for_a_wrong_reference(monkeypatch):
+    """No series shares the sieve's loop, so a wrong d table fails each of
+    the five other rows at its first wrong index, d(1)."""
+    monkeypatch.setattr(power_series, "divisor_sieve", divisor_pairs_without_squares)
+    report = identity_report(60)
+    assert report.pop(RepresentationId.DIVISOR) == IdentityMatch(True, None)
+    assert len(report) == 5
+    for rep, res in report.items():
+        assert res == IdentityMatch(False, 1), rep
 
 
 def test_fault_injection_detected():
