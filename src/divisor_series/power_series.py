@@ -46,10 +46,6 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least the constant term")
         self.coeffs = tuple(coeffs)
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def _times_one_minus(c: list, k: int) -> None:
     """c <- c * (1 - q^k): a descending difference with stride k."""

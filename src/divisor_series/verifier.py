@@ -9,7 +9,7 @@ outward-rounded enclosure, and a cell passes only when the enclosure of its
 margin is strictly positive: first in outward-rounded doubles, and at
 working precision where those do not separate.  Certificates record the
 grid, the smallest verified margin, the monotonicity premises taken as
-input, and pass/fail.
+input, and pass/fail, which build_certificate decides by one rule for all.
 
 One run engine, _prove_by_runs, makes every such check (the grids of 2.4ii
 and 2.9, the V' witness of 2.4i and the phi' witness of 2.8), and it alone
@@ -28,14 +28,13 @@ from functools import partial
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from mpmath import iv
-
 from .intervals import (
     DomainError,
     DoubleInterval,
     Enclosure,
     Mode,
     interval_precision,
+    ln,
     to_ivmpf,
     working_precision,
 )
@@ -146,10 +145,9 @@ def lemma_2_4_i_v_prime_grid() -> GridSpec:
 
 @dataclass
 class Certificate:
-    """Machine-checkable record of one certified verification run.
-
-    passed is True only when no cell fails and the minimum margin is
-    strictly positive.
+    """Machine-checkable record of one certified verification run, built by
+    build_certificate: passed is True only when the exact facts hold, no cell
+    fails and the minimum margin is strictly positive.
     """
 
     target: str
@@ -185,6 +183,27 @@ class Certificate:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def build_certificate(target: str, premises: Sequence[str], min_margin, *, facts: bool = True,
+                      failures: Sequence[int] = (), grid: Optional[GridSpec] = None,
+                      cells: int = 0, details: Optional[dict] = None,
+                      settled: Optional[dict] = None) -> Certificate:
+    """The one pass rule of every certificate: passed when the exact facts
+    hold, no cell fails and min_margin, as the double recorded, is > 0.
+    cells_checked is the grid's cell count when there is a grid, else cells."""
+    min_margin = float(min_margin)
+    return Certificate(
+        target=target,
+        grid=grid,
+        cells_checked=grid.total_cells if grid is not None else cells,
+        min_margin=min_margin,
+        passed=facts and not failures and min_margin > 0,
+        failures=tuple(failures),
+        premises=tuple(premises),
+        details=details or {},
+        settled=settled or {},
+    )
 
 
 # -- sandwich engine --------------------------------------------------------------
@@ -330,17 +349,8 @@ def sandwich_verify(
                        lambda k: (grid.point(k),))
     bounds = list(accumulate((seg.count for seg in grid.segments), initial=0))
     min_margin, failures, settled = _prove_by_runs(margins, list(zip(bounds, bounds[1:])))
-    return Certificate(
-        target=target,
-        grid=grid,
-        cells_checked=grid.total_cells,
-        min_margin=float(min_margin),
-        passed=not failures and min_margin > 0,
-        failures=failures,
-        premises=tuple(premises),
-        details=details or {},
-        settled=settled,
-    )
+    return build_certificate(target, premises, min_margin, failures=failures, grid=grid,
+                             details=details, settled=settled)
 
 
 # -- lemma-specific evaluators ---------------------------------------------------
@@ -379,35 +389,22 @@ def verify_lemma_2_4_i() -> Certificate:
         " q - 1 - log(q) > 0; V increases past -log(0.117) > sqrt(3), so C_q(1) > 0"
         " for q <= 0.117",
     )
-    details: dict = {}
-    with interval_precision(working_precision()):
-        v0 = Enclosure(v_raw(-iv.log(to_ivmpf(CONCLUSIONS["2.4i"].hi))))
-    details["v_at_minus_log_0.117"] = v0.to_floats()
-    v0_ok = v0.contained_in(Fraction(17, 10000), Fraction(27, 10000)) and v0.is_positive()
+    v0 = _certified(lambda q: v_raw(-ln(q)), CONCLUSIONS["2.4i"].hi)
+    details: dict = {"v_at_minus_log_0.117": v0.to_floats()}
 
-    # V' > 0 at every grid point y_k = start + k step, proved by runs of points:
-    # on a run, v_prime_run_raw(y_i, y_j) bounds V' on [y_i, y_j] from below,
-    # since start^2 > 3 (checked exactly here); at i = j it is V'(y_i)
-    (segment,) = grid.segments
-    if not segment.start * segment.start > 3:
-        raise ArithmeticError(f"V' run bounds need start^2 > 3, got start {segment.start}")
+    # V' > 0 at every grid point y_k, proved by runs of points: on a run,
+    # v_prime_run_raw(y_i, y_j) bounds V' on [y_i, y_j] from below, since
+    # y_0^2 > 3 (checked exactly here); at i = j it is V'(y_i)
+    start = grid.point(0)
+    if not start * start > 3:
+        raise ArithmeticError(f"V' run bounds need start^2 > 3, got start {start}")
     min_vp, failures, settled = _prove_by_runs(_Margins(
         lambda at, i, j: at(v_prime_run_raw, (i, j)),
-        lambda key: tuple(segment.start + k * segment.step for k in key)),
-        [(0, grid.total_cells + 1)])
+        lambda key: tuple(map(grid.point, key))), [(0, grid.total_cells + 1)])
     details["min_v_prime_on_grid"] = min_vp
-
-    return Certificate(
-        target="2.4i",
-        grid=grid,
-        cells_checked=grid.total_cells,
-        min_margin=min_vp,
-        passed=v0_ok and not failures and min_vp > 0,
-        failures=failures,
-        premises=premises,
-        details=details,
-        settled=settled,
-    )
+    return build_certificate(
+        "2.4i", premises, min_vp, failures=failures, grid=grid, details=details, settled=settled,
+        facts=v0.contained_in(Fraction(17, 10000), Fraction(27, 10000)))
 
 
 #: Why both sides of the sandwiches of 2.4ii and 2.9 increase in q.
@@ -448,23 +445,12 @@ def verify_lemma_2_9() -> Certificate:
 def verify_lemma_2_5() -> Certificate:
     """N_q >= 14 on [0.91, 1): Delta and G0 each have exactly one root in
     [0.91, 1] (Sturm), and the endpoint values pin their signs."""
-    delta = delta_polynomial()
-    g0 = g0_polynomial()
+    delta, g0 = delta_polynomial(), g0_polynomial()
     a, b = CONCLUSIONS["2.5"].lo, CONCLUSIONS["2.5"].hi
-    roots_delta = sturm_root_count(delta, a, b)
-    roots_g0 = sturm_root_count(g0, a, b)
-    delta_at_a = delta(a)
-    g0_at_a = g0(a)
-    delta_at_1 = delta(b)
-    g0_at_1 = g0(b)
-    checks_ok = (
-        roots_delta == 1
-        and roots_g0 == 1
-        and delta_at_a > 0
-        and g0_at_a < 0
-        and delta_at_1 == 0
-        and g0_at_1 == 0
-    )
+    roots_delta, roots_g0 = sturm_root_count(delta, a, b), sturm_root_count(g0, a, b)
+    delta_at_a, g0_at_a, delta_at_1, g0_at_1 = delta(a), g0(a), delta(b), g0(b)
+    checks_ok = (roots_delta == 1 and roots_g0 == 1 and delta_at_a > 0 and g0_at_a < 0
+                 and delta_at_1 == 0 and g0_at_1 == 0)
     details = {
         "delta_roots_in_0.91_1": roots_delta,
         "g0_roots_in_0.91_1": roots_g0,
@@ -479,16 +465,8 @@ def verify_lemma_2_5() -> Certificate:
         "-log(q) <= (1-q) + (11/20)(1-q)^2 bridges G/(1-q) <= G0 wherever Delta > 0",
         "G(q) = a_q(14), so G < 0 places the inflection point N_q beyond 14",
     )
-    return Certificate(
-        target="2.5",
-        grid=None,
-        cells_checked=2,
-        min_margin=float(min(delta_at_a, -g0_at_a)),
-        passed=checks_ok,
-        failures=(),
-        premises=premises,
-        details=details,
-    )
+    return build_certificate("2.5", premises, min(delta_at_a, -g0_at_a), facts=checks_ok,
+                             cells=2, details=details)
 
 
 def verify_lemma_2_8() -> Certificate:
@@ -536,17 +514,9 @@ def verify_lemma_2_8() -> Certificate:
     details["min_phi_prime_margin_on_grid"] = min_pp
     details["grid_points"] = len(points)
 
-    return Certificate(
-        target="2.8",
-        grid=None,
-        cells_checked=len(points),
-        min_margin=DoubleInterval.lift(margin).lo,
-        passed=exact_ok and not failures and min_pp > 0,
-        failures=failures,
-        premises=premises,
-        details=details,
-        settled=settled,
-    )
+    return build_certificate("2.8", premises, DoubleInterval.lift(margin).lo,
+                             facts=exact_ok and min_pp > 0, failures=failures,
+                             cells=len(points), details=details, settled=settled)
 
 
 class Conclusion(NamedTuple):
@@ -601,7 +571,6 @@ def combine_theorem_3_2(certificates: dict[str, Certificate]) -> Certificate:
     missing = [k for k in required if k not in certificates]
     if missing:
         raise DomainError(f"missing ingredient certificates: {missing}")
-    all_passed = all(certificates[k].passed for k in required)
     margin = THEOREM_3_2_MARGIN
     if margin <= 0:
         raise ArithmeticError("roll-up margin arithmetic is broken")
@@ -614,13 +583,7 @@ def combine_theorem_3_2(certificates: dict[str, Certificate]) -> Certificate:
         "margin_decimal": float(margin),
         "ingredients": {k: certificates[k].passed for k in required},
     }
-    return Certificate(
-        target="thm3.2",
-        grid=None,
-        cells_checked=len(required),
-        min_margin=float(margin),
-        passed=all_passed,
-        failures=tuple(i for i, k in enumerate(required) if not certificates[k].passed),
-        premises=("case q <= 0.91 from 2.4i/2.4ii; case q > 0.91 from 2.5/2.8/2.9",),
-        details=details,
-    )
+    return build_certificate(
+        "thm3.2", ("case q <= 0.91 from 2.4i/2.4ii; case q > 0.91 from 2.5/2.8/2.9",), margin,
+        failures=[i for i, k in enumerate(required) if not certificates[k].passed],
+        cells=len(required), details=details)

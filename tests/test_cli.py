@@ -13,8 +13,9 @@ import mpmath
 import pytest
 
 import divisor_series
-from divisor_series import cli
+from divisor_series import cli, verifier
 from divisor_series.cli import EXIT_BROKEN_PIPE, MAX_LEMMA_N, MAX_ORDER, main
+from divisor_series.polynomials import Polynomial
 from oracles import divisor_pairs_without_squares
 
 
@@ -645,6 +646,16 @@ def test_verify_lemma_25(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and doc["mode"] == "certified"
+
+
+def test_verify_lemma_25_exits_1_where_a_fact_fails(capsys, monkeypatch):
+    """G0(0.91) > 0 breaks one exact fact of 2.5: passed is false, exit 1."""
+    g0 = verifier.g0_polynomial() + Polynomial([Fraction(1, 2), Fraction(-1, 2)])
+    monkeypatch.setattr(verifier, "g0_polynomial", lambda: g0)
+    code, out, _ = run_cli(capsys, "verify", "--lemma", "2.5")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["passed"] is False and doc["failures"] == [] and doc["details"]["g0_at_0.91"] > 0
 
 
 def test_verify_deterministic_bytes(capsys):

@@ -49,6 +49,7 @@ from divisor_series.verifier import (
     GridSpec,
     J2_LIMIT,
     THEOREM_3_2_MARGIN,
+    build_certificate,
     combine_theorem_3_2,
     j1_lower,
     j2_upper,
@@ -172,6 +173,44 @@ def test_certificates_deterministic():
     a = sandwich_verify(j1_raw, j2_raw, grid, target="det-check")
     b = sandwich_verify(j1_raw, j2_raw, grid, target="det-check")
     assert a.to_json().encode() == b.to_json().encode()
+
+
+@pytest.mark.parametrize("facts, failures, min_margin, passed", [
+    (False, (), 1.0, False),
+    (True, (3,), 1.0, False),
+    (True, (), 0.0, False),
+    (True, (), -1.0, False),
+    (True, (), Fraction(1, 10**400), False),
+    (True, (), 5e-324, True),
+], ids=["fact-fails", "cell-fails", "margin-zero", "margin-negative", "margin-rounds-to-zero",
+        "all-hold"])
+def test_builder_passes_only_when_facts_cells_and_margin_all_hold(
+        facts, failures, min_margin, passed):
+    cert = build_certificate("t", ["p"], min_margin, facts=facts, failures=list(failures),
+                             cells=3)
+    assert cert.passed is passed
+    assert (cert.failures, cert.premises, cert.cells_checked) == (failures, ("p",), 3)
+    assert type(cert.min_margin) is float and cert.details == {} and cert.settled == {}
+
+
+def test_builder_takes_cells_checked_from_the_grid():
+    grid = GridSpec((GridSegment(Fraction(0), Fraction(1, 4), 3),
+                     GridSegment(Fraction(3, 4), Fraction(1, 8), 2)))
+    cert = build_certificate("t", (), Fraction(1, 3), grid=grid, cells=99,
+                             details={"k": 1}, settled={"runs": 2})
+    assert cert.passed and cert.cells_checked == 5 and cert.grid is grid
+    assert cert.min_margin == 1 / 3 and cert.details == {"k": 1}
+    assert cert.settled == {"runs": 2}
+    assert build_certificate("t", (), 1.0, cells=7).cells_checked == 7
+
+
+def test_every_certificate_of_the_verifier_comes_from_the_builder():
+    """verifier.py constructs Certificate once, in build_certificate."""
+    tree = ast.parse(Path(verifier.__file__).read_text())
+    builders = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "Certificate"]
+    assert builders == ["build_certificate"]
 
 
 _GOLDEN_CERTIFICATES = Path(__file__).parent / "data" / "certificates"
@@ -619,6 +658,19 @@ def test_v_prime_forced_fallback_points_match_working_precision():
     assert min_vp == margins.working(20)[1]
 
 
+@pytest.mark.parametrize("shift", [-1, 1], ids=["below", "above"])
+def test_lemma_2_4_i_fails_where_v_leaves_its_window(monkeypatch, shift):
+    """V(-log 0.117) moved by 1 leaves [17/10000, 27/10000]: the V' witness
+    still holds, and the exact fact alone fails the certificate."""
+    raw = verifier.v_raw
+    monkeypatch.setattr(verifier, "v_raw", lambda y: raw(y) + shift)
+    cert = verify_lemma_2_4_i()
+    low, high = cert.details["v_at_minus_log_0.117"]
+    assert shift - 0.01 < low <= high < shift + 0.01
+    assert cert.failures == () and cert.min_margin > 0
+    assert cert.passed is False
+
+
 def test_v_prime_run_bounds_need_a_start_past_sqrt_3(monkeypatch):
     monkeypatch.setattr(verifier, "lemma_2_4_i_v_prime_grid", lambda: GridSpec(
         (GridSegment(Fraction(173, 100), Fraction(1, 100), 10),)))
@@ -720,6 +772,25 @@ def test_lemma_2_5_certificate():
     assert abs(cert.details["delta_at_0.91"] - 1.76) < 0.01
     assert abs(cert.details["g0_at_0.91"] - (-0.0028)) < 5e-4
     assert cert.details["delta_at_1_is_zero"] and cert.details["g0_at_1_is_zero"]
+
+
+@pytest.mark.parametrize("shift, at_0_91_negative, at_1_zero", [
+    ([Fraction(1, 2), Fraction(-1, 2)], False, True),
+    ([Fraction(1, 1000)], True, False),
+], ids=["positive-at-0.91", "nonzero-at-1"])
+def test_lemma_2_5_fails_where_one_fact_of_g0_breaks(monkeypatch, shift, at_0_91_negative,
+                                                     at_1_zero):
+    """G0 + (1-q)/2 keeps its one root in [0.91, 1], at 1, but G0(0.91) > 0;
+    G0 + 1/1000 keeps one root there and G0(0.91) < 0, but G0(1) != 0, and
+    its margin min(Delta(0.91), -G0(0.91)) stays positive."""
+    g0 = verifier.g0_polynomial() + Polynomial(shift)
+    monkeypatch.setattr(verifier, "g0_polynomial", lambda: g0)
+    cert = verify_lemma_2_5()
+    assert cert.details["g0_roots_in_0.91_1"] == 1
+    assert (cert.details["g0_at_0.91"] < 0) is at_0_91_negative
+    assert cert.details["g0_at_1_is_zero"] is at_1_zero
+    assert (cert.min_margin > 0) is at_0_91_negative
+    assert cert.passed is False and cert.failures == ()
 
 
 def test_lemma_2_8_certificate():
@@ -936,6 +1007,7 @@ def test_rollup_fails_on_bad_ingredient():
     certs = {k: _stub_cert(k, k != "2.9") for k in ("2.4i", "2.4ii", "2.5", "2.8", "2.9")}
     rollup = combine_theorem_3_2(certs)
     assert not rollup.passed
+    assert rollup.failures == (4,)
 
 
 def test_rollup_requires_all_ingredients():
