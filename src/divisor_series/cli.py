@@ -54,8 +54,8 @@ MAX_SCAN_POINTS = 100_000
 
 #: Largest --order of coeffs, identity-check and report, and --n of lemma-fn.
 #: On a 2-core x86-64 machine under Python 3.11, identity-check (quadratic)
-#: takes 4.2 s at 4000 and 6.6 s at 5000; lemma-fn --name D --q 0.95 (linear)
-#: takes 2.0 s at --n 10 000.
+#: takes 2.1 s at 4000 and 3.0 s at 5000; lemma-fn --name D --q 0.95 (linear)
+#: takes 2.1 s at --n 10 000.
 MAX_ORDER, MAX_LEMMA_N = 4000, 10_000
 
 

@@ -1,5 +1,6 @@
 """Integer ground truth: divisor counts, their partial sums, and the
-part-count statistics of partitions into distinct parts.
+part-count statistics of partitions into distinct parts, with the
+product-rule rows they come from.
 
 :func:`divisor_sieve` is the one source of d(k): the DIVISOR series, the
 identity checks' reference and the DIVISOR kernel of pointwise evaluation.
@@ -52,33 +53,40 @@ def divisor_partial_sums(d: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(accumulate(d))
 
 
+def product_rule_rows(n_max: int, z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows (P(z), P'(z)) to order n_max for P(z) = prod_p (1 + z q^p)
+    and P' = dP/dz, at an integer z; the package takes z = 1 and z = -1.
+
+    The coefficient of z^m q^n in P counts partitions of n into m distinct
+    parts, so P' weights each one by m z^(m-1).  Adding part p is one
+    descending pass with stride p, P' <- P'(1 + z q^p) + P q^p (with the old
+    P) and P <- P(1 + z q^p): O(n^2) integer additions.  P(-1) is
+    (q;q)_inf itself.
+    """
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
+    p, dp = [1] + [0] * n_max, [0] * (n_max + 1)
+    for part in range(1, n_max + 1):
+        for n in range(n_max, part - 1, -1):
+            m = n - part
+            dp[n] += z * dp[m] + p[m]
+            p[n] += z * p[m]
+    return tuple(p), tuple(dp)
+
+
 def distinct_partition_stats(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Part counts over partitions into distinct parts, split by parity, as
     the pair (s_odd, s_even).
 
     s_odd[k] sums the number of parts over all partitions of k into an odd
     number of distinct parts; s_even[k] does the same for an even number of
-    parts.  Index 0 is an unused sentinel.  Both come from the product rule
-    on P(z) = prod_p (1 + z q^p).
-
-    The coefficient of z^m q^n in P counts partitions of n into m distinct
-    parts, so dP/dz = P' weights each one by m z^(m-1): P'(1) sums the part
-    counts and P'(-1) gives the odd-m ones sign + and the even-m ones sign -.
-    Four integer rows P(1), P'(1), P(-1), P'(-1) are carried; adding part p
-    is one descending pass with stride p, P' <- P'(1 + z q^p) + P q^p (with
-    the old P) and P <- P(1 + z q^p).  O(n^2) integer additions in all.
+    parts.  Index 0 is an unused sentinel.  Both come from the P' rows of
+    :func:`product_rule_rows`, one call each at z = 1 and z = -1: P'(1) sums
+    the part counts, and P'(-1) gives the partitions with an odd number of
+    parts sign + and the even ones sign -.
     """
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
-    p_plus, d_plus = [1] + [0] * n_max, [0] * (n_max + 1)
-    p_minus, d_minus = [1] + [0] * n_max, [0] * (n_max + 1)
-    for part in range(1, n_max + 1):
-        for n in range(n_max, part - 1, -1):
-            m = n - part
-            d_plus[n] += d_plus[m] + p_plus[m]
-            p_plus[n] += p_plus[m]
-            d_minus[n] += p_minus[m] - d_minus[m]
-            p_minus[n] -= p_minus[m]
+    d_plus = product_rule_rows(n_max, 1)[1]
+    d_minus = product_rule_rows(n_max, -1)[1]
     # P'(1) + P'(-1) = 2 s_odd and P'(1) - P'(-1) = 2 s_even: exact halving
     s_odd = tuple((a + b) // 2 for a, b in zip(d_plus, d_minus))
     s_even = tuple((a - b) // 2 for a, b in zip(d_plus, d_minus))

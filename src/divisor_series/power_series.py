@@ -3,9 +3,13 @@ integer coefficient sequences, truncated at an order N.
 
 Every representation is built on integer lists: DIVISOR's is the
 multiplicative count of :func:`divisor_sieve`, and Lambert's and Clausen's
-geometric series add 1 or 2 at every k-th exponent.  Uchimura's and both of
-Merca's forms are built from one exact step, the factor (1 - q^k) or its
-inverse, plus adding terms.
+geometric series add 1 or 2 at every k-th exponent.  Uchimura's and Merca's
+alternating series are built from one exact step, the factor (1 - q^k) or
+its inverse, plus adding terms.  Both of Merca's forms end with one exact
+division by (q;q)_inf that skips its zero terms: the alternating series
+writes (q;q)_inf out by Euler's pentagonal number theorem, and the
+partition-statistic series divides its weights P'(-1) by P(-1), which is
+(q;q)_inf, for P(z) = prod_p (1 + z q^p).
 
 All arithmetic is exact, and truncation points are chosen so that omitted
 terms of each representation have degree beyond the retained order.  A match
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .divisor_core import distinct_partition_stats, divisor_sieve
+from .divisor_core import divisor_sieve, product_rule_rows
 from .intervals import DomainError
 
 
@@ -57,6 +61,32 @@ def _divide_one_minus(c: list, k: int) -> None:
     """c <- c / (1 - q^k): an ascending prefix sum with stride k."""
     for i in range(k, len(c)):
         c[i] += c[i - k]
+
+
+def _divide(c: list, e: Sequence[int]) -> None:
+    """c <- c / e for an integer series e with e[0] = 1: ascending, each c[i]
+    less e[j] c[i - j] over the nonzero e[j] with 1 <= j <= i, so a sparse e
+    costs only its nonzero terms."""
+    terms = [(j, x) for j, x in enumerate(e) if j and x]
+    for i in range(1, len(c)):
+        acc = c[i]
+        for j, x in terms:
+            if j > i:
+                break
+            acc -= x * c[i - j]
+        c[i] = acc
+
+
+def _euler_pentagonal(n: int) -> list:
+    """(q;q)_inf to order n by Euler's pentagonal number theorem: the sum of
+    (-1)^k q^(k(3k-1)/2) over all integers k, nonzero at about 2 sqrt(2n/3)
+    exponents."""
+    e = [1] + [0] * n
+    for k in range(1, math.isqrt(2 * n) + 1):
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g <= n:
+                e[g] = -1 if k % 2 else 1
+    return e
 
 
 def build_representation(rep: RepresentationId, order: int) -> TruncatedSeries:
@@ -107,17 +137,17 @@ def build_representation(rep: RepresentationId, order: int) -> TruncatedSeries:
             if k * (k + 1) // 2 <= n:
                 total[k * (k + 1) // 2] += k if k % 2 else -k
             _divide_one_minus(total, k)
-    elif rep is RepresentationId.MERCA_PARTITION:
+        _divide(total, _euler_pentagonal(n))
+        return TruncatedSeries(total)
+
+    if rep is RepresentationId.MERCA_PARTITION:
         # (1/(q;q)_inf) * sum_{k>=1} (s_odd(k) - s_even(k)) q^k; the weights
-        # are the derivative at z = -1 of prod_p (1 + z q^p)
-        s_odd, s_even = distinct_partition_stats(n)
-        total = [odd - even for odd, even in zip(s_odd, s_even)]
-    else:
-        raise ValueError(f"unknown representation {rep!r}")
-    # both Merca forms end by dividing by (q;q)_inf, one factor at a time
-    for j in range(1, n + 1):
-        _divide_one_minus(total, j)
-    return TruncatedSeries(total)
+        # are P'(-1) for P(z) = prod_p (1 + z q^p), and P(-1) is (q;q)_inf
+        euler, weights = product_rule_rows(n, -1)
+        total = list(weights)
+        _divide(total, euler)
+        return TruncatedSeries(total)
+    raise ValueError(f"unknown representation {rep!r}")
 
 
 def first_mismatch(a: TruncatedSeries, b: TruncatedSeries) -> Optional[int]:

@@ -16,8 +16,9 @@
 * :func:`divisor_count_trial`, :func:`floor_sum` and
   :func:`distinct_partition_stats_enumerated` -- independent oracles for
   divisor_core and for the representations of T;
-* :func:`divisor_pairs_without_squares` -- a deliberately wrong d table, to
-  show that every row of the identity checks can fail;
+* :func:`divisor_pairs_without_squares` and :func:`pentagonal_flipped_at`
+  -- a deliberately wrong d table and a wrong (q;q)_inf, to show that every
+  row of the identity checks can fail;
 * :func:`sturm_chain` -- the integer Sturm chain of polynomials as a list of
   Polynomials;
 * :func:`series_product` and :func:`series_reciprocal` -- truncated power
@@ -37,6 +38,7 @@ from fractions import Fraction
 from mpmath import libmp
 
 from divisor_series.divisor_core import divisor_partial_sums, divisor_sieve
+from divisor_series.power_series import _euler_pentagonal
 from divisor_series.intervals import (
     DomainError,
     DoubleInterval,
@@ -269,6 +271,19 @@ def divisor_pairs_without_squares(n_max: int) -> tuple[int, ...]:
         for m in range(i * (i + 1), n_max + 1, i):
             d[m] += 2
     return tuple(d)
+
+
+def pentagonal_flipped_at(g: int):
+    """A wrong (q;q)_inf for fault injection, in place of
+    power_series._euler_pentagonal: its table with the sign at exponent g
+    flipped."""
+
+    def flipped(n):
+        e = _euler_pentagonal(n)
+        e[g] = -e[g]
+        return e
+
+    return flipped
 
 
 def floor_sum(n: int) -> int:

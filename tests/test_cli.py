@@ -16,7 +16,7 @@ import divisor_series
 from divisor_series import cli, verifier
 from divisor_series.cli import EXIT_BROKEN_PIPE, MAX_LEMMA_N, MAX_ORDER, main
 from divisor_series.polynomials import Polynomial
-from oracles import divisor_pairs_without_squares
+from oracles import divisor_pairs_without_squares, pentagonal_flipped_at
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +53,18 @@ def test_identity_check_fails_each_series_on_a_wrong_reference(capsys, monkeypat
     assert len(results) == 5
     for rep, row in results.items():
         assert row == {"match": False, "first_mismatch_index": 1}, rep
+
+
+def test_identity_check_exits_1_where_the_pentagonal_table_is_wrong(capsys, monkeypatch):
+    """A sign flipped at exponent 40 of MERCA_ALT's (q;q)_inf fails that row
+    alone, one past 40, and identity-check exits 1."""
+    monkeypatch.setattr(divisor_series.power_series, "_euler_pentagonal",
+                        pentagonal_flipped_at(40))
+    code, out, _ = run_cli(capsys, "identity-check", "--order", "200")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results.pop("MERCA_ALT") == {"match": False, "first_mismatch_index": 41}
+    assert all(row["match"] for row in results.values())
 
 
 def test_verify_lemma_29_cell_count(capsys):

@@ -1,13 +1,14 @@
 """The representations of T and the coefficient-level identities for T,
 checked with the tuple series arithmetic of the oracles."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from divisor_series import power_series
-from divisor_series.divisor_core import divisor_sieve
+from divisor_series import divisor_core, power_series
+from divisor_series.divisor_core import divisor_sieve, product_rule_rows
 from divisor_series.intervals import DomainError
 from divisor_series.power_series import (
     IdentityMatch,
@@ -23,6 +24,7 @@ from oracles import (
     divisor_log_convolution_series,
     divisor_pairs_without_squares,
     divisor_partial_sum_series,
+    pentagonal_flipped_at,
     series_product,
     series_reciprocal,
 )
@@ -258,6 +260,94 @@ def test_identity_report_blames_every_series_for_a_wrong_reference(monkeypatch):
     assert len(report) == 5
     for rep, res in report.items():
         assert res == IdentityMatch(False, 1), rep
+
+
+@pytest.mark.parametrize("g", [1, 40, 187])
+def test_identity_report_blames_merca_alt_alone_for_a_wrong_pentagonal_table(monkeypatch, g):
+    """MERCA_ALT alone reads the pentagonal (q;q)_inf.  Flipping its sign at
+    the exponent g divides T (q;q)_inf by e' = e - 2 e[g] q^g, which gives
+    T + 2 e[g] q^(g+1) + ...: the row fails one past g, since T starts at q^1."""
+    assert power_series._euler_pentagonal(200)[g] != 0
+    monkeypatch.setattr(power_series, "_euler_pentagonal", pentagonal_flipped_at(g))
+    report = identity_report(200)
+    assert report.pop(RepresentationId.MERCA_ALT) == IdentityMatch(False, g + 1)
+    assert all(res == IdentityMatch(True, None) for res in report.values())
+
+
+@pytest.mark.parametrize("index", [1, 77, 200])
+def test_identity_report_blames_merca_partition_alone_for_a_wrong_weight_row(monkeypatch, index):
+    """MERCA_PARTITION alone reads the P'(-1) row; dividing by (q;q)_inf,
+    whose constant term is 1, keeps a wrong weight's index."""
+    rows = power_series.product_rule_rows
+
+    def perturbed(n, z):
+        p, dp = rows(n, z)
+        return p, dp[:index] + (dp[index] + 1,) + dp[index + 1:]
+
+    monkeypatch.setattr(power_series, "product_rule_rows", perturbed)
+    report = identity_report(200)
+    assert report.pop(RepresentationId.MERCA_PARTITION) == IdentityMatch(False, index)
+    assert all(res == IdentityMatch(True, None) for res in report.values())
+
+
+def test_merca_partition_runs_the_product_rule_once_at_minus_one(monkeypatch):
+    """The z = -1 rows alone: no P(1), P'(1) pass and no part-count split."""
+    calls = []
+    rows = power_series.product_rule_rows
+    monkeypatch.setattr(power_series, "product_rule_rows",
+                        lambda n, z: calls.append((n, z)) or rows(n, z))
+
+    def refuse(n_max):
+        raise AssertionError("distinct_partition_stats was called")
+
+    monkeypatch.setattr(divisor_core, "distinct_partition_stats", refuse)
+    monkeypatch.setattr(power_series, "distinct_partition_stats", refuse, raising=False)
+    series = build_representation(RepresentationId.MERCA_PARTITION, 150)
+    assert calls == [(150, -1)]
+    assert series.coeffs == divisor_sieve(150)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 150, 1000])
+def test_merca_alt_divides_by_one_minus_q_k_only_in_its_horner_steps(monkeypatch, order):
+    """One (1 - q^k) division per Horner step, k = isqrt(2n) down to 1; the
+    division by (q;q)_inf is one pass over the pentagonal table, not n more
+    stride passes."""
+    strides = []
+    divide = power_series._divide_one_minus
+    monkeypatch.setattr(power_series, "_divide_one_minus",
+                        lambda c, k: strides.append(k) or divide(c, k))
+    series = build_representation(RepresentationId.MERCA_ALT, order)
+    assert strides == list(range(math.isqrt(2 * order), 0, -1))
+    assert series.coeffs == divisor_sieve(order)
+
+
+def test_both_sources_of_the_euler_function_agree():
+    """(q;q)_inf as the P(-1) row of the product rule, as the pentagonal
+    table and as the literal product prod_j (1 - q^j), truncated at every
+    order to 300; the first two also at 4000."""
+    literal = euler_function(300)
+    for n in range(1, 301):
+        pentagonal = tuple(power_series._euler_pentagonal(n))
+        assert product_rule_rows(n, -1)[0] == pentagonal == literal[: n + 1], n
+    assert product_rule_rows(4000, -1)[0] == tuple(power_series._euler_pentagonal(4000))
+
+
+@pytest.mark.parametrize("n", [1, 2, 60])
+def test_divide_is_exact(n):
+    """c / e times e is c, for a dense e and the pentagonal one, both with
+    e[0] = 1; dividing by 1 leaves c as it is."""
+    rng = random.Random(n)
+    c = [rng.randint(-50, 50) for _ in range(n + 1)]
+    dense = [1] + [rng.randint(-5, 5) for _ in range(n)]
+    for e in (dense, power_series._euler_pentagonal(n)):
+        quotient = list(c)
+        power_series._divide(quotient, e)
+        assert all(type(x) is int for x in quotient)
+        assert series_product(quotient, e) == tuple(c)
+    for one in ((1,), (1,) + (0,) * n):
+        quotient = list(c)
+        power_series._divide(quotient, one)
+        assert quotient == c
 
 
 def test_fault_injection_detected():
