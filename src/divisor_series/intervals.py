@@ -158,33 +158,16 @@ def mpf_to_fraction(x) -> Fraction:
 class Enclosure:
     """A closed interval certified to contain the exact real value.
 
-    Thin wrapper around an ``mpmath.iv`` interval.  Endpoints are exact binary
-    floats of whatever precision the interval was computed at; extracting them
-    never rounds.
+    Thin wrapper around an ``mpmath.iv`` interval, made one way: Enclosure(x)
+    of an ivmpf, an Enclosure or an exact scalar (lifted by to_ivmpf).  Ends
+    are exact binary floats of whatever precision the interval was computed
+    at; extracting them never rounds.  No operator is reflected.
     """
 
     __slots__ = ("_iv",)
 
-    def __init__(self, value: Scalar | ivmpf | "Enclosure", hi: Scalar | None = None):
-        if hi is not None:
-            lo_iv = to_ivmpf(value)
-            hi_iv = to_ivmpf(hi)
-            a = mp.make_mpf(lo_iv._mpi_[0])
-            b = mp.make_mpf(hi_iv._mpi_[1])
-            if a > b:
-                raise ValueError(f"enclosure endpoints out of order: {a} > {b}")
-            self._iv = iv.mpf([a, b])
-        elif isinstance(value, Enclosure):
-            self._iv = value._iv
-        else:
-            self._iv = to_ivmpf(value)
-
-    @classmethod
-    def from_fraction_pair(cls, lo: Fraction, hi: Fraction) -> "Enclosure":
-        """[lo, hi] rounded outward at no less than the working precision,
-        whatever precision the caller has set."""
-        with interval_precision(max(iv.prec, working_precision())):
-            return cls(lo, hi)
+    def __init__(self, value: Scalar | ivmpf | "Enclosure"):
+        self._iv = value._iv if isinstance(value, Enclosure) else to_ivmpf(value)
 
     @property
     def lo(self):
@@ -221,20 +204,8 @@ class Enclosure:
         other = other if isinstance(other, Enclosure) else Enclosure(other)
         return self.hi < other.lo
 
-    def strictly_above(self, other: "Enclosure | Scalar") -> bool:
-        other = other if isinstance(other, Enclosure) else Enclosure(other)
-        return self.lo > other.hi
-
     def is_positive(self) -> bool:
         return self.lo > 0
-
-    def intersects(self, other: "Enclosure") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
-
-    def contains(self, value: Scalar) -> bool:
-        """Exact containment test for a rational (or dyadic float) value."""
-        v = Fraction(value) if not isinstance(value, Fraction) else value
-        return mpf_to_fraction(self.lo) <= v <= mpf_to_fraction(self.hi)
 
     def contained_in(self, lo: Scalar, hi: Scalar) -> bool:
         """True when [self.lo, self.hi] is inside the exact rational [lo, hi]."""
@@ -254,9 +225,6 @@ class Enclosure:
 
     def __sub__(self, other):
         return Enclosure(self._iv - self._coerce(other))
-
-    def __rsub__(self, other):
-        return Enclosure(self._coerce(other) - self._iv)
 
     def __mul__(self, other):
         return Enclosure(self._iv * self._coerce(other))
@@ -361,7 +329,8 @@ class DoubleInterval:
     its ends from a sign table and moves each one double outward
     (``math.nextafter``) in one step.  A scalar operand is first lifted to
     its tightest pair of doubles; ints of magnitude <= 2^53 lift exactly.
-    Integer powers are repeated products.  libm promises no rounding
+    Powers take ints >= 0 (repeated products); a scalar over a
+    DoubleInterval is refused.  libm promises no rounding
     direction, so ``log`` takes each end from one fixed-point Taylor step,
     the bits of mpmath's ``mpf_log`` at 53 bits rounded down or up, and
     ``exp`` takes mpmath's directed rounding at 53 bits.
@@ -453,14 +422,9 @@ class DoubleInterval:
         lo, hi = nextafter(lo, -inf), nextafter(hi, inf)
         return DoubleInterval(lo, hi) if lo <= hi else DoubleInterval(-inf, inf)
 
-    def __rtruediv__(self, other):
-        return DoubleInterval.lift(other) / self
-
     def __pow__(self, exponent):
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        if exponent < 0:
-            return 1 / self ** -exponent
         result, base = None, self
         while exponent:  # binary powering: about 2 log2(exponent) products
             if exponent & 1:

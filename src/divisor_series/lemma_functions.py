@@ -352,13 +352,14 @@ def h2_denominator_polynomial() -> Polynomial:
 
 
 def h3_numerator_polynomial() -> Polynomial:
-    """P = (14(1 + q^14) - (1 + q) S)/(1 - q), so h3 = P/S^2; the division is
-    exact (the numerator vanishes at q = 1)."""
+    """P = sum_{k=0}^{13} (13 - 2k) q^k = (14(1 + q^14) - (1 + q) S)/(1 - q),
+    so h3 = P/S^2; the closed form is checked by comparing (1 - q) P with
+    that numerator coefficient by coefficient."""
     s = h2_denominator_polynomial()
+    p = Polynomial([13 - 2 * k for k in range(14)])
     numerator = Polynomial([14] + [0] * 13 + [14]) - Polynomial([1, 1]) * s
-    p, remainder = numerator.divmod(Polynomial([1, -1]))
-    if not remainder.is_zero:
-        raise ArithmeticError("1 - q does not divide the numerator of h3")
+    if (Polynomial([1, -1]) * p).coeffs != numerator.coeffs:
+        raise ArithmeticError("(1 - q) P is not the numerator of h3")
     return p
 
 

@@ -48,14 +48,6 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
@@ -83,24 +75,6 @@ class Polynomial:
         if self.degree == 0:
             return Polynomial([Fraction(0)])
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def divmod(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dcs = divisor.coeffs
-        dd = divisor.degree
-        lead = dcs[-1]
-        quot = [Fraction(0)] * max(len(rem) - dd, 1)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            f = c / lead
-            quot[k - dd] = f
-            for j in range(dd + 1):
-                rem[k - dd + j] -= f * dcs[j]
-        return Polynomial(quot), Polynomial(rem[:dd] if dd else [Fraction(0)])
 
     def __repr__(self) -> str:
         return f"Polynomial(degree={self.degree}, {list(self.coeffs)})"

@@ -66,6 +66,7 @@ from .intervals import (
     log1m,
     mpf_to_fraction,
     powr,
+    to_ivmpf,
     working_precision,
     _ceil_float,
 )
@@ -589,9 +590,11 @@ def fibonacci_partial_sum(k_max: int) -> tuple[Fraction, Fraction]:
 
 
 def landau_fibonacci(k_max: int) -> Enclosure:
-    """Enclosure of sum_{k>=1} 1/F(2k) from the exact partial sum."""
+    """Enclosure of sum_{k>=1} 1/F(2k): the exact partial sum, and it plus the
+    tail bound, rounded outward at no less than the working precision."""
     partial, tail = fibonacci_partial_sum(k_max)
-    return Enclosure.from_fraction_pair(partial, partial + tail)
+    with interval_precision(max(iv.prec, working_precision())):
+        return Enclosure(iv.mpf([to_ivmpf(partial).a, to_ivmpf(partial + tail).b]))
 
 
 def landau_constant_from_t(eps: float = 1e-7) -> Enclosure:

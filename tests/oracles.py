@@ -11,6 +11,9 @@
   intervals (or exact rationals), the reference for the kernels' tails;
 * :func:`per_cell_sandwich` -- verifier.sandwich_verify's certificate with
   every cell evaluated at working precision, the reference of its runs;
+* :func:`overlaps`, :func:`holds` and :func:`span` -- the tests' enclosure
+  vocabulary: two enclosures share a point, an enclosure holds an exact
+  rational, and an enclosure of two exact ends rounded outward;
 * :func:`double_interval_log` -- ``DoubleInterval.log`` through mpmath's
   ``mpf_log`` at 53 bits, the bit-for-bit reference of its fixed-point step;
 * :func:`divisor_count_trial`, :func:`floor_sum` and
@@ -20,6 +23,7 @@
   -- a deliberately wrong d table and a wrong (q;q)_inf, to show that every
   row of the identity checks can fail;
 * :func:`sturm_chain` -- the integer Sturm chain of polynomials as a list of
+  Polynomials, and :func:`poly_divmod` -- exact long division of
   Polynomials;
 * :func:`series_product` and :func:`series_reciprocal` -- truncated power
   series arithmetic on coefficient tuples, for the identities of T that the
@@ -35,7 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath import libmp
+from mpmath import iv, libmp
 
 from divisor_series.divisor_core import divisor_partial_sums, divisor_sieve
 from divisor_series.power_series import _euler_pentagonal
@@ -46,6 +50,7 @@ from divisor_series.intervals import (
     _ceil_float,
     _floor_float,
     interval_precision,
+    mpf_to_fraction,
     to_ivmpf,
     working_precision,
 )
@@ -239,6 +244,26 @@ def per_cell_sandwich(lower, upper, grid: GridSpec) -> Certificate:
                  "min_margin_rechecks": 0, "runs": 0, "evaluations": 0})
 
 
+# -- enclosure queries and two-end enclosures --------------------------------------
+
+
+def overlaps(a: Enclosure, b: Enclosure) -> bool:
+    """True when the two enclosures share a point."""
+    return not (a.hi < b.lo or b.hi < a.lo)
+
+
+def holds(enc: Enclosure, value) -> bool:
+    """Exact containment of a rational (or dyadic float) value in enc."""
+    v = value if isinstance(value, Fraction) else Fraction(value)
+    return mpf_to_fraction(enc.lo) <= v <= mpf_to_fraction(enc.hi)
+
+
+def span(lo, hi) -> Enclosure:
+    """[lo, hi] at the current interval precision: lo rounded down, hi
+    rounded up."""
+    return Enclosure(iv.mpf([to_ivmpf(lo).a, to_ivmpf(hi).b]))
+
+
 # -- the log of a DoubleInterval ------------------------------------------------
 
 
@@ -324,6 +349,26 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
     part; stops at the last nonzero element.  The chain sturm_root_count
     runs on integers."""
     return [Polynomial(cs) for cs in _integer_sturm_chain(_integer_coefficients(p))]
+
+
+def poly_divmod(p: Polynomial, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(quotient, remainder) of exact long division of p by divisor."""
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p.coeffs)
+    dcs = divisor.coeffs
+    dd = divisor.degree
+    lead = dcs[-1]
+    quot = [Fraction(0)] * max(len(rem) - dd, 1)
+    for k in range(len(rem) - 1, dd - 1, -1):
+        c = rem[k]
+        if not c:
+            continue
+        f = c / lead
+        quot[k - dd] = f
+        for j in range(dd + 1):
+            rem[k - dd + j] -= f * dcs[j]
+    return Polynomial(quot), Polynomial(rem[:dd] if dd else [Fraction(0)])
 
 
 # -- truncated series on coefficient tuples ----------------------------------------

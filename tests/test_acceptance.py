@@ -45,7 +45,7 @@ from divisor_series.verifier import (
     combine_theorem_3_2,
     verify_lemma,
 )
-from oracles import series_product
+from oracles import overlaps, series_product, span
 
 GRID = [Fraction(k, 100) for k in range(1, 100)]  # 0.01 .. 0.99
 
@@ -102,7 +102,7 @@ def test_criterion_2_landau_constant():
     ok = (
         direct.contained_in(window_lo, window_hi)
         and fib.contained_in(window_lo, window_hi)
-        and direct.intersects(fib)
+        and overlaps(direct, fib)
         and elapsed < 1.0
     )
     _record(
@@ -190,8 +190,8 @@ def test_criterion_4a_f_window_near_zero():
     lower_far, _ = _f_window_near_zero(q_far)
     f_far = f_vals[ladder.index(q_far)]
     window_far = (
-        lower_far.strictly_above(Fraction(99, 100))
-        and f_far.strictly_above(Fraction(99, 100))
+        Enclosure(Fraction(99, 100)).strictly_below(lower_far)
+        and Enclosure(Fraction(99, 100)).strictly_below(f_far)
         and f_far.strictly_below(1)
     )
 
@@ -218,7 +218,7 @@ def test_certified_f_at_1e_300_meets_the_window(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     lower, upper = _f_window_near_zero(Fraction(1, 10**300))
-    f = Enclosure(Fraction(doc["lo"]), Fraction(doc["hi"]))
+    f = span(Fraction(doc["lo"]), Fraction(doc["hi"]))
     assert f.lo <= lower.lo and upper.hi <= f.hi
     assert doc["hi"] - doc["lo"] <= 2 * math.ulp(doc["hi"])
 

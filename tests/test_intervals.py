@@ -26,14 +26,14 @@ from divisor_series.intervals import (
     to_ivmpf,
     working_precision,
 )
-from oracles import FixedArithmetic, double_interval_log
+from oracles import FixedArithmetic, double_interval_log, holds, overlaps, span
 
 
 def test_third_times_three_contains_one():
     with interval_precision(64):
         third = Enclosure(1) / 3
         product = third * 3
-    assert product.contains(1)
+    assert holds(product, 1)
     assert third.lo < third.hi  # genuinely outward
 
 
@@ -51,7 +51,7 @@ def test_fraction_conversion_outward(value, bits):
         quotient = iv.mpf(num) / iv.mpf(den)
     assert lifted._mpi_ == (libmp.from_rational(num, den, bits, libmp.round_floor),
                             libmp.from_rational(num, den, bits, libmp.round_ceiling))
-    assert Enclosure(lifted).contains(Fraction(value))
+    assert holds(Enclosure(lifted), Fraction(value))
     if max(abs(num).bit_length(), den.bit_length()) <= bits:
         assert lifted._mpi_ == quotient._mpi_
     else:
@@ -73,30 +73,49 @@ def test_log_containment():
 
 
 def test_strict_ordering_and_overlap():
-    a = Enclosure(1, 2)
-    b = Enclosure(3, 4)
-    c = Enclosure(Fraction(3, 2), Fraction(7, 2))
+    a = span(1, 2)
+    b = span(3, 4)
+    c = span(Fraction(3, 2), Fraction(7, 2))
     assert a.strictly_below(b)
     assert not a.strictly_below(c)
-    assert a.intersects(c) and c.intersects(b)
-    assert not a.intersects(b)
+    assert overlaps(a, c) and overlaps(c, b)
+    assert not overlaps(a, b)
 
 
-def test_enclosure_reflects_subtraction_only():
-    """A scalar may stand left of `-` (1 - x); scalar + x, scalar * x,
-    scalar / x and -x, which no caller wrote, are refused."""
-    x = Enclosure(Fraction(1, 4), Fraction(1, 2))
-    assert (1 - x).contained_in(Fraction(1, 2), Fraction(3, 4))
-    for name in ("__radd__", "__rmul__", "__rtruediv__", "__neg__"):
+def test_enclosure_has_no_reflected_operator():
+    """An Enclosure stands left of every operator it takes: scalar + x,
+    scalar - x, scalar * x, scalar / x and -x, which no caller writes, are
+    refused."""
+    x = span(Fraction(1, 4), Fraction(1, 2))
+    assert (x - 1).contained_in(Fraction(-3, 4), Fraction(-1, 2))
+    for name in ("__radd__", "__rsub__", "__rmul__", "__rtruediv__", "__neg__"):
         assert not hasattr(Enclosure, name), name
+    with pytest.raises(TypeError):
+        2 - x
     with pytest.raises(TypeError):
         2 * x
     with pytest.raises(TypeError):
         -x
 
 
+def test_removed_operations_are_refused():
+    """A negative power or a scalar over a DoubleInterval, and a scalar minus
+    an Enclosure, raise TypeError instead of returning a value."""
+    two = DoubleInterval.lift(2)
+    with pytest.raises(TypeError):
+        two ** -1
+    with pytest.raises(TypeError):
+        two ** -3
+    with pytest.raises(TypeError):
+        1 / two
+    with pytest.raises(TypeError):
+        Fraction(1) / two
+    with pytest.raises(TypeError):
+        2 - Enclosure(Fraction(1))
+
+
 def test_contained_in_is_exact():
-    enc = Enclosure(Fraction(1, 3), Fraction(2, 3))
+    enc = span(Fraction(1, 3), Fraction(2, 3))
     assert enc.contained_in(Fraction(1, 4), Fraction(3, 4))
     assert not enc.contained_in(Fraction(1, 3) + Fraction(1, 10**40), 1)
 
@@ -128,14 +147,10 @@ def test_to_floats_enclose_values_beyond_the_doubles(value):
 def test_midpoint_lies_between_the_ends(lo, hi):
     """Halving each end first keeps the sum of ends near the largest double
     finite; a subnormal end that halving rounds is clamped back."""
-    mid = Enclosure(lo, hi).midpoint()
+    mid = span(lo, hi).midpoint()
     assert lo <= mid <= hi
     assert mid == pytest.approx(lo / 2 + hi / 2, rel=1e-15, abs=5e-324)
 
-
-def test_endpoints_out_of_order_rejected():
-    with pytest.raises(ValueError):
-        Enclosure(2, 1)
 
 
 #: Euler's constant, first 60 decimal digits (truncated, not rounded): the
@@ -255,9 +270,11 @@ def test_double_interval_arithmetic_encloses_exact(op):
             result = fn(x, y)
             assert _encloses(result, fn(a, b)), (op, a, b, result)
             assert _encloses(result, fn(a, b2)), (op, a, b2, result)
-            # mixed scalar operands on either side
+            # mixed scalar operands: on either side, but a scalar divides
+            # no DoubleInterval
             assert _encloses(fn(x, b), fn(a, b))
-            assert _encloses(fn(a, DoubleInterval.lift(b)), fn(a, b))
+            if op != "/":
+                assert _encloses(fn(a, DoubleInterval.lift(b)), fn(a, b))
 
 
 def test_double_interval_integer_powers_enclose_exact():
@@ -265,8 +282,6 @@ def test_double_interval_integer_powers_enclose_exact():
         x = DoubleInterval.lift(a)
         for n in (0, 1, 2, 3, 7, 14, 40):
             assert _encloses(x ** n, a ** n), (a, n)
-        if a != 0:
-            assert _encloses(x ** -3, a ** -3), a
 
 
 def test_double_interval_log_exp_enclose_256_bit_values():
@@ -378,7 +393,8 @@ def _bits(x: DoubleInterval) -> tuple[str, str]:
 
 def test_double_interval_int_operands_give_the_lifted_doubles():
     """An int operand, exact or lifted, gives the same endpoints as its
-    DoubleInterval.lift on every side of + - * /; x ** 2 is x * x."""
+    DoubleInterval.lift on every side of + - * and right of /; x ** 2 is
+    x * x."""
     rng = random.Random(15)
     inf = math.inf
     xs = [DoubleInterval(-inf, inf), DoubleInterval(0.0, 0.0), DoubleInterval(-0.0, 0.0),
@@ -399,7 +415,6 @@ def test_double_interval_int_operands_give_the_lifted_doubles():
             assert _bits(k - x) == _bits(y - x), (x, k)
             assert _bits(x * k) == _bits(x * y) == _bits(k * x), (x, k)
             assert _bits(x / k) == _bits(x / y), (x, k)
-            assert _bits(k / x) == _bits(y / x), (x, k)
 
 
 def test_double_interval_lifts_huge_and_tiny_rationals():

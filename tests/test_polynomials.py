@@ -14,7 +14,7 @@ from divisor_series.lemma_functions import (
     h3_numerator_polynomial,
 )
 from divisor_series.polynomials import Polynomial, sturm_root_count
-from oracles import sturm_chain
+from oracles import poly_divmod, sturm_chain
 
 
 def poly_from_roots(roots) -> Polynomial:
@@ -111,9 +111,9 @@ def test_random_polynomials_against_sampling_oracle():
 
 def test_division_and_evaluation():
     p = poly_from_roots([1, 2, 3])
-    q, r = p.divmod(Polynomial([-1, 1]))
+    q, r = poly_divmod(p, Polynomial([-1, 1]))
     assert r.is_zero
-    assert q == poly_from_roots([2, 3])
+    assert q.coeffs == poly_from_roots([2, 3]).coeffs
     assert p(Fraction(5, 2)) == Fraction(3, 2) * Fraction(1, 2) * Fraction(-1, 2)
 
 
@@ -136,7 +136,7 @@ def fraction_sturm_chain(p: Polynomial) -> list[Polynomial]:
     if not d.is_zero:
         chain.append(_fraction_primitive(d))
     while chain[-1].degree > 0:
-        _, rem = chain[-2].divmod(chain[-1])
+        _, rem = poly_divmod(chain[-2], chain[-1])
         if rem.is_zero:
             break
         chain.append(_fraction_primitive(rem.scale(-1)))
@@ -150,9 +150,9 @@ def fraction_root_count(p: Polynomial, a: Fraction, b: Fraction) -> int:
     if p(b) == 0:
         count += 1
         while p(b) == 0 and p.degree > 0:
-            p, _ = p.divmod(Polynomial([-b, 1]))
+            p, _ = poly_divmod(p, Polynomial([-b, 1]))
     while p(a) == 0 and p.degree > 0:
-        p, _ = p.divmod(Polynomial([-a, 1]))
+        p, _ = poly_divmod(p, Polynomial([-a, 1]))
     if p.degree == 0:
         return count
 
@@ -185,7 +185,7 @@ def test_integer_chain_is_the_fraction_chain_on_sparse_polynomials():
     for _ in range(80):
         p = _sparse_polynomial(rng)
         reference = fraction_sturm_chain(p)
-        assert sturm_chain(p) == reference, p
+        assert [c.coeffs for c in sturm_chain(p)] == [c.coeffs for c in reference], p
         degrees = [e.degree for e in reference]
         gaps += any(s - t >= 2 for s, t in zip(degrees, degrees[1:]))
         negative_leads += any(e.coeffs[-1] < 0 for e in reference[1:-1])
@@ -226,5 +226,5 @@ def test_lemma_polynomials_count_as_the_fraction_chain(poly, a, b, count):
     """Delta and G0 on (0.91, 1] (2.5) and D3 on (0, 1] (2.8): the integer chain
     gives the Fraction chain's elements and count."""
     p = poly()
-    assert sturm_chain(p) == fraction_sturm_chain(p)
+    assert [c.coeffs for c in sturm_chain(p)] == [c.coeffs for c in fraction_sturm_chain(p)]
     assert sturm_root_count(p, a, b) == fraction_root_count(p, Fraction(a), Fraction(b)) == count

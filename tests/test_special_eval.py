@@ -46,8 +46,11 @@ from divisor_series.special_eval import (
 )
 from oracles import (
     FixedArithmetic,
+    holds,
+    overlaps,
     psi_partial_sum_generic,
     psi_tail,
+    span,
     t_partial_sum_generic,
     t_tail,
 )
@@ -78,7 +81,7 @@ def test_t_cross_representation_at_half():
         assert r.mode is Mode.CERTIFIED
     for a in reports:
         for b in reports:
-            assert a.value.intersects(b.value)
+            assert overlaps(a.value, b.value)
 
 
 def test_t_cross_representation_random_grid():
@@ -88,7 +91,7 @@ def test_t_cross_representation_random_grid():
         reports = [eval_T(QPoint(q), 1e-10, rep) for rep in NUMERIC_REPS]
         for a in reports:
             for b in reports:
-                assert a.value.intersects(b.value)
+                assert overlaps(a.value, b.value)
 
 
 def test_t_leading_coefficient_limit():
@@ -101,7 +104,7 @@ def test_t_fast_mode_contains_certified():
     certified = eval_T(0.7, 1e-13)
     fast = eval_T(0.7, 1e-13, mode=Mode.FAST)
     assert fast.mode is Mode.FAST
-    assert fast.value.intersects(certified.value)
+    assert overlaps(fast.value, certified.value)
 
 
 @pytest.mark.parametrize("rep", NUMERIC_REPS)
@@ -112,7 +115,7 @@ def test_fast_t_tail_bound_stays_positive_where_q_powers_underflow(q, rep):
     rounded up, so it stays above the true tail (> 0)."""
     fast = eval_T(q, 1e-12, rep, Mode.FAST)
     assert fast.tail_bound > 0
-    assert fast.value.intersects(eval_T(q, 1e-12, rep).value)
+    assert overlaps(fast.value, eval_T(q, 1e-12, rep).value)
 
 
 _NEAR_ONE = [(rep, k) for rep in NUMERIC_REPS
@@ -196,10 +199,10 @@ def test_f_where_the_width_of_t_underflows(mode):
     b_plus = q / 2 + q**2 / (6 * (1 - q))
     with interval_precision(128):
         log_inv_q = iv.log(to_ivmpf(1 / q))
-        window = Enclosure((1 - 1 / log_inv_q).a, (1 - 1 / log_inv_q + to_ivmpf(a_plus)
-                                                   + to_ivmpf(b_plus) / log_inv_q).b)
+        window = span((1 - 1 / log_inv_q).a, (1 - 1 / log_inv_q + to_ivmpf(a_plus)
+                                              + to_ivmpf(b_plus) / log_inv_q).b)
     f = eval_F(q, 1e-12, mode=mode)
-    assert f.value.intersects(window)
+    assert overlaps(f.value, window)
     assert float(f.value.width_upper()) <= (1e-12 if mode is Mode.CERTIFIED else 1e-14)
 
 
@@ -235,7 +238,7 @@ def test_t_tail_bound_is_sound():
     for rep in NUMERIC_REPS:
         r = eval_T(0.9, 1e-8, rep)
         refined = eval_T(0.9, 1e-14, rep)
-        assert r.value.intersects(refined.value)
+        assert overlaps(r.value, refined.value)
         assert refined.value.lo >= r.value.lo - r.value.width_upper()
 
 
@@ -285,7 +288,7 @@ def test_certified_t_partial_sum_on_fixed_intervals_encloses_exact(rep, q):
     got = Enclosure(got)
     exact = _exact_t_partial_sum(q, rep, _FIXED_TERMS)
     tail = t_tail(q, rep, _FIXED_TERMS)
-    assert got.contains(exact) and got.contains(exact + tail)
+    assert holds(got, exact) and holds(got, exact + tail)
     assert mpf_to_fraction(got.hi) - mpf_to_fraction(got.lo) - tail <= exact / 2**100
 
 
@@ -316,7 +319,7 @@ def test_certified_psi_partial_sum_on_fixed_intervals_encloses_exact(q, x):
     low = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.lo), _FIXED_TERMS)
     high = _exact_psi_partial_sum(q, mpf_to_fraction(a_enc.hi), _FIXED_TERMS)
     tail = psi_tail(q, mpf_to_fraction(a_enc.hi), _FIXED_TERMS)
-    assert got.contains(low) and got.contains(high + tail)
+    assert holds(got, low) and holds(got, high + tail)
     assert mpf_to_fraction(got.hi) - mpf_to_fraction(got.lo) - tail <= max(low, q) / 2**100
 
 
@@ -346,7 +349,7 @@ def test_fixed_point_step_rounds_outward(bits):
             assert Fraction(x.hi, 2 ** x.shift) <= mpf_to_fraction(back.hi)
             # outward by less than one unit in the last of `bits` places
             assert back.contained_in(lo - abs(lo) / 2 ** (bits - 2), hi + abs(hi) / 2 ** (bits - 2))
-            assert back.contains(value) and tail == libmp.fzero
+            assert holds(back, value) and tail == libmp.fzero
 
 
 def test_fixed_point_step_refuses_an_unbounded_end():
@@ -546,7 +549,7 @@ def test_certified_t_at_1e_minus_400_keeps_relative_width(rep):
     wide in absolute terms."""
     q = Fraction(1, 10**400)
     value = eval_T(q, representation=rep).value
-    assert value.contains(_exact_t_partial_sum(q, rep, 2))
+    assert holds(value, _exact_t_partial_sum(q, rep, 2))
     assert mpf_to_fraction(value.width_upper()) <= q / 2**100
 
 
@@ -567,7 +570,7 @@ def test_psi_identity_with_t_at_03():
     with interval_precision(128):
         q = QPoint.coerce("0.3").to_ivmpf()
         lhs = (psi.value + Enclosure(iv.log(1 - q))) / Enclosure(iv.log(q))
-    assert lhs.intersects(t.value)
+    assert overlaps(lhs, t.value)
 
 
 def test_psi_identity_random_points():
@@ -579,7 +582,7 @@ def test_psi_identity_random_points():
         with interval_precision(128):
             q = QPoint(qf).to_ivmpf()
             lhs = (psi.value + Enclosure(iv.log(1 - q))) / Enclosure(iv.log(q))
-        assert lhs.intersects(t.value)
+        assert overlaps(lhs, t.value)
 
 
 def test_psi_rearrangement_at_half():
@@ -589,7 +592,7 @@ def test_psi_rearrangement_at_half():
     with interval_precision(128):
         q = QPoint.coerce(0.5).to_ivmpf()
         rhs = t.value * Enclosure(iv.log(q)) - Enclosure(iv.log(1 - q))
-    assert psi.value.intersects(rhs)
+    assert overlaps(psi.value, rhs)
 
 
 def test_psi_near_one_approaches_minus_gamma():
@@ -625,7 +628,8 @@ def _direct_psi_oracle(q: Fraction, x: Fraction, eps: float) -> Enclosure:
         value = log1m + log_q * s
         radius = -log_q * tail + mp.ldexp(1, 64 - prec) * (log1m - 2 * log_q * s)
         lo, hi = value - radius, value + radius
-    return Enclosure.from_fraction_pair(mpf_to_fraction(lo), mpf_to_fraction(hi))
+    with interval_precision(max(iv.prec, working_precision())):
+        return span(mpf_to_fraction(lo), mpf_to_fraction(hi))
 
 
 _ORACLE_XS = [Fraction(1, 5), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
@@ -640,7 +644,7 @@ def test_psi_meets_direct_sum_oracle(q, x):
     oracle = _direct_psi_oracle(Fraction(q), x, 1e-30)
     for eps in (1e-8, 1e-30):
         r = eval_psi_q(q, x, eps)
-        assert r.value.intersects(oracle)
+        assert overlaps(r.value, oracle)
         assert r.value.width_upper() <= eps
 
 
@@ -755,7 +759,7 @@ def test_fast_psi_contains_certified_midpoint(q, x):
     q^(x-1) by 3e-14."""
     fast = eval_psi_q(q, x, 1e-12, Mode.FAST)
     certified = eval_psi_q(q, x, 1e-12)
-    assert fast.value.contains(certified.value.midpoint())
+    assert holds(fast.value, certified.value.midpoint())
 
 
 def test_psi_where_q_to_the_x_minus_1_overflows_a_double():
@@ -765,7 +769,7 @@ def test_psi_where_q_to_the_x_minus_1_overflows_a_double():
     certified = eval_psi_q("5e-324", Fraction(1, 100))
     assert certified.value.width_upper() <= 1e-12
     fast = eval_psi_q("5e-324", Fraction(1, 100), mode=Mode.FAST)
-    assert fast.mode is Mode.FAST and fast.value.intersects(certified.value)
+    assert fast.mode is Mode.FAST and overlaps(fast.value, certified.value)
 
 
 def test_psi_at_x_near_zero_climbs_the_precision_ladder():
@@ -818,7 +822,7 @@ def test_f_value_near_zero():
 def test_f_fast_mode():
     fast = eval_F(0.37, 1e-10, mode=Mode.FAST)
     certified = eval_F(0.37, 1e-10)
-    assert fast.value.intersects(certified.value)
+    assert overlaps(fast.value, certified.value)
 
 
 @pytest.mark.parametrize("q, eps", [("0.9999", 1e-30), ("0.99999", 1e-35),
@@ -837,7 +841,7 @@ def test_certified_h_and_f_climb_the_precision_ladder_near_one(q, eps):
         f_ref = h_ref * ((1 - qp.value) / qp.value)
     for value, reference in ((h.value, h_ref), (f.value, f_ref)):
         assert float(value.width_upper()) <= eps
-        assert value.intersects(reference)
+        assert overlaps(value, reference)
 
 
 @pytest.mark.parametrize("q", ["1e-6", "1e-12", "1e-25", "1e-100"])
@@ -845,7 +849,7 @@ def test_fast_meets_certified_near_zero(q):
     """FAST log(1-q) must not cancel near q = 0 (log1p), or FAST F and
     psi_q miss the certified values."""
     for evaluate in (partial(eval_F, q, 1e-12), partial(eval_psi_q, q, 1, 1e-12)):
-        assert evaluate(mode=Mode.FAST).value.intersects(evaluate(mode=Mode.CERTIFIED).value)
+        assert overlaps(evaluate(mode=Mode.FAST).value, evaluate(mode=Mode.CERTIFIED).value)
 
 
 @pytest.mark.parametrize("evaluate", [partial(eval_psi_q, x=Fraction(1, 2)), eval_H])
@@ -854,7 +858,7 @@ def test_fast_meets_certified_at_a_subnormal_q(evaluate):
     double (3e-320 is off by about 1e-5 relatively); FAST psi and H lift the
     exact q into 53-bit intervals, whose exponent does not underflow."""
     fast = evaluate("3e-320", eps=1e-12, mode=Mode.FAST)
-    assert fast.value.intersects(evaluate("3e-320", eps=1e-12, mode=Mode.CERTIFIED).value)
+    assert overlaps(fast.value, evaluate("3e-320", eps=1e-12, mode=Mode.CERTIFIED).value)
 
 
 def test_fast_meets_certified_from_subnormal_q_to_near_one():
@@ -876,7 +880,7 @@ def test_fast_meets_certified_from_subnormal_q_to_near_one():
                     evaluate(q, eps=1e-12, mode=Mode.FAST)
                 continue
             fast = evaluate(q, eps=1e-12, mode=Mode.FAST)
-            assert fast.value.intersects(certified.value), (q, evaluate)
+            assert overlaps(fast.value, certified.value), (q, evaluate)
 
 
 # -- bounds -------------------------------------------------------------------------
@@ -916,8 +920,8 @@ def test_salem_meets_the_psi_route():
         psi = eval_psi_q(q, 1, 1e-20)
         with interval_precision(128):
             factor = Enclosure((1 - q) / q) / Enclosure(iv.log(to_ivmpf(q)))
-            oracle = 1 - factor * psi.value
-        assert res.mid.intersects(oracle), q
+            oracle = Enclosure(1) - factor * psi.value
+        assert overlaps(res.mid, oracle), q
 
 
 @pytest.mark.parametrize("theorem", [t for t in TheoremId if t is not TheoremId.C3_3])
@@ -976,7 +980,7 @@ def test_log1m_takes_its_series_up_to_two_to_the_minus_64(lo, hi, series):
     as x is wide (2^-170); an x past it takes iv.log(1 - x), where 1 - x
     rounds at 128 bits and the width is at least 2^-128."""
     with interval_precision(128):
-        x = Enclosure(lo, hi)._iv
+        x = span(lo, hi)._iv
         got = log1m(x)
         if not series:
             assert got._mpi_ == iv.log(1 - x)._mpi_
@@ -986,7 +990,7 @@ def test_log1m_takes_its_series_up_to_two_to_the_minus_64(lo, hi, series):
 def test_c33_example():
     res = check_bounds(TheoremId.C3_3, pair=("0.2", "0.8"))
     assert res.strict_ok
-    assert res.lhs.contains(Fraction(1, 16))  # 0.2*0.2/(0.8*0.8)
+    assert holds(res.lhs, Fraction(1, 16))  # 0.2*0.2/(0.8*0.8)
 
 
 @pytest.mark.parametrize("s", ["1e-160", "1e-200", "1e-300", "1e-305"])
@@ -1054,7 +1058,7 @@ def test_indeterminate_on_huge_eps():
 def test_decide_on_constructed_enclosures(lhs, mid, rhs, want):
     """FAIL needs a certified violation of either side, touching ends
     included; overlapping enclosures are INDETERMINATE."""
-    assert special_eval._decide(*(Enclosure(*e) for e in (lhs, mid, rhs))) is want
+    assert special_eval._decide(*(span(*e) for e in (lhs, mid, rhs))) is want
 
 
 def test_bounds_check_indeterminate_at_a_wide_eps():
@@ -1110,6 +1114,22 @@ def test_fibonacci_tail_bound_halves():
     assert landau_fibonacci(11).contained_in(p10, p10 + tail10)
 
 
+@pytest.mark.parametrize("bits", [53, 128, 1024])
+def test_landau_fibonacci_ends_are_the_rounded_exact_sums(bits):
+    """The ends are libmp's floor of the exact partial sum and ceiling of the
+    partial sum plus the tail, at no less than the working precision."""
+    prec = max(bits, working_precision())
+    for k in (1, 11, 30, 200):
+        partial, tail = fibonacci_partial_sum(k)
+        with interval_precision(bits):
+            enc = landau_fibonacci(k)
+        upper = partial + tail
+        assert enc._iv._mpi_ == (
+            libmp.from_rational(partial.numerator, partial.denominator, prec, libmp.round_floor),
+            libmp.from_rational(upper.numerator, upper.denominator, prec, libmp.round_ceiling),
+        ), (bits, k)
+
+
 def test_landau_constant_both_routes():
     window_lo = Fraction("1.53537") - Fraction(5, 10**6)
     window_hi = Fraction("1.53537") + Fraction(5, 10**6)
@@ -1117,7 +1137,7 @@ def test_landau_constant_both_routes():
     direct = landau_constant_from_t(1e-7)
     assert fib.contained_in(window_lo, window_hi)
     assert direct.contained_in(window_lo, window_hi)
-    assert fib.intersects(direct)
+    assert overlaps(fib, direct)
     assert float(fib.width_upper()) < 1e-5
 
 
@@ -1138,7 +1158,7 @@ def test_landau_constant_from_t_climbs_the_precision_ladder(eps):
         fib = landau_fibonacci(200)
     direct = landau_constant_from_t(eps)
     assert float(direct.width_upper()) <= eps
-    assert direct.intersects(fib)
+    assert overlaps(direct, fib)
 
 
 def test_landau_constant_from_t_on_an_interval_argument_is_tight():
@@ -1149,7 +1169,7 @@ def test_landau_constant_from_t_on_an_interval_argument_is_tight():
         fib = landau_fibonacci(60)
     direct = landau_constant_from_t(1e-20)
     assert float(fib.width_upper()) < 1e-24
-    assert direct.intersects(fib)
+    assert overlaps(direct, fib)
     assert float(direct.width_upper()) < 1e-20
 
 
@@ -1162,7 +1182,7 @@ def test_certified_minus_log1m_keeps_relative_accuracy(q, bits):
         enc = Enclosure(-log1m(to_ivmpf(q)))
     with mp.workprec(2000):
         reference = mpf_to_fraction(-mp.log1p(-mp.mpf(q.numerator) / q.denominator))
-    assert enc.contains(reference)
+    assert holds(enc, reference)
     assert mpf_to_fraction(enc.width_upper()) <= q * Fraction(1, 2 ** (bits - 8))
 
 
@@ -1175,7 +1195,7 @@ def test_minus_log1m_at_a_negative_argument_is_log1p(q, bits):
         enc = Enclosure(-log1m(-to_ivmpf(q)))
     with mp.workprec(2000):
         reference = mpf_to_fraction(-mp.log1p(mp.mpf(q.numerator) / q.denominator))
-    assert enc.contains(reference)
+    assert holds(enc, reference)
     assert mpf_to_fraction(enc.width_upper()) <= q * Fraction(1, 2 ** (bits - 8))
 
 

@@ -63,7 +63,7 @@ from divisor_series.verifier import (
     w1_lower,
     w2_upper,
 )
-from oracles import per_cell_sandwich
+from oracles import holds, per_cell_sandwich
 
 
 # -- grids -------------------------------------------------------------------
@@ -751,7 +751,7 @@ def test_j2_limit_rederived():
     both contain it, as exact rationals."""
     assert j2_raw(Fraction(1)) == J2_LIMIT == Fraction(208609, 55440)
     limit_enc = j2_upper(Fraction(1))
-    assert limit_enc.contains(Fraction(208609, 55440))
+    assert holds(limit_enc, Fraction(208609, 55440))
     limit_doubles = j2_raw(DoubleInterval.lift(Fraction(1)))
     assert Fraction(limit_doubles.lo) <= J2_LIMIT <= Fraction(limit_doubles.hi)
 
